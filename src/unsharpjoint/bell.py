@@ -24,7 +24,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBox, InvalidDistribution, ValidationError
+from .errors import DimensionMismatch, InvalidBox, ValidationError
 from .operators import DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, identity, tensor
 from .unsharp import UnsharpParam, smear
 
@@ -281,48 +281,6 @@ def box_chsh(box: NoSignalingBox) -> ChshReport:
     """CHSH of a conditional-probability table; exact on rational boxes."""
     terms = tuple(box.correlator(x, y) for x, y in ((1, 1), (1, 2), (2, 1), (2, 2)))
     return _report(terms, TSIRELSON_BOUND)
-
-
-@dataclass(frozen=True)
-class JointDistributionReport:
-    """Existence decision for a 4-outcome joint with given 2x2 marginals.
-
-    For one state and two dichotomic marginals a joint distribution always
-    exists (the product table is a witness); the operation's job is to pin
-    the marginal semantics and reject malformed inputs.  The force of the
-    joint-measurability question is that one observable must do this for
-    every state at once; that lives in the operator constructions of the
-    joint module, not here.
-    """
-
-    exists: bool
-    witness: tuple[tuple[float, float], tuple[float, float]]
-    residual: float
-
-
-def _check_distribution(marg) -> tuple[float, float]:
-    p = tuple(float(v) for v in marg)
-    if len(p) != 2:
-        raise InvalidDistribution("dichotomic-marginal", detail=f"length {len(p)}")
-    if p[0] < 0 or p[1] < 0:
-        raise InvalidDistribution("nonnegative", float(-min(p)))
-    if abs(p[0] + p[1] - 1.0) > _EXACT_EPS:
-        raise InvalidDistribution("normalized", abs(p[0] + p[1] - 1.0))
-    return p
-
-
-def joint_distribution_exists(marg1, marg2) -> JointDistributionReport:
-    """Joint table with the given yes/no marginals (product witness)."""
-    p = _check_distribution(marg1)
-    q = _check_distribution(marg2)
-    witness = tuple(tuple(pi * qj for qj in q) for pi in p)
-    residual = max(
-        abs(witness[0][0] + witness[0][1] - p[0]),
-        abs(witness[1][0] + witness[1][1] - p[1]),
-        abs(witness[0][0] + witness[1][0] - q[0]),
-        abs(witness[0][1] + witness[1][1] - q[1]),
-    )
-    return JointDistributionReport(exists=True, witness=witness, residual=residual)
 
 
 def singlet() -> DensityMatrix:

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,7 +69,6 @@ class RunConfig:
     m: str | None = None
     n: str | None = None
     out: str | None = None
-    fmt: str = "json"
     oracle: bool = False
     expect_feasible: bool = False
 
@@ -80,8 +77,6 @@ class RunConfig:
             raise ValidationError("tol-in-[1e-12,1e-2]", detail=f"got {self.tol!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValidationError("seed-uint64", detail=f"got {self.seed!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ValidationError("format-json-or-csv", detail=f"got {self.fmt!r}")
 
 
 def _load_json(path: str) -> dict:
@@ -254,20 +249,18 @@ def _cmd_jointly_measurable(config: RunConfig) -> int:
 
 def _cmd_lambda_opt(config: RunConfig) -> int:
     if config.mode == "worst-case":
-        result = lambda_opt_search(
-            "worst-case", tol=config.tol, seed=config.seed, mesh=config.mesh
-        )
+        result = lambda_opt_search("worst-case", seed=config.seed, mesh=config.mesh)
         m, n = result.pair
         pair_json = {"m": list(m.v), "n": list(n.v)}
     else:
         if config.m is not None and config.n is not None:
             pair = (_parse_bloch(config.m), _parse_bloch(config.n))
-            result = lambda_opt_search(pair, tol=config.tol)
+            result = lambda_opt_search(pair)
             pair_json = {"m": list(pair[0].v), "n": list(pair[1].v)}
         elif "o1" in config.inputs and "o2" in config.inputs:
             o1 = _load_observable(config.inputs["o1"])
             o2 = _load_observable(config.inputs["o2"])
-            result = lambda_opt_search((o1, o2), tol=config.tol)
+            result = lambda_opt_search((o1, o2))
             pair_json = {
                 "o1": observable_to_json(o1),
                 "o2": observable_to_json(o2),
@@ -363,15 +356,8 @@ def _cmd_sweep(config: RunConfig) -> int:
         grid.append(min(lam, 1.0))
         lam += config.step
 
-    threads = int(os.environ.get("UJ_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda L: _sweep_row(m, n, L), grid))
-    else:
-        rows = [_sweep_row(m, n, L) for L in grid]
-
     lines = ["lambda,feasible,smeared_chsh,bound"]
-    for lam, verdict, value, bound in rows:
+    for lam, verdict, value, bound in (_sweep_row(m, n, L) for L in grid):
         lines.append(f"{_fifteen(lam)},{verdict},{_fifteen(value)},{_fifteen(bound)}")
     _emit(config, None, text="\n".join(lines) + "\n")
     return 0
@@ -454,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda-opt", help="largest feasible unsharpness")
     p.add_argument("--mode", choices=("pair", "worst-case"), default="pair")
-    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=2026)
     p.add_argument("--mesh", type=int, default=1000)
     p.add_argument("--m", help="Bloch vector 'x,y,z' for the first observable")

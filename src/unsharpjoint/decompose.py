@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NotEffect,
-    NotProjector,
     OddDimension,
     ValidationError,
 )
@@ -44,7 +43,6 @@ from .operators import (
 )
 
 CLUSTER_TOL = 1e-10          # snap compression eigenvalues to {0, 1}
-IDEMPOTENCY_TOL = 1e-8       # acceptance threshold for inputs
 BLOCK_RESIDUAL_TOL = 1e-9    # off-block mass of the conjugated projectors
 UNITARITY_TOL = 1e-10
 
@@ -155,19 +153,6 @@ class BlockDecomposition:
         return float(np.max(np.abs(self.assemble(blocks) - square_matrix(m))))
 
 
-def _require_projector(p: Projector, q: Projector) -> tuple[np.ndarray, np.ndarray]:
-    if p.dim != q.dim:
-        raise DimensionMismatch(p.dim, q.dim)
-    out = []
-    for proj in (p, q):
-        m = proj.matrix
-        res = float(np.max(np.abs(m @ m - m)))
-        if res > IDEMPOTENCY_TOL:
-            raise NotProjector(res)
-        out.append(m)
-    return out[0], out[1]
-
-
 def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
     """Simultaneously block-diagonalize two projectors into dim<=2 blocks.
 
@@ -177,7 +162,9 @@ def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
     ordered by descending overlap, then aligned 1-dim blocks, then the
     remaining null blocks; deterministic for golden-file comparisons.
     """
-    pm, qm = _require_projector(p, q)
+    if p.dim != q.dim:
+        raise DimensionMismatch(p.dim, q.dim)
+    pm, qm = p.matrix, q.matrix
     d = p.dim
 
     generic = []   # (overlap, u, u_perp)

@@ -84,18 +84,6 @@ class InvalidBox(ValidationError):
     """A conditional probability table violates a box invariant."""
 
 
-class InvalidDistribution(ValidationError):
-    """A probability vector is negative or unnormalized."""
-
-
-class NonConvergence(UnsharpJointError):
-    """An iterative search exhausted its iteration budget."""
-
-    def __init__(self, what: str, iterations: int):
-        self.iterations = iterations
-        super().__init__(f"{what} did not converge within {iterations} iterations")
-
-
 class ParseError(UnsharpJointError):
     """Malformed input file; reports the offending file and field."""
 

@@ -13,8 +13,9 @@ marginals.  This module provides
   projectively upstairs and compressed back;
 * an independent alternating-projection (Dykstra) feasibility oracle used
   to cross-check every closed-form verdict;
-* bisection search for the largest feasible unsharpness, including the
-  worst-case search over Bloch-vector pairs whose optimum is 1/sqrt(2).
+* the largest feasible unsharpness from the closed-form thresholds,
+  including the worst-case search over Bloch-vector pairs whose optimum
+  is 1/sqrt(2).
 
 Case table for the blockwise construction (ranks of the two restricted
 projectors on a block; dim <= 2 always):
@@ -44,12 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import neumark_dilate, compress, two_projector_blocks
-from .errors import (
-    DimensionMismatch,
-    LambdaTooLarge,
-    NonConvergence,
-    ValidationError,
-)
+from .errors import DimensionMismatch, LambdaTooLarge, ValidationError
 from .operators import (
     DichotomicObservable,
     Effect,
@@ -81,6 +77,8 @@ class BlochVector:
         if a.shape != (3,):
             raise ValidationError("bloch-3-vector", detail=f"shape {a.shape}")
         norm = float(np.linalg.norm(a))
+        if not math.isfinite(norm):
+            raise ValidationError("bloch-finite", detail=f"got {a.tolist()}")
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError("bloch-unit-norm", abs(norm - 1.0))
         a = a.copy()
@@ -94,7 +92,10 @@ class BlochVector:
     @classmethod
     def normalized(cls, v) -> "BlochVector":
         a = np.asarray(v, dtype=float).reshape(-1)
-        return cls(a / np.linalg.norm(a))
+        norm = float(np.linalg.norm(a))
+        if not 0.0 < norm < math.inf:
+            raise ValidationError("bloch-nonzero-finite-norm", detail=f"norm {norm!r}")
+        return cls(a / norm)
 
     def projector(self) -> Projector:
         m = 0.5 * (identity(2) + sum(c * s for c, s in zip(self.v, PAULI)))
@@ -530,69 +531,6 @@ class LambdaOptResult:
         return self.value
 
 
-def _pair_predicate(pair_source):
-    """Feasibility predicate lam -> bool plus the smeared pair factory."""
-    a, b = pair_source
-    if isinstance(a, BlochVector) or (
-        not isinstance(a, (Projector, DichotomicObservable))
-    ):
-        m, n = BlochVector.coerce(a), BlochVector.coerce(b)
-
-        def predicate(lam):
-            return bool(qubit_joint_observable(m, n, lam))
-
-        def smeared(lam):
-            return smear(m.observable(), lam), smear(n.observable(), lam)
-
-        return predicate, smeared, (m, n)
-
-    if isinstance(a, Projector) and isinstance(b, Projector):
-
-        def predicate(lam):
-            return bool(pvm_joint_observable(a, b, lam))
-
-        def smeared(lam):
-            return smear(a.observable(), lam), smear(b.observable(), lam)
-
-        return predicate, smeared, (a, b)
-
-    o1 = a if isinstance(a, DichotomicObservable) else DichotomicObservable.from_yes_effect(a)
-    o2 = b if isinstance(b, DichotomicObservable) else DichotomicObservable.from_yes_effect(b)
-
-    def predicate(lam):
-        try:
-            return bool(povm_joint_observable(o1, o2, lam))
-        except LambdaTooLarge:
-            return False
-
-    def smeared(lam):
-        return smear(o1, lam), smear(o2, lam)
-
-    return predicate, smeared, (o1, o2)
-
-
-def _bisect_threshold(predicate, tol: float, lo: float = 0.5, hi: float = 1.0) -> float:
-    """Largest lam with predicate true, to within tol.
-
-    lo must be feasible; every dichotomic pair is jointly measurable for
-    lam <= 1/2 in all three construction paths, so the default holds.
-    """
-    if not predicate(lo):
-        raise ValidationError("bisection-lower-endpoint", detail=f"infeasible at {lo}")
-    if predicate(hi):
-        return hi
-    budget = 200
-    for _ in range(budget):
-        if hi - lo <= tol:
-            return lo
-        mid = (lo + hi) / 2.0
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    raise NonConvergence("lambda bisection", budget)
-
-
 def fibonacci_sphere(count: int) -> np.ndarray:
     """count nearly uniform unit vectors (golden-angle spiral)."""
     i = np.arange(count, dtype=float)
@@ -603,37 +541,52 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _confirm_with_oracle(smeared_factory, lam: float) -> str:
-    o1lam, o2lam = smeared_factory(lam)
-    return feasibility_oracle(o1lam, o2lam).feasible
-
-
-def lambda_opt_search(pair_source, tol: float = 1e-4, seed: int = 2026, mesh: int = 1000) -> LambdaOptResult:
+def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> LambdaOptResult:
     """Largest feasible unsharpness for a pair, or the worst case over pairs.
 
-    For an explicit pair (Bloch vectors, projectors or dichotomic POVMs)
-    this bisects lam over (0, 1] with the matching constructive decision
-    and confirms the returned point with the feasibility oracle.  POVM
-    pairs use the dilation path, so their answer is the constructive
-    threshold, capped at 1/sqrt(2).
+    For an explicit pair the threshold comes from the closed forms:
+
+    * Bloch vectors m, n: min(1, 2 / (|m+n| + |m-n|));
+    * projectors: the minimum of 1 / (c + sqrt(1 - c^2)) over the overlaps
+      c of the two-dimensional blocks, or 1 when there are none;
+    * dichotomic POVMs: the dilation path's cap 1/sqrt(2).
+
+    The returned point is confirmed with the feasibility oracle.
 
     "worst-case" minimizes the threshold over a deterministic mesh of
-    Bloch-vector pairs (Fibonacci-sphere orientations, then anisotropic
-    refinement around the orthogonal configurations where the minimum
-    lives) and returns the minimal threshold: 1/sqrt(2) to within tol.
+    Bloch-vector pairs (Fibonacci-sphere orientations), polishes the best
+    mesh pair by a shrinking random search and returns that pair's exact
+    threshold: 1/sqrt(2) to rounding.
     """
-    tol = float(tol)
-    if tol < 1e-6:
-        raise ValidationError("tol-at-least-1e-6", detail=f"got {tol!r}")
-
     if isinstance(pair_source, str):
         if pair_source != "worst-case":
             raise ValidationError("pair-source", detail=repr(pair_source))
-        return _worst_case_search(tol, seed=seed, mesh=mesh)
+        m, n = _worst_case_pair(seed, mesh)
+        pair_source = (BlochVector.normalized(m), BlochVector.normalized(n))
 
-    predicate, smeared_factory, pair = _pair_predicate(pair_source)
-    value = _bisect_threshold(predicate, tol)
-    verdict = _confirm_with_oracle(smeared_factory, value)
+    a, b = pair_source
+    if isinstance(a, BlochVector) or (
+        not isinstance(a, (Projector, DichotomicObservable))
+    ):
+        pair = (BlochVector.coerce(a), BlochVector.coerce(b))
+        value = _pair_threshold(pair[0].v, pair[1].v)
+        observables = (pair[0].observable(), pair[1].observable())
+    elif isinstance(a, Projector) and isinstance(b, Projector):
+        pair = (a, b)
+        overlaps = [blk.overlap for blk in two_projector_blocks(a, b).blocks if blk.dim == 2]
+        value = min((1.0 / (c + math.sqrt(1.0 - c * c)) for c in overlaps), default=1.0)
+        observables = (a.observable(), b.observable())
+    else:
+        pair = observables = tuple(
+            o if isinstance(o, DichotomicObservable) else DichotomicObservable.from_yes_effect(o)
+            for o in (a, b)
+        )
+        # Every dilated block value 1/(c+s) is at least 1/sqrt(2), since
+        # c + s <= sqrt(2) for c^2 + s^2 = 1, so the dilation path's cap
+        # always binds and no dilation needs to run.
+        value = LAMBDA_OPT
+
+    verdict = feasibility_oracle(smear(observables[0], value), smear(observables[1], value)).feasible
     if verdict == "no":
         raise ValidationError(
             "oracle-contradicts-construction", detail=f"at lambda={value!r}"
@@ -642,32 +595,29 @@ def lambda_opt_search(pair_source, tol: float = 1e-4, seed: int = 2026, mesh: in
 
 
 def _pair_threshold(m: np.ndarray, n: np.ndarray) -> float:
-    """Exact criterion boundary 2 / (|m+n| + |m-n|) for one Bloch pair."""
-    return 2.0 / (
-        float(np.linalg.norm(m + n)) + float(np.linalg.norm(m - n))
-    )
+    """Exact criterion boundary min(1, 2 / (|m+n| + |m-n|)) for one Bloch pair."""
+    total = float(np.linalg.norm(m + n)) + float(np.linalg.norm(m - n))
+    return min(1.0, 2.0 / total)
 
 
-def _worst_case_search(tol: float, seed: int, mesh: int) -> LambdaOptResult:
+def _worst_case_pair(seed: int, mesh: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
 
     k1 = max(2, int(math.ceil(math.sqrt(mesh))))
     k2 = max(2, int(math.ceil(mesh / k1)))
-    ms = fibonacci_sphere(k1)
-    ns = fibonacci_sphere(k2)
-
-    best = (math.inf, None, None)
-    for m in ms:
-        for n in ns:
-            thr = _pair_threshold(m, n)
-            if thr < best[0]:
-                best = (thr, m, n)
+    ms = fibonacci_sphere(k1)[:, None, :]
+    ns = fibonacci_sphere(k2)[None, :, :]
+    # The threshold 2 / (|m+n| + |m-n|) is smallest where the sum is largest.
+    sums = np.linalg.norm(ms + ns, axis=2) + np.linalg.norm(ms - ns, axis=2)
+    i, j = np.unravel_index(np.argmax(sums), sums.shape)
+    m, n = ms[i, 0], ns[0, j]
 
     # The minimum sits at orthogonal pairs and is quadratically flat
-    # there, so a short shrinking random search polishes the mesh point.
-    thr, m, n = best
+    # there, so a shrinking random search that gets the pair within about
+    # sqrt(eps) of orthogonal puts the threshold at 1/sqrt(2) to rounding.
+    thr = _pair_threshold(m, n)
     radius = 0.2
-    for _ in range(10):
+    while radius >= 1e-7:
         for _ in range(25):
             dm = rng.normal(size=3) * radius
             dn = rng.normal(size=3) * radius
@@ -679,13 +629,4 @@ def _worst_case_search(tol: float, seed: int, mesh: int) -> LambdaOptResult:
             if t2 < thr:
                 thr, m, n = t2, m2, n2
         radius *= 0.5
-
-    mb, nb = BlochVector.normalized(m), BlochVector.normalized(n)
-    predicate, smeared_factory, pair = _pair_predicate((mb, nb))
-    value = _bisect_threshold(predicate, tol)
-    verdict = _confirm_with_oracle(smeared_factory, value)
-    if verdict == "no":
-        raise ValidationError(
-            "oracle-contradicts-construction", detail=f"at lambda={value!r}"
-        )
-    return LambdaOptResult(value=value, pair=pair, oracle_verdict=verdict)
+    return m, n

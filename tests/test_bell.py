@@ -1,4 +1,4 @@
-"""Correlators, CHSH reports, no-signaling boxes, marginal joints."""
+"""Correlators, CHSH reports, no-signaling boxes."""
 
 import math
 from fractions import Fraction
@@ -12,13 +12,11 @@ from unsharpjoint import (
     DichotomicObservable,
     DimensionMismatch,
     InvalidBox,
-    InvalidDistribution,
     NoSignalingBox,
     box_chsh,
     chsh,
     correlation,
     deterministic_box,
-    joint_distribution_exists,
     local_deterministic_boxes,
     optimal_settings,
     pr_box,
@@ -202,32 +200,3 @@ class TestBoxes:
         assert box.prob(+1, +1, 1, 1) == 1
         assert box.prob(-1, +1, 2, 1) == 1
         assert box.prob(+1, +1, 2, 2) == 0
-
-
-class TestJointDistribution:
-    def test_uniform_marginals(self):
-        rep = joint_distribution_exists((0.5, 0.5), (0.5, 0.5))
-        assert rep.exists
-        assert rep.witness == ((0.25, 0.25), (0.25, 0.25))
-
-    def test_deterministic_marginals(self):
-        rep = joint_distribution_exists((1.0, 0.0), (0.0, 1.0))
-        assert rep.exists
-        assert rep.witness[0][1] == 1.0
-        assert rep.residual <= 1e-15
-
-    def test_skewed_marginals(self):
-        rep = joint_distribution_exists((0.3, 0.7), (0.6, 0.4))
-        assert rep.exists
-        np.testing.assert_allclose(
-            np.array(rep.witness), [[0.18, 0.12], [0.42, 0.28]], atol=1e-15
-        )
-        assert rep.residual <= 1e-15
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidDistribution):
-            joint_distribution_exists((-0.1, 1.1), (0.5, 0.5))
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(InvalidDistribution):
-            joint_distribution_exists((0.4, 0.4), (0.5, 0.5))

@@ -145,8 +145,7 @@ class TestJointlyMeasurable:
 class TestLambdaOpt:
     def test_pair_mode(self, fixtures, capsys):
         code, out = _run(
-            ["lambda-opt", "--mode", "pair", "--m", "0,0,1", "--n", "1,0,0",
-             "--tol", "1e-4"],
+            ["lambda-opt", "--mode", "pair", "--m", "0,0,1", "--n", "1,0,0"],
             capsys,
         )
         assert code == 0
@@ -154,7 +153,7 @@ class TestLambdaOpt:
         assert abs(payload["lambda_opt"] - INV_SQRT2) <= 1e-3
 
     def test_worst_case_deterministic(self, fixtures, capsys):
-        args = ["lambda-opt", "--mode", "worst-case", "--tol", "1e-4"]
+        args = ["lambda-opt", "--mode", "worst-case"]
         code1, out1 = _run(args, capsys)
         code2, out2 = _run(args, capsys)
         assert code1 == code2 == 0
@@ -216,13 +215,6 @@ class TestSweep:
         assert float(last[0]) == 1.0
         assert float(last[2]) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
-    def test_thread_cap_preserves_output(self, fixtures, capsys, monkeypatch):
-        args = ["sweep", "--start", "0.5", "--stop", "0.9", "--step", "0.1"]
-        _, serial = _run(args, capsys)
-        monkeypatch.setenv("UJ_THREADS", "4")
-        _, threaded = _run(args, capsys)
-        assert serial == threaded
-
 
 class TestErrors:
     def test_malformed_json_exits_one(self, tmp_path, capsys):
@@ -232,6 +224,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert "line" in err
+
+    @pytest.mark.parametrize("m", ["0,0,0", "nan,0,1"])
+    def test_degenerate_bloch_vector_exits_one(self, m, capsys):
+        code = main(["lambda-opt", "--m", m, "--n", "1,0,0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bloch-nonzero-finite-norm" in err
+
+    def test_lambda_opt_has_no_tol_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["lambda-opt", "--m", "0,0,1", "--n", "1,0,0", "--tol", "1e-4"])
 
     def test_missing_file_exits_one(self, capsys):
         code = main(["smear", "--obs", "/nonexistent.json", "--lambda", "0.5"])
@@ -265,10 +268,6 @@ class TestRunConfig:
             RunConfig(command="smear", seed=-1)
         with pytest.raises(ValidationError):
             RunConfig(command="smear", seed=2**64)
-
-    def test_format_vocabulary(self):
-        with pytest.raises(ValidationError):
-            RunConfig(command="smear", fmt="xml")
 
 
 class TestOutputFile:

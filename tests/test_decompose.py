@@ -10,7 +10,6 @@ from unsharpjoint import (
     DichotomicObservable,
     DimensionMismatch,
     Effect,
-    NotProjector,
     OddDimension,
     Projector,
     compress,
@@ -132,14 +131,6 @@ class TestTwoProjectorBlocks:
         assert all(b.dim == 1 for b in dec.blocks)
         kinds = sorted((b.rank_p, b.rank_q) for b in dec.blocks)
         assert kinds == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_rejects_non_projector(self):
-        p = projector_onto([1, 0])
-        bad = Projector.__new__(Projector)
-        object.__setattr__(bad, "matrix", np.diag([0.6, 0.4]).astype(complex))
-        object.__setattr__(bad, "rank", 1)
-        with pytest.raises(NotProjector):
-            two_projector_blocks(p, bad)
 
     def test_rejects_dimension_mismatch(self):
         p = projector_onto([1, 0])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsharpjoint import (
     LAMBDA_OPT,
@@ -57,6 +59,33 @@ class TestBlochVector:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValidationError):
             BlochVector(np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValidationError, match="bloch-finite"):
+            BlochVector(np.array([bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "v", [[0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]]
+    )
+    def test_normalized_rejects_degenerate_norm(self, v):
+        with pytest.raises(ValidationError, match="bloch-nonzero-finite-norm"):
+            BlochVector.normalized(v)
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(-1e100, 1e100), st.sampled_from([math.nan, math.inf, -math.inf])),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_normalized_is_unit_or_typed_error(self, v):
+        try:
+            b = BlochVector.normalized(v)
+        except ValidationError:
+            return
+        assert np.isfinite(b.v).all()
+        assert abs(np.linalg.norm(b.v) - 1.0) <= 1e-12
 
     def test_projector_round_trip(self):
         from unsharpjoint.joint import bloch_of_projector
@@ -346,19 +375,56 @@ class TestFeasibilityOracle:
         assert rep.feasible == "yes"
 
 
+def _unit_vectors():
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    return (
+        st.tuples(coord, coord, coord)
+        .map(np.array)
+        .filter(lambda v: np.linalg.norm(v) > 1e-3)
+        .map(lambda v: v / np.linalg.norm(v))
+    )
+
+
 class TestLambdaOptSearch:
     def test_orthogonal_pair(self):
-        res = lambda_opt_search((Z, X), tol=1e-5)
-        assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-4)
+        res = lambda_opt_search((Z, X))
+        assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-15)
         assert res.oracle_verdict in ("yes", "undetermined")
 
     def test_identical_pair(self):
-        res = lambda_opt_search((Z, Z), tol=1e-5)
+        res = lambda_opt_search((Z, Z))
         assert res.value == 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(_unit_vectors(), _unit_vectors())
+    def test_bloch_pair_is_closed_form_boundary(self, m, n):
+        res = lambda_opt_search((m, n))
+        closed = min(1.0, 2.0 / (np.linalg.norm(m + n) + np.linalg.norm(m - n)))
+        assert res.value == pytest.approx(closed, abs=1e-15)
+        assert res.oracle_verdict in ("yes", "undetermined")
+        assert qubit_joint_observable(m, n, res.value).feasible == "yes"
+        above = res.value * (1.0 + 1e-9)
+        if res.value < 1.0 and above <= 1.0:
+            assert qubit_joint_observable(m, n, above).feasible == "no"
+
     def test_projector_pair(self):
-        res = lambda_opt_search((projector_onto([1, 0]), projector_onto([1, 1])), tol=1e-4)
-        assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-3)
+        res = lambda_opt_search((projector_onto([1, 0]), projector_onto([1, 1])))
+        assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-12)
+
+    def test_commuting_projector_pair_is_sharp(self):
+        p = Projector.from_matrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
+        q = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
+        assert lambda_opt_search((p, q)).value == 1.0
+
+    def test_povm_pair_is_the_dilation_cap(self):
+        rng = np.random.default_rng(181)
+        for d in (2, 3, 5):
+            o1 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
+            o2 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
+            res = lambda_opt_search((o1, o2))
+            assert res.value == LAMBDA_OPT
+            assert res.pair == (o1, o2)
+            assert res.oracle_verdict == "yes"
 
     def test_higher_dimensional_projector_pair(self):
         # The search lands on the worst block angle's exact boundary
@@ -375,17 +441,20 @@ class TestLambdaOptSearch:
             for b in two_projector_blocks(p, q).blocks
             if b.dim == 2
         )
-        res = lambda_opt_search((p, q), tol=1e-5)
-        assert res.value == pytest.approx(expected, abs=1e-4)
+        res = lambda_opt_search((p, q))
+        assert res.value == pytest.approx(expected, abs=1e-12)
 
     def test_worst_case(self):
-        res = lambda_opt_search("worst-case", tol=1e-4)
+        res = lambda_opt_search("worst-case")
         assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-3)
         assert res.value >= LAMBDA_OPT - 1e-3
 
-    def test_tolerance_gate(self):
-        with pytest.raises(ValidationError):
-            lambda_opt_search((Z, X), tol=1e-9)
+    def test_worst_case_reaches_inverse_sqrt2(self):
+        for seed in range(50):
+            res = lambda_opt_search("worst-case", seed=seed)
+            assert abs(res.value - LAMBDA_OPT) <= 1e-12, seed
+            m, n = res.pair
+            assert res.value == pytest.approx(2.0 / criterion_value(m, n, 1.0), abs=1e-15)
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
