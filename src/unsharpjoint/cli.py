@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,7 @@ from .bell import ChshReport, NoSignalingBox, box_chsh, chsh, singlet, smeared_c
 from .decompose import neumark_dilate, two_projector_blocks
 from .errors import (
     LambdaTooLarge,
+    NotProjector,
     ParseError,
     UnsharpJointError,
     ValidationError,
@@ -223,10 +225,10 @@ def _decide(o1: DichotomicObservable, o2: DichotomicObservable, config: RunConfi
         )
 
     def as_projector(obs):
-        m = obs.yes_effect.matrix
-        if np.max(np.abs(m @ m - m)) <= 1e-8:
-            return Projector.from_matrix(m)
-        return None
+        try:
+            return Projector.from_matrix(obs.yes_effect.matrix)
+        except NotProjector:
+            return None
 
     p1, p2 = as_projector(o1), as_projector(o2)
     if p1 is not None and p2 is not None:
@@ -345,11 +347,17 @@ def _cmd_sweep(config: RunConfig) -> int:
     n = _parse_bloch(config.n or "1,0,0")
     if config.start is None or config.stop is None or config.step is None:
         raise ValidationError("sweep-grid", detail="--start/--stop/--step required")
+    if not all(map(math.isfinite, (config.start, config.stop, config.step))):
+        raise ValidationError("sweep-grid", detail="start, stop and step must be finite")
     if config.step <= 0 or config.stop < config.start:
         raise ValidationError("sweep-grid", detail="need step > 0 and stop >= start")
     if config.start <= 0:
         raise ValidationError("sweep-grid", detail="lambda grid must start above 0")
     stop = min(config.stop, 1.0)
+    # A step under the float spacing at the loop's end could leave lam
+    # unchanged by `lam += step`, and the loop would never end.
+    if config.step < math.ulp(stop + 1e-12):
+        raise ValidationError("sweep-grid", detail=f"step {config.step!r} cannot advance lambda")
     grid = []
     lam = config.start
     while lam <= stop + 1e-12:

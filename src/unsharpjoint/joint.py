@@ -17,24 +17,16 @@ marginals.  This module provides
   including the worst-case search over Bloch-vector pairs whose optimum
   is 1/sqrt(2).
 
-Case table for the blockwise construction (ranks of the two restricted
-projectors on a block; dim <= 2 always):
+The blockwise construction meets two kinds of block, because
+two_projector_blocks splits the pair maximally:
 
-    rank pair   geometry              construction            valid for
-    (0,0)       both vanish           product of smeared      all lam
-    (0,1),(1,0) one vanishes          product of smeared      all lam
-    (0,2),(2,0) one vanishes/full     product of smeared      all lam
-    (1,1) dim1  same ray              product of smeared      all lam
-    (1,1) dim2, overlap in {0,1}      product of smeared      all lam
-    (1,2),(2,1) one is identity       product of smeared      all lam
-    (2,2)       both identity         product of smeared      all lam
-    (1,1) dim2, overlap in (0,1)      qubit midpoint witness  lam*(c+s) <= 1
-                                      (c, s = cos, sin of the half-angle)
+* 1-dim blocks, where the restricted projectors commute, take the product
+  of the two smeared observables, valid for every lam;
+* 2-dim blocks, two rank-1 projectors at overlap c in (0, 1), take the
+  qubit midpoint witness, valid iff lam * (c + sqrt(1 - c^2)) <= 1.
 
-Every commuting case takes the product form; the single noncommuting case
-is the qubit construction.  two_projector_blocks emits maximally split
-blocks, so in practice only (1,1) cases and 1-dim trivial blocks occur;
-the product form is written generically and covers the whole table.
+Each decision validates and checks only its final witness; the per-block
+and upstairs matrices in between are raw arrays.
 """
 
 from __future__ import annotations
@@ -63,7 +55,6 @@ LAMBDA_OPT = 1.0 / math.sqrt(2.0)
 CRITERION_SLACK = 1e-12
 
 OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-OUTCOME_KEYS = ("pp", "pm", "mp", "mm")
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,6 +238,34 @@ def criterion_value(m, n, lam) -> float:
     return lam * (float(np.linalg.norm(mv + nv)) + float(np.linalg.norm(mv - nv)))
 
 
+def _yes(witness: JointObservable, o1lam, o2lam, iterations: int) -> FeasibilityReport:
+    """A "yes" carrying the witness and its residuals against the targets."""
+    res = check_joint(witness, o1lam, o2lam)
+    return FeasibilityReport("yes", witness, res.marginal_max, res.min_eigenvalue, iterations)
+
+
+def _no(value: float) -> FeasibilityReport:
+    """A closed-form "no" at criterion value > 2, with the smallest
+    eigenvalue (2 - value) / 8 the midpoint witness would have had."""
+    return FeasibilityReport("no", None, 0.0, (2.0 - value) / 8.0, 0)
+
+
+def _qubit_effects(m: np.ndarray, n: np.ndarray, lam: float):
+    """Criterion value and the four raw 2x2 midpoint witness matrices for
+    unit Bloch vectors, or the value and None past the boundary."""
+    s = float(np.linalg.norm(m + n))
+    d = float(np.linalg.norm(m - n))
+    value = lam * (s + d)
+    if value > 2.0 + CRITERION_SLACK:
+        return value, None
+    t = lam * (s - d) / 2.0
+    return value, [
+        0.25 * ((1.0 + j * k * t) * identity(2)
+                + sum(c * p for c, p in zip(lam * (j * m + k * n), PAULI)))
+        for j, k in OUTCOME_SIGNS
+    ]
+
+
 def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
     """Joint observable for two smeared rank-1 qubit projective pairs.
 
@@ -263,52 +282,41 @@ def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
     """
     mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
     lam = float(UnsharpParam.coerce(lam))
-    s = float(np.linalg.norm(mb.v + nb.v))
-    d = float(np.linalg.norm(mb.v - nb.v))
-    value = lam * (s + d)
-    # Smallest eigenvalue the construction attains (same in all four blocks).
-    formula_min_eig = (2.0 - value) / 8.0
-
-    if value > 2.0 + CRITERION_SLACK:
-        return FeasibilityReport(
-            feasible="no",
-            witness=None,
-            marginal_residual=0.0,
-            min_eigenvalue=formula_min_eig,
-            iterations=0,
-        )
-
-    t = lam * (s - d) / 2.0
-    effects = []
-    for j, k in OUTCOME_SIGNS:
-        direction = lam * (j * mb.v + k * nb.v)
-        mat = 0.25 * (
-            (1.0 + j * k * t) * identity(2)
-            + sum(c * p for c, p in zip(direction, PAULI))
-        )
-        effects.append(validate_effect(mat, tol=1e-11))
-    witness = JointObservable(*effects)
-
-    res = check_joint(witness, smear(mb.observable(), lam), smear(nb.observable(), lam))
-    return FeasibilityReport(
-        feasible="yes",
-        witness=witness,
-        marginal_residual=res.marginal_max,
-        min_eigenvalue=res.min_eigenvalue,
-        iterations=0,
-    )
+    value, effects = _qubit_effects(mb.v, nb.v, lam)
+    if effects is None:
+        return _no(value)
+    witness = JointObservable(*(validate_effect(g, tol=1e-11) for g in effects))
+    return _yes(witness, smear(mb.observable(), lam), smear(nb.observable(), lam), 0)
 
 
-def _product_block(p1b: np.ndarray, p2b: np.ndarray, lam: float) -> dict[str, np.ndarray]:
+def _product_block(p1b: np.ndarray, p2b: np.ndarray, lam: float) -> list[np.ndarray]:
     """Product-form joint effects for a block where p1b and p2b commute."""
     eye = np.eye(p1b.shape[0], dtype=complex)
     wp, wm = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
     first = {1: wp * p1b + wm * (eye - p1b), -1: wm * p1b + wp * (eye - p1b)}
     second = {1: wp * p2b + wm * (eye - p2b), -1: wm * p2b + wp * (eye - p2b)}
-    return {
-        key: first[j] @ second[k]
-        for key, (j, k) in zip(OUTCOME_KEYS, OUTCOME_SIGNS)
-    }
+    return [first[j] @ second[k] for j, k in OUTCOME_SIGNS]
+
+
+def _pvm_effects(p1: Projector, p2: Projector, lam: float):
+    """Worst 2-dim block value (-inf if none) and the four raw assembled
+    witness matrices, or None when some block is past the boundary."""
+    decomp = two_projector_blocks(p1, p2)
+    worst = -math.inf
+    block_effects = []
+    for blk in decomp.blocks:
+        p1b = decomp.restrict(p1.matrix, blk)
+        p2b = decomp.restrict(p2.matrix, blk)
+        if blk.dim == 2:
+            m, n = bloch_of_projector(p1b), bloch_of_projector(p2b)
+            value, effects = _qubit_effects(m.v, n.v, lam)
+            worst = max(worst, value)
+        else:
+            effects = _product_block(p1b, p2b, lam)
+        block_effects.append(effects)
+    if any(effects is None for effects in block_effects):
+        return worst, None
+    return worst, [decomp.assemble([be[i] for be in block_effects]) for i in range(4)]
 
 
 def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport:
@@ -316,57 +324,18 @@ def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport
 
     Decomposes the pair into dim<=2 invariant blocks, solves each block
     (product form for commuting blocks, qubit construction for the
-    noncommuting ones) and reassembles.  Feasible iff every block is;
-    the marginal residual of the assembled witness equals the max over
-    per-block residuals by the direct-sum structure.
+    noncommuting ones) and reassembles.  Feasible iff every block is; a
+    "no" carries the worst block's would-be smallest eigenvalue.  The
+    blocks stay raw matrices: only the assembled witness is validated and
+    checked, and its marginal residual equals the max over per-block
+    residuals by the direct-sum structure.
     """
     lam = float(UnsharpParam.coerce(lam))
-    decomp = two_projector_blocks(p1, p2)
-
-    block_effects: list[dict[str, np.ndarray]] = []
-    worst_min_eig = math.inf
-    infeasible = False
-    for blk in decomp.blocks:
-        p1b = decomp.restrict(p1.matrix, blk)
-        p2b = decomp.restrict(p2.matrix, blk)
-        if blk.dim == 2 and blk.overlap is not None and 0.0 < blk.overlap < 1.0:
-            rep = qubit_joint_observable(
-                bloch_of_projector(p1b), bloch_of_projector(p2b), lam
-            )
-            worst_min_eig = min(worst_min_eig, rep.min_eigenvalue)
-            if not rep:
-                infeasible = True
-                continue
-            block_effects.append(
-                {k: e.matrix for k, e in zip(OUTCOME_KEYS, rep.witness.effects)}
-            )
-        else:
-            block_effects.append(_product_block(p1b, p2b, lam))
-
-    if infeasible:
-        return FeasibilityReport(
-            feasible="no",
-            witness=None,
-            marginal_residual=0.0,
-            min_eigenvalue=worst_min_eig,
-            iterations=0,
-        )
-
-    effects = [
-        Effect(decomp.assemble([be[key] for be in block_effects]))
-        for key in OUTCOME_KEYS
-    ]
-    witness = JointObservable(*effects)
-    res = check_joint(
-        witness, smear(p1.observable(), lam), smear(p2.observable(), lam)
-    )
-    return FeasibilityReport(
-        feasible="yes",
-        witness=witness,
-        marginal_residual=res.marginal_max,
-        min_eigenvalue=res.min_eigenvalue,
-        iterations=0,
-    )
+    value, effects = _pvm_effects(p1, p2, lam)
+    if effects is None:
+        return _no(value)
+    witness = JointObservable(*(Effect(g) for g in effects))
+    return _yes(witness, smear(p1.observable(), lam), smear(p2.observable(), lam), 0)
 
 
 def povm_joint_observable(
@@ -376,9 +345,10 @@ def povm_joint_observable(
 
     Both POVMs are dilated to projective measurements on the same
     system x ancilla space (one shared 2-level ancilla), the projective
-    pair is solved blockwise upstairs, and each effect is compressed back
-    onto the ancilla-0 sector.  Compression is linear, positive and
-    unital, so marginals and effect bounds survive it.
+    pair is solved blockwise upstairs, and each raw upstairs effect is
+    compressed back onto the ancilla-0 sector.  Compression is linear,
+    positive and unital, so marginals and effect bounds survive it.  Only
+    the compressed witness is validated and checked.
 
     The construction is guaranteed for lam <= 1/sqrt(2) only; larger
     values raise LambdaTooLarge (the feasibility oracle may still be
@@ -392,22 +362,15 @@ def povm_joint_observable(
 
     dil1 = neumark_dilate(o1)
     dil2 = neumark_dilate(o2)
-    upstairs = pvm_joint_observable(dil1.projector, dil2.projector, lam)
-    if not upstairs:
-        # Unreachable for lam <= 1/sqrt(2): every block criterion value is
-        # at most lam * 2 * sqrt(2) <= 2.
-        return upstairs
-
-    effects = [compress(e, 0) for e in upstairs.witness.effects]
-    witness = JointObservable(*effects)
-    res = check_joint(witness, smear(o1, lam), smear(o2, lam))
-    return FeasibilityReport(
-        feasible="yes",
-        witness=witness,
-        marginal_residual=res.marginal_max,
-        min_eigenvalue=res.min_eigenvalue,
-        iterations=0,
-    )
+    value, effects = _pvm_effects(dil1.projector, dil2.projector, lam)
+    if effects is None:
+        # Every block value is 2 lam (c + s) <= 2 sqrt(2) lam, so this is
+        # reached only for lam past 1/sqrt(2) by more than about
+        # CRITERION_SLACK / (2 sqrt(2)), inside the gate's own slack, on a
+        # block with c = s near 1/sqrt(2).
+        return _no(value)
+    witness = JointObservable(*(compress(g, 0) for g in effects))
+    return _yes(witness, smear(o1, lam), smear(o2, lam), 0)
 
 
 def _affine_project(h: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -463,6 +426,8 @@ def feasibility_oracle(
     """
     if o1lam.dim != o2lam.dim:
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
+    if max_iter < 1:
+        raise ValidationError("max-iter>=1", detail=f"got {max_iter!r}")
     d = o1lam.dim
     y1 = o1lam.yes_effect.matrix
     y2 = o2lam.yes_effect.matrix
@@ -483,16 +448,8 @@ def feasibility_oracle(
 
         min_eig = float(np.min(np.linalg.eigvalsh(x)))
         if min_eig >= -accept_tol:
-            effects = [validate_effect(g, tol=1e-9) for g in x]
-            witness = JointObservable(*effects)
-            res = check_joint(witness, o1lam, o2lam)
-            return FeasibilityReport(
-                feasible="yes",
-                witness=witness,
-                marginal_residual=res.marginal_max,
-                min_eigenvalue=res.min_eigenvalue,
-                iterations=it,
-            )
+            witness = JointObservable(*(validate_effect(g, tol=1e-9) for g in x))
+            return _yes(witness, o1lam, o2lam, it)
 
         gap = float(np.max(np.abs(x - y)))
         if gap > gap_threshold and gap > best_gap * (1.0 - 1e-3):
@@ -561,6 +518,8 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
     if isinstance(pair_source, str):
         if pair_source != "worst-case":
             raise ValidationError("pair-source", detail=repr(pair_source))
+        if mesh < 1:
+            raise ValidationError("mesh>=1", detail=f"got {mesh!r}")
         m, n = _worst_case_pair(seed, mesh)
         pair_source = (BlochVector.normalized(m), BlochVector.normalized(n))
 

@@ -141,6 +141,34 @@ class TestJointlyMeasurable:
         assert payload["feasible"] == "no"
         assert payload["iterations"] > 0
 
+    def test_oracle_rejects_non_positive_budget(self, fixtures, capsys):
+        code = main(
+            ["jointly-measurable", "--o1", fixtures["p.json"], "--o2", fixtures["q.json"],
+             "--lambda", "0.7", "--oracle", "--max-iter", "-1"]
+        )
+        assert code == 1
+        assert "max-iter>=1" in capsys.readouterr().err
+
+    def test_near_sharp_effect_takes_the_povm_path(self, tmp_path, capsys):
+        # Idempotency residual 3.7e-9: a valid effect, but not a projector
+        # to the Projector tolerance 1e-10.
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        near = (u * np.array([1.0 - 5e-9, 1.0, 0.0, 0.0])) @ u.conj().T
+        assert 1e-10 < np.max(np.abs(near @ near - near)) <= 1e-8
+        v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        paths = []
+        for name, m in (("near", near), ("proj", v[:, :2] @ v[:, :2].conj().T)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(matrix_to_json(m)))
+            paths.append(str(path))
+        code, out = _run(
+            ["jointly-measurable", "--o1", paths[0], "--o2", paths[1], "--lambda", "0.6"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["feasible"] == "yes"
+
 
 class TestLambdaOpt:
     def test_pair_mode(self, fixtures, capsys):
@@ -215,6 +243,26 @@ class TestSweep:
         assert float(last[0]) == 1.0
         assert float(last[2]) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "start,stop,step",
+        [
+            ("nan", "1.0", "0.1"),
+            ("0.5", "nan", "0.1"),
+            ("0.5", "1.0", "nan"),
+            ("0.5", "inf", "0.1"),
+            ("0.5", "1.0", "inf"),
+            # Steps that `lam += step` stops moving before the grid's end.
+            ("0.5", "1.0", "1e-300"),
+            ("0.9999999999999", "0.9999999999999", "1e-16"),
+        ],
+    )
+    def test_bad_grid_rejected(self, start, stop, step, capsys):
+        code = main(["sweep", "--start", start, "--stop", stop, "--step", step])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "sweep-grid" in captured.err
+
 
 class TestErrors:
     def test_malformed_json_exits_one(self, tmp_path, capsys):
@@ -231,6 +279,12 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert "bloch-nonzero-finite-norm" in err
+
+    @pytest.mark.parametrize("mesh", ["0", "-5"])
+    def test_worst_case_rejects_non_positive_mesh(self, mesh, capsys):
+        code = main(["lambda-opt", "--mode", "worst-case", "--mesh", mesh])
+        assert code == 1
+        assert "mesh>=1" in capsys.readouterr().err
 
     def test_lambda_opt_has_no_tol_flag(self, capsys):
         with pytest.raises(SystemExit):
