@@ -18,9 +18,10 @@ Box tables keep exact rational entries whenever the inputs are rational
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -36,10 +37,23 @@ _EXACT_EPS = 1e-12
 
 
 def _exactify(x):
-    """Keep rational inputs rational; everything else becomes float."""
+    """Keep rational inputs rational; other finite reals become float."""
     if isinstance(x, Rational):
         return Fraction(x)
-    return float(x)
+    if isinstance(x, Real) and math.isfinite(x):
+        return float(x)
+    raise TypeError(f"not a finite number: {x!r}")
+
+
+def _cell(key: str, cell) -> tuple:
+    """One setting's 2x2 table [a][b] of numbers, or InvalidBox."""
+    try:
+        rows = tuple(tuple(_exactify(v) for v in row) for row in cell)
+    except TypeError:
+        rows = ()
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        raise InvalidBox("box-cell", detail=f"setting {key!r} is not a 2x2 table of numbers")
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,29 +71,26 @@ class NoSignalingBox:
 
     def __post_init__(self):
         clean = {}
+        if not isinstance(self.table, Mapping):
+            raise InvalidBox("box-settings", detail="table must map settings to cells")
         for key in SETTINGS:
             if key not in self.table:
                 raise InvalidBox("box-settings", detail=f"missing setting {key!r}")
-            cell = self.table[key]
-            rows = []
+            rows = _cell(key, self.table[key])
             for a in range(2):
-                row = []
                 for b in range(2):
-                    v = _exactify(cell[a][b])
-                    if v < 0:
+                    if rows[a][b] < 0:
                         raise InvalidBox(
                             "box-nonnegative",
-                            float(-v),
+                            float(-rows[a][b]),
                             detail=f"p({a},{b}|{key})",
                         )
-                    row.append(v)
-                rows.append(tuple(row))
             total = sum(rows[a][b] for a in range(2) for b in range(2))
             if abs(float(total) - 1.0) > _EXACT_EPS:
                 raise InvalidBox(
                     "box-normalization", abs(float(total) - 1.0), detail=f"setting {key!r}"
                 )
-            clean[key] = tuple(rows)
+            clean[key] = rows
         object.__setattr__(self, "table", clean)
 
         # Alice's marginal must not depend on y, Bob's not on x.

@@ -6,6 +6,9 @@ Every command reads operators in the row-major JSON format
 JSON is written with sorted keys, CSV with '.' decimals, ',' separators,
 LF line endings and 15 significant digits.
 
+argparse hands its namespace straight to the command handlers; each handler
+range-checks the flags it reads before it opens any file.
+
 Exit status: 0 on success, 2 when an infeasible verdict meets
 --expect-feasible, 1 on any error.
 """
@@ -16,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ from .joint import (
     povm_joint_observable,
     pvm_joint_observable,
     qubit_joint_observable,
+    validate_oracle_tol,
 )
 from .operators import (
     DensityMatrix,
@@ -53,42 +56,17 @@ from .unsharp import smear
 SCHEMA = "uj/1"
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation: command, inputs, numeric knobs, output target."""
-
-    command: str
-    inputs: dict = field(default_factory=dict)
-    lam: float | None = None
-    tol: float = 1e-9
-    seed: int = 2026
-    mesh: int = 1000
-    max_iter: int = 20000
-    start: float | None = None
-    stop: float | None = None
-    step: float | None = None
-    mode: str = "pair"
-    m: str | None = None
-    n: str | None = None
-    out: str | None = None
-    oracle: bool = False
-    expect_feasible: bool = False
-
-    def __post_init__(self):
-        if not (1e-12 <= self.tol <= 1e-2):
-            raise ValidationError("tol-in-[1e-12,1e-2]", detail=f"got {self.tol!r}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValidationError("seed-uint64", detail=f"got {self.seed!r}")
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ParseError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(path, f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -99,16 +77,20 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ParseError(path, str(exc)) from exc
 
 
+def _observable(obj) -> DichotomicObservable:
+    """Observable format: {"yes": op, "no": op}, {"yes": op} or a bare yes-effect operator."""
+    if isinstance(obj, dict) and "yes" in obj:
+        yes = Effect(matrix_from_json(obj["yes"]))
+        if "no" in obj:
+            return DichotomicObservable(yes, Effect(matrix_from_json(obj["no"])))
+        return DichotomicObservable.from_yes_effect(yes)
+    return DichotomicObservable.from_yes_effect(matrix_from_json(obj))
+
+
 def _load_observable(path: str) -> DichotomicObservable:
-    """Observable file: {"yes": op, "no": op} or a bare yes-effect operator."""
     obj = _load_json(path)
     try:
-        if "yes" in obj:
-            yes = matrix_from_json(obj["yes"])
-            if "no" in obj:
-                return DichotomicObservable(Effect(yes), Effect(matrix_from_json(obj["no"])))
-            return DichotomicObservable.from_yes_effect(yes)
-        return DichotomicObservable.from_yes_effect(matrix_from_json(obj))
+        return _observable(obj)
     except ValidationError as exc:
         raise ParseError(path, str(exc)) from exc
 
@@ -160,12 +142,12 @@ def chsh_to_json(rep: ChshReport) -> dict:
     }
 
 
-def _emit(config: RunConfig, payload, text: str | None = None) -> None:
+def _emit(out: str | None, payload, text: str | None = None) -> None:
     """Write the report to --out (or stdout); JSON unless text is given."""
     if text is None:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8", newline="")
+    if out:
+        Path(out).write_text(text, encoding="utf-8", newline="")
     else:
         sys.stdout.write(text)
 
@@ -174,15 +156,15 @@ def _fifteen(x: float) -> str:
     return f"{float(x):.15g}"
 
 
-def _cmd_smear(config: RunConfig) -> int:
-    obs = _load_observable(config.inputs["obs"])
-    _emit(config, observable_to_json(smear(obs, config.lam)))
+def _cmd_smear(args: argparse.Namespace) -> int:
+    obs = _load_observable(args.obs)
+    _emit(args.out, observable_to_json(smear(obs, args.lam)))
     return 0
 
 
-def _cmd_blocks(config: RunConfig) -> int:
-    p = Projector.from_matrix(_load_matrix(config.inputs["p"]))
-    q = Projector.from_matrix(_load_matrix(config.inputs["q"]))
+def _cmd_blocks(args: argparse.Namespace) -> int:
+    p = Projector.from_matrix(_load_matrix(args.p))
+    q = Projector.from_matrix(_load_matrix(args.q))
     dec = two_projector_blocks(p, q)
     payload = {
         "schema": SCHEMA,
@@ -199,12 +181,12 @@ def _cmd_blocks(config: RunConfig) -> int:
             for b in dec.blocks
         ],
     }
-    _emit(config, payload)
+    _emit(args.out, payload)
     return 0
 
 
-def _cmd_dilate(config: RunConfig) -> int:
-    obs = _load_observable(config.inputs["obs"])
+def _cmd_dilate(args: argparse.Namespace) -> int:
+    obs = _load_observable(args.obs)
     dil = neumark_dilate(obs)
     payload = {
         "schema": SCHEMA,
@@ -213,15 +195,17 @@ def _cmd_dilate(config: RunConfig) -> int:
         "rank": dil.projector.rank,
         "convention": dil.convention,
     }
-    _emit(config, payload)
+    _emit(args.out, payload)
     return 0
 
 
-def _decide(o1: DichotomicObservable, o2: DichotomicObservable, config: RunConfig) -> FeasibilityReport:
-    if config.oracle:
+def _decide(
+    o1: DichotomicObservable, o2: DichotomicObservable, args: argparse.Namespace
+) -> FeasibilityReport:
+    if args.oracle:
         return feasibility_oracle(
-            smear(o1, config.lam), smear(o2, config.lam),
-            max_iter=config.max_iter, tol=config.tol,
+            smear(o1, args.lam), smear(o2, args.lam),
+            max_iter=args.max_iter, tol=args.tol,
         )
 
     def as_projector(obs):
@@ -232,36 +216,39 @@ def _decide(o1: DichotomicObservable, o2: DichotomicObservable, config: RunConfi
 
     p1, p2 = as_projector(o1), as_projector(o2)
     if p1 is not None and p2 is not None:
-        return pvm_joint_observable(p1, p2, config.lam)
-    return povm_joint_observable(o1, o2, config.lam)
+        return pvm_joint_observable(p1, p2, args.lam)
+    return povm_joint_observable(o1, o2, args.lam)
 
 
-def _cmd_jointly_measurable(config: RunConfig) -> int:
-    o1 = _load_observable(config.inputs["o1"])
-    o2 = _load_observable(config.inputs["o2"])
+def _cmd_jointly_measurable(args: argparse.Namespace) -> int:
+    validate_oracle_tol(args.tol)
+    o1 = _load_observable(args.o1)
+    o2 = _load_observable(args.o2)
     try:
-        rep = _decide(o1, o2, config)
+        rep = _decide(o1, o2, args)
     except LambdaTooLarge as exc:
         raise UnsharpJointError(f"{exc}; rerun with --oracle") from exc
-    _emit(config, feasibility_to_json(rep))
-    if config.expect_feasible and rep.feasible != "yes":
+    _emit(args.out, feasibility_to_json(rep))
+    if args.expect_feasible and rep.feasible != "yes":
         return 2
     return 0
 
 
-def _cmd_lambda_opt(config: RunConfig) -> int:
-    if config.mode == "worst-case":
-        result = lambda_opt_search("worst-case", seed=config.seed, mesh=config.mesh)
+def _cmd_lambda_opt(args: argparse.Namespace) -> int:
+    if not 0 <= args.seed < 2**64:
+        raise ValidationError("seed-uint64", detail=f"got {args.seed!r}")
+    if args.mode == "worst-case":
+        result = lambda_opt_search("worst-case", seed=args.seed, mesh=args.mesh)
         m, n = result.pair
         pair_json = {"m": list(m.v), "n": list(n.v)}
     else:
-        if config.m is not None and config.n is not None:
-            pair = (_parse_bloch(config.m), _parse_bloch(config.n))
+        if args.m is not None and args.n is not None:
+            pair = (_parse_bloch(args.m), _parse_bloch(args.n))
             result = lambda_opt_search(pair)
             pair_json = {"m": list(pair[0].v), "n": list(pair[1].v)}
-        elif "o1" in config.inputs and "o2" in config.inputs:
-            o1 = _load_observable(config.inputs["o1"])
-            o2 = _load_observable(config.inputs["o2"])
+        elif args.o1 is not None and args.o2 is not None:
+            o1 = _load_observable(args.o1)
+            o2 = _load_observable(args.o2)
             result = lambda_opt_search((o1, o2))
             pair_json = {
                 "o1": observable_to_json(o1),
@@ -278,41 +265,32 @@ def _cmd_lambda_opt(config: RunConfig) -> int:
         "oracle_verdict": result.oracle_verdict,
         "pair": pair_json,
     }
-    _emit(config, payload)
+    _emit(args.out, payload)
     return 0
 
 
-def _cmd_chsh(config: RunConfig) -> int:
-    state = DensityMatrix(_load_matrix(config.inputs["state"]))
-    settings = _load_json(config.inputs["settings"])
+def _cmd_chsh(args: argparse.Namespace) -> int:
+    state = DensityMatrix(_load_matrix(args.state))
+    settings = _load_json(args.settings)
     obs = {}
     for key in ("a1", "a2", "b1", "b2"):
         if key not in settings:
-            raise ParseError(config.inputs["settings"], f"missing setting {key!r}")
-        entry = settings[key]
-        if "yes" in entry:
-            yes = Effect(matrix_from_json(entry["yes"]))
-            obs[key] = (
-                DichotomicObservable(yes, Effect(matrix_from_json(entry["no"])))
-                if "no" in entry
-                else DichotomicObservable.from_yes_effect(yes)
-            )
-        else:
-            obs[key] = DichotomicObservable.from_yes_effect(matrix_from_json(entry))
-    if config.lam is None:
+            raise ParseError(args.settings, f"missing setting {key!r}")
+        obs[key] = _observable(settings[key])
+    if args.lam is None:
         rep = chsh(state, obs["a1"], obs["a2"], obs["b1"], obs["b2"])
     else:
-        rep = smeared_chsh(state, obs["a1"], obs["a2"], obs["b1"], obs["b2"], config.lam)
-    _emit(config, chsh_to_json(rep))
+        rep = smeared_chsh(state, obs["a1"], obs["a2"], obs["b1"], obs["b2"], args.lam)
+    _emit(args.out, chsh_to_json(rep))
     return 0
 
 
-def _cmd_box_chsh(config: RunConfig) -> int:
-    obj = _load_json(config.inputs["box"])
+def _cmd_box_chsh(args: argparse.Namespace) -> int:
+    obj = _load_json(args.box)
     if "p" not in obj:
-        raise ParseError(config.inputs["box"], "missing field 'p'")
+        raise ParseError(args.box, "missing field 'p'")
     box = NoSignalingBox(obj["p"])
-    _emit(config, chsh_to_json(box_chsh(box)))
+    _emit(args.out, chsh_to_json(box_chsh(box)))
     return 0
 
 
@@ -342,36 +320,34 @@ def _sweep_row(m: BlochVector, n: BlochVector, lam: float):
     return lam, verdict, rep.value, 2.0 / lam
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    m = _parse_bloch(config.m or "0,0,1")
-    n = _parse_bloch(config.n or "1,0,0")
-    if config.start is None or config.stop is None or config.step is None:
-        raise ValidationError("sweep-grid", detail="--start/--stop/--step required")
-    if not all(map(math.isfinite, (config.start, config.stop, config.step))):
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    m = _parse_bloch(args.m)
+    n = _parse_bloch(args.n)
+    if not all(map(math.isfinite, (args.start, args.stop, args.step))):
         raise ValidationError("sweep-grid", detail="start, stop and step must be finite")
-    if config.step <= 0 or config.stop < config.start:
+    if args.step <= 0 or args.stop < args.start:
         raise ValidationError("sweep-grid", detail="need step > 0 and stop >= start")
-    if config.start <= 0:
+    if args.start <= 0:
         raise ValidationError("sweep-grid", detail="lambda grid must start above 0")
-    stop = min(config.stop, 1.0)
+    stop = min(args.stop, 1.0)
     # A step under the float spacing at the loop's end could leave lam
     # unchanged by `lam += step`, and the loop would never end.
-    if config.step < math.ulp(stop + 1e-12):
-        raise ValidationError("sweep-grid", detail=f"step {config.step!r} cannot advance lambda")
+    if args.step < math.ulp(stop + 1e-12):
+        raise ValidationError("sweep-grid", detail=f"step {args.step!r} cannot advance lambda")
     grid = []
-    lam = config.start
+    lam = args.start
     while lam <= stop + 1e-12:
         grid.append(min(lam, 1.0))
-        lam += config.step
+        lam += args.step
 
     lines = ["lambda,feasible,smeared_chsh,bound"]
     for lam, verdict, value, bound in (_sweep_row(m, n, L) for L in grid):
         lines.append(f"{_fifteen(lam)},{verdict},{_fifteen(value)},{_fifteen(bound)}")
-    _emit(config, None, text="\n".join(lines) + "\n")
+    _emit(args.out, None, text="\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_acceptance(config: RunConfig) -> int:
+def _cmd_acceptance(args: argparse.Namespace) -> int:
     results = acceptance_mod.run_all(echo=print)
     payload = {
         "schema": SCHEMA,
@@ -388,8 +364,8 @@ def _cmd_acceptance(config: RunConfig) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    if config.out:
-        _emit(config, payload)
+    if args.out:
+        _emit(args.out, payload)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -404,11 +380,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "acceptance": _cmd_acceptance,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one validated configuration; returns the exit status."""
-    return _COMMANDS[config.command](config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -481,38 +452,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs = {}
-    for key in ("obs", "p", "q", "o1", "o2", "state", "settings", "box"):
-        val = getattr(args, key, None)
-        if val is not None:
-            inputs[key] = val
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        lam=getattr(args, "lam", None),
-        tol=getattr(args, "tol", 1e-9),
-        seed=getattr(args, "seed", 2026),
-        mesh=getattr(args, "mesh", 1000),
-        max_iter=getattr(args, "max_iter", 20000),
-        start=getattr(args, "start", None),
-        stop=getattr(args, "stop", None),
-        step=getattr(args, "step", None),
-        mode=getattr(args, "mode", "pair"),
-        m=getattr(args, "m", None),
-        n=getattr(args, "n", None),
-        out=getattr(args, "out", None),
-        oracle=getattr(args, "oracle", False),
-        expect_feasible=getattr(args, "expect_feasible", False),
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run(config)
+        return _COMMANDS[args.command](args)
     except UnsharpJointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

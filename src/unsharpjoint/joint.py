@@ -56,6 +56,10 @@ CRITERION_SLACK = 1e-12
 
 OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
+# The worst-case mesh broadcasts arrays of about 3*mesh floats; this cap
+# (1,000x the default) keeps each temporary near 24 MB.
+MAX_MESH = 10**6
+
 
 @dataclass(frozen=True, eq=False)
 class BlochVector:
@@ -402,6 +406,13 @@ def _psd_project(h: np.ndarray) -> np.ndarray:
     return (vecs * eigs[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
 
 
+def validate_oracle_tol(tol) -> float:
+    """Check the oracle tolerance against its window [1e-12, 1e-2]; NaN is outside it."""
+    if not 1e-12 <= tol <= 1e-2:
+        raise ValidationError("tol-in-[1e-12,1e-2]", detail=f"got {tol!r}")
+    return float(tol)
+
+
 def feasibility_oracle(
     o1lam: DichotomicObservable,
     o2lam: DichotomicObservable,
@@ -428,10 +439,11 @@ def feasibility_oracle(
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
     if max_iter < 1:
         raise ValidationError("max-iter>=1", detail=f"got {max_iter!r}")
+    tol = validate_oracle_tol(tol)
     d = o1lam.dim
     y1 = o1lam.yes_effect.matrix
     y2 = o2lam.yes_effect.matrix
-    accept_tol = min(float(tol), 1e-9)
+    accept_tol = min(tol, 1e-9)
 
     x = _affine_project(np.stack([np.eye(d, dtype=complex) / 4.0] * 4), y1, y2)
     correction = np.zeros_like(x)
@@ -439,7 +451,7 @@ def feasibility_oracle(
     best_gap = math.inf
     stall_count = 0
     stall_window = 500
-    gap_threshold = 10.0 * float(tol)
+    gap_threshold = 10.0 * tol
 
     for it in range(1, max_iter + 1):
         y = _psd_project(x + correction)
@@ -520,6 +532,8 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
             raise ValidationError("pair-source", detail=repr(pair_source))
         if mesh < 1:
             raise ValidationError("mesh>=1", detail=f"got {mesh!r}")
+        if mesh > MAX_MESH:
+            raise ValidationError(f"mesh<={MAX_MESH}", detail=f"got {mesh!r}")
         m, n = _worst_case_pair(seed, mesh)
         pair_source = (BlochVector.normalized(m), BlochVector.normalized(n))
 

@@ -16,7 +16,9 @@ instances are plain immutable values and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -101,6 +103,8 @@ class Effect:
     tol: float = field(default=PSD_TOL, repr=False)
 
     def __post_init__(self):
+        if not 0.0 <= self.tol < math.inf:
+            raise ValidationError("effect-tol", detail=f"need finite tol >= 0, got {self.tol!r}")
         m = require_hermitian(self.matrix)
         eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
         lo, hi = -self.tol, 1.0 + self.tol
@@ -261,13 +265,25 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of matrix_to_json; validates shape against the declared dim."""
+    """Inverse of matrix_to_json; validates shape against the declared dim.
+
+    Anything else (not an object, a missing field, a non-integer dim,
+    non-numeric entries) raises ValidationError("operator-json").
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError("operator-json", detail=f"expected an object, got {type(obj).__name__}")
     for key in ("dim", "re", "im"):
         if key not in obj:
             raise ValidationError("operator-json", detail=f"missing field {key!r}")
-    dim = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    dim = obj["dim"]
+    if not (isinstance(dim, Integral) or isinstance(dim, float) and dim.is_integer()):
+        raise ValidationError("operator-json", detail=f"dim {dim!r} is not an integer")
+    dim = int(dim)
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("operator-json", detail="re/im entries must be numbers") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(
             "operator-json",

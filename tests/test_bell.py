@@ -184,6 +184,28 @@ class TestBoxes:
         with pytest.raises(InvalidBox):
             NoSignalingBox(table)
 
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            5,
+            None,
+            "ab",
+            [[0.5, 0.5], [0.0]],
+            [[0.25, 0.25, 0.0], [0.25, 0.25]],
+            [[0.25, "x"], [0.25, 0.25]],
+            [[0.25, math.nan], [0.25, 0.25]],
+        ],
+    )
+    def test_malformed_cell_rejected(self, cell):
+        table = white_noise_box().to_json()["p"]
+        table["11"] = cell
+        with pytest.raises(InvalidBox, match="box-cell"):
+            NoSignalingBox(table)
+
+    def test_table_must_be_a_mapping(self):
+        with pytest.raises(InvalidBox, match="box-settings"):
+            NoSignalingBox(3)
+
     def test_signaling_rejected(self):
         # Alice's outcome copies Bob's setting: grossly signaling.
         table = {

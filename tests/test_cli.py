@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from unsharpjoint import ValidationError, matrix_to_json, singlet, optimal_settings
-from unsharpjoint.cli import RunConfig, main
+from unsharpjoint import matrix_from_json, matrix_to_json, singlet, optimal_settings
+from unsharpjoint.cli import main
+from unsharpjoint.joint import MAX_MESH
 
 INV_SQRT2 = 0.7071067811865475
 
@@ -213,6 +214,20 @@ class TestChsh:
         assert abs(payload["value"] - 2.0) <= 1e-9
         assert payload["bound_lambda"] == 2.0
 
+    def test_yes_no_entries(self, fixtures, tmp_path, capsys):
+        with open(fixtures["settings.json"]) as fh:
+            settings = json.load(fh)
+        a1 = matrix_from_json(settings["a1"])
+        settings["a1"] = {"yes": settings["a1"], "no": matrix_to_json(np.eye(2) - a1)}
+        settings["b2"] = {"yes": settings["b2"]}
+        path = tmp_path / "yes-no.json"
+        path.write_text(json.dumps(settings))
+        code, out = _run(
+            ["chsh", "--state", fixtures["singlet.json"], "--settings", str(path)], capsys
+        )
+        assert code == 0
+        assert abs(json.loads(out)["value"] - 2.828427) <= 1e-6
+
 
 class TestBoxChsh:
     def test_pr_exact(self, fixtures, capsys):
@@ -286,6 +301,40 @@ class TestErrors:
         assert code == 1
         assert "mesh>=1" in capsys.readouterr().err
 
+    def test_worst_case_rejects_mesh_above_cap(self, capsys):
+        code = main(["lambda-opt", "--mode", "worst-case", "--mesh", str(MAX_MESH + 1)])
+        assert code == 1
+        assert f"mesh<={MAX_MESH}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,content",
+        [
+            (["smear", "--obs", "BAD", "--lambda", "0.5"], 3),
+            (["smear", "--obs", "BAD", "--lambda", "0.5"], {"dim": "abc", "re": [[1]], "im": [[0]]}),
+            (["smear", "--obs", "BAD", "--lambda", "0.5"], {"dim": 1, "re": [["x"]], "im": [[0]]}),
+            (["smear", "--obs", "BAD", "--lambda", "0.5"], {"yes": 3}),
+            (["box-chsh", "--box", "BAD"], {"p": {k: 5 for k in ("11", "12", "21", "22")}}),
+            (["box-chsh", "--box", "BAD"], 3),
+            (["blocks", "--p", "BAD", "--q", "q.json"], 3),
+            (["chsh", "--state", "BAD", "--settings", "settings.json"], 3),
+            (["chsh", "--state", "singlet.json", "--settings", "BAD"], {"a1": 3}),
+        ],
+        ids=[
+            "top-level-number", "dim-string", "entry-string", "yes-number",
+            "box-cell-number", "box-number", "blocks-number", "state-number",
+            "settings-entry-number",
+        ],
+    )
+    def test_malformed_file_exits_one(self, argv, content, fixtures, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        argv = [str(bad) if a == "BAD" else fixtures.get(a, a) for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_lambda_opt_has_no_tol_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["lambda-opt", "--m", "0,0,1", "--n", "1,0,0", "--tol", "1e-4"])
@@ -310,18 +359,27 @@ class TestErrors:
         assert "--oracle" in err
 
 
-class TestRunConfig:
-    def test_tol_window(self):
-        with pytest.raises(ValidationError):
-            RunConfig(command="smear", tol=1.0)
-        with pytest.raises(ValidationError):
-            RunConfig(command="smear", tol=1e-13)
+class TestFlagWindows:
+    # The files do not exist: each window is checked before any file read.
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed-form", "oracle"])
+    @pytest.mark.parametrize("tol", ["1.0", "1e-13", "nan"])
+    def test_tol_window(self, tol, oracle, capsys):
+        code = main(
+            ["jointly-measurable", "--o1", "/nonexistent.json", "--o2", "/nonexistent.json",
+             "--lambda", "0.7", "--tol", tol, *oracle]
+        )
+        assert code == 1
+        assert "tol-in-[1e-12,1e-2]" in capsys.readouterr().err
 
-    def test_seed_window(self):
-        with pytest.raises(ValidationError):
-            RunConfig(command="smear", seed=-1)
-        with pytest.raises(ValidationError):
-            RunConfig(command="smear", seed=2**64)
+    @pytest.mark.parametrize("mode", ["pair", "worst-case"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_window(self, seed, mode, capsys):
+        code = main(
+            ["lambda-opt", "--mode", mode, "--seed", seed, "--o1", "/nonexistent.json",
+             "--o2", "/nonexistent.json"]
+        )
+        assert code == 1
+        assert "seed-uint64" in capsys.readouterr().err
 
 
 class TestOutputFile:

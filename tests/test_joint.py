@@ -28,6 +28,7 @@ from unsharpjoint import (
     smear,
     two_projector_blocks,
 )
+from unsharpjoint.joint import MAX_MESH
 from unsharpjoint.operators import identity
 
 Z = BlochVector(np.array([0.0, 0.0, 1.0]))
@@ -395,6 +396,14 @@ class TestFeasibilityOracle:
         with pytest.raises(ValidationError, match="max-iter>=1"):
             feasibility_oracle(o, o, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, 1e-13, 0.1])
+    def test_tolerance_outside_window_rejected(self, tol):
+        # Unchecked, tol <= 0 gave a wrong "no" for this equal pair and
+        # NaN ran the whole budget to "undetermined".
+        o = smear(Z.observable(), 0.6)
+        with pytest.raises(ValidationError, match=r"tol-in-\[1e-12,1e-2\]"):
+            feasibility_oracle(o, o, tol=tol)
+
 
 def _unit_vectors():
     coord = st.floats(-1.0, 1.0, allow_nan=False)
@@ -485,6 +494,10 @@ class TestLambdaOptSearch:
     def test_worst_case_rejects_non_positive_mesh(self, mesh):
         with pytest.raises(ValidationError, match="mesh>=1"):
             lambda_opt_search("worst-case", mesh=mesh)
+
+    def test_worst_case_rejects_mesh_above_cap(self):
+        with pytest.raises(ValidationError, match=f"mesh<={MAX_MESH}"):
+            lambda_opt_search("worst-case", mesh=MAX_MESH + 1)
 
 
 def _random_projector(rng, d, rank):

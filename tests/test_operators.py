@@ -72,6 +72,16 @@ class TestValidateEffect:
             assert eigs[0] >= -1e-9
             assert eigs[-1] <= 1 + 1e-9
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_bad_tolerance_rejected(self, tol):
+        # Against a NaN or infinite window every spectrum comparison is
+        # false, so this non-effect would otherwise validate.
+        m = np.diag([5.0, -3.0]).astype(complex)
+        with pytest.raises(ValidationError, match="effect-tol"):
+            validate_effect(m, tol=tol)
+        with pytest.raises(ValidationError, match="effect-tol"):
+            Effect(m, tol)
+
     def test_matrix_is_immutable(self):
         e = validate_effect(identity(2))
         with pytest.raises(ValueError):
@@ -205,3 +215,23 @@ class TestJsonFormat:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             matrix_from_json({"dim": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
+
+    def test_integral_float_dim_accepted(self):
+        back = matrix_from_json({"dim": 1.0, "re": [[0.5]], "im": [[0.0]]})
+        np.testing.assert_array_equal(back, [[0.5]])
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            3,
+            [[1, 0], [0, 1]],
+            {"dim": "abc", "re": [[1]], "im": [[0]]},
+            {"dim": 1.5, "re": [[1]], "im": [[0]]},
+            {"dim": 1, "re": [["x"]], "im": [[0]]},
+            {"dim": 1, "re": [[1]], "im": [[{}]]},
+            {"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]},
+        ],
+    )
+    def test_malformed_operator_rejected(self, obj):
+        with pytest.raises(ValidationError, match="operator-json"):
+            matrix_from_json(obj)
