@@ -179,7 +179,7 @@ def criterion_5_oracle_agreement() -> AcceptanceResult:
     """Closed form vs alternating projections on 1000 samples, 99% agreement."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(505)
-    checked = agreed = banded = 0
+    checked = agreed = banded = iterations = certified = 0
     for _ in range(1000):
         m = BlochVector(_random_unit(rng))
         n = BlochVector(_random_unit(rng))
@@ -189,11 +189,11 @@ def criterion_5_oracle_agreement() -> AcceptanceResult:
             banded += 1
             continue
         closed = "yes" if cval <= 2.0 else "no"
-        verdict = feasibility_oracle(
-            smear(m.observable(), lam), smear(n.observable(), lam)
-        ).feasible
+        rep = feasibility_oracle(smear(m.observable(), lam), smear(n.observable(), lam))
         checked += 1
-        if verdict == closed:
+        iterations += rep.iterations
+        certified += rep.certificate is not None
+        if rep.feasible == closed:
             agreed += 1
     dt = time.perf_counter() - t0
     rate = agreed / checked if checked else 0.0
@@ -202,7 +202,8 @@ def criterion_5_oracle_agreement() -> AcceptanceResult:
         5,
         "oracle agreement",
         passed,
-        f"{agreed}/{checked} outside band agree ({rate:.1%}, need >=99%), {banded} in band",
+        f"{agreed}/{checked} outside band agree ({rate:.1%}, need >=99%), {banded} in band; "
+        f"{iterations} oracle iterations, {certified} certified 'no'",
         dt,
     )
 

@@ -119,7 +119,7 @@ def feasibility_to_json(rep: FeasibilityReport) -> dict:
             key: matrix_to_json(e.matrix)
             for key, e in zip(("g_pp", "g_pm", "g_mp", "g_mm"), rep.witness.effects)
         }
-    return {
+    payload = {
         "schema": SCHEMA,
         "kind": "feasibility",
         "feasible": rep.feasible,
@@ -128,6 +128,12 @@ def feasibility_to_json(rep: FeasibilityReport) -> dict:
         "iterations": rep.iterations,
         "witness": witness,
     }
+    if rep.certificate is not None:
+        payload["certificate"] = {
+            key: matrix_to_json(h)
+            for key, h in zip(("h_pp", "h_pm", "h_mp", "h_mm"), rep.certificate)
+        }
+    return payload
 
 
 def chsh_to_json(rep: ChshReport) -> dict:
@@ -276,7 +282,10 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
     for key in ("a1", "a2", "b1", "b2"):
         if key not in settings:
             raise ParseError(args.settings, f"missing setting {key!r}")
-        obs[key] = _observable(settings[key])
+        try:
+            obs[key] = _observable(settings[key])
+        except ValidationError as exc:
+            raise ParseError(args.settings, str(exc)) from exc
     if args.lam is None:
         rep = chsh(state, obs["a1"], obs["a2"], obs["b1"], obs["b2"])
     else:
@@ -289,7 +298,10 @@ def _cmd_box_chsh(args: argparse.Namespace) -> int:
     obj = _load_json(args.box)
     if "p" not in obj:
         raise ParseError(args.box, "missing field 'p'")
-    box = NoSignalingBox(obj["p"])
+    try:
+        box = NoSignalingBox(obj["p"])
+    except ValidationError as exc:
+        raise ParseError(args.box, str(exc)) from exc
     _emit(args.out, chsh_to_json(box_chsh(box)))
     return 0
 

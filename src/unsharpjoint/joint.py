@@ -56,6 +56,12 @@ CRITERION_SLACK = 1e-12
 
 OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
+# The oracle tests for a Farkas certificate every CERTIFICATE_EVERY
+# iterations, and accepts one whose pairing with the affine points lies
+# below -CERTIFICATE_MARGIN * d * max(|H|_F, 1), far above rounding.
+CERTIFICATE_EVERY = 10
+CERTIFICATE_MARGIN = 1e-12
+
 # The worst-case mesh broadcasts arrays of about 3*mesh floats; this cap
 # (1,000x the default) keeps each temporary near 24 MB.
 MAX_MESH = 10**6
@@ -183,11 +189,19 @@ class FeasibilityReport:
     feasible          -- "yes" | "no" | "undetermined"
     witness           -- joint observable certifying "yes" (None otherwise)
     marginal_residual -- max-abs marginal/normalization defect of the
-                         witness (0.0 when there is no witness)
+                         witness; for an oracle "no" or "undetermined",
+                         the max-abs gap between its affine and PSD
+                         iterates; 0.0 for a closed-form "no"
     min_eigenvalue    -- smallest eigenvalue of the witness effects; for a
                          "no" from the closed form, the (negative) value
-                         the construction would have had
+                         the construction would have had; for an oracle
+                         "no" or "undetermined", that of its affine iterate
     iterations        -- oracle iterations (0 for constructive paths)
+    certificate       -- for an oracle "no", the read-only (4, d, d) stack
+                         of PSD matrices H_pp, H_pm, H_mp, H_mm with
+                         H_pp - H_pm - H_mp + H_mm = 0 and a negative
+                         pairing with every affine point (see
+                         feasibility_oracle); None otherwise
     """
 
     feasible: str
@@ -195,6 +209,7 @@ class FeasibilityReport:
     marginal_residual: float
     min_eigenvalue: float
     iterations: int
+    certificate: np.ndarray | None = None
 
     def __post_init__(self):
         if self.feasible not in ("yes", "no", "undetermined"):
@@ -413,6 +428,34 @@ def validate_oracle_tol(tol) -> float:
     return float(tol)
 
 
+def _farkas_certificate(
+    x: np.ndarray, y: np.ndarray, y1: np.ndarray, y2: np.ndarray
+) -> np.ndarray | None:
+    """Four PSD matrices proving the marginal constraints infeasible, or None.
+
+    The candidate is the gap y - x between the PSD and the affine iterates,
+    which converges to the gap vector of the two disjoint sets (Bauschke &
+    Borwein 1994).  It is projected onto H_pp - H_pm - H_mp + H_mm = 0, so
+    that its pairing with every affine point is the same, hermitized and
+    shifted by t (I, I, I, I) into the PSD cones.  If that pairing is
+    negative beyond rounding, no PSD affine point exists: the pairing of
+    two PSD matrices is never negative.
+    """
+    h = y - x
+    k = h[0] - h[1] - h[2] + h[3]
+    h = h - np.stack([k, -k, -k, k]) / 4.0
+    h = (h + np.conj(np.transpose(h, (0, 2, 1)))) / 2.0
+    d = y1.shape[0]
+    eye = np.eye(d, dtype=complex)
+    h = h + max(0.0, -float(np.min(np.linalg.eigvalsh(h)))) * eye
+    affine = np.stack([np.zeros_like(eye), y1, y2, eye - y1 - y2])
+    pairing = float(np.sum(np.conj(h) * affine).real)
+    if pairing >= -CERTIFICATE_MARGIN * d * max(float(np.linalg.norm(h)), 1.0):
+        return None
+    h.setflags(write=False)
+    return h
+
+
 def feasibility_oracle(
     o1lam: DichotomicObservable,
     o2lam: DichotomicObservable,
@@ -428,11 +471,12 @@ def feasibility_oracle(
     * "yes" once the affine-feasible iterate is PSD to -tol (capped at
       the effect tolerance 1e-9 so the witness validates as a
       JointObservable); marginals then hold exactly;
-    * "no" when the distance between the two sets stalls above 10*tol
-      for 500 consecutive iterations: alternating projections converge to
-      the gap between disjoint sets, so a persistent positive gap is the
-      (heuristic) infeasibility certificate;
-    * "undetermined" when the iteration budget runs out first, which is
+    * "no" once a Farkas certificate verifies, tested every
+      CERTIFICATE_EVERY iterations: four PSD matrices H_jk with
+      H_pp - H_pm - H_mp + H_mm = 0 whose pairing with the affine points
+      is negative, which no PSD joint observable allows.  The certificate
+      rides on the report;
+    * "undetermined" when the max_iter budget runs out first, which is
       expected only in a thin band around the feasibility boundary.
     """
     if o1lam.dim != o2lam.dim:
@@ -448,11 +492,6 @@ def feasibility_oracle(
     x = _affine_project(np.stack([np.eye(d, dtype=complex) / 4.0] * 4), y1, y2)
     correction = np.zeros_like(x)
 
-    best_gap = math.inf
-    stall_count = 0
-    stall_window = 500
-    gap_threshold = 10.0 * tol
-
     for it in range(1, max_iter + 1):
         y = _psd_project(x + correction)
         correction = x + correction - y
@@ -463,20 +502,17 @@ def feasibility_oracle(
             witness = JointObservable(*(validate_effect(g, tol=1e-9) for g in x))
             return _yes(witness, o1lam, o2lam, it)
 
-        gap = float(np.max(np.abs(x - y)))
-        if gap > gap_threshold and gap > best_gap * (1.0 - 1e-3):
-            stall_count += 1
-        else:
-            stall_count = 0
-        best_gap = min(best_gap, gap)
-        if stall_count >= stall_window:
-            return FeasibilityReport(
-                feasible="no",
-                witness=None,
-                marginal_residual=gap,
-                min_eigenvalue=min_eig,
-                iterations=it,
-            )
+        if it % CERTIFICATE_EVERY == 0:
+            certificate = _farkas_certificate(x, y, y1, y2)
+            if certificate is not None:
+                return FeasibilityReport(
+                    feasible="no",
+                    witness=None,
+                    marginal_residual=float(np.max(np.abs(x - y))),
+                    min_eigenvalue=min_eig,
+                    iterations=it,
+                    certificate=certificate,
+                )
 
     min_eig = float(np.min(np.linalg.eigvalsh(x)))
     return FeasibilityReport(

@@ -112,6 +112,7 @@ class TestJointlyMeasurable:
         payload = json.loads(out)
         assert payload["feasible"] == "yes"
         assert payload["witness"] is not None
+        assert "certificate" not in payload
 
     def test_expect_feasible_exit_code(self, fixtures, capsys):
         code, _ = _run(
@@ -141,6 +142,7 @@ class TestJointlyMeasurable:
         payload = json.loads(out)
         assert payload["feasible"] == "no"
         assert payload["iterations"] > 0
+        assert sorted(payload["certificate"]) == ["h_mm", "h_mp", "h_pm", "h_pp"]
 
     def test_oracle_rejects_non_positive_budget(self, fixtures, capsys):
         code = main(
@@ -333,7 +335,7 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(f"error: {bad}: ")
 
     def test_lambda_opt_has_no_tol_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unsharpjoint import (
@@ -54,6 +54,28 @@ def _random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def _assert_certifies_no(rep, o1lam, o2lam):
+    """Re-verify an oracle "no" in plain numpy: four PSD matrices H_jk with
+    H_pp - H_pm - H_mp + H_mm = 0, whose pairing with the affine point
+    (0, Y1, Y2, I - Y1 - Y2) built from the targets is negative.  Every
+    joint observable pairs non-negatively with H and lies on the affine
+    set, where the pairing is constant, so none exists."""
+    assert rep.feasible == "no"
+    h = np.asarray(rep.certificate)
+    d = o1lam.dim
+    assert h.shape == (4, d, d)
+    assert not h.flags.writeable
+    scale = max(float(np.linalg.norm(h)), 1.0)
+    for hjk in h:
+        assert np.max(np.abs(hjk - hjk.conj().T)) <= 1e-15 * scale
+        assert np.linalg.eigvalsh(hjk)[0] >= -1e-12 * scale
+    assert np.max(np.abs(h[0] - h[1] - h[2] + h[3])) <= 1e-12 * scale
+    y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
+    affine = (np.zeros((d, d)), y1, y2, np.eye(d) - y1 - y2)
+    pairing = sum(np.trace(hjk @ ajk).real for hjk, ajk in zip(h, affine))
+    assert pairing < 0.0
 
 
 class TestBlochVector:
@@ -115,10 +137,9 @@ class TestQubitJointObservable:
     def test_above_boundary_infeasible_and_oracle_agrees(self):
         rep = qubit_joint_observable(Z, X, 0.72)
         assert rep.feasible == "no"
-        oracle = feasibility_oracle(
-            smear(Z.observable(), 0.72), smear(X.observable(), 0.72)
-        )
-        assert oracle.feasible == "no"
+        assert rep.certificate is None
+        o1lam, o2lam = smear(Z.observable(), 0.72), smear(X.observable(), 0.72)
+        _assert_certifies_no(feasibility_oracle(o1lam, o2lam), o1lam, o2lam)
 
     def test_witness_residuals_tiny(self):
         rng = np.random.default_rng(101)
@@ -344,18 +365,22 @@ class TestFeasibilityOracle:
         )
         assert rep.feasible == "yes"
         # The sharp witness sits on the PSD-cone boundary, so convergence
-        # is asymptotic; "small" here means far below the stall window.
+        # is asymptotic; "small" here means far below the default budget.
         assert rep.iterations <= 200
+        assert rep.certificate is None
 
     def test_boundary_bracketing(self):
         yes = feasibility_oracle(
             smear(Z.observable(), 0.70), smear(X.observable(), 0.70)
         )
-        no = feasibility_oracle(
-            smear(Z.observable(), 0.72), smear(X.observable(), 0.72)
-        )
+        o1lam, o2lam = smear(Z.observable(), 0.72), smear(X.observable(), 0.72)
+        no = feasibility_oracle(o1lam, o2lam)
         assert yes.feasible == "yes"
-        assert no.feasible == "no"
+        assert yes.certificate is None
+        _assert_certifies_no(no, o1lam, o2lam)
+        # A verified certificate ends the run; waiting for the gap to stall
+        # took over 500 iterations here.
+        assert no.iterations <= 100
 
     def test_witness_passes_check_joint(self):
         o1 = smear(Z.observable(), 0.6)
@@ -377,10 +402,55 @@ class TestFeasibilityOracle:
             if abs(cval - 2.0) < 0.02:
                 continue
             closed = "yes" if cval <= 2.0 else "no"
-            verdict = feasibility_oracle(
-                smear(m.observable(), lam), smear(n.observable(), lam)
-            ).feasible
-            assert verdict == closed
+            o1lam, o2lam = smear(m.observable(), lam), smear(n.observable(), lam)
+            rep = feasibility_oracle(o1lam, o2lam)
+            assert rep.feasible == closed
+            if closed == "no":
+                _assert_certifies_no(rep, o1lam, o2lam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_bloch_pairs_outside_band(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = _random_unit(rng), _random_unit(rng)
+        lam = float(rng.uniform(0.3, 0.95))
+        cval = criterion_value(m, n, lam)
+        assume(abs(cval - 2.0) >= 0.02)
+        o1lam = smear(BlochVector(m).observable(), lam)
+        o2lam = smear(BlochVector(n).observable(), lam)
+        rep = feasibility_oracle(o1lam, o2lam)
+        assert rep.feasible == ("yes" if cval <= 2.0 else "no")
+        if rep.feasible == "no":
+            _assert_certifies_no(rep, o1lam, o2lam)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8]))
+    def test_projector_pairs_bracket_the_threshold(self, seed, d):
+        rng = np.random.default_rng(seed)
+        p, q = _random_projector(rng, d, d // 2), _random_projector(rng, d, d // 2)
+        threshold = lambda_opt_search((p, q)).value
+        assume(1.03 * threshold <= 1.0)
+        for lam, want in ((0.97 * threshold, "yes"), (1.03 * threshold, "no")):
+            o1lam, o2lam = smear(p.observable(), lam), smear(q.observable(), lam)
+            rep = feasibility_oracle(o1lam, o2lam)
+            assert rep.feasible == want
+            if want == "no":
+                _assert_certifies_no(rep, o1lam, o2lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
+    def test_never_no_at_the_threshold(self, seed, d, bloch):
+        # The certificate is a proof, so it must never verify where the
+        # closed form builds a witness.
+        rng = np.random.default_rng(seed)
+        if bloch:
+            a, b = BlochVector(_random_unit(rng)), BlochVector(_random_unit(rng))
+        else:
+            a = _random_projector(rng, d, int(rng.integers(0, d + 1)))
+            b = _random_projector(rng, d, int(rng.integers(0, d + 1)))
+        lam = lambda_opt_search((a, b)).value
+        rep = feasibility_oracle(smear(a.observable(), lam), smear(b.observable(), lam))
+        assert rep.feasible != "no"
 
     def test_povm_pair_above_gate_is_oracle_territory(self):
         # The dilation path refuses lam > 1/sqrt(2); the oracle still
