@@ -26,7 +26,7 @@ from numbers import Rational, Real
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBox, ValidationError
-from .operators import DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, identity, tensor
+from .operators import DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, identity
 from .unsharp import UnsharpParam, smear
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -242,7 +242,9 @@ def correlation(
     """Tr[state (A x B)] with A = E_yes - E_no on each wing."""
     if state.dim != a.dim * b.dim:
         raise DimensionMismatch(state.dim, a.dim, b.dim)
-    op = tensor(a.difference(), b.difference())
+    x, y = a.difference(), b.difference()
+    # A x B, entry by entry the single product x[i, j] y[k, l], as np.kron.
+    op = (x[:, None, :, None] * y[None, :, None, :]).reshape(state.dim, state.dim)
     return float(np.trace(state.matrix @ op).real)
 
 

@@ -69,10 +69,11 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_operator(path: str, build):
+    """build(matrix) for the operator in a file; a failed check names the file."""
     obj = _load_json(path)
     try:
-        return matrix_from_json(obj)
+        return build(matrix_from_json(obj))
     except ValidationError as exc:
         raise ParseError(path, str(exc)) from exc
 
@@ -169,8 +170,8 @@ def _cmd_smear(args: argparse.Namespace) -> int:
 
 
 def _cmd_blocks(args: argparse.Namespace) -> int:
-    p = Projector.from_matrix(_load_matrix(args.p))
-    q = Projector.from_matrix(_load_matrix(args.q))
+    p = _load_operator(args.p, Projector.from_matrix)
+    q = _load_operator(args.q, Projector.from_matrix)
     dec = two_projector_blocks(p, q)
     payload = {
         "schema": SCHEMA,
@@ -276,7 +277,7 @@ def _cmd_lambda_opt(args: argparse.Namespace) -> int:
 
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
-    state = DensityMatrix(_load_matrix(args.state))
+    state = _load_operator(args.state, DensityMatrix)
     settings = _load_json(args.settings)
     obs = {}
     for key in ("a1", "a2", "b1", "b2"):

@@ -25,26 +25,28 @@ two_projector_blocks splits the pair maximally:
 * 2-dim blocks, two rank-1 projectors at overlap c in (0, 1), take the
   qubit midpoint witness, valid iff lam * (c + sqrt(1 - c^2)) <= 1.
 
-Each decision validates and checks only its final witness; the per-block
-and upstairs matrices in between are raw arrays.
+Each decision checks only its final witness, once, as one (4, d, d) stack;
+the per-block and upstairs matrices in between are raw arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import neumark_dilate, compress, two_projector_blocks
+from .decompose import neumark_dilate, two_projector_blocks
 from .errors import DimensionMismatch, LambdaTooLarge, ValidationError
 from .operators import (
+    PSD_TOL,
     DichotomicObservable,
     Effect,
     Projector,
     PAULI,
+    _frozen,
+    _validated_effects,
     identity,
-    validate_effect,
 )
 from .unsharp import UnsharpParam, smear
 
@@ -99,11 +101,14 @@ class BlochVector:
         return cls(a / norm)
 
     def projector(self) -> Projector:
+        # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to 1e-12:
+        # a projector and an effect by construction.
         m = 0.5 * (identity(2) + sum(c * s for c, s in zip(self.v, PAULI)))
-        return Projector(m, rank=1)
+        return _frozen(Projector, matrix=m, rank=1)
 
     def observable(self) -> DichotomicObservable:
-        return self.projector().observable()
+        yes = _frozen(Effect, matrix=self.projector().matrix, tol=PSD_TOL)
+        return DichotomicObservable.from_yes_effect(yes)
 
 
 def bloch_of_projector(m: np.ndarray) -> BlochVector:
@@ -128,6 +133,8 @@ class JointObservable:
     g_pm: Effect
     g_mp: Effect
     g_mm: Effect
+    # Smallest raw eigenvalue, kept by the witness check for check_joint.
+    _min_eig: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         dims = {e.dim for e in self.effects}
@@ -157,6 +164,8 @@ class JointObservable:
         )
 
     def min_eigenvalue(self) -> float:
+        if self._min_eig is not None:
+            return self._min_eig
         return min(
             float(np.linalg.eigvalsh(e.matrix)[0]) for e in self.effects
         )
@@ -257,8 +266,11 @@ def criterion_value(m, n, lam) -> float:
     return lam * (float(np.linalg.norm(mv + nv)) + float(np.linalg.norm(mv - nv)))
 
 
-def _yes(witness: JointObservable, o1lam, o2lam, iterations: int) -> FeasibilityReport:
-    """A "yes" carrying the witness and its residuals against the targets."""
+def _yes(g, tol: float, o1lam, o2lam, iterations: int) -> FeasibilityReport:
+    """A "yes" carrying the witness g, checked once at tol, and its residuals."""
+    effects, min_eig = _validated_effects(g, tol)
+    witness = JointObservable(*effects)
+    object.__setattr__(witness, "_min_eig", min_eig)
     res = check_joint(witness, o1lam, o2lam)
     return FeasibilityReport("yes", witness, res.marginal_max, res.min_eigenvalue, iterations)
 
@@ -304,23 +316,14 @@ def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
     value, effects = _qubit_effects(mb.v, nb.v, lam)
     if effects is None:
         return _no(value)
-    witness = JointObservable(*(validate_effect(g, tol=1e-11) for g in effects))
-    return _yes(witness, smear(mb.observable(), lam), smear(nb.observable(), lam), 0)
-
-
-def _product_block(p1b: np.ndarray, p2b: np.ndarray, lam: float) -> list[np.ndarray]:
-    """Product-form joint effects for a block where p1b and p2b commute."""
-    eye = np.eye(p1b.shape[0], dtype=complex)
-    wp, wm = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
-    first = {1: wp * p1b + wm * (eye - p1b), -1: wm * p1b + wp * (eye - p1b)}
-    second = {1: wp * p2b + wm * (eye - p2b), -1: wm * p2b + wp * (eye - p2b)}
-    return [first[j] @ second[k] for j, k in OUTCOME_SIGNS]
+    return _yes(effects, 1e-11, smear(mb.observable(), lam), smear(nb.observable(), lam), 0)
 
 
 def _pvm_effects(p1: Projector, p2: Projector, lam: float):
     """Worst 2-dim block value (-inf if none) and the four raw assembled
     witness matrices, or None when some block is past the boundary."""
     decomp = two_projector_blocks(p1, p2)
+    wp, wm = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
     worst = -math.inf
     block_effects = []
     for blk in decomp.blocks:
@@ -331,7 +334,12 @@ def _pvm_effects(p1: Projector, p2: Projector, lam: float):
             value, effects = _qubit_effects(m.v, n.v, lam)
             worst = max(worst, value)
         else:
-            effects = _product_block(p1b, p2b, lam)
+            # A 1-dim block: p1, p2 restrict to commuting scalars p, q.
+            p, q = complex(p1b[0, 0]), complex(p2b[0, 0])
+            first = {1: wp * p + wm * (1 - p), -1: wm * p + wp * (1 - p)}
+            second = {1: wp * q + wm * (1 - q), -1: wm * q + wp * (1 - q)}
+            # 0.0 + turns a -0.0 product into +0.0, as a 1x1 matrix product does.
+            effects = [0.0 + first[j] * second[k] for j, k in OUTCOME_SIGNS]
         block_effects.append(effects)
     if any(effects is None for effects in block_effects):
         return worst, None
@@ -353,8 +361,7 @@ def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport
     value, effects = _pvm_effects(p1, p2, lam)
     if effects is None:
         return _no(value)
-    witness = JointObservable(*(Effect(g) for g in effects))
-    return _yes(witness, smear(p1.observable(), lam), smear(p2.observable(), lam), 0)
+    return _yes(effects, PSD_TOL, smear(p1.observable(), lam), smear(p2.observable(), lam), 0)
 
 
 def povm_joint_observable(
@@ -388,8 +395,8 @@ def povm_joint_observable(
         # CRITERION_SLACK / (2 sqrt(2)), inside the gate's own slack, on a
         # block with c = s near 1/sqrt(2).
         return _no(value)
-    witness = JointObservable(*(compress(g, 0) for g in effects))
-    return _yes(witness, smear(o1, lam), smear(o2, lam), 0)
+    # compress(g, 0) of each upstairs effect: the ancilla-0 sector.
+    return _yes([g[0::2, 0::2] for g in effects], PSD_TOL, smear(o1, lam), smear(o2, lam), 0)
 
 
 def _affine_project(h: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -499,8 +506,7 @@ def feasibility_oracle(
 
         min_eig = float(np.min(np.linalg.eigvalsh(x)))
         if min_eig >= -accept_tol:
-            witness = JointObservable(*(validate_effect(g, tol=1e-9) for g in x))
-            return _yes(witness, o1lam, o2lam, it)
+            return _yes(x, 1e-9, o1lam, o2lam, it)
 
         if it % CERTIFICATE_EVERY == 0:
             certificate = _farkas_certificate(x, y, y1, y2)

@@ -10,7 +10,9 @@ Tolerance policy is two-tier: affine identities and Hermiticity are checked
 at 1e-10, positive-semidefiniteness at 1e-9.  Validation helpers report raw
 residuals so callers can tighten if they need to.
 
-Every type freezes its matrix (read-only array) after validation, so
+Public constructors validate, derived values are built unchecked by
+_frozen, and a joint witness is checked once, as a stack, by
+_validated_effects.  Every type freezes its matrix (read-only array), so
 instances are plain immutable values and safe to share across threads.
 """
 
@@ -52,6 +54,17 @@ def square_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValidationError("finite-entries")
     return a
+
+
+def _frozen(cls, **fields):
+    """cls(**fields) without its checks, for values valid by construction
+    from validated ones; array fields are made read-only in place."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def identity(dim: int) -> np.ndarray:
@@ -106,12 +119,7 @@ class Effect:
         if not 0.0 <= self.tol < math.inf:
             raise ValidationError("effect-tol", detail=f"need finite tol >= 0, got {self.tol!r}")
         m = require_hermitian(self.matrix)
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        lo, hi = -self.tol, 1.0 + self.tol
-        if eigs[0] < lo:
-            raise SpectrumOutOfRange(float(eigs[0]), lo, hi)
-        if eigs[-1] > hi:
-            raise SpectrumOutOfRange(float(eigs[-1]), lo, hi)
+        _require_window(np.linalg.eigvalsh((m + m.conj().T) / 2), self.tol)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -121,10 +129,36 @@ class Effect:
         return self.matrix.shape[0]
 
     def complement(self) -> "Effect":
-        return Effect(identity(self.dim) - self.matrix, self.tol)
+        # a -> 1 - a keeps the window [-tol, 1 + tol] and the hermiticity.
+        return _frozen(Effect, matrix=identity(self.dim) - self.matrix, tol=self.tol)
 
     def min_eigenvalue(self) -> float:
         return min_eigenvalue(self.matrix)
+
+
+def _require_window(eigs: np.ndarray, tol: float) -> None:
+    lo, hi = -tol, 1.0 + tol
+    if eigs[0] < lo:
+        raise SpectrumOutOfRange(float(eigs[0]), lo, hi)
+    if eigs[-1] > hi:
+        raise SpectrumOutOfRange(float(eigs[-1]), lo, hi)
+
+
+def _validated_effects(g, tol: float) -> tuple[tuple[Effect, ...], float]:
+    """Effect(m, tol) for each m of a (k, d, d) stack, in one eigvalsh call, and
+    the smallest raw eigenvalue (the window is checked on the hermitized one)."""
+    g = np.asarray(g, dtype=complex)
+    if not np.all(np.isfinite(g)):
+        raise ValidationError("finite-entries")
+    gh = np.conj(np.swapaxes(g, 1, 2))
+    residuals = np.max(np.abs(g - gh), axis=(1, 2))
+    eigs = np.linalg.eigvalsh(np.concatenate([(g + gh) / 2, g]))
+    for res, spectrum in zip(residuals, eigs):
+        if res > HERMITIAN_TOL:
+            raise NotHermitian(float(res))
+        _require_window(spectrum, tol)
+    g.setflags(write=False)
+    return tuple(_frozen(Effect, matrix=m, tol=tol) for m in g), float(np.min(eigs[len(g):, 0]))
 
 
 def validate_effect(m, tol: float = PSD_TOL) -> Effect:
@@ -165,7 +199,8 @@ class DichotomicObservable:
     @classmethod
     def from_yes_effect(cls, m) -> "DichotomicObservable":
         yes = m if isinstance(m, Effect) else Effect(square_matrix(m))
-        return cls(yes, yes.complement())
+        # yes + (I - yes) is I to rounding, far inside AFFINE_TOL.
+        return _frozen(cls, yes_effect=yes, no_effect=yes.complement())
 
     def difference(self) -> np.ndarray:
         """The contrast operator E_yes - E_no entering mean values."""
@@ -229,9 +264,7 @@ class DensityMatrix:
         eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
         if eigs[0] < -PSD_TOL:
             raise ValidationError("psd", float(-eigs[0]))
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > AFFINE_TOL:
-            raise ValidationError("unit-trace", abs(tr - 1.0))
+        _require_unit_trace(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -247,11 +280,20 @@ class DensityMatrix:
         if n == 0:
             raise ValidationError("nonzero-vector")
         v = v / n
-        return cls(np.outer(v, v.conj()))
+        # v v^H is PSD: only the eigensolve is skipped.
+        m = require_hermitian(np.outer(v, v.conj()))
+        _require_unit_trace(m)
+        return _frozen(cls, matrix=m)
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(identity(dim) / dim)
+
+
+def _require_unit_trace(m: np.ndarray) -> None:
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > AFFINE_TOL:
+        raise ValidationError("unit-trace", abs(tr - 1.0))
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

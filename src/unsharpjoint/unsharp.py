@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .operators import DensityMatrix, DichotomicObservable, Effect
+from .operators import PSD_TOL, DensityMatrix, DichotomicObservable, Effect, _frozen
 
 SCALING_TOL = 1e-12
 
@@ -50,13 +50,14 @@ def smear(obs: DichotomicObservable, lam) -> DichotomicObservable:
     The output is a valid dichotomic observable for every lam in (0, 1]:
     each eigenvalue a of the yes-effect maps to (1 - lam)/2 + lam * a,
     which stays inside [0, 1].  The complement relation yes + no = I is
-    preserved exactly as constructed.
+    preserved exactly as constructed, so the outputs are built unchecked.
     """
     lam = float(UnsharpParam.coerce(lam))
     wp, wm = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
-    yes = Effect(wp * obs.yes_effect.matrix + wm * obs.no_effect.matrix)
-    no = Effect(wm * obs.yes_effect.matrix + wp * obs.no_effect.matrix)
-    return DichotomicObservable(yes, no)
+    y, n = obs.yes_effect, obs.no_effect
+    yes = _frozen(Effect, matrix=wp * y.matrix + wm * n.matrix, tol=max(PSD_TOL, y.tol))
+    no = _frozen(Effect, matrix=wm * y.matrix + wp * n.matrix, tol=max(PSD_TOL, n.tol))
+    return _frozen(DichotomicObservable, yes_effect=yes, no_effect=no)
 
 
 def mean_value(obs: DichotomicObservable, state: DensityMatrix) -> float:

@@ -320,11 +320,14 @@ class TestErrors:
             (["blocks", "--p", "BAD", "--q", "q.json"], 3),
             (["chsh", "--state", "BAD", "--settings", "settings.json"], 3),
             (["chsh", "--state", "singlet.json", "--settings", "BAD"], {"a1": 3}),
+            (["chsh", "--state", "BAD", "--settings", "settings.json"],
+             matrix_to_json(np.diag([2.0, -1.0, 0.0, 0.0]))),
+            (["blocks", "--p", "BAD", "--q", "q.json"], matrix_to_json(np.diag([2.0, -1.0]))),
         ],
         ids=[
             "top-level-number", "dim-string", "entry-string", "yes-number",
             "box-cell-number", "box-number", "blocks-number", "state-number",
-            "settings-entry-number",
+            "settings-entry-number", "state-not-psd", "projector-not-idempotent",
         ],
     )
     def test_malformed_file_exits_one(self, argv, content, fixtures, tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from unsharpjoint import (
     LAMBDA_OPT,
     BlochVector,
+    DensityMatrix,
     DichotomicObservable,
     Effect,
     FeasibilityReport,
@@ -87,6 +88,11 @@ class TestBlochVector:
     def test_non_finite_entries_rejected(self, bad):
         with pytest.raises(ValidationError, match="bloch-finite"):
             BlochVector(np.array([bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("v", [[0.0, 1.0], [[0.0, 0.0, 1.0]] * 2, [1.0, 0.0, 0.0, 0.0]])
+    def test_wrong_shape_rejected(self, v):
+        with pytest.raises(ValidationError, match="bloch-3-vector"):
+            BlochVector(v)
 
     @pytest.mark.parametrize(
         "v", [[0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]]
@@ -203,6 +209,29 @@ class TestPvmJointObservable:
         rep = pvm_joint_observable(p, q, 1.0)
         assert rep.feasible == "yes"
         assert rep.marginal_residual <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("lam", [1.0, 0.9, LAMBDA_OPT])
+    def test_commuting_blocks_match_the_matrix_product(self, seed, lam):
+        # Reference: each 1-dim block's witness as a product of 1x1 matrices.
+        # An exact 0 or I against a random projector gives exact-zero block
+        # effects, so this also pins the signs of zeros in the witness bytes.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 11))
+        p = Projector(np.eye(d, dtype=complex) * (seed % 2), rank=d * (seed % 2))
+        q = _random_projector(rng, d, int(rng.integers(0, d + 1)))
+        dec = two_projector_blocks(p, q)
+        wp, wm = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
+        one = np.eye(1, dtype=complex)
+        per_block = []
+        for blk in dec.blocks:
+            x, y = dec.restrict(p.matrix, blk), dec.restrict(q.matrix, blk)
+            first = {1: wp * x + wm * (one - x), -1: wm * x + wp * (one - x)}
+            second = {1: wp * y + wm * (one - y), -1: wm * y + wp * (one - y)}
+            per_block.append([first[j] @ second[k] for j, k in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+        rep = pvm_joint_observable(p, q, lam)
+        for i, e in enumerate(rep.witness.effects):
+            assert e.matrix.tobytes() == dec.assemble([be[i] for be in per_block]).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
     def test_embedded_pair_threshold(self, dim):
@@ -585,7 +614,7 @@ DECOMPOSITION_DEFECTS = ("unitary", "block-diagonality")
 
 class TestWitnessBuiltOnce:
     @pytest.mark.parametrize("path,dims", [("pvm", (4, 32)), ("povm", (2, 8))])
-    def test_eigensolves_independent_of_block_count(self, path, dims, monkeypatch):
+    def test_eigensolves_independent_of_block_count(self, path, dims, eigensolves):
         # Rank-d/2 projector pairs have d/2 two-dimensional blocks, and so
         # do the dilations of d-dim POVM pairs; only the final witness may
         # cost eigensolves.
@@ -599,22 +628,52 @@ class TestWitnessBuiltOnce:
                 [DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2)]
                 for d in dims
             ]
-        calls = []
-
-        def counting(real):
-            def wrapper(*args, **kwargs):
-                calls.append(real.__name__)
-                return real(*args, **kwargs)
-            return wrapper
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
         counts = []
         for a, b in pairs:
-            del calls[:]
+            del eigensolves[:]
             assert decide(a, b, LAMBDA_OPT).feasible == "yes"
-            counts.append(len(calls))
+            counts.append(len(eigensolves))
         assert counts[0] == counts[1]
+
+    def test_qubit_yes_makes_one_eigensolve(self, eigensolves):
+        # The witness is checked once, as one stack, and check_joint reuses
+        # its smallest eigenvalue; the smeared targets are built unchecked.
+        rep = qubit_joint_observable(Z, X, LAMBDA_OPT)
+        assert rep.feasible == "yes"
+        assert len(eigensolves) <= 1
+        check_joint(rep.witness, smear(Z.observable(), LAMBDA_OPT), smear(X.observable(), LAMBDA_OPT))
+        assert len(eigensolves) <= 1
+
+    @pytest.mark.parametrize("path", ["pvm", "povm", "oracle"])
+    def test_min_eigenvalue_is_that_of_the_raw_witness(self, path):
+        # eigvalsh reads the lower triangle of a raw witness matrix, which is
+        # Hermitian only to rounding: the report keeps that value, not the
+        # one of the hermitized copy that the witness check uses.
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            if path == "pvm":
+                o1, o2 = (_random_projector(rng, 6, 3) for _ in range(2))
+                rep = pvm_joint_observable(o1, o2, LAMBDA_OPT)
+                o1, o2 = o1.observable(), o2.observable()
+            else:
+                o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, 3)) for _ in range(2))
+                if path == "povm":
+                    rep = povm_joint_observable(o1, o2, LAMBDA_OPT)
+                else:
+                    rep = feasibility_oracle(smear(o1, 0.5), smear(o2, 0.5))
+            raw = min(float(np.linalg.eigvalsh(e.matrix)[0]) for e in rep.witness.effects)
+            assert rep.min_eigenvalue == raw
+            lam = 0.5 if path == "oracle" else LAMBDA_OPT
+            assert check_joint(rep.witness, smear(o1, lam), smear(o2, lam)).min_eigenvalue == raw
+
+    def test_derived_values_make_no_eigensolve(self, eigensolves):
+        from unsharpjoint.bell import correlation
+
+        obs = Z.observable()
+        smeared = smear(obs, 0.6)
+        state = DensityMatrix.pure([1.0, 2j, -0.5, 0.25])
+        correlation(state, smeared, X.observable())
+        assert eigensolves == []
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.data())

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsharpjoint import (
+    BlochVector,
     DensityMatrix,
     DichotomicObservable,
     Effect,
@@ -18,6 +21,7 @@ from unsharpjoint import (
     matrix_to_json,
     min_eigenvalue,
     projector_onto,
+    smear,
     tensor,
     validate_effect,
 )
@@ -168,8 +172,22 @@ class TestObservable:
     def test_mismatched_pair_rejected(self):
         yes = Effect(np.diag([0.3, 0.9]).astype(complex))
         other = Effect(np.diag([0.3, 0.3]).astype(complex))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"yes\+no=identity"):
             DichotomicObservable(yes, other)
+
+    @pytest.mark.parametrize(
+        "m,error",
+        [
+            (np.array([[0.5, 0.2], [0.0, 0.5]]), NotHermitian),
+            (np.diag([1.5, 0.0]), SpectrumOutOfRange),
+            (np.diag([0.5, -0.1]), SpectrumOutOfRange),
+            (np.array([[math.nan, 0.0], [0.0, 0.5]]), ValidationError),
+        ],
+        ids=["non-hermitian", "above-one", "negative", "nan"],
+    )
+    def test_from_yes_effect_validates_a_raw_matrix(self, m, error):
+        with pytest.raises(error):
+            DichotomicObservable.from_yes_effect(m)
 
 
 class TestProjector:
@@ -186,6 +204,17 @@ class TestProjector:
         with pytest.raises(ValidationError):
             Projector(np.diag([1.0, 0.0]).astype(complex), rank=2)
 
+    def test_as_effect_checks_the_spectrum(self):
+        # The idempotency check is entrywise: spreading an eigenvalue -eps
+        # over all 64 entries of a row passes it with eps = 6.3e-9, which is
+        # outside the effect window, so as_effect must not trust a Projector.
+        d = 64
+        v = np.ones(d) / math.sqrt(d)
+        q, _ = np.linalg.qr(np.column_stack([v, np.random.default_rng(5).normal(size=(d, d - 1))]))
+        p = Projector(q[:, 1:33] @ q[:, 1:33].T - 6.3e-9 * np.outer(v, v), rank=32)
+        with pytest.raises(SpectrumOutOfRange):
+            p.as_effect()
+
 
 class TestDensityMatrix:
     def test_pure_state(self):
@@ -199,6 +228,138 @@ class TestDensityMatrix:
     def test_psd_enforced(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "vec,invariant",
+        [
+            ([math.nan, 1.0], "finite-entries"),
+            ([math.inf, 1.0], "finite-entries"),
+            ([0.0, 0.0], "nonzero-vector"),
+            ([1e200, 1e200], "unit-trace"),
+        ],
+    )
+    def test_pure_rejects_a_bad_vector(self, vec, invariant):
+        with pytest.raises(ValidationError, match=invariant):
+            DensityMatrix.pure(vec)
+
+
+def _effect_matrix(seed, eigs):
+    """A random-basis effect with the given spectrum (the basis is exact
+    when seed is None, so eigenvalues 0 and 1 stay exact)."""
+    d = len(eigs)
+    if seed is None:
+        return np.diag(eigs).astype(complex)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return (q * np.asarray(eigs)) @ q.conj().T
+
+
+def _revalidate(obs):
+    """Rebuild an observable through every public check."""
+    yes = Effect(obs.yes_effect.matrix, obs.yes_effect.tol)
+    no = Effect(obs.no_effect.matrix, obs.no_effect.tol)
+    DichotomicObservable(yes, no)
+    Effect(obs.yes_effect.matrix)
+    Effect(obs.no_effect.matrix)
+
+
+UNIT_LAMBDA = st.floats(0.0, 1.0, exclude_min=True)
+
+
+class TestDerivedValuesAreValid:
+    """Values built unchecked (complements, smeared observables, Bloch
+    projectors, pure states) pass every public check when rebuilt."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        UNIT_LAMBDA,
+    )
+    def test_complement_and_smear(self, seed, eigs, lam):
+        obs = DichotomicObservable.from_yes_effect(_effect_matrix(seed, eigs))
+        _revalidate(obs)
+        _revalidate(smear(obs, lam))
+        if all(e in (0.0, 1.0) for e in eigs):
+            p = Projector.from_matrix(obs.yes_effect.matrix)
+            _revalidate(p.observable())
+            _revalidate(smear(p.observable(), lam))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(-0.999e-12, 0.999e-12),
+        UNIT_LAMBDA,
+    )
+    def test_bloch_vector_at_the_norm_slack(self, seed, slack, lam):
+        v = np.random.default_rng(seed).normal(size=3)
+        b = BlochVector(v / np.linalg.norm(v) * (1.0 + slack))
+        p = b.projector()
+        Projector(p.matrix, rank=p.rank)
+        _revalidate(b.observable())
+        _revalidate(smear(b.observable(), lam))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1.0),
+                 min_size=1, max_size=6),
+        st.integers(-320, 300),
+    )
+    def test_pure_state_from_tiny_and_large_vectors(self, entries, exponent):
+        try:
+            rho = DensityMatrix.pure(np.array(entries) * 10.0**exponent)
+        except ValidationError as exc:
+            assert exc.invariant in ("nonzero-vector", "unit-trace")
+            return
+        DensityMatrix(rho.matrix)
+
+
+class TestWitnessCheck:
+    """The batched check of a stack of effects against Effect, one by one."""
+
+    @pytest.mark.parametrize(
+        "defects",
+        [{}, {0: "non-hermitian"}, {3: "non-hermitian"}, {0: "below"}, {3: "below"},
+         {0: "above"}, {3: "above"}, {3: "nan"}, {1: "below", 2: "non-hermitian"},
+         {1: "non-hermitian", 2: "above"}],
+    )
+    @pytest.mark.parametrize("tol", [1e-11, 1e-9])
+    def test_raises_what_effect_raises(self, defects, tol):
+        from unsharpjoint.operators import _validated_effects
+
+        rng = np.random.default_rng(8)
+        stack = [_effect_matrix(int(s), rng.uniform(0, 1, size=3)) for s in rng.integers(0, 99, 4)]
+        for where, bad in defects.items():
+            m = stack[where].copy()
+            if bad == "non-hermitian":
+                m[0, 1] += 1e-9
+            elif bad == "nan":
+                m[1, 1] = math.nan
+            else:
+                w, v = np.linalg.eigh(m)
+                if bad == "below":
+                    w[0] = -2 * tol
+                else:
+                    w[-1] = 1 + 2 * tol
+                m = (v * w) @ v.conj().T
+            stack[where] = m
+
+        def outcome(fn):
+            try:
+                return fn()
+            except ValidationError as exc:
+                return type(exc), str(exc)
+
+        expected = next((r for r in (outcome(lambda g=g: Effect(g, tol)) for g in stack)
+                         if isinstance(r, tuple)), None)
+        got = outcome(lambda: _validated_effects(np.stack(stack), tol))
+        if expected is None:
+            effects, raw_min = got
+            assert [e.matrix.tobytes() for e in effects] == [np.asarray(g).tobytes() for g in stack]
+            assert raw_min == min(float(np.linalg.eigvalsh(g)[0]) for g in stack)
+            assert all(e.tol == tol and not e.matrix.flags.writeable for e in effects)
+        else:
+            assert got == expected
 
 
 class TestJsonFormat:
