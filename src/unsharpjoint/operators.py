@@ -146,7 +146,8 @@ def _require_window(eigs: np.ndarray, tol: float) -> None:
 
 def _validated_effects(g, tol: float) -> tuple[tuple[Effect, ...], float]:
     """Effect(m, tol) for each m of a (k, d, d) stack, in one eigvalsh call, and
-    the smallest raw eigenvalue (the window is checked on the hermitized one)."""
+    the smallest raw eigenvalue (the window is checked on the hermitized one).
+    A non-finite entry anywhere is reported before any other defect."""
     g = np.asarray(g, dtype=complex)
     if not np.all(np.isfinite(g)):
         raise ValidationError("finite-entries")
