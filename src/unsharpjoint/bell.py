@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidBox, ValidationError
 from .operators import DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, identity
-from .unsharp import UnsharpParam, smear
+from .unsharp import UnsharpParam, _smeared_matrices
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 LOCAL_BOUND = 2.0
@@ -224,54 +224,40 @@ class ChshReport:
 
 
 def _report(terms, bound: float) -> ChshReport:
-    signed = terms[0] + terms[1] + terms[2] - terms[3]
-    value = abs(signed)
-    terms_f = tuple(float(t) for t in terms)
-    value_f = float(value)
-    return ChshReport(
-        value=value_f,
-        terms=terms_f,
-        bound_lambda=bound,
-        within_bound=value_f <= bound + 1e-9,
-    )
+    value = float(abs(terms[0] + terms[1] + terms[2] - terms[3]))
+    return ChshReport(value=value, terms=tuple(float(t) for t in terms), bound_lambda=bound,
+                      within_bound=value <= bound + 1e-9)
+
+
+def _correlations(state: DensityMatrix, x: np.ndarray, y: np.ndarray):
+    """Tr[state (x (x) y)] for Alice's contrast x (or a stack of them) and Bob's y."""
+    if state.dim != x.shape[-1] * y.shape[-1]:
+        raise DimensionMismatch(state.dim, x.shape[-1], y.shape[-1])
+    # x (x) y, entry by entry the single product x[i, j] y[k, l], as np.kron.
+    op = x[..., :, None, :, None] * y[None, :, None, :]
+    op = op.reshape(x.shape[:-2] + state.matrix.shape)
+    return np.trace(state.matrix @ op, axis1=-2, axis2=-1).real
 
 
 def correlation(
     state: DensityMatrix, a: DichotomicObservable, b: DichotomicObservable
 ) -> float:
     """Tr[state (A x B)] with A = E_yes - E_no on each wing."""
-    if state.dim != a.dim * b.dim:
-        raise DimensionMismatch(state.dim, a.dim, b.dim)
-    x, y = a.difference(), b.difference()
-    # A x B, entry by entry the single product x[i, j] y[k, l], as np.kron.
-    op = (x[:, None, :, None] * y[None, :, None, :]).reshape(state.dim, state.dim)
-    return float(np.trace(state.matrix @ op).real)
+    return float(_correlations(state, a.difference(), b.difference()))
 
 
 def chsh(
-    state: DensityMatrix,
-    a1: DichotomicObservable,
-    a2: DichotomicObservable,
-    b1: DichotomicObservable,
-    b2: DichotomicObservable,
+    state: DensityMatrix, a1: DichotomicObservable, a2: DichotomicObservable,
+    b1: DichotomicObservable, b2: DichotomicObservable,
 ) -> ChshReport:
     """Sharp CHSH report; compared against the bound 2*sqrt(2)."""
-    terms = (
-        correlation(state, a1, b1),
-        correlation(state, a1, b2),
-        correlation(state, a2, b1),
-        correlation(state, a2, b2),
-    )
+    terms = tuple(correlation(state, a, b) for a in (a1, a2) for b in (b1, b2))
     return _report(terms, TSIRELSON_BOUND)
 
 
 def smeared_chsh(
-    state: DensityMatrix,
-    a1: DichotomicObservable,
-    a2: DichotomicObservable,
-    b1: DichotomicObservable,
-    b2: DichotomicObservable,
-    lam,
+    state: DensityMatrix, a1: DichotomicObservable, a2: DichotomicObservable,
+    b1: DichotomicObservable, b2: DichotomicObservable, lam,
 ) -> ChshReport:
     """CHSH with unsharpness applied to Alice's observables only.
 
@@ -280,14 +266,24 @@ def smeared_chsh(
     below the local bound 2, which is this report's comparison bound.
     """
     lam = float(UnsharpParam.coerce(lam))
-    a1s, a2s = smear(a1, lam), smear(a2, lam)
-    terms = (
-        correlation(state, a1s, b1),
-        correlation(state, a1s, b2),
-        correlation(state, a2s, b1),
-        correlation(state, a2s, b2),
-    )
-    return _report(terms, LOCAL_BOUND)
+    return _report(_smeared_terms(state, a1, a2, b1, b2, lam), LOCAL_BOUND)
+
+
+def smeared_chsh_values(
+    state: DensityMatrix, a1: DichotomicObservable, a2: DichotomicObservable,
+    b1: DichotomicObservable, b2: DichotomicObservable, lams,
+) -> np.ndarray:
+    """smeared_chsh(state, a1, a2, b1, b2, lam).value for each lam of a
+    sequence, each lam checked, the correlators of all of them one stack."""
+    lams = np.array([float(UnsharpParam.coerce(lam)) for lam in lams])[:, None, None]
+    t11, t12, t21, t22 = _smeared_terms(state, a1, a2, b1, b2, lams)
+    return np.abs(t11 + t12 + t21 - t22)
+
+
+def _smeared_terms(state, a1, a2, b1, b2, lam) -> tuple:
+    """(t11, t12, t21, t22), Alice smeared by lam; arrays of length r for an (r, 1, 1) lam."""
+    xs = [np.subtract(*_smeared_matrices(a, lam)) for a in (a1, a2)]
+    return tuple(_correlations(state, x, b.difference()) for x in xs for b in (b1, b2))
 
 
 def box_chsh(box: NoSignalingBox) -> ChshReport:
@@ -298,10 +294,7 @@ def box_chsh(box: NoSignalingBox) -> ChshReport:
 
 def singlet() -> DensityMatrix:
     """The two-qubit singlet (|01> - |10>) / sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1.0 / math.sqrt(2.0)
-    v[2] = -1.0 / math.sqrt(2.0)
-    return DensityMatrix.pure(v)
+    return DensityMatrix.pure(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
 
 
 def _observable_of(matrix) -> DichotomicObservable:

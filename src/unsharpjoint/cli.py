@@ -24,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance as acceptance_mod
-from .bell import ChshReport, NoSignalingBox, box_chsh, chsh, singlet, smeared_chsh
+from .bell import (
+    ChshReport, NoSignalingBox, box_chsh, chsh, singlet, smeared_chsh, smeared_chsh_values
+)
 from .decompose import neumark_dilate, two_projector_blocks
 from .errors import (
     LambdaTooLarge,
@@ -40,7 +42,7 @@ from .joint import (
     lambda_opt_search,
     povm_joint_observable,
     pvm_joint_observable,
-    qubit_joint_observable,
+    qubit_verdicts,
     validate_oracle_tol,
 )
 from .operators import (
@@ -307,32 +309,6 @@ def _cmd_box_chsh(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_row(m: BlochVector, n: BlochVector, lam: float):
-    verdict = qubit_joint_observable(m, n, lam).feasible
-    state = singlet()
-    s = m.v + n.v
-    d = m.v - n.v
-
-    def unit_or_fallback(v):
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            # Degenerate pair (m = +/-n): any unit vector contributes 0.
-            return np.array([0.0, 1.0, 0.0])
-        return v / norm
-
-    b1 = BlochVector.normalized(unit_or_fallback(s))
-    b2 = BlochVector.normalized(unit_or_fallback(d))
-    rep = smeared_chsh(
-        state,
-        m.observable(),
-        n.observable(),
-        b1.observable(),
-        b2.observable(),
-        lam,
-    )
-    return lam, verdict, rep.value, 2.0 / lam
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     m = _parse_bloch(args.m)
     n = _parse_bloch(args.n)
@@ -340,8 +316,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("sweep-grid", detail="start, stop and step must be finite")
     if args.step <= 0 or args.stop < args.start:
         raise ValidationError("sweep-grid", detail="need step > 0 and stop >= start")
-    if args.start <= 0:
-        raise ValidationError("sweep-grid", detail="lambda grid must start above 0")
+    if not 0 < args.start <= 1:
+        raise ValidationError("sweep-grid", detail="lambda grid must start in (0, 1]")
     stop = min(args.stop, 1.0)
     # A step under the float spacing at the loop's end could leave lam
     # unchanged by `lam += step`, and the loop would never end.
@@ -353,9 +329,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid.append(min(lam, 1.0))
         lam += args.step
 
+    # Bob measures along m + n and m - n; for m = +/-n, any unit vector in the
+    # place of the zero one contributes 0.
+    bob = [BlochVector.normalized(v / np.linalg.norm(v) if np.linalg.norm(v) >= 1e-12
+                                  else [0.0, 1.0, 0.0]) for v in (m.v + n.v, m.v - n.v)]
+    values = smeared_chsh_values(
+        singlet(), m.observable(), n.observable(), *(b.observable() for b in bob), grid
+    )
     lines = ["lambda,feasible,smeared_chsh,bound"]
-    for lam, verdict, value, bound in (_sweep_row(m, n, L) for L in grid):
-        lines.append(f"{_fifteen(lam)},{verdict},{_fifteen(value)},{_fifteen(bound)}")
+    for lam, verdict, value in zip(grid, qubit_verdicts(m, n, grid), values):
+        lines.append(f"{_fifteen(lam)},{verdict},{_fifteen(value)},{_fifteen(2.0 / lam)}")
     _emit(args.out, None, text="\n".join(lines) + "\n")
     return 0
 

@@ -108,13 +108,9 @@ class BlockDecomposition:
     def dim(self) -> int:
         return self.unitary.shape[0]
 
-    def block_basis(self, block: Block) -> np.ndarray:
-        """Columns of the unitary spanning the given block."""
-        return self.unitary[:, list(block.basis_columns)]
-
     def restrict(self, m, block: Block) -> np.ndarray:
         """Compression of a full-space operator to one block."""
-        b = self.block_basis(block)
+        b = self.unitary[:, list(block.basis_columns)]
         return b.conj().T @ square_matrix(m) @ b
 
     def assemble(self, block_matrices) -> np.ndarray:

@@ -44,6 +44,7 @@ from .operators import (
     Effect,
     Projector,
     PAULI,
+    _check_effects,
     _frozen,
     _validated_effects,
     identity,
@@ -57,6 +58,7 @@ LAMBDA_OPT = 1.0 / math.sqrt(2.0)
 CRITERION_SLACK = 1e-12
 
 OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_SIGNS = np.array(OUTCOME_SIGNS, dtype=float)
 
 # The oracle tests for a Farkas certificate every CERTIFICATE_EVERY
 # iterations, and accepts one whose pairing with the affine points lies
@@ -107,8 +109,7 @@ class BlochVector:
         return _frozen(Projector, matrix=m, rank=1)
 
     def observable(self) -> DichotomicObservable:
-        yes = _frozen(Effect, matrix=self.projector().matrix, tol=PSD_TOL)
-        return DichotomicObservable.from_yes_effect(yes)
+        return self.projector().observable()
 
 
 def bloch_of_projector(m: np.ndarray) -> BlochVector:
@@ -154,21 +155,15 @@ class JointObservable:
         return self.g_pp.dim
 
     def marginal_first(self) -> DichotomicObservable:
-        return DichotomicObservable.from_yes_effect(
-            Effect(self.g_pp.matrix + self.g_pm.matrix)
-        )
+        return DichotomicObservable.from_yes_effect(self.g_pp.matrix + self.g_pm.matrix)
 
     def marginal_second(self) -> DichotomicObservable:
-        return DichotomicObservable.from_yes_effect(
-            Effect(self.g_pp.matrix + self.g_mp.matrix)
-        )
+        return DichotomicObservable.from_yes_effect(self.g_pp.matrix + self.g_mp.matrix)
 
     def min_eigenvalue(self) -> float:
         if self._min_eig is not None:
             return self._min_eig
-        return min(
-            float(np.linalg.eigvalsh(e.matrix)[0]) for e in self.effects
-        )
+        return min(float(np.linalg.eigvalsh(e.matrix)[0]) for e in self.effects)
 
 
 @dataclass(frozen=True)
@@ -260,8 +255,7 @@ def check_joint(
 
 def criterion_value(m, n, lam) -> float:
     """lam * (|m+n| + |m-n|); the pair is jointly measurable iff <= 2."""
-    mv = BlochVector.coerce(m).v
-    nv = BlochVector.coerce(n).v
+    mv, nv = BlochVector.coerce(m).v, BlochVector.coerce(n).v
     lam = float(UnsharpParam.coerce(lam))
     return lam * (float(np.linalg.norm(mv + nv)) + float(np.linalg.norm(mv - nv)))
 
@@ -281,20 +275,19 @@ def _no(value: float) -> FeasibilityReport:
     return FeasibilityReport("no", None, 0.0, (2.0 - value) / 8.0, 0)
 
 
-def _qubit_effects(m: np.ndarray, n: np.ndarray, lam: float):
-    """Criterion value and the four raw 2x2 midpoint witness matrices for
-    unit Bloch vectors, or the value and None past the boundary."""
+def _qubit_effects(m: np.ndarray, n: np.ndarray, lam):
+    """Criterion value lam * (|m+n| + |m-n|) for unit Bloch vectors and lam a
+    float or a 1-d array of them, and the (k, 4, 2, 2) stack of raw midpoint
+    witnesses at the k values of lam within the boundary, in order."""
     s = float(np.linalg.norm(m + n))
     d = float(np.linalg.norm(m - n))
     value = lam * (s + d)
-    if value > 2.0 + CRITERION_SLACK:
-        return value, None
-    t = lam * (s - d) / 2.0
-    return value, [
-        0.25 * ((1.0 + j * k * t) * identity(2)
-                + sum(c * p for c, p in zip(lam * (j * m + k * n), PAULI)))
-        for j, k in OUTCOME_SIGNS
-    ]
+    lam = np.asarray(lam, dtype=float)[value <= 2.0 + CRITERION_SLACK][:, None]
+    j, k = _SIGNS[:, 0], _SIGNS[:, 1]
+    jk_t = j * k * (lam * (s - d) / 2.0)
+    c = lam[..., None] * (j[:, None] * m + k[:, None] * n)
+    return value, 0.25 * ((1.0 + jk_t)[..., None, None] * identity(2)
+                          + sum(c[..., i, None, None] * p for i, p in enumerate(PAULI)))
 
 
 def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
@@ -314,9 +307,22 @@ def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
     mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
     lam = float(UnsharpParam.coerce(lam))
     value, effects = _qubit_effects(mb.v, nb.v, lam)
-    if effects is None:
+    if not len(effects):
         return _no(value)
-    return _yes(effects, 1e-11, smear(mb.observable(), lam), smear(nb.observable(), lam), 0)
+    return _yes(effects[0], 1e-11, smear(mb.observable(), lam), smear(nb.observable(), lam), 0)
+
+
+def qubit_verdicts(m, n, lams) -> list[str]:
+    """qubit_joint_observable(m, n, lam).feasible for each lam of a sequence: the
+    "yes" witnesses are one stack, checked as that function checks each, in one eigensolve."""
+    mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
+    lams = np.array([float(UnsharpParam.coerce(lam)) for lam in lams])
+    value, effects = _qubit_effects(mb.v, nb.v, lams)
+    _check_effects(effects.reshape(-1, 2, 2), 1e-11)
+    res = float(np.max(np.abs(effects.sum(axis=1) - identity(2)), initial=0.0))
+    if res > 1e-9:
+        raise ValidationError("joint-normalization", res)
+    return ["yes" if v <= 2.0 + CRITERION_SLACK else "no" for v in value]
 
 
 def _pvm_effects(p1: Projector, p2: Projector, lam: float):
@@ -331,8 +337,9 @@ def _pvm_effects(p1: Projector, p2: Projector, lam: float):
         p2b = decomp.restrict(p2.matrix, blk)
         if blk.dim == 2:
             m, n = bloch_of_projector(p1b), bloch_of_projector(p2b)
-            value, effects = _qubit_effects(m.v, n.v, lam)
+            value, stack = _qubit_effects(m.v, n.v, lam)
             worst = max(worst, value)
+            effects = stack[0] if len(stack) else None
         else:
             # A 1-dim block: p1, p2 restrict to commuting scalars p, q.
             p, q = complex(p1b[0, 0]), complex(p2b[0, 0])

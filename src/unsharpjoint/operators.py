@@ -11,9 +11,10 @@ at 1e-10, positive-semidefiniteness at 1e-9.  Validation helpers report raw
 residuals so callers can tighten if they need to.
 
 Public constructors validate, derived values are built unchecked by
-_frozen, and a joint witness is checked once, as a stack, by
-_validated_effects.  Every type freezes its matrix (read-only array), so
-instances are plain immutable values and safe to share across threads.
+_frozen, and a joint witness (or a stack of them) is checked once, in one
+eigensolve, by _check_effects.  Every type freezes its matrix (read-only
+array), so instances are plain immutable values and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -71,14 +72,9 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
-    """Max-abs entrywise deviation of m from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = square_matrix(m)
-    res = hermiticity_residual(a)
+    res = float(np.max(np.abs(a - a.conj().T), initial=0.0))
     if res > tol:
         raise NotHermitian(res)
     return a
@@ -132,9 +128,6 @@ class Effect:
         # a -> 1 - a keeps the window [-tol, 1 + tol] and the hermiticity.
         return _frozen(Effect, matrix=identity(self.dim) - self.matrix, tol=self.tol)
 
-    def min_eigenvalue(self) -> float:
-        return min_eigenvalue(self.matrix)
-
 
 def _require_window(eigs: np.ndarray, tol: float) -> None:
     lo, hi = -tol, 1.0 + tol
@@ -144,20 +137,27 @@ def _require_window(eigs: np.ndarray, tol: float) -> None:
         raise SpectrumOutOfRange(float(eigs[-1]), lo, hi)
 
 
-def _validated_effects(g, tol: float) -> tuple[tuple[Effect, ...], float]:
-    """Effect(m, tol) for each m of a (k, d, d) stack, in one eigvalsh call, and
-    the smallest raw eigenvalue (the window is checked on the hermitized one).
-    A non-finite entry anywhere is reported before any other defect."""
-    g = np.asarray(g, dtype=complex)
+def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
+    """Check each m of a (k, d, d) stack as Effect(m, tol) does, in one eigvalsh call
+    (a non-finite entry anywhere first); the hermitized spectra, then the raw if raw."""
     if not np.all(np.isfinite(g)):
         raise ValidationError("finite-entries")
     gh = np.conj(np.swapaxes(g, 1, 2))
     residuals = np.max(np.abs(g - gh), axis=(1, 2))
-    eigs = np.linalg.eigvalsh(np.concatenate([(g + gh) / 2, g]))
-    for res, spectrum in zip(residuals, eigs):
-        if res > HERMITIAN_TOL:
-            raise NotHermitian(float(res))
-        _require_window(spectrum, tol)
+    eigs = np.linalg.eigvalsh(np.concatenate([(g + gh) / 2, g]) if raw else (g + gh) / 2)
+    k = len(g)
+    if np.any((residuals > HERMITIAN_TOL) | (eigs[:k, 0] < -tol) | (eigs[:k, -1] > 1.0 + tol)):
+        for res, spectrum in zip(residuals, eigs):  # the first failing m raises
+            if res > HERMITIAN_TOL:
+                raise NotHermitian(float(res))
+            _require_window(spectrum, tol)
+    return eigs
+
+
+def _validated_effects(g, tol: float) -> tuple[tuple[Effect, ...], float]:
+    """Effect(m, tol) for each m of a (k, d, d) stack and the smallest raw eigenvalue."""
+    g = np.asarray(g, dtype=complex)
+    eigs = _check_effects(g, tol, raw=True)
     g.setflags(write=False)
     return tuple(_frozen(Effect, matrix=m, tol=tol) for m in g), float(np.min(eigs[len(g):, 0]))
 
@@ -220,6 +220,11 @@ class Projector:
         res = float(np.max(np.abs(m @ m - m)))
         if res > HERMITIAN_TOL:
             raise NotProjector(res)
+        h = (m + m.conj().T) / 2
+        # |mu^2 - mu| <= |h^2 - h|_F =: eps puts each eigenvalue mu of h in [-eps, 1 + eps].
+        res = float(np.linalg.norm(h @ h - h))
+        if res > PSD_TOL:
+            raise NotProjector(res)
         tr = float(np.trace(m).real)
         if abs(tr - self.rank) > 1e-8:
             raise ValidationError("rank-equals-trace", abs(tr - self.rank))
@@ -237,20 +242,35 @@ class Projector:
         return cls(a, rank=int(round(float(np.trace(a).real))))
 
     def as_effect(self) -> Effect:
-        return Effect(self.matrix)
+        # The idempotency bound keeps the spectrum in the effect window.
+        return _frozen(Effect, matrix=self.matrix, tol=PSD_TOL)
 
     def observable(self) -> DichotomicObservable:
         """The sharp dichotomic measurement {P, I - P}."""
         return DichotomicObservable.from_yes_effect(self.as_effect())
 
 
+def _unit_vector(vec) -> np.ndarray:
+    """vec / |vec| as a complex vector, for every finite vec nonzero in floating point."""
+    v = np.asarray(vec, dtype=complex).reshape(-1)
+    if not np.isfinite(v).all():
+        raise ValidationError("finite-entries")
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if not math.sqrt(np.finfo(float).tiny) <= n < math.inf:
+        # |v|^2 overflowed or fell below the normal range: scale the largest part
+        # to 1, part by part, as a complex divide by a subnormal overflows.
+        scale = np.max(np.abs(np.concatenate([v.real, v.imag])), initial=0.0)
+        if scale == 0:
+            raise ValidationError("nonzero-vector")
+        v = v.real / scale + 1j * (v.imag / scale)
+        n = np.linalg.norm(v)
+    return v / n
+
+
 def projector_onto(vec) -> Projector:
     """Rank-1 projector onto the ray of a (nonzero) vector."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValidationError("nonzero-vector")
-    v = v / n
+    v = _unit_vector(vec)
     return Projector(np.outer(v, v.conj()), rank=1)
 
 
@@ -276,11 +296,7 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, vec) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValidationError("nonzero-vector")
-        v = v / n
+        v = _unit_vector(vec)
         # v v^H is PSD: only the eigensolve is skipped.
         m = require_hermitian(np.outer(v, v.conj()))
         _require_unit_trace(m)

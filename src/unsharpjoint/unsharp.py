@@ -52,12 +52,17 @@ def smear(obs: DichotomicObservable, lam) -> DichotomicObservable:
     which stays inside [0, 1].  The complement relation yes + no = I is
     preserved exactly as constructed, so the outputs are built unchecked.
     """
-    lam = float(UnsharpParam.coerce(lam))
-    wp, wm = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
-    y, n = obs.yes_effect, obs.no_effect
-    yes = _frozen(Effect, matrix=wp * y.matrix + wm * n.matrix, tol=max(PSD_TOL, y.tol))
-    no = _frozen(Effect, matrix=wm * y.matrix + wp * n.matrix, tol=max(PSD_TOL, n.tol))
+    yes, no = _smeared_matrices(obs, float(UnsharpParam.coerce(lam)))
+    yes = _frozen(Effect, matrix=yes, tol=max(PSD_TOL, obs.yes_effect.tol))
+    no = _frozen(Effect, matrix=no, tol=max(PSD_TOL, obs.no_effect.tol))
     return _frozen(DichotomicObservable, yes_effect=yes, no_effect=no)
+
+
+def _smeared_matrices(obs: DichotomicObservable, lam) -> tuple[np.ndarray, np.ndarray]:
+    """The yes and no matrices of obs smeared by lam; (r, d, d) stacks for an (r, 1, 1) lam."""
+    wp, wm = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
+    y, n = obs.yes_effect.matrix, obs.no_effect.matrix
+    return wp * y + wm * n, wm * y + wp * n
 
 
 def mean_value(obs: DichotomicObservable, state: DensityMatrix) -> float:

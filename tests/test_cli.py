@@ -1,12 +1,24 @@
 """End-to-end CLI behavior: commands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from unsharpjoint import matrix_from_json, matrix_to_json, singlet, optimal_settings
+from unsharpjoint import (
+    BlochVector,
+    matrix_from_json,
+    matrix_to_json,
+    optimal_settings,
+    qubit_joint_observable,
+    singlet,
+    smeared_chsh,
+)
 from unsharpjoint.cli import main
 from unsharpjoint.joint import MAX_MESH
 
@@ -271,6 +283,8 @@ class TestSweep:
             # Steps that `lam += step` stops moving before the grid's end.
             ("0.5", "1.0", "1e-300"),
             ("0.9999999999999", "0.9999999999999", "1e-16"),
+            # A grid above 1 would be clipped to no rows at all.
+            ("1.5", "2", "0.1"),
         ],
     )
     def test_bad_grid_rejected(self, start, stop, step, capsys):
@@ -279,6 +293,76 @@ class TestSweep:
         assert code == 1
         assert captured.out == ""
         assert "sweep-grid" in captured.err
+
+
+    def test_one_eigensolve_per_sweep(self, eigensolves, capsys):
+        code, out = _run(["sweep", "--start", "0.005", "--stop", "0.6", "--step", "0.005"], capsys)
+        assert code == 0
+        assert out.count(",yes,") == 120
+        assert len(eigensolves) <= 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_the_row_by_row_reference(self, data):
+        m = data.draw(BLOCH_TEXT)
+        kind = data.draw(st.sampled_from(["random", "same", "opposite", "orthogonal"]))
+        if kind == "random":
+            n = data.draw(BLOCH_TEXT)
+        elif kind == "same":
+            n = m
+        elif kind == "opposite":
+            n = ",".join(repr(-float(x)) for x in m.split(","))
+        else:
+            v = np.cross(_bloch(m).v, _bloch(data.draw(BLOCH_TEXT)).v)
+            assume(np.linalg.norm(v) > 1e-3)
+            n = ",".join(map(repr, v.tolist()))
+        start, stop, step = data.draw(GRIDS)
+        argv = ["sweep", f"--m={m}", f"--n={n}", "--start", repr(start), "--stop", repr(stop),
+                "--step", repr(step)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue() == _reference_sweep(_bloch(m), _bloch(n), start, stop, step)
+
+
+def _bloch(text):
+    return BlochVector.normalized(np.array([float(x) for x in text.split(",")]))
+
+
+BLOCH_TEXT = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+).map(lambda v: ",".join(map(repr, v)))
+
+GRIDS = st.one_of(
+    st.sampled_from([(0.5, 1.0, 0.05), (0.7, 0.72, 0.001), (1.0, 1.0, 0.1), (0.95, 3.0, 0.02)]),
+    st.tuples(st.floats(1e-6, 1.0), st.floats(0.0, 1.5), st.floats(0.02, 0.5)).map(
+        lambda t: (t[0], t[0] + t[1], t[2])
+    ),
+)
+
+
+def _reference_sweep(m, n, start, stop, step):
+    """The sweep CSV built row by row from the public per-lambda calls."""
+    state = singlet()
+
+    def unit_or_fallback(v):
+        norm = np.linalg.norm(v)
+        if norm < 1e-12:
+            return np.array([0.0, 1.0, 0.0])
+        return v / norm
+
+    b1 = BlochVector.normalized(unit_or_fallback(m.v + n.v))
+    b2 = BlochVector.normalized(unit_or_fallback(m.v - n.v))
+    lines = ["lambda,feasible,smeared_chsh,bound"]
+    lam = start
+    while lam <= min(stop, 1.0) + 1e-12:
+        row = min(lam, 1.0)
+        verdict = qubit_joint_observable(m, n, row).feasible
+        value = smeared_chsh(
+            state, m.observable(), n.observable(), b1.observable(), b2.observable(), row
+        ).value
+        lines.append(f"{row:.15g},{verdict},{value:.15g},{2.0 / row:.15g}")
+        lam += step
+    return "\n".join(lines) + "\n"
 
 
 class TestErrors:

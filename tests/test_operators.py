@@ -1,6 +1,7 @@
 """Operator types, validation, tensor products, eigenvalue helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,16 +205,29 @@ class TestProjector:
         with pytest.raises(ValidationError):
             Projector(np.diag([1.0, 0.0]).astype(complex), rank=2)
 
-    def test_as_effect_checks_the_spectrum(self):
-        # The idempotency check is entrywise: spreading an eigenvalue -eps
-        # over all 64 entries of a row passes it with eps = 6.3e-9, which is
-        # outside the effect window, so as_effect must not trust a Projector.
-        d = 64
+    @pytest.mark.parametrize("d", [4, 8, 12, 16, 32, 64])
+    @pytest.mark.parametrize("eps", [1.01e-9, 1.4e-9, 5.8e-9, "entrywise-limit"])
+    def test_idempotency_bound_is_spectral(self, d, eps):
+        # Spreading a kernel eigenvalue -eps over all d^2 entries keeps each
+        # entry of P^2 - P near eps/d; at eps = 0.99e-10 d it passes the
+        # entrywise check, but the spectrum leaves the effect window.
+        if eps == "entrywise-limit":
+            eps = max(1.01e-9, 0.99e-10 * d)
         v = np.ones(d) / math.sqrt(d)
         q, _ = np.linalg.qr(np.column_stack([v, np.random.default_rng(5).normal(size=(d, d - 1))]))
-        p = Projector(q[:, 1:33] @ q[:, 1:33].T - 6.3e-9 * np.outer(v, v), rank=32)
-        with pytest.raises(SpectrumOutOfRange):
-            p.as_effect()
+        rank = d // 2
+        with pytest.raises(NotProjector):
+            Projector(q[:, 1:rank + 1] @ q[:, 1:rank + 1].T - eps * np.outer(v, v), rank=rank)
+
+    @pytest.mark.parametrize("d", [2, 4, 16, 64])
+    def test_haar_projectors_pass_and_are_effects(self, d):
+        rng = np.random.default_rng(d)
+        for rank in range(0, d + 1, max(1, d // 4)):
+            q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            q = q * (np.diag(r) / np.abs(np.diag(r)))
+            p = Projector.from_matrix(q[:, :rank] @ q[:, :rank].conj().T)
+            assert p.rank == rank
+            Effect(p.as_effect().matrix)
 
 
 class TestDensityMatrix:
@@ -235,12 +249,40 @@ class TestDensityMatrix:
             ([math.nan, 1.0], "finite-entries"),
             ([math.inf, 1.0], "finite-entries"),
             ([0.0, 0.0], "nonzero-vector"),
-            ([1e200, 1e200], "unit-trace"),
+            ([], "nonzero-vector"),
         ],
     )
     def test_pure_rejects_a_bad_vector(self, vec, invariant):
-        with pytest.raises(ValidationError, match=invariant):
-            DensityMatrix.pure(vec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=invariant):
+                DensityMatrix.pure(vec)
+
+    @pytest.mark.parametrize(
+        "vec,ray",
+        [
+            ([1e200, 1e200], [1, 1]),
+            ([1e-170, -1e-170j], [1, -1j]),
+            ([1.5e308 + 1.5e308j, 1.0], [1 + 1j, 0]),
+            ([5e-324, 0.0], [1, 0]),
+        ],
+    )
+    def test_pure_state_of_a_vector_whose_norm_under_or_overflows(self, vec, ray):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = DensityMatrix.pure(vec)
+            p = projector_onto(vec)
+        DensityMatrix(rho.matrix)
+        u = np.asarray(ray, dtype=complex) / np.linalg.norm(ray)
+        np.testing.assert_allclose(rho.matrix, np.outer(u, u.conj()), atol=1e-15)
+        assert p.rank == 1 and p.matrix.tobytes() == rho.matrix.tobytes()
+
+    def test_pure_state_bytes_unchanged_for_ordinary_vectors(self):
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 4, 16):
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            u = v / np.linalg.norm(v)
+            assert DensityMatrix.pure(v).matrix.tobytes() == np.outer(u, u.conj()).tobytes()
 
 
 def _effect_matrix(seed, eigs):
@@ -306,12 +348,12 @@ class TestDerivedValuesAreValid:
         st.integers(-320, 300),
     )
     def test_pure_state_from_tiny_and_large_vectors(self, entries, exponent):
-        try:
-            rho = DensityMatrix.pure(np.array(entries) * 10.0**exponent)
-        except ValidationError as exc:
-            assert exc.invariant in ("nonzero-vector", "unit-trace")
+        v = np.array(entries, dtype=complex) * 10.0**exponent
+        if not np.any(v):
+            with pytest.raises(ValidationError, match="nonzero-vector"):
+                DensityMatrix.pure(v)
             return
-        DensityMatrix(rho.matrix)
+        DensityMatrix(DensityMatrix.pure(v).matrix)
 
 
 class TestWitnessCheck:
