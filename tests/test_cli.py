@@ -294,7 +294,6 @@ class TestSweep:
         assert captured.out == ""
         assert "sweep-grid" in captured.err
 
-
     def test_one_eigensolve_per_sweep(self, eigensolves, capsys):
         code, out = _run(["sweep", "--start", "0.005", "--stop", "0.6", "--step", "0.005"], capsys)
         assert code == 0
