@@ -16,6 +16,7 @@ Exit status: 0 on success, 2 when an infeasible verdict meets
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -378,7 +379,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The uj parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="uj",
         description="Joint measurability of unsharp dichotomic observables "
@@ -449,8 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except UnsharpJointError as exc:

@@ -108,11 +108,6 @@ class BlockDecomposition:
     def dim(self) -> int:
         return self.unitary.shape[0]
 
-    def restrict(self, m, block: Block) -> np.ndarray:
-        """Compression of a full-space operator to one block."""
-        b = self.unitary[:, list(block.basis_columns)]
-        return b.conj().T @ square_matrix(m) @ b
-
     def assemble(self, block_matrices) -> np.ndarray:
         """Embed per-block matrices back into the full space.
 

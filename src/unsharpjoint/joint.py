@@ -7,8 +7,9 @@ marginals.  This module provides
 * the closed-form qubit construction and its feasibility criterion
   lam * (|m+n| + |m-n|) <= 2 for rank-1 projective pairs with Bloch
   vectors m, n;
-* the blockwise construction for projective pairs in any dimension,
-  riding on the two-projector block decomposition;
+* its operator form for projective pairs in any dimension:
+  lam * top <= 2, with top the largest eigenvalue of |A+B| + |A-B| for
+  the sharp observables A = 2P - I, B = 2Q - I;
 * the general POVM case via a 2-level-ancilla dilation, solved
   projectively upstairs and compressed back;
 * an independent alternating-projection (Dykstra) feasibility oracle used
@@ -17,16 +18,23 @@ marginals.  This module provides
   including the worst-case search over Bloch-vector pairs whose optimum
   is 1/sqrt(2).
 
-The blockwise construction meets two kinds of block, because
-two_projector_blocks splits the pair maximally:
+The operator form needs no block decomposition.  The anticommutator
+{A, B} commutes with A and B, so on every invariant block of the pair
+(Halmos, "Two subspaces", 1969) |A+B| and |A-B| are the scalars |m+n| and
+|m-n| of that block's Bloch vectors, 2 and 0 (or 0 and 2) on a commuting
+one.  The witness
 
-* 1-dim blocks, where the restricted projectors commute, take the product
-  of the two smeared observables, valid for every lam;
-* 2-dim blocks, two rank-1 projectors at overlap c in (0, 1), take the
-  qubit midpoint witness, valid iff lam * (c + sqrt(1 - c^2)) <= 1.
+    G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4
+
+is then the qubit midpoint witness on every two-dimensional block, and on
+every commuting one (A = a, B = b scalars +-1) the midpoint with
+t = lam a b; its smallest eigenvalue is (2 - lam * top) / 8.  |A+B| and
+|A-B| come from eigh of A+B and A-B with absolute eigenvalues, not from
+(2 +- {A,B})^(1/2), whose square root loses half the digits where {A,B}
+is near +-2: on commuting and nearly aligned blocks.
 
 Each decision checks only its final witness, once, as one (4, d, d) stack;
-the per-block and upstairs matrices in between are raw arrays.
+the upstairs matrices in between are raw arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import neumark_dilate, two_projector_blocks
+from .decompose import neumark_dilate
 from .errors import DimensionMismatch, LambdaTooLarge, ValidationError
 from .operators import (
     PSD_TOL,
@@ -110,15 +118,6 @@ class BlochVector:
 
     def observable(self) -> DichotomicObservable:
         return self.projector().observable()
-
-
-def bloch_of_projector(m: np.ndarray) -> BlochVector:
-    """Bloch vector of a 2x2 rank-1 projector (I + v.sigma)/2."""
-    a = np.asarray(m, dtype=complex)
-    v = np.array(
-        [2.0 * a[1, 0].real, 2.0 * a[1, 0].imag, (a[0, 0] - a[1, 1]).real]
-    )
-    return BlochVector.normalized(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,47 +324,38 @@ def qubit_verdicts(m, n, lams) -> list[str]:
     return ["yes" if v <= 2.0 + CRITERION_SLACK else "no" for v in value]
 
 
-def _pvm_effects(p1: Projector, p2: Projector, lam: float):
-    """Worst 2-dim block value (-inf if none) and the four raw assembled
-    witness matrices, or None when some block is past the boundary."""
-    decomp = two_projector_blocks(p1, p2)
-    wp, wm = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
-    worst = -math.inf
-    block_effects = []
-    for blk in decomp.blocks:
-        p1b = decomp.restrict(p1.matrix, blk)
-        p2b = decomp.restrict(p2.matrix, blk)
-        if blk.dim == 2:
-            m, n = bloch_of_projector(p1b), bloch_of_projector(p2b)
-            value, stack = _qubit_effects(m.v, n.v, lam)
-            worst = max(worst, value)
-            effects = stack[0] if len(stack) else None
-        else:
-            # A 1-dim block: p1, p2 restrict to commuting scalars p, q.
-            p, q = complex(p1b[0, 0]), complex(p2b[0, 0])
-            first = {1: wp * p + wm * (1 - p), -1: wm * p + wp * (1 - p)}
-            second = {1: wp * q + wm * (1 - q), -1: wm * q + wp * (1 - q)}
-            # 0.0 + turns a -0.0 product into +0.0, as a 1x1 matrix product does.
-            effects = [0.0 + first[j] * second[k] for j, k in OUTCOME_SIGNS]
-        block_effects.append(effects)
-    if any(effects is None for effects in block_effects):
-        return worst, None
-    return worst, [decomp.assemble([be[i] for be in block_effects]) for i in range(4)]
+def _sharp_pair_effects(p1: Projector, p2: Projector, lam: float):
+    """Criterion value lam * top for A = 2 p1 - I, B = 2 p2 - I, with top the
+    largest eigenvalue of |A+B| + |A-B|, and the (4, d, d) stack of raw
+    witnesses G_jk, or None past the boundary."""
+    if p1.dim != p2.dim:
+        raise DimensionMismatch(p1.dim, p2.dim)
+    eye = identity(p1.dim)
+    a, b = 2.0 * p1.matrix - eye, 2.0 * p2.matrix - eye
+    w, v = np.linalg.eigh(np.stack([a + b, a - b]))
+    abs_sum, abs_diff = (v * np.abs(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+    value = lam * float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1])
+    if value > 2.0 + CRITERION_SLACK:
+        return value, None
+    t = lam * (abs_sum - abs_diff) / 2.0
+    effects = [eye + lam * (j * a + k * b) + j * k * t for j, k in OUTCOME_SIGNS]
+    return value, np.stack(effects) / 4.0
 
 
 def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport:
-    """Blockwise joint observable for two smeared projective measurements.
+    """Joint observable for two smeared projective measurements.
 
-    Decomposes the pair into dim<=2 invariant blocks, solves each block
-    (product form for commuting blocks, qubit construction for the
-    noncommuting ones) and reassembles.  Feasible iff every block is; a
-    "no" carries the worst block's would-be smallest eigenvalue.  The
-    blocks stay raw matrices: only the assembled witness is validated and
-    checked, and its marginal residual equals the max over per-block
-    residuals by the direct-sum structure.
+    Decides by the operator criterion lam * top <= 2, top the largest
+    eigenvalue of |A+B| + |A-B| for A = 2 p1 - I, B = 2 p2 - I, and builds
+    the witness G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4:
+    the qubit midpoint witness on every invariant block of the pair, with
+    no decomposition built.  |A+B| and |A-B| come from eigh of A+B and A-B,
+    which keeps full precision on commuting and nearly aligned blocks.  A
+    "no" carries the would-be smallest eigenvalue (2 - lam * top) / 8.
+    Only the final witness is validated and checked.
     """
     lam = float(UnsharpParam.coerce(lam))
-    value, effects = _pvm_effects(p1, p2, lam)
+    value, effects = _sharp_pair_effects(p1, p2, lam)
     if effects is None:
         return _no(value)
     return _yes(effects, PSD_TOL, smear(p1.observable(), lam), smear(p2.observable(), lam), 0)
@@ -378,10 +368,11 @@ def povm_joint_observable(
 
     Both POVMs are dilated to projective measurements on the same
     system x ancilla space (one shared 2-level ancilla), the projective
-    pair is solved blockwise upstairs, and each raw upstairs effect is
-    compressed back onto the ancilla-0 sector.  Compression is linear,
-    positive and unital, so marginals and effect bounds survive it.  Only
-    the compressed witness is validated and checked.
+    pair is solved upstairs by the operator formula of pvm_joint_observable,
+    and each raw upstairs effect is compressed back onto the ancilla-0
+    sector.  Compression is linear, positive and unital, so marginals and
+    effect bounds survive it.  Only the compressed witness is validated and
+    checked.
 
     The construction is guaranteed for lam <= 1/sqrt(2) only; larger
     values raise LambdaTooLarge (the feasibility oracle may still be
@@ -395,12 +386,12 @@ def povm_joint_observable(
 
     dil1 = neumark_dilate(o1)
     dil2 = neumark_dilate(o2)
-    value, effects = _pvm_effects(dil1.projector, dil2.projector, lam)
+    value, effects = _sharp_pair_effects(dil1.projector, dil2.projector, lam)
     if effects is None:
-        # Every block value is 2 lam (c + s) <= 2 sqrt(2) lam, so this is
-        # reached only for lam past 1/sqrt(2) by more than about
-        # CRITERION_SLACK / (2 sqrt(2)), inside the gate's own slack, on a
-        # block with c = s near 1/sqrt(2).
+        # top is the largest 2 (c + s) <= 2 sqrt(2) over the overlaps c of
+        # the upstairs blocks, so this is reached only for lam past
+        # 1/sqrt(2) by more than about CRITERION_SLACK / (2 sqrt(2)), inside
+        # the gate's own slack, on a block with c = s near 1/sqrt(2).
         return _no(value)
     # compress(g, 0) of each upstairs effect: the ancilla-0 sector.
     return _yes([g[0::2, 0::2] for g in effects], PSD_TOL, smear(o1, lam), smear(o2, lam), 0)
@@ -565,8 +556,10 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
     For an explicit pair the threshold comes from the closed forms:
 
     * Bloch vectors m, n: min(1, 2 / (|m+n| + |m-n|));
-    * projectors: the minimum of 1 / (c + sqrt(1 - c^2)) over the overlaps
-      c of the two-dimensional blocks, or 1 when there are none;
+    * projectors: min(1, 2 / top), top the largest eigenvalue of
+      |A+B| + |A-B| for A = 2P - I, B = 2Q - I, that is the minimum of
+      1 / (c + sqrt(1 - c^2)) over the overlaps c of the pair's
+      two-dimensional blocks;
     * dichotomic POVMs: the dilation path's cap 1/sqrt(2).
 
     The returned point is confirmed with the feasibility oracle.
@@ -595,8 +588,8 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
         observables = (pair[0].observable(), pair[1].observable())
     elif isinstance(a, Projector) and isinstance(b, Projector):
         pair = (a, b)
-        overlaps = [blk.overlap for blk in two_projector_blocks(a, b).blocks if blk.dim == 2]
-        value = min((1.0 / (c + math.sqrt(1.0 - c * c)) for c in overlaps), default=1.0)
+        top, _ = _sharp_pair_effects(a, b, 1.0)
+        value = 1.0 if top <= 2.0 + CRITERION_SLACK else 2.0 / top
         observables = (a.observable(), b.observable())
     else:
         pair = observables = tuple(

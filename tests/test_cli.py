@@ -164,6 +164,31 @@ class TestJointlyMeasurable:
         assert code == 1
         assert "max-iter>=1" in capsys.readouterr().err
 
+    def test_repeated_main_sees_only_its_own_flags(self, fixtures, capsys, monkeypatch):
+        # The parser is built once per process; a second call must not
+        # inherit the first call's --oracle or --max-iter.
+        from unsharpjoint import cli
+
+        seen = []
+        decide = cli._decide
+
+        def recording(o1, o2, args):
+            seen.append((args.oracle, args.max_iter))
+            return decide(o1, o2, args)
+
+        monkeypatch.setattr(cli, "_decide", recording)
+        pair = ["jointly-measurable", "--o1", fixtures["p.json"], "--o2", fixtures["q.json"],
+                "--lambda", "0.72"]
+        reports = []
+        for extra in (["--oracle", "--max-iter", "50"], []):
+            code, out = _run(pair + extra, capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        assert seen == [(True, 50), (False, 20000)]
+        assert 0 < reports[0]["iterations"] <= 50
+        assert reports[1]["iterations"] == 0
+        assert "certificate" not in reports[1]
+
     def test_near_sharp_effect_takes_the_povm_path(self, tmp_path, capsys):
         # Idempotency residual 3.7e-9: a valid effect, but not a projector
         # to the Projector tolerance 1e-10.

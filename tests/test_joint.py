@@ -12,6 +12,7 @@ from unsharpjoint import (
     BlochVector,
     DensityMatrix,
     DichotomicObservable,
+    DimensionMismatch,
     Effect,
     FeasibilityReport,
     JointObservable,
@@ -116,15 +117,6 @@ class TestBlochVector:
         assert np.isfinite(b.v).all()
         assert abs(np.linalg.norm(b.v) - 1.0) <= 1e-12
 
-    def test_projector_round_trip(self):
-        from unsharpjoint.joint import bloch_of_projector
-
-        rng = np.random.default_rng(97)
-        for _ in range(20):
-            v = BlochVector(_random_unit(rng))
-            back = bloch_of_projector(v.projector().matrix)
-            np.testing.assert_allclose(back.v, v.v, atol=1e-12)
-
 
 class TestQubitJointObservable:
     def test_identical_directions_feasible_at_any_lambda(self):
@@ -212,26 +204,30 @@ class TestPvmJointObservable:
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("lam", [1.0, 0.9, LAMBDA_OPT])
-    def test_commuting_blocks_match_the_matrix_product(self, seed, lam):
-        # Reference: each 1-dim block's witness as a product of 1x1 matrices.
-        # An exact 0 or I against a random projector gives exact-zero block
-        # effects, so this also pins the signs of zeros in the witness bytes.
+    def test_commuting_pair_takes_the_midpoint_witness(self, seed, lam):
+        # On a commuting pair |A+B| - |A-B| = 2AB, so the witness is the
+        # midpoint (I + lam (j A + k B) + jk lam A B) / 4, for every lam.
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 11))
-        p = Projector(np.eye(d, dtype=complex) * (seed % 2), rank=d * (seed % 2))
-        q = _random_projector(rng, d, int(rng.integers(0, d + 1)))
-        dec = two_projector_blocks(p, q)
-        wp, wm = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
-        one = np.eye(1, dtype=complex)
-        per_block = []
-        for blk in dec.blocks:
-            x, y = dec.restrict(p.matrix, blk), dec.restrict(q.matrix, blk)
-            first = {1: wp * x + wm * (one - x), -1: wm * x + wp * (one - x)}
-            second = {1: wp * y + wm * (one - y), -1: wm * y + wp * (one - y)}
-            per_block.append([first[j] @ second[k] for j, k in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        p, q = (
+            Projector.from_matrix((u * rng.integers(0, 2, size=d)) @ u.conj().T)
+            for _ in range(2)
+        )
         rep = pvm_joint_observable(p, q, lam)
-        for i, e in enumerate(rep.witness.effects):
-            assert e.matrix.tobytes() == dec.assemble([be[i] for be in per_block]).tobytes()
+        assert rep.feasible == "yes"
+        eye = np.eye(d)
+        a, b = 2.0 * p.matrix - eye, 2.0 * q.matrix - eye
+        for (j, k), e in zip(((1, 1), (1, -1), (-1, 1), (-1, -1)), rep.witness.effects):
+            want = (eye + lam * (j * a + k * b) + j * k * lam * (a @ b)) / 4.0
+            assert np.max(np.abs(e.matrix - want)) <= 1e-15
+
+    @pytest.mark.parametrize("decide", [
+        lambda p, q: pvm_joint_observable(p, q, 0.5), lambda p, q: lambda_opt_search((p, q)),
+    ])
+    def test_dimension_mismatch_is_typed(self, decide):
+        with pytest.raises(DimensionMismatch):
+            decide(projector_onto([1, 0]), projector_onto([1, 0, 0]))
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
     def test_embedded_pair_threshold(self, dim):
@@ -281,9 +277,10 @@ class TestPvmJointObservable:
         full = float(
             np.max(np.abs(dec.unitary.conj().T @ defect @ dec.unitary))
         )
-        per_block = max(
-            float(np.max(np.abs(dec.restrict(defect, blk)))) for blk in dec.blocks
-        )
+        per_block = 0.0
+        for blk in dec.blocks:
+            b = dec.unitary[:, list(blk.basis_columns)]
+            per_block = max(per_block, float(np.max(np.abs(b.conj().T @ defect @ b))))
         assert abs(full - per_block) <= 1e-12
 
 
@@ -605,11 +602,16 @@ def _random_projector(rng, d, rank):
     return Projector(u[:, :rank] @ u[:, :rank].conj().T, rank=rank)
 
 
-# The two-projector decomposition still fails, with these typed errors, on
-# about 1% of dilated random POVM pairs (an open defect, the same as for
-# projector pairs with a tiny principal angle); the POVM witness property
-# below is about every pair it does decompose.
-DECOMPOSITION_DEFECTS = ("unitary", "block-diagonality")
+def _near_aligned_pair(rng, d, rp, rq, angle):
+    """Projectors of ranks rp, rq on C^d, the first range vector of the second
+    tilted by angle from one of the first towards its kernel."""
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    first = math.cos(angle) * u[:, 0] + math.sin(angle) * u[:, rp]
+    rest = rng.normal(size=(d, rq - 1)) + 1j * rng.normal(size=(d, rq - 1))
+    w, _ = np.linalg.qr(np.column_stack([first, rest]))
+    w[:, 0] = first
+    return (Projector(u[:, :rp] @ u[:, :rp].conj().T, rank=rp),
+            Projector(w @ w.conj().T, rank=rq))
 
 
 class TestWitnessBuiltOnce:
@@ -687,16 +689,45 @@ class TestWitnessBuiltOnce:
         assert rep.marginal_residual <= 1e-9
 
     @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 16),
+        st.floats(math.log(1e-12), math.log(math.pi / 2)),
+        st.data(),
+    )
+    def test_near_aligned_pair_threshold(self, seed, d, log_angle, data):
+        # One principal angle down to 1e-12: the operator formula needs no
+        # block decomposition, so nearly aligned subspaces decide like any.
+        rng = np.random.default_rng(seed)
+        rp, rq = data.draw(st.integers(1, d - 1)), data.draw(st.integers(1, d))
+        p, q = _near_aligned_pair(rng, d, rp, rq, math.exp(log_angle))
+        lam = lambda_opt_search((p, q)).value
+        rep = pvm_joint_observable(p, q, lam)
+        assert rep.feasible == "yes"
+        assert rep.min_eigenvalue >= -1e-11
+        assert rep.marginal_residual <= 1e-9
+        above = lam * (1.0 + 1e-9)
+        if above <= 1.0:
+            assert pvm_joint_observable(p, q, above).feasible == "no"
+
+    @settings(max_examples=60, deadline=None)
+    @given(_unit_vectors(), _unit_vectors(), st.floats(0.0, 1.0))
+    def test_operator_criterion_is_the_bloch_criterion(self, m, n, lam):
+        m, n = BlochVector(m), BlochVector(n)
+        assume(lam > 0.0 and abs(lam * criterion_value(m, n, 1.0) - 2.0) >= 1e-9)
+        by_operator = pvm_joint_observable(m.projector(), n.projector(), lam)
+        by_bloch = qubit_joint_observable(m, n, lam)
+        assert by_operator.feasible == by_bloch.feasible
+        if by_bloch.feasible == "no":
+            assert abs(by_operator.min_eigenvalue - by_bloch.min_eigenvalue) <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     def test_povm_pair_witness_at_lambda_opt(self, seed, d):
         rng = np.random.default_rng(seed)
         o1 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
         o2 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
-        try:
-            rep = povm_joint_observable(o1, o2, LAMBDA_OPT)
-        except ValidationError as exc:
-            assert exc.invariant in DECOMPOSITION_DEFECTS
-            return
+        rep = povm_joint_observable(o1, o2, LAMBDA_OPT)
         assert rep.feasible == "yes"
         assert rep.min_eigenvalue >= -1e-11
         assert rep.marginal_residual <= 1e-9
