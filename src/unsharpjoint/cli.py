@@ -209,6 +209,14 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _as_projector(obs: DichotomicObservable) -> Projector | None:
+    """The yes-effect of a sharp observable as a Projector; None for an unsharp one."""
+    try:
+        return Projector.from_matrix(obs.yes_effect.matrix)
+    except NotProjector:
+        return None
+
+
 def _decide(
     o1: DichotomicObservable, o2: DichotomicObservable, args: argparse.Namespace
 ) -> FeasibilityReport:
@@ -217,14 +225,7 @@ def _decide(
             smear(o1, args.lam), smear(o2, args.lam),
             max_iter=args.max_iter, tol=args.tol,
         )
-
-    def as_projector(obs):
-        try:
-            return Projector.from_matrix(obs.yes_effect.matrix)
-        except NotProjector:
-            return None
-
-    p1, p2 = as_projector(o1), as_projector(o2)
+    p1, p2 = _as_projector(o1), _as_projector(o2)
     if p1 is not None and p2 is not None:
         return pvm_joint_observable(p1, p2, args.lam)
     return povm_joint_observable(o1, o2, args.lam)
@@ -259,7 +260,8 @@ def _cmd_lambda_opt(args: argparse.Namespace) -> int:
         elif args.o1 is not None and args.o2 is not None:
             o1 = _load_observable(args.o1)
             o2 = _load_observable(args.o2)
-            result = lambda_opt_search((o1, o2))
+            p1, p2 = _as_projector(o1), _as_projector(o2)
+            result = lambda_opt_search((o1, o2) if p1 is None or p2 is None else (p1, p2))
             pair_json = {
                 "o1": observable_to_json(o1),
                 "o2": observable_to_json(o2),

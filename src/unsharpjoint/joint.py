@@ -40,6 +40,7 @@ the upstairs matrices in between are raw arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,7 @@ CRITERION_SLACK = 1e-12
 
 OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _SIGNS = np.array(OUTCOME_SIGNS, dtype=float)
+_JK_SIGNS = (_SIGNS[:, 0] * _SIGNS[:, 1])[:, None, None]  # the sign of F in the oracle's G_jk
 
 # The oracle tests for a Farkas certificate every CERTIFICATE_EVERY
 # iterations, and accepts one whose pairing with the affine points lies
@@ -397,33 +399,33 @@ def povm_joint_observable(
     return _yes([g[0::2, 0::2] for g in effects], PSD_TOL, smear(o1, lam), smear(o2, lam), 0)
 
 
-def _affine_project(h: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+def _affine_project(
+    h: np.ndarray, base: np.ndarray, half_sum: np.ndarray, quarter_eye: np.ndarray
+) -> np.ndarray:
     """Orthogonal projection onto the marginal constraints.
 
     The constraint set {G_pp + G_pm = Y1, G_mp + G_mm = I - Y1,
     G_pp + G_mp = Y2, G_pm + G_mm = I - Y2} is the affine space
     parametrized by one free Hermitian F:
 
-        (F, Y1 - F, Y2 - F, I - Y1 - Y2 + F).
+        (F, Y1 - F, Y2 - F, I - Y1 - Y2 + F) = base + (F, -F, -F, F).
 
-    Minimizing the stacked Frobenius distance from h gives the closed
-    form below.
+    The nearest point to h has F = (h_pp - h_pm - h_mp + h_mm) / 4 plus
+    half_sum - quarter_eye = (Y1 + Y2) / 2 - I / 4.  base[0] is -0 in both
+    parts and the signs multiply real and imaginary parts as floats, so no
+    zero part of F changes sign.
     """
-    eye = np.eye(y1.shape[0], dtype=complex)
-    f = (
-        0.25 * (h[0] - h[1] - h[2] + h[3])
-        + 0.5 * (y1 + y2)
-        - 0.25 * eye
-    )
-    return np.stack([f, y1 - f, y2 - f, eye - y1 - y2 + f])
+    f = 0.25 * (h[0] - h[1] - h[2] + h[3]) + half_sum - quarter_eye
+    return (base.view(float) + _JK_SIGNS * f.view(float)).view(complex)
 
 
-def _psd_project(h: np.ndarray) -> np.ndarray:
-    """Componentwise projection of a stack of Hermitian matrices onto PSD."""
-    h = (h + np.conj(np.transpose(h, (0, 2, 1)))) / 2.0
-    eigs, vecs = np.linalg.eigh(h)
-    eigs = np.maximum(eigs, 0.0)
-    return (vecs * eigs[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
+def _hermitize(h: np.ndarray) -> np.ndarray:
+    return (h + h.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _psd_from_eigh(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Componentwise projection onto PSD of a Hermitian stack, from its eigh."""
+    return (vecs * np.maximum(eigs, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
 def validate_oracle_tol(tol) -> float:
@@ -434,28 +436,24 @@ def validate_oracle_tol(tol) -> float:
 
 
 def _farkas_certificate(
-    x: np.ndarray, y: np.ndarray, y1: np.ndarray, y2: np.ndarray
+    x: np.ndarray, y: np.ndarray, base: np.ndarray, eye: np.ndarray
 ) -> np.ndarray | None:
     """Four PSD matrices proving the marginal constraints infeasible, or None.
 
     The candidate is the gap y - x between the PSD and the affine iterates,
     which converges to the gap vector of the two disjoint sets (Bauschke &
     Borwein 1994).  It is projected onto H_pp - H_pm - H_mp + H_mm = 0, so
-    that its pairing with every affine point is the same, hermitized and
-    shifted by t (I, I, I, I) into the PSD cones.  If that pairing is
-    negative beyond rounding, no PSD affine point exists: the pairing of
-    two PSD matrices is never negative.
+    that its pairing with every affine point is the same (that with base,
+    the point F = 0), hermitized and shifted by t (I, I, I, I) into the PSD
+    cones.  If that pairing is negative beyond rounding, no PSD affine
+    point exists: the pairing of two PSD matrices is never negative.
     """
     h = y - x
     k = h[0] - h[1] - h[2] + h[3]
-    h = h - np.stack([k, -k, -k, k]) / 4.0
-    h = (h + np.conj(np.transpose(h, (0, 2, 1)))) / 2.0
-    d = y1.shape[0]
-    eye = np.eye(d, dtype=complex)
+    h = _hermitize(h - np.stack([k, -k, -k, k]) / 4.0)
     h = h + max(0.0, -float(np.min(np.linalg.eigvalsh(h)))) * eye
-    affine = np.stack([np.zeros_like(eye), y1, y2, eye - y1 - y2])
-    pairing = float(np.sum(np.conj(h) * affine).real)
-    if pairing >= -CERTIFICATE_MARGIN * d * max(float(np.linalg.norm(h)), 1.0):
+    pairing = float(np.sum(np.conj(h) * base).real)
+    if pairing >= -CERTIFICATE_MARGIN * len(eye) * max(float(np.linalg.norm(h)), 1.0):
         return None
     h.setflags(write=False)
     return h
@@ -483,47 +481,59 @@ def feasibility_oracle(
       rides on the report;
     * "undetermined" when the max_iter budget runs out first, which is
       expected only in a thin band around the feasibility boundary.
+
+    Each iteration makes one eigensolve, eigh of an (8, d, d) stack: the raw
+    affine iterate for the PSD test and the hermitized input of the next PSD
+    projection.  A "no" or "undetermined" report takes min_eigenvalue from
+    eigvalsh, which at d >= 3 can differ from eigh's in the last bits.
     """
     if o1lam.dim != o2lam.dim:
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
-    if max_iter < 1:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValidationError("max-iter>=1", detail=f"got {max_iter!r}")
+    max_iter = int(max_iter)
     tol = validate_oracle_tol(tol)
     d = o1lam.dim
     y1 = o1lam.yes_effect.matrix
     y2 = o2lam.yes_effect.matrix
     accept_tol = min(tol, 1e-9)
+    eye = np.eye(d, dtype=complex)
+    half_sum = 0.5 * (y1 + y2)
+    quarter_eye = 0.25 * eye
+    base = np.stack([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
 
-    x = _affine_project(np.stack([np.eye(d, dtype=complex) / 4.0] * 4), y1, y2)
-    correction = np.zeros_like(x)
+    x = _affine_project(np.stack([eye / 4.0] * 4), base, half_sum, quarter_eye)
+    z = x + np.zeros_like(x)  # the Dykstra correction starts at 0
+    eigs, vecs = np.linalg.eigh(_hermitize(z))
 
     for it in range(1, max_iter + 1):
-        y = _psd_project(x + correction)
-        correction = x + correction - y
-        x = _affine_project(y, y1, y2)
-
-        min_eig = float(np.min(np.linalg.eigvalsh(x)))
-        if min_eig >= -accept_tol:
+        y = _psd_from_eigh(eigs, vecs)
+        correction = z - y
+        x = _affine_project(y, base, half_sum, quarter_eye)
+        z = x + correction
+        eigs, vecs = np.linalg.eigh(np.concatenate([x, _hermitize(z)]))
+        if eigs[:4, 0].min() >= -accept_tol:
             return _yes(x, 1e-9, o1lam, o2lam, it)
+        eigs, vecs = eigs[4:], vecs[4:]
 
         if it % CERTIFICATE_EVERY == 0:
-            certificate = _farkas_certificate(x, y, y1, y2)
+            certificate = _farkas_certificate(x, y, base, eye)
             if certificate is not None:
                 return FeasibilityReport(
                     feasible="no",
                     witness=None,
                     marginal_residual=float(np.max(np.abs(x - y))),
-                    min_eigenvalue=min_eig,
+                    min_eigenvalue=float(np.min(np.linalg.eigvalsh(x))),
                     iterations=it,
                     certificate=certificate,
                 )
 
-    min_eig = float(np.min(np.linalg.eigvalsh(x)))
+    y = _psd_from_eigh(*np.linalg.eigh(_hermitize(x)))
     return FeasibilityReport(
         feasible="undetermined",
         witness=None,
-        marginal_residual=float(np.max(np.abs(x - _psd_project(x)))),
-        min_eigenvalue=min_eig,
+        marginal_residual=float(np.max(np.abs(x - y))),
+        min_eigenvalue=float(np.min(np.linalg.eigvalsh(x))),
         iterations=max_iter,
     )
 

@@ -220,6 +220,22 @@ class TestLambdaOpt:
         payload = json.loads(out)
         assert abs(payload["lambda_opt"] - INV_SQRT2) <= 1e-3
 
+    @pytest.mark.parametrize("second,want", [("p.json", 1.0), ("q.json", INV_SQRT2)])
+    def test_projector_files_get_their_own_threshold(self, fixtures, capsys, second, want):
+        # Two sharp files take the projector branch: z with itself is jointly
+        # measurable at lambda = 1, as jointly-measurable confirms; z with x
+        # sits at 1/sqrt(2).  The POVM cap 1/sqrt(2) was reported for both.
+        files = ["--o1", fixtures["p.json"], "--o2", fixtures[second]]
+        code, out = _run(["lambda-opt", "--mode", "pair", *files], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lambda_opt"] == pytest.approx(want, abs=1e-15)
+        assert payload["oracle_verdict"] == "yes"
+        assert payload["pair"]["o1"]["kind"] == "observable"
+        code, out = _run(["jointly-measurable", *files, "--lambda", repr(payload["lambda_opt"])], capsys)
+        assert code == 0
+        assert json.loads(out)["feasible"] == "yes"
+
     def test_worst_case_deterministic(self, fixtures, capsys):
         args = ["lambda-opt", "--mode", "worst-case"]
         code1, out1 = _run(args, capsys)

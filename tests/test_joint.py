@@ -30,7 +30,7 @@ from unsharpjoint import (
     smear,
     two_projector_blocks,
 )
-from unsharpjoint.joint import MAX_MESH
+from unsharpjoint.joint import CERTIFICATE_EVERY, MAX_MESH, _sharp_pair_effects, _yes
 from unsharpjoint.operators import identity
 
 Z = BlochVector(np.array([0.0, 0.0, 1.0]))
@@ -486,11 +486,20 @@ class TestFeasibilityOracle:
         rep = feasibility_oracle(smear(o, 0.95), smear(o, 0.95))
         assert rep.feasible == "yes"
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
+    @pytest.mark.parametrize("max_iter", [0, -1, np.int64(0), 2.5, 10.0, math.inf, math.nan, "10", True, False])
     def test_non_positive_budget_rejected(self, max_iter):
+        # Floats and strings used to raise a bare TypeError from range(), and
+        # True ran one iteration and reported iterations=True.
         o = smear(Z.observable(), 0.6)
         with pytest.raises(ValidationError, match="max-iter>=1"):
             feasibility_oracle(o, o, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [1, np.int32(1), np.int64(1), np.uint8(1)])
+    def test_integer_budget_reported_as_int(self, max_iter):
+        o1lam, o2lam = smear(Z.observable(), 0.72), smear(X.observable(), 0.72)
+        rep = feasibility_oracle(o1lam, o2lam, max_iter=max_iter)
+        assert rep.feasible == "undetermined"
+        assert type(rep.iterations) is int and rep.iterations == 1
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, 1e-13, 0.1])
     def test_tolerance_outside_window_rejected(self, tol):
@@ -668,6 +677,20 @@ class TestWitnessBuiltOnce:
             lam = 0.5 if path == "oracle" else LAMBDA_OPT
             assert check_joint(rep.witness, smear(o1, lam), smear(o2, lam)).min_eigenvalue == raw
 
+    @pytest.mark.parametrize("factor,verdict", [(0.97, "yes"), (1.03, "no")])
+    def test_oracle_makes_one_eigensolve_per_iteration(self, factor, verdict, eigensolves):
+        # One eigh per iteration (plus one before the first), an eigvalsh per
+        # certificate test, and one for the witness check or the "no" report.
+        n = BlochVector.normalized([math.sin(1.0), 0.3, math.cos(1.0)])
+        lam = factor * 2.0 / criterion_value(Z, n, 1.0)
+        o1lam, o2lam = smear(Z.observable(), lam), smear(n.observable(), lam)
+        del eigensolves[:]
+        rep = feasibility_oracle(o1lam, o2lam)
+        assert rep.feasible == verdict
+        k = rep.iterations
+        assert k >= CERTIFICATE_EVERY
+        assert len(eigensolves) <= k + k // CERTIFICATE_EVERY + 2
+
     def test_derived_values_make_no_eigensolve(self, eigensolves):
         from unsharpjoint.bell import correlation
 
@@ -758,3 +781,89 @@ class TestReportInvariants:
         quarter = Effect(identity(2) / 4.0)
         with pytest.raises(ValidationError):
             JointObservable(quarter, quarter, quarter, Effect(identity(2) / 2.0))
+
+
+def _reference_oracle(o1lam, o2lam, max_iter, tol):
+    """feasibility_oracle written plainly: an eigh for each PSD projection,
+    an eigvalsh of every affine iterate, a certificate test every 10
+    iterations, and the affine stack and certificate built afresh each time."""
+    d = o1lam.dim
+    y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
+    accept_tol = min(tol, 1e-9)
+
+    def affine_project(h):
+        eye = np.eye(d, dtype=complex)
+        f = 0.25 * (h[0] - h[1] - h[2] + h[3]) + 0.5 * (y1 + y2) - 0.25 * eye
+        return np.stack([f, y1 - f, y2 - f, eye - y1 - y2 + f])
+
+    def psd_project(h):
+        h = (h + np.conj(np.transpose(h, (0, 2, 1)))) / 2.0
+        eigs, vecs = np.linalg.eigh(h)
+        eigs = np.maximum(eigs, 0.0)
+        return (vecs * eigs[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
+
+    def farkas_certificate(x, y):
+        h = y - x
+        k = h[0] - h[1] - h[2] + h[3]
+        h = h - np.stack([k, -k, -k, k]) / 4.0
+        h = (h + np.conj(np.transpose(h, (0, 2, 1)))) / 2.0
+        eye = np.eye(d, dtype=complex)
+        h = h + max(0.0, -float(np.min(np.linalg.eigvalsh(h)))) * eye
+        affine = np.stack([np.zeros_like(eye), y1, y2, eye - y1 - y2])
+        pairing = float(np.sum(np.conj(h) * affine).real)
+        if pairing >= -1e-12 * d * max(float(np.linalg.norm(h)), 1.0):
+            return None
+        return h
+
+    x = affine_project(np.stack([np.eye(d, dtype=complex) / 4.0] * 4))
+    correction = np.zeros_like(x)
+    for it in range(1, max_iter + 1):
+        y = psd_project(x + correction)
+        correction = x + correction - y
+        x = affine_project(y)
+        min_eig = float(np.min(np.linalg.eigvalsh(x)))
+        if min_eig >= -accept_tol:
+            return _yes(x, 1e-9, o1lam, o2lam, it)
+        if it % 10 == 0:
+            certificate = farkas_certificate(x, y)
+            if certificate is not None:
+                return FeasibilityReport("no", None, float(np.max(np.abs(x - y))), min_eig, it, certificate)
+    min_eig = float(np.min(np.linalg.eigvalsh(x)))
+    return FeasibilityReport("undetermined", None, float(np.max(np.abs(x - psd_project(x)))), min_eig, max_iter)
+
+
+def _report_bytes(rep):
+    witness = None if rep.witness is None else b"".join(e.matrix.tobytes() for e in rep.witness.effects)
+    certificate = None if rep.certificate is None else np.asarray(rep.certificate).tobytes()
+    return (rep.feasible, rep.iterations, repr(rep.min_eigenvalue), repr(rep.marginal_residual),
+            witness, certificate)
+
+
+class TestOracleMatchesReferenceLoop:
+    @pytest.mark.parametrize("kind", ["qubit", "projector", "povm"])
+    def test_reports_byte_identical(self, kind):
+        rng = np.random.default_rng(["qubit", "projector", "povm"].index(kind) + 409)
+        verdicts = set()
+        for _ in range(60):
+            if kind == "qubit":
+                m, n = BlochVector(_random_unit(rng)), BlochVector(_random_unit(rng))
+                threshold = min(1.0, 2.0 / criterion_value(m, n, 1.0))
+                o1, o2 = m.observable(), n.observable()
+            else:
+                d = int(rng.choice([3, 4, 8]))
+                if kind == "projector":
+                    p, q = (_random_projector(rng, d, int(rng.integers(1, d))) for _ in range(2))
+                    top, _ = _sharp_pair_effects(p, q, 1.0)
+                    threshold = min(1.0, 2.0 / top)
+                    o1, o2 = p.observable(), q.observable()
+                else:
+                    o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2))
+                    threshold = LAMBDA_OPT
+            lam = min(1.0, threshold * float(rng.uniform(0.97, 1.03)))
+            o1lam, o2lam = smear(o1, lam), smear(o2, lam)
+            max_iter = int(rng.integers(1, 61))
+            tol = float(10.0 ** rng.uniform(-12, -2))
+            rep = feasibility_oracle(o1lam, o2lam, max_iter=max_iter, tol=tol)
+            assert _report_bytes(rep) == _report_bytes(_reference_oracle(o1lam, o2lam, max_iter, tol))
+            verdicts.add(rep.feasible)
+        assert len(verdicts) >= 2
