@@ -45,6 +45,7 @@ from .joint import (
     pvm_joint_observable,
     qubit_verdicts,
     validate_oracle_tol,
+    validate_seed,
 )
 from .operators import (
     DensityMatrix,
@@ -246,8 +247,7 @@ def _cmd_jointly_measurable(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda_opt(args: argparse.Namespace) -> int:
-    if not 0 <= args.seed < 2**64:
-        raise ValidationError("seed-uint64", detail=f"got {args.seed!r}")
+    validate_seed(args.seed)
     if args.mode == "worst-case":
         result = lambda_opt_search("worst-case", seed=args.seed, mesh=args.mesh)
         m, n = result.pair

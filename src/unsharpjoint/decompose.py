@@ -19,11 +19,12 @@ ker p and splits by a second small eigenproblem.
 The same module hosts the 2-level-ancilla dilation of a dichotomic POVM to
 a projective measurement and the compression back to the system (fixed
 convention: system tensor ancilla, ancilla state = index 0 of the last
-factor).
+factor).  No joint-measurability decision uses this module.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,40 +109,30 @@ class BlockDecomposition:
     def dim(self) -> int:
         return self.unitary.shape[0]
 
-    def assemble(self, block_matrices) -> np.ndarray:
-        """Embed per-block matrices back into the full space.
-
-        block_matrices must follow self.blocks order; the result is
-        U . blockdiag(...) . U^dagger.
-        """
-        d = self.dim
-        bd = np.zeros((d, d), dtype=complex)
-        offset = 0
-        for blk, m in zip(self.blocks, block_matrices, strict=True):
-            m = np.asarray(m, dtype=complex).reshape(blk.dim, blk.dim)
-            bd[offset : offset + blk.dim, offset : offset + blk.dim] = m
-            offset += blk.dim
-        return self.unitary @ bd @ self.unitary.conj().T
-
-    def off_block_mass(self, m) -> float:
-        """Max-abs entry of U^dagger m U outside the declared blocks."""
-        conj = self.unitary.conj().T @ square_matrix(m) @ self.unitary
-        mask = np.ones(conj.shape, dtype=bool)
+    @functools.cached_property
+    def _off_block_mask(self) -> np.ndarray:
+        """True at the entries of a d x d matrix outside the declared blocks."""
+        mask = np.ones((self.dim, self.dim), dtype=bool)
         offset = 0
         for blk in self.blocks:
             mask[offset : offset + blk.dim, offset : offset + blk.dim] = False
             offset += blk.dim
+        mask.setflags(write=False)
+        return mask
+
+    def off_block_mass(self, m) -> float:
+        """Max-abs entry of U^dagger m U outside the declared blocks."""
+        conj = self.unitary.conj().T @ square_matrix(m) @ self.unitary
+        mask = self._off_block_mask
         return float(np.max(np.abs(conj[mask]))) if mask.any() else 0.0
 
     def reconstruction_residual(self, m) -> float:
-        """Max-abs error of rebuilding m from its own block restrictions."""
-        conj = self.unitary.conj().T @ square_matrix(m) @ self.unitary
-        blocks = []
-        offset = 0
-        for blk in self.blocks:
-            blocks.append(conj[offset : offset + blk.dim, offset : offset + blk.dim])
-            offset += blk.dim
-        return float(np.max(np.abs(self.assemble(blocks) - square_matrix(m))))
+        """Max-abs error of rebuilding m from its own block restrictions,
+        U . blockdiag(restrictions) . U^dagger."""
+        m = square_matrix(m)
+        conj = self.unitary.conj().T @ m @ self.unitary
+        conj[self._off_block_mask] = 0.0
+        return float(np.max(np.abs(self.unitary @ conj @ self.unitary.conj().T - m)))
 
 
 def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:

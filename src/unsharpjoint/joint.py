@@ -10,8 +10,9 @@ marginals.  This module provides
 * its operator form for projective pairs in any dimension:
   lam * top <= 2, with top the largest eigenvalue of |A+B| + |A-B| for
   the sharp observables A = 2P - I, B = 2Q - I;
-* the general POVM case via a 2-level-ancilla dilation, solved
-  projectively upstairs and compressed back;
+* the same formula for any dichotomic POVM pair, on the contrasts
+  A = E1 - N1, B = E2 - N2: then top <= 2 sqrt(2), so every pair has a
+  witness at lam <= 1/sqrt(2) (Busch 1986);
 * an independent alternating-projection (Dykstra) feasibility oracle used
   to cross-check every closed-form verdict;
 * the largest feasible unsharpness from the closed-form thresholds,
@@ -34,7 +35,7 @@ t = lam a b; its smallest eigenvalue is (2 - lam * top) / 8.  |A+B| and
 is near +-2: on commuting and nearly aligned blocks.
 
 Each decision checks only its final witness, once, as one (4, d, d) stack;
-the upstairs matrices in between are raw arrays.
+|A+B| and |A-B| in between are raw arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import neumark_dilate
 from .errors import DimensionMismatch, LambdaTooLarge, ValidationError
 from .operators import (
     PSD_TOL,
@@ -326,22 +326,24 @@ def qubit_verdicts(m, n, lams) -> list[str]:
     return ["yes" if v <= 2.0 + CRITERION_SLACK else "no" for v in value]
 
 
-def _sharp_pair_effects(p1: Projector, p2: Projector, lam: float):
-    """Criterion value lam * top for A = 2 p1 - I, B = 2 p2 - I, with top the
-    largest eigenvalue of |A+B| + |A-B|, and the (4, d, d) stack of raw
-    witnesses G_jk, or None past the boundary."""
-    if p1.dim != p2.dim:
-        raise DimensionMismatch(p1.dim, p2.dim)
-    eye = identity(p1.dim)
-    a, b = 2.0 * p1.matrix - eye, 2.0 * p2.matrix - eye
+def _contrast_pair_effects(a: np.ndarray, b: np.ndarray, lam: float):
+    """Criterion value lam * top for the contrasts (E_yes - E_no) A = a and
+    B = b, with top the largest eigenvalue of |A+B| + |A-B|, and the
+    (4, d, d) stack of raw witnesses
+    G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(len(a), len(b))
+    eye = identity(len(a))
     w, v = np.linalg.eigh(np.stack([a + b, a - b]))
     abs_sum, abs_diff = (v * np.abs(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
     value = lam * float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1])
-    if value > 2.0 + CRITERION_SLACK:
-        return value, None
     t = lam * (abs_sum - abs_diff) / 2.0
     effects = [eye + lam * (j * a + k * b) + j * k * t for j, k in OUTCOME_SIGNS]
     return value, np.stack(effects) / 4.0
+
+
+def _sharp_contrast(p: Projector) -> np.ndarray:
+    return 2.0 * p.matrix - identity(p.dim)
 
 
 def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport:
@@ -357,8 +359,8 @@ def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport
     Only the final witness is validated and checked.
     """
     lam = float(UnsharpParam.coerce(lam))
-    value, effects = _sharp_pair_effects(p1, p2, lam)
-    if effects is None:
+    value, effects = _contrast_pair_effects(_sharp_contrast(p1), _sharp_contrast(p2), lam)
+    if value > 2.0 + CRITERION_SLACK:
         return _no(value)
     return _yes(effects, PSD_TOL, smear(p1.observable(), lam), smear(p2.observable(), lam), 0)
 
@@ -368,35 +370,31 @@ def povm_joint_observable(
 ) -> FeasibilityReport:
     """Joint observable for two smeared dichotomic POVMs.
 
-    Both POVMs are dilated to projective measurements on the same
-    system x ancilla space (one shared 2-level ancilla), the projective
-    pair is solved upstairs by the operator formula of pvm_joint_observable,
-    and each raw upstairs effect is compressed back onto the ancilla-0
-    sector.  Compression is linear, positive and unital, so marginals and
-    effect bounds survive it.  Only the compressed witness is validated and
-    checked.
+    The witness is the operator formula of pvm_joint_observable on the
+    contrasts A = E1 - N1, B = E2 - N2 of the two observables, on the
+    system itself.  Its marginals are the smeared observables exactly, and
+    since (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8
+    for |A|, |B| <= 1, top <= 2 sqrt(2) and every G_jk is at least
+    (2 - lam * top) / 8 >= (1 - sqrt(2) lam) / 4: PSD for lam <= 1/sqrt(2)
+    (Busch 1986).  The witness is checked once, at the largest of PSD_TOL
+    and the input effects' tolerances, so effects inside their own window
+    but just outside [0, 1] still get one.
 
     The construction is guaranteed for lam <= 1/sqrt(2) only; larger
     values raise LambdaTooLarge (the feasibility oracle may still be
-    invoked directly for those).
+    invoked directly for those).  Inside the gate's own slack, past
+    1/sqrt(2), a pair with lam * top > 2 + CRITERION_SLACK is a "no".
     """
     if o1.dim != o2.dim:
         raise DimensionMismatch(o1.dim, o2.dim)
     lam = float(UnsharpParam.coerce(lam))
     if lam > LAMBDA_OPT + CRITERION_SLACK:
         raise LambdaTooLarge(lam, LAMBDA_OPT)
-
-    dil1 = neumark_dilate(o1)
-    dil2 = neumark_dilate(o2)
-    value, effects = _sharp_pair_effects(dil1.projector, dil2.projector, lam)
-    if effects is None:
-        # top is the largest 2 (c + s) <= 2 sqrt(2) over the overlaps c of
-        # the upstairs blocks, so this is reached only for lam past
-        # 1/sqrt(2) by more than about CRITERION_SLACK / (2 sqrt(2)), inside
-        # the gate's own slack, on a block with c = s near 1/sqrt(2).
+    value, effects = _contrast_pair_effects(o1.difference(), o2.difference(), lam)
+    if lam > LAMBDA_OPT and value > 2.0 + CRITERION_SLACK:
         return _no(value)
-    # compress(g, 0) of each upstairs effect: the ancilla-0 sector.
-    return _yes([g[0::2, 0::2] for g in effects], PSD_TOL, smear(o1, lam), smear(o2, lam), 0)
+    tol = max(PSD_TOL, *(e.tol for o in (o1, o2) for e in (o.yes_effect, o.no_effect)))
+    return _yes(effects, tol, smear(o1, lam), smear(o2, lam), 0)
 
 
 def _affine_project(
@@ -433,6 +431,13 @@ def validate_oracle_tol(tol) -> float:
     if not 1e-12 <= tol <= 1e-2:
         raise ValidationError("tol-in-[1e-12,1e-2]", detail=f"got {tol!r}")
     return float(tol)
+
+
+def validate_seed(seed) -> int:
+    """Check a generator seed as an unsigned 64-bit integer."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValidationError("seed-uint64", detail=f"got {seed!r}")
+    return int(seed)
 
 
 def _farkas_certificate(
@@ -570,7 +575,9 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
       |A+B| + |A-B| for A = 2P - I, B = 2Q - I, that is the minimum of
       1 / (c + sqrt(1 - c^2)) over the overlaps c of the pair's
       two-dimensional blocks;
-    * dichotomic POVMs: the dilation path's cap 1/sqrt(2).
+    * dichotomic POVMs, or one POVM and one projector: 1/sqrt(2), where
+      povm_joint_observable builds a witness for every pair, since
+      top <= 2 sqrt(2) for any contrasts A, B of norm at most 1.
 
     The returned point is confirmed with the feasibility oracle.
 
@@ -582,11 +589,11 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
     if isinstance(pair_source, str):
         if pair_source != "worst-case":
             raise ValidationError("pair-source", detail=repr(pair_source))
-        if mesh < 1:
+        if isinstance(mesh, bool) or not isinstance(mesh, numbers.Integral) or mesh < 1:
             raise ValidationError("mesh>=1", detail=f"got {mesh!r}")
         if mesh > MAX_MESH:
             raise ValidationError(f"mesh<={MAX_MESH}", detail=f"got {mesh!r}")
-        m, n = _worst_case_pair(seed, mesh)
+        m, n = _worst_case_pair(validate_seed(seed), int(mesh))
         pair_source = (BlochVector.normalized(m), BlochVector.normalized(n))
 
     a, b = pair_source
@@ -598,17 +605,16 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
         observables = (pair[0].observable(), pair[1].observable())
     elif isinstance(a, Projector) and isinstance(b, Projector):
         pair = (a, b)
-        top, _ = _sharp_pair_effects(a, b, 1.0)
+        top, _ = _contrast_pair_effects(_sharp_contrast(a), _sharp_contrast(b), 1.0)
         value = 1.0 if top <= 2.0 + CRITERION_SLACK else 2.0 / top
         observables = (a.observable(), b.observable())
     else:
         pair = observables = tuple(
-            o if isinstance(o, DichotomicObservable) else DichotomicObservable.from_yes_effect(o)
+            o if isinstance(o, DichotomicObservable)
+            else o.observable() if isinstance(o, Projector)
+            else DichotomicObservable.from_yes_effect(o)
             for o in (a, b)
         )
-        # Every dilated block value 1/(c+s) is at least 1/sqrt(2), since
-        # c + s <= sqrt(2) for c^2 + s^2 = 1, so the dilation path's cap
-        # always binds and no dilation needs to run.
         value = LAMBDA_OPT
 
     verdict = feasibility_oracle(smear(observables[0], value), smear(observables[1], value)).feasible

@@ -3,7 +3,7 @@
 Everything downstream (smearing, block decomposition, joint observables,
 CHSH correlators) is built out of the types defined here.  All matrices are
 dense complex arrays; the constructions in this package live on small
-Hilbert spaces (d <= 64, doubled once by dilation), so no sparsity is
+Hilbert spaces (d <= 64; only `uj dilate` doubles it), so no sparsity is
 needed.
 
 Tolerance policy is two-tier: affine identities and Hermiticity are checked
@@ -44,13 +44,13 @@ PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def square_matrix(m) -> np.ndarray:
-    """Coerce input to a finite square complex matrix.
+    """Coerce input to a finite square complex matrix of size at least 1.
 
-    Raises ValidationError if the input is not square or has non-finite
-    entries.
+    Raises ValidationError if the input is not square, is 0x0 or has
+    non-finite entries.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValidationError("square-matrix", detail=f"shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValidationError("finite-entries")

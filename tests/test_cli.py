@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from unsharpjoint import (
     BlochVector,
+    ValidationError,
+    lambda_opt_search,
     matrix_from_json,
     matrix_to_json,
     optimal_settings,
@@ -509,6 +511,14 @@ class TestFlagWindows:
         )
         assert code == 1
         assert "seed-uint64" in capsys.readouterr().err
+
+    def test_seed_message_is_the_library_message(self, capsys):
+        # The flag and lambda_opt_search share one seed check.
+        assert main(["lambda-opt", "--mode", "worst-case", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed-uint64: got -1\n"
+        with pytest.raises(ValidationError) as exc:
+            lambda_opt_search("worst-case", seed=-1)
+        assert str(exc.value) == "seed-uint64: got -1"
 
 
 class TestOutputFile:

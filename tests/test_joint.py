@@ -30,8 +30,8 @@ from unsharpjoint import (
     smear,
     two_projector_blocks,
 )
-from unsharpjoint.joint import CERTIFICATE_EVERY, MAX_MESH, _sharp_pair_effects, _yes
-from unsharpjoint.operators import identity
+from unsharpjoint.joint import CERTIFICATE_EVERY, MAX_MESH, _contrast_pair_effects, _yes
+from unsharpjoint.operators import PAULI_X, PAULI_Z, PSD_TOL, identity
 
 Z = BlochVector(np.array([0.0, 0.0, 1.0]))
 X = BlochVector(np.array([1.0, 0.0, 0.0]))
@@ -338,6 +338,75 @@ class TestPovmJointObservable:
         with pytest.raises(LambdaTooLarge):
             povm_joint_observable(o1, o2, 0.8)
 
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_decision_solves_only_d_by_d_matrices(self, d, monkeypatch):
+        # The witness formula acts on the contrasts themselves: no matrix
+        # of the 2d-dim dilation is formed, let alone diagonalized.
+        shapes = []
+
+        def recording(real):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a)[-2:])
+                return real(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        rng = np.random.default_rng(199)
+        o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2))
+        assert povm_joint_observable(o1, o2, LAMBDA_OPT).feasible == "yes"
+        assert shapes and set(shapes) == {(d, d)}
+
+    def test_effects_just_outside_the_unit_interval(self):
+        # |A| = |B| = 1 + 1e-9, valid at the default tolerance: the witness
+        # is checked at the inputs' tolerance, and "no" is said only past
+        # 1/sqrt(2), inside the gate's own slack.
+        s = 1.0 + 1e-9
+        o1 = DichotomicObservable.from_yes_effect((identity(2) + s * PAULI_Z) / 2.0)
+        o2 = DichotomicObservable.from_yes_effect((identity(2) + s * PAULI_X) / 2.0)
+        rep = povm_joint_observable(o1, o2, LAMBDA_OPT)
+        assert rep.feasible == "yes"
+        assert rep.marginal_residual <= 1e-15
+        assert -PSD_TOL <= rep.min_eigenvalue < 0.0
+        assert povm_joint_observable(o1, o2, LAMBDA_OPT + 5e-13).feasible == "no"
+
+    def test_effects_at_the_edge_of_their_own_window(self):
+        # Eigenvalues 1 + 0.995e-6 and -0.995e-6, inside tol = 1e-6.
+        s = 1.0 + 1.99e-6
+        o1, o2 = (
+            DichotomicObservable.from_yes_effect(Effect((identity(2) + s * pauli) / 2.0, tol=1e-6))
+            for pauli in (PAULI_Z, PAULI_X)
+        )
+        rep = povm_joint_observable(o1, o2, LAMBDA_OPT)
+        assert rep.feasible == "yes"
+        assert rep.marginal_residual <= 1e-15
+        assert -1e-6 <= rep.min_eigenvalue < -PSD_TOL
+        assert all(e.tol == 1e-6 for e in rep.witness.effects)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
+    def test_every_pair_is_jointly_measurable_at_lambda_opt(self, seed, d, data):
+        # Eigenvalues drawn from [0, 1], exactly 0 and 1 (kept exact in the
+        # standard basis), or up to 0.9 PSD_TOL outside [0, 1].
+        rng = np.random.default_rng(seed)
+        eig = st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, 1.0, -0.9 * PSD_TOL, 1.0 + 0.9 * PSD_TOL]),
+        )
+        observables = []
+        for _ in range(2):
+            eigs = np.array(data.draw(st.lists(eig, min_size=d, max_size=d)))
+            if data.draw(st.booleans()):
+                m = np.diag(eigs).astype(complex)
+            else:
+                u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                m = (u * eigs) @ u.conj().T
+            observables.append(DichotomicObservable.from_yes_effect(m))
+        rep = povm_joint_observable(*observables, LAMBDA_OPT)
+        assert rep.feasible == "yes"
+        assert rep.marginal_residual <= 1e-9
+        assert rep.min_eigenvalue >= -PSD_TOL
+
     @pytest.mark.parametrize("path", ["povm", "pvm"])
     def test_no_inside_the_gate_slack(self, path):
         # The gate lets lam up to LAMBDA_OPT + 1e-12 through, but the z/x
@@ -479,7 +548,7 @@ class TestFeasibilityOracle:
         assert rep.feasible != "no"
 
     def test_povm_pair_above_gate_is_oracle_territory(self):
-        # The dilation path refuses lam > 1/sqrt(2); the oracle still
+        # povm_joint_observable refuses lam > 1/sqrt(2); the oracle still
         # decides. Equal POVM pairs stay feasible all the way up.
         rng = np.random.default_rng(149)
         o = DichotomicObservable.from_yes_effect(_random_effect(rng, 2))
@@ -551,7 +620,7 @@ class TestLambdaOptSearch:
         q = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
         assert lambda_opt_search((p, q)).value == 1.0
 
-    def test_povm_pair_is_the_dilation_cap(self):
+    def test_povm_pair_takes_lambda_opt(self):
         rng = np.random.default_rng(181)
         for d in (2, 3, 5):
             o1 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
@@ -560,6 +629,20 @@ class TestLambdaOptSearch:
             assert res.value == LAMBDA_OPT
             assert res.pair == (o1, o2)
             assert res.oracle_verdict == "yes"
+
+    @pytest.mark.parametrize("projector_first", [True, False])
+    def test_mixed_pair_takes_lambda_opt(self, projector_first):
+        # A projector paired with a POVM is decided as a POVM pair.
+        rng = np.random.default_rng(197)
+        p = _random_projector(rng, 3, 1)
+        o = DichotomicObservable.from_yes_effect(_random_effect(rng, 3))
+        res = lambda_opt_search((p, o) if projector_first else (o, p))
+        assert res.value == LAMBDA_OPT
+        assert res.oracle_verdict == "yes"
+        sharp, povm = res.pair if projector_first else res.pair[::-1]
+        assert povm is o
+        assert sharp.yes_effect.matrix.tobytes() == p.matrix.tobytes()
+        assert povm_joint_observable(*res.pair, res.value).feasible == "yes"
 
     def test_higher_dimensional_projector_pair(self):
         # The search lands on the worst block angle's exact boundary
@@ -595,14 +678,28 @@ class TestLambdaOptSearch:
         with pytest.raises(ValidationError):
             lambda_opt_search("best-case")
 
-    @pytest.mark.parametrize("mesh", [0, -5])
-    def test_worst_case_rejects_non_positive_mesh(self, mesh):
+    @pytest.mark.parametrize("mesh", [0, -5, 2.5, 10.0, math.nan, math.inf, "10", True, False])
+    def test_worst_case_rejects_a_mesh_that_is_no_positive_integer(self, mesh):
+        # NaN used to raise a bare ValueError from int(), and 2.5 and True
+        # were taken as meshes.
         with pytest.raises(ValidationError, match="mesh>=1"):
             lambda_opt_search("worst-case", mesh=mesh)
 
     def test_worst_case_rejects_mesh_above_cap(self):
         with pytest.raises(ValidationError, match=f"mesh<={MAX_MESH}"):
             lambda_opt_search("worst-case", mesh=MAX_MESH + 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True])
+    def test_worst_case_rejects_a_seed_outside_uint64(self, seed):
+        # -1 used to raise numpy's bare ValueError.
+        with pytest.raises(ValidationError, match="seed-uint64"):
+            lambda_opt_search("worst-case", seed=seed)
+
+    def test_worst_case_takes_numpy_integers(self):
+        res = lambda_opt_search("worst-case", seed=np.uint64(7), mesh=np.int32(50))
+        want = lambda_opt_search("worst-case", seed=7, mesh=50)
+        assert res.value == want.value
+        assert [v.v.tobytes() for v in res.pair] == [v.v.tobytes() for v in want.pair]
 
 
 def _random_projector(rng, d, rank):
@@ -626,9 +723,9 @@ def _near_aligned_pair(rng, d, rp, rq, angle):
 class TestWitnessBuiltOnce:
     @pytest.mark.parametrize("path,dims", [("pvm", (4, 32)), ("povm", (2, 8))])
     def test_eigensolves_independent_of_block_count(self, path, dims, eigensolves):
-        # Rank-d/2 projector pairs have d/2 two-dimensional blocks, and so
-        # do the dilations of d-dim POVM pairs; only the final witness may
-        # cost eigensolves.
+        # Rank-d/2 projector pairs have d/2 two-dimensional blocks, and so,
+        # generically, do the contrasts of d-dim POVM pairs; only the final
+        # witness may cost eigensolves.
         rng = np.random.default_rng(191)
         if path == "pvm":
             decide = pvm_joint_observable
@@ -853,7 +950,7 @@ class TestOracleMatchesReferenceLoop:
                 d = int(rng.choice([3, 4, 8]))
                 if kind == "projector":
                     p, q = (_random_projector(rng, d, int(rng.integers(1, d))) for _ in range(2))
-                    top, _ = _sharp_pair_effects(p, q, 1.0)
+                    top, _ = _contrast_pair_effects(2.0 * p.matrix - np.eye(d), 2.0 * q.matrix - np.eye(d), 1.0)
                     threshold = min(1.0, 2.0 / top)
                     o1, o2 = p.observable(), q.observable()
                 else:

@@ -22,11 +22,39 @@ from unsharpjoint import (
     matrix_to_json,
     min_eigenvalue,
     projector_onto,
+    pvm_joint_observable,
     smear,
     tensor,
+    two_projector_blocks,
     validate_effect,
 )
 from unsharpjoint.operators import PAULI_X, PAULI_Z, identity
+
+_EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Effect(_EMPTY),
+        lambda: validate_effect(_EMPTY),
+        lambda: DichotomicObservable.from_yes_effect(_EMPTY),
+        lambda: DensityMatrix(_EMPTY),
+        lambda: DensityMatrix.maximally_mixed(0),
+        lambda: Projector(_EMPTY, 0),
+        lambda: Projector.from_matrix(_EMPTY),
+        lambda: pvm_joint_observable(Projector(_EMPTY, 0), Projector(_EMPTY, 0), 0.5),
+        lambda: two_projector_blocks(Projector(_EMPTY, 0), Projector(_EMPTY, 0)),
+        lambda: matrix_to_json(_EMPTY),
+    ],
+    ids=["effect", "validate-effect", "observable", "density", "maximally-mixed", "projector",
+         "projector-from-matrix", "pvm", "blocks", "json"],
+)
+def test_zero_dimension_is_rejected(build):
+    # A 0x0 matrix used to pass as square, and later steps died with an
+    # IndexError or a zero-size ValueError.
+    with pytest.raises(ValidationError, match="square-matrix"):
+        build()
 
 # Frozen by direct arithmetic on the diagonal 2x2 case.
 HALF_PLUS = 0.8535533905932737   # (2 + sqrt 2) / 4
