@@ -13,8 +13,8 @@ marginals.  This module provides
 * the same formula for any dichotomic POVM pair, on the contrasts
   A = E1 - N1, B = E2 - N2: then top <= 2 sqrt(2), so every pair has a
   witness at lam <= 1/sqrt(2) (Busch 1986);
-* an independent alternating-projection (Dykstra) feasibility oracle used
-  to cross-check every closed-form verdict;
+* an independent alternating-projection (Dykstra) feasibility oracle,
+  Anderson-accelerated, used to cross-check every closed-form verdict;
 * the largest feasible unsharpness from the closed-form thresholds,
   including the worst-case search over Bloch-vector pairs whose optimum
   is 1/sqrt(2).
@@ -70,11 +70,12 @@ OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _SIGNS = np.array(OUTCOME_SIGNS, dtype=float)
 _JK_SIGNS = (_SIGNS[:, 0] * _SIGNS[:, 1])[:, None, None]  # the sign of F in the oracle's G_jk
 
-# The oracle tests for a Farkas certificate every CERTIFICATE_EVERY
+# The oracle tests for a Farkas certificate at most every CERTIFICATE_EVERY
 # iterations, and accepts one whose pairing with the affine points lies
 # below -CERTIFICATE_MARGIN * d * max(|H|_F, 1), far above rounding.
-CERTIFICATE_EVERY = 10
+CERTIFICATE_EVERY = 5
 CERTIFICATE_MARGIN = 1e-12
+ANDERSON_MEMORY = 3
 
 # The worst-case mesh broadcasts arrays of about 3*mesh floats; this cap
 # (1,000x the default) keeps each temporary near 24 MB.
@@ -470,20 +471,29 @@ def feasibility_oracle(
     max_iter: int = 20000,
     tol: float = 1e-9,
 ) -> FeasibilityReport:
-    """Decide joint measurability by alternating projections.
+    """Decide joint measurability by Anderson-accelerated alternating projections.
 
-    Dykstra-corrected alternating projections between the product of four
-    PSD cones and the affine space of the marginal constraints.  The
-    verdict is three-valued:
+    Dykstra's alternating projections between the product of four PSD
+    cones and the affine space of the marginal constraints iterate
+    T(z) = P_aff(P_psd(z)) + z - P_psd(z); y = P_psd(z), x = P_aff(y).
+    Each step is a type-II Anderson step on T (Walker & Ni 2011) in the
+    real view of the stack, z + g - (dZ + dG) gamma: g = T(z) - z = x - y,
+    dZ and dG are the last ANDERSON_MEMORY differences of z and g, and
+    gamma fits g by dG in least squares, Tikhonov term 1e-10 trace(dG^T dG).
+    An Anderson point whose |g| exceeds the last accepted one's, or a step
+    that is not finite, gives way to the plain step z + g from the last
+    accepted point and clears the history (after Zhang, O'Donoghue & Boyd
+    2020): where no joint observable exists, |g| levels off at the gap and
+    the plain steps carry y - x to the gap vector.  The verdict is:
 
-    * "yes" once the affine-feasible iterate is PSD to -tol (capped at
-      the effect tolerance 1e-9 so the witness validates as a
-      JointObservable); marginals then hold exactly;
-    * "no" once a Farkas certificate verifies, tested every
-      CERTIFICATE_EVERY iterations: four PSD matrices H_jk with
-      H_pp - H_pm - H_mp + H_mm = 0 whose pairing with the affine points
-      is negative, which no PSD joint observable allows.  The certificate
-      rides on the report;
+    * "yes" once an affine iterate is PSD to -tol (capped at the effect
+      tolerance 1e-9 so the witness validates as a JointObservable);
+      marginals then hold exactly;
+    * "no" once a Farkas certificate verifies, tested at the first accepted
+      point CERTIFICATE_EVERY iterations after the last test: four PSD
+      matrices H_jk with H_pp - H_pm - H_mp + H_mm = 0 whose pairing with
+      the affine points is negative, which no PSD joint observable allows.
+      The certificate rides on the report;
     * "undetermined" when the max_iter budget runs out first, which is
       expected only in a thin band around the feasibility boundary.
 
@@ -498,11 +508,9 @@ def feasibility_oracle(
         raise ValidationError("max-iter>=1", detail=f"got {max_iter!r}")
     max_iter = int(max_iter)
     tol = validate_oracle_tol(tol)
-    d = o1lam.dim
-    y1 = o1lam.yes_effect.matrix
-    y2 = o2lam.yes_effect.matrix
+    y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
     accept_tol = min(tol, 1e-9)
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(o1lam.dim, dtype=complex)
     half_sum = 0.5 * (y1 + y2)
     quarter_eye = 0.25 * eye
     base = np.stack([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
@@ -510,37 +518,49 @@ def feasibility_oracle(
     x = _affine_project(np.stack([eye / 4.0] * 4), base, half_sum, quarter_eye)
     z = x + np.zeros_like(x)  # the Dykstra correction starts at 0
     eigs, vecs = np.linalg.eigh(_hermitize(z))
+    dz, dg, last = [], [], None  # the steps of z and of g; the last accepted (z, g, |g|)
+    tested = 0  # the iteration of the last certificate test
 
     for it in range(1, max_iter + 1):
         y = _psd_from_eigh(eigs, vecs)
-        correction = z - y
         x = _affine_project(y, base, half_sum, quarter_eye)
-        z = x + correction
+        zr, g = z.view(float).ravel(), (x - y).view(float).ravel()
+        norm = float(np.linalg.norm(g))
+        rejected = bool(dg) and norm > last[2]  # dg is empty after a plain step
+        if rejected:
+            step, dz, dg = last[0] + last[1], [], []
+        else:
+            if last is not None:
+                dz, dg = [*dz, zr - last[0]][-ANDERSON_MEMORY:], [*dg, g - last[1]][-ANDERSON_MEMORY:]
+            last, step = (zr, g, norm), zr + g
+            if dg:
+                a = np.array(dg)
+                gram = a @ a.T
+                # All of dg is 0 only when the trace is: then gamma = 0.
+                gram += (1e-10 * np.trace(gram) or 1.0) * np.eye(len(gram))
+                step = step - (np.array(dz) + a).T @ np.linalg.solve(gram, a @ g)
+                if not np.isfinite(step).all():
+                    step, dz, dg = zr + g, [], []
+        z = step.view(complex).reshape(x.shape)
         eigs, vecs = np.linalg.eigh(np.concatenate([x, _hermitize(z)]))
         if eigs[:4, 0].min() >= -accept_tol:
             return _yes(x, 1e-9, o1lam, o2lam, it)
         eigs, vecs = eigs[4:], vecs[4:]
 
-        if it % CERTIFICATE_EVERY == 0:
+        if it - tested >= CERTIFICATE_EVERY and not rejected:
+            tested = it
             certificate = _farkas_certificate(x, y, base, eye)
             if certificate is not None:
-                return FeasibilityReport(
-                    feasible="no",
-                    witness=None,
-                    marginal_residual=float(np.max(np.abs(x - y))),
-                    min_eigenvalue=float(np.min(np.linalg.eigvalsh(x))),
-                    iterations=it,
-                    certificate=certificate,
-                )
+                return _gap_report("no", x, y, it, certificate)
 
-    y = _psd_from_eigh(*np.linalg.eigh(_hermitize(x)))
-    return FeasibilityReport(
-        feasible="undetermined",
-        witness=None,
-        marginal_residual=float(np.max(np.abs(x - y))),
-        min_eigenvalue=float(np.min(np.linalg.eigvalsh(x))),
-        iterations=max_iter,
-    )
+    return _gap_report("undetermined", x, _psd_from_eigh(*np.linalg.eigh(_hermitize(x))), max_iter)
+
+
+def _gap_report(verdict: str, x, y, iterations: int, certificate=None) -> FeasibilityReport:
+    """An oracle "no" or "undetermined": the gap max|x - y| between its affine
+    and PSD iterates and the smallest eigenvalue of x."""
+    return FeasibilityReport(verdict, None, float(np.max(np.abs(x - y))),
+                             float(np.min(np.linalg.eigvalsh(x))), iterations, certificate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,9 +617,8 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
         pair_source = (BlochVector.normalized(m), BlochVector.normalized(n))
 
     a, b = pair_source
-    if isinstance(a, BlochVector) or (
-        not isinstance(a, (Projector, DichotomicObservable))
-    ):
+    # Operator objects are 0-d to numpy, matrices 2-d and Bloch vectors 1-d.
+    if all(isinstance(o, BlochVector) or np.ndim(o) == 1 for o in (a, b)):
         pair = (BlochVector.coerce(a), BlochVector.coerce(b))
         value = _pair_threshold(pair[0].v, pair[1].v)
         observables = (pair[0].observable(), pair[1].observable())
@@ -611,7 +630,7 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
     else:
         pair = observables = tuple(
             o if isinstance(o, DichotomicObservable)
-            else o.observable() if isinstance(o, Projector)
+            else o.observable() if isinstance(o, (Projector, BlochVector))
             else DichotomicObservable.from_yes_effect(o)
             for o in (a, b)
         )
