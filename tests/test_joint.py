@@ -564,7 +564,7 @@ class TestFeasibilityOracle:
         assert rep.feasible == "yes"
 
     def test_qubit_yes_inside_the_boundary_takes_a_few_iterations(self):
-        # Plain Dykstra took 58-66 iterations on pairs at criterion 1.9.
+        # Plain Dykstra took 50-66 iterations on these pairs at criterion 1.9.
         rng = np.random.default_rng(211)
         for _ in range(10):
             m, n = BlochVector(_random_unit(rng)), BlochVector(_random_unit(rng))
