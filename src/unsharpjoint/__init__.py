@@ -12,7 +12,6 @@ the no-signaling range.
 from .errors import (
     DimensionMismatch,
     InvalidBox,
-    LambdaTooLarge,
     NotEffect,
     NotHermitian,
     NotProjector,
@@ -93,7 +92,6 @@ __all__ = [
     "JointResiduals",
     "LAMBDA_OPT",
     "LambdaOptResult",
-    "LambdaTooLarge",
     "NeumarkDilation",
     "NoSignalingBox",
     "NotEffect",

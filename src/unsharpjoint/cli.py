@@ -29,20 +29,13 @@ from .bell import (
     ChshReport, NoSignalingBox, box_chsh, chsh, singlet, smeared_chsh, smeared_chsh_values
 )
 from .decompose import neumark_dilate, two_projector_blocks
-from .errors import (
-    LambdaTooLarge,
-    NotProjector,
-    ParseError,
-    UnsharpJointError,
-    ValidationError,
-)
+from .errors import ParseError, UnsharpJointError, ValidationError
 from .joint import (
     BlochVector,
     FeasibilityReport,
     feasibility_oracle,
     lambda_opt_search,
     povm_joint_observable,
-    pvm_joint_observable,
     qubit_verdicts,
     validate_oracle_tol,
     validate_seed,
@@ -73,11 +66,11 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _load_operator(path: str, build):
-    """build(matrix) for the operator in a file; a failed check names the file."""
+def _load(path: str, build):
+    """build(obj) for the JSON object in a file; a failed check names the file."""
     obj = _load_json(path)
     try:
-        return build(matrix_from_json(obj))
+        return build(obj)
     except ValidationError as exc:
         raise ParseError(path, str(exc)) from exc
 
@@ -90,14 +83,6 @@ def _observable(obj) -> DichotomicObservable:
             return DichotomicObservable(yes, Effect(matrix_from_json(obj["no"])))
         return DichotomicObservable.from_yes_effect(yes)
     return DichotomicObservable.from_yes_effect(matrix_from_json(obj))
-
-
-def _load_observable(path: str) -> DichotomicObservable:
-    obj = _load_json(path)
-    try:
-        return _observable(obj)
-    except ValidationError as exc:
-        raise ParseError(path, str(exc)) from exc
 
 
 def _parse_bloch(text: str) -> BlochVector:
@@ -168,14 +153,13 @@ def _fifteen(x: float) -> str:
 
 
 def _cmd_smear(args: argparse.Namespace) -> int:
-    obs = _load_observable(args.obs)
+    obs = _load(args.obs, _observable)
     _emit(args.out, observable_to_json(smear(obs, args.lam)))
     return 0
 
 
 def _cmd_blocks(args: argparse.Namespace) -> int:
-    p = _load_operator(args.p, Projector.from_matrix)
-    q = _load_operator(args.q, Projector.from_matrix)
+    p, q = (_load(f, lambda obj: Projector.from_matrix(matrix_from_json(obj))) for f in (args.p, args.q))
     dec = two_projector_blocks(p, q)
     payload = {
         "schema": SCHEMA,
@@ -197,7 +181,7 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
 
 
 def _cmd_dilate(args: argparse.Namespace) -> int:
-    obs = _load_observable(args.obs)
+    obs = _load(args.obs, _observable)
     dil = neumark_dilate(obs)
     payload = {
         "schema": SCHEMA,
@@ -210,14 +194,6 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _as_projector(obs: DichotomicObservable) -> Projector | None:
-    """The yes-effect of a sharp observable as a Projector; None for an unsharp one."""
-    try:
-        return Projector.from_matrix(obs.yes_effect.matrix)
-    except NotProjector:
-        return None
-
-
 def _decide(
     o1: DichotomicObservable, o2: DichotomicObservable, args: argparse.Namespace
 ) -> FeasibilityReport:
@@ -226,20 +202,14 @@ def _decide(
             smear(o1, args.lam), smear(o2, args.lam),
             max_iter=args.max_iter, tol=args.tol,
         )
-    p1, p2 = _as_projector(o1), _as_projector(o2)
-    if p1 is not None and p2 is not None:
-        return pvm_joint_observable(p1, p2, args.lam)
     return povm_joint_observable(o1, o2, args.lam)
 
 
 def _cmd_jointly_measurable(args: argparse.Namespace) -> int:
     validate_oracle_tol(args.tol)
-    o1 = _load_observable(args.o1)
-    o2 = _load_observable(args.o2)
-    try:
-        rep = _decide(o1, o2, args)
-    except LambdaTooLarge as exc:
-        raise UnsharpJointError(f"{exc}; rerun with --oracle") from exc
+    o1 = _load(args.o1, _observable)
+    o2 = _load(args.o2, _observable)
+    rep = _decide(o1, o2, args)
     _emit(args.out, feasibility_to_json(rep))
     if args.expect_feasible and rep.feasible != "yes":
         return 2
@@ -258,10 +228,9 @@ def _cmd_lambda_opt(args: argparse.Namespace) -> int:
             result = lambda_opt_search(pair)
             pair_json = {"m": list(pair[0].v), "n": list(pair[1].v)}
         elif args.o1 is not None and args.o2 is not None:
-            o1 = _load_observable(args.o1)
-            o2 = _load_observable(args.o2)
-            p1, p2 = _as_projector(o1), _as_projector(o2)
-            result = lambda_opt_search((o1, o2) if p1 is None or p2 is None else (p1, p2))
+            o1 = _load(args.o1, _observable)
+            o2 = _load(args.o2, _observable)
+            result = lambda_opt_search((o1, o2))
             pair_json = {
                 "o1": observable_to_json(o1),
                 "o2": observable_to_json(o2),
@@ -282,7 +251,7 @@ def _cmd_lambda_opt(args: argparse.Namespace) -> int:
 
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
-    state = _load_operator(args.state, DensityMatrix)
+    state = _load(args.state, lambda obj: DensityMatrix(matrix_from_json(obj)))
     settings = _load_json(args.settings)
     obs = {}
     for key in ("a1", "a2", "b1", "b2"):

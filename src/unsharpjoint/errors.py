@@ -68,18 +68,6 @@ class OddDimension(UnsharpJointError):
         super().__init__(f"dimension {dim} is not of the form 2*d")
 
 
-class LambdaTooLarge(UnsharpJointError):
-    """Constructive joint-measurement path only covers lambda <= 1/sqrt(2)."""
-
-    def __init__(self, lam: float, limit: float):
-        self.lam = lam
-        self.limit = limit
-        super().__init__(
-            f"lambda={lam!r} exceeds {limit!r}; construction not guaranteed "
-            "(the feasibility oracle may still be invoked)"
-        )
-
-
 class InvalidBox(ValidationError):
     """A conditional probability table violates a box invariant."""
 

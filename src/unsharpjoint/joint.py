@@ -14,7 +14,8 @@ marginals.  This module provides
   A = E1 - N1, B = E2 - N2: then top <= 2 sqrt(2), so every pair has a
   witness at lam <= 1/sqrt(2) (Busch 1986);
 * an independent alternating-projection (Dykstra) feasibility oracle,
-  Anderson-accelerated, used to cross-check every closed-form verdict;
+  Anderson-accelerated, that cross-checks every closed-form verdict and
+  decides the POVM pairs the closed form leaves open;
 * the largest feasible unsharpness from the closed-form thresholds,
   including the worst-case search over Bloch-vector pairs whose optimum
   is 1/sqrt(2).
@@ -34,8 +35,11 @@ t = lam a b; its smallest eigenvalue is (2 - lam * top) / 8.  |A+B| and
 (2 +- {A,B})^(1/2), whose square root loses half the digits where {A,B}
 is near +-2: on commuting and nearly aligned blocks.
 
-Each decision checks only its final witness, once, as one (4, d, d) stack;
-|A+B| and |A-B| in between are raw arrays.
+povm_joint_observable is the one decision for any two dichotomic
+observables: it sends a sharp pair (both yes-effects projectors) to
+pvm_joint_observable and decides every other pair by the contrast formula,
+or past it by the oracle.  Each decision checks only its final witness,
+once, as one (4, d, d) stack; |A+B| and |A-B| in between are raw arrays.
 """
 
 from __future__ import annotations
@@ -46,9 +50,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, LambdaTooLarge, ValidationError
+from .errors import DimensionMismatch, NotProjector, ValidationError
 from .operators import (
     PSD_TOL,
+    RANK_TOL,
     DichotomicObservable,
     Effect,
     Projector,
@@ -366,36 +371,53 @@ def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport
     return _yes(effects, PSD_TOL, smear(p1.observable(), lam), smear(p2.observable(), lam), 0)
 
 
+def _sharp_pair(o1: DichotomicObservable, o2: DichotomicObservable):
+    """The yes-effects of two sharp observables as Projectors; None unless both
+    are sharp.  A projector's trace is its rank, so a non-integer trace rules
+    a pair out before the idempotency check."""
+    ms = (o1.yes_effect.matrix, o2.yes_effect.matrix)
+    if any(abs(t - round(t)) > RANK_TOL for t in (float(np.trace(m).real) for m in ms)):
+        return None
+    try:
+        return tuple(Projector.from_matrix(m) for m in ms)
+    except NotProjector:
+        return None
+
+
 def povm_joint_observable(
     o1: DichotomicObservable, o2: DichotomicObservable, lam
 ) -> FeasibilityReport:
-    """Joint observable for two smeared dichotomic POVMs.
+    """Joint observable for any two smeared dichotomic observables.
 
-    The witness is the operator formula of pvm_joint_observable on the
-    contrasts A = E1 - N1, B = E2 - N2 of the two observables, on the
-    system itself.  Its marginals are the smeared observables exactly, and
+    A sharp pair (both yes-effects projectors, by Projector.from_matrix)
+    is decided by pvm_joint_observable, so its report is that of the
+    projectors.  Every other pair takes the operator formula of
+    pvm_joint_observable on the contrasts A = E1 - N1, B = E2 - N2 of the
+    two observables, on the system itself.  Its marginals are the smeared
+    observables exactly, and every G_jk is at least (2 - lam * top) / 8;
     since (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8
-    for |A|, |B| <= 1, top <= 2 sqrt(2) and every G_jk is at least
-    (2 - lam * top) / 8 >= (1 - sqrt(2) lam) / 4: PSD for lam <= 1/sqrt(2)
-    (Busch 1986).  The witness is checked once, at the largest of PSD_TOL
-    and the input effects' tolerances, so effects inside their own window
-    but just outside [0, 1] still get one.
+    for |A|, |B| <= 1, top <= 2 sqrt(2) and the witness is PSD for every
+    lam <= 1/sqrt(2) (Busch 1986).  The witness is checked once, at the
+    largest of PSD_TOL and the input effects' tolerances, so effects
+    inside their own window but just outside [0, 1] still get one.
 
-    The construction is guaranteed for lam <= 1/sqrt(2) only; larger
-    values raise LambdaTooLarge (the feasibility oracle may still be
-    invoked directly for those).  Inside the gate's own slack, past
-    1/sqrt(2), a pair with lam * top > 2 + CRITERION_SLACK is a "no".
+    So the verdict is a closed-form "yes" (0 iterations) when
+    lam <= 1/sqrt(2) or lam * top <= 2 + CRITERION_SLACK.  Past both, the
+    formula gives no witness and feasibility_oracle decides, at its
+    default settings; its report shows iterations > 0.
     """
     if o1.dim != o2.dim:
         raise DimensionMismatch(o1.dim, o2.dim)
     lam = float(UnsharpParam.coerce(lam))
-    if lam > LAMBDA_OPT + CRITERION_SLACK:
-        raise LambdaTooLarge(lam, LAMBDA_OPT)
+    sharp = _sharp_pair(o1, o2)
+    if sharp is not None:
+        return pvm_joint_observable(*sharp, lam)
     value, effects = _contrast_pair_effects(o1.difference(), o2.difference(), lam)
+    o1lam, o2lam = smear(o1, lam), smear(o2, lam)
     if lam > LAMBDA_OPT and value > 2.0 + CRITERION_SLACK:
-        return _no(value)
+        return feasibility_oracle(o1lam, o2lam)
     tol = max(PSD_TOL, *(e.tol for o in (o1, o2) for e in (o.yes_effect, o.no_effect)))
-    return _yes(effects, tol, smear(o1, lam), smear(o2, lam), 0)
+    return _yes(effects, tol, o1lam, o2lam, 0)
 
 
 def _affine_project(
@@ -591,15 +613,18 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
     For an explicit pair the threshold comes from the closed forms:
 
     * Bloch vectors m, n: min(1, 2 / (|m+n| + |m-n|));
-    * projectors: min(1, 2 / top), top the largest eigenvalue of
-      |A+B| + |A-B| for A = 2P - I, B = 2Q - I, that is the minimum of
+    * two sharp observables (projectors, or observables, effects or
+      matrices whose yes-effects pass the sharp-pair test of
+      povm_joint_observable): min(1, 2 / top), top the largest eigenvalue
+      of |A+B| + |A-B| for A = 2P - I, B = 2Q - I, that is the minimum of
       1 / (c + sqrt(1 - c^2)) over the overlaps c of the pair's
       two-dimensional blocks;
-    * dichotomic POVMs, or one POVM and one projector: 1/sqrt(2), where
+    * any other pair of dichotomic observables: 1/sqrt(2), where
       povm_joint_observable builds a witness for every pair, since
       top <= 2 sqrt(2) for any contrasts A, B of norm at most 1.
 
-    The returned point is confirmed with the feasibility oracle.
+    The returned point is confirmed with the feasibility oracle; the
+    returned pair is the two Bloch vectors, or the two observables decided.
 
     "worst-case" minimizes the threshold over a deterministic mesh of
     Bloch-vector pairs (Fibonacci-sphere orientations), polishes the best
@@ -617,24 +642,31 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
         pair_source = (BlochVector.normalized(m), BlochVector.normalized(n))
 
     a, b = pair_source
-    # Operator objects are 0-d to numpy, matrices 2-d and Bloch vectors 1-d.
-    if all(isinstance(o, BlochVector) or np.ndim(o) == 1 for o in (a, b)):
+    # Operator objects are 0-d to numpy, matrices 2-d and Bloch vectors 1-d;
+    # a ragged sequence, which numpy cannot size, is left to square_matrix.
+    try:
+        bloch = all(isinstance(o, BlochVector) or np.ndim(o) == 1 for o in (a, b))
+    except ValueError:
+        bloch = False
+    if bloch:
         pair = (BlochVector.coerce(a), BlochVector.coerce(b))
         value = _pair_threshold(pair[0].v, pair[1].v)
         observables = (pair[0].observable(), pair[1].observable())
-    elif isinstance(a, Projector) and isinstance(b, Projector):
-        pair = (a, b)
-        top, _ = _contrast_pair_effects(_sharp_contrast(a), _sharp_contrast(b), 1.0)
-        value = 1.0 if top <= 2.0 + CRITERION_SLACK else 2.0 / top
-        observables = (a.observable(), b.observable())
     else:
-        pair = observables = tuple(
+        observables = tuple(
             o if isinstance(o, DichotomicObservable)
             else o.observable() if isinstance(o, (Projector, BlochVector))
             else DichotomicObservable.from_yes_effect(o)
             for o in (a, b)
         )
-        value = LAMBDA_OPT
+        sharp = _sharp_pair(*observables)
+        if sharp is None:
+            value = LAMBDA_OPT
+        else:
+            top, _ = _contrast_pair_effects(_sharp_contrast(sharp[0]), _sharp_contrast(sharp[1]), 1.0)
+            value = 1.0 if top <= 2.0 + CRITERION_SLACK else 2.0 / top
+            observables = (sharp[0].observable(), sharp[1].observable())
+        pair = observables
 
     verdict = feasibility_oracle(smear(observables[0], value), smear(observables[1], value)).feasible
     if verdict == "no":

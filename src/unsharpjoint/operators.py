@@ -36,6 +36,7 @@ from .errors import (
 HERMITIAN_TOL = 1e-10
 AFFINE_TOL = 1e-10
 PSD_TOL = 1e-9
+RANK_TOL = 1e-8  # a projector's trace against its integer rank
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -46,10 +47,13 @@ PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 def square_matrix(m) -> np.ndarray:
     """Coerce input to a finite square complex matrix of size at least 1.
 
-    Raises ValidationError if the input is not square, is 0x0 or has
-    non-finite entries.
+    Raises ValidationError if the input is not an array of numbers, is not
+    square, is 0x0 or has non-finite entries.
     """
-    a = np.asarray(m, dtype=complex)
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:  # non-numeric, ragged or a mapping
+        raise ValidationError("square-matrix", detail=str(exc)) from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValidationError("square-matrix", detail=f"shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -226,7 +230,7 @@ class Projector:
         if res > PSD_TOL:
             raise NotProjector(res)
         tr = float(np.trace(m).real)
-        if abs(tr - self.rank) > 1e-8:
+        if abs(tr - self.rank) > RANK_TOL:
             raise ValidationError("rank-equals-trace", abs(tr - self.rank))
         m = m.copy()
         m.setflags(write=False)

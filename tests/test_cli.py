@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: commands, formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from unsharpjoint import (
     singlet,
     smeared_chsh,
 )
-from unsharpjoint.cli import main
+from unsharpjoint.cli import _build_parser, main
 from unsharpjoint.joint import MAX_MESH
 
 INV_SQRT2 = 0.7071067811865475
@@ -210,6 +213,28 @@ class TestJointlyMeasurable:
         )
         assert code == 0
         assert json.loads(out)["feasible"] == "yes"
+
+    def test_povm_pair_past_lambda_opt_gets_a_verdict(self, tmp_path, capsys):
+        # Once exit 1, with a pointer to --oracle, above 1/sqrt(2).  The first
+        # pair has top = 1.84, so the closed form still says "yes" at 0.9;
+        # the shrunk z/x pair, top = 2.8 > 2 / 0.9, goes to the oracle,
+        # whose "no" carries a certificate.
+        files = {}
+        for name, m in (("unsharp", np.diag([0.9, 0.2])),
+                        ("tilted", np.array([[0.7, 0.2], [0.2, 0.4]])),
+                        ("z", np.diag([0.995, 0.005])),
+                        ("x", np.array([[0.5, 0.495], [0.495, 0.5]]))):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(matrix_to_json(m)))
+        for first, second, verdict in (("unsharp", "tilted", "yes"), ("z", "x", "no")):
+            code = main(["jointly-measurable", "--o1", str(files[first]),
+                         "--o2", str(files[second]), "--lambda", "0.9"])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            payload = json.loads(captured.out)
+            assert payload["feasible"] == verdict
+            assert (payload["iterations"] > 0) == (verdict == "no")
+            assert ("certificate" in payload) == (verdict == "no")
 
 
 class TestLambdaOpt:
@@ -474,21 +499,6 @@ class TestErrors:
         code = main(["smear", "--obs", "/nonexistent.json", "--lambda", "0.5"])
         assert code == 1
 
-    def test_povm_above_gate_suggests_oracle(self, tmp_path, capsys):
-        unsharp = tmp_path / "unsharp.json"
-        unsharp.write_text(json.dumps(matrix_to_json(np.diag([0.9, 0.2]))))
-        tilted = tmp_path / "tilted.json"
-        tilted.write_text(
-            json.dumps(matrix_to_json(np.array([[0.7, 0.2], [0.2, 0.4]])))
-        )
-        code = main(
-            ["jointly-measurable", "--o1", str(unsharp), "--o2", str(tilted),
-             "--lambda", "0.9"]
-        )
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "--oracle" in err
-
 
 class TestFlagWindows:
     # The files do not exist: each window is checked before any file read.
@@ -529,3 +539,18 @@ class TestOutputFile:
         )
         assert code == 0
         assert json.loads(out_path.read_text())["value"] == 4.0
+
+
+class TestReadme:
+    def test_synopsis_documents_every_subcommand_and_long_option(self):
+        # Each subcommand's long options must appear on the README lines
+        # that start with `uj <subcommand>`.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        synopsis = [line for line in readme.splitlines() if line.startswith("uj ")]
+        (subparsers,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for name, parser in subparsers.choices.items():
+            lines = [line for line in synopsis if line.split()[1:2] == [name]]
+            assert lines, f"uj {name} has no synopsis line"
+            options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+            missing = options - {"--help"} - set(re.findall(r"--[\w-]+", " ".join(lines)))
+            assert not missing, f"uj {name}: {sorted(missing)} undocumented"

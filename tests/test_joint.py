@@ -1,6 +1,7 @@
 """Joint-measurability constructions, the oracle, and threshold search."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from unsharpjoint import (
     Effect,
     FeasibilityReport,
     JointObservable,
-    LambdaTooLarge,
     Projector,
     ValidationError,
     check_joint,
@@ -31,7 +31,10 @@ from unsharpjoint import (
     smear,
     two_projector_blocks,
 )
-from unsharpjoint.joint import CERTIFICATE_EVERY, MAX_MESH, _contrast_pair_effects, _yes
+from unsharpjoint.cli import feasibility_to_json
+from unsharpjoint.joint import (
+    CERTIFICATE_EVERY, CRITERION_SLACK, MAX_MESH, _contrast_pair_effects, _yes
+)
 from unsharpjoint.operators import PAULI_X, PAULI_Z, PSD_TOL, identity
 
 Z = BlochVector(np.array([0.0, 0.0, 1.0]))
@@ -339,12 +342,29 @@ class TestPovmJointObservable:
                 <= 1e-9
             )
 
-    def test_lambda_gate(self):
+    def test_pair_past_lambda_opt_gets_a_verdict(self):
+        # Once refused for every lam > 1/sqrt(2).  This pair's top is 2.218:
+        # the contrast witness holds up to lam = 2 / top = 0.9015, and the
+        # oracle decides past it.
         rng = np.random.default_rng(137)
         o1 = DichotomicObservable.from_yes_effect(_random_effect(rng, 2))
         o2 = DichotomicObservable.from_yes_effect(_random_effect(rng, 2))
-        with pytest.raises(LambdaTooLarge):
-            povm_joint_observable(o1, o2, 0.8)
+        for lam in (0.8, 0.9):
+            rep = povm_joint_observable(o1, o2, lam)
+            assert (rep.feasible, rep.iterations) == ("yes", 0)
+        rep = povm_joint_observable(o1, o2, 1.0)
+        assert rep.iterations > 0
+        _assert_witnesses_yes(rep, smear(o1, 1.0), smear(o2, 1.0))
+
+    def test_commuting_unsharp_pair_feasible_at_lambda_one(self):
+        # top = 1.6, so the contrast witness is PSD at lam = 1 down to
+        # (2 - 1.6) / 8 = 0.05, with no oracle run.
+        o1 = DichotomicObservable.from_yes_effect(np.diag([0.9, 0.2, 0.5]))
+        o2 = DichotomicObservable.from_yes_effect(np.diag([0.1, 0.6, 0.3]))
+        rep = povm_joint_observable(o1, o2, 1.0)
+        assert (rep.feasible, rep.iterations) == ("yes", 0)
+        assert rep.min_eigenvalue == pytest.approx(0.05, abs=1e-15)
+        assert rep.marginal_residual <= 1e-15
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_decision_solves_only_d_by_d_matrices(self, d, monkeypatch):
@@ -367,8 +387,9 @@ class TestPovmJointObservable:
 
     def test_effects_just_outside_the_unit_interval(self):
         # |A| = |B| = 1 + 1e-9, valid at the default tolerance: the witness
-        # is checked at the inputs' tolerance, and "no" is said only past
-        # 1/sqrt(2), inside the gate's own slack.
+        # is checked at the inputs' tolerance.  Just past 1/sqrt(2) the
+        # contrast witness fails lam * top <= 2 + CRITERION_SLACK, and the
+        # oracle's checked "yes" replaces the closed form's "no".
         s = 1.0 + 1e-9
         o1 = DichotomicObservable.from_yes_effect((identity(2) + s * PAULI_Z) / 2.0)
         o2 = DichotomicObservable.from_yes_effect((identity(2) + s * PAULI_X) / 2.0)
@@ -376,7 +397,10 @@ class TestPovmJointObservable:
         assert rep.feasible == "yes"
         assert rep.marginal_residual <= 1e-15
         assert -PSD_TOL <= rep.min_eigenvalue < 0.0
-        assert povm_joint_observable(o1, o2, LAMBDA_OPT + 5e-13).feasible == "no"
+        lam = LAMBDA_OPT + 5e-13
+        rep = povm_joint_observable(o1, o2, lam)
+        assert rep.iterations == 1
+        _assert_witnesses_yes(rep, smear(o1, lam), smear(o2, lam))
 
     def test_effects_at_the_edge_of_their_own_window(self):
         # Eigenvalues 1 + 0.995e-6 and -0.995e-6, inside tol = 1e-6.
@@ -417,9 +441,9 @@ class TestPovmJointObservable:
 
     @pytest.mark.parametrize("path", ["povm", "pvm"])
     def test_no_inside_the_gate_slack(self, path):
-        # The gate lets lam up to LAMBDA_OPT + 1e-12 through, but the z/x
-        # block value 2 sqrt(2) lam passes 2 + CRITERION_SLACK already at
-        # LAMBDA_OPT + 5e-13: a correct "no", not an unreachable branch.
+        # The z/x value 2 sqrt(2) lam passes 2 + CRITERION_SLACK already at
+        # LAMBDA_OPT + 5e-13: a correct "no" on both paths, since the sharp
+        # observables are decided as their projectors.
         def decide(lam):
             if path == "povm":
                 return povm_joint_observable(Z.observable(), X.observable(), lam)
@@ -556,12 +580,13 @@ class TestFeasibilityOracle:
         assert rep.feasible != "no"
 
     def test_povm_pair_above_gate_is_oracle_territory(self):
-        # povm_joint_observable refuses lam > 1/sqrt(2); the oracle still
-        # decides. Equal POVM pairs stay feasible all the way up.
+        # Equal POVM pairs stay feasible all the way up: the oracle agrees
+        # with the closed form, whose top is 2 |A| <= 2 for A = B.
         rng = np.random.default_rng(149)
         o = DichotomicObservable.from_yes_effect(_random_effect(rng, 2))
         rep = feasibility_oracle(smear(o, 0.95), smear(o, 0.95))
         assert rep.feasible == "yes"
+        assert povm_joint_observable(o, o, 0.95).iterations == 0
 
     def test_qubit_yes_inside_the_boundary_takes_a_few_iterations(self):
         # Plain Dykstra took 50-66 iterations on these pairs at criterion 1.9.
@@ -703,6 +728,13 @@ class TestLambdaOptSearch:
         res = lambda_opt_search((a, b))
         assert res.value == pytest.approx(want, abs=1e-15)
         assert res.oracle_verdict in ("yes", "undetermined")
+
+    @pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], {"a": 1}], ids=["string", "ragged", "dict"])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_numeric_element_is_rejected(self, bad, first):
+        o = _PAIR_KINDS["observable"]()
+        with pytest.raises(ValidationError, match="square-matrix"):
+            lambda_opt_search((bad, o) if first else (o, bad))
 
     def test_higher_dimensional_projector_pair(self):
         # The search lands on the worst block angle's exact boundary
@@ -1050,3 +1082,54 @@ class TestOracleAgainstReferenceLoop:
             reference_decided += ref.feasible != "undetermined"
         assert len(verdicts) >= 2
         assert decided > reference_decided
+
+
+def _report_bytes(rep) -> bytes:
+    return json.dumps(feasibility_to_json(rep), sort_keys=True).encode()
+
+
+def _abs(h: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(h)
+    return (v * np.abs(w)) @ v.conj().T
+
+
+class TestOneDecision:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 4]),
+        st.booleans(),
+        st.booleans(),
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.floats(LAMBDA_OPT, 1.0),
+            st.sampled_from([LAMBDA_OPT, 1.0]),
+        ),
+    )
+    def test_povm_joint_observable_decides_every_pair(self, seed, d, sharp1, sharp2, lam):
+        # Projector, POVM and mixed pairs: a sharp pair is the projectors'
+        # report byte for byte; any other pair is a closed-form "yes" exactly
+        # where lam <= 1/sqrt(2) or lam * top <= 2 + slack, and an oracle
+        # verdict elsewhere.  Every verdict passes its own numpy check.
+        rng = np.random.default_rng(seed)
+        elements = [
+            _random_projector(rng, d, int(rng.integers(0, d + 1))).matrix if sharp
+            else _near_sharp_effect(rng, d)
+            for sharp in (sharp1, sharp2)
+        ]
+        o1, o2 = (DichotomicObservable.from_yes_effect(m) for m in elements)
+        rep = povm_joint_observable(o1, o2, lam)
+        if sharp1 and sharp2:
+            p1, p2 = (Projector.from_matrix(m) for m in elements)
+            assert _report_bytes(rep) == _report_bytes(pvm_joint_observable(p1, p2, lam))
+        else:
+            a, b = (2.0 * m - np.eye(d) for m in elements)
+            top = np.linalg.eigvalsh(_abs(a + b) + _abs(a - b))[-1]
+            closed = lam <= LAMBDA_OPT or lam * top <= 2.0 + CRITERION_SLACK
+            assert (rep.iterations == 0) == closed
+            assert rep.feasible == "yes" or not closed
+        o1lam, o2lam = smear(o1, lam), smear(o2, lam)
+        if rep.feasible == "yes":
+            _assert_witnesses_yes(rep, o1lam, o2lam)
+        elif rep.feasible == "no" and rep.iterations > 0:
+            _assert_certifies_no(rep, o1lam, o2lam)

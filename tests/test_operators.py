@@ -56,6 +56,15 @@ def test_zero_dimension_is_rejected(build):
     with pytest.raises(ValidationError, match="square-matrix"):
         build()
 
+
+@pytest.mark.parametrize("m", ["abc", [[1, 2], [3]], {"a": 1}], ids=["string", "ragged", "dict"])
+@pytest.mark.parametrize("build", [Effect, validate_effect], ids=["effect", "validate-effect"])
+def test_non_numeric_input_is_rejected(build, m):
+    # numpy's own ValueError or TypeError used to escape untyped.
+    with pytest.raises(ValidationError, match="square-matrix"):
+        build(m)
+
+
 # Frozen by direct arithmetic on the diagonal 2x2 case.
 HALF_PLUS = 0.8535533905932737   # (2 + sqrt 2) / 4
 HALF_MINUS = 0.1464466094067262  # (2 - sqrt 2) / 4
