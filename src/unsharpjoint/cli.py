@@ -37,6 +37,7 @@ from .joint import (
     lambda_opt_search,
     povm_joint_observable,
     qubit_verdicts,
+    validate_max_iter,
     validate_oracle_tol,
     validate_seed,
 )
@@ -207,6 +208,7 @@ def _decide(
 
 def _cmd_jointly_measurable(args: argparse.Namespace) -> int:
     validate_oracle_tol(args.tol)
+    validate_max_iter(args.max_iter)
     o1 = _load(args.o1, _observable)
     o2 = _load(args.o2, _observable)
     rep = _decide(o1, o2, args)

@@ -2,19 +2,16 @@
 
 Two Hermitian projectors p, q on C^d can be brought, by one unitary change
 of basis, to a direct sum of blocks of dimension one or two: the classical
-principal-angle (Jordan/Halmos) structure.  One-dimensional blocks carry
-the four trivial intersections (ran p meets ran q, ran p meets ker q, and
-so on); each two-dimensional block carries a pair of rank-1 projectors at
-a nontrivial angle.
+principal-angle structure (Halmos, "Two subspaces", 1969).  One-dimensional
+blocks carry the four trivial intersections (ran p meets ran q, ran p meets
+ker q, and so on); each two-dimensional block carries a pair of rank-1
+projectors at an angle theta, whose overlap cos(theta) is the pair's degree
+of complementarity.
 
-The construction here goes through the compression of q to ran p:
-diagonalize that compression; an eigenvalue c strictly inside (0, 1) seeds
-a two-dimensional block whose two rank-1 ranges have overlap sqrt(c);
-eigenvalue 1 gives an aligned direction, eigenvalue 0 a direction of
-ran p inside ker q.  The partner column of a generic block is built
-explicitly from q's action, which sidesteps any eigenvector matching
-between degenerate clusters.  Whatever remains is q-invariant inside
-ker p and splits by a second small eigenproblem.
+two_projector_blocks pairs the eigenvectors of q's compressions to ran p
+and ker p, in the style of Bjorck & Golub (Math. Comp. 27, 1973).  No step
+divides by a small sine or cosine, so nearly aligned pairs decompose as
+well as generic ones.
 
 The same module hosts the 2-level-ancilla dilation of a dichotomic POVM to
 a projective measurement and the compression back to the system (fixed
@@ -43,7 +40,7 @@ from .operators import (
     validate_effect,
 )
 
-CLUSTER_TOL = 1e-10          # snap compression eigenvalues to {0, 1}
+CLUSTER_TOL = 1e-10          # group equal cos^2 values; snap sin*cos to 0
 BLOCK_RESIDUAL_TOL = 1e-9    # off-block mass of the conjugated projectors
 UNITARITY_TOL = 1e-10
 
@@ -58,16 +55,16 @@ class Block:
     basis_columns -- indices of this block's columns in the adapted unitary
     rank_p/rank_q -- rank of each projector restricted to the block
     overlap       -- |<chi_p|chi_q>| between the rank-1 ranges when both
-                     ranks are 1 (strictly inside (0,1) for dim-2 blocks);
-                     for dim-1 blocks it is 1.0 when both ranks are 1 and
-                     0.0 otherwise; None marks the undefined cases.
+                     ranks are 1 (the cosine of the block's angle for dim-2
+                     blocks); for dim-1 blocks it is 1.0 when both ranks
+                     are 1 and 0.0 otherwise.
     """
 
     dim: int
     basis_columns: tuple[int, ...]
     rank_p: int
     rank_q: int
-    overlap: float | None
+    overlap: float
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -138,97 +135,89 @@ class BlockDecomposition:
 def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
     """Simultaneously block-diagonalize two projectors into dim<=2 blocks.
 
-    Returns the adapted basis and per-block data.  Within every 2-dim
-    block both restricted ranks are 1 and the overlap is strictly inside
-    (0, 1); all trivial intersections appear as 1-dim blocks.  Blocks are
-    ordered by descending overlap, then aligned 1-dim blocks, then the
-    remaining null blocks; deterministic for golden-file comparisons.
+    Split: eigh(p) gives orthonormal bases of ran p and ker p.  Compress:
+    eigh of q on ran p gives u_i with c_i = cos^2(theta), on ker p it gives
+    k_j with s_j = sin^2(theta).  Group: the values c_i and 1 - s_j are
+    sorted together and cut wherever two neighbours differ by more than
+    CLUSTER_TOL.  Pair: in a group with vectors on both sides, the SVD of
+    the coupling k^H q u pairs them.  Each singular value sin*cos above
+    CLUSTER_TOL gives a 2-dim block [u, k] with <k|q|u> > 0; every other
+    vector is a 1-dim block whose species the group's value, near 0 or
+    near 1, names.  So an angle with sin*cos at most CLUSTER_TOL snaps to
+    two 1-dim blocks.  The two eigensolves may mix the vectors of two close
+    angles in different ways; the polar factor of the 2-dim blocks'
+    coupling, away from the snapped ends, turns the k back in line.
+
+    Blocks are ordered by descending overlap, then the 1-dim blocks: ran p
+    in ran q, ran p in ker q, ker p in ran q, ker p in ker q.  Within a
+    species of several directions any orthonormal basis is valid.
     """
     if p.dim != q.dim:
         raise DimensionMismatch(p.dim, q.dim)
     pm, qm = p.matrix, q.matrix
-    d = p.dim
-
-    generic = []   # (overlap, u, u_perp)
-    aligned = []   # ran p meets ran q
-    p_only = []    # ran p meets ker q
-    q_only = []    # ker p meets ran q
-    neither = []   # ker p meets ker q
-
     evals, evecs = np.linalg.eigh(pm)
-    ran_cols = evecs[:, evals > 0.5]
-    used = []
+    ran, ker = evecs[:, evals > 0.5], evecs[:, evals <= 0.5]
+    c, u = np.linalg.eigh(ran.conj().T @ qm @ ran)
+    s, k = np.linalg.eigh(ker.conj().T @ qm @ ker)
+    u, k = ran @ u, ker @ k
+    coupling = k.conj().T @ qm @ u
 
-    if ran_cols.shape[1] > 0:
-        comp = ran_cols.conj().T @ qm @ ran_cols
-        c_vals, c_vecs = np.linalg.eigh((comp + comp.conj().T) / 2)
-        basis = ran_cols @ c_vecs
-        for i, c in enumerate(c_vals):
-            u = basis[:, i]
-            if c >= 1.0 - CLUSTER_TOL:
-                aligned.append(u)
-                used.append(u)
-            elif c <= CLUSTER_TOL:
-                p_only.append(u)
-                used.append(u)
-            else:
-                # Partner direction: the component of q|u> outside the ray
-                # of u, normalized.  <u|q|u> = c fixes all phases.
-                w = (qm @ u) / np.sqrt(c)
-                u_perp = (w - np.sqrt(c) * u) / np.sqrt(1.0 - c)
-                generic.append((float(np.sqrt(c)), u, u_perp))
-                used.append(u)
-                used.append(u_perp)
+    # Vector i < n is u_i and vector n + j is k_j; each is valued by cos^2.
+    n = len(c)
+    values = np.concatenate([c, 1.0 - s]).tolist()
+    groups = []   # (ran indices, ker indices, value), by ascending value
+    last = None
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        if last is None or values[i] - last > CLUSTER_TOL:
+            groups.append(([], [], values[i]))
+        groups[-1][i >= n].append(i if i < n else i - n)
+        last = values[i]
 
-    # Orthogonal complement of everything found so far: a q-invariant
-    # subspace of ker p, on which q restricts to a projector.
-    if used:
-        stacked = np.column_stack(used)
-        _, svals, vh = np.linalg.svd(stacked.conj().T, full_matrices=True)
-        rank = int(np.sum(svals > 1e-12))
-        remainder = vh[rank:].conj().T
-    else:
-        remainder = np.eye(d, dtype=complex)
+    pu, pk, cos2, sig = [], [], [], []   # the 2-dim blocks
+    entries = []   # (columns, rank_p, rank_q, overlap)
+    for gr, gk, value in groups:
+        if len(gr) == len(gk) == 1 and abs(coupling[gk[0], gr[0]]) > CLUSTER_TOL:
+            # One u and one k need no SVD: sigma = |x|, phase x / |x|.
+            x = coupling[gk[0], gr[0]]
+            pu.append(u[:, gr[0]])
+            pk.append(k[:, gk[0]] * (x / abs(x)))
+            cos2.append(c[gr[0]])
+            sig.append(abs(x))
+            continue
+        ug, kg, r = u[:, gr], k[:, gk], 0
+        if gr and gk:
+            left, sv, right_h = np.linalg.svd(coupling[np.ix_(gk, gr)])
+            r = int(np.sum(sv > CLUSTER_TOL))
+            ug, kg = ug @ right_h.conj().T, kg @ left
+            pu.extend(ug[:, :r].T)
+            pk.extend(kg[:, :r].T)
+            cos2.extend(np.abs(right_h[:r]) ** 2 @ c[gr])
+            sig.extend(sv[:r])
+        high = value > 0.5
+        entries.extend(([col], 1, int(high), float(high)) for col in ug[:, r:].T)
+        entries.extend(([col], 0, int(not high), 0.0) for col in kg[:, r:].T)
 
-    if remainder.shape[1] > 0:
-        comp = remainder.conj().T @ qm @ remainder
-        r_vals, r_vecs = np.linalg.eigh((comp + comp.conj().T) / 2)
-        rem_basis = remainder @ r_vecs
-        for i, c in enumerate(r_vals):
-            if c > 0.5:
-                q_only.append(rem_basis[:, i])
-            else:
-                neither.append(rem_basis[:, i])
-
-    generic.sort(key=lambda t: -t[0])
+    # Away from the snapped ends the coupling is well conditioned: its polar
+    # factor undoes any different mixing of close angles by the eigensolves.
+    # A single block is in line already.
+    mid = [i for i, ci in enumerate(cos2) if CLUSTER_TOL < ci < 1.0 - CLUSTER_TOL]
+    if len(mid) > 1:
+        um, km = np.column_stack([pu[i] for i in mid]), np.column_stack([pk[i] for i in mid])
+        left, _, right_h = np.linalg.svd(km.conj().T @ qm @ um)
+        for i, col in zip(mid, (km @ left @ right_h).T):
+            pk[i] = col
+    for a, b, ci, si in zip(pu, pk, cos2, sig):
+        # Below cos^2 = 1/2 the cosine is better read off the coupling,
+        # sin(theta)cos(theta) / sin(theta), than from the eigenvalue.
+        entries.append(([a, b], 1, 1, float(np.sqrt(ci) if ci >= 0.5 else si / np.sqrt(1.0 - ci))))
+    entries.sort(key=lambda e: (len(e[0]) == 1, -e[3], -e[1], -e[2]))
 
     columns: list[np.ndarray] = []
     blocks: list[Block] = []
-
-    def add_block(cols, rank_p, rank_q, overlap):
+    for cols, rank_p, rank_q, overlap in entries:
         start = len(columns)
         columns.extend(cols)
-        blocks.append(
-            Block(
-                dim=len(cols),
-                basis_columns=tuple(range(start, start + len(cols))),
-                rank_p=rank_p,
-                rank_q=rank_q,
-                overlap=overlap,
-            )
-        )
-
-    for overlap, u, u_perp in generic:
-        add_block([u, u_perp], 1, 1, overlap)
-    for u in aligned:
-        add_block([u], 1, 1, 1.0)
-    for u in p_only:
-        add_block([u], 1, 0, 0.0)
-    for u in q_only:
-        add_block([u], 0, 1, 0.0)
-    for u in neither:
-        add_block([u], 0, 0, 0.0)
-
+        blocks.append(Block(len(cols), tuple(range(start, len(columns))), rank_p, rank_q, overlap))
     decomp = BlockDecomposition(np.column_stack(columns), tuple(blocks))
 
     for m in (pm, qm):

@@ -456,6 +456,13 @@ def validate_oracle_tol(tol) -> float:
     return float(tol)
 
 
+def validate_max_iter(max_iter) -> int:
+    """Check the oracle's iteration budget as an integer of at least 1."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValidationError("max-iter>=1", detail=f"got {max_iter!r}")
+    return int(max_iter)
+
+
 def validate_seed(seed) -> int:
     """Check a generator seed as an unsigned 64-bit integer."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
@@ -526,9 +533,7 @@ def feasibility_oracle(
     """
     if o1lam.dim != o2lam.dim:
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValidationError("max-iter>=1", detail=f"got {max_iter!r}")
-    max_iter = int(max_iter)
+    max_iter = validate_max_iter(max_iter)
     tol = validate_oracle_tol(tol)
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
     accept_tol = min(tol, 1e-9)

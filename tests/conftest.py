@@ -2,6 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests run numpy eigensolves whose first call can be slow; no
+# per-example deadline, for every property test.
+settings.register_profile("unsharpjoint", deadline=None)
+settings.load_profile("unsharpjoint")
 
 
 @pytest.fixture

@@ -368,7 +368,7 @@ class TestSweep:
         assert out.count(",yes,") == 120
         assert len(eigensolves) <= 1
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_matches_the_row_by_row_reference(self, data):
         m = data.draw(BLOCH_TEXT)
@@ -511,6 +511,16 @@ class TestFlagWindows:
         )
         assert code == 1
         assert "tol-in-[1e-12,1e-2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed-form", "oracle"])
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_max_iter_window(self, max_iter, oracle, capsys):
+        code = main(
+            ["jointly-measurable", "--o1", "/nonexistent.json", "--o2", "/nonexistent.json",
+             "--lambda", "0.7", "--max-iter", max_iter, *oracle]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: max-iter>=1: got {max_iter}\n"
 
     @pytest.mark.parametrize("mode", ["pair", "worst-case"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

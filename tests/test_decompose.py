@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsharpjoint import (
     ANCILLA_CONVENTION,
@@ -17,6 +19,7 @@ from unsharpjoint import (
     projector_onto,
     two_projector_blocks,
 )
+from unsharpjoint.decompose import CLUSTER_TOL
 from unsharpjoint.operators import PAULI_X, identity
 
 
@@ -25,6 +28,52 @@ def _random_projector(rng, dim, rank):
     q, _ = np.linalg.qr(g)
     cols = q[:, :rank]
     return Projector(cols @ cols.conj().T, rank=rank)
+
+
+def _planted_pair(rng, dim, cos_sin, both=0, p_only=0, q_only=0):
+    """p, q on C^dim with a 2-dim block at each (cos, sin) and 1-dim blocks.
+
+    Block i spans Haar columns e, f: p holds e, q holds cos e + sin f.
+    Then `both` directions in ran p and ran q, `p_only` in ran p only,
+    `q_only` in ran q only; the rest of C^dim is in neither.
+    """
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    basis, _ = np.linalg.qr(g)
+    cols = iter(basis.T)
+    p_cols, q_cols = [], []
+    for cos, sin in cos_sin:
+        e, f = next(cols), next(cols)
+        p_cols.append(e)
+        q_cols.append(cos * e + sin * f)
+    for _ in range(both):
+        e = next(cols)
+        p_cols.append(e)
+        q_cols.append(e)
+    p_cols += [next(cols) for _ in range(p_only)]
+    q_cols += [next(cols) for _ in range(q_only)]
+    p_m, q_m = (np.column_stack(c) if c else np.zeros((dim, 0)) for c in (p_cols, q_cols))
+    return (
+        Projector(p_m @ p_m.conj().T, rank=len(p_cols)),
+        Projector(q_m @ q_m.conj().T, rank=len(q_cols)),
+    )
+
+
+def _assert_planted_blocks(dec, p, q, cos_sin):
+    """Block bookkeeping, residuals, unitarity and the planted overlaps."""
+    d = p.dim
+    assert sum(b.dim for b in dec.blocks) == d
+    assert sum(b.rank_p for b in dec.blocks) == p.rank
+    assert sum(b.rank_q for b in dec.blocks) == q.rank
+    for m in (p.matrix, q.matrix):
+        assert dec.off_block_mass(m) <= 1e-9
+        assert dec.reconstruction_residual(m) <= 1e-9
+    u = dec.unitary
+    assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
+    # An angle with sin*cos at most CLUSTER_TOL snaps to two 1-dim blocks.
+    want = sorted((cos for cos, sin in cos_sin if cos * sin > CLUSTER_TOL), reverse=True)
+    got = [b.overlap for b in dec.blocks if b.dim == 2]
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def _random_effect(rng, dim):
@@ -145,6 +194,63 @@ class TestTwoProjectorBlocks:
         dec = two_projector_blocks(p, q)
         u = dec.unitary
         assert np.max(np.abs(u.conj().T @ u - identity(6))) <= 1e-10
+
+
+class TestNearlyAlignedBlocks:
+    # d = 8, rank 3: angles {eps, 0.7, 1.2}, or {eps, pi/2 - eps, 1.2}
+    # with both ends in one pair; 50 samples a row.
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("both_ends", [False, True], ids=["eps", "eps-and-complement"])
+    def test_eps_table_row(self, eps, both_ends):
+        rng = np.random.default_rng(0)
+        second = (math.sin(eps), math.cos(eps)) if both_ends else (math.cos(0.7), math.sin(0.7))
+        cos_sin = [(math.cos(eps), math.sin(eps)), second, (math.cos(1.2), math.sin(1.2))]
+        for _ in range(50):
+            p, q = _planted_pair(rng, 8, cos_sin)
+            _assert_planted_blocks(two_projector_blocks(p, q), p, q, cos_sin)
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-9])
+    def test_two_close_angles(self, gap):
+        # The two compressions' eigensolves mix the vectors of the two
+        # angles independently; the pairing must still line them up.
+        rng = np.random.default_rng(1)
+        cos_sin = [(math.cos(a), math.sin(a)) for a in (0.7, 0.7 + gap, 1.2)]
+        for _ in range(20):
+            p, q = _planted_pair(rng, 8, cos_sin, both=1)
+            _assert_planted_blocks(two_projector_blocks(p, q), p, q, cos_sin)
+
+    def test_tiny_angle_snaps_to_one_dim_blocks(self):
+        rng = np.random.default_rng(2)
+        p, q = _planted_pair(rng, 4, [(1.0, 1e-12)], q_only=1)
+        dec = two_projector_blocks(p, q)
+        assert [(b.dim, b.rank_p, b.rank_q, b.overlap) for b in dec.blocks] == [
+            (1, 1, 1, 1.0), (1, 0, 1, 0.0), (1, 0, 0, 0.0), (1, 0, 0, 0.0)
+        ]
+        assert dec.off_block_mass(q.matrix) <= 1e-11
+
+    @settings(max_examples=200)
+    @given(
+        dim=st.integers(2, 16),
+        log_angles=st.lists(st.floats(math.log(1e-12), math.log(math.pi / 2)), max_size=8),
+        near_right=st.lists(st.booleans(), min_size=8, max_size=8),
+        species=st.lists(st.integers(0, 3), max_size=16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planted_angles_round_trip(self, dim, log_angles, near_right, species, seed):
+        # Angles log-uniform in [1e-12, pi/2]; a flagged angle a is planted
+        # as pi/2 - a, so one pair can hold both ends.  The other directions
+        # take random species, so rank q > rank p occurs.
+        log_angles = log_angles[: dim // 2]
+        cos_sin = [
+            (math.sin(a), math.cos(a)) if flip else (math.cos(a), math.sin(a))
+            for a, flip in zip(map(math.exp, log_angles), near_right)
+        ]
+        species = (species + [0] * dim)[: dim - 2 * len(cos_sin)]
+        p, q = _planted_pair(
+            np.random.default_rng(seed), dim, cos_sin,
+            both=species.count(1), p_only=species.count(2), q_only=species.count(3),
+        )
+        _assert_planted_blocks(two_projector_blocks(p, q), p, q, cos_sin)
 
 
 class TestNeumarkDilate:

@@ -415,7 +415,7 @@ class TestPovmJointObservable:
         assert -1e-6 <= rep.min_eigenvalue < -PSD_TOL
         assert all(e.tol == 1e-6 for e in rep.witness.effects)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
     def test_every_pair_is_jointly_measurable_at_lambda_opt(self, seed, d, data):
         # Eigenvalues drawn from [0, 1], exactly 0 and 1 (kept exact in the
@@ -535,7 +535,7 @@ class TestFeasibilityOracle:
             if closed == "no":
                 _assert_certifies_no(rep, o1lam, o2lam)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1))
     def test_bloch_pairs_outside_band(self, seed):
         rng = np.random.default_rng(seed)
@@ -550,7 +550,7 @@ class TestFeasibilityOracle:
         if rep.feasible == "no":
             _assert_certifies_no(rep, o1lam, o2lam)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8]))
     def test_projector_pairs_bracket_the_threshold(self, seed, d):
         rng = np.random.default_rng(seed)
@@ -564,7 +564,7 @@ class TestFeasibilityOracle:
             if want == "no":
                 _assert_certifies_no(rep, o1lam, o2lam)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
     def test_never_no_at_the_threshold(self, seed, d, bloch):
         # The certificate is a proof, so it must never verify where the
@@ -664,7 +664,7 @@ class TestLambdaOptSearch:
         res = lambda_opt_search((Z, Z))
         assert res.value == 1.0
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(_unit_vectors(), _unit_vectors())
     def test_bloch_pair_is_closed_form_boundary(self, m, n):
         res = lambda_opt_search((m, n))
@@ -888,7 +888,7 @@ class TestWitnessBuiltOnce:
         correlation(state, smeared, X.observable())
         assert eigensolves == []
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.data())
     def test_projector_pair_witness_at_threshold(self, seed, d, data):
         rng = np.random.default_rng(seed)
@@ -899,7 +899,7 @@ class TestWitnessBuiltOnce:
         assert rep.min_eigenvalue >= -1e-11
         assert rep.marginal_residual <= 1e-9
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(2, 16),
@@ -921,7 +921,7 @@ class TestWitnessBuiltOnce:
         if above <= 1.0:
             assert pvm_joint_observable(p, q, above).feasible == "no"
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(_unit_vectors(), _unit_vectors(), st.floats(0.0, 1.0))
     def test_operator_criterion_is_the_bloch_criterion(self, m, n, lam):
         m, n = BlochVector(m), BlochVector(n)
@@ -932,7 +932,7 @@ class TestWitnessBuiltOnce:
         if by_bloch.feasible == "no":
             assert abs(by_operator.min_eigenvalue - by_bloch.min_eigenvalue) <= 1e-15
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     def test_povm_pair_witness_at_lambda_opt(self, seed, d):
         rng = np.random.default_rng(seed)
@@ -1094,7 +1094,7 @@ def _abs(h: np.ndarray) -> np.ndarray:
 
 
 class TestOneDecision:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from([2, 3, 4]),

@@ -349,7 +349,7 @@ class TestDerivedValuesAreValid:
     """Values built unchecked (complements, smeared observables, Bloch
     projectors, pure states) pass every public check when rebuilt."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         st.one_of(st.none(), st.integers(0, 2**32 - 1)),
         st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=6),
@@ -364,7 +364,7 @@ class TestDerivedValuesAreValid:
             _revalidate(p.observable())
             _revalidate(smear(p.observable(), lam))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         st.integers(0, 2**32 - 1),
         st.floats(-0.999e-12, 0.999e-12),
@@ -378,7 +378,7 @@ class TestDerivedValuesAreValid:
         _revalidate(b.observable())
         _revalidate(smear(b.observable(), lam))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1.0),
                  min_size=1, max_size=6),
