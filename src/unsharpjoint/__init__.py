@@ -33,7 +33,7 @@ from .operators import (
     tensor,
     validate_effect,
 )
-from .unsharp import SmearedMeanReport, UnsharpParam, mean_value, smear, smeared_mean
+from .unsharp import SmearedMeanReport, mean_value, smear, smeared_mean, validate_lambda
 from .decompose import (
     ANCILLA_CONVENTION,
     Block,
@@ -104,7 +104,6 @@ __all__ = [
     "SpectrumOutOfRange",
     "TSIRELSON_BOUND",
     "UnsharpJointError",
-    "UnsharpParam",
     "ValidationError",
     "box_chsh",
     "check_joint",
@@ -134,5 +133,6 @@ __all__ = [
     "tensor",
     "two_projector_blocks",
     "validate_effect",
+    "validate_lambda",
     "white_noise_box",
 ]

@@ -82,7 +82,7 @@ def _random_state(rng, dim: int) -> DensityMatrix:
 def criterion_1_lambda_opt() -> AcceptanceResult:
     """Worst-case search lands on 1/sqrt(2) within 1e-3, in under 60 s."""
     t0 = time.perf_counter()
-    res = lambda_opt_search("worst-case", seed=2026, mesh=1000)
+    res = lambda_opt_search("worst-case", seed=2026)
     dt = time.perf_counter() - t0
     err = abs(res.value - LAMBDA_OPT)
     passed = err <= 1e-3 and dt < 60.0

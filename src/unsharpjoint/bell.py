@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidBox, ValidationError
 from .operators import DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, identity
-from .unsharp import UnsharpParam, _smeared_matrices
+from .unsharp import _smeared_matrices, validate_lambda
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 LOCAL_BOUND = 2.0
@@ -265,7 +265,7 @@ def smeared_chsh(
     linearly), so for lam <= 1/sqrt(2) any quantum input lands at or
     below the local bound 2, which is this report's comparison bound.
     """
-    lam = float(UnsharpParam.coerce(lam))
+    lam = validate_lambda(lam)
     return _report(_smeared_terms(state, a1, a2, b1, b2, lam), LOCAL_BOUND)
 
 
@@ -275,7 +275,7 @@ def smeared_chsh_values(
 ) -> np.ndarray:
     """smeared_chsh(state, a1, a2, b1, b2, lam).value for each lam of a
     sequence, each lam checked, the correlators of all of them one stack."""
-    lams = np.array([float(UnsharpParam.coerce(lam)) for lam in lams])[:, None, None]
+    lams = np.array([validate_lambda(lam) for lam in lams])[:, None, None]
     t11, t12, t21, t22 = _smeared_terms(state, a1, a2, b1, b2, lams)
     return np.abs(t11 + t12 + t21 - t22)
 

@@ -38,7 +38,6 @@ from .joint import (
     povm_joint_observable,
     qubit_verdicts,
     validate_max_iter,
-    validate_oracle_tol,
     validate_seed,
 )
 from .operators import (
@@ -199,15 +198,11 @@ def _decide(
     o1: DichotomicObservable, o2: DichotomicObservable, args: argparse.Namespace
 ) -> FeasibilityReport:
     if args.oracle:
-        return feasibility_oracle(
-            smear(o1, args.lam), smear(o2, args.lam),
-            max_iter=args.max_iter, tol=args.tol,
-        )
+        return feasibility_oracle(smear(o1, args.lam), smear(o2, args.lam), max_iter=args.max_iter)
     return povm_joint_observable(o1, o2, args.lam)
 
 
 def _cmd_jointly_measurable(args: argparse.Namespace) -> int:
-    validate_oracle_tol(args.tol)
     validate_max_iter(args.max_iter)
     o1 = _load(args.o1, _observable)
     o2 = _load(args.o2, _observable)
@@ -221,7 +216,7 @@ def _cmd_jointly_measurable(args: argparse.Namespace) -> int:
 def _cmd_lambda_opt(args: argparse.Namespace) -> int:
     validate_seed(args.seed)
     if args.mode == "worst-case":
-        result = lambda_opt_search("worst-case", seed=args.seed, mesh=args.mesh)
+        result = lambda_opt_search("worst-case", seed=args.seed)
         m, n = result.pair
         pair_json = {"m": list(m.v), "n": list(n.v)}
     else:
@@ -385,14 +380,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--oracle", action="store_true", help="use the alternating-projection oracle")
     p.add_argument("--expect-feasible", action="store_true", help="exit 2 unless feasible")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=20000)
     add_common(p)
 
     p = sub.add_parser("lambda-opt", help="largest feasible unsharpness")
     p.add_argument("--mode", choices=("pair", "worst-case"), default="pair")
     p.add_argument("--seed", type=int, default=2026)
-    p.add_argument("--mesh", type=int, default=1000)
     p.add_argument("--m", help="Bloch vector 'x,y,z' for the first observable")
     p.add_argument("--n", help="Bloch vector 'x,y,z' for the second observable")
     p.add_argument("--o1", help="observable file (alternative to --m)")

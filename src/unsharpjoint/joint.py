@@ -63,7 +63,7 @@ from .operators import (
     _validated_effects,
     identity,
 )
-from .unsharp import UnsharpParam, smear
+from .unsharp import smear, validate_lambda
 
 LAMBDA_OPT = 1.0 / math.sqrt(2.0)
 
@@ -82,9 +82,8 @@ CERTIFICATE_EVERY = 5
 CERTIFICATE_MARGIN = 1e-12
 ANDERSON_MEMORY = 3
 
-# The worst-case mesh broadcasts arrays of about 3*mesh floats; this cap
-# (1,000x the default) keeps each temporary near 24 MB.
-MAX_MESH = 10**6
+# Fibonacci-sphere points per side of the worst-case search's starting mesh.
+WORST_CASE_POINTS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,9 +261,13 @@ def check_joint(
 
 def criterion_value(m, n, lam) -> float:
     """lam * (|m+n| + |m-n|); the pair is jointly measurable iff <= 2."""
-    mv, nv = BlochVector.coerce(m).v, BlochVector.coerce(n).v
-    lam = float(UnsharpParam.coerce(lam))
-    return lam * (float(np.linalg.norm(mv + nv)) + float(np.linalg.norm(mv - nv)))
+    s, d = _bloch_norms(BlochVector.coerce(m).v, BlochVector.coerce(n).v)
+    return validate_lambda(lam) * (s + d)
+
+
+def _bloch_norms(m: np.ndarray, n: np.ndarray) -> tuple[float, float]:
+    """|m+n| and |m-n| for two Bloch vectors."""
+    return float(np.linalg.norm(m + n)), float(np.linalg.norm(m - n))
 
 
 def _yes(g, tol: float, o1lam, o2lam, iterations: int) -> FeasibilityReport:
@@ -286,8 +289,7 @@ def _qubit_effects(m: np.ndarray, n: np.ndarray, lam):
     """Criterion value lam * (|m+n| + |m-n|) for unit Bloch vectors and lam a
     float or a 1-d array of them, and the (k, 4, 2, 2) stack of raw midpoint
     witnesses at the k values of lam within the boundary, in order."""
-    s = float(np.linalg.norm(m + n))
-    d = float(np.linalg.norm(m - n))
+    s, d = _bloch_norms(m, n)
     value = lam * (s + d)
     lam = np.asarray(lam, dtype=float)[value <= 2.0 + CRITERION_SLACK][:, None]
     j, k = _SIGNS[:, 0], _SIGNS[:, 1]
@@ -312,7 +314,7 @@ def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
     in the test suite, never trusted bare.
     """
     mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
-    lam = float(UnsharpParam.coerce(lam))
+    lam = validate_lambda(lam)
     value, effects = _qubit_effects(mb.v, nb.v, lam)
     if not len(effects):
         return _no(value)
@@ -323,7 +325,7 @@ def qubit_verdicts(m, n, lams) -> list[str]:
     """qubit_joint_observable(m, n, lam).feasible for each lam of a sequence: the
     "yes" witnesses are one stack, checked as that function checks each, in one eigensolve."""
     mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
-    lams = np.array([float(UnsharpParam.coerce(lam)) for lam in lams])
+    lams = np.array([validate_lambda(lam) for lam in lams])
     value, effects = _qubit_effects(mb.v, nb.v, lams)
     _check_effects(effects.reshape(-1, 2, 2), 1e-11)
     res = float(np.max(np.abs(effects.sum(axis=1) - identity(2)), initial=0.0))
@@ -364,7 +366,7 @@ def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport
     "no" carries the would-be smallest eigenvalue (2 - lam * top) / 8.
     Only the final witness is validated and checked.
     """
-    lam = float(UnsharpParam.coerce(lam))
+    lam = validate_lambda(lam)
     value, effects = _contrast_pair_effects(_sharp_contrast(p1), _sharp_contrast(p2), lam)
     if value > 2.0 + CRITERION_SLACK:
         return _no(value)
@@ -408,7 +410,7 @@ def povm_joint_observable(
     """
     if o1.dim != o2.dim:
         raise DimensionMismatch(o1.dim, o2.dim)
-    lam = float(UnsharpParam.coerce(lam))
+    lam = validate_lambda(lam)
     sharp = _sharp_pair(o1, o2)
     if sharp is not None:
         return pvm_joint_observable(*sharp, lam)
@@ -447,13 +449,6 @@ def _hermitize(h: np.ndarray) -> np.ndarray:
 def _psd_from_eigh(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Componentwise projection onto PSD of a Hermitian stack, from its eigh."""
     return (vecs * np.maximum(eigs, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-
-
-def validate_oracle_tol(tol) -> float:
-    """Check the oracle tolerance against its window [1e-12, 1e-2]; NaN is outside it."""
-    if not 1e-12 <= tol <= 1e-2:
-        raise ValidationError("tol-in-[1e-12,1e-2]", detail=f"got {tol!r}")
-    return float(tol)
 
 
 def validate_max_iter(max_iter) -> int:
@@ -498,7 +493,6 @@ def feasibility_oracle(
     o1lam: DichotomicObservable,
     o2lam: DichotomicObservable,
     max_iter: int = 20000,
-    tol: float = 1e-9,
 ) -> FeasibilityReport:
     """Decide joint measurability by Anderson-accelerated alternating projections.
 
@@ -515,9 +509,9 @@ def feasibility_oracle(
     2020): where no joint observable exists, |g| levels off at the gap and
     the plain steps carry y - x to the gap vector.  The verdict is:
 
-    * "yes" once an affine iterate is PSD to -tol (capped at the effect
-      tolerance 1e-9 so the witness validates as a JointObservable);
-      marginals then hold exactly;
+    * "yes" once an affine iterate is PSD to -PSD_TOL, the effect
+      tolerance, so the witness validates as a JointObservable; marginals
+      then hold exactly;
     * "no" once a Farkas certificate verifies, tested at the first accepted
       point CERTIFICATE_EVERY iterations after the last test: four PSD
       matrices H_jk with H_pp - H_pm - H_mp + H_mm = 0 whose pairing with
@@ -534,9 +528,7 @@ def feasibility_oracle(
     if o1lam.dim != o2lam.dim:
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
     max_iter = validate_max_iter(max_iter)
-    tol = validate_oracle_tol(tol)
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
-    accept_tol = min(tol, 1e-9)
     eye = np.eye(o1lam.dim, dtype=complex)
     half_sum = 0.5 * (y1 + y2)
     quarter_eye = 0.25 * eye
@@ -570,8 +562,8 @@ def feasibility_oracle(
                     step, dz, dg = zr + g, [], []
         z = step.view(complex).reshape(x.shape)
         eigs, vecs = np.linalg.eigh(np.concatenate([x, _hermitize(z)]))
-        if eigs[:4, 0].min() >= -accept_tol:
-            return _yes(x, 1e-9, o1lam, o2lam, it)
+        if eigs[:4, 0].min() >= -PSD_TOL:
+            return _yes(x, PSD_TOL, o1lam, o2lam, it)
         eigs, vecs = eigs[4:], vecs[4:]
 
         if it - tested >= CERTIFICATE_EVERY and not rejected:
@@ -612,7 +604,7 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> LambdaOptResult:
+def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
     """Largest feasible unsharpness for a pair, or the worst case over pairs.
 
     For an explicit pair the threshold comes from the closed forms:
@@ -631,19 +623,15 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
     The returned point is confirmed with the feasibility oracle; the
     returned pair is the two Bloch vectors, or the two observables decided.
 
-    "worst-case" minimizes the threshold over a deterministic mesh of
-    Bloch-vector pairs (Fibonacci-sphere orientations), polishes the best
-    mesh pair by a shrinking random search and returns that pair's exact
-    threshold: 1/sqrt(2) to rounding.
+    "worst-case" minimizes the threshold over the 32 x 32 Bloch-vector
+    pairs of two Fibonacci spheres, polishes the best pair by a shrinking
+    random search drawn from seed and returns that pair's exact threshold:
+    1/sqrt(2) to rounding.
     """
     if isinstance(pair_source, str):
         if pair_source != "worst-case":
             raise ValidationError("pair-source", detail=repr(pair_source))
-        if isinstance(mesh, bool) or not isinstance(mesh, numbers.Integral) or mesh < 1:
-            raise ValidationError("mesh>=1", detail=f"got {mesh!r}")
-        if mesh > MAX_MESH:
-            raise ValidationError(f"mesh<={MAX_MESH}", detail=f"got {mesh!r}")
-        m, n = _worst_case_pair(validate_seed(seed), int(mesh))
+        m, n = _worst_case_pair(validate_seed(seed))
         pair_source = (BlochVector.normalized(m), BlochVector.normalized(n))
 
     a, b = pair_source
@@ -683,17 +671,15 @@ def lambda_opt_search(pair_source, seed: int = 2026, mesh: int = 1000) -> Lambda
 
 def _pair_threshold(m: np.ndarray, n: np.ndarray) -> float:
     """Exact criterion boundary min(1, 2 / (|m+n| + |m-n|)) for one Bloch pair."""
-    total = float(np.linalg.norm(m + n)) + float(np.linalg.norm(m - n))
-    return min(1.0, 2.0 / total)
+    s, d = _bloch_norms(m, n)
+    return min(1.0, 2.0 / (s + d))
 
 
-def _worst_case_pair(seed: int, mesh: int) -> tuple[np.ndarray, np.ndarray]:
+def _worst_case_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
 
-    k1 = max(2, int(math.ceil(math.sqrt(mesh))))
-    k2 = max(2, int(math.ceil(mesh / k1)))
-    ms = fibonacci_sphere(k1)[:, None, :]
-    ns = fibonacci_sphere(k2)[None, :, :]
+    points = fibonacci_sphere(WORST_CASE_POINTS)
+    ms, ns = points[:, None, :], points[None, :, :]
     # The threshold 2 / (|m+n| + |m-n|) is smallest where the sum is largest.
     sums = np.linalg.norm(ms + ns, axis=2) + np.linalg.norm(ms - ns, axis=2)
     i, j = np.unravel_index(np.argmax(sums), sums.shape)

@@ -5,11 +5,13 @@ complementary one: the yes-effect becomes ((1+lam)/2) E_yes +
 ((1-lam)/2) E_no.  At lam = 1 the observable is unchanged; as lam
 decreases the two outcomes become less distinguishable.  Mean values scale
 linearly: the smeared observable's mean is exactly lam times the sharp
-mean, for every state.
+mean, for every state.  lam is a plain real number; every function of
+the package that takes one checks it by validate_lambda.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,28 +22,12 @@ from .operators import PSD_TOL, DensityMatrix, DichotomicObservable, Effect, _fr
 SCALING_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class UnsharpParam:
-    """Unsharpness parameter on the half-open interval (0, 1].
-
-    lam = 0 is rejected: it erases all information about the input and has
-    no meaningful optimal-unsharpness semantics.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not (0.0 < v <= 1.0):
-            raise ValidationError("lambda-in-(0,1]", detail=f"got {self.value!r}")
-        object.__setattr__(self, "value", v)
-
-    @classmethod
-    def coerce(cls, lam) -> "UnsharpParam":
-        return lam if isinstance(lam, UnsharpParam) else cls(float(lam))
-
-    def __float__(self) -> float:
-        return self.value
+def validate_lambda(lam) -> float:
+    """Check an unsharpness as a real number (not a bool) in (0, 1]; lam = 0
+    erases all information about the input."""
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 < lam <= 1:
+        raise ValidationError("lambda-in-(0,1]", detail=f"got {lam!r}")
+    return float(lam)
 
 
 def smear(obs: DichotomicObservable, lam) -> DichotomicObservable:
@@ -52,7 +38,7 @@ def smear(obs: DichotomicObservable, lam) -> DichotomicObservable:
     which stays inside [0, 1].  The complement relation yes + no = I is
     preserved exactly as constructed, so the outputs are built unchecked.
     """
-    yes, no = _smeared_matrices(obs, float(UnsharpParam.coerce(lam)))
+    yes, no = _smeared_matrices(obs, validate_lambda(lam))
     yes = _frozen(Effect, matrix=yes, tol=max(PSD_TOL, obs.yes_effect.tol))
     no = _frozen(Effect, matrix=no, tol=max(PSD_TOL, obs.no_effect.tol))
     return _frozen(DichotomicObservable, yes_effect=yes, no_effect=no)
@@ -100,7 +86,7 @@ class SmearedMeanReport:
 
 def smeared_mean(obs: DichotomicObservable, lam, state: DensityMatrix) -> SmearedMeanReport:
     """Mean of the smeared observable, with its scaling identity checked."""
-    lam = float(UnsharpParam.coerce(lam))
+    lam = validate_lambda(lam)
     return SmearedMeanReport(
         value=mean_value(smear(obs, lam), state),
         scaled_mean=lam * mean_value(obs, state),

@@ -33,7 +33,7 @@ from unsharpjoint import (
 )
 from unsharpjoint.cli import feasibility_to_json
 from unsharpjoint.joint import (
-    CERTIFICATE_EVERY, CRITERION_SLACK, MAX_MESH, _contrast_pair_effects, _yes
+    CERTIFICATE_EVERY, CRITERION_SLACK, _contrast_pair_effects, _yes
 )
 from unsharpjoint.operators import PAULI_X, PAULI_Z, PSD_TOL, identity
 
@@ -625,14 +625,6 @@ class TestFeasibilityOracle:
         assert rep.feasible == "undetermined"
         assert type(rep.iterations) is int and rep.iterations == 1
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, 1e-13, 0.1])
-    def test_tolerance_outside_window_rejected(self, tol):
-        # Unchecked, tol <= 0 gave a wrong "no" for this equal pair and
-        # NaN ran the whole budget to "undetermined".
-        o = smear(Z.observable(), 0.6)
-        with pytest.raises(ValidationError, match=r"tol-in-\[1e-12,1e-2\]"):
-            feasibility_oracle(o, o, tol=tol)
-
 
 def _unit_vectors():
     coord = st.floats(-1.0, 1.0, allow_nan=False)
@@ -770,17 +762,6 @@ class TestLambdaOptSearch:
         with pytest.raises(ValidationError):
             lambda_opt_search("best-case")
 
-    @pytest.mark.parametrize("mesh", [0, -5, 2.5, 10.0, math.nan, math.inf, "10", True, False])
-    def test_worst_case_rejects_a_mesh_that_is_no_positive_integer(self, mesh):
-        # NaN used to raise a bare ValueError from int(), and 2.5 and True
-        # were taken as meshes.
-        with pytest.raises(ValidationError, match="mesh>=1"):
-            lambda_opt_search("worst-case", mesh=mesh)
-
-    def test_worst_case_rejects_mesh_above_cap(self):
-        with pytest.raises(ValidationError, match=f"mesh<={MAX_MESH}"):
-            lambda_opt_search("worst-case", mesh=MAX_MESH + 1)
-
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True])
     def test_worst_case_rejects_a_seed_outside_uint64(self, seed):
         # -1 used to raise numpy's bare ValueError.
@@ -788,8 +769,8 @@ class TestLambdaOptSearch:
             lambda_opt_search("worst-case", seed=seed)
 
     def test_worst_case_takes_numpy_integers(self):
-        res = lambda_opt_search("worst-case", seed=np.uint64(7), mesh=np.int32(50))
-        want = lambda_opt_search("worst-case", seed=7, mesh=50)
+        res = lambda_opt_search("worst-case", seed=np.uint64(7))
+        want = lambda_opt_search("worst-case", seed=7)
         assert res.value == want.value
         assert [v.v.tobytes() for v in res.pair] == [v.v.tobytes() for v in want.pair]
 
@@ -971,14 +952,13 @@ class TestReportInvariants:
             JointObservable(quarter, quarter, quarter, Effect(identity(2) / 2.0))
 
 
-def _reference_oracle(o1lam, o2lam, max_iter, tol):
+def _reference_oracle(o1lam, o2lam, max_iter):
     """feasibility_oracle without its Anderson step, written plainly: Dykstra's
     alternating projections with an eigh for each PSD projection, an eigvalsh
     of every affine iterate, a certificate test every CERTIFICATE_EVERY
     iterations, and the affine stack and certificate built afresh each time."""
     d = o1lam.dim
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
-    accept_tol = min(tol, 1e-9)
 
     def affine_project(h):
         eye = np.eye(d, dtype=complex)
@@ -1011,7 +991,7 @@ def _reference_oracle(o1lam, o2lam, max_iter, tol):
         correction = x + correction - y
         x = affine_project(y)
         min_eig = float(np.min(np.linalg.eigvalsh(x)))
-        if min_eig >= -accept_tol:
+        if min_eig >= -PSD_TOL:
             return _yes(x, 1e-9, o1lam, o2lam, it)
         if it % CERTIFICATE_EVERY == 0:
             certificate = farkas_certificate(x, y)
@@ -1070,9 +1050,9 @@ class TestOracleAgainstReferenceLoop:
             lam = min(1.0, threshold * float(rng.uniform(0.97, 1.03)))
             o1lam, o2lam = smear(o1, lam), smear(o2, lam)
             max_iter = int(rng.integers(1, 61))
-            tol = float(10.0 ** rng.uniform(-12, -2))
-            rep = feasibility_oracle(o1lam, o2lam, max_iter=max_iter, tol=tol)
-            ref = _reference_oracle(o1lam, o2lam, max_iter, tol)
+            rng.uniform(-12, -2)  # keeps every later draw of this seed in place
+            rep = feasibility_oracle(o1lam, o2lam, max_iter=max_iter)
+            ref = _reference_oracle(o1lam, o2lam, max_iter)
             assert {rep.feasible, ref.feasible} != {"yes", "no"}
             if ref.feasible != "undetermined":
                 assert rep.feasible == ref.feasible

@@ -1,20 +1,31 @@
 """Smearing map, mean values, and the linear scaling identity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from unsharpjoint import (
+    BlochVector,
     DensityMatrix,
     DichotomicObservable,
     DimensionMismatch,
-    UnsharpParam,
     ValidationError,
+    criterion_value,
     mean_value,
+    optimal_settings,
+    povm_joint_observable,
+    pvm_joint_observable,
+    qubit_joint_observable,
+    singlet,
     smear,
+    smeared_chsh,
     smeared_mean,
+    validate_lambda,
 )
+from unsharpjoint.bell import smeared_chsh_values
+from unsharpjoint.joint import qubit_verdicts
 from unsharpjoint.operators import identity
 
 HALF_PLUS = 0.8535533905932737   # (2 + sqrt 2) / 4
@@ -33,18 +44,58 @@ def _random_state(rng, d=2):
     return DensityMatrix.pure(v)
 
 
-class TestUnsharpParam:
+class TestValidateLambda:
     def test_zero_rejected(self):
         with pytest.raises(ValidationError):
-            UnsharpParam(0.0)
+            validate_lambda(0.0)
 
     def test_above_one_rejected(self):
         with pytest.raises(ValidationError):
-            UnsharpParam(1.0 + 1e-9)
+            validate_lambda(1.0 + 1e-9)
 
     def test_interval_endpoints(self):
-        assert float(UnsharpParam(1.0)) == 1.0
-        assert float(UnsharpParam(1e-9)) == 1e-9
+        assert validate_lambda(1.0) == 1.0
+        assert validate_lambda(1e-9) == 1e-9
+
+
+_Z, _X = (DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]).astype(complex)),
+          DichotomicObservable.from_yes_effect(np.full((2, 2), 0.5, dtype=complex)))
+
+# Every public function that takes an unsharpness, called with lam.
+LAMBDA_TAKERS = {
+    "smear": lambda lam: smear(_Z, lam),
+    "smeared_mean": lambda lam: smeared_mean(_Z, lam, DensityMatrix.pure(np.array([1.0, 0.0]))),
+    "criterion_value": lambda lam: criterion_value([0, 0, 1], [1, 0, 0], lam),
+    "qubit_joint_observable": lambda lam: qubit_joint_observable([0, 0, 1], [1, 0, 0], lam),
+    "povm_joint_observable": lambda lam: povm_joint_observable(_Z, _X, lam),
+    "pvm_joint_observable": lambda lam: pvm_joint_observable(
+        BlochVector([0, 0, 1]).projector(), BlochVector([1, 0, 0]).projector(), lam),
+    "smeared_chsh": lambda lam: smeared_chsh(singlet(), *optimal_settings(), lam),
+    "qubit_verdicts": lambda lam: qubit_verdicts([0, 0, 1], [1, 0, 0], [lam]),
+    "smeared_chsh_values": lambda lam: smeared_chsh_values(singlet(), *optimal_settings(), [lam]),
+}
+
+
+class TestLambdaIsARealNumber:
+    @pytest.mark.parametrize("taker", sorted(LAMBDA_TAKERS))
+    @pytest.mark.parametrize(
+        "lam", [None, "abc", "0.5", True, [0.5], 1 + 0j, math.nan, 0, 1 + 1e-9],
+        ids=["none", "abc", "str-half", "true", "list", "complex", "nan", "zero", "above-one"],
+    )
+    def test_rejected_as_validation_error(self, taker, lam):
+        # None and "abc" used to escape as a bare TypeError or ValueError
+        # from float(), and "0.5" and True were taken as unsharpnesses.
+        with pytest.raises(ValidationError, match=r"lambda-in-\(0,1\]"):
+            LAMBDA_TAKERS[taker](lam)
+
+    @pytest.mark.parametrize("taker", sorted(LAMBDA_TAKERS))
+    @pytest.mark.parametrize(
+        "lam", [np.float32(0.5), np.float64(0.5), 1, Fraction(1, 2)],
+        ids=["float32", "float64", "int-one", "fraction"],
+    )
+    def test_real_numbers_accepted(self, taker, lam):
+        LAMBDA_TAKERS[taker](lam)
+        assert type(validate_lambda(lam)) is float and validate_lambda(lam) == float(lam)
 
 
 class TestSmear:
