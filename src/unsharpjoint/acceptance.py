@@ -80,7 +80,8 @@ def _random_state(rng, dim: int) -> DensityMatrix:
 
 
 def criterion_1_lambda_opt() -> AcceptanceResult:
-    """Worst-case search lands on 1/sqrt(2) within 1e-3, in under 60 s."""
+    """The worst case, a random orthogonal Bloch pair, lands on 1/sqrt(2)
+    within 1e-3, in under 60 s."""
     t0 = time.perf_counter()
     res = lambda_opt_search("worst-case", seed=2026)
     dt = time.perf_counter() - t0

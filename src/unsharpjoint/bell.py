@@ -18,6 +18,7 @@ Box tables keep exact rational entries whenever the inputs are rational
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,12 +38,14 @@ _EXACT_EPS = 1e-12
 
 
 def _exactify(x):
-    """Keep rational inputs rational; other finite reals become float."""
+    """Keep rational inputs inside the float range rational; other finite
+    reals become float."""
     if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, Real) and math.isfinite(x):
+        if abs(x) <= sys.float_info.max:
+            return Fraction(x)
+    elif isinstance(x, Real) and math.isfinite(x):
         return float(x)
-    raise TypeError(f"not a finite number: {x!r}")
+    raise TypeError("not a finite number")
 
 
 def _cell(key: str, cell) -> tuple:
@@ -86,10 +89,10 @@ class NoSignalingBox:
                             detail=f"p({a},{b}|{key})",
                         )
             total = sum(rows[a][b] for a in range(2) for b in range(2))
-            if abs(float(total) - 1.0) > _EXACT_EPS:
-                raise InvalidBox(
-                    "box-normalization", abs(float(total) - 1.0), detail=f"setting {key!r}"
-                )
+            # Four rational cells inside the float range can sum past it.
+            excess = abs(float(total) - 1.0) if total <= sys.float_info.max else math.inf
+            if excess > _EXACT_EPS:
+                raise InvalidBox("box-normalization", excess, detail=f"setting {key!r}")
             clean[key] = rows
         object.__setattr__(self, "table", clean)
 

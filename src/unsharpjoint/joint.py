@@ -16,9 +16,9 @@ marginals.  This module provides
 * an independent alternating-projection (Dykstra) feasibility oracle,
   Anderson-accelerated, that cross-checks every closed-form verdict and
   decides the POVM pairs the closed form leaves open;
-* the largest feasible unsharpness from the closed-form thresholds,
-  including the worst-case search over Bloch-vector pairs whose optimum
-  is 1/sqrt(2).
+* the largest feasible unsharpness from the closed-form thresholds; its
+  worst case over Bloch-vector pairs, 1/sqrt(2), is reached at every
+  orthogonal pair.
 
 The operator form needs no block decomposition.  The anticommutator
 {A, B} commutes with A and B, so on every invariant block of the pair
@@ -60,6 +60,7 @@ from .operators import (
     PAULI,
     _check_effects,
     _frozen,
+    _unit_vector,
     _validated_effects,
     identity,
 )
@@ -81,9 +82,6 @@ _JK_SIGNS = (_SIGNS[:, 0] * _SIGNS[:, 1])[:, None, None]  # the sign of F in the
 CERTIFICATE_EVERY = 5
 CERTIFICATE_MARGIN = 1e-12
 ANDERSON_MEMORY = 3
-
-# Fibonacci-sphere points per side of the worst-case search's starting mesh.
-WORST_CASE_POINTS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +110,16 @@ class BlochVector:
     @classmethod
     def normalized(cls, v) -> "BlochVector":
         a = np.asarray(v, dtype=float).reshape(-1)
-        norm = float(np.linalg.norm(a))
-        if not 0.0 < norm < math.inf:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(a))
+        if 0.0 < norm < math.inf:
+            unit = a / norm
+            if abs(float(np.linalg.norm(unit)) - 1.0) <= 1e-12:
+                return cls(unit)
+        if not (np.isfinite(a).all() and a.any()):
             raise ValidationError("bloch-nonzero-finite-norm", detail=f"norm {norm!r}")
-        return cls(a / norm)
+        # |a|^2 overflowed, or lost its bits below the normal range: rescale first.
+        return cls(_unit_vector(a).real)
 
     def projector(self) -> Projector:
         # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to 1e-12:
@@ -594,16 +598,6 @@ class LambdaOptResult:
         return self.value
 
 
-def fibonacci_sphere(count: int) -> np.ndarray:
-    """count nearly uniform unit vectors (golden-angle spiral)."""
-    i = np.arange(count, dtype=float)
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
 def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
     """Largest feasible unsharpness for a pair, or the worst case over pairs.
 
@@ -623,10 +617,10 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
     The returned point is confirmed with the feasibility oracle; the
     returned pair is the two Bloch vectors, or the two observables decided.
 
-    "worst-case" minimizes the threshold over the 32 x 32 Bloch-vector
-    pairs of two Fibonacci spheres, polishes the best pair by a shrinking
-    random search drawn from seed and returns that pair's exact threshold:
-    1/sqrt(2) to rounding.
+    "worst-case" takes a random orthogonal Bloch pair drawn from seed.
+    Every orthogonal pair has |m+n| = |m-n| = sqrt(2), so its threshold is
+    the smallest of all pairs (Busch 1986); the value is that pair's exact
+    threshold, 1/sqrt(2) to rounding.
     """
     if isinstance(pair_source, str):
         if pair_source != "worst-case":
@@ -634,7 +628,12 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
         m, n = _worst_case_pair(validate_seed(seed))
         pair_source = (BlochVector.normalized(m), BlochVector.normalized(n))
 
-    a, b = pair_source
+    try:
+        a, b = pair_source
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "pair-source", detail=f"not a pair: {type(pair_source).__name__}"
+        ) from None
     # Operator objects are 0-d to numpy, matrices 2-d and Bloch vectors 1-d;
     # a ragged sequence, which numpy cannot size, is left to square_matrix.
     try:
@@ -676,30 +675,6 @@ def _pair_threshold(m: np.ndarray, n: np.ndarray) -> float:
 
 
 def _worst_case_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-
-    points = fibonacci_sphere(WORST_CASE_POINTS)
-    ms, ns = points[:, None, :], points[None, :, :]
-    # The threshold 2 / (|m+n| + |m-n|) is smallest where the sum is largest.
-    sums = np.linalg.norm(ms + ns, axis=2) + np.linalg.norm(ms - ns, axis=2)
-    i, j = np.unravel_index(np.argmax(sums), sums.shape)
-    m, n = ms[i, 0], ns[0, j]
-
-    # The minimum sits at orthogonal pairs and is quadratically flat
-    # there, so a shrinking random search that gets the pair within about
-    # sqrt(eps) of orthogonal puts the threshold at 1/sqrt(2) to rounding.
-    thr = _pair_threshold(m, n)
-    radius = 0.2
-    while radius >= 1e-7:
-        for _ in range(25):
-            dm = rng.normal(size=3) * radius
-            dn = rng.normal(size=3) * radius
-            m2 = m + dm
-            n2 = n + dn
-            m2 /= np.linalg.norm(m2)
-            n2 /= np.linalg.norm(n2)
-            t2 = _pair_threshold(m2, n2)
-            if t2 < thr:
-                thr, m, n = t2, m2, n2
-        radius *= 0.5
-    return m, n
+    """A uniformly random orthogonal pair of 3-vectors, not yet normalized."""
+    m, w = np.random.default_rng(seed).normal(size=(2, 3))
+    return m, w - (w @ m) / (m @ m) * m

@@ -23,9 +23,10 @@ SCALING_TOL = 1e-12
 
 
 def validate_lambda(lam) -> float:
-    """Check an unsharpness as a real number (not a bool) in (0, 1]; lam = 0
-    erases all information about the input."""
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 < lam <= 1:
+    """Check an unsharpness as a real number (not a bool) in (0, 1], and
+    nonzero as a float; lam = 0 erases all information about the input."""
+    if (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
+            or not 0 < lam <= 1 or not float(lam) > 0):
         raise ValidationError("lambda-in-(0,1]", detail=f"got {lam!r}")
     return float(lam)
 

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import re
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from unsharpjoint import (
     singlet,
     smeared_chsh,
 )
+from unsharpjoint.bell import SETTINGS
 from unsharpjoint.cli import _build_parser, main
 
 INV_SQRT2 = 0.7071067811865475
@@ -310,11 +313,29 @@ class TestChsh:
         assert abs(json.loads(out)["value"] - 2.828427) <= 1e-6
 
 
+# JSON numbers for box cells: ints of up to 401 digits, floats of any size,
+# negatives, and the probabilities of valid boxes.
+BOX_NUMBER = st.one_of(
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, 1, 0.0, 0.5, 0.25, 1.0]),
+)
+
+
 class TestBoxChsh:
     def test_pr_exact(self, fixtures, capsys):
         code, out = _run(["box-chsh", "--box", fixtures["pr.json"]], capsys)
         assert code == 0
         assert json.loads(out)["value"] == 4.0
+
+    @settings(max_examples=60)
+    @given(cells=st.lists(st.lists(st.lists(BOX_NUMBER, min_size=2, max_size=2), min_size=2, max_size=2),
+                          min_size=4, max_size=4))
+    def test_any_table_of_numbers_exits_zero_or_one(self, cells, tmp_path_factory):
+        path = tmp_path_factory.mktemp("box") / "box.json"
+        path.write_text(json.dumps({"p": dict(zip(SETTINGS, cells))}))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["box-chsh", "--box", str(path)]) in (0, 1)
 
 
 class TestSweep:
@@ -390,6 +411,23 @@ class TestSweep:
         assert out.getvalue() == _reference_sweep(_bloch(m), _bloch(n), start, stop, step)
 
 
+class TestBlochScale:
+    # |m|^2 overflows for the first and underflows to 0 for the second; the
+    # direction is that of the unit vector beside it, to the bit.
+    @pytest.mark.parametrize("m,unit", [("1e300,1e300,0", "1,1,0"), ("1e-320,0,0", "1,0,0")])
+    @pytest.mark.parametrize(
+        "command", [["lambda-opt"], ["sweep", "--start", "0.7", "--stop", "0.72", "--step", "0.01"]],
+        ids=["lambda-opt", "sweep"],
+    )
+    def test_same_report_as_the_unit_direction(self, m, unit, command, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, f"--m={m}", "--n=0,0,1"]) == 0
+        scaled = capsys.readouterr()
+        assert main([*command, f"--m={unit}", "--n=0,0,1"]) == 0
+        assert capsys.readouterr() == scaled
+
+
 def _bloch(text):
     return BlochVector.normalized(np.array([float(x) for x in text.split(",")]))
 
@@ -456,6 +494,12 @@ class TestErrors:
             (["smear", "--obs", "BAD", "--lambda", "0.5"], {"yes": 3}),
             (["box-chsh", "--box", "BAD"], {"p": {k: 5 for k in ("11", "12", "21", "22")}}),
             (["box-chsh", "--box", "BAD"], 3),
+            # A cell of 401 digits, or four that sum past the float range, used
+            # to end in a bare OverflowError from float().
+            (["box-chsh", "--box", "BAD"], {"p": {k: [[-(10**400), 0], [0, 1]] for k in SETTINGS}}),
+            (["box-chsh", "--box", "BAD"], {"p": {k: [[10**400, 0], [0, 0]] for k in SETTINGS}}),
+            (["box-chsh", "--box", "BAD"],
+             {"p": {k: [[int(sys.float_info.max)] * 2] * 2 for k in SETTINGS}}),
             (["blocks", "--p", "BAD", "--q", "q.json"], 3),
             (["chsh", "--state", "BAD", "--settings", "settings.json"], 3),
             (["chsh", "--state", "singlet.json", "--settings", "BAD"], {"a1": 3}),
@@ -465,7 +509,8 @@ class TestErrors:
         ],
         ids=[
             "top-level-number", "dim-string", "entry-string", "yes-number",
-            "box-cell-number", "box-number", "blocks-number", "state-number",
+            "box-cell-number", "box-number", "box-huge-negative", "box-huge-positive",
+            "box-sum-past-float-range", "blocks-number", "state-number",
             "settings-entry-number", "state-not-psd", "projector-not-idempotent",
         ],
     )

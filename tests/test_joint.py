@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ class TestBlochVector:
     def test_normalized_rejects_degenerate_norm(self, v):
         with pytest.raises(ValidationError, match="bloch-nonzero-finite-norm"):
             BlochVector.normalized(v)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)
+           .filter(any))
+    def test_normalized_takes_every_finite_nonzero_vector(self, v):
+        # Where |v|^2 overflows or loses its bits below the normal range, v is
+        # rescaled first; wherever v / |v| is a unit vector, those are the bits.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = BlochVector.normalized(v)
+        assert abs(np.linalg.norm(b.v) - 1.0) <= 1e-12
+        with np.errstate(all="ignore"):
+            plain = np.array(v) / np.linalg.norm(v)
+        if abs(np.linalg.norm(plain) - 1.0) <= 1e-12:
+            assert b.v.tobytes() == plain.tobytes()
 
     @given(
         st.lists(
@@ -752,15 +767,25 @@ class TestLambdaOptSearch:
         assert res.value >= LAMBDA_OPT - 1e-3
 
     def test_worst_case_reaches_inverse_sqrt2(self):
+        # The pair is orthogonal, so its threshold is 1/sqrt(2) to rounding.
         for seed in range(50):
             res = lambda_opt_search("worst-case", seed=seed)
-            assert abs(res.value - LAMBDA_OPT) <= 1e-12, seed
             m, n = res.pair
+            assert abs(m.v @ n.v) <= 1e-15, seed
             assert res.value == pytest.approx(2.0 / criterion_value(m, n, 1.0), abs=1e-15)
+            assert abs(res.value - LAMBDA_OPT) <= 1e-15, seed
+            assert res.oracle_verdict != "no"
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
             lambda_opt_search("best-case")
+
+    @pytest.mark.parametrize("source", [3, None, ([0, 0, 1],), ([0, 0, 1], [1, 0, 0], [0, 1, 0])],
+                             ids=["int", "none", "1-tuple", "3-tuple"])
+    def test_malformed_pair_source(self, source):
+        # Each used to escape as a bare TypeError or ValueError.
+        with pytest.raises(ValidationError, match="pair-source"):
+            lambda_opt_search(source)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True])
     def test_worst_case_rejects_a_seed_outside_uint64(self, seed):

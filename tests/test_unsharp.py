@@ -79,12 +79,14 @@ LAMBDA_TAKERS = {
 class TestLambdaIsARealNumber:
     @pytest.mark.parametrize("taker", sorted(LAMBDA_TAKERS))
     @pytest.mark.parametrize(
-        "lam", [None, "abc", "0.5", True, [0.5], 1 + 0j, math.nan, 0, 1 + 1e-9],
-        ids=["none", "abc", "str-half", "true", "list", "complex", "nan", "zero", "above-one"],
+        "lam", [None, "abc", "0.5", True, [0.5], 1 + 0j, math.nan, 0, 1 + 1e-9, Fraction(1, 10**400)],
+        ids=["none", "abc", "str-half", "true", "list", "complex", "nan", "zero", "above-one",
+             "fraction-below-float"],
     )
     def test_rejected_as_validation_error(self, taker, lam):
         # None and "abc" used to escape as a bare TypeError or ValueError
-        # from float(), and "0.5" and True were taken as unsharpnesses.
+        # from float(), "0.5" and True were taken as unsharpnesses, and a
+        # positive Fraction below the smallest float as lambda 0.0.
         with pytest.raises(ValidationError, match=r"lambda-in-\(0,1\]"):
             LAMBDA_TAKERS[taker](lam)
 
