@@ -11,23 +11,22 @@ Three layers of the same CHSH expression
 * bare conditional-probability tables (boxes), where the algebraic
   maximum 4 is reached by the PR box.
 
-Box tables keep exact rational entries whenever the inputs are rational
-(deterministic and PR boxes), so CHSH = 4 and CHSH = 2 come out exactly.
+A box is one float array p[x, y, a, b].  Every box built here has
+entries in {0, 1/4, 1/2, 1}, which floats hold exactly, so the PR box
+gives CHSH = 4 and the deterministic boxes CHSH = 2 with no rounding.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational, Real
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBox, ValidationError
-from .operators import DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, identity
+from .operators import DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, _real_array, identity
 from .unsharp import _smeared_matrices, validate_lambda
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -37,24 +36,13 @@ SETTINGS = ("11", "12", "21", "22")
 _EXACT_EPS = 1e-12
 
 
-def _exactify(x):
-    """Keep rational inputs inside the float range rational; other finite
-    reals become float."""
-    if isinstance(x, Rational):
-        if abs(x) <= sys.float_info.max:
-            return Fraction(x)
-    elif isinstance(x, Real) and math.isfinite(x):
-        return float(x)
-    raise TypeError("not a finite number")
-
-
-def _cell(key: str, cell) -> tuple:
-    """One setting's 2x2 table [a][b] of numbers, or InvalidBox."""
+def _cell(key: str, cell) -> np.ndarray:
+    """One setting's 2x2 table [a, b] of finite floats, or InvalidBox."""
     try:
-        rows = tuple(tuple(_exactify(v) for v in row) for row in cell)
-    except TypeError:
-        rows = ()
-    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        rows = _real_array(cell)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is None or rows.shape != (2, 2) or not np.isfinite(rows).all():
         raise InvalidBox("box-cell", detail=f"setting {key!r} is not a 2x2 table of numbers")
     return rows
 
@@ -63,85 +51,65 @@ def _cell(key: str, cell) -> tuple:
 class NoSignalingBox:
     """Conditional probability table p(a, b | x, y).
 
-    table maps the setting key "xy" (x, y in {1, 2}) to a 2x2 nested
-    tuple indexed [a][b] with outcome index 0 = '+', 1 = '-'.  Entries are
-    Fractions when given as rationals, floats otherwise.  Construction
-    checks positivity, normalization per setting, and both no-signaling
-    conditions at 1e-12.
+    table maps the setting key "xy" (x, y in {1, 2}) to a 2x2 table [a][b]
+    of real numbers with outcome index 0 = '+', 1 = '-'.  The box keeps it
+    as the read-only float array p[x, y, a, b], settings counted from 0.
+    Construction checks each setting in SETTINGS order (a 2x2 table of
+    finite numbers, non-negative, normalized), then both no-signaling
+    conditions, all at 1e-12, and reports the first fault it meets.
     """
 
-    table: dict
+    table: InitVar[Mapping]
+    p: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        clean = {}
-        if not isinstance(self.table, Mapping):
+    def __post_init__(self, table):
+        if not isinstance(table, Mapping):
             raise InvalidBox("box-settings", detail="table must map settings to cells")
-        for key in SETTINGS:
-            if key not in self.table:
-                raise InvalidBox("box-settings", detail=f"missing setting {key!r}")
-            rows = _cell(key, self.table[key])
-            for a in range(2):
-                for b in range(2):
-                    if rows[a][b] < 0:
-                        raise InvalidBox(
-                            "box-nonnegative",
-                            float(-rows[a][b]),
-                            detail=f"p({a},{b}|{key})",
-                        )
-            total = sum(rows[a][b] for a in range(2) for b in range(2))
-            # Four rational cells inside the float range can sum past it.
-            excess = abs(float(total) - 1.0) if total <= sys.float_info.max else math.inf
-            if excess > _EXACT_EPS:
-                raise InvalidBox("box-normalization", excess, detail=f"setting {key!r}")
-            clean[key] = rows
-        object.__setattr__(self, "table", clean)
+        p = np.empty((4, 2, 2))
+        # A cell's four entries can sum past the float range: an inf excess, not a warning.
+        with np.errstate(over="ignore"):
+            for i, key in enumerate(SETTINGS):
+                if key not in table:
+                    raise InvalidBox("box-settings", detail=f"missing setting {key!r}")
+                cell = p[i] = _cell(key, table[key])
+                if cell.min() < 0:
+                    a, b = divmod(int(np.flatnonzero(cell < 0)[0]), 2)
+                    raise InvalidBox("box-nonnegative", float(-cell[a, b]),
+                                     detail=f"p({a},{b}|{key})")
+                excess = abs(float(cell.sum()) - 1.0)
+                if excess > _EXACT_EPS:
+                    raise InvalidBox("box-normalization", excess, detail=f"setting {key!r}")
+        p = p.reshape(2, 2, 2, 2)
 
         # Alice's marginal must not depend on y, Bob's not on x.
-        for a in range(2):
-            for x in (1, 2):
-                m1 = self._alice_marginal(a, x, 1)
-                m2 = self._alice_marginal(a, x, 2)
-                if abs(float(m1 - m2)) > _EXACT_EPS:
-                    raise InvalidBox(
-                        "no-signaling-alice",
-                        abs(float(m1 - m2)),
-                        detail=f"a={a}, x={x}",
-                    )
-        for b in range(2):
-            for y in (1, 2):
-                m1 = self._bob_marginal(b, 1, y)
-                m2 = self._bob_marginal(b, 2, y)
-                if abs(float(m1 - m2)) > _EXACT_EPS:
-                    raise InvalidBox(
-                        "no-signaling-bob",
-                        abs(float(m1 - m2)),
-                        detail=f"b={b}, y={y}",
-                    )
+        alice, bob = p.sum(axis=3), p.sum(axis=2)
+        for invariant, gap, names in (
+            ("no-signaling-alice", abs(alice[:, 0] - alice[:, 1]).T, "ax"),
+            ("no-signaling-bob", abs(bob[0] - bob[1]).T, "by"),
+        ):
+            if gap.max() > _EXACT_EPS:
+                i, j = np.argwhere(gap > _EXACT_EPS)[0]
+                raise InvalidBox(invariant, float(gap[i, j]),
+                                 detail=f"{names[0]}={i}, {names[1]}={j + 1}")
+        p.setflags(write=False)
+        object.__setattr__(self, "p", p)
 
-    def _alice_marginal(self, a: int, x: int, y: int):
-        cell = self.table[f"{x}{y}"]
-        return cell[a][0] + cell[a][1]
-
-    def _bob_marginal(self, b: int, x: int, y: int):
-        cell = self.table[f"{x}{y}"]
-        return cell[0][b] + cell[1][b]
-
-    def prob(self, a: int, b: int, x: int, y: int):
+    def prob(self, a: int, b: int, x: int, y: int) -> float:
         """p(a, b | x, y) with outcome signs a, b in {+1, -1}."""
-        return self.table[f"{x}{y}"][(1 - a) // 2][(1 - b) // 2]
+        return float(self.p[x - 1, y - 1, (1 - a) // 2, (1 - b) // 2])
 
-    def correlator(self, x: int, y: int):
-        """Sum over outcomes of (a*b) p(a, b | x, y); exact if the table is."""
-        cell = self.table[f"{x}{y}"]
-        return cell[0][0] - cell[0][1] - cell[1][0] + cell[1][1]
+    def correlators(self) -> np.ndarray:
+        """t[x, y], the sum over outcomes of (a*b) p(a, b | x, y), settings counted from 0."""
+        p = self.p
+        return p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
 
     def to_json(self) -> dict:
-        return {
-            "p": {
-                key: [[float(self.table[key][a][b]) for b in range(2)] for a in range(2)]
-                for key in SETTINGS
-            }
-        }
+        return {"p": dict(zip(SETTINGS, self.p.reshape(4, 2, 2).tolist()))}
+
+
+def _box(p: np.ndarray) -> NoSignalingBox:
+    """The box of an array p[x, y, a, b], through the validating constructor."""
+    return NoSignalingBox(dict(zip(SETTINGS, p.reshape(4, 2, 2))))
 
 
 def pr_box() -> NoSignalingBox:
@@ -149,23 +117,12 @@ def pr_box() -> NoSignalingBox:
 
     In bit form, a xor b = x and y; every entry is 0 or 1/2 exactly.
     """
-    half = Fraction(1, 2)
-    table = {}
-    for x in (1, 2):
-        for y in (1, 2):
-            anti = x == 2 and y == 2
-            cell = [[Fraction(0)] * 2 for _ in range(2)]
-            for a in range(2):
-                for b in range(2):
-                    agree = a == b
-                    cell[a][b] = half if (agree != anti) else Fraction(0)
-            table[f"{x}{y}"] = cell
-    return NoSignalingBox(table)
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    return _box(0.5 * ((a ^ b) == (x & y)))
 
 
 def white_noise_box() -> NoSignalingBox:
-    q = Fraction(1, 4)
-    return NoSignalingBox({key: [[q, q], [q, q]] for key in SETTINGS})
+    return _box(np.full((2, 2, 2, 2), 0.25))
 
 
 def deterministic_box(alice: tuple[int, int], bob: tuple[int, int]) -> NoSignalingBox:
@@ -176,25 +133,14 @@ def deterministic_box(alice: tuple[int, int], bob: tuple[int, int]) -> NoSignali
     for v in (*alice, *bob):
         if v not in (1, -1):
             raise InvalidBox("deterministic-outcomes", detail=f"got {v!r}")
-    table = {}
-    for x in (1, 2):
-        for y in (1, 2):
-            cell = [[Fraction(0)] * 2 for _ in range(2)]
-            cell[(1 - alice[x - 1]) // 2][(1 - bob[y - 1]) // 2] = Fraction(1)
-            table[f"{x}{y}"] = cell
-    return NoSignalingBox(table)
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    a_out, b_out = ((1 - np.array(signs, dtype=int)) // 2 for signs in (alice, bob))
+    return _box(1.0 * ((a == a_out[x]) & (b == b_out[y])))
 
 
 def local_deterministic_boxes() -> list[NoSignalingBox]:
-    """All sixteen deterministic local strategies."""
-    signs = (1, -1)
-    return [
-        deterministic_box((a1, a2), (b1, b2))
-        for a1 in signs
-        for a2 in signs
-        for b1 in signs
-        for b2 in signs
-    ]
+    """All sixteen deterministic local strategies, Bob's second outcome varying fastest."""
+    return [deterministic_box(s[:2], s[2:]) for s in itertools.product((1, -1), repeat=4)]
 
 
 @dataclass(frozen=True)
@@ -290,9 +236,8 @@ def _smeared_terms(state, a1, a2, b1, b2, lam) -> tuple:
 
 
 def box_chsh(box: NoSignalingBox) -> ChshReport:
-    """CHSH of a conditional-probability table; exact on rational boxes."""
-    terms = tuple(box.correlator(x, y) for x, y in ((1, 1), (1, 2), (2, 1), (2, 2)))
-    return _report(terms, TSIRELSON_BOUND)
+    """CHSH of a conditional-probability table; exact on the built-in boxes."""
+    return _report(box.correlators().ravel().tolist(), TSIRELSON_BOUND)
 
 
 def singlet() -> DensityMatrix:

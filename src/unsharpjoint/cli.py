@@ -61,6 +61,8 @@ def _load_json(path: str) -> dict:
         raise ParseError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer past int()'s digit limit
+        raise ParseError(path, str(exc)) from exc
     if not isinstance(obj, dict):
         raise ParseError(path, f"expected a JSON object, got {type(obj).__name__}")
     return obj

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -59,6 +59,19 @@ def square_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValidationError("finite-entries")
     return a
+
+
+def _real_array(obj) -> np.ndarray:
+    """A nested sequence of real numbers (bools count) as a float array.
+
+    numpy would read the string "1" as 1.0, so the inferred dtype is checked
+    first; entries of an object array (ints past int64, Fractions) are
+    checked one by one.  Raises TypeError, ValueError or OverflowError.
+    """
+    raw = np.asarray(obj)
+    if raw.dtype.kind not in "biuf" and not all(isinstance(v, Real) for v in raw.flat):
+        raise TypeError("entries must be real numbers")
+    return raw.astype(float, copy=False)
 
 
 def _frozen(cls, **fields):
@@ -343,9 +356,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValidationError("operator-json", detail=f"dim {dim!r} is not an integer")
     dim = int(dim)
     try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        re, im = _real_array(obj["re"]), _real_array(obj["im"])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("operator-json", detail="re/im entries must be numbers") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(

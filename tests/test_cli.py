@@ -322,11 +322,49 @@ BOX_NUMBER = st.one_of(
 )
 
 
+_PR = {k: [[0.5, 0.0], [0.0, 0.5]] for k in SETTINGS} | {"22": [[0.0, 0.5], [0.5, 0.0]]}
+_DETERMINISTIC = {"11": [[0, 1], [0, 0]], "12": [[1, 0], [0, 0]], "21": [[0, 0], [0, 1]], "22": [[0, 0], [1, 0]]}
+_HI, _LO = 0.32499999999999996, 0.175  # w/2 + (1-w)/4 and (1-w)/4 at w = 0.3
+_NOISY_PR = {k: [[_HI, _LO], [_LO, _HI]] for k in SETTINGS} | {"22": [[_LO, _HI], [_HI, _LO]]}
+
+
+def _as_ints(table):
+    return {k: [[int(v) if v in (0, 1) else v for v in row] for row in cell] for k, cell in table.items()}
+
+
+def _as_floats(table):
+    return {k: [[float(v) for v in row] for row in cell] for k, cell in table.items()}
+
+
 class TestBoxChsh:
     def test_pr_exact(self, fixtures, capsys):
         code, out = _run(["box-chsh", "--box", fixtures["pr.json"]], capsys)
         assert code == 0
         assert json.loads(out)["value"] == 4.0
+
+    @pytest.mark.parametrize(
+        "table,terms,value,within",
+        [
+            (_PR, ("1.0", "1.0", "1.0", "-1.0"), "4.0", "false"),
+            (_as_ints(_PR), ("1.0", "1.0", "1.0", "-1.0"), "4.0", "false"),
+            (_DETERMINISTIC, ("-1.0", "1.0", "1.0", "-1.0"), "2.0", "true"),
+            (_as_floats(_DETERMINISTIC), ("-1.0", "1.0", "1.0", "-1.0"), "2.0", "true"),
+            (_NOISY_PR, ("0.29999999999999993",) * 3 + ("-0.29999999999999993",), "1.1999999999999997",
+             "true"),
+        ],
+        ids=["pr-floats", "pr-int-zeros", "deterministic-ints", "deterministic-floats", "noisy-pr-floats"],
+    )
+    def test_report_bytes_pinned(self, table, terms, value, within, tmp_path, capsys):
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps({"p": table}))
+        code, out = _run(["box-chsh", "--box", str(path)], capsys)
+        t11, t12, t21, t22 = terms
+        assert code == 0
+        assert out == (
+            '{\n  "bound_lambda": 2.8284271247461903,\n  "kind": "chsh",\n  "schema": "uj/1",\n'
+            f'  "terms": {{\n    "t11": {t11},\n    "t12": {t12},\n    "t21": {t21},\n    "t22": {t22}\n  }},\n'
+            f'  "value": {value},\n  "within_bound": {within}\n}}\n'
+        )
 
     @settings(max_examples=60)
     @given(cells=st.lists(st.lists(st.lists(BOX_NUMBER, min_size=2, max_size=2), min_size=2, max_size=2),
@@ -506,17 +544,32 @@ class TestErrors:
             (["chsh", "--state", "BAD", "--settings", "settings.json"],
              matrix_to_json(np.diag([2.0, -1.0, 0.0, 0.0]))),
             (["blocks", "--p", "BAD", "--q", "q.json"], matrix_to_json(np.diag([2.0, -1.0]))),
+            # An entry of 401 digits used to end in a bare OverflowError, and
+            # numpy read the strings "1" and " 1 " as numbers.
+            (["blocks", "--p", "BAD", "--q", "q.json"], {"dim": 1, "re": [[10**400]], "im": [[0]]}),
+            (["smear", "--obs", "BAD", "--lambda", "0.5"], {"dim": 1, "re": [["1"]], "im": [[0]]}),
+            (["chsh", "--state", "BAD", "--settings", "settings.json"],
+             {"dim": 4, "re": [[" 1 ", 0, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4}),
+            # Bytes, not JSON values: an integer past int()'s 4,300-digit limit
+            # and a file that is not UTF-8 used to end in a bare ValueError.
+            (["box-chsh", "--box", "BAD"], b'{"p": ' + b"9" * 5000 + b"}"),
+            (["box-chsh", "--box", "BAD"], b'{"p": "\xff"}'),
         ],
         ids=[
             "top-level-number", "dim-string", "entry-string", "yes-number",
             "box-cell-number", "box-number", "box-huge-negative", "box-huge-positive",
             "box-sum-past-float-range", "blocks-number", "state-number",
             "settings-entry-number", "state-not-psd", "projector-not-idempotent",
+            "blocks-huge-entry", "smear-numeric-string", "state-padded-numeric-string",
+            "5000-digit-integer", "not-utf-8",
         ],
     )
     def test_malformed_file_exits_one(self, argv, content, fixtures, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(content))
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(json.dumps(content))
         argv = [str(bad) if a == "BAD" else fixtures.get(a, a) for a in argv]
         code = main(argv)
         captured = capsys.readouterr()

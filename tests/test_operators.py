@@ -470,6 +470,11 @@ class TestJsonFormat:
             {"dim": 1, "re": [["x"]], "im": [[0]]},
             {"dim": 1, "re": [[1]], "im": [[{}]]},
             {"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]},
+            {"dim": 1, "re": [[10**400]], "im": [[0]]},
+            {"dim": 1, "re": [[1]], "im": [[-(10**400)]]},
+            {"dim": 1, "re": [["1"]], "im": [[0]]},
+            {"dim": 2, "re": [[" 1 ", 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+            {"dim": 2, "re": [["1", 2**70], [0, 1]], "im": [[0, 0], [0, 0]]},
         ],
     )
     def test_malformed_operator_rejected(self, obj):
