@@ -31,7 +31,6 @@ from .operators import (
     min_eigenvalue,
     projector_onto,
     tensor,
-    validate_effect,
 )
 from .unsharp import SmearedMeanReport, mean_value, smear, smeared_mean, validate_lambda
 from .decompose import (
@@ -132,7 +131,6 @@ __all__ = [
     "smeared_mean",
     "tensor",
     "two_projector_blocks",
-    "validate_effect",
     "validate_lambda",
     "white_noise_box",
 ]

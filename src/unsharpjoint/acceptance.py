@@ -245,7 +245,7 @@ def criterion_7_dilation_pipeline() -> AcceptanceResult:
         for _ in range(100):
             e = _random_effect(rng, d)
             dil = neumark_dilate(DichotomicObservable.from_yes_effect(e))
-            back = compress(dil.projector.as_effect(), 0)
+            back = compress(dil.projector.as_effect())
             worst_rt = max(worst_rt, float(np.max(np.abs(back.matrix - e.matrix))))
 
     worst_res = 0.0
@@ -330,12 +330,11 @@ CRITERIA: tuple[tuple[int, str, Callable[[], AcceptanceResult]], ...] = (
 )
 
 
-def run_all(echo=print) -> list[AcceptanceResult]:
+def run_all() -> list[AcceptanceResult]:
     """Run every criterion in order, printing one line per result."""
     results = []
     for _, _, fn in CRITERIA:
         result = fn()
         results.append(result)
-        if echo is not None:
-            echo(result.line)
+        print(result.line)
     return results

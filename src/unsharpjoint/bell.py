@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBox, ValidationError
-from .operators import DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, _real_array, identity
+from .operators import DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, _number_array, identity
 from .unsharp import _smeared_matrices, validate_lambda
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -39,7 +39,7 @@ _EXACT_EPS = 1e-12
 def _cell(key: str, cell) -> np.ndarray:
     """One setting's 2x2 table [a, b] of finite floats, or InvalidBox."""
     try:
-        rows = _real_array(cell)
+        rows = _number_array(cell)
     except (TypeError, ValueError, OverflowError):
         rows = None
     if rows is None or rows.shape != (2, 2) or not np.isfinite(rows).all():

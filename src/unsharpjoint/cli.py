@@ -315,7 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_acceptance(args: argparse.Namespace) -> int:
-    results = acceptance_mod.run_all(echo=print)
+    results = acceptance_mod.run_all()
     payload = {
         "schema": SCHEMA,
         "kind": "acceptance",

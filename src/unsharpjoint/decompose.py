@@ -37,7 +37,6 @@ from .operators import (
     Effect,
     Projector,
     square_matrix,
-    validate_effect,
 )
 
 CLUSTER_TOL = 1e-10          # group equal cos^2 values; snap sin*cos to 0
@@ -241,7 +240,7 @@ def _yes_effect(obs) -> Effect:
     if isinstance(obs, Effect):
         return obs
     try:
-        return validate_effect(square_matrix(obs))
+        return Effect(obs)
     except ValidationError as exc:
         raise NotEffect(exc.invariant, exc.residual) from exc
 
@@ -266,17 +265,15 @@ def neumark_dilate(obs) -> NeumarkDilation:
     return NeumarkDilation(Projector(proj, rank=d))
 
 
-def compress(g, ancilla_state_index: int = 0) -> Effect:
-    """Sub-block <s_A| G |s_A> of an operator on system x ancilla.
+def compress(g) -> Effect:
+    """Sub-block <0_A| G |0_A> of an operator on system x ancilla.
 
     The input must act on an even-dimensional space factored as d x 2 with
-    the ancilla last.  Effects map to effects: the compression of any
-    0 <= G <= I again satisfies 0 <= <s|G|s> <= I_d.
+    the ancilla last; the ancilla state is |0>, as in ANCILLA_CONVENTION.
+    Effects map to effects: the compression of any 0 <= G <= I again
+    satisfies 0 <= <0|G|0> <= I_d.
     """
     m = g.matrix if isinstance(g, Effect) else square_matrix(g)
     if m.shape[0] % 2 != 0:
         raise OddDimension(m.shape[0])
-    if ancilla_state_index not in (0, 1):
-        raise ValidationError("ancilla-index-0-or-1", detail=f"{ancilla_state_index!r}")
-    s = ancilla_state_index
-    return Effect(m[s::2, s::2])
+    return Effect(m[0::2, 0::2])

@@ -60,6 +60,7 @@ from .operators import (
     PAULI,
     _check_effects,
     _frozen,
+    _number_array,
     _unit_vector,
     _validated_effects,
     identity,
@@ -84,6 +85,15 @@ CERTIFICATE_MARGIN = 1e-12
 ANDERSON_MEMORY = 3
 
 
+def _bloch_array(v) -> np.ndarray:
+    """v as a flat float array; anything but real numbers in the float range
+    (a string such as "1", a complex, 10**400) raises ValidationError."""
+    try:
+        return _number_array(v).reshape(-1)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("bloch-3-vector", detail=str(exc)) from exc
+
+
 @dataclass(frozen=True, eq=False)
 class BlochVector:
     """Unit 3-vector parametrizing a rank-1 qubit projector (I + v.sigma)/2."""
@@ -91,7 +101,7 @@ class BlochVector:
     v: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.v, dtype=float).reshape(-1)
+        a = _bloch_array(self.v)
         if a.shape != (3,):
             raise ValidationError("bloch-3-vector", detail=f"shape {a.shape}")
         norm = float(np.linalg.norm(a))
@@ -105,11 +115,11 @@ class BlochVector:
 
     @classmethod
     def coerce(cls, v) -> "BlochVector":
-        return v if isinstance(v, BlochVector) else cls(np.asarray(v, dtype=float))
+        return v if isinstance(v, BlochVector) else cls(v)
 
     @classmethod
     def normalized(cls, v) -> "BlochVector":
-        a = np.asarray(v, dtype=float).reshape(-1)
+        a = _bloch_array(v)
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(a))
         if 0.0 < norm < math.inf:
@@ -403,9 +413,9 @@ def povm_joint_observable(
     observables exactly, and every G_jk is at least (2 - lam * top) / 8;
     since (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8
     for |A|, |B| <= 1, top <= 2 sqrt(2) and the witness is PSD for every
-    lam <= 1/sqrt(2) (Busch 1986).  The witness is checked once, at the
-    largest of PSD_TOL and the input effects' tolerances, so effects
-    inside their own window but just outside [0, 1] still get one.
+    lam <= 1/sqrt(2) (Busch 1986).  The witness is checked once, at
+    PSD_TOL, so effects inside the Effect window but just outside [0, 1]
+    still get one.
 
     So the verdict is a closed-form "yes" (0 iterations) when
     lam <= 1/sqrt(2) or lam * top <= 2 + CRITERION_SLACK.  Past both, the
@@ -422,8 +432,7 @@ def povm_joint_observable(
     o1lam, o2lam = smear(o1, lam), smear(o2, lam)
     if lam > LAMBDA_OPT and value > 2.0 + CRITERION_SLACK:
         return feasibility_oracle(o1lam, o2lam)
-    tol = max(PSD_TOL, *(e.tol for o in (o1, o2) for e in (o.yes_effect, o.no_effect)))
-    return _yes(effects, tol, o1lam, o2lam, 0)
+    return _yes(effects, PSD_TOL, o1lam, o2lam, 0)
 
 
 def _affine_project(
@@ -642,7 +651,7 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
         bloch = False
     if bloch:
         pair = (BlochVector.coerce(a), BlochVector.coerce(b))
-        value = _pair_threshold(pair[0].v, pair[1].v)
+        value = min(1.0, 2.0 / criterion_value(*pair, 1.0))
         observables = (pair[0].observable(), pair[1].observable())
     else:
         observables = tuple(
@@ -666,12 +675,6 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
             "oracle-contradicts-construction", detail=f"at lambda={value!r}"
         )
     return LambdaOptResult(value=value, pair=pair, oracle_verdict=verdict)
-
-
-def _pair_threshold(m: np.ndarray, n: np.ndarray) -> float:
-    """Exact criterion boundary min(1, 2 / (|m+n| + |m-n|)) for one Bloch pair."""
-    s, d = _bloch_norms(m, n)
-    return min(1.0, 2.0 / (s + d))
 
 
 def _worst_case_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:

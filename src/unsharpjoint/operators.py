@@ -7,8 +7,8 @@ Hilbert spaces (d <= 64; only `uj dilate` doubles it), so no sparsity is
 needed.
 
 Tolerance policy is two-tier: affine identities and Hermiticity are checked
-at 1e-10, positive-semidefiniteness at 1e-9.  Validation helpers report raw
-residuals so callers can tighten if they need to.
+at 1e-10, positive-semidefiniteness at 1e-9.  Validation errors report raw
+residuals.
 
 Public constructors validate, derived values are built unchecked by
 _frozen, and a joint witness (or a stack of them) is checked once, in one
@@ -20,8 +20,8 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from numbers import Integral, Real
+from dataclasses import dataclass
+from numbers import Complex, Integral, Real
 
 import numpy as np
 
@@ -47,12 +47,13 @@ PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 def square_matrix(m) -> np.ndarray:
     """Coerce input to a finite square complex matrix of size at least 1.
 
-    Raises ValidationError if the input is not an array of numbers, is not
-    square, is 0x0 or has non-finite entries.
+    Raises ValidationError if the input is not an array of numbers (strings
+    such as "1" included), has an entry past the float range, is not square,
+    is 0x0 or has non-finite entries.
     """
     try:
-        a = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError) as exc:  # non-numeric, ragged or a mapping
+        a = _number_array(m, complex)
+    except (TypeError, ValueError, OverflowError) as exc:  # non-numeric, ragged, a mapping or huge
         raise ValidationError("square-matrix", detail=str(exc)) from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValidationError("square-matrix", detail=f"shape {a.shape}")
@@ -61,17 +62,19 @@ def square_matrix(m) -> np.ndarray:
     return a
 
 
-def _real_array(obj) -> np.ndarray:
-    """A nested sequence of real numbers (bools count) as a float array.
+def _number_array(obj, dtype=float) -> np.ndarray:
+    """A nested sequence of real numbers (bools count) as a float array, or
+    with dtype=complex of complex numbers as a complex array.
 
     numpy would read the string "1" as 1.0, so the inferred dtype is checked
     first; entries of an object array (ints past int64, Fractions) are
     checked one by one.  Raises TypeError, ValueError or OverflowError.
     """
+    kinds, number = ("biuf", Real) if dtype is float else ("biufc", Complex)
     raw = np.asarray(obj)
-    if raw.dtype.kind not in "biuf" and not all(isinstance(v, Real) for v in raw.flat):
-        raise TypeError("entries must be real numbers")
-    return raw.astype(float, copy=False)
+    if raw.dtype.kind not in kinds and not all(isinstance(v, number) for v in raw.flat):
+        raise TypeError("entries must be numbers")
+    return raw.astype(dtype, copy=False)
 
 
 def _frozen(cls, **fields):
@@ -89,10 +92,10 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     a = square_matrix(m)
     res = float(np.max(np.abs(a - a.conj().T), initial=0.0))
-    if res > tol:
+    if res > HERMITIAN_TOL:
         raise NotHermitian(res)
     return a
 
@@ -122,17 +125,14 @@ class Effect:
 
     The atom of all measurements: outcome probabilities are Tr[rho E].
     Spectrum is checked with a Hermitian eigensolver at construction;
-    the admissible window is [-tol, 1 + tol] with tol = 1e-9 by default.
+    the admissible window is [-PSD_TOL, 1 + PSD_TOL], PSD_TOL = 1e-9.
     """
 
     matrix: np.ndarray
-    tol: float = field(default=PSD_TOL, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.tol < math.inf:
-            raise ValidationError("effect-tol", detail=f"need finite tol >= 0, got {self.tol!r}")
         m = require_hermitian(self.matrix)
-        _require_window(np.linalg.eigvalsh((m + m.conj().T) / 2), self.tol)
+        _require_window(np.linalg.eigvalsh((m + m.conj().T) / 2), PSD_TOL)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -142,8 +142,8 @@ class Effect:
         return self.matrix.shape[0]
 
     def complement(self) -> "Effect":
-        # a -> 1 - a keeps the window [-tol, 1 + tol] and the hermiticity.
-        return _frozen(Effect, matrix=identity(self.dim) - self.matrix, tol=self.tol)
+        # a -> 1 - a keeps the window [-PSD_TOL, 1 + PSD_TOL] and the hermiticity.
+        return _frozen(Effect, matrix=identity(self.dim) - self.matrix)
 
 
 def _require_window(eigs: np.ndarray, tol: float) -> None:
@@ -155,8 +155,9 @@ def _require_window(eigs: np.ndarray, tol: float) -> None:
 
 
 def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
-    """Check each m of a (k, d, d) stack as Effect(m, tol) does, in one eigvalsh call
-    (a non-finite entry anywhere first); the hermitized spectra, then the raw if raw."""
+    """Check each m of a (k, d, d) stack as Effect(m) does, but against the window
+    [-tol, 1 + tol], in one eigvalsh call (a non-finite entry anywhere first); the
+    hermitized spectra, then the raw if raw."""
     if not np.all(np.isfinite(g)):
         raise ValidationError("finite-entries")
     gh = np.conj(np.swapaxes(g, 1, 2))
@@ -172,20 +173,12 @@ def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
 
 
 def _validated_effects(g, tol: float) -> tuple[tuple[Effect, ...], float]:
-    """Effect(m, tol) for each m of a (k, d, d) stack and the smallest raw eigenvalue."""
+    """An Effect for each m of a (k, d, d) stack, checked by _check_effects at
+    tol, and the smallest raw eigenvalue."""
     g = np.asarray(g, dtype=complex)
     eigs = _check_effects(g, tol, raw=True)
     g.setflags(write=False)
-    return tuple(_frozen(Effect, matrix=m, tol=tol) for m in g), float(np.min(eigs[len(g):, 0]))
-
-
-def validate_effect(m, tol: float = PSD_TOL) -> Effect:
-    """Validate a matrix as an effect with an explicit spectral tolerance.
-
-    Returns an Effect iff m is Hermitian (to 1e-10) and its spectrum lies
-    in [-tol, 1 + tol].  The offending eigenvalue is reported otherwise.
-    """
-    return Effect(square_matrix(m), float(tol))
+    return tuple(_frozen(Effect, matrix=m) for m in g), float(np.min(eigs[len(g):, 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +209,7 @@ class DichotomicObservable:
 
     @classmethod
     def from_yes_effect(cls, m) -> "DichotomicObservable":
-        yes = m if isinstance(m, Effect) else Effect(square_matrix(m))
+        yes = m if isinstance(m, Effect) else Effect(m)
         # yes + (I - yes) is I to rounding, far inside AFFINE_TOL.
         return _frozen(cls, yes_effect=yes, no_effect=yes.complement())
 
@@ -260,7 +253,7 @@ class Projector:
 
     def as_effect(self) -> Effect:
         # The idempotency bound keeps the spectrum in the effect window.
-        return _frozen(Effect, matrix=self.matrix, tol=PSD_TOL)
+        return _frozen(Effect, matrix=self.matrix)
 
     def observable(self) -> DichotomicObservable:
         """The sharp dichotomic measurement {P, I - P}."""
@@ -269,7 +262,10 @@ class Projector:
 
 def _unit_vector(vec) -> np.ndarray:
     """vec / |vec| as a complex vector, for every finite vec nonzero in floating point."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
+    try:
+        v = _number_array(vec, complex).reshape(-1)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("numeric-vector", detail=str(exc)) from exc
     if not np.isfinite(v).all():
         raise ValidationError("finite-entries")
     with np.errstate(over="ignore"):
@@ -356,7 +352,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValidationError("operator-json", detail=f"dim {dim!r} is not an integer")
     dim = int(dim)
     try:
-        re, im = _real_array(obj["re"]), _real_array(obj["im"])
+        re, im = _number_array(obj["re"]), _number_array(obj["im"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("operator-json", detail="re/im entries must be numbers") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):

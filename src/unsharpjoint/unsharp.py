@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .operators import PSD_TOL, DensityMatrix, DichotomicObservable, Effect, _frozen
+from .operators import DensityMatrix, DichotomicObservable, Effect, _frozen
 
 SCALING_TOL = 1e-12
 
@@ -40,9 +40,8 @@ def smear(obs: DichotomicObservable, lam) -> DichotomicObservable:
     preserved exactly as constructed, so the outputs are built unchecked.
     """
     yes, no = _smeared_matrices(obs, validate_lambda(lam))
-    yes = _frozen(Effect, matrix=yes, tol=max(PSD_TOL, obs.yes_effect.tol))
-    no = _frozen(Effect, matrix=no, tol=max(PSD_TOL, obs.no_effect.tol))
-    return _frozen(DichotomicObservable, yes_effect=yes, no_effect=no)
+    return _frozen(DichotomicObservable, yes_effect=_frozen(Effect, matrix=yes),
+                   no_effect=_frozen(Effect, matrix=no))
 
 
 def _smeared_matrices(obs: DichotomicObservable, lam) -> tuple[np.ndarray, np.ndarray]:

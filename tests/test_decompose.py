@@ -258,7 +258,7 @@ class TestNeumarkDilate:
         obs = DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]).astype(complex))
         dil = neumark_dilate(obs)
         assert dil.convention == ANCILLA_CONVENTION
-        back = compress(dil.projector.as_effect(), 0)
+        back = compress(dil.projector.as_effect())
         np.testing.assert_allclose(back.matrix, obs.yes_effect.matrix, atol=1e-15)
 
     def test_half_identity_closed_form(self):
@@ -269,7 +269,7 @@ class TestNeumarkDilate:
         assert dil.projector.rank == 2
         expected = np.kron(identity(2), np.full((2, 2), 0.5))
         np.testing.assert_allclose(dil.projector.matrix, expected, atol=1e-12)
-        back = compress(dil.projector.as_effect(), 0)
+        back = compress(dil.projector.as_effect())
         np.testing.assert_allclose(back.matrix, 0.5 * identity(2), atol=1e-12)
 
     def test_roundtrip_random_qubit_effects(self):
@@ -277,7 +277,7 @@ class TestNeumarkDilate:
         for _ in range(100):
             e = _random_effect(rng, 2)
             dil = neumark_dilate(DichotomicObservable.from_yes_effect(e))
-            back = compress(dil.projector.as_effect(), 0)
+            back = compress(dil.projector.as_effect())
             assert np.max(np.abs(back.matrix - e.matrix)) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
@@ -286,39 +286,34 @@ class TestNeumarkDilate:
         for _ in range(10):
             e = _random_effect(rng, dim)
             dil = neumark_dilate(DichotomicObservable.from_yes_effect(e))
-            back = compress(dil.projector.as_effect(), 0)
+            back = compress(dil.projector.as_effect())
             assert np.max(np.abs(back.matrix - e.matrix)) <= 1e-12
 
     def test_accepts_bare_effect(self):
         e = Effect(np.diag([0.25, 0.75]).astype(complex))
         dil = neumark_dilate(e)
-        back = compress(dil.projector.as_effect(), 0)
+        back = compress(dil.projector.as_effect())
         np.testing.assert_allclose(back.matrix, e.matrix, atol=1e-12)
 
 
 class TestCompress:
     def test_identity_compresses_to_identity(self):
-        e = compress(Effect(identity(4)), 0)
+        e = compress(Effect(identity(4)))
         np.testing.assert_array_equal(e.matrix, identity(2))
 
     def test_orthogonal_ancilla_sector_vanishes(self):
         g = np.kron(0.5 * (identity(2) + PAULI_X), np.diag([0.0, 1.0]))
-        e = compress(Effect(g), 0)
+        e = compress(Effect(g))
         np.testing.assert_array_equal(e.matrix, np.zeros((2, 2)))
-
-    def test_other_sector(self):
-        g = np.kron(0.5 * (identity(2) + PAULI_X), np.diag([0.0, 1.0]))
-        e = compress(Effect(g), 1)
-        np.testing.assert_allclose(e.matrix, 0.5 * (identity(2) + PAULI_X), atol=1e-15)
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(OddDimension):
-            compress(Effect(identity(3)), 0)
+            compress(Effect(identity(3)))
 
     def test_effects_map_to_effects(self):
         rng = np.random.default_rng(89)
         for _ in range(30):
             d = 2 * int(rng.integers(1, 5))
             e = _random_effect(rng, d)
-            out = compress(e, 0)  # Effect validation runs inside
+            out = compress(e)  # Effect validation runs inside
             assert out.dim == d // 2

@@ -108,6 +108,19 @@ class TestBlochVector:
             BlochVector(v)
 
     @pytest.mark.parametrize(
+        "v", [["1", "0", "0"], ["0", 1, 0], [1j, 0, 0], [10**400, 0, 0], [0, 0, -(10**400)]],
+        ids=["strings", "one-string", "complex", "huge-int", "huge-negative-int"],
+    )
+    @pytest.mark.parametrize(
+        "build", [BlochVector, BlochVector.coerce, BlochVector.normalized],
+        ids=["init", "coerce", "normalized"],
+    )
+    def test_non_numeric_entries_rejected(self, build, v):
+        # Strings were read as numbers, and a huge int raised a bare OverflowError.
+        with pytest.raises(ValidationError, match="bloch-3-vector"):
+            build(v)
+
+    @pytest.mark.parametrize(
         "v", [[0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]]
     )
     def test_normalized_rejects_degenerate_norm(self, v):
@@ -402,7 +415,7 @@ class TestPovmJointObservable:
 
     def test_effects_just_outside_the_unit_interval(self):
         # |A| = |B| = 1 + 1e-9, valid at the default tolerance: the witness
-        # is checked at the inputs' tolerance.  Just past 1/sqrt(2) the
+        # is checked at PSD_TOL.  Just past 1/sqrt(2) the
         # contrast witness fails lam * top <= 2 + CRITERION_SLACK, and the
         # oracle's checked "yes" replaces the closed form's "no".
         s = 1.0 + 1e-9
@@ -417,18 +430,17 @@ class TestPovmJointObservable:
         assert rep.iterations == 1
         _assert_witnesses_yes(rep, smear(o1, lam), smear(o2, lam))
 
-    def test_effects_at_the_edge_of_their_own_window(self):
-        # Eigenvalues 1 + 0.995e-6 and -0.995e-6, inside tol = 1e-6.
-        s = 1.0 + 1.99e-6
+    def test_effects_at_the_edge_of_the_window(self):
+        # Eigenvalues 1 + 0.995e-9 and -0.995e-9, inside the window PSD_TOL = 1e-9.
+        s = 1.0 + 1.99e-9
         o1, o2 = (
-            DichotomicObservable.from_yes_effect(Effect((identity(2) + s * pauli) / 2.0, tol=1e-6))
+            DichotomicObservable.from_yes_effect(Effect((identity(2) + s * pauli) / 2.0))
             for pauli in (PAULI_Z, PAULI_X)
         )
         rep = povm_joint_observable(o1, o2, LAMBDA_OPT)
         assert rep.feasible == "yes"
         assert rep.marginal_residual <= 1e-15
-        assert -1e-6 <= rep.min_eigenvalue < -PSD_TOL
-        assert all(e.tol == 1e-6 for e in rep.witness.effects)
+        assert -PSD_TOL <= rep.min_eigenvalue < 0.0
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())

@@ -26,9 +26,8 @@ from unsharpjoint import (
     smear,
     tensor,
     two_projector_blocks,
-    validate_effect,
 )
-from unsharpjoint.operators import PAULI_X, PAULI_Z, identity
+from unsharpjoint.operators import HERMITIAN_TOL, PAULI_X, PAULI_Z, identity
 
 _EMPTY = np.zeros((0, 0))
 
@@ -37,7 +36,6 @@ _EMPTY = np.zeros((0, 0))
     "build",
     [
         lambda: Effect(_EMPTY),
-        lambda: validate_effect(_EMPTY),
         lambda: DichotomicObservable.from_yes_effect(_EMPTY),
         lambda: DensityMatrix(_EMPTY),
         lambda: DensityMatrix.maximally_mixed(0),
@@ -47,7 +45,7 @@ _EMPTY = np.zeros((0, 0))
         lambda: two_projector_blocks(Projector(_EMPTY, 0), Projector(_EMPTY, 0)),
         lambda: matrix_to_json(_EMPTY),
     ],
-    ids=["effect", "validate-effect", "observable", "density", "maximally-mixed", "projector",
+    ids=["effect", "observable", "density", "maximally-mixed", "projector",
          "projector-from-matrix", "pvm", "blocks", "json"],
 )
 def test_zero_dimension_is_rejected(build):
@@ -57,10 +55,17 @@ def test_zero_dimension_is_rejected(build):
         build()
 
 
-@pytest.mark.parametrize("m", ["abc", [[1, 2], [3]], {"a": 1}], ids=["string", "ragged", "dict"])
-@pytest.mark.parametrize("build", [Effect, validate_effect], ids=["effect", "validate-effect"])
+@pytest.mark.parametrize(
+    "m",
+    ["abc", [[1, 2], [3]], {"a": 1}, [["1", 0], [0, "0.5"]], [["1", 0], [0, "0"]],
+     [[10**400, 0], [0, 0]], [[0.5, 0], [0, -(10**400)]]],
+    ids=["string", "ragged", "dict", "numeric-strings", "numeric-strings-01", "huge-int",
+         "huge-negative-int"],
+)
+@pytest.mark.parametrize("build", [Effect, DensityMatrix], ids=["effect", "density"])
 def test_non_numeric_input_is_rejected(build, m):
-    # numpy's own ValueError or TypeError used to escape untyped.
+    # numpy's own ValueError, TypeError or OverflowError used to escape
+    # untyped, and strings such as "1" were read as numbers.
     with pytest.raises(ValidationError, match="square-matrix"):
         build(m)
 
@@ -70,37 +75,42 @@ HALF_PLUS = 0.8535533905932737   # (2 + sqrt 2) / 4
 HALF_MINUS = 0.1464466094067262  # (2 - sqrt 2) / 4
 
 
-class TestValidateEffect:
+class TestEffect:
     def test_identity_is_an_effect(self):
-        e = validate_effect(identity(2))
+        e = Effect(identity(2))
         assert e.dim == 2
 
     def test_eigenvalue_above_one_rejected(self):
         with pytest.raises(SpectrumOutOfRange) as err:
-            validate_effect(np.diag([0.5, 1.2]).astype(complex))
+            Effect(np.diag([0.5, 1.2]).astype(complex))
         assert "1.2" in str(err.value)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(SpectrumOutOfRange):
-            validate_effect(np.diag([-0.1, 0.5]).astype(complex))
+            Effect(np.diag([-0.1, 0.5]).astype(complex))
+
+    @pytest.mark.parametrize("eig, ok", [(1 + 0.99e-9, True), (1 + 1.01e-9, False),
+                                         (-0.99e-9, True), (-1.01e-9, False)])
+    def test_the_one_window(self, eig, ok):
+        # Every effect has the spectral window [-1e-9, 1 + 1e-9].
+        m = np.diag([eig, 0.5]).astype(complex)
+        if ok:
+            assert Effect(m).dim == 2
+        else:
+            with pytest.raises(SpectrumOutOfRange):
+                Effect(m)
 
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(NotHermitian):
-            validate_effect(m)
+            Effect(m)
 
     def test_unsharp_z_effect(self):
         m = 0.5 * (identity(2) + PAULI_Z / math.sqrt(2))
-        e = validate_effect(m)
+        e = Effect(m)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(e.matrix), [HALF_MINUS, HALF_PLUS], atol=1e-14
         )
-
-    def test_custom_tolerance(self):
-        m = np.diag([1.0 + 5e-7, 0.5]).astype(complex)
-        with pytest.raises(SpectrumOutOfRange):
-            validate_effect(m)
-        assert validate_effect(m, tol=1e-6).dim == 2
 
     def test_constructed_effects_stay_in_window(self):
         rng = np.random.default_rng(11)
@@ -114,18 +124,8 @@ class TestValidateEffect:
             assert eigs[0] >= -1e-9
             assert eigs[-1] <= 1 + 1e-9
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
-    def test_bad_tolerance_rejected(self, tol):
-        # Against a NaN or infinite window every spectrum comparison is
-        # false, so this non-effect would otherwise validate.
-        m = np.diag([5.0, -3.0]).astype(complex)
-        with pytest.raises(ValidationError, match="effect-tol"):
-            validate_effect(m, tol=tol)
-        with pytest.raises(ValidationError, match="effect-tol"):
-            Effect(m, tol)
-
     def test_matrix_is_immutable(self):
-        e = validate_effect(identity(2))
+        e = Effect(identity(2))
         with pytest.raises(ValueError):
             e.matrix[0, 0] = 5.0
 
@@ -287,13 +287,18 @@ class TestDensityMatrix:
             ([math.inf, 1.0], "finite-entries"),
             ([0.0, 0.0], "nonzero-vector"),
             ([], "nonzero-vector"),
+            (["1", "0"], "numeric-vector"),
+            (["1", 0], "numeric-vector"),
+            ([10**400, 0], "numeric-vector"),
+            ({"a": 1}, "numeric-vector"),
         ],
     )
-    def test_pure_rejects_a_bad_vector(self, vec, invariant):
+    @pytest.mark.parametrize("build", [DensityMatrix.pure, projector_onto], ids=["pure", "projector"])
+    def test_pure_rejects_a_bad_vector(self, build, vec, invariant):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=invariant):
-                DensityMatrix.pure(vec)
+                build(vec)
 
     @pytest.mark.parametrize(
         "vec,ray",
@@ -335,11 +340,7 @@ def _effect_matrix(seed, eigs):
 
 def _revalidate(obs):
     """Rebuild an observable through every public check."""
-    yes = Effect(obs.yes_effect.matrix, obs.yes_effect.tol)
-    no = Effect(obs.no_effect.matrix, obs.no_effect.tol)
-    DichotomicObservable(yes, no)
-    Effect(obs.yes_effect.matrix)
-    Effect(obs.no_effect.matrix)
+    DichotomicObservable(Effect(obs.yes_effect.matrix), Effect(obs.no_effect.matrix))
 
 
 UNIT_LAMBDA = st.floats(0.0, 1.0, exclude_min=True)
@@ -393,8 +394,24 @@ class TestDerivedValuesAreValid:
         DensityMatrix(DensityMatrix.pure(v).matrix)
 
 
+def _window_check(g, tol):
+    """Effect's checks on one matrix, written out in numpy, against the window
+    [-tol, 1 + tol]: what Effect(g) raises when tol is PSD_TOL."""
+    if not np.all(np.isfinite(g)):
+        raise ValidationError("finite-entries")
+    res = float(np.max(np.abs(g - g.conj().T)))
+    if res > HERMITIAN_TOL:
+        raise NotHermitian(res)
+    eigs = np.linalg.eigvalsh((g + g.conj().T) / 2)
+    if eigs[0] < -tol:
+        raise SpectrumOutOfRange(float(eigs[0]), -tol, 1.0 + tol)
+    if eigs[-1] > 1.0 + tol:
+        raise SpectrumOutOfRange(float(eigs[-1]), -tol, 1.0 + tol)
+
+
 class TestWitnessCheck:
-    """The batched check of a stack of effects against Effect, one by one."""
+    """The batched check of a stack of effects against the same checks on
+    each matrix, one by one."""
 
     @pytest.mark.parametrize(
         "defects",
@@ -429,14 +446,14 @@ class TestWitnessCheck:
             except ValidationError as exc:
                 return type(exc), str(exc)
 
-        expected = next((r for r in (outcome(lambda g=g: Effect(g, tol)) for g in stack)
+        expected = next((r for r in (outcome(lambda g=g: _window_check(g, tol)) for g in stack)
                          if isinstance(r, tuple)), None)
         got = outcome(lambda: _validated_effects(np.stack(stack), tol))
         if expected is None:
             effects, raw_min = got
             assert [e.matrix.tobytes() for e in effects] == [np.asarray(g).tobytes() for g in stack]
             assert raw_min == min(float(np.linalg.eigvalsh(g)[0]) for g in stack)
-            assert all(e.tol == tol and not e.matrix.flags.writeable for e in effects)
+            assert all(not e.matrix.flags.writeable for e in effects)
         else:
             assert got == expected
 
