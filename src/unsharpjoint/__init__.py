@@ -12,7 +12,6 @@ the no-signaling range.
 from .errors import (
     DimensionMismatch,
     InvalidBox,
-    NotEffect,
     NotHermitian,
     NotProjector,
     OddDimension,
@@ -28,16 +27,13 @@ from .operators import (
     Projector,
     matrix_from_json,
     matrix_to_json,
-    min_eigenvalue,
     projector_onto,
-    tensor,
 )
 from .unsharp import SmearedMeanReport, mean_value, smear, smeared_mean, validate_lambda
 from .decompose import (
     ANCILLA_CONVENTION,
     Block,
     BlockDecomposition,
-    NeumarkDilation,
     compress,
     neumark_dilate,
     two_projector_blocks,
@@ -91,9 +87,7 @@ __all__ = [
     "JointResiduals",
     "LAMBDA_OPT",
     "LambdaOptResult",
-    "NeumarkDilation",
     "NoSignalingBox",
-    "NotEffect",
     "NotHermitian",
     "NotProjector",
     "OddDimension",
@@ -117,7 +111,6 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "mean_value",
-    "min_eigenvalue",
     "neumark_dilate",
     "optimal_settings",
     "povm_joint_observable",
@@ -129,7 +122,6 @@ __all__ = [
     "smear",
     "smeared_chsh",
     "smeared_mean",
-    "tensor",
     "two_projector_blocks",
     "validate_lambda",
     "white_noise_box",

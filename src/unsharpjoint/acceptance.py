@@ -244,8 +244,8 @@ def criterion_7_dilation_pipeline() -> AcceptanceResult:
     for d in (2, 4, 8):
         for _ in range(100):
             e = _random_effect(rng, d)
-            dil = neumark_dilate(DichotomicObservable.from_yes_effect(e))
-            back = compress(dil.projector.as_effect())
+            proj = neumark_dilate(DichotomicObservable.from_yes_effect(e))
+            back = compress(proj.as_effect())
             worst_rt = max(worst_rt, float(np.max(np.abs(back.matrix - e.matrix))))
 
     worst_res = 0.0

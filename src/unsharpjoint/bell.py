@@ -94,10 +94,6 @@ class NoSignalingBox:
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
-    def prob(self, a: int, b: int, x: int, y: int) -> float:
-        """p(a, b | x, y) with outcome signs a, b in {+1, -1}."""
-        return float(self.p[x - 1, y - 1, (1 - a) // 2, (1 - b) // 2])
-
     def correlators(self) -> np.ndarray:
         """t[x, y], the sum over outcomes of (a*b) p(a, b | x, y), settings counted from 0."""
         p = self.p
@@ -165,11 +161,6 @@ class ChshReport:
         recomputed = abs(t11 + t12 + t21 - t22)
         if abs(self.value - recomputed) > 1e-12:
             raise ValidationError("chsh-recomputation", abs(self.value - recomputed))
-
-    @property
-    def signed(self) -> float:
-        t11, t12, t21, t22 = self.terms
-        return t11 + t12 + t21 - t22
 
 
 def _report(terms, bound: float) -> ChshReport:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from . import acceptance as acceptance_mod
 from .bell import (
     ChshReport, NoSignalingBox, box_chsh, chsh, singlet, smeared_chsh, smeared_chsh_values
 )
-from .decompose import neumark_dilate, two_projector_blocks
+from .decompose import ANCILLA_CONVENTION, neumark_dilate, two_projector_blocks
 from .errors import ParseError, UnsharpJointError, ValidationError
 from .joint import (
     BlochVector,
@@ -163,6 +164,8 @@ def _cmd_smear(args: argparse.Namespace) -> int:
 def _cmd_blocks(args: argparse.Namespace) -> int:
     p, q = (_load(f, lambda obj: Projector.from_matrix(matrix_from_json(obj))) for f in (args.p, args.q))
     dec = two_projector_blocks(p, q)
+    # Each block's columns of the unitary follow those of the blocks before it.
+    starts = itertools.accumulate((b.dim for b in dec.blocks), initial=0)
     payload = {
         "schema": SCHEMA,
         "kind": "block-decomposition",
@@ -170,12 +173,12 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
         "blocks": [
             {
                 "dim": b.dim,
-                "basis_columns": list(b.basis_columns),
+                "basis_columns": list(range(start, start + b.dim)),
                 "rank_p": b.rank_p,
                 "rank_q": b.rank_q,
                 "overlap": b.overlap,
             }
-            for b in dec.blocks
+            for b, start in zip(dec.blocks, starts)
         ],
     }
     _emit(args.out, payload)
@@ -184,13 +187,13 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
 
 def _cmd_dilate(args: argparse.Namespace) -> int:
     obs = _load(args.obs, _observable)
-    dil = neumark_dilate(obs)
+    proj = neumark_dilate(obs)
     payload = {
         "schema": SCHEMA,
         "kind": "dilation",
-        "projector": matrix_to_json(dil.projector.matrix),
-        "rank": dil.projector.rank,
-        "convention": dil.convention,
+        "projector": matrix_to_json(proj.matrix),
+        "rank": proj.rank,
+        "convention": ANCILLA_CONVENTION,
     }
     _emit(args.out, payload)
     return 0

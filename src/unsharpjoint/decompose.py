@@ -14,9 +14,10 @@ divides by a small sine or cosine, so nearly aligned pairs decompose as
 well as generic ones.
 
 The same module hosts the 2-level-ancilla dilation of a dichotomic POVM to
-a projective measurement and the compression back to the system (fixed
-convention: system tensor ancilla, ancilla state = index 0 of the last
-factor).  No joint-measurability decision uses this module.
+a projector and the compression back to the system, both in the one
+convention ANCILLA_CONVENTION: system tensor ancilla, ancilla state =
+index 0 of the last factor.  No joint-measurability decision uses this
+module.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotEffect,
-    OddDimension,
-    ValidationError,
-)
+from .errors import DimensionMismatch, OddDimension, ValidationError
 from .operators import (
     DichotomicObservable,
     Effect,
@@ -50,8 +46,10 @@ ANCILLA_CONVENTION = "system-tensor-ancilla; ancilla state = index 0 of last fac
 class Block:
     """One invariant subspace of the pair (p, q).
 
+    Its basis is the next dim columns of the adapted unitary, after those
+    of the blocks before it.
+
     dim           -- 1 or 2
-    basis_columns -- indices of this block's columns in the adapted unitary
     rank_p/rank_q -- rank of each projector restricted to the block
     overlap       -- |<chi_p|chi_q>| between the rank-1 ranges when both
                      ranks are 1 (the cosine of the block's angle for dim-2
@@ -60,7 +58,6 @@ class Block:
     """
 
     dim: int
-    basis_columns: tuple[int, ...]
     rank_p: int
     rank_q: int
     overlap: float
@@ -73,15 +70,14 @@ class Block:
                 "block-rank-bounds",
                 detail=f"ranks ({self.rank_p},{self.rank_q}) vs dim {self.dim}",
             )
-        if len(self.basis_columns) != self.dim:
-            raise ValidationError("block-basis-size")
 
 
 @dataclass(frozen=True, eq=False)
 class BlockDecomposition:
     """Adapted orthonormal basis plus the list of blocks it carves out.
 
-    Columns of `unitary` are grouped block by block in the declared order;
+    Columns of `unitary` are grouped block by block in the declared order,
+    each block taking the next Block.dim of them;
     conjugating either input projector by the unitary gives a matrix that
     is block diagonal along those groups.
     """
@@ -214,9 +210,8 @@ def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
     columns: list[np.ndarray] = []
     blocks: list[Block] = []
     for cols, rank_p, rank_q, overlap in entries:
-        start = len(columns)
         columns.extend(cols)
-        blocks.append(Block(len(cols), tuple(range(start, len(columns))), rank_p, rank_q, overlap))
+        blocks.append(Block(len(cols), rank_p, rank_q, overlap))
     decomp = BlockDecomposition(np.column_stack(columns), tuple(blocks))
 
     for m in (pm, qm):
@@ -226,34 +221,16 @@ def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
     return decomp
 
 
-@dataclass(frozen=True, eq=False)
-class NeumarkDilation:
-    """Projective dilation of a dichotomic POVM onto system x ancilla."""
-
-    projector: Projector
-    convention: str = ANCILLA_CONVENTION
-
-
-def _yes_effect(obs) -> Effect:
-    if isinstance(obs, DichotomicObservable):
-        return obs.yes_effect
-    if isinstance(obs, Effect):
-        return obs
-    try:
-        return Effect(obs)
-    except ValidationError as exc:
-        raise NotEffect(exc.invariant, exc.residual) from exc
-
-
-def neumark_dilate(obs) -> NeumarkDilation:
-    """Dilate a dichotomic POVM {A, I-A} to a projector on C^d x C^2.
+def neumark_dilate(obs: DichotomicObservable) -> Projector:
+    """Dilate a dichotomic POVM {A, I-A} to a rank-d projector on C^d x C^2,
+    in ANCILLA_CONVENTION.
 
     Spectral construction: with A = sum_i a_i |e_i><e_i|, the dilated
     projector is sum_i |v_i><v_i| where
     |v_i> = sqrt(a_i) |e_i>|0> + sqrt(1 - a_i) |e_i>|1>.
     Compressing onto ancilla state |0> recovers A to 1e-12.
     """
-    a = _yes_effect(obs)
+    a = obs.yes_effect
     d = a.dim
     eigs, vecs = np.linalg.eigh(a.matrix)
     eigs = np.clip(eigs, 0.0, 1.0)
@@ -262,7 +239,7 @@ def neumark_dilate(obs) -> NeumarkDilation:
     v[0::2, :] = vecs * np.sqrt(eigs)
     v[1::2, :] = vecs * np.sqrt(1.0 - eigs)
     proj = v @ v.conj().T
-    return NeumarkDilation(Projector(proj, rank=d))
+    return Projector(proj, rank=d)
 
 
 def compress(g) -> Effect:

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all unsharpjoint modules."""
+"""Exception hierarchy shared by all unsharpjoint modules.
+
+Every error is an UnsharpJointError; a ValidationError names the invariant
+that failed, and the residual where one is measured.
+"""
 
 
 class UnsharpJointError(Exception):
@@ -46,10 +50,6 @@ class NotProjector(ValidationError):
 
     def __init__(self, residual: float):
         super().__init__("idempotency", residual)
-
-
-class NotEffect(ValidationError):
-    """Input to a dilation is not a valid effect."""
 
 
 class DimensionMismatch(UnsharpJointError):

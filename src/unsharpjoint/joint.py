@@ -174,12 +174,6 @@ class JointObservable:
     def dim(self) -> int:
         return self.g_pp.dim
 
-    def marginal_first(self) -> DichotomicObservable:
-        return DichotomicObservable.from_yes_effect(self.g_pp.matrix + self.g_pm.matrix)
-
-    def marginal_second(self) -> DichotomicObservable:
-        return DichotomicObservable.from_yes_effect(self.g_pp.matrix + self.g_mp.matrix)
-
     def min_eigenvalue(self) -> float:
         if self._min_eig is not None:
             return self._min_eig
@@ -602,9 +596,6 @@ class LambdaOptResult:
     value: float
     pair: tuple
     oracle_verdict: str
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:

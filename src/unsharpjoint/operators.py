@@ -1,4 +1,4 @@
-"""Validated operator types and elementary matrix algebra.
+"""Validated operator types and the JSON operator format.
 
 Everything downstream (smearing, block decomposition, joint observables,
 CHSH correlators) is built out of the types defined here.  All matrices are
@@ -98,25 +98,6 @@ def require_hermitian(m) -> np.ndarray:
     if res > HERMITIAN_TOL:
         raise NotHermitian(res)
     return a
-
-
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Deterministic for a fixed input (LAPACK Hermitian solver on the
-    Hermitized matrix).  Raises NotHermitian beyond 1e-10 deviation.
-    """
-    a = require_hermitian(m)
-    return float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with row-major block convention.
-
-    Entry ((i*db + k), (j*db + l)) equals a[i, j] * b[k, l], i.e. the left
-    factor indexes blocks and the right factor indexes within blocks.
-    """
-    return np.kron(square_matrix(a), square_matrix(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,12 +201,17 @@ class DichotomicObservable:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Hermitian idempotent with integer rank equal to its trace."""
+    """Hermitian idempotent with integer rank equal to its trace.
+
+    rank is any integer but a bool (np.int64 included) and is kept as an int.
+    """
 
     matrix: np.ndarray
     rank: int
 
     def __post_init__(self):
+        if isinstance(self.rank, bool) or not isinstance(self.rank, Integral):
+            raise ValidationError("rank-integer", detail=f"got {self.rank!r}")
         m = require_hermitian(self.matrix)
         res = float(np.max(np.abs(m @ m - m)))
         if res > HERMITIAN_TOL:
@@ -241,6 +227,7 @@ class Projector:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "rank", int(self.rank))
 
     @property
     def dim(self) -> int:

@@ -76,13 +76,6 @@ class SmearedMeanReport:
         if res > SCALING_TOL:
             raise ValidationError("smeared-mean-scaling", res)
 
-    @property
-    def residual(self) -> float:
-        return abs(self.value - self.scaled_mean)
-
-    def __float__(self) -> float:
-        return self.value
-
 
 def smeared_mean(obs: DichotomicObservable, lam, state: DensityMatrix) -> SmearedMeanReport:
     """Mean of the smeared observable, with its scaling identity checked."""

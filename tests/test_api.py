@@ -1,11 +1,13 @@
-"""The public surface: every name in unsharpjoint.__all__ and the parameters
-of every callable among them.
+"""The public surface: every name in unsharpjoint.__all__, the parameters
+of every callable among them and the members of every class.
 
-A parameter added to or removed from a public callable, or a name added to
-or removed from the package, shows up here as a one-line diff.  Annotations
+A parameter added to or removed from a public callable, a name added to or
+removed from the package, or a method, property or field added to or
+removed from a public class shows up here as a one-line diff.  Annotations
 are left out, so only names, kinds and defaults are pinned.
 """
 
+import dataclasses
 import inspect
 
 import unsharpjoint
@@ -14,7 +16,7 @@ import unsharpjoint
 # which keeps Exception's builtin signature.
 SURFACE = {
     "ANCILLA_CONVENTION": None,
-    "Block": '(dim, basis_columns, rank_p, rank_q, overlap)',
+    "Block": '(dim, rank_p, rank_q, overlap)',
     "BlockDecomposition": '(unitary, blocks)',
     "BlochVector": '(v)',
     "ChshReport": '(value, terms, bound_lambda, within_bound)',
@@ -28,9 +30,7 @@ SURFACE = {
     "JointResiduals": '(normalization, marginal_first, marginal_second, min_eigenvalue)',
     "LAMBDA_OPT": None,
     "LambdaOptResult": '(value, pair, oracle_verdict)',
-    "NeumarkDilation": "(projector, convention='system-tensor-ancilla; ancilla state = index 0 of last factor')",
     "NoSignalingBox": '(table)',
-    "NotEffect": "(invariant, residual=None, detail='')",
     "NotHermitian": '(residual)',
     "NotProjector": '(residual)',
     "OddDimension": '(dim)',
@@ -54,7 +54,6 @@ SURFACE = {
     "matrix_from_json": '(obj)',
     "matrix_to_json": '(m)',
     "mean_value": '(obs, state)',
-    "min_eigenvalue": '(m)',
     "neumark_dilate": '(obs)',
     "optimal_settings": '()',
     "povm_joint_observable": '(o1, o2, lam)',
@@ -66,10 +65,39 @@ SURFACE = {
     "smear": '(obs, lam)',
     "smeared_chsh": '(state, a1, a2, b1, b2, lam)',
     "smeared_mean": '(obs, lam, state)',
-    "tensor": '(a, b)',
     "two_projector_blocks": '(p, q)',
     "validate_lambda": '(lam)',
     "white_noise_box": '()',
+}
+
+# class -> the public attributes that the package's own classes in its MRO
+# define (methods, properties, class attributes and dataclass fields), with
+# __bool__ and __float__; builtin bases such as Exception are skipped, so
+# the pin does not move with the Python version.
+MEMBERS = {
+    "Block": ('dim', 'overlap', 'rank_p', 'rank_q'),
+    "BlockDecomposition": ('blocks', 'dim', 'off_block_mass', 'reconstruction_residual', 'unitary'),
+    "BlochVector": ('coerce', 'normalized', 'observable', 'projector', 'v'),
+    "ChshReport": ('bound_lambda', 'terms', 'value', 'within_bound'),
+    "DensityMatrix": ('dim', 'matrix', 'maximally_mixed', 'pure'),
+    "DichotomicObservable": ('difference', 'dim', 'from_yes_effect', 'no_effect', 'yes_effect'),
+    "DimensionMismatch": (),
+    "Effect": ('complement', 'dim', 'matrix'),
+    "FeasibilityReport": ('__bool__', 'certificate', 'feasible', 'iterations', 'marginal_residual', 'min_eigenvalue', 'witness'),
+    "InvalidBox": (),
+    "JointObservable": ('dim', 'effects', 'g_mm', 'g_mp', 'g_pm', 'g_pp', 'min_eigenvalue'),
+    "JointResiduals": ('marginal_first', 'marginal_max', 'marginal_second', 'min_eigenvalue', 'normalization'),
+    "LambdaOptResult": ('oracle_verdict', 'pair', 'value'),
+    "NoSignalingBox": ('correlators', 'p', 'to_json'),
+    "NotHermitian": (),
+    "NotProjector": (),
+    "OddDimension": (),
+    "ParseError": (),
+    "Projector": ('as_effect', 'dim', 'from_matrix', 'matrix', 'observable', 'rank'),
+    "SmearedMeanReport": ('scaled_mean', 'value'),
+    "SpectrumOutOfRange": (),
+    "UnsharpJointError": (),
+    "ValidationError": (),
 }
 
 
@@ -92,3 +120,22 @@ def test_signatures_are_pinned():
         for name, obj in ((n, getattr(unsharpjoint, n)) for n in unsharpjoint.__all__)
     }
     assert got == SURFACE
+
+
+def _members(cls):
+    names = set()
+    for klass in cls.__mro__:
+        if klass.__module__.startswith("unsharpjoint."):
+            names.update(n for n in vars(klass) if not n.startswith("_") or n in ("__bool__", "__float__"))
+    if dataclasses.is_dataclass(cls):
+        names.update(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
+    return tuple(sorted(names))
+
+
+def test_class_members_are_pinned():
+    got = {
+        name: _members(obj)
+        for name, obj in ((n, getattr(unsharpjoint, n)) for n in unsharpjoint.__all__)
+        if inspect.isclass(obj)
+    }
+    assert got == MEMBERS

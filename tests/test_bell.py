@@ -136,7 +136,8 @@ class TestBoxes:
         reports = [box_chsh(b) for b in boxes]
         assert all(r.value == 2.0 for r in reports)
         # The signed combination reaches +2 on exactly half of them.
-        assert sum(1 for r in reports if r.signed == 2.0) == 8
+        signed = [t11 + t12 + t21 - t22 for t11, t12, t21, t22 in (r.terms for r in reports)]
+        assert signed.count(2.0) == 8
 
     def test_white_noise_vanishes(self):
         assert box_chsh(white_noise_box()).value == 0.0
@@ -205,6 +206,10 @@ class TestBoxes:
 
     def test_outcome_sign_lookup(self):
         box = deterministic_box((1, -1), (1, 1))
-        assert box.prob(+1, +1, 1, 1) == 1
-        assert box.prob(-1, +1, 2, 1) == 1
-        assert box.prob(+1, +1, 2, 2) == 0
+        # p[x-1, y-1, (1-a)//2, (1-b)//2] is p(a, b | x, y) for signs a, b.
+        def prob(a, b, x, y):
+            return box.p[x - 1, y - 1, (1 - a) // 2, (1 - b) // 2]
+
+        assert prob(+1, +1, 1, 1) == 1
+        assert prob(-1, +1, 2, 1) == 1
+        assert prob(+1, +1, 2, 2) == 0

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unsharpjoint import (
+    ANCILLA_CONVENTION,
     BlochVector,
     ValidationError,
     lambda_opt_search,
@@ -106,6 +107,33 @@ class TestBlocks:
             }
         ]
 
+    @pytest.mark.parametrize("d", [4, 5, 8])
+    def test_basis_columns_tile_the_unitary_in_block_order(self, tmp_path, capsys, d):
+        # Two rank-2 projectors in general position: two 2-dim blocks, then
+        # d - 4 1-dim blocks of ker p in ker q.
+        rng = np.random.default_rng(d)
+        mats, paths = [], []
+        for name in ("p", "q"):
+            u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            mats.append(u[:, :2] @ u[:, :2].conj().T)
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(matrix_to_json(mats[-1])))
+        code, out = _run(["blocks", "--p", str(paths[0]), "--q", str(paths[1])], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        blocks = payload["blocks"]
+        assert [b["dim"] for b in blocks] == [2, 2] + [1] * (d - 4)
+        assert all(len(b["basis_columns"]) == b["dim"] for b in blocks)
+        assert [c for b in blocks for c in b["basis_columns"]] == list(range(d))
+        # The columns so named carry each projector block-diagonally.
+        u = matrix_from_json(payload["unitary"])
+        for m in mats:
+            conj = u.conj().T @ m @ u
+            for b in blocks:
+                cols = b["basis_columns"]
+                conj[np.ix_(cols, cols)] = 0.0
+            assert np.max(np.abs(conj)) <= 1e-9
+
 
 class TestDilate:
     def test_convention_tag(self, fixtures, capsys):
@@ -113,7 +141,7 @@ class TestDilate:
         assert code == 0
         payload = json.loads(out)
         assert payload["rank"] == 2
-        assert "ancilla" in payload["convention"]
+        assert payload["convention"] == ANCILLA_CONVENTION
 
 
 class TestJointlyMeasurable:

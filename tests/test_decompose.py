@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unsharpjoint import (
-    ANCILLA_CONVENTION,
     DichotomicObservable,
     DimensionMismatch,
     Effect,
@@ -257,8 +256,7 @@ class TestNeumarkDilate:
     def test_sharp_effect_dilates_cleanly(self):
         obs = DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]).astype(complex))
         dil = neumark_dilate(obs)
-        assert dil.convention == ANCILLA_CONVENTION
-        back = compress(dil.projector.as_effect())
+        back = compress(dil.as_effect())
         np.testing.assert_allclose(back.matrix, obs.yes_effect.matrix, atol=1e-15)
 
     def test_half_identity_closed_form(self):
@@ -266,10 +264,10 @@ class TestNeumarkDilate:
         # rank-2 projector whose ancilla-0 sector is I/2.
         obs = DichotomicObservable.from_yes_effect(0.5 * identity(2))
         dil = neumark_dilate(obs)
-        assert dil.projector.rank == 2
+        assert dil.rank == 2
         expected = np.kron(identity(2), np.full((2, 2), 0.5))
-        np.testing.assert_allclose(dil.projector.matrix, expected, atol=1e-12)
-        back = compress(dil.projector.as_effect())
+        np.testing.assert_allclose(dil.matrix, expected, atol=1e-12)
+        back = compress(dil.as_effect())
         np.testing.assert_allclose(back.matrix, 0.5 * identity(2), atol=1e-12)
 
     def test_roundtrip_random_qubit_effects(self):
@@ -277,7 +275,7 @@ class TestNeumarkDilate:
         for _ in range(100):
             e = _random_effect(rng, 2)
             dil = neumark_dilate(DichotomicObservable.from_yes_effect(e))
-            back = compress(dil.projector.as_effect())
+            back = compress(dil.as_effect())
             assert np.max(np.abs(back.matrix - e.matrix)) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
@@ -286,14 +284,8 @@ class TestNeumarkDilate:
         for _ in range(10):
             e = _random_effect(rng, dim)
             dil = neumark_dilate(DichotomicObservable.from_yes_effect(e))
-            back = compress(dil.projector.as_effect())
+            back = compress(dil.as_effect())
             assert np.max(np.abs(back.matrix - e.matrix)) <= 1e-12
-
-    def test_accepts_bare_effect(self):
-        e = Effect(np.diag([0.25, 0.75]).astype(complex))
-        dil = neumark_dilate(e)
-        back = compress(dil.projector.as_effect())
-        np.testing.assert_allclose(back.matrix, e.matrix, atol=1e-12)
 
 
 class TestCompress:

@@ -316,9 +316,10 @@ class TestPvmJointObservable:
         full = float(
             np.max(np.abs(dec.unitary.conj().T @ defect @ dec.unitary))
         )
-        per_block = 0.0
+        per_block, offset = 0.0, 0
         for blk in dec.blocks:
-            b = dec.unitary[:, list(blk.basis_columns)]
+            b = dec.unitary[:, offset : offset + blk.dim]
+            offset += blk.dim
             per_block = max(per_block, float(np.max(np.abs(b.conj().T @ defect @ b))))
         assert abs(full - per_block) <= 1e-12
 
@@ -362,8 +363,8 @@ class TestPovmJointObservable:
         via_pvm = pvm_joint_observable(p, q, lam)
         # Marginals must match; the witnesses themselves may differ.
         for extract in (
-            lambda w: w.marginal_first().yes_effect.matrix,
-            lambda w: w.marginal_second().yes_effect.matrix,
+            lambda w: w.g_pp.matrix + w.g_pm.matrix,
+            lambda w: w.g_pp.matrix + w.g_mp.matrix,
         ):
             assert (
                 np.max(np.abs(extract(via_povm.witness) - extract(via_pvm.witness)))

@@ -1,4 +1,4 @@
-"""Operator types, validation, tensor products, eigenvalue helpers."""
+"""Operator types, their validation and the JSON operator format."""
 
 import math
 import warnings
@@ -20,14 +20,12 @@ from unsharpjoint import (
     ValidationError,
     matrix_from_json,
     matrix_to_json,
-    min_eigenvalue,
     projector_onto,
     pvm_joint_observable,
     smear,
-    tensor,
     two_projector_blocks,
 )
-from unsharpjoint.operators import HERMITIAN_TOL, PAULI_X, PAULI_Z, identity
+from unsharpjoint.operators import HERMITIAN_TOL, PAULI_Z, identity
 
 _EMPTY = np.zeros((0, 0))
 
@@ -130,51 +128,7 @@ class TestEffect:
             e.matrix[0, 0] = 5.0
 
 
-class TestTensor:
-    def test_identity_times_identity(self):
-        np.testing.assert_array_equal(tensor(identity(2), identity(2)), identity(4))
-
-    def test_diagonal_case(self):
-        np.testing.assert_array_equal(
-            tensor(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]).astype(complex)
-        )
-
-    def test_singlet_xx_expectation(self):
-        # Oracle: explicit 4x4 matrix-vector arithmetic on the singlet.
-        psi = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
-        val = float((psi.conj() @ tensor(PAULI_X, PAULI_X) @ psi).real)
-        assert abs(val - (-1.0)) < 1e-12
-
-    def test_block_convention(self):
-        # Entry ((i*db + k), (j*db + l)) is a[i, j] * b[k, l]; vectorized
-        # complex multiply may differ from the scalar product by one ulp.
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        t = tensor(a, b)
-        expected = (a[:, None, :, None] * b[None, :, None, :]).reshape(6, 6)
-        np.testing.assert_allclose(t, expected, rtol=1e-15, atol=1e-15)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a, b, c = (
-                rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                for _ in range(3)
-            )
-            left = tensor(tensor(a, b), c)
-            right = tensor(a, tensor(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-12
-
-
 class TestMinEigenvalue:
-    def test_diagonal(self):
-        assert min_eigenvalue(np.diag([0.2, 0.8]).astype(complex)) == pytest.approx(0.2)
-
-    def test_rank_one_projector(self):
-        m = 0.5 * (identity(2) + 0.6 * PAULI_X + 0.8 * PAULI_Z)
-        assert abs(min_eigenvalue(m)) < 1e-12
-
     def test_boundary_joint_effect(self):
         # The qubit joint construction at the criterion boundary has a
         # zero mode in every outcome effect.
@@ -182,11 +136,7 @@ class TestMinEigenvalue:
 
         rep = qubit_joint_observable([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], LAMBDA_OPT)
         for e in rep.witness.effects:
-            assert abs(min_eigenvalue(e.matrix)) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            min_eigenvalue(np.array([[0, 1], [0, 0]], dtype=complex))
+            assert abs(np.linalg.eigvalsh(e.matrix)[0]) < 1e-9
 
 
 class TestObservable:
@@ -241,6 +191,17 @@ class TestProjector:
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValidationError):
             Projector(np.diag([1.0, 0.0]).astype(complex), rank=2)
+
+    @pytest.mark.parametrize("rank", [1.00000000001, 1.0, True, "1", None, [1]])
+    def test_rank_must_be_an_integer(self, rank):
+        # A float rank within RANK_TOL of the trace and True used to be kept
+        # as given, and "1" ended in a bare TypeError; 1.0 is refused too.
+        with pytest.raises(ValidationError, match="rank-integer"):
+            Projector(np.diag([1.0, 0.0]).astype(complex), rank=rank)
+
+    def test_numpy_integer_rank_is_kept_as_int(self):
+        p = Projector(np.diag([1.0, 0.0]).astype(complex), rank=np.int64(1))
+        assert type(p.rank) is int and p.rank == 1
 
     @pytest.mark.parametrize("d", [4, 8, 12, 16, 32, 64])
     @pytest.mark.parametrize("eps", [1.01e-9, 1.4e-9, 5.8e-9, "entrywise-limit"])
