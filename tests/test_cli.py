@@ -267,7 +267,43 @@ class TestJointlyMeasurable:
             assert ("certificate" in payload) == (verdict == "no")
 
 
+def _observable_report(yes):
+    """The uj/1 observable object of the sharp 2x2 observable {yes, I - yes}, all real."""
+    no = [[float(i == j) - yes[i][j] for j in range(2)] for i in range(2)]
+    zeros = [[0.0, 0.0], [0.0, 0.0]]
+    return {"kind": "observable", "schema": "uj/1",
+            "yes": {"dim": 2, "re": yes, "im": zeros}, "no": {"dim": 2, "re": no, "im": zeros}}
+
+
+def _lambda_opt_report(value, pair):
+    return json.dumps({"kind": "lambda-opt", "lambda_opt": value, "oracle_verdict": "yes",
+                       "pair": pair, "schema": "uj/1"}, sort_keys=True, indent=2) + "\n"
+
+
 class TestLambdaOpt:
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["--m", "0,0,1", "--n", "1,0,0"],
+             _lambda_opt_report(0.7071067811865475, {"m": [0.0, 0.0, 1.0], "n": [1.0, 0.0, 0.0]})),
+            (["--o1", "p.json", "--o2", "q.json"],
+             _lambda_opt_report(0.7071067811865475, {
+                 "o1": _observable_report([[1.0, 0.0], [0.0, 0.0]]),
+                 "o2": _observable_report([[0.5, 0.5], [0.5, 0.5]]),
+             })),
+            (["--mode", "worst-case", "--seed", "2026"],
+             _lambda_opt_report(0.7071067811865476, {
+                 "m": [-0.38323720870680267, 0.11624417424290794, -0.9163059171571484],
+                 "n": [0.852556692985493, 0.42618797263471847, -0.30250768126966315],
+             })),
+        ],
+        ids=["bloch", "projector-files", "worst-case"],
+    )
+    def test_report_bytes_pinned(self, argv, want, fixtures, capsys):
+        code, out = _run(["lambda-opt", *(fixtures.get(a, a) for a in argv)], capsys)
+        assert code == 0
+        assert out == want
+
     def test_pair_mode(self, fixtures, capsys):
         code, out = _run(
             ["lambda-opt", "--mode", "pair", "--m", "0,0,1", "--n", "1,0,0"],
