@@ -2,8 +2,10 @@
 `uj acceptance` or through tests/test_acceptance.py.
 
 Each criterion function is self-contained, deterministic (fixed seeds)
-and returns an AcceptanceResult carrying the pass/fail verdict and the
-measured quantities.  Tolerances are pinned here, not configurable.
+and returns its verdict and a detail line of the measured quantities.
+CRITERIA holds each one's number, name and time bound; run() times one
+and builds its AcceptanceResult.  Tolerances are pinned here, not
+configurable.
 """
 
 from __future__ import annotations
@@ -79,26 +81,17 @@ def _random_state(rng, dim: int) -> DensityMatrix:
     return DensityMatrix.pure(v)
 
 
-def criterion_1_lambda_opt() -> AcceptanceResult:
+def criterion_1_lambda_opt() -> tuple[bool, str]:
     """The worst case, a random orthogonal Bloch pair, lands on 1/sqrt(2)
     within 1e-3, in under 60 s."""
-    t0 = time.perf_counter()
     res = lambda_opt_search("worst-case", seed=2026)
-    dt = time.perf_counter() - t0
     err = abs(res.value - LAMBDA_OPT)
-    passed = err <= 1e-3 and dt < 60.0
-    return AcceptanceResult(
-        1,
-        "lambda-opt reproduction",
-        passed,
-        f"value {res.value:.6f}, |err| {err:.2e} (tol 1e-3), oracle {res.oracle_verdict}",
-        dt,
-    )
+    passed = err <= 1e-3
+    return passed, f"value {res.value:.6f}, |err| {err:.2e} (tol 1e-3), oracle {res.oracle_verdict}"
 
 
-def criterion_2_tsirelson() -> AcceptanceResult:
+def criterion_2_tsirelson() -> tuple[bool, str]:
     """Singlet saturates 2*sqrt(2); random sweep never exceeds it."""
-    t0 = time.perf_counter()
     bound = 2.0 * math.sqrt(2.0)
     state = singlet()
     a1, a2, b1, b2 = optimal_settings()
@@ -112,20 +105,14 @@ def criterion_2_tsirelson() -> AcceptanceResult:
         obs = [BlochVector(_random_unit(rng)).observable() for _ in range(4)]
         value = chsh(rho, obs[0], obs[1], obs[2], obs[3]).value
         worst = max(worst, value)
-    dt = time.perf_counter() - t0
-    passed = sat_err <= 1e-6 and worst <= bound + 1e-6 and dt < 120.0
-    return AcceptanceResult(
-        2,
-        "Tsirelson bound",
-        passed,
-        f"saturation err {sat_err:.2e} (tol 1e-6), sweep max {worst:.9f} <= {bound:.9f}+1e-6",
-        dt,
+    passed = sat_err <= 1e-6 and worst <= bound + 1e-6
+    return passed, (
+        f"saturation err {sat_err:.2e} (tol 1e-6), sweep max {worst:.9f} <= {bound:.9f}+1e-6"
     )
 
 
-def criterion_3_saturation_at_lambda_opt() -> AcceptanceResult:
+def criterion_3_saturation_at_lambda_opt() -> tuple[bool, str]:
     """Smearing one wing by 1/sqrt(2) pins the singlet CHSH at exactly 2."""
-    t0 = time.perf_counter()
     state = singlet()
     a1, a2, b1, b2 = optimal_settings()
     at_opt = smeared_chsh(state, a1, a2, b1, b2, LAMBDA_OPT).value
@@ -133,20 +120,14 @@ def criterion_3_saturation_at_lambda_opt() -> AcceptanceResult:
 
     lams = np.linspace(0.01, LAMBDA_OPT, 250)
     worst = float(np.max(smeared_chsh_values(state, a1, a2, b1, b2, lams)))
-    dt = time.perf_counter() - t0
     passed = err <= 1e-9 and worst <= 2.0 + 1e-9
-    return AcceptanceResult(
-        3,
-        "smeared-CHSH saturation",
-        passed,
-        f"value at lambda-opt {at_opt:.9f} (err {err:.2e}, tol 1e-9), grid max {worst:.9f}",
-        dt,
+    return passed, (
+        f"value at lambda-opt {at_opt:.9f} (err {err:.2e}, tol 1e-9), grid max {worst:.9f}"
     )
 
 
-def criterion_4_witness_validity() -> AcceptanceResult:
+def criterion_4_witness_validity() -> tuple[bool, str]:
     """1000 random qubit pairs at lam=0.70: witness residuals within 1e-9."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     lam = 0.70
     worst_res = 0.0
@@ -164,21 +145,15 @@ def criterion_4_witness_validity() -> AcceptanceResult:
         )
         worst_res = max(worst_res, res.marginal_max)
         worst_eig = min(worst_eig, res.min_eigenvalue)
-    dt = time.perf_counter() - t0
     passed = feasible == 1000 and worst_res <= 1e-9 and worst_eig >= -1e-9
-    return AcceptanceResult(
-        4,
-        "joint-POVM validity",
-        passed,
+    return passed, (
         f"{feasible}/1000 feasible, max residual {worst_res:.2e} (tol 1e-9), "
-        f"min eig {worst_eig:.2e} (>= -1e-9)",
-        dt,
+        f"min eig {worst_eig:.2e} (>= -1e-9)"
     )
 
 
-def criterion_5_oracle_agreement() -> AcceptanceResult:
+def criterion_5_oracle_agreement() -> tuple[bool, str]:
     """Closed form vs alternating projections on 1000 samples, 99% agreement."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(505)
     checked = agreed = banded = iterations = certified = 0
     for _ in range(1000):
@@ -196,22 +171,16 @@ def criterion_5_oracle_agreement() -> AcceptanceResult:
         certified += rep.certificate is not None
         if rep.feasible == closed:
             agreed += 1
-    dt = time.perf_counter() - t0
     rate = agreed / checked if checked else 0.0
     passed = rate >= 0.99
-    return AcceptanceResult(
-        5,
-        "oracle agreement",
-        passed,
+    return passed, (
         f"{agreed}/{checked} outside band agree ({rate:.1%}, need >=99%), {banded} in band; "
-        f"{iterations} oracle iterations, {certified} certified 'no'",
-        dt,
+        f"{iterations} oracle iterations, {certified} certified 'no'"
     )
 
 
-def criterion_6_block_roundtrip() -> AcceptanceResult:
+def criterion_6_block_roundtrip() -> tuple[bool, str]:
     """50 random projector pairs: dim<=2 blocks, residuals within 1e-9."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(606)
     worst_off = worst_rec = 0.0
     max_dim = 0
@@ -224,21 +193,15 @@ def criterion_6_block_roundtrip() -> AcceptanceResult:
         for m in (p.matrix, q.matrix):
             worst_off = max(worst_off, dec.off_block_mass(m))
             worst_rec = max(worst_rec, dec.reconstruction_residual(m))
-    dt = time.perf_counter() - t0
     passed = max_dim <= 2 and worst_off <= 1e-9 and worst_rec <= 1e-9
-    return AcceptanceResult(
-        6,
-        "two-projector block round-trip",
-        passed,
+    return passed, (
         f"max block dim {max_dim}, off-block {worst_off:.2e}, "
-        f"reconstruction {worst_rec:.2e} (tol 1e-9)",
-        dt,
+        f"reconstruction {worst_rec:.2e} (tol 1e-9)"
     )
 
 
-def criterion_7_dilation_pipeline() -> AcceptanceResult:
+def criterion_7_dilation_pipeline() -> tuple[bool, str]:
     """Dilate/compress identity at 1e-12; full POVM pipeline at 1e-9."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(707)
     worst_rt = 0.0
     for d in (2, 4, 8):
@@ -258,21 +221,15 @@ def criterion_7_dilation_pipeline() -> AcceptanceResult:
         res = check_joint(rep.witness, smear(o1, LAMBDA_OPT), smear(o2, LAMBDA_OPT))
         worst_res = max(worst_res, res.marginal_max)
         worst_eig = min(worst_eig, res.min_eigenvalue)
-    dt = time.perf_counter() - t0
     passed = worst_rt <= 1e-12 and worst_res <= 1e-9 and worst_eig >= -1e-9
-    return AcceptanceResult(
-        7,
-        "dilation pipeline",
-        passed,
+    return passed, (
         f"round-trip {worst_rt:.2e} (tol 1e-12), pipeline residual {worst_res:.2e} "
-        f"(tol 1e-9), min eig {worst_eig:.2e}",
-        dt,
+        f"(tol 1e-9), min eig {worst_eig:.2e}"
     )
 
 
-def criterion_8_box_layer() -> AcceptanceResult:
+def criterion_8_box_layer() -> tuple[bool, str]:
     """PR box at exactly 4, deterministic boxes at exactly 2, classical lam=1."""
-    t0 = time.perf_counter()
     pr_value = box_chsh(pr_box()).value
     det_reports = [box_chsh(b) for b in local_deterministic_boxes()]
     det_ok = all(r.value <= 2.0 for r in det_reports)
@@ -282,21 +239,15 @@ def criterion_8_box_layer() -> AcceptanceResult:
     p = Projector.from_matrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
     q = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
     classical = pvm_joint_observable(p, q, 1.0)
-    dt = time.perf_counter() - t0
     passed = pr_value == 4.0 and det_ok and bool(classical)
-    return AcceptanceResult(
-        8,
-        "box layer",
-        passed,
+    return passed, (
         f"PR CHSH {pr_value} (== 4), deterministic max {det_max} (<= 2 exactly), "
-        f"commuting pair at lambda=1: {classical.feasible}",
-        dt,
+        f"commuting pair at lambda=1: {classical.feasible}"
     )
 
 
-def criterion_9_mean_scaling() -> AcceptanceResult:
+def criterion_9_mean_scaling() -> tuple[bool, str]:
     """10^4 random triples: smeared mean equals lam times sharp mean."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(909)
     worst = 0.0
     for i in range(10_000):
@@ -306,35 +257,39 @@ def criterion_9_mean_scaling() -> AcceptanceResult:
         lam = 1.0 - float(rng.uniform(0.0, 1.0))  # uniform over (0, 1]
         report = smeared_mean(obs, lam, state)
         worst = max(worst, abs(report.value - lam * mean_value(obs, state)))
-    dt = time.perf_counter() - t0
     passed = worst <= 1e-12
-    return AcceptanceResult(
-        9,
-        "smeared-mean scaling",
-        passed,
-        f"max |smeared - lam*sharp| {worst:.2e} over 10^4 triples (tol 1e-12)",
-        dt,
-    )
+    return passed, f"max |smeared - lam*sharp| {worst:.2e} over 10^4 triples (tol 1e-12)"
 
 
-CRITERIA: tuple[tuple[int, str, Callable[[], AcceptanceResult]], ...] = (
-    (1, "lambda-opt reproduction", criterion_1_lambda_opt),
-    (2, "Tsirelson bound", criterion_2_tsirelson),
-    (3, "smeared-CHSH saturation", criterion_3_saturation_at_lambda_opt),
-    (4, "joint-POVM validity", criterion_4_witness_validity),
-    (5, "oracle agreement", criterion_5_oracle_agreement),
-    (6, "two-projector block round-trip", criterion_6_block_roundtrip),
-    (7, "dilation pipeline", criterion_7_dilation_pipeline),
-    (8, "box layer", criterion_8_box_layer),
-    (9, "smeared-mean scaling", criterion_9_mean_scaling),
+# Each criterion once: its number, its name, its check and its time bound in seconds.
+CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]], float], ...] = (
+    (1, "lambda-opt reproduction", criterion_1_lambda_opt, 60.0),
+    (2, "Tsirelson bound", criterion_2_tsirelson, 120.0),
+    (3, "smeared-CHSH saturation", criterion_3_saturation_at_lambda_opt, math.inf),
+    (4, "joint-POVM validity", criterion_4_witness_validity, math.inf),
+    (5, "oracle agreement", criterion_5_oracle_agreement, math.inf),
+    (6, "two-projector block round-trip", criterion_6_block_roundtrip, math.inf),
+    (7, "dilation pipeline", criterion_7_dilation_pipeline, math.inf),
+    (8, "box layer", criterion_8_box_layer, math.inf),
+    (9, "smeared-mean scaling", criterion_9_mean_scaling, math.inf),
 )
+
+
+def run(
+    number: int, name: str, check: Callable[[], tuple[bool, str]], time_bound: float
+) -> AcceptanceResult:
+    """Run one criterion of CRITERIA, timed; it fails if it takes time_bound or longer."""
+    t0 = time.perf_counter()
+    passed, detail = check()
+    runtime = time.perf_counter() - t0
+    return AcceptanceResult(number, name, passed and runtime < time_bound, detail, runtime)
 
 
 def run_all() -> list[AcceptanceResult]:
     """Run every criterion in order, printing one line per result."""
     results = []
-    for _, _, fn in CRITERIA:
-        result = fn()
+    for criterion in CRITERIA:
+        result = run(*criterion)
         results.append(result)
         print(result.line)
     return results

@@ -26,7 +26,9 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBox, ValidationError
-from .operators import DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, _number_array, identity
+from .operators import (
+    DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, _number_array, _require_observable, identity
+)
 from .unsharp import _smeared_matrices, validate_lambda
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -183,6 +185,7 @@ def correlation(
     state: DensityMatrix, a: DichotomicObservable, b: DichotomicObservable
 ) -> float:
     """Tr[state (A x B)] with A = E_yes - E_no on each wing."""
+    a, b = _require_observable(a), _require_observable(b)
     return float(_correlations(state, a.difference(), b.difference()))
 
 
@@ -222,8 +225,9 @@ def smeared_chsh_values(
 
 def _smeared_terms(state, a1, a2, b1, b2, lam) -> tuple:
     """(t11, t12, t21, t22), Alice smeared by lam; arrays of length r for an (r, 1, 1) lam."""
-    xs = [np.subtract(*_smeared_matrices(a, lam)) for a in (a1, a2)]
-    return tuple(_correlations(state, x, b.difference()) for x in xs for b in (b1, b2))
+    xs = [np.subtract(*_smeared_matrices(_require_observable(a), lam)) for a in (a1, a2)]
+    ys = [_require_observable(b).difference() for b in (b1, b2)]
+    return tuple(_correlations(state, x, y) for x in xs for y in ys)
 
 
 def box_chsh(box: NoSignalingBox) -> ChshReport:

@@ -220,27 +220,25 @@ def _cmd_jointly_measurable(args: argparse.Namespace) -> int:
 
 def _cmd_lambda_opt(args: argparse.Namespace) -> int:
     validate_seed(args.seed)
+    given = {flag for flag in ("m", "n", "o1", "o2") if getattr(args, flag) is not None}
     if args.mode == "worst-case":
-        result = lambda_opt_search("worst-case", seed=args.seed)
-        m, n = result.pair
-        pair_json = {"m": list(m.v), "n": list(n.v)}
-    else:
-        if args.m is not None and args.n is not None:
-            pair = (_parse_bloch(args.m), _parse_bloch(args.n))
-            result = lambda_opt_search(pair)
-            pair_json = {"m": list(pair[0].v), "n": list(pair[1].v)}
-        elif args.o1 is not None and args.o2 is not None:
-            o1 = _load(args.o1, _observable)
-            o2 = _load(args.o2, _observable)
-            result = lambda_opt_search((o1, o2))
-            pair_json = {
-                "o1": observable_to_json(o1),
-                "o2": observable_to_json(o2),
-            }
-        else:
+        if given:
             raise ValidationError(
-                "lambda-opt-pair-inputs", detail="need --m/--n or --o1/--o2"
+                "lambda-opt-pair-inputs", detail="--mode worst-case takes no --m/--n/--o1/--o2"
             )
+        source = "worst-case"
+    elif given == {"m", "n"}:
+        source = (_parse_bloch(args.m), _parse_bloch(args.n))
+    elif given == {"o1", "o2"}:
+        source = (_load(args.o1, _observable), _load(args.o2, _observable))
+    else:
+        raise ValidationError("lambda-opt-pair-inputs", detail="need --m/--n or --o1/--o2")
+    result = lambda_opt_search(source, seed=args.seed)
+    a, b = result.pair
+    if isinstance(a, BlochVector):
+        pair_json = {"m": list(a.v), "n": list(b.v)}
+    else:
+        pair_json = {"o1": observable_to_json(a), "o2": observable_to_json(b)}
     payload = {
         "schema": SCHEMA,
         "kind": "lambda-opt",

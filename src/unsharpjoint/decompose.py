@@ -32,6 +32,7 @@ from .operators import (
     DichotomicObservable,
     Effect,
     Projector,
+    _require_observable,
     square_matrix,
 )
 
@@ -230,7 +231,7 @@ def neumark_dilate(obs: DichotomicObservable) -> Projector:
     |v_i> = sqrt(a_i) |e_i>|0> + sqrt(1 - a_i) |e_i>|1>.
     Compressing onto ancilla state |0> recovers A to 1e-12.
     """
-    a = obs.yes_effect
+    a = _require_observable(obs).yes_effect
     d = a.dim
     eigs, vecs = np.linalg.eigh(a.matrix)
     eigs = np.clip(eigs, 0.0, 1.0)

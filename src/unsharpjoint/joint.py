@@ -16,9 +16,9 @@ marginals.  This module provides
 * an independent alternating-projection (Dykstra) feasibility oracle,
   Anderson-accelerated, that cross-checks every closed-form verdict and
   decides the POVM pairs the closed form leaves open;
-* the largest feasible unsharpness from the closed-form thresholds; its
-  worst case over Bloch-vector pairs, 1/sqrt(2), is reached at every
-  orthogonal pair.
+* the largest feasible unsharpness of two Bloch vectors or two
+  observables, from the closed-form thresholds; its worst case over
+  Bloch-vector pairs, 1/sqrt(2), is reached at every orthogonal pair.
 
 The operator form needs no block decomposition.  The anticommutator
 {A, B} commutes with A and B, so on every invariant block of the pair
@@ -61,6 +61,7 @@ from .operators import (
     _check_effects,
     _frozen,
     _number_array,
+    _require_observable,
     _unit_vector,
     _validated_effects,
     identity,
@@ -416,7 +417,7 @@ def povm_joint_observable(
     formula gives no witness and feasibility_oracle decides, at its
     default settings; its report shows iterations > 0.
     """
-    if o1.dim != o2.dim:
+    if _require_observable(o1).dim != _require_observable(o2).dim:
         raise DimensionMismatch(o1.dim, o2.dim)
     lam = validate_lambda(lam)
     sharp = _sharp_pair(o1, o2)
@@ -532,7 +533,7 @@ def feasibility_oracle(
     projection.  A "no" or "undetermined" report takes min_eigenvalue from
     eigvalsh, which at d >= 3 can differ from eigh's in the last bits.
     """
-    if o1lam.dim != o2lam.dim:
+    if _require_observable(o1lam).dim != _require_observable(o2lam).dim:
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
     max_iter = validate_max_iter(max_iter)
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
@@ -591,7 +592,7 @@ def _gap_report(verdict: str, x, y, iterations: int, certificate=None) -> Feasib
 
 @dataclass(frozen=True, eq=False)
 class LambdaOptResult:
-    """Largest certified-feasible unsharpness and the pair attaining it."""
+    """Largest certified-feasible unsharpness and the pair it was decided for."""
 
     value: float
     pair: tuple
@@ -601,21 +602,22 @@ class LambdaOptResult:
 def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
     """Largest feasible unsharpness for a pair, or the worst case over pairs.
 
-    For an explicit pair the threshold comes from the closed forms:
+    pair_source is "worst-case", two BlochVectors or two
+    DichotomicObservables; anything else raises ValidationError
+    ("pair-source").  The threshold comes from the closed forms:
 
     * Bloch vectors m, n: min(1, 2 / (|m+n| + |m-n|));
-    * two sharp observables (projectors, or observables, effects or
-      matrices whose yes-effects pass the sharp-pair test of
-      povm_joint_observable): min(1, 2 / top), top the largest eigenvalue
-      of |A+B| + |A-B| for A = 2P - I, B = 2Q - I, that is the minimum of
-      1 / (c + sqrt(1 - c^2)) over the overlaps c of the pair's
+    * two sharp observables (both yes-effects projectors, by the sharp-pair
+      test of povm_joint_observable): min(1, 2 / top), top the largest
+      eigenvalue of |A+B| + |A-B| for A = 2P - I, B = 2Q - I, that is the
+      minimum of 1 / (c + sqrt(1 - c^2)) over the overlaps c of the pair's
       two-dimensional blocks;
-    * any other pair of dichotomic observables: 1/sqrt(2), where
+    * any other pair of observables: 1/sqrt(2), where
       povm_joint_observable builds a witness for every pair, since
       top <= 2 sqrt(2) for any contrasts A, B of norm at most 1.
 
     The returned point is confirmed with the feasibility oracle; the
-    returned pair is the two Bloch vectors, or the two observables decided.
+    returned pair is the pair decided: the inputs, or the worst-case pair.
 
     "worst-case" takes a random orthogonal Bloch pair drawn from seed.
     Every orthogonal pair has |m+n| = |m-n| = sqrt(2), so its threshold is
@@ -634,38 +636,28 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
         raise ValidationError(
             "pair-source", detail=f"not a pair: {type(pair_source).__name__}"
         ) from None
-    # Operator objects are 0-d to numpy, matrices 2-d and Bloch vectors 1-d;
-    # a ragged sequence, which numpy cannot size, is left to square_matrix.
-    try:
-        bloch = all(isinstance(o, BlochVector) or np.ndim(o) == 1 for o in (a, b))
-    except ValueError:
-        bloch = False
-    if bloch:
-        pair = (BlochVector.coerce(a), BlochVector.coerce(b))
-        value = min(1.0, 2.0 / criterion_value(*pair, 1.0))
-        observables = (pair[0].observable(), pair[1].observable())
-    else:
-        observables = tuple(
-            o if isinstance(o, DichotomicObservable)
-            else o.observable() if isinstance(o, (Projector, BlochVector))
-            else DichotomicObservable.from_yes_effect(o)
-            for o in (a, b)
-        )
-        sharp = _sharp_pair(*observables)
+    if isinstance(a, BlochVector) and isinstance(b, BlochVector):
+        value = min(1.0, 2.0 / criterion_value(a, b, 1.0))
+        o1, o2 = a.observable(), b.observable()
+    elif isinstance(a, DichotomicObservable) and isinstance(b, DichotomicObservable):
+        o1, o2 = a, b
+        sharp = _sharp_pair(a, b)
         if sharp is None:
             value = LAMBDA_OPT
         else:
             top, _ = _contrast_pair_effects(_sharp_contrast(sharp[0]), _sharp_contrast(sharp[1]), 1.0)
             value = 1.0 if top <= 2.0 + CRITERION_SLACK else 2.0 / top
-            observables = (sharp[0].observable(), sharp[1].observable())
-        pair = observables
+    else:
+        raise ValidationError(
+            "pair-source", detail="need two BlochVectors or two DichotomicObservables, "
+            f"got {type(a).__name__} and {type(b).__name__}")
 
-    verdict = feasibility_oracle(smear(observables[0], value), smear(observables[1], value)).feasible
+    verdict = feasibility_oracle(smear(o1, value), smear(o2, value)).feasible
     if verdict == "no":
         raise ValidationError(
             "oracle-contradicts-construction", detail=f"at lambda={value!r}"
         )
-    return LambdaOptResult(value=value, pair=pair, oracle_verdict=verdict)
+    return LambdaOptResult(value=value, pair=(a, b), oracle_verdict=verdict)
 
 
 def _worst_case_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:

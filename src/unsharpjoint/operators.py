@@ -199,6 +199,13 @@ class DichotomicObservable:
         return self.yes_effect.matrix - self.no_effect.matrix
 
 
+def _require_observable(obs) -> DichotomicObservable:
+    """obs if it is a DichotomicObservable; anything else (a raw matrix, say) raises ValidationError."""
+    if not isinstance(obs, DichotomicObservable):
+        raise ValidationError("dichotomic-observable", detail=f"got {type(obs).__name__}")
+    return obs
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
     """Hermitian idempotent with integer rank equal to its trace.

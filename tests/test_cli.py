@@ -665,6 +665,10 @@ class TestErrors:
         assert code == 1
 
 
+_WORST_CASE_TAKES_NO_PAIR = "--mode worst-case takes no --m/--n/--o1/--o2"
+_NEED_ONE_PAIR = "need --m/--n or --o1/--o2"
+
+
 class TestFlagWindows:
     # The files do not exist: each window is checked before any file read.
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed-form", "oracle"])
@@ -686,6 +690,26 @@ class TestFlagWindows:
         )
         assert code == 1
         assert "seed-uint64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,detail",
+        [
+            (["--mode", "worst-case", "--m", "0,0,1", "--n", "1,0,0"], _WORST_CASE_TAKES_NO_PAIR),
+            (["--mode", "worst-case", "--o1", "p.json", "--o2", "q.json"], _WORST_CASE_TAKES_NO_PAIR),
+            (["--m", "0,0,1", "--n", "1,0,0", "--o1", "p.json", "--o2", "q.json"], _NEED_ONE_PAIR),
+            (["--m", "0,0,1", "--o1", "p.json", "--o2", "q.json"], _NEED_ONE_PAIR),
+            (["--m", "0,0,1"], _NEED_ONE_PAIR),
+        ],
+        ids=["worst-case-with-bloch", "worst-case-with-files", "bloch-and-files", "half-bloch-and-files",
+             "half-bloch"],
+    )
+    def test_conflicting_pair_inputs_are_refused(self, argv, detail, fixtures, capsys):
+        # All but the last used to exit 0, deciding one input and ignoring the rest.
+        code = main(["lambda-opt", *(fixtures.get(a, a) for a in argv)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: lambda-opt-pair-inputs: {detail}\n"
 
     def test_seed_message_is_the_library_message(self, capsys):
         # The flag and lambda_opt_search share one seed check.

@@ -262,7 +262,8 @@ class TestPvmJointObservable:
             assert np.max(np.abs(e.matrix - want)) <= 1e-15
 
     @pytest.mark.parametrize("decide", [
-        lambda p, q: pvm_joint_observable(p, q, 0.5), lambda p, q: lambda_opt_search((p, q)),
+        lambda p, q: pvm_joint_observable(p, q, 0.5),
+        lambda p, q: lambda_opt_search((p.observable(), q.observable())),
     ])
     def test_dimension_mismatch_is_typed(self, decide):
         with pytest.raises(DimensionMismatch):
@@ -583,7 +584,7 @@ class TestFeasibilityOracle:
     def test_projector_pairs_bracket_the_threshold(self, seed, d):
         rng = np.random.default_rng(seed)
         p, q = _random_projector(rng, d, d // 2), _random_projector(rng, d, d // 2)
-        threshold = lambda_opt_search((p, q)).value
+        threshold = lambda_opt_search((p.observable(), q.observable())).value
         assume(1.03 * threshold <= 1.0)
         for lam, want in ((0.97 * threshold, "yes"), (1.03 * threshold, "no")):
             o1lam, o2lam = smear(p.observable(), lam), smear(q.observable(), lam)
@@ -603,8 +604,9 @@ class TestFeasibilityOracle:
         else:
             a = _random_projector(rng, d, int(rng.integers(0, d + 1)))
             b = _random_projector(rng, d, int(rng.integers(0, d + 1)))
-        lam = lambda_opt_search((a, b)).value
-        rep = feasibility_oracle(smear(a.observable(), lam), smear(b.observable(), lam))
+        o1, o2 = a.observable(), b.observable()
+        lam = lambda_opt_search((a, b) if bloch else (o1, o2)).value
+        rep = feasibility_oracle(smear(o1, lam), smear(o2, lam))
         assert rep.feasible != "no"
 
     def test_povm_pair_above_gate_is_oracle_territory(self):
@@ -687,7 +689,7 @@ class TestLambdaOptSearch:
     @settings(max_examples=60)
     @given(_unit_vectors(), _unit_vectors())
     def test_bloch_pair_is_closed_form_boundary(self, m, n):
-        res = lambda_opt_search((m, n))
+        res = lambda_opt_search((BlochVector(m), BlochVector(n)))
         closed = min(1.0, 2.0 / (np.linalg.norm(m + n) + np.linalg.norm(m - n)))
         assert res.value == pytest.approx(closed, abs=1e-15)
         assert res.oracle_verdict in ("yes", "undetermined")
@@ -697,13 +699,17 @@ class TestLambdaOptSearch:
             assert qubit_joint_observable(m, n, above).feasible == "no"
 
     def test_projector_pair(self):
-        res = lambda_opt_search((projector_onto([1, 0]), projector_onto([1, 1])))
+        pair = (projector_onto([1, 0]).observable(), projector_onto([1, 1]).observable())
+        res = lambda_opt_search(pair)
         assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-12)
 
     def test_commuting_projector_pair_is_sharp(self):
         p = Projector.from_matrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
         q = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
-        assert lambda_opt_search((p, q)).value == 1.0
+        pair = (p.observable(), q.observable())
+        res = lambda_opt_search(pair)
+        assert res.value == 1.0
+        assert res.pair == pair  # the inputs, not observables rebuilt from projectors
 
     def test_povm_pair_takes_lambda_opt(self):
         rng = np.random.default_rng(181)
@@ -717,34 +723,33 @@ class TestLambdaOptSearch:
 
     @pytest.mark.parametrize("projector_first", [True, False])
     def test_mixed_pair_takes_lambda_opt(self, projector_first):
-        # A projector paired with a POVM is decided as a POVM pair.
+        # A sharp observable paired with a POVM is decided as a POVM pair.
         rng = np.random.default_rng(197)
-        p = _random_projector(rng, 3, 1)
+        p = _random_projector(rng, 3, 1).observable()
         o = DichotomicObservable.from_yes_effect(_random_effect(rng, 3))
         res = lambda_opt_search((p, o) if projector_first else (o, p))
         assert res.value == LAMBDA_OPT
         assert res.oracle_verdict == "yes"
-        sharp, povm = res.pair if projector_first else res.pair[::-1]
-        assert povm is o
-        assert sharp.yes_effect.matrix.tobytes() == p.matrix.tobytes()
+        assert res.pair == ((p, o) if projector_first else (o, p))
         assert povm_joint_observable(*res.pair, res.value).feasible == "yes"
 
     @pytest.mark.parametrize("first,second", list(itertools.product(_PAIR_KINDS, repeat=2)))
     def test_branch_is_chosen_from_both_elements(self, first, second):
         # Once chosen by the first element alone: (Effect, obs) and
         # (Effect, Effect) died with a bare TypeError and (matrix, obs) with
-        # "bloch-3-vector".  Equal kinds here are equal elements.
+        # "bloch-3-vector".  Then both were sniffed, and a raw array could
+        # be read as a 3-vector or a matrix.  Now a pair is two BlochVectors
+        # or two DichotomicObservables, and nothing else.  Equal kinds here
+        # are equal elements.
         a, b = _PAIR_KINDS[first](), _PAIR_KINDS[second]()
-        if {first, second} <= {"bloch", "vector"}:
+        if first == second == "bloch":
             want = min(1.0, 2.0 / criterion_value(a, b, 1.0))
-        elif first == second == "projector":
-            want = 1.0
-        elif "vector" in (first, second):
-            with pytest.raises(ValidationError, match="square-matrix"):
+        elif first == second == "observable":
+            want = LAMBDA_OPT
+        else:
+            with pytest.raises(ValidationError, match="pair-source"):
                 lambda_opt_search((a, b))
             return
-        else:
-            want = LAMBDA_OPT
         res = lambda_opt_search((a, b))
         assert res.value == pytest.approx(want, abs=1e-15)
         assert res.oracle_verdict in ("yes", "undetermined")
@@ -753,7 +758,7 @@ class TestLambdaOptSearch:
     @pytest.mark.parametrize("first", [True, False])
     def test_non_numeric_element_is_rejected(self, bad, first):
         o = _PAIR_KINDS["observable"]()
-        with pytest.raises(ValidationError, match="square-matrix"):
+        with pytest.raises(ValidationError, match="pair-source"):
             lambda_opt_search((bad, o) if first else (o, bad))
 
     def test_higher_dimensional_projector_pair(self):
@@ -771,7 +776,7 @@ class TestLambdaOptSearch:
             for b in two_projector_blocks(p, q).blocks
             if b.dim == 2
         )
-        res = lambda_opt_search((p, q))
+        res = lambda_opt_search((p.observable(), q.observable()))
         assert res.value == pytest.approx(expected, abs=1e-12)
 
     def test_worst_case(self):
@@ -913,7 +918,7 @@ class TestWitnessBuiltOnce:
         rng = np.random.default_rng(seed)
         p = _random_projector(rng, d, data.draw(st.integers(0, d)))
         q = _random_projector(rng, d, data.draw(st.integers(0, d)))
-        rep = pvm_joint_observable(p, q, lambda_opt_search((p, q)).value)
+        rep = pvm_joint_observable(p, q, lambda_opt_search((p.observable(), q.observable())).value)
         assert rep.feasible == "yes"
         assert rep.min_eigenvalue >= -1e-11
         assert rep.marginal_residual <= 1e-9
@@ -931,7 +936,7 @@ class TestWitnessBuiltOnce:
         rng = np.random.default_rng(seed)
         rp, rq = data.draw(st.integers(1, d - 1)), data.draw(st.integers(1, d))
         p, q = _near_aligned_pair(rng, d, rp, rq, math.exp(log_angle))
-        lam = lambda_opt_search((p, q)).value
+        lam = lambda_opt_search((p.observable(), q.observable())).value
         rep = pvm_joint_observable(p, q, lam)
         assert rep.feasible == "yes"
         assert rep.min_eigenvalue >= -1e-11

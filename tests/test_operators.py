@@ -18,11 +18,19 @@ from unsharpjoint import (
     Projector,
     SpectrumOutOfRange,
     ValidationError,
+    chsh,
+    correlation,
+    feasibility_oracle,
     matrix_from_json,
     matrix_to_json,
+    mean_value,
+    neumark_dilate,
+    povm_joint_observable,
     projector_onto,
     pvm_joint_observable,
+    singlet,
     smear,
+    smeared_chsh,
     two_projector_blocks,
 )
 from unsharpjoint.operators import HERMITIAN_TOL, PAULI_Z, identity
@@ -66,6 +74,32 @@ def test_non_numeric_input_is_rejected(build, m):
     # untyped, and strings such as "1" were read as numbers.
     with pytest.raises(ValidationError, match="square-matrix"):
         build(m)
+
+
+_OBS = DichotomicObservable.from_yes_effect(np.diag([0.3, 0.6]))
+_RAW = 0.5 * np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: smear(_RAW, 0.5),
+        lambda: neumark_dilate(_RAW),
+        lambda: povm_joint_observable(_OBS, _RAW, 0.5),
+        lambda: feasibility_oracle(_RAW, _OBS),
+        lambda: mean_value(_RAW, DensityMatrix.maximally_mixed(2)),
+        lambda: correlation(DensityMatrix.maximally_mixed(4), _OBS, _RAW),
+        lambda: chsh(singlet(), _OBS, _OBS, _OBS, _RAW),
+        lambda: smeared_chsh(singlet(), _RAW, _OBS, _OBS, _OBS, 0.5),
+    ],
+    ids=["smear", "neumark-dilate", "povm-joint-observable", "feasibility-oracle", "mean-value",
+         "correlation", "chsh", "smeared-chsh"],
+)
+def test_raw_matrix_for_an_observable_is_rejected(call):
+    # Each used to end in a bare AttributeError: 'numpy.ndarray' object has
+    # no attribute 'yes_effect' (or 'dim', or 'difference').
+    with pytest.raises(ValidationError, match="dichotomic-observable: got ndarray"):
+        call()
 
 
 # Frozen by direct arithmetic on the diagonal 2x2 case.
