@@ -200,7 +200,7 @@ class DichotomicObservable:
 
 
 def _require_observable(obs) -> DichotomicObservable:
-    """obs if it is a DichotomicObservable; anything else (a raw matrix, say) raises ValidationError."""
+    """obs if it is a DichotomicObservable, else ValidationError (for a raw matrix, say)."""
     if not isinstance(obs, DichotomicObservable):
         raise ValidationError("dichotomic-observable", detail=f"got {type(obs).__name__}")
     return obs
