@@ -9,17 +9,7 @@ the CHSH expression: smearing one wing by lam rescales the quantum value
 the no-signaling range.
 """
 
-from .errors import (
-    DimensionMismatch,
-    InvalidBox,
-    NotHermitian,
-    NotProjector,
-    OddDimension,
-    ParseError,
-    SpectrumOutOfRange,
-    UnsharpJointError,
-    ValidationError,
-)
+from .errors import DimensionMismatch, ParseError, UnsharpJointError, ValidationError
 from .operators import (
     DensityMatrix,
     DichotomicObservable,
@@ -82,19 +72,14 @@ __all__ = [
     "DimensionMismatch",
     "Effect",
     "FeasibilityReport",
-    "InvalidBox",
     "JointObservable",
     "JointResiduals",
     "LAMBDA_OPT",
     "LambdaOptResult",
     "NoSignalingBox",
-    "NotHermitian",
-    "NotProjector",
-    "OddDimension",
     "ParseError",
     "Projector",
     "SmearedMeanReport",
-    "SpectrumOutOfRange",
     "TSIRELSON_BOUND",
     "UnsharpJointError",
     "ValidationError",

@@ -25,9 +25,9 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBox, ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .operators import (
-    DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, _number_array, _require_observable, identity
+    DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, _number_array, _require, identity
 )
 from .unsharp import _smeared_matrices, validate_lambda
 
@@ -39,13 +39,14 @@ _EXACT_EPS = 1e-12
 
 
 def _cell(key: str, cell) -> np.ndarray:
-    """One setting's 2x2 table [a, b] of finite floats, or InvalidBox."""
+    """One setting's 2x2 table [a, b] of finite floats, or ValidationError
+    ("box-cell") naming the setting, whatever _number_array found."""
     try:
-        rows = _number_array(cell)
-    except (TypeError, ValueError, OverflowError):
+        rows = _number_array(cell, "box-cell")
+    except ValidationError:
         rows = None
     if rows is None or rows.shape != (2, 2) or not np.isfinite(rows).all():
-        raise InvalidBox("box-cell", detail=f"setting {key!r} is not a 2x2 table of numbers")
+        raise ValidationError("box-cell", detail=f"setting {key!r} is not a 2x2 table of numbers")
     return rows
 
 
@@ -58,7 +59,9 @@ class NoSignalingBox:
     as the read-only float array p[x, y, a, b], settings counted from 0.
     Construction checks each setting in SETTINGS order (a 2x2 table of
     finite numbers, non-negative, normalized), then both no-signaling
-    conditions, all at 1e-12, and reports the first fault it meets.
+    conditions, all at 1e-12.  The first fault it meets raises a
+    ValidationError: box-settings, box-cell, box-nonnegative,
+    box-normalization, no-signaling-alice or no-signaling-bob.
     """
 
     table: InitVar[Mapping]
@@ -66,21 +69,21 @@ class NoSignalingBox:
 
     def __post_init__(self, table):
         if not isinstance(table, Mapping):
-            raise InvalidBox("box-settings", detail="table must map settings to cells")
+            raise ValidationError("box-settings", detail="table must map settings to cells")
         p = np.empty((4, 2, 2))
         # A cell's four entries can sum past the float range: an inf excess, not a warning.
         with np.errstate(over="ignore"):
             for i, key in enumerate(SETTINGS):
                 if key not in table:
-                    raise InvalidBox("box-settings", detail=f"missing setting {key!r}")
+                    raise ValidationError("box-settings", detail=f"missing setting {key!r}")
                 cell = p[i] = _cell(key, table[key])
                 if cell.min() < 0:
                     a, b = divmod(int(np.flatnonzero(cell < 0)[0]), 2)
-                    raise InvalidBox("box-nonnegative", float(-cell[a, b]),
-                                     detail=f"p({a},{b}|{key})")
+                    raise ValidationError("box-nonnegative", float(-cell[a, b]),
+                                          detail=f"p({a},{b}|{key})")
                 excess = abs(float(cell.sum()) - 1.0)
                 if excess > _EXACT_EPS:
-                    raise InvalidBox("box-normalization", excess, detail=f"setting {key!r}")
+                    raise ValidationError("box-normalization", excess, detail=f"setting {key!r}")
         p = p.reshape(2, 2, 2, 2)
 
         # Alice's marginal must not depend on y, Bob's not on x.
@@ -91,8 +94,8 @@ class NoSignalingBox:
         ):
             if gap.max() > _EXACT_EPS:
                 i, j = np.argwhere(gap > _EXACT_EPS)[0]
-                raise InvalidBox(invariant, float(gap[i, j]),
-                                 detail=f"{names[0]}={i}, {names[1]}={j + 1}")
+                raise ValidationError(invariant, float(gap[i, j]),
+                                      detail=f"{names[0]}={i}, {names[1]}={j + 1}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -126,11 +129,12 @@ def white_noise_box() -> NoSignalingBox:
 def deterministic_box(alice: tuple[int, int], bob: tuple[int, int]) -> NoSignalingBox:
     """Local deterministic box: outcome signs fixed per setting.
 
-    alice[x-1] and bob[y-1] are the +/-1 outcomes for settings x, y.
+    alice[x-1] and bob[y-1] are the +/-1 outcomes for settings x, y; each
+    party needs exactly two signs, else deterministic-outcomes.
     """
-    for v in (*alice, *bob):
-        if v not in (1, -1):
-            raise InvalidBox("deterministic-outcomes", detail=f"got {v!r}")
+    for signs in (alice, bob):
+        if not np.array_equal(np.abs(_number_array(signs, "deterministic-outcomes")), (1, 1)):
+            raise ValidationError("deterministic-outcomes", detail=f"got {signs!r}")
     x, y, a, b = np.indices((2, 2, 2, 2))
     a_out, b_out = ((1 - np.array(signs, dtype=int)) // 2 for signs in (alice, bob))
     return _box(1.0 * ((a == a_out[x]) & (b == b_out[y])))
@@ -173,7 +177,7 @@ def _report(terms, bound: float) -> ChshReport:
 
 def _correlations(state: DensityMatrix, x: np.ndarray, y: np.ndarray):
     """Tr[state (x (x) y)] for Alice's contrast x (or a stack of them) and Bob's y."""
-    if state.dim != x.shape[-1] * y.shape[-1]:
+    if _require(state, DensityMatrix).dim != x.shape[-1] * y.shape[-1]:
         raise DimensionMismatch(state.dim, x.shape[-1], y.shape[-1])
     # x (x) y, entry by entry the single product x[i, j] y[k, l], as np.kron.
     op = x[..., :, None, :, None] * y[None, :, None, :]
@@ -185,7 +189,7 @@ def correlation(
     state: DensityMatrix, a: DichotomicObservable, b: DichotomicObservable
 ) -> float:
     """Tr[state (A x B)] with A = E_yes - E_no on each wing."""
-    a, b = _require_observable(a), _require_observable(b)
+    a, b = _require(a, DichotomicObservable), _require(b, DichotomicObservable)
     return float(_correlations(state, a.difference(), b.difference()))
 
 
@@ -225,14 +229,14 @@ def smeared_chsh_values(
 
 def _smeared_terms(state, a1, a2, b1, b2, lam) -> tuple:
     """(t11, t12, t21, t22), Alice smeared by lam; arrays of length r for an (r, 1, 1) lam."""
-    xs = [np.subtract(*_smeared_matrices(_require_observable(a), lam)) for a in (a1, a2)]
-    ys = [_require_observable(b).difference() for b in (b1, b2)]
+    xs = [np.subtract(*_smeared_matrices(_require(a, DichotomicObservable), lam)) for a in (a1, a2)]
+    ys = [_require(b, DichotomicObservable).difference() for b in (b1, b2)]
     return tuple(_correlations(state, x, y) for x in xs for y in ys)
 
 
 def box_chsh(box: NoSignalingBox) -> ChshReport:
     """CHSH of a conditional-probability table; exact on the built-in boxes."""
-    return _report(box.correlators().ravel().tolist(), TSIRELSON_BOUND)
+    return _report(_require(box, NoSignalingBox).correlators().ravel().tolist(), TSIRELSON_BOUND)
 
 
 def singlet() -> DensityMatrix:

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OddDimension, ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .operators import (
     DichotomicObservable,
     Effect,
     Projector,
-    _require_observable,
+    _require,
     square_matrix,
 )
 
@@ -148,7 +148,7 @@ def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
     in ran q, ran p in ker q, ker p in ran q, ker p in ker q.  Within a
     species of several directions any orthonormal basis is valid.
     """
-    if p.dim != q.dim:
+    if _require(p, Projector).dim != _require(q, Projector).dim:
         raise DimensionMismatch(p.dim, q.dim)
     pm, qm = p.matrix, q.matrix
     evals, evecs = np.linalg.eigh(pm)
@@ -231,7 +231,7 @@ def neumark_dilate(obs: DichotomicObservable) -> Projector:
     |v_i> = sqrt(a_i) |e_i>|0> + sqrt(1 - a_i) |e_i>|1>.
     Compressing onto ancilla state |0> recovers A to 1e-12.
     """
-    a = _require_observable(obs).yes_effect
+    a = _require(obs, DichotomicObservable).yes_effect
     d = a.dim
     eigs, vecs = np.linalg.eigh(a.matrix)
     eigs = np.clip(eigs, 0.0, 1.0)
@@ -253,5 +253,5 @@ def compress(g) -> Effect:
     """
     m = g.matrix if isinstance(g, Effect) else square_matrix(g)
     if m.shape[0] % 2 != 0:
-        raise OddDimension(m.shape[0])
+        raise ValidationError("even-dimension", detail=f"dimension {m.shape[0]} is not of the form 2*d")
     return Effect(m[0::2, 0::2])

@@ -1,7 +1,11 @@
 """Exception hierarchy shared by all unsharpjoint modules.
 
-Every error is an UnsharpJointError; a ValidationError names the invariant
-that failed, and the residual where one is measured.
+Every error is an UnsharpJointError.  A value the package refuses raises a
+ValidationError, which names the invariant that failed ("hermiticity",
+"spectrum-in-[0,1]", "idempotency", "box-cell", "density-matrix", ...) and
+the residual where one is measured; callers branch on exc.invariant.  Only
+operands of incompatible dimension (DimensionMismatch) and malformed input
+files (ParseError, which names the file) have types of their own.
 """
 
 
@@ -27,49 +31,12 @@ class ValidationError(UnsharpJointError):
         super().__init__(msg)
 
 
-class NotHermitian(ValidationError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-    def __init__(self, residual: float):
-        super().__init__("hermiticity", residual)
-
-
-class SpectrumOutOfRange(ValidationError):
-    """An eigenvalue falls outside the admissible interval for an effect."""
-
-    def __init__(self, eigenvalue: float, lo: float, hi: float):
-        self.eigenvalue = eigenvalue
-        super().__init__(
-            "spectrum-in-[0,1]",
-            detail=f"eigenvalue {eigenvalue!r} outside [{lo!r}, {hi!r}]",
-        )
-
-
-class NotProjector(ValidationError):
-    """Matrix is not idempotent (or not Hermitian) to tolerance."""
-
-    def __init__(self, residual: float):
-        super().__init__("idempotency", residual)
-
-
 class DimensionMismatch(UnsharpJointError):
     """Operands act on spaces of incompatible dimension."""
 
     def __init__(self, *dims: int):
         self.dims = dims
         super().__init__(f"incompatible dimensions {dims}")
-
-
-class OddDimension(UnsharpJointError):
-    """Compression requires an even dimension (system x 2-level ancilla)."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        super().__init__(f"dimension {dim} is not of the form 2*d")
-
-
-class InvalidBox(ValidationError):
-    """A conditional probability table violates a box invariant."""
 
 
 class ParseError(UnsharpJointError):

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotProjector, ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .operators import (
     PSD_TOL,
     RANK_TOL,
@@ -61,7 +61,7 @@ from .operators import (
     _check_effects,
     _frozen,
     _number_array,
-    _require_observable,
+    _require,
     _unit_vector,
     _validated_effects,
     identity,
@@ -86,15 +86,6 @@ CERTIFICATE_MARGIN = 1e-12
 ANDERSON_MEMORY = 3
 
 
-def _bloch_array(v) -> np.ndarray:
-    """v as a flat float array; anything but real numbers in the float range
-    (a string such as "1", a complex, 10**400) raises ValidationError."""
-    try:
-        return _number_array(v).reshape(-1)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("bloch-3-vector", detail=str(exc)) from exc
-
-
 @dataclass(frozen=True, eq=False)
 class BlochVector:
     """Unit 3-vector parametrizing a rank-1 qubit projector (I + v.sigma)/2."""
@@ -102,7 +93,7 @@ class BlochVector:
     v: np.ndarray
 
     def __post_init__(self):
-        a = _bloch_array(self.v)
+        a = _number_array(self.v, "bloch-3-vector").reshape(-1)
         if a.shape != (3,):
             raise ValidationError("bloch-3-vector", detail=f"shape {a.shape}")
         norm = float(np.linalg.norm(a))
@@ -120,7 +111,7 @@ class BlochVector:
 
     @classmethod
     def normalized(cls, v) -> "BlochVector":
-        a = _bloch_array(v)
+        a = _number_array(v, "bloch-3-vector").reshape(-1)
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(a))
         if 0.0 < norm < math.inf:
@@ -246,7 +237,8 @@ def check_joint(
     o2lam: DichotomicObservable,
 ) -> JointResiduals:
     """Residuals of j against two (already smeared) target observables."""
-    if not (j.dim == o1lam.dim == o2lam.dim):
+    if not (_require(j, JointObservable).dim == _require(o1lam, DichotomicObservable).dim
+            == _require(o2lam, DichotomicObservable).dim):
         raise DimensionMismatch(j.dim, o1lam.dim, o2lam.dim)
     gpp, gpm, gmp, gmm = (e.matrix for e in j.effects)
     eye = identity(j.dim)
@@ -376,6 +368,7 @@ def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport
     Only the final witness is validated and checked.
     """
     lam = validate_lambda(lam)
+    p1, p2 = _require(p1, Projector), _require(p2, Projector)
     value, effects = _contrast_pair_effects(_sharp_contrast(p1), _sharp_contrast(p2), lam)
     if value > 2.0 + CRITERION_SLACK:
         return _no(value)
@@ -391,7 +384,7 @@ def _sharp_pair(o1: DichotomicObservable, o2: DichotomicObservable):
         return None
     try:
         return tuple(Projector.from_matrix(m) for m in ms)
-    except NotProjector:
+    except ValidationError:
         return None
 
 
@@ -417,7 +410,7 @@ def povm_joint_observable(
     formula gives no witness and feasibility_oracle decides, at its
     default settings; its report shows iterations > 0.
     """
-    if _require_observable(o1).dim != _require_observable(o2).dim:
+    if _require(o1, DichotomicObservable).dim != _require(o2, DichotomicObservable).dim:
         raise DimensionMismatch(o1.dim, o2.dim)
     lam = validate_lambda(lam)
     sharp = _sharp_pair(o1, o2)
@@ -533,7 +526,7 @@ def feasibility_oracle(
     projection.  A "no" or "undetermined" report takes min_eigenvalue from
     eigvalsh, which at d >= 3 can differ from eigh's in the last bits.
     """
-    if _require_observable(o1lam).dim != _require_observable(o2lam).dim:
+    if _require(o1lam, DichotomicObservable).dim != _require(o2lam, DichotomicObservable).dim:
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
     max_iter = validate_max_iter(max_iter)
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix

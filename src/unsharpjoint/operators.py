@@ -25,13 +25,7 @@ from numbers import Complex, Integral, Real
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotHermitian,
-    SpectrumOutOfRange,
-    NotProjector,
-    ValidationError,
-)
+from .errors import DimensionMismatch, ValidationError
 
 HERMITIAN_TOL = 1e-10
 AFFINE_TOL = 1e-10
@@ -51,10 +45,7 @@ def square_matrix(m) -> np.ndarray:
     such as "1" included), has an entry past the float range, is not square,
     is 0x0 or has non-finite entries.
     """
-    try:
-        a = _number_array(m, complex)
-    except (TypeError, ValueError, OverflowError) as exc:  # non-numeric, ragged, a mapping or huge
-        raise ValidationError("square-matrix", detail=str(exc)) from exc
+    a = _number_array(m, "square-matrix", complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValidationError("square-matrix", detail=f"shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -62,19 +53,24 @@ def square_matrix(m) -> np.ndarray:
     return a
 
 
-def _number_array(obj, dtype=float) -> np.ndarray:
+def _number_array(obj, invariant: str, dtype=float) -> np.ndarray:
     """A nested sequence of real numbers (bools count) as a float array, or
     with dtype=complex of complex numbers as a complex array.
 
     numpy would read the string "1" as 1.0, so the inferred dtype is checked
     first; entries of an object array (ints past int64, Fractions) are
-    checked one by one.  Raises TypeError, ValueError or OverflowError.
+    checked one by one.  Anything else raises ValidationError(invariant):
+    "entries must be numbers" for a string, a mapping or None, numpy's own
+    message for a ragged sequence or an entry past the float range.
     """
     kinds, number = ("biuf", Real) if dtype is float else ("biufc", Complex)
-    raw = np.asarray(obj)
-    if raw.dtype.kind not in kinds and not all(isinstance(v, number) for v in raw.flat):
-        raise TypeError("entries must be numbers")
-    return raw.astype(dtype, copy=False)
+    try:
+        raw = np.asarray(obj)
+        if raw.dtype.kind in kinds or all(isinstance(v, number) for v in raw.flat):
+            return raw.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(invariant, detail=str(exc)) from exc
+    raise ValidationError(invariant, detail="entries must be numbers")
 
 
 def _frozen(cls, **fields):
@@ -96,7 +92,7 @@ def require_hermitian(m) -> np.ndarray:
     a = square_matrix(m)
     res = float(np.max(np.abs(a - a.conj().T), initial=0.0))
     if res > HERMITIAN_TOL:
-        raise NotHermitian(res)
+        raise ValidationError("hermiticity", res)
     return a
 
 
@@ -128,11 +124,12 @@ class Effect:
 
 
 def _require_window(eigs: np.ndarray, tol: float) -> None:
+    """Raise spectrum-in-[0,1] for the smallest of the sorted eigs if it is
+    below the window [-tol, 1 + tol], else for the largest if it is above."""
     lo, hi = -tol, 1.0 + tol
-    if eigs[0] < lo:
-        raise SpectrumOutOfRange(float(eigs[0]), lo, hi)
-    if eigs[-1] > hi:
-        raise SpectrumOutOfRange(float(eigs[-1]), lo, hi)
+    eig = float(eigs[0] if eigs[0] < lo else eigs[-1])
+    if eig < lo or eig > hi:
+        raise ValidationError("spectrum-in-[0,1]", detail=f"eigenvalue {eig!r} outside [{lo!r}, {hi!r}]")
 
 
 def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
@@ -148,7 +145,7 @@ def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
     if np.any((residuals > HERMITIAN_TOL) | (eigs[:k, 0] < -tol) | (eigs[:k, -1] > 1.0 + tol)):
         for res, spectrum in zip(residuals, eigs):  # the first failing m raises
             if res > HERMITIAN_TOL:
-                raise NotHermitian(float(res))
+                raise ValidationError("hermiticity", float(res))
             _require_window(spectrum, tol)
     return eigs
 
@@ -199,11 +196,13 @@ class DichotomicObservable:
         return self.yes_effect.matrix - self.no_effect.matrix
 
 
-def _require_observable(obs) -> DichotomicObservable:
-    """obs if it is a DichotomicObservable, else ValidationError (for a raw matrix, say)."""
-    if not isinstance(obs, DichotomicObservable):
-        raise ValidationError("dichotomic-observable", detail=f"got {type(obs).__name__}")
-    return obs
+def _require(value, cls):
+    """value if it is a cls, else a ValidationError named after cls (for a raw
+    matrix in place of a DensityMatrix, say: "density-matrix: got ndarray")."""
+    if not isinstance(value, cls):
+        invariant = "".join(f"-{c.lower()}" if c.isupper() else c for c in cls.__name__)[1:]
+        raise ValidationError(invariant, detail=f"got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +221,12 @@ class Projector:
         m = require_hermitian(self.matrix)
         res = float(np.max(np.abs(m @ m - m)))
         if res > HERMITIAN_TOL:
-            raise NotProjector(res)
+            raise ValidationError("idempotency", res)
         h = (m + m.conj().T) / 2
         # |mu^2 - mu| <= |h^2 - h|_F =: eps puts each eigenvalue mu of h in [-eps, 1 + eps].
         res = float(np.linalg.norm(h @ h - h))
         if res > PSD_TOL:
-            raise NotProjector(res)
+            raise ValidationError("idempotency", res)
         tr = float(np.trace(m).real)
         if abs(tr - self.rank) > RANK_TOL:
             raise ValidationError("rank-equals-trace", abs(tr - self.rank))
@@ -256,10 +255,7 @@ class Projector:
 
 def _unit_vector(vec) -> np.ndarray:
     """vec / |vec| as a complex vector, for every finite vec nonzero in floating point."""
-    try:
-        v = _number_array(vec, complex).reshape(-1)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("numeric-vector", detail=str(exc)) from exc
+    v = _number_array(vec, "numeric-vector", complex).reshape(-1)
     if not np.isfinite(v).all():
         raise ValidationError("finite-entries")
     with np.errstate(over="ignore"):
@@ -311,6 +307,9 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+        """I / dim; dim is any integer of at least 1 but a bool, else square-matrix."""
+        if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
+            raise ValidationError("square-matrix", detail=f"dim {dim!r} is not an integer >= 1")
         return cls(identity(dim) / dim)
 
 
@@ -346,8 +345,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValidationError("operator-json", detail=f"dim {dim!r} is not an integer")
     dim = int(dim)
     try:
-        re, im = _number_array(obj["re"]), _number_array(obj["im"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        re, im = (_number_array(obj[k], "operator-json") for k in ("re", "im"))
+    except ValidationError as exc:  # numpy's message for a ragged re would run long
         raise ValidationError("operator-json", detail="re/im entries must be numbers") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(

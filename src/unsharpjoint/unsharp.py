@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .operators import DensityMatrix, DichotomicObservable, Effect, _frozen, _require_observable
+from .operators import DensityMatrix, DichotomicObservable, Effect, _frozen, _require
 
 SCALING_TOL = 1e-12
 
@@ -39,7 +39,7 @@ def smear(obs: DichotomicObservable, lam) -> DichotomicObservable:
     which stays inside [0, 1].  The complement relation yes + no = I is
     preserved exactly as constructed, so the outputs are built unchecked.
     """
-    yes, no = _smeared_matrices(_require_observable(obs), validate_lambda(lam))
+    yes, no = _smeared_matrices(_require(obs, DichotomicObservable), validate_lambda(lam))
     return _frozen(DichotomicObservable, yes_effect=_frozen(Effect, matrix=yes),
                    no_effect=_frozen(Effect, matrix=no))
 
@@ -53,7 +53,7 @@ def _smeared_matrices(obs: DichotomicObservable, lam) -> tuple[np.ndarray, np.nd
 
 def mean_value(obs: DichotomicObservable, state: DensityMatrix) -> float:
     """p_yes - p_no = Tr[state (E_yes - E_no)]; always in [-1, 1]."""
-    if _require_observable(obs).dim != state.dim:
+    if _require(obs, DichotomicObservable).dim != _require(state, DensityMatrix).dim:
         raise DimensionMismatch(obs.dim, state.dim)
     return float(np.trace(state.matrix @ obs.difference()).real)
 

@@ -25,19 +25,14 @@ SURFACE = {
     "DimensionMismatch": '(*dims)',
     "Effect": '(matrix)',
     "FeasibilityReport": '(feasible, witness, marginal_residual, min_eigenvalue, iterations, certificate=None)',
-    "InvalidBox": "(invariant, residual=None, detail='')",
     "JointObservable": '(g_pp, g_pm, g_mp, g_mm)',
     "JointResiduals": '(normalization, marginal_first, marginal_second, min_eigenvalue)',
     "LAMBDA_OPT": None,
     "LambdaOptResult": '(value, pair, oracle_verdict)',
     "NoSignalingBox": '(table)',
-    "NotHermitian": '(residual)',
-    "NotProjector": '(residual)',
-    "OddDimension": '(dim)',
     "ParseError": '(path, detail)',
     "Projector": '(matrix, rank)',
     "SmearedMeanReport": '(value, scaled_mean)',
-    "SpectrumOutOfRange": '(eigenvalue, lo, hi)',
     "TSIRELSON_BOUND": None,
     "UnsharpJointError": None,
     "ValidationError": "(invariant, residual=None, detail='')",
@@ -84,18 +79,13 @@ MEMBERS = {
     "DimensionMismatch": (),
     "Effect": ('complement', 'dim', 'matrix'),
     "FeasibilityReport": ('__bool__', 'certificate', 'feasible', 'iterations', 'marginal_residual', 'min_eigenvalue', 'witness'),
-    "InvalidBox": (),
     "JointObservable": ('dim', 'effects', 'g_mm', 'g_mp', 'g_pm', 'g_pp', 'min_eigenvalue'),
     "JointResiduals": ('marginal_first', 'marginal_max', 'marginal_second', 'min_eigenvalue', 'normalization'),
     "LambdaOptResult": ('oracle_verdict', 'pair', 'value'),
     "NoSignalingBox": ('correlators', 'p', 'to_json'),
-    "NotHermitian": (),
-    "NotProjector": (),
-    "OddDimension": (),
     "ParseError": (),
     "Projector": ('as_effect', 'dim', 'from_matrix', 'matrix', 'observable', 'rank'),
     "SmearedMeanReport": ('scaled_mean', 'value'),
-    "SpectrumOutOfRange": (),
     "UnsharpJointError": (),
     "ValidationError": (),
 }

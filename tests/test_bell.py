@@ -10,8 +10,8 @@ from unsharpjoint import (
     DensityMatrix,
     DichotomicObservable,
     DimensionMismatch,
-    InvalidBox,
     NoSignalingBox,
+    ValidationError,
     box_chsh,
     chsh,
     correlation,
@@ -89,7 +89,6 @@ class TestChsh:
         assert worst <= TWO_SQRT2 + 1e-6
 
     def test_report_recomputation_guard(self):
-        from unsharpjoint import ValidationError
         from unsharpjoint.bell import ChshReport
 
         with pytest.raises(ValidationError):
@@ -162,13 +161,13 @@ class TestBoxes:
         table = pr_box().to_json()["p"]
         table["11"][0][0] = -0.1
         table["11"][0][1] = 0.6
-        with pytest.raises(InvalidBox):
+        with pytest.raises(ValidationError, match=r"^box-nonnegative"):
             NoSignalingBox(table)
 
     def test_unnormalized_rejected(self):
         table = white_noise_box().to_json()["p"]
         table["22"][1][1] = 0.3
-        with pytest.raises(InvalidBox):
+        with pytest.raises(ValidationError, match=r"^box-normalization"):
             NoSignalingBox(table)
 
     @pytest.mark.parametrize(
@@ -186,11 +185,11 @@ class TestBoxes:
     def test_malformed_cell_rejected(self, cell):
         table = white_noise_box().to_json()["p"]
         table["11"] = cell
-        with pytest.raises(InvalidBox, match="box-cell"):
+        with pytest.raises(ValidationError, match=r"^box-cell"):
             NoSignalingBox(table)
 
     def test_table_must_be_a_mapping(self):
-        with pytest.raises(InvalidBox, match="box-settings"):
+        with pytest.raises(ValidationError, match=r"^box-settings"):
             NoSignalingBox(3)
 
     def test_signaling_rejected(self):
@@ -201,7 +200,7 @@ class TestBoxes:
             "21": [[1, 0], [0, 0]],
             "22": [[0, 0], [1, 0]],
         }
-        with pytest.raises(InvalidBox):
+        with pytest.raises(ValidationError, match=r"^no-signaling-alice"):
             NoSignalingBox(table)
 
     def test_outcome_sign_lookup(self):
@@ -213,3 +212,15 @@ class TestBoxes:
         assert prob(+1, +1, 1, 1) == 1
         assert prob(-1, +1, 2, 1) == 1
         assert prob(+1, +1, 2, 2) == 0
+
+    @pytest.mark.parametrize(
+        "alice, bob",
+        [((1, 0), (1, 1)), ((1, 1, 1), (1, 1)), ((1,), (1, 1)), (1, (1, 1)), ((1, 1), ("1", 1)),
+         ((1, 1), ((1,), (1, 1)))],
+        ids=["zero-sign", "three-signs", "one-sign", "bare-sign", "string-sign", "ragged"],
+    )
+    def test_each_party_needs_two_signs(self, alice, bob):
+        # Three signs used to build a box from the first two, and one sign or
+        # a bare one ended in an IndexError or a TypeError.
+        with pytest.raises(ValidationError, match=r"^deterministic-outcomes"):
+            deterministic_box(alice, bob)

@@ -641,6 +641,35 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize(
+        "argv,content,message",
+        [
+            (["smear", "--obs", "BAD", "--lambda", "0.5"], {"dim": 1, "re": [["x"]], "im": [[0]]},
+             "operator-json: re/im entries must be numbers"),
+            (["smear", "--obs", "BAD", "--lambda", "0.5"],
+             {"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]},
+             "operator-json: re/im entries must be numbers"),
+            (["box-chsh", "--box", "BAD"],
+             {"p": {k: [[0.25, 0.25]] * 2 for k in SETTINGS} | {"11": [[0.25, "x"], [0.25, 0.25]]}},
+             "box-cell: setting '11' is not a 2x2 table of numbers"),
+            (["smear", "--obs", "BAD", "--lambda", "0.5"],
+             matrix_to_json(np.array([[0.5, 0.2], [0.0, 0.5]])), "hermiticity (residual 2.000e-01)"),
+            (["smear", "--obs", "BAD", "--lambda", "0.5"], matrix_to_json(np.diag([1.2, 0.5])),
+             "spectrum-in-[0,1]: eigenvalue 1.2 outside [-1e-09, 1.000000001]"),
+            (["blocks", "--p", "p.json", "--q", "BAD"], matrix_to_json(0.5 * np.eye(2)),
+             "idempotency (residual 2.500e-01)"),
+        ],
+        ids=["entry-string", "ragged-re", "box-cell-string", "not-hermitian", "above-one",
+             "not-idempotent"],
+    )
+    def test_malformed_file_message_is_pinned(self, argv, content, message, fixtures, tmp_path,
+                                              capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        argv = [str(bad) if a == "BAD" else fixtures.get(a, a) for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+
     def test_lambda_opt_has_no_tol_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["lambda-opt", "--m", "0,0,1", "--n", "1,0,0", "--tol", "1e-4"])

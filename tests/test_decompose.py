@@ -11,8 +11,8 @@ from unsharpjoint import (
     DichotomicObservable,
     DimensionMismatch,
     Effect,
-    OddDimension,
     Projector,
+    ValidationError,
     compress,
     neumark_dilate,
     projector_onto,
@@ -299,7 +299,7 @@ class TestCompress:
         np.testing.assert_array_equal(e.matrix, np.zeros((2, 2)))
 
     def test_odd_dimension_rejected(self):
-        with pytest.raises(OddDimension):
+        with pytest.raises(ValidationError, match=r"^even-dimension: dimension 3 is not of the form 2\*d$"):
             compress(Effect(identity(3)))
 
     def test_effects_map_to_effects(self):

@@ -13,11 +13,10 @@ from unsharpjoint import (
     DensityMatrix,
     DichotomicObservable,
     Effect,
-    NotHermitian,
-    NotProjector,
     Projector,
-    SpectrumOutOfRange,
     ValidationError,
+    box_chsh,
+    check_joint,
     chsh,
     correlation,
     feasibility_oracle,
@@ -27,12 +26,15 @@ from unsharpjoint import (
     neumark_dilate,
     povm_joint_observable,
     projector_onto,
+    pr_box,
     pvm_joint_observable,
     singlet,
     smear,
     smeared_chsh,
+    smeared_mean,
     two_projector_blocks,
 )
+from unsharpjoint.bell import smeared_chsh_values
 from unsharpjoint.operators import HERMITIAN_TOL, PAULI_Z, identity
 
 _EMPTY = np.zeros((0, 0))
@@ -76,29 +78,54 @@ def test_non_numeric_input_is_rejected(build, m):
         build(m)
 
 
+@pytest.mark.parametrize("dim", [-1, 2.5, True, "2"])
+def test_maximally_mixed_needs_an_integer_dim(dim):
+    # -1 used to end in numpy's ValueError and 2.5 in a TypeError; True made I_1.
+    with pytest.raises(ValidationError, match=r"^square-matrix: dim .* is not an integer >= 1$"):
+        DensityMatrix.maximally_mixed(dim)
+
+
 _OBS = DichotomicObservable.from_yes_effect(np.diag([0.3, 0.6]))
 _RAW = 0.5 * np.eye(2)
+_RAW4 = 0.25 * np.eye(4)
+_P = projector_onto([1, 0])
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, invariant",
     [
-        lambda: smear(_RAW, 0.5),
-        lambda: neumark_dilate(_RAW),
-        lambda: povm_joint_observable(_OBS, _RAW, 0.5),
-        lambda: feasibility_oracle(_RAW, _OBS),
-        lambda: mean_value(_RAW, DensityMatrix.maximally_mixed(2)),
-        lambda: correlation(DensityMatrix.maximally_mixed(4), _OBS, _RAW),
-        lambda: chsh(singlet(), _OBS, _OBS, _OBS, _RAW),
-        lambda: smeared_chsh(singlet(), _RAW, _OBS, _OBS, _OBS, 0.5),
+        (lambda: smear(_RAW, 0.5), "dichotomic-observable"),
+        (lambda: neumark_dilate(_RAW), "dichotomic-observable"),
+        (lambda: povm_joint_observable(_OBS, _RAW, 0.5), "dichotomic-observable"),
+        (lambda: feasibility_oracle(_RAW, _OBS), "dichotomic-observable"),
+        (lambda: mean_value(_RAW, DensityMatrix.maximally_mixed(2)), "dichotomic-observable"),
+        (lambda: correlation(DensityMatrix.maximally_mixed(4), _OBS, _RAW), "dichotomic-observable"),
+        (lambda: chsh(singlet(), _OBS, _OBS, _OBS, _RAW), "dichotomic-observable"),
+        (lambda: smeared_chsh(singlet(), _RAW, _OBS, _OBS, _OBS, 0.5), "dichotomic-observable"),
+        (lambda: mean_value(_OBS, _RAW), "density-matrix"),
+        (lambda: smeared_mean(_OBS, 0.5, _RAW), "density-matrix"),
+        (lambda: correlation(_RAW4, _OBS, _OBS), "density-matrix"),
+        (lambda: chsh(_RAW4, _OBS, _OBS, _OBS, _OBS), "density-matrix"),
+        (lambda: smeared_chsh(_RAW4, _OBS, _OBS, _OBS, _OBS, 0.5), "density-matrix"),
+        (lambda: smeared_chsh_values(_RAW4, _OBS, _OBS, _OBS, _OBS, [0.5]), "density-matrix"),
+        (lambda: pvm_joint_observable(_P, _RAW, 0.5), "projector"),
+        (lambda: two_projector_blocks(_RAW, _P), "projector"),
+        (lambda: check_joint(_RAW, _OBS, _OBS), "joint-observable"),
+        (lambda: check_joint(povm_joint_observable(_OBS, _OBS, 0.5).witness, _OBS, _RAW),
+         "dichotomic-observable"),
+        (lambda: box_chsh(pr_box().p), "no-signaling-box"),
     ],
     ids=["smear", "neumark-dilate", "povm-joint-observable", "feasibility-oracle", "mean-value",
-         "correlation", "chsh", "smeared-chsh"],
+         "correlation", "chsh", "smeared-chsh", "mean-value-state", "smeared-mean-state",
+         "correlation-state", "chsh-state", "smeared-chsh-state", "smeared-chsh-values-state",
+         "pvm-joint-observable", "two-projector-blocks", "check-joint", "check-joint-observable",
+         "box-chsh"],
 )
-def test_raw_matrix_for_an_observable_is_rejected(call):
+def test_raw_matrix_for_an_observable_is_rejected(call, invariant):
     # Each used to end in a bare AttributeError: 'numpy.ndarray' object has
-    # no attribute 'yes_effect' (or 'dim', or 'difference').
-    with pytest.raises(ValidationError, match="dichotomic-observable: got ndarray"):
+    # no attribute 'yes_effect' (or 'dim', 'difference', 'matrix' or 'correlators').
+    # A raw matrix is refused in place of any typed argument, not only an observable.
+    with pytest.raises(ValidationError, match=f"^{invariant}: got ndarray$"):
         call()
 
 
@@ -113,12 +140,12 @@ class TestEffect:
         assert e.dim == 2
 
     def test_eigenvalue_above_one_rejected(self):
-        with pytest.raises(SpectrumOutOfRange) as err:
+        with pytest.raises(ValidationError, match=r"^spectrum-in-\[0,1\]") as err:
             Effect(np.diag([0.5, 1.2]).astype(complex))
         assert "1.2" in str(err.value)
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(SpectrumOutOfRange):
+        with pytest.raises(ValidationError, match=r"^spectrum-in-\[0,1\]"):
             Effect(np.diag([-0.1, 0.5]).astype(complex))
 
     @pytest.mark.parametrize("eig, ok", [(1 + 0.99e-9, True), (1 + 1.01e-9, False),
@@ -129,12 +156,12 @@ class TestEffect:
         if ok:
             assert Effect(m).dim == 2
         else:
-            with pytest.raises(SpectrumOutOfRange):
+            with pytest.raises(ValidationError, match=r"^spectrum-in-\[0,1\]"):
                 Effect(m)
 
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(NotHermitian):
+        with pytest.raises(ValidationError, match=r"^hermiticity"):
             Effect(m)
 
     def test_unsharp_z_effect(self):
@@ -200,15 +227,15 @@ class TestObservable:
     @pytest.mark.parametrize(
         "m,error",
         [
-            (np.array([[0.5, 0.2], [0.0, 0.5]]), NotHermitian),
-            (np.diag([1.5, 0.0]), SpectrumOutOfRange),
-            (np.diag([0.5, -0.1]), SpectrumOutOfRange),
-            (np.array([[math.nan, 0.0], [0.0, 0.5]]), ValidationError),
+            (np.array([[0.5, 0.2], [0.0, 0.5]]), r"^hermiticity"),
+            (np.diag([1.5, 0.0]), r"^spectrum-in-\[0,1\]"),
+            (np.diag([0.5, -0.1]), r"^spectrum-in-\[0,1\]"),
+            (np.array([[math.nan, 0.0], [0.0, 0.5]]), r"^finite-entries"),
         ],
         ids=["non-hermitian", "above-one", "negative", "nan"],
     )
     def test_from_yes_effect_validates_a_raw_matrix(self, m, error):
-        with pytest.raises(error):
+        with pytest.raises(ValidationError, match=error):
             DichotomicObservable.from_yes_effect(m)
 
 
@@ -219,7 +246,7 @@ class TestProjector:
         assert abs(float(np.trace(p.matrix).real) - 1.0) < 1e-12
 
     def test_non_idempotent_rejected(self):
-        with pytest.raises(NotProjector):
+        with pytest.raises(ValidationError, match=r"^idempotency"):
             Projector(np.diag([0.5, 0.5]).astype(complex), rank=1)
 
     def test_wrong_rank_rejected(self):
@@ -248,7 +275,7 @@ class TestProjector:
         v = np.ones(d) / math.sqrt(d)
         q, _ = np.linalg.qr(np.column_stack([v, np.random.default_rng(5).normal(size=(d, d - 1))]))
         rank = d // 2
-        with pytest.raises(NotProjector):
+        with pytest.raises(ValidationError, match=r"^idempotency"):
             Projector(q[:, 1:rank + 1] @ q[:, 1:rank + 1].T - eps * np.outer(v, v), rank=rank)
 
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
@@ -396,12 +423,13 @@ def _window_check(g, tol):
         raise ValidationError("finite-entries")
     res = float(np.max(np.abs(g - g.conj().T)))
     if res > HERMITIAN_TOL:
-        raise NotHermitian(res)
+        raise ValidationError("hermiticity", res)
     eigs = np.linalg.eigvalsh((g + g.conj().T) / 2)
+    window = f"outside [{-tol!r}, {1.0 + tol!r}]"
     if eigs[0] < -tol:
-        raise SpectrumOutOfRange(float(eigs[0]), -tol, 1.0 + tol)
+        raise ValidationError("spectrum-in-[0,1]", detail=f"eigenvalue {float(eigs[0])!r} {window}")
     if eigs[-1] > 1.0 + tol:
-        raise SpectrumOutOfRange(float(eigs[-1]), -tol, 1.0 + tol)
+        raise ValidationError("spectrum-in-[0,1]", detail=f"eigenvalue {float(eigs[-1])!r} {window}")
 
 
 class TestWitnessCheck:
