@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from .operators import (
-    DensityMatrix, DichotomicObservable, PAULI_X, PAULI_Z, _number_array, _require, identity
+    BOX_TOL, CHSH_BOUND_SLACK, CHSH_RECOMPUTE_TOL, PAULI_X, PAULI_Z, DensityMatrix,
+    DichotomicObservable, _number_array, _require, _within, identity,
 )
 from .unsharp import _smeared_matrices, validate_lambda
 
@@ -35,7 +36,6 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 LOCAL_BOUND = 2.0
 
 SETTINGS = ("11", "12", "21", "22")
-_EXACT_EPS = 1e-12
 
 
 def _cell(key: str, cell) -> np.ndarray:
@@ -59,7 +59,7 @@ class NoSignalingBox:
     as the read-only float array p[x, y, a, b], settings counted from 0.
     Construction checks each setting in SETTINGS order (a 2x2 table of
     finite numbers, non-negative, normalized), then both no-signaling
-    conditions, all at 1e-12.  The first fault it meets raises a
+    conditions, all at BOX_TOL.  The first fault it meets raises a
     ValidationError: box-settings, box-cell, box-nonnegative,
     box-normalization, no-signaling-alice or no-signaling-bob.
     """
@@ -81,9 +81,7 @@ class NoSignalingBox:
                     a, b = divmod(int(np.flatnonzero(cell < 0)[0]), 2)
                     raise ValidationError("box-nonnegative", float(-cell[a, b]),
                                           detail=f"p({a},{b}|{key})")
-                excess = abs(float(cell.sum()) - 1.0)
-                if excess > _EXACT_EPS:
-                    raise ValidationError("box-normalization", excess, detail=f"setting {key!r}")
+                _within("box-normalization", abs(float(cell.sum()) - 1.0), BOX_TOL, f"setting {key!r}")
         p = p.reshape(2, 2, 2, 2)
 
         # Alice's marginal must not depend on y, Bob's not on x.
@@ -92,10 +90,8 @@ class NoSignalingBox:
             ("no-signaling-alice", abs(alice[:, 0] - alice[:, 1]).T, "ax"),
             ("no-signaling-bob", abs(bob[0] - bob[1]).T, "by"),
         ):
-            if gap.max() > _EXACT_EPS:
-                i, j = np.argwhere(gap > _EXACT_EPS)[0]
-                raise ValidationError(invariant, float(gap[i, j]),
-                                      detail=f"{names[0]}={i}, {names[1]}={j + 1}")
+            for (i, j), g in np.ndenumerate(gap):
+                _within(invariant, g, BOX_TOL, f"{names[0]}={i}, {names[1]}={j + 1}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -154,7 +150,7 @@ class ChshReport:
     bound_lambda -- the comparison bound 2/lambda_opt for this report:
                     2*sqrt(2) for sharp quantum/box values, 2 when one
                     wing has been smeared to joint measurability
-    within_bound -- value <= bound_lambda + 1e-9
+    within_bound -- value <= bound_lambda + CHSH_BOUND_SLACK
     """
 
     value: float
@@ -164,15 +160,13 @@ class ChshReport:
 
     def __post_init__(self):
         t11, t12, t21, t22 = self.terms
-        recomputed = abs(t11 + t12 + t21 - t22)
-        if abs(self.value - recomputed) > 1e-12:
-            raise ValidationError("chsh-recomputation", abs(self.value - recomputed))
+        _within("chsh-recomputation", abs(self.value - abs(t11 + t12 + t21 - t22)), CHSH_RECOMPUTE_TOL)
 
 
 def _report(terms, bound: float) -> ChshReport:
     value = float(abs(terms[0] + terms[1] + terms[2] - terms[3]))
     return ChshReport(value=value, terms=tuple(float(t) for t in terms), bound_lambda=bound,
-                      within_bound=value <= bound + 1e-9)
+                      within_bound=value <= bound + CHSH_BOUND_SLACK)
 
 
 def _correlations(state: DensityMatrix, x: np.ndarray, y: np.ndarray):

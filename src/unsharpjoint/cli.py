@@ -42,6 +42,8 @@ from .joint import (
     validate_seed,
 )
 from .operators import (
+    BOB_DIRECTION_CUTOFF,
+    SWEEP_END_SLACK,
     DensityMatrix,
     DichotomicObservable,
     Effect,
@@ -293,17 +295,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     stop = min(args.stop, 1.0)
     # A step under the float spacing at the loop's end could leave lam
     # unchanged by `lam += step`, and the loop would never end.
-    if args.step < math.ulp(stop + 1e-12):
+    if args.step < math.ulp(stop + SWEEP_END_SLACK):
         raise ValidationError("sweep-grid", detail=f"step {args.step!r} cannot advance lambda")
     grid = []
     lam = args.start
-    while lam <= stop + 1e-12:
+    while lam <= stop + SWEEP_END_SLACK:
         grid.append(min(lam, 1.0))
         lam += args.step
 
     # Bob measures along m + n and m - n; for m = +/-n, any unit vector in the
     # place of the zero one contributes 0.
-    bob = [BlochVector.normalized(v / np.linalg.norm(v) if np.linalg.norm(v) >= 1e-12
+    bob = [BlochVector.normalized(v / np.linalg.norm(v) if np.linalg.norm(v) >= BOB_DIRECTION_CUTOFF
                                   else [0.0, 1.0, 0.0]) for v in (m.v + n.v, m.v - n.v)]
     values = smeared_chsh_values(
         singlet(), m.observable(), n.observable(), *(b.observable() for b in bob), grid

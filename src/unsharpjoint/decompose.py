@@ -23,22 +23,26 @@ module.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from .operators import (
+    BLOCK_RESIDUAL_TOL,
+    CLUSTER_TOL,
+    UNITARITY_TOL,
     DichotomicObservable,
     Effect,
     Projector,
+    _max_abs,
     _require,
+    _require_int,
+    _within,
     square_matrix,
 )
-
-CLUSTER_TOL = 1e-10          # group equal cos^2 values; snap sin*cos to 0
-BLOCK_RESIDUAL_TOL = 1e-9    # off-block mass of the conjugated projectors
-UNITARITY_TOL = 1e-10
 
 ANCILLA_CONVENTION = "system-tensor-ancilla; ancilla state = index 0 of last factor"
 
@@ -51,11 +55,15 @@ class Block:
     of the blocks before it.
 
     dim           -- 1 or 2
-    rank_p/rank_q -- rank of each projector restricted to the block
+    rank_p/rank_q -- rank of each projector restricted to the block, 0 to dim
     overlap       -- |<chi_p|chi_q>| between the rank-1 ranges when both
                      ranks are 1 (the cosine of the block's angle for dim-2
                      blocks); for dim-1 blocks it is 1.0 when both ranks
                      are 1 and 0.0 otherwise.
+
+    dim and the ranks are integers and overlap is a finite real, none of
+    them a bool.  overlap is not capped at 1: rounding can put a cosine a
+    few ulps past it.
     """
 
     dim: int
@@ -64,13 +72,13 @@ class Block:
     overlap: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValidationError("block-dim-1-or-2", detail=f"dim {self.dim}")
-        if not (0 <= self.rank_p <= self.dim and 0 <= self.rank_q <= self.dim):
-            raise ValidationError(
-                "block-rank-bounds",
-                detail=f"ranks ({self.rank_p},{self.rank_q}) vs dim {self.dim}",
-            )
+        dim = _require_int(self.dim, "block-dim-1-or-2", 1, 2)
+        for rank in (self.rank_p, self.rank_q):
+            _require_int(rank, "block-rank-bounds", 0, dim)
+        overlap = self.overlap  # float first, as int in _require_int
+        if (isinstance(overlap, bool) or not isinstance(overlap, (float, Real))
+                or not -math.inf < overlap < math.inf):
+            raise ValidationError("block-overlap", detail=f"got {overlap!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +97,8 @@ class BlockDecomposition:
     def __post_init__(self):
         u = square_matrix(self.unitary)
         d = u.shape[0]
-        res = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-        if res > UNITARITY_TOL:
-            raise ValidationError("unitary", res)
-        if sum(b.dim for b in self.blocks) != d:
+        _within("unitary", _max_abs(u.conj().T @ u - np.eye(d)), UNITARITY_TOL)
+        if sum(_require(b, Block).dim for b in _require(self.blocks, tuple)) != d:
             raise ValidationError("block-dims-sum-to-d")
         u = u.copy()
         u.setflags(write=False)
@@ -116,8 +122,7 @@ class BlockDecomposition:
     def off_block_mass(self, m) -> float:
         """Max-abs entry of U^dagger m U outside the declared blocks."""
         conj = self.unitary.conj().T @ square_matrix(m) @ self.unitary
-        mask = self._off_block_mask
-        return float(np.max(np.abs(conj[mask]))) if mask.any() else 0.0
+        return _max_abs(conj[self._off_block_mask])
 
     def reconstruction_residual(self, m) -> float:
         """Max-abs error of rebuilding m from its own block restrictions,
@@ -125,7 +130,7 @@ class BlockDecomposition:
         m = square_matrix(m)
         conj = self.unitary.conj().T @ m @ self.unitary
         conj[self._off_block_mask] = 0.0
-        return float(np.max(np.abs(self.unitary @ conj @ self.unitary.conj().T - m)))
+        return _max_abs(self.unitary @ conj @ self.unitary.conj().T - m)
 
 
 def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
@@ -216,9 +221,7 @@ def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
     decomp = BlockDecomposition(np.column_stack(columns), tuple(blocks))
 
     for m in (pm, qm):
-        res = decomp.off_block_mass(m)
-        if res > BLOCK_RESIDUAL_TOL:
-            raise ValidationError("block-diagonality", res)
+        _within("block-diagonality", decomp.off_block_mass(m), BLOCK_RESIDUAL_TOL)
     return decomp
 
 

@@ -45,14 +45,19 @@ once, as one (4, d, d) stack; |A+B| and |A-B| in between are raw arrays.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from .operators import (
+    ANDERSON_TIKHONOV,
+    BLOCH_NORM_TOL,
+    CERTIFICATE_MARGIN,
+    CRITERION_SLACK,
+    JOINT_NORMALIZATION_TOL,
     PSD_TOL,
+    QUBIT_WITNESS_TOL,
     RANK_TOL,
     DichotomicObservable,
     Effect,
@@ -60,19 +65,18 @@ from .operators import (
     PAULI,
     _check_effects,
     _frozen,
+    _max_abs,
     _number_array,
     _require,
+    _require_int,
     _unit_vector,
     _validated_effects,
+    _within,
     identity,
 )
 from .unsharp import smear, validate_lambda
 
 LAMBDA_OPT = 1.0 / math.sqrt(2.0)
-
-# Slack for deciding the closed-form criterion at the exact boundary; the
-# witness there is PSD to -CRITERION_SLACK/4.
-CRITERION_SLACK = 1e-12
 
 OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _SIGNS = np.array(OUTCOME_SIGNS, dtype=float)
@@ -82,7 +86,6 @@ _JK_SIGNS = (_SIGNS[:, 0] * _SIGNS[:, 1])[:, None, None]  # the sign of F in the
 # iterations, and accepts one whose pairing with the affine points lies
 # below -CERTIFICATE_MARGIN * d * max(|H|_F, 1), far above rounding.
 CERTIFICATE_EVERY = 5
-CERTIFICATE_MARGIN = 1e-12
 ANDERSON_MEMORY = 3
 
 
@@ -99,8 +102,7 @@ class BlochVector:
         norm = float(np.linalg.norm(a))
         if not math.isfinite(norm):
             raise ValidationError("bloch-finite", detail=f"got {a.tolist()}")
-        if abs(norm - 1.0) > 1e-12:
-            raise ValidationError("bloch-unit-norm", abs(norm - 1.0))
+        _within("bloch-unit-norm", abs(norm - 1.0), BLOCH_NORM_TOL)
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "v", a)
@@ -116,7 +118,7 @@ class BlochVector:
             norm = float(np.linalg.norm(a))
         if 0.0 < norm < math.inf:
             unit = a / norm
-            if abs(float(np.linalg.norm(unit)) - 1.0) <= 1e-12:
+            if abs(float(np.linalg.norm(unit)) - 1.0) <= BLOCH_NORM_TOL:
                 return cls(unit)
         if not (np.isfinite(a).all() and a.any()):
             raise ValidationError("bloch-nonzero-finite-norm", detail=f"norm {norm!r}")
@@ -124,7 +126,7 @@ class BlochVector:
         return cls(_unit_vector(a).real)
 
     def projector(self) -> Projector:
-        # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to 1e-12:
+        # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to BLOCH_NORM_TOL:
         # a projector and an effect by construction.
         m = 0.5 * (identity(2) + sum(c * s for c, s in zip(self.v, PAULI)))
         return _frozen(Projector, matrix=m, rank=1)
@@ -137,9 +139,9 @@ class BlochVector:
 class JointObservable:
     """Four effects with outcome labels (+,+), (+,-), (-,+), (-,-).
 
-    The effects sum to the identity (to 1e-9); each is PSD by Effect
-    validation.  Row marginals reproduce the first observable, column
-    marginals the second.
+    The effects sum to the identity (to JOINT_NORMALIZATION_TOL); each is
+    PSD by Effect validation.  Row marginals reproduce the first observable,
+    column marginals the second.
     """
 
     g_pp: Effect
@@ -150,13 +152,11 @@ class JointObservable:
     _min_eig: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        dims = {e.dim for e in self.effects}
+        dims = {_require(e, Effect).dim for e in self.effects}
         if len(dims) != 1:
             raise DimensionMismatch(*sorted(dims))
         total = sum(e.matrix for e in self.effects)
-        res = float(np.max(np.abs(total - identity(self.dim))))
-        if res > 1e-9:
-            raise ValidationError("joint-normalization", res)
+        _within("joint-normalization", _max_abs(total - identity(self.dim)), JOINT_NORMALIZATION_TOL)
 
     @property
     def effects(self) -> tuple[Effect, Effect, Effect, Effect]:
@@ -241,20 +241,15 @@ def check_joint(
             == _require(o2lam, DichotomicObservable).dim):
         raise DimensionMismatch(j.dim, o1lam.dim, o2lam.dim)
     gpp, gpm, gmp, gmm = (e.matrix for e in j.effects)
-    eye = identity(j.dim)
-
-    def maxabs(m):
-        return float(np.max(np.abs(m)))
-
     return JointResiduals(
-        normalization=maxabs(gpp + gpm + gmp + gmm - eye),
+        normalization=_max_abs(gpp + gpm + gmp + gmm - identity(j.dim)),
         marginal_first=max(
-            maxabs(gpp + gpm - o1lam.yes_effect.matrix),
-            maxabs(gmp + gmm - o1lam.no_effect.matrix),
+            _max_abs(gpp + gpm - o1lam.yes_effect.matrix),
+            _max_abs(gmp + gmm - o1lam.no_effect.matrix),
         ),
         marginal_second=max(
-            maxabs(gpp + gmp - o2lam.yes_effect.matrix),
-            maxabs(gpm + gmm - o2lam.no_effect.matrix),
+            _max_abs(gpp + gmp - o2lam.yes_effect.matrix),
+            _max_abs(gpm + gmm - o2lam.no_effect.matrix),
         ),
         min_eigenvalue=j.min_eigenvalue(),
     )
@@ -310,16 +305,16 @@ def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
         t = lam (|m+n| - |m-n|) / 2,
 
     which satisfies normalization and both marginals exactly and is PSD
-    down to -1e-12 at the criterion boundary.  The verdict and witness are
-    independently cross-checked against the alternating-projection oracle
-    in the test suite, never trusted bare.
+    down to -CRITERION_SLACK / 8 at the criterion boundary.  The verdict and
+    witness are independently cross-checked against the alternating-projection
+    oracle in the test suite, never trusted bare.
     """
     mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
     lam = validate_lambda(lam)
     value, effects = _qubit_effects(mb.v, nb.v, lam)
     if not len(effects):
         return _no(value)
-    return _yes(effects[0], 1e-11, smear(mb.observable(), lam), smear(nb.observable(), lam), 0)
+    return _yes(effects[0], QUBIT_WITNESS_TOL, smear(mb.observable(), lam), smear(nb.observable(), lam), 0)
 
 
 def qubit_verdicts(m, n, lams) -> list[str]:
@@ -328,10 +323,8 @@ def qubit_verdicts(m, n, lams) -> list[str]:
     mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
     lams = np.array([validate_lambda(lam) for lam in lams])
     value, effects = _qubit_effects(mb.v, nb.v, lams)
-    _check_effects(effects.reshape(-1, 2, 2), 1e-11)
-    res = float(np.max(np.abs(effects.sum(axis=1) - identity(2)), initial=0.0))
-    if res > 1e-9:
-        raise ValidationError("joint-normalization", res)
+    _check_effects(effects.reshape(-1, 2, 2), QUBIT_WITNESS_TOL)
+    _within("joint-normalization", _max_abs(effects.sum(axis=1) - identity(2)), JOINT_NORMALIZATION_TOL)
     return ["yes" if v <= 2.0 + CRITERION_SLACK else "no" for v in value]
 
 
@@ -454,16 +447,12 @@ def _psd_from_eigh(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def validate_max_iter(max_iter) -> int:
     """Check the oracle's iteration budget as an integer of at least 1."""
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValidationError("max-iter>=1", detail=f"got {max_iter!r}")
-    return int(max_iter)
+    return _require_int(max_iter, "max-iter>=1", 1)
 
 
 def validate_seed(seed) -> int:
     """Check a generator seed as an unsigned 64-bit integer."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise ValidationError("seed-uint64", detail=f"got {seed!r}")
-    return int(seed)
+    return _require_int(seed, "seed-uint64", 0, 2**64 - 1)
 
 
 def _farkas_certificate(
@@ -503,7 +492,8 @@ def feasibility_oracle(
     Each step is a type-II Anderson step on T (Walker & Ni 2011) in the
     real view of the stack, z + g - (dZ + dG) gamma: g = T(z) - z = x - y,
     dZ and dG are the last ANDERSON_MEMORY differences of z and g, and
-    gamma fits g by dG in least squares, Tikhonov term 1e-10 trace(dG^T dG).
+    gamma fits g by dG in least squares, Tikhonov term ANDERSON_TIKHONOV
+    trace(dG^T dG).
     An Anderson point whose |g| exceeds the last accepted one's, or a step
     that is not finite, gives way to the plain step z + g from the last
     accepted point and clears the history (after Zhang, O'Donoghue & Boyd
@@ -557,7 +547,7 @@ def feasibility_oracle(
                 a = np.array(dg)
                 gram = a @ a.T
                 # All of dg is 0 only when the trace is: then gamma = 0.
-                gram += (1e-10 * np.trace(gram) or 1.0) * np.eye(len(gram))
+                gram += (ANDERSON_TIKHONOV * np.trace(gram) or 1.0) * np.eye(len(gram))
                 step = step - (np.array(dz) + a).T @ np.linalg.solve(gram, a @ g)
                 if not np.isfinite(step).all():
                     step, dz, dg = zr + g, [], []
@@ -579,7 +569,7 @@ def feasibility_oracle(
 def _gap_report(verdict: str, x, y, iterations: int, certificate=None) -> FeasibilityReport:
     """An oracle "no" or "undetermined": the gap max|x - y| between its affine
     and PSD iterates and the smallest eigenvalue of x."""
-    return FeasibilityReport(verdict, None, float(np.max(np.abs(x - y))),
+    return FeasibilityReport(verdict, None, _max_abs(x - y),
                              float(np.min(np.linalg.eigvalsh(x))), iterations, certificate)
 
 

@@ -6,9 +6,9 @@ dense complex arrays; the constructions in this package live on small
 Hilbert spaces (d <= 64; only `uj dilate` doubles it), so no sparsity is
 needed.
 
-Tolerance policy is two-tier: affine identities and Hermiticity are checked
-at 1e-10, positive-semidefiniteness at 1e-9.  Validation errors report raw
-residuals.
+Every tolerance of the package is named once, in the ledger below, and every
+residual check runs through _within, which raises ValidationError(invariant,
+residual) past its tolerance.  Validation errors report raw residuals.
 
 Public constructors validate, derived values are built unchecked by
 _frozen, and a joint witness (or a stack of them) is checked once, in one
@@ -27,10 +27,29 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 
-HERMITIAN_TOL = 1e-10
-AFFINE_TOL = 1e-10
-PSD_TOL = 1e-9
-RANK_TOL = 1e-8  # a projector's trace against its integer rank
+# The tolerance ledger: every tolerance of the package, named once.  Each bounds
+# a residual of O(1) quantities (entries of effects, states and unitaries, unit
+# vectors), which rounding leaves at a few ulps times d, far below the bound:
+# "abs" bounds the residual as it is, "rel" after scaling by the size named.
+HERMITIAN_TOL = 1e-10  # abs: max|m - m^H|, and max|p^2 - p| of a projector
+AFFINE_TOL = 1e-10  # abs: max|yes + no - I| of an observable, |tr rho - 1| of a state
+PSD_TOL = 1e-9  # abs: effect window [-PSD_TOL, 1 + PSD_TOL], -min eig of a state, |h^2 - h|_F
+RANK_TOL = 1e-8  # abs: a projector's trace against its integer rank
+JOINT_NORMALIZATION_TOL = 1e-9  # abs: max|G_pp + G_pm + G_mp + G_mm - I| of a joint observable
+BLOCH_NORM_TOL = 1e-12  # abs: ||v| - 1| of a Bloch vector
+CRITERION_SLACK = 1e-12  # abs: lam * top may pass 2 by this and still get a witness, PSD to -slack/8
+QUBIT_WITNESS_TOL = 1e-11  # abs: the effect window of the closed-form qubit witness
+CERTIFICATE_MARGIN = 1e-12  # rel: a Farkas pairing must lie below -margin * d * max(|H|_F, 1)
+ANDERSON_TIKHONOV = 1e-10  # rel: Tikhonov weight of the Anderson least squares, times tr(dG^T dG)
+CLUSTER_TOL = 1e-10  # abs: cos^2 values closer than this are one angle; sin*cos below it snaps to 0
+BLOCK_RESIDUAL_TOL = 1e-9  # abs: max off-block entry of a conjugated projector
+UNITARITY_TOL = 1e-10  # abs: max|U^H U - I| of a block decomposition's basis
+SCALING_TOL = 1e-12  # abs: |smeared mean - lam * sharp mean|
+BOX_TOL = 1e-12  # abs: a box's normalization and no-signaling gaps
+CHSH_RECOMPUTE_TOL = 1e-12  # abs: a CHSH value against its four terms
+CHSH_BOUND_SLACK = 1e-9  # abs: a CHSH value within its bound up to this
+SWEEP_END_SLACK = 1e-12  # abs: uj sweep keeps a grid point this far past --stop
+BOB_DIRECTION_CUTOFF = 1e-12  # abs: |m +- n| below this is a zero direction for Bob in uj sweep
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -88,11 +107,30 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
+def _max_abs(a) -> float:
+    """The largest |entry| of a, as a float; 0.0 for an empty a."""
+    return float(np.max(np.abs(a), initial=0.0))
+
+
+def _within(invariant: str, residual: float, tol: float, detail: str = "") -> None:
+    """The one residual check: ValidationError(invariant, residual, detail) if
+    residual > tol."""
+    if residual > tol:
+        raise ValidationError(invariant, float(residual), detail)
+
+
+def _require_int(value, invariant: str, lo: float, hi: float = math.inf) -> int:
+    """value as an int if it is an integer but a bool (np.int64 included) in
+    [lo, hi], else ValidationError(invariant, detail="got <value>")."""
+    # int first: it answers most calls before the slower Integral ABC lookup.
+    if isinstance(value, bool) or not isinstance(value, (int, Integral)) or not lo <= value <= hi:
+        raise ValidationError(invariant, detail=f"got {value!r}")
+    return int(value)
+
+
 def require_hermitian(m) -> np.ndarray:
     a = square_matrix(m)
-    res = float(np.max(np.abs(a - a.conj().T), initial=0.0))
-    if res > HERMITIAN_TOL:
-        raise ValidationError("hermiticity", res)
+    _within("hermiticity", _max_abs(a - a.conj().T), HERMITIAN_TOL)
     return a
 
 
@@ -102,14 +140,14 @@ class Effect:
 
     The atom of all measurements: outcome probabilities are Tr[rho E].
     Spectrum is checked with a Hermitian eigensolver at construction;
-    the admissible window is [-PSD_TOL, 1 + PSD_TOL], PSD_TOL = 1e-9.
+    the admissible window is [-PSD_TOL, 1 + PSD_TOL].
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = require_hermitian(self.matrix)
-        _require_window(np.linalg.eigvalsh((m + m.conj().T) / 2), PSD_TOL)
+        m = square_matrix(self.matrix)
+        _check_effects(m[None], PSD_TOL)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -123,30 +161,27 @@ class Effect:
         return _frozen(Effect, matrix=identity(self.dim) - self.matrix)
 
 
-def _require_window(eigs: np.ndarray, tol: float) -> None:
-    """Raise spectrum-in-[0,1] for the smallest of the sorted eigs if it is
-    below the window [-tol, 1 + tol], else for the largest if it is above."""
-    lo, hi = -tol, 1.0 + tol
-    eig = float(eigs[0] if eigs[0] < lo else eigs[-1])
-    if eig < lo or eig > hi:
-        raise ValidationError("spectrum-in-[0,1]", detail=f"eigenvalue {eig!r} outside [{lo!r}, {hi!r}]")
-
-
 def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
-    """Check each m of a (k, d, d) stack as Effect(m) does, but against the window
-    [-tol, 1 + tol], in one eigvalsh call (a non-finite entry anywhere first); the
-    hermitized spectra, then the raw if raw."""
-    if not np.all(np.isfinite(g)):
+    """Check each m of a (k, d, d) stack for hermiticity and a spectrum in the
+    window [-tol, 1 + tol], in one eigvalsh call (a non-finite entry anywhere
+    first); Effect(m) is the k = 1 case at PSD_TOL.  The first failing m raises,
+    spectrum-in-[0,1] naming its smallest eigenvalue if that is below the window,
+    else its largest.  Returns the hermitized spectra, then the raw if raw."""
+    if not np.isfinite(g).all():
         raise ValidationError("finite-entries")
-    gh = np.conj(np.swapaxes(g, 1, 2))
-    residuals = np.max(np.abs(g - gh), axis=(1, 2))
+    gh = g.swapaxes(1, 2).conj()
+    residuals = np.abs(g - gh).max(axis=(1, 2))
     eigs = np.linalg.eigvalsh(np.concatenate([(g + gh) / 2, g]) if raw else (g + gh) / 2)
+    lo, hi = -tol, 1.0 + tol
     k = len(g)
-    if np.any((residuals > HERMITIAN_TOL) | (eigs[:k, 0] < -tol) | (eigs[:k, -1] > 1.0 + tol)):
-        for res, spectrum in zip(residuals, eigs):  # the first failing m raises
-            if res > HERMITIAN_TOL:
-                raise ValidationError("hermiticity", float(res))
-            _require_window(spectrum, tol)
+    if (residuals.max(initial=0.0) > HERMITIAN_TOL or eigs[:k, 0].min(initial=lo) < lo
+            or eigs[:k, -1].max(initial=hi) > hi):
+        for res, spectrum in zip(residuals, eigs):
+            _within("hermiticity", res, HERMITIAN_TOL)
+            eig = float(spectrum[0] if spectrum[0] < lo else spectrum[-1])
+            if eig < lo or eig > hi:
+                raise ValidationError("spectrum-in-[0,1]",
+                                      detail=f"eigenvalue {eig!r} outside [{lo!r}, {hi!r}]")
     return eigs
 
 
@@ -167,19 +202,10 @@ class DichotomicObservable:
     no_effect: Effect
 
     def __post_init__(self):
-        if self.yes_effect.dim != self.no_effect.dim:
-            raise DimensionMismatch(self.yes_effect.dim, self.no_effect.dim)
-        res = float(
-            np.max(
-                np.abs(
-                    self.yes_effect.matrix
-                    + self.no_effect.matrix
-                    - identity(self.yes_effect.dim)
-                )
-            )
-        )
-        if res > AFFINE_TOL:
-            raise ValidationError("yes+no=identity", res)
+        yes, no = _require(self.yes_effect, Effect), _require(self.no_effect, Effect)
+        if yes.dim != no.dim:
+            raise DimensionMismatch(yes.dim, no.dim)
+        _within("yes+no=identity", _max_abs(yes.matrix + no.matrix - identity(yes.dim)), AFFINE_TOL)
 
     @property
     def dim(self) -> int:
@@ -200,7 +226,7 @@ def _require(value, cls):
     """value if it is a cls, else a ValidationError named after cls (for a raw
     matrix in place of a DensityMatrix, say: "density-matrix: got ndarray")."""
     if not isinstance(value, cls):
-        invariant = "".join(f"-{c.lower()}" if c.isupper() else c for c in cls.__name__)[1:]
+        invariant = "".join(f"-{c.lower()}" if c.isupper() else c for c in cls.__name__).lstrip("-")
         raise ValidationError(invariant, detail=f"got {type(value).__name__}")
     return value
 
@@ -216,24 +242,19 @@ class Projector:
     rank: int
 
     def __post_init__(self):
-        if isinstance(self.rank, bool) or not isinstance(self.rank, Integral):
-            raise ValidationError("rank-integer", detail=f"got {self.rank!r}")
+        rank = _require_int(self.rank, "rank-integer", -math.inf)
         m = require_hermitian(self.matrix)
-        res = float(np.max(np.abs(m @ m - m)))
-        if res > HERMITIAN_TOL:
-            raise ValidationError("idempotency", res)
+        _within("idempotency", _max_abs(m @ m - m), HERMITIAN_TOL)
         h = (m + m.conj().T) / 2
         # |mu^2 - mu| <= |h^2 - h|_F =: eps puts each eigenvalue mu of h in [-eps, 1 + eps].
-        res = float(np.linalg.norm(h @ h - h))
-        if res > PSD_TOL:
-            raise ValidationError("idempotency", res)
-        tr = float(np.trace(m).real)
-        if abs(tr - self.rank) > RANK_TOL:
-            raise ValidationError("rank-equals-trace", abs(tr - self.rank))
+        _within("idempotency", np.linalg.norm(h @ h - h), PSD_TOL)
+        # A rank outside [0, dim] equals no trace (and may be past the float range).
+        _require_int(rank, "rank-equals-trace", 0, len(m))
+        _within("rank-equals-trace", abs(float(np.trace(m).real) - rank), RANK_TOL)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rank", int(self.rank))
+        object.__setattr__(self, "rank", rank)
 
     @property
     def dim(self) -> int:
@@ -263,7 +284,7 @@ def _unit_vector(vec) -> np.ndarray:
     if not math.sqrt(np.finfo(float).tiny) <= n < math.inf:
         # |v|^2 overflowed or fell below the normal range: scale the largest part
         # to 1, part by part, as a complex divide by a subnormal overflows.
-        scale = np.max(np.abs(np.concatenate([v.real, v.imag])), initial=0.0)
+        scale = _max_abs(np.concatenate([v.real, v.imag]))
         if scale == 0:
             raise ValidationError("nonzero-vector")
         v = v.real / scale + 1j * (v.imag / scale)
@@ -285,10 +306,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = require_hermitian(self.matrix)
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigs[0] < -PSD_TOL:
-            raise ValidationError("psd", float(-eigs[0]))
-        _require_unit_trace(m)
+        _within("psd", -np.linalg.eigvalsh((m + m.conj().T) / 2)[0], PSD_TOL)
+        _within("unit-trace", abs(float(np.trace(m).real) - 1.0), AFFINE_TOL)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -302,21 +321,15 @@ class DensityMatrix:
         v = _unit_vector(vec)
         # v v^H is PSD: only the eigensolve is skipped.
         m = require_hermitian(np.outer(v, v.conj()))
-        _require_unit_trace(m)
+        _within("unit-trace", abs(float(np.trace(m).real) - 1.0), AFFINE_TOL)
         return _frozen(cls, matrix=m)
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        """I / dim; dim is any integer of at least 1 but a bool, else square-matrix."""
-        if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
-            raise ValidationError("square-matrix", detail=f"dim {dim!r} is not an integer >= 1")
+        """I / dim; dim is any integer of at least 1 but a bool, else square-matrix,
+        and small enough that numpy can size a complex dim x dim array."""
+        dim = _require_int(dim, "square-matrix", 1, math.isqrt(np.iinfo(np.intp).max // 16))
         return cls(identity(dim) / dim)
-
-
-def _require_unit_trace(m: np.ndarray) -> None:
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > AFFINE_TOL:
-        raise ValidationError("unit-trace", abs(tr - 1.0))
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

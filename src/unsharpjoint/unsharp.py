@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .operators import DensityMatrix, DichotomicObservable, Effect, _frozen, _require
-
-SCALING_TOL = 1e-12
+from .operators import SCALING_TOL, DensityMatrix, DichotomicObservable, Effect, _frozen, _require, _within
 
 
 def validate_lambda(lam) -> float:
@@ -64,7 +62,7 @@ class SmearedMeanReport:
 
     value      -- mean of the smeared observable on the state
     scaled_mean -- lam times the sharp mean
-    The two must agree to 1e-12; the constructor enforces this, so every
+    The two must agree to SCALING_TOL; the constructor enforces this, so every
     call doubles as a self-test of the smearing map.
     """
 
@@ -72,9 +70,7 @@ class SmearedMeanReport:
     scaled_mean: float
 
     def __post_init__(self):
-        res = abs(self.value - self.scaled_mean)
-        if res > SCALING_TOL:
-            raise ValidationError("smeared-mean-scaling", res)
+        _within("smeared-mean-scaling", abs(self.value - self.scaled_mean), SCALING_TOL)
 
 
 def smeared_mean(obs: DichotomicObservable, lam, state: DensityMatrix) -> SmearedMeanReport:

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unsharpjoint import (
+    Block,
+    BlockDecomposition,
     DichotomicObservable,
     DimensionMismatch,
     Effect,
@@ -193,6 +195,45 @@ class TestTwoProjectorBlocks:
         dec = two_projector_blocks(p, q)
         u = dec.unitary
         assert np.max(np.abs(u.conj().T @ u - identity(6))) <= 1e-10
+
+
+class TestBlock:
+    @pytest.mark.parametrize(
+        "fields, invariant",
+        [
+            ((2.0, 1, 1, 0.5), "block-dim-1-or-2"),
+            ((3, 1, 1, 0.5), "block-dim-1-or-2"),
+            ((1, True, 0, 0.0), "block-rank-bounds"),
+            ((1, "a", 0, 0.0), "block-rank-bounds"),
+            ((1, 0, 2, 0.0), "block-rank-bounds"),
+            ((2, 1, -1, 0.0), "block-rank-bounds"),
+            ((1, 1, 1, "x"), "block-overlap"),
+            ((1, 1, 1, math.nan), "block-overlap"),
+            ((1, 1, 1, math.inf), "block-overlap"),
+            ((1, 1, 1, True), "block-overlap"),
+            ((1, 1, 1, 1j), "block-overlap"),
+        ],
+    )
+    def test_invalid_field_is_rejected(self, fields, invariant):
+        # dim 2.0, rank True, overlap "x", nan, inf and True used to be kept,
+        # and rank "a" ended in a bare TypeError.
+        with pytest.raises(ValidationError, match=f"^{invariant}: got "):
+            Block(*fields)
+
+    def test_overlap_past_one_by_rounding_is_kept(self):
+        # two_projector_blocks returns cosines up to a few ulps past 1.
+        assert Block(2, 1, 1, 1.0000000000000004).overlap == 1.0000000000000004
+
+    @pytest.mark.parametrize(
+        "blocks, invariant",
+        [([Block(1, 1, 1, 1.0), Block(1, 0, 0, 0.0)], "tuple: got list"), ((1, 1), "block: got int")],
+        ids=["list", "ints"],
+    )
+    def test_blocks_are_a_tuple_of_blocks(self, blocks, invariant):
+        # A list could change under the cached off-block mask; ints ended in
+        # a bare AttributeError.
+        with pytest.raises(ValidationError, match=f"^{invariant}$"):
+            BlockDecomposition(np.eye(2), blocks)
 
 
 class TestNearlyAlignedBlocks:

@@ -1,6 +1,7 @@
 """Operator types, their validation and the JSON operator format."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from unsharpjoint import (
     BlochVector,
+    BlockDecomposition,
     DensityMatrix,
     DichotomicObservable,
     Effect,
+    JointObservable,
     Projector,
     ValidationError,
     box_chsh,
@@ -81,7 +84,7 @@ def test_non_numeric_input_is_rejected(build, m):
 @pytest.mark.parametrize("dim", [-1, 2.5, True, "2"])
 def test_maximally_mixed_needs_an_integer_dim(dim):
     # -1 used to end in numpy's ValueError and 2.5 in a TypeError; True made I_1.
-    with pytest.raises(ValidationError, match=r"^square-matrix: dim .* is not an integer >= 1$"):
+    with pytest.raises(ValidationError, match=rf"^square-matrix: got {re.escape(repr(dim))}$"):
         DensityMatrix.maximally_mixed(dim)
 
 
@@ -114,12 +117,15 @@ _P = projector_onto([1, 0])
         (lambda: check_joint(povm_joint_observable(_OBS, _OBS, 0.5).witness, _OBS, _RAW),
          "dichotomic-observable"),
         (lambda: box_chsh(pr_box().p), "no-signaling-box"),
+        (lambda: DichotomicObservable(_RAW, _RAW), "effect"),
+        (lambda: JointObservable(*[_RAW / 2] * 4), "effect"),
+        (lambda: BlockDecomposition(np.eye(2), (_RAW,)), "block"),
     ],
     ids=["smear", "neumark-dilate", "povm-joint-observable", "feasibility-oracle", "mean-value",
          "correlation", "chsh", "smeared-chsh", "mean-value-state", "smeared-mean-state",
          "correlation-state", "chsh-state", "smeared-chsh-state", "smeared-chsh-values-state",
          "pvm-joint-observable", "two-projector-blocks", "check-joint", "check-joint-observable",
-         "box-chsh"],
+         "box-chsh", "dichotomic-observable", "joint-observable", "block-decomposition"],
 )
 def test_raw_matrix_for_an_observable_is_rejected(call, invariant):
     # Each used to end in a bare AttributeError: 'numpy.ndarray' object has
@@ -249,9 +255,12 @@ class TestProjector:
         with pytest.raises(ValidationError, match=r"^idempotency"):
             Projector(np.diag([0.5, 0.5]).astype(complex), rank=1)
 
-    def test_wrong_rank_rejected(self):
-        with pytest.raises(ValidationError):
-            Projector(np.diag([1.0, 0.0]).astype(complex), rank=2)
+    @pytest.mark.parametrize("rank", [2, 0, -1, 3, 10**400], ids=["2", "0", "-1", "3", "10**400"])
+    def test_wrong_rank_rejected(self, rank):
+        # A rank outside [0, dim] equals no trace; 10**400 used to end in a
+        # bare OverflowError from the float subtraction.
+        with pytest.raises(ValidationError, match=r"^rank-equals-trace"):
+            Projector(np.diag([1.0, 0.0]).astype(complex), rank=rank)
 
     @pytest.mark.parametrize("rank", [1.00000000001, 1.0, True, "1", None, [1]])
     def test_rank_must_be_an_integer(self, rank):

@@ -1,0 +1,124 @@
+"""The tolerance ledger: every tolerance of the package, named once in
+operators, pinned here name by name, and the closed-form/oracle
+disagreement band that two of them set.
+
+A moved tolerance shows up as a one-line diff of LEDGER, and a float
+literal below 1e-3 anywhere else in the package fails the literal check.
+The acceptance criteria are exempt: their gate literals are printed in
+their detail strings.
+"""
+
+import ast
+import importlib
+import re
+import tokenize
+from pathlib import Path
+
+import numpy as np
+
+import unsharpjoint
+from unsharpjoint import (
+    BlochVector,
+    criterion_value,
+    feasibility_oracle,
+    qubit_joint_observable,
+    smear,
+)
+from unsharpjoint import operators
+from unsharpjoint.operators import CRITERION_SLACK, PSD_TOL
+
+SRC = Path(unsharpjoint.__file__).parent
+
+LEDGER = {
+    "HERMITIAN_TOL": 1e-10,
+    "AFFINE_TOL": 1e-10,
+    "PSD_TOL": 1e-9,
+    "RANK_TOL": 1e-8,
+    "JOINT_NORMALIZATION_TOL": 1e-9,
+    "BLOCH_NORM_TOL": 1e-12,
+    "CRITERION_SLACK": 1e-12,
+    "QUBIT_WITNESS_TOL": 1e-11,
+    "CERTIFICATE_MARGIN": 1e-12,
+    "ANDERSON_TIKHONOV": 1e-10,
+    "CLUSTER_TOL": 1e-10,
+    "BLOCK_RESIDUAL_TOL": 1e-9,
+    "UNITARITY_TOL": 1e-10,
+    "SCALING_TOL": 1e-12,
+    "BOX_TOL": 1e-12,
+    "CHSH_RECOMPUTE_TOL": 1e-12,
+    "CHSH_BOUND_SLACK": 1e-9,
+    "SWEEP_END_SLACK": 1e-12,
+    "BOB_DIRECTION_CUTOFF": 1e-12,
+}
+
+# module -> the ledger names it used to define, still importable from it.
+MOVED = {
+    "decompose": ("CLUSTER_TOL", "BLOCK_RESIDUAL_TOL", "UNITARITY_TOL"),
+    "joint": ("CRITERION_SLACK", "CERTIFICATE_MARGIN"),
+    "unsharp": ("SCALING_TOL",),
+}
+
+# A ledger line of operators.py: one name, one literal, and a comment that
+# says whether the bound is absolute or relative and what it bounds.
+LEDGER_LINE = re.compile(r"^([A-Z][A-Z0-9_]*) = (\S+)  # (abs|rel): \S")
+
+
+def _ledger_lines() -> dict:
+    lines = (SRC / "operators.py").read_text(encoding="utf-8").splitlines()
+    return {m[1]: ast.literal_eval(m[2]) for m in map(LEDGER_LINE.match, lines) if m}
+
+
+def test_ledger_is_pinned():
+    assert _ledger_lines() == LEDGER
+    assert {name: getattr(operators, name) for name in LEDGER} == LEDGER
+
+
+def test_moved_names_stay_importable():
+    for module, names in MOVED.items():
+        mod = importlib.import_module(f"unsharpjoint.{module}")
+        for name in names:
+            assert getattr(mod, name) is getattr(operators, name)
+
+
+def test_no_bare_tolerance_literal():
+    bare = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "acceptance.py":
+            continue
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type != tokenize.NUMBER or not 0 < abs(ast.literal_eval(tok.string)) < 1e-3:
+                    continue
+                if path.name == "operators.py" and LEDGER_LINE.match(tok.line):
+                    continue
+                bare.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not bare
+
+
+def test_closed_form_and_oracle_disagree_only_inside_the_band():
+    """The band is (2 + CRITERION_SLACK, 2 + 8 PSD_TOL] in criterion value.
+
+    Past 2 + CRITERION_SLACK the closed form says "no".  The oracle says
+    "yes" once an affine point is PSD to -PSD_TOL, and the qubit midpoint
+    witness has smallest eigenvalue (2 - value) / 8, so up to 2 + 8 PSD_TOL
+    the oracle still finds one.  Outside the band the two never contradict
+    each other; "undetermined" above it is allowed (ROADMAP item 6).
+    """
+    lo, hi = 2.0 + CRITERION_SLACK, 2.0 + 8.0 * PSD_TOL
+    rng = np.random.default_rng(9)
+    for _ in range(12):
+        m, n = (BlochVector.normalized(v) for v in rng.normal(size=(2, 3)))
+        top = criterion_value(m, n, 1.0)
+        for target in (2.0 - 8.0 * PSD_TOL, 2.0 + CRITERION_SLACK / 2, 2.0 + 0.9 * 8.0 * PSD_TOL,
+                       2.0 + 1.1 * 8.0 * PSD_TOL):
+            lam = target / top
+            value = criterion_value(m, n, lam)
+            closed = qubit_joint_observable(m, n, lam).feasible
+            oracle = feasibility_oracle(smear(m.observable(), lam), smear(n.observable(), lam),
+                                        max_iter=300).feasible
+            if value <= lo:
+                assert (closed, oracle) in {("yes", "yes"), ("yes", "undetermined")}
+            elif value > hi:
+                assert (closed, oracle) in {("no", "no"), ("no", "undetermined")}
+            else:  # the band itself: the oracle finds the witness the closed form refuses
+                assert (closed, oracle) == ("no", "yes")
