@@ -1,15 +1,14 @@
 """Bipartite correlations, CHSH values, and no-signaling boxes.
 
-Three layers of the same CHSH expression
-|t11 + t12 + t21 - t22| live here:
+Every CHSH value here is |t11 + t12 + t21 - t22| of a 2x2 table of
+correlators t[x, y], from one of two sources:
 
-* quantum correlators Tr[state (A x B)] for density matrices and
-  dichotomic observables, bounded by 2*sqrt(2);
-* the smeared variant with unsharpness applied to one wing only, whose
-  value is exactly lam times the sharp value, so lam = 1/sqrt(2) pins
-  the smeared expression at the local bound 2;
-* bare conditional-probability tables (boxes), where the algebraic
-  maximum 4 is reached by the PR box.
+* Tr[state (A_x (x) B_y)] for a density matrix and dichotomic observables,
+  from the one kernel _table, bounded by 2*sqrt(2).  Smearing Alice's wing
+  by lam scales the table by lam, so lam = 1/sqrt(2) pins the smeared
+  value at the local bound 2; a sweep over lam is one stack of tables;
+* the correlators of a conditional-probability table (a box), where the
+  algebraic maximum 4 is reached by the PR box.
 
 A box is one float array p[x, y, a, b].  Every box built here has
 entries in {0, 1/4, 1/2, 1}, which floats hold exactly, so the PR box
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from .operators import (
-    BOX_TOL, CHSH_BOUND_SLACK, CHSH_RECOMPUTE_TOL, PAULI_X, PAULI_Z, DensityMatrix,
+    BOX_TOL, CHSH_BOUND_SLACK, PAULI_X, PAULI_Z, DensityMatrix,
     DichotomicObservable, _number_array, _require, _within, identity,
 )
 from .unsharp import _smeared_matrices, validate_lambda
@@ -143,7 +142,8 @@ def local_deterministic_boxes() -> list[NoSignalingBox]:
 
 @dataclass(frozen=True)
 class ChshReport:
-    """CHSH combination of four correlators.
+    """CHSH combination of four correlators: a plain record, which _report
+    fills from one table, so value is the CHSH sum of terms by construction.
 
     value        -- |t11 + t12 + t21 - t22|
     terms        -- (t11, t12, t21, t22)
@@ -158,33 +158,41 @@ class ChshReport:
     bound_lambda: float
     within_bound: bool
 
-    def __post_init__(self):
-        t11, t12, t21, t22 = self.terms
-        _within("chsh-recomputation", abs(self.value - abs(t11 + t12 + t21 - t22)), CHSH_RECOMPUTE_TOL)
 
-
-def _report(terms, bound: float) -> ChshReport:
-    value = float(abs(terms[0] + terms[1] + terms[2] - terms[3]))
-    return ChshReport(value=value, terms=tuple(float(t) for t in terms), bound_lambda=bound,
-                      within_bound=value <= bound + CHSH_BOUND_SLACK)
-
-
-def _correlations(state: DensityMatrix, x: np.ndarray, y: np.ndarray):
-    """Tr[state (x (x) y)] for Alice's contrast x (or a stack of them) and Bob's y."""
-    if _require(state, DensityMatrix).dim != x.shape[-1] * y.shape[-1]:
-        raise DimensionMismatch(state.dim, x.shape[-1], y.shape[-1])
-    # x (x) y, entry by entry the single product x[i, j] y[k, l], as np.kron.
-    op = x[..., :, None, :, None] * y[None, :, None, :]
-    op = op.reshape(x.shape[:-2] + state.matrix.shape)
+def _table(state: DensityMatrix, alice, bob, lam=None) -> np.ndarray:
+    """t[x, y] = Tr[state (A_x (x) B_y)] with A = E_yes - E_no, each argument
+    guarded once; Alice's observables smeared by lam if given, and an (r, 1, 1)
+    lam gives an (r, 2, 2) stack of tables."""
+    alice = [_require(a, DichotomicObservable) for a in alice]
+    bob = [_require(b, DichotomicObservable) for b in bob]
+    d = _require(state, DensityMatrix).dim
+    for a, b in itertools.product(alice, bob):
+        if d != a.dim * b.dim:
+            raise DimensionMismatch(d, a.dim, b.dim)
+    # np.stack(..., axis=-3) at a quarter of its cost: the axis of an (r, 1, 1) lam comes first.
+    x = np.array([a.difference() if lam is None else np.subtract(*_smeared_matrices(a, lam))
+                  for a in alice]).swapaxes(0, -3)
+    y = np.array([b.difference() for b in bob])
+    # A_x (x) B_y, entry by entry the single product x[i, j] y[k, l], as np.kron.
+    op = x[..., :, None, :, None, :, None] * y[:, None, :, None, :]
+    op = op.reshape(op.shape[:-4] + state.matrix.shape)
     return np.trace(state.matrix @ op, axis1=-2, axis2=-1).real
 
 
-def correlation(
-    state: DensityMatrix, a: DichotomicObservable, b: DichotomicObservable
-) -> float:
+def _chsh(t: np.ndarray):
+    """|t11 + t12 + t21 - t22| of a table t[..., x, y]."""
+    return np.abs(t[..., 0, 0] + t[..., 0, 1] + t[..., 1, 0] - t[..., 1, 1])
+
+
+def _report(t: np.ndarray, bound: float) -> ChshReport:
+    value = float(_chsh(t))
+    return ChshReport(value=value, terms=tuple(t.ravel().tolist()), bound_lambda=bound,
+                      within_bound=value <= bound + CHSH_BOUND_SLACK)
+
+
+def correlation(state: DensityMatrix, a: DichotomicObservable, b: DichotomicObservable) -> float:
     """Tr[state (A x B)] with A = E_yes - E_no on each wing."""
-    a, b = _require(a, DichotomicObservable), _require(b, DichotomicObservable)
-    return float(_correlations(state, a.difference(), b.difference()))
+    return float(_table(state, (a,), (b,))[0, 0])
 
 
 def chsh(
@@ -192,8 +200,7 @@ def chsh(
     b1: DichotomicObservable, b2: DichotomicObservable,
 ) -> ChshReport:
     """Sharp CHSH report; compared against the bound 2*sqrt(2)."""
-    terms = tuple(correlation(state, a, b) for a in (a1, a2) for b in (b1, b2))
-    return _report(terms, TSIRELSON_BOUND)
+    return _report(_table(state, (a1, a2), (b1, b2)), TSIRELSON_BOUND)
 
 
 def smeared_chsh(
@@ -206,8 +213,7 @@ def smeared_chsh(
     linearly), so for lam <= 1/sqrt(2) any quantum input lands at or
     below the local bound 2, which is this report's comparison bound.
     """
-    lam = validate_lambda(lam)
-    return _report(_smeared_terms(state, a1, a2, b1, b2, lam), LOCAL_BOUND)
+    return _report(_table(state, (a1, a2), (b1, b2), validate_lambda(lam)), LOCAL_BOUND)
 
 
 def smeared_chsh_values(
@@ -215,22 +221,14 @@ def smeared_chsh_values(
     b1: DichotomicObservable, b2: DichotomicObservable, lams,
 ) -> np.ndarray:
     """smeared_chsh(state, a1, a2, b1, b2, lam).value for each lam of a
-    sequence, each lam checked, the correlators of all of them one stack."""
+    sequence, each lam checked, the tables of all of them one stack."""
     lams = np.array([validate_lambda(lam) for lam in lams])[:, None, None]
-    t11, t12, t21, t22 = _smeared_terms(state, a1, a2, b1, b2, lams)
-    return np.abs(t11 + t12 + t21 - t22)
-
-
-def _smeared_terms(state, a1, a2, b1, b2, lam) -> tuple:
-    """(t11, t12, t21, t22), Alice smeared by lam; arrays of length r for an (r, 1, 1) lam."""
-    xs = [np.subtract(*_smeared_matrices(_require(a, DichotomicObservable), lam)) for a in (a1, a2)]
-    ys = [_require(b, DichotomicObservable).difference() for b in (b1, b2)]
-    return tuple(_correlations(state, x, y) for x in xs for y in ys)
+    return _chsh(_table(state, (a1, a2), (b1, b2), lams))
 
 
 def box_chsh(box: NoSignalingBox) -> ChshReport:
     """CHSH of a conditional-probability table; exact on the built-in boxes."""
-    return _report(_require(box, NoSignalingBox).correlators().ravel().tolist(), TSIRELSON_BOUND)
+    return _report(_require(box, NoSignalingBox).correlators(), TSIRELSON_BOUND)
 
 
 def singlet() -> DensityMatrix:

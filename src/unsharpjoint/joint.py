@@ -221,12 +221,6 @@ class FeasibilityReport:
     iterations: int
     certificate: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.feasible not in ("yes", "no", "undetermined"):
-            raise ValidationError("feasible-verdict", detail=repr(self.feasible))
-        if self.feasible == "yes" and self.witness is None:
-            raise ValidationError("witness-required-for-yes")
-
     def __bool__(self) -> bool:
         return self.feasible == "yes"
 

@@ -46,7 +46,6 @@ BLOCK_RESIDUAL_TOL = 1e-9  # abs: max off-block entry of a conjugated projector
 UNITARITY_TOL = 1e-10  # abs: max|U^H U - I| of a block decomposition's basis
 SCALING_TOL = 1e-12  # abs: |smeared mean - lam * sharp mean|
 BOX_TOL = 1e-12  # abs: a box's normalization and no-signaling gaps
-CHSH_RECOMPUTE_TOL = 1e-12  # abs: a CHSH value against its four terms
 CHSH_BOUND_SLACK = 1e-9  # abs: a CHSH value within its bound up to this
 SWEEP_END_SLACK = 1e-12  # abs: uj sweep keeps a grid point this far past --stop
 BOB_DIRECTION_CUTOFF = 1e-12  # abs: |m +- n| below this is a zero direction for Bob in uj sweep
@@ -119,12 +118,20 @@ def _within(invariant: str, residual: float, tol: float, detail: str = "") -> No
         raise ValidationError(invariant, float(residual), detail)
 
 
+def _got(value) -> str:
+    """"got <repr>", or for an int (or Fraction) too long to print, its type and bit length."""
+    try:
+        return f"got {value!r}"
+    except ValueError:  # int's 4,300-digit limit on str()
+        return f"got {type(value).__name__} of {int(value).bit_length()} bits"
+
+
 def _require_int(value, invariant: str, lo: float, hi: float = math.inf) -> int:
     """value as an int if it is an integer but a bool (np.int64 included) in
-    [lo, hi], else ValidationError(invariant, detail="got <value>")."""
+    [lo, hi], else ValidationError(invariant, detail=_got(value))."""
     # int first: it answers most calls before the slower Integral ABC lookup.
     if isinstance(value, bool) or not isinstance(value, (int, Integral)) or not lo <= value <= hi:
-        raise ValidationError(invariant, detail=f"got {value!r}")
+        raise ValidationError(invariant, detail=_got(value))
     return int(value)
 
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .operators import SCALING_TOL, DensityMatrix, DichotomicObservable, Effect, _frozen, _require, _within
+from .operators import (
+    SCALING_TOL, DensityMatrix, DichotomicObservable, Effect, _frozen, _got, _require, _within,
+)
 
 
 def validate_lambda(lam) -> float:
@@ -25,7 +27,7 @@ def validate_lambda(lam) -> float:
     nonzero as a float; lam = 0 erases all information about the input."""
     if (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
             or not 0 < lam <= 1 or not float(lam) > 0):
-        raise ValidationError("lambda-in-(0,1]", detail=f"got {lam!r}")
+        raise ValidationError("lambda-in-(0,1]", detail=_got(lam))
     return float(lam)
 
 
@@ -62,21 +64,17 @@ class SmearedMeanReport:
 
     value      -- mean of the smeared observable on the state
     scaled_mean -- lam times the sharp mean
-    The two must agree to SCALING_TOL; the constructor enforces this, so every
-    call doubles as a self-test of the smearing map.
     """
 
     value: float
     scaled_mean: float
 
-    def __post_init__(self):
-        _within("smeared-mean-scaling", abs(self.value - self.scaled_mean), SCALING_TOL)
-
 
 def smeared_mean(obs: DichotomicObservable, lam, state: DensityMatrix) -> SmearedMeanReport:
-    """Mean of the smeared observable, with its scaling identity checked."""
+    """Mean of the smeared observable, with its scaling identity checked: the
+    two sides must agree to SCALING_TOL, so every call doubles as a self-test
+    of the smearing map."""
     lam = validate_lambda(lam)
-    return SmearedMeanReport(
-        value=mean_value(smear(obs, lam), state),
-        scaled_mean=lam * mean_value(obs, state),
-    )
+    value, scaled_mean = mean_value(smear(obs, lam), state), lam * mean_value(obs, state)
+    _within("smeared-mean-scaling", abs(value - scaled_mean), SCALING_TOL)
+    return SmearedMeanReport(value=value, scaled_mean=scaled_mean)

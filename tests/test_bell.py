@@ -23,7 +23,7 @@ from unsharpjoint import (
     smeared_chsh,
     white_noise_box,
 )
-from unsharpjoint.bell import _observable_of
+from unsharpjoint.bell import _observable_of, smeared_chsh_values
 from unsharpjoint.operators import PAULI_X, PAULI_Z
 
 TWO_SQRT2 = 2.8284271247461903
@@ -60,6 +60,29 @@ class TestCorrelation:
             correlation(DensityMatrix.maximally_mixed(2), z, z)
 
 
+@pytest.mark.parametrize("wing,dims", [(0, (4, 3, 2)), (1, (4, 2, 3))], ids=["alice", "bob"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda state, a, b: chsh(state, *a, *b),
+        lambda state, a, b: smeared_chsh(state, *a, *b, 0.5),
+        lambda state, a, b: smeared_chsh_values(state, *a, *b, [0.5, 0.9]),
+        lambda state, a, b: correlation(state, a[1], b[1]),
+    ],
+    ids=["chsh", "smeared_chsh", "smeared_chsh_values", "correlation"],
+)
+def test_a_qutrit_observable_on_one_wing_is_a_dimension_mismatch(call, wing, dims):
+    # Every pair is checked before the observables are stacked, so a 3x3 a2
+    # or b2 names the dimensions of its pair, not a numpy shape error.
+    a1, a2, b1, b2 = optimal_settings()
+    qutrit = DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0, 0.0]))
+    wings = [[a1, a2], [b1, b2]]
+    wings[wing][1] = qutrit
+    with pytest.raises(DimensionMismatch) as exc:
+        call(singlet(), *wings)
+    assert exc.value.dims == dims
+
+
 class TestChsh:
     def test_product_states_respect_local_bound(self):
         rng = np.random.default_rng(151)
@@ -87,13 +110,6 @@ class TestChsh:
             obs = [BlochVector(_random_unit(rng)).observable() for _ in range(4)]
             worst = max(worst, chsh(rho, *obs).value)
         assert worst <= TWO_SQRT2 + 1e-6
-
-    def test_report_recomputation_guard(self):
-        from unsharpjoint.bell import ChshReport
-
-        with pytest.raises(ValidationError):
-            ChshReport(value=3.0, terms=(1.0, 1.0, 1.0, 1.0), bound_lambda=2.0,
-                       within_bound=False)
 
 
 class TestSmearedChsh:

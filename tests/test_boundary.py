@@ -8,6 +8,7 @@ __all__ needs a row here, or a place in NOT_INPUTS.
 """
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,16 +30,19 @@ VALID = {
     "BlochVector": ([0.0, 0.0, 1.0],),
     "BlochVector.coerce": ([0.0, 0.0, 1.0],),
     "BlochVector.normalized": ([0.0, 0.0, 2.0],),
+    "ChshReport": (2.0, (0.5, 0.5, 0.5, -0.5), 2.0, True),
     "DensityMatrix": (np.eye(2) / 2,),
     "DensityMatrix.maximally_mixed": (2,),
     "DensityMatrix.pure": ([1.0, 0.0],),
     "DichotomicObservable": (_EFFECT, _EFFECT.complement()),
     "DichotomicObservable.from_yes_effect": (np.diag([0.3, 0.6]),),
     "Effect": (np.diag([0.3, 0.6]),),
+    "FeasibilityReport": ("no", None, 0.0, -0.01, 0),
     "JointObservable": _WITNESS.effects,
     "NoSignalingBox": (uj.pr_box().to_json()["p"],),
     "Projector": (np.diag([1.0, 0.0]), 1),
     "Projector.from_matrix": (np.diag([1.0, 0.0]),),
+    "SmearedMeanReport": (0.25, 0.25),
     "box_chsh": (uj.pr_box(),),
     "check_joint": (_WITNESS, _SMEARED, _SMEARED),
     "chsh": (uj.singlet(), _OBS, _OBS, _OBS, _OBS),
@@ -68,17 +72,17 @@ VALID = {
     "white_noise_box": (),
 }
 
-# Callables of __all__ that take no user input: the error types, and the
-# result records the package returns, whose constructors re-check values
-# the package computed.
+# Callables of __all__ left out: the error types, and two result records.
+# Result records are plain and check nothing; the three with rows above used
+# to re-check their fields, and a check put back must refuse each wrong value typed.
 NOT_INPUTS = {
-    "ChshReport", "DimensionMismatch", "FeasibilityReport", "JointResiduals", "LambdaOptResult",
-    "ParseError", "SmearedMeanReport", "UnsharpJointError", "ValidationError",
+    "DimensionMismatch", "JointResiduals", "LambdaOptResult", "ParseError", "UnsharpJointError",
+    "ValidationError",
 }
 
 WRONG = (
     None, "x", "1", 1.5, True, -1, 0, np.eye(2) / 2, np.eye(3) / 3, np.full((2, 2), np.nan),
-    [], {}, [[1.0, 2.0], [3.0]], 10**400, object(), np.zeros(3),
+    [], {}, [[1.0, 2.0], [3.0]], 10**400, 10**5000, Fraction(10**5000, 3), object(), np.zeros(3),
 )
 
 

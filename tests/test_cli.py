@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from unsharpjoint import (
     ANCILLA_CONVENTION,
     BlochVector,
+    DensityMatrix,
     ValidationError,
     lambda_opt_search,
     matrix_from_json,
@@ -33,8 +34,8 @@ from unsharpjoint.cli import _build_parser, main
 INV_SQRT2 = 0.7071067811865475
 
 
-@pytest.fixture
-def fixtures(tmp_path):
+def _write_fixtures(tmp_path):
+    """Valid input files in tmp_path, by name, and the directory as "dir"."""
     z = np.array([[1, 0], [0, 0]], dtype=complex)
     plus = np.full((2, 2), 0.5, dtype=complex)
     paths = {}
@@ -68,6 +69,11 @@ def fixtures(tmp_path):
     )
     paths["dir"] = str(tmp_path)
     return paths
+
+
+@pytest.fixture
+def fixtures(tmp_path):
+    return _write_fixtures(tmp_path)
 
 
 def _run(args, capsys):
@@ -376,6 +382,51 @@ class TestChsh:
         assert code == 0
         assert abs(json.loads(out)["value"] - 2.828427) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "state,lam,bound,terms,value",
+        [
+            ("singlet.json", None, "2.8284271247461903",
+             ("-0.7071067811865476",) * 3 + ("0.7071067811865476",), "2.8284271247461903"),
+            ("singlet.json", "0.7071067811865476", "2.0", ("-0.5",) * 3 + ("0.5",), "2.0"),
+            ("pure.json", None, "2.8284271247461903",
+             ("0.33992832719762767", "0.24929550118186955", "0.2921284045782133", "0.8309465884515852"),
+             "0.05040564450612539"),
+            ("pure.json", "0.7071067811865476", "2.0",
+             ("0.24036562527884198", "0.17627853940499888", "0.2065659758544619", "0.587567967497943"),
+             "0.03564217304035977"),
+        ],
+        ids=["singlet-sharp", "singlet-smeared", "pure-sharp", "pure-smeared"],
+    )
+    def test_report_bytes_pinned(self, state, lam, bound, terms, value, fixtures, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        (tmp_path / "pure.json").write_text(json.dumps(matrix_to_json(DensityMatrix.pure(psi).matrix)))
+        argv = ["chsh", "--state", str(tmp_path / state), "--settings", fixtures["settings.json"]]
+        code, out = _run(argv + ([] if lam is None else ["--lambda", lam]), capsys)
+        assert code == 0
+        assert out == _chsh_bytes(bound, terms, value, "true")
+
+    @pytest.mark.parametrize("lam", [None, "0.5"], ids=["sharp", "smeared"])
+    @pytest.mark.parametrize("key,dims", [("a2", (4, 3, 2)), ("b2", (4, 2, 3))])
+    def test_mixed_dimension_settings_exit_one(self, key, dims, lam, fixtures, tmp_path, capsys):
+        settings = json.loads(Path(fixtures["settings.json"]).read_text())
+        settings[key] = matrix_to_json(np.diag([1.0, 0.0, 0.0]))
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(settings))
+        argv = ["chsh", "--state", fixtures["singlet.json"], "--settings", str(path)]
+        assert main(argv + ([] if lam is None else ["--lambda", lam])) == 1
+        assert capsys.readouterr() == ("", f"error: incompatible dimensions {dims}\n")
+
+
+def _chsh_bytes(bound, terms, value, within):
+    """The uj/1 text of a CHSH report, from the printed fields."""
+    t11, t12, t21, t22 = terms
+    return (
+        f'{{\n  "bound_lambda": {bound},\n  "kind": "chsh",\n  "schema": "uj/1",\n'
+        f'  "terms": {{\n    "t11": {t11},\n    "t12": {t12},\n    "t21": {t21},\n    "t22": {t22}\n  }},\n'
+        f'  "value": {value},\n  "within_bound": {within}\n}}\n'
+    )
+
 
 # JSON numbers for box cells: ints of up to 401 digits, floats of any size,
 # negatives, and the probabilities of valid boxes.
@@ -422,13 +473,8 @@ class TestBoxChsh:
         path = tmp_path / "box.json"
         path.write_text(json.dumps({"p": table}))
         code, out = _run(["box-chsh", "--box", str(path)], capsys)
-        t11, t12, t21, t22 = terms
         assert code == 0
-        assert out == (
-            '{\n  "bound_lambda": 2.8284271247461903,\n  "kind": "chsh",\n  "schema": "uj/1",\n'
-            f'  "terms": {{\n    "t11": {t11},\n    "t12": {t12},\n    "t21": {t21},\n    "t22": {t22}\n  }},\n'
-            f'  "value": {value},\n  "within_bound": {within}\n}}\n'
-        )
+        assert out == _chsh_bytes("2.8284271247461903", terms, value, within)
 
     @settings(max_examples=60)
     @given(cells=st.lists(st.lists(st.lists(BOX_NUMBER, min_size=2, max_size=2), min_size=2, max_size=2),
@@ -438,6 +484,68 @@ class TestBoxChsh:
         path.write_text(json.dumps({"p": dict(zip(SETTINGS, cells))}))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["box-chsh", "--box", str(path)]) in (0, 1)
+
+
+# Any JSON value: edge values (NaN and the infinities as json.dumps writes them,
+# 401-digit integers, numeric strings), floats and integers, nested in lists and
+# in objects keyed by the field names of the file formats; and operator-,
+# observable- and settings-shaped objects of such values and of diagonal
+# matrices, so that random entries reach past the first field check of every
+# format and some files are valid.
+JSON_LEAF = st.one_of(
+    st.sampled_from([None, True, False, "", "x", "1", 0, 1, -1, 2, 0.5, 10**400, -(10**400),
+                     float("nan"), float("inf"), 1e308, [], {}]),
+    st.floats(), st.integers(),
+)
+JSON_VALUE = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["dim", "re", "im", "yes", "no", "p", "a1", "11", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+ROWS = st.lists(st.lists(st.floats(0, 1) | JSON_LEAF, max_size=3), max_size=3)
+DIAGONAL = st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0, 1), min_size=1, max_size=4).map(
+    lambda v: matrix_to_json(np.diag(v)))
+OPERATOR = DIAGONAL | st.fixed_dictionaries({"dim": st.integers(0, 3) | JSON_LEAF, "re": ROWS, "im": ROWS})
+OBSERVABLE = OPERATOR | st.fixed_dictionaries({"yes": OPERATOR}, optional={"no": OPERATOR | JSON_VALUE})
+FILE_JSON = st.one_of(
+    JSON_VALUE, OBSERVABLE,
+    st.dictionaries(st.sampled_from(["a1", "a2", "b1", "b2", "p"]), OBSERVABLE | JSON_VALUE, max_size=4),
+)
+
+# Every file argument of every subcommand, the other files valid; "BAD" is the random one.
+FILE_ARGVS = [
+    ["smear", "--obs", "BAD", "--lambda", "0.5"],
+    ["dilate", "--obs", "BAD"],
+    ["blocks", "--p", "BAD", "--q", "q.json"],
+    ["blocks", "--p", "p.json", "--q", "BAD"],
+    ["jointly-measurable", "--o1", "BAD", "--o2", "p.json", "--lambda", "0.7"],
+    ["jointly-measurable", "--o1", "p.json", "--o2", "BAD", "--lambda", "0.7"],
+    ["lambda-opt", "--o1", "BAD", "--o2", "p.json"],
+    ["lambda-opt", "--o1", "p.json", "--o2", "BAD"],
+    ["chsh", "--state", "BAD", "--settings", "settings.json"],
+    ["chsh", "--state", "singlet.json", "--settings", "BAD"],
+    ["box-chsh", "--box", "BAD"],
+]
+
+
+@pytest.fixture(scope="module")
+def shared_fixtures(tmp_path_factory):
+    """The files of `fixtures`, once per module (hypothesis runs many examples
+    in one test call), and the path "BAD"."""
+    paths = _write_fixtures(tmp_path_factory.mktemp("fixtures"))
+    return paths | {"BAD": str(Path(paths["dir"]) / "bad.json")}
+
+
+@settings(max_examples=80)
+@given(argv=st.sampled_from(FILE_ARGVS), content=FILE_JSON)
+def test_any_json_in_any_file_argument_exits_zero_or_one(argv, content, shared_fixtures):
+    Path(shared_fixtures["BAD"]).write_text(json.dumps(content))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([shared_fixtures.get(a, a) for a in argv])
+    assert code in (0, 1)
+    assert (err.getvalue() == "") if code == 0 else err.getvalue().startswith("error: ")
 
 
 class TestSweep:
@@ -461,6 +569,18 @@ class TestSweep:
         last = rows[-1]
         assert float(last[0]) == 1.0
         assert float(last[2]) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+
+    def test_rows_across_lambda_opt_pinned(self, capsys):
+        argv = ["sweep", "--m", "0,0,1", "--n", "1,0,0", "--start", "0.70", "--stop", "0.72",
+                "--step", "0.005"]
+        assert _run(argv, capsys) == (0, (
+            "lambda,feasible,smeared_chsh,bound\n"
+            "0.7,yes,1.97989898732233,2.85714285714286\n"
+            "0.705,yes,1.99404112294606,2.83687943262411\n"
+            "0.71,no,2.0081832585698,2.8169014084507\n"
+            "0.715,no,2.02232539419353,2.7972027972028\n"
+            "0.72,no,2.03646752981726,2.77777777777778\n"
+        ))
 
     @pytest.mark.parametrize(
         "start,stop,step",

@@ -969,26 +969,6 @@ class TestWitnessBuiltOnce:
 
 
 class TestReportInvariants:
-    def test_yes_requires_witness(self):
-        with pytest.raises(ValidationError):
-            FeasibilityReport(
-                feasible="yes",
-                witness=None,
-                marginal_residual=0.0,
-                min_eigenvalue=0.0,
-                iterations=0,
-            )
-
-    def test_verdict_vocabulary(self):
-        with pytest.raises(ValidationError):
-            FeasibilityReport(
-                feasible="maybe",
-                witness=None,
-                marginal_residual=0.0,
-                min_eigenvalue=0.0,
-                iterations=0,
-            )
-
     def test_joint_observable_normalization_enforced(self):
         quarter = Effect(identity(2) / 4.0)
         with pytest.raises(ValidationError):

@@ -45,7 +45,6 @@ LEDGER = {
     "UNITARITY_TOL": 1e-10,
     "SCALING_TOL": 1e-12,
     "BOX_TOL": 1e-12,
-    "CHSH_RECOMPUTE_TOL": 1e-12,
     "CHSH_BOUND_SLACK": 1e-9,
     "SWEEP_END_SLACK": 1e-12,
     "BOB_DIRECTION_CUTOFF": 1e-12,

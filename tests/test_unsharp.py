@@ -24,6 +24,7 @@ from unsharpjoint import (
     smeared_mean,
     validate_lambda,
 )
+from unsharpjoint import unsharp
 from unsharpjoint.bell import smeared_chsh_values
 from unsharpjoint.joint import qubit_verdicts
 from unsharpjoint.operators import identity
@@ -194,6 +195,15 @@ class TestSmearedMean:
         report = smeared_mean(obs, 0.5, state)
         assert report.value == pytest.approx(0.5, abs=1e-14)
         assert report.scaled_mean == pytest.approx(0.5, abs=1e-14)
+
+    def test_a_drifting_smearing_map_is_caught(self, monkeypatch):
+        # smeared_mean checks the identity itself: a smear that misses lam by
+        # a relative 1e-9 puts the mean-1 value 5e-10 off, past SCALING_TOL.
+        real = unsharp.smear
+        monkeypatch.setattr(unsharp, "smear", lambda obs, lam: real(obs, lam * (1 - 1e-9)))
+        obs = DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]))
+        with pytest.raises(ValidationError, match=r"^smeared-mean-scaling \(residual 5\.000e-10\)$"):
+            smeared_mean(obs, 0.5, DensityMatrix.pure([1, 0]))
 
     def test_scaling_identity_sweep(self):
         rng = np.random.default_rng(59)
