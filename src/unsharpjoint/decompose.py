@@ -37,6 +37,7 @@ from .operators import (
     DichotomicObservable,
     Effect,
     Projector,
+    _got,
     _max_abs,
     _require,
     _require_int,
@@ -61,9 +62,9 @@ class Block:
                      blocks); for dim-1 blocks it is 1.0 when both ranks
                      are 1 and 0.0 otherwise.
 
-    dim and the ranks are integers and overlap is a finite real, none of
-    them a bool.  overlap is not capped at 1: rounding can put a cosine a
-    few ulps past it.
+    dim and the ranks are integers and overlap is a real that a finite
+    float holds, none of them a bool; overlap is kept as that float.  It is
+    not capped at 1: rounding can put a cosine a few ulps past it.
     """
 
     dim: int
@@ -76,9 +77,14 @@ class Block:
         for rank in (self.rank_p, self.rank_q):
             _require_int(rank, "block-rank-bounds", 0, dim)
         overlap = self.overlap  # float first, as int in _require_int
-        if (isinstance(overlap, bool) or not isinstance(overlap, (float, Real))
-                or not -math.inf < overlap < math.inf):
-            raise ValidationError("block-overlap", detail=f"got {overlap!r}")
+        real = isinstance(overlap, (float, Real)) and not isinstance(overlap, bool)
+        try:
+            value = float(overlap) if real else math.nan
+        except OverflowError:  # an int or a Fraction past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValidationError("block-overlap", detail=_got(overlap))
+        object.__setattr__(self, "overlap", value)
 
 
 @dataclass(frozen=True, eq=False)

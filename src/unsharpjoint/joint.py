@@ -2,44 +2,41 @@
 
 A pair of two-outcome measurements is jointly measurable when a single
 four-outcome POVM {G_pp, G_pm, G_mp, G_mm} reproduces both of them as
-marginals.  This module provides
+marginals.  Every closed-form verdict of this module, for qubit, projective
+and POVM pairs alike, comes from one witness formula and one gate on the
+contrasts A = E1 - N1, B = E2 - N2 of the pair (m.sigma and n.sigma for
+Bloch vectors m, n; 2P - I and 2Q - I for projectors):
 
-* the closed-form qubit construction and its feasibility criterion
-  lam * (|m+n| + |m-n|) <= 2 for rank-1 projective pairs with Bloch
-  vectors m, n;
-* its operator form for projective pairs in any dimension:
-  lam * top <= 2, with top the largest eigenvalue of |A+B| + |A-B| for
-  the sharp observables A = 2P - I, B = 2Q - I;
-* the same formula for any dichotomic POVM pair, on the contrasts
-  A = E1 - N1, B = E2 - N2: then top <= 2 sqrt(2), so every pair has a
-  witness at lam <= 1/sqrt(2) (Busch 1986);
-* an independent alternating-projection (Dykstra) feasibility oracle,
-  Anderson-accelerated, that cross-checks every closed-form verdict and
-  decides the POVM pairs the closed form leaves open;
-* the largest feasible unsharpness of two Bloch vectors or two
-  observables, from the closed-form thresholds; its worst case over
-  Bloch-vector pairs, 1/sqrt(2), is reached at every orthogonal pair.
-
-The operator form needs no block decomposition.  The anticommutator
-{A, B} commutes with A and B, so on every invariant block of the pair
-(Halmos, "Two subspaces", 1969) |A+B| and |A-B| are the scalars |m+n| and
-|m-n| of that block's Bloch vectors, 2 and 0 (or 0 and 2) on a commuting
-one.  The witness
+* the witness (_witnesses)
 
     G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4
 
-is then the qubit midpoint witness on every two-dimensional block, and on
-every commuting one (A = a, B = b scalars +-1) the midpoint with
-t = lam a b; its smallest eigenvalue is (2 - lam * top) / 8.  |A+B| and
-|A-B| come from eigh of A+B and A-B with absolute eigenvalues, not from
-(2 +- {A,B})^(1/2), whose square root loses half the digits where {A,B}
-is near +-2: on commuting and nearly aligned blocks.
+  has the two smeared observables as marginals, and every G_jk is at least
+  (2 - lam * top) / 8, top the largest eigenvalue of |A+B| + |A-B|;
+* the gate (_feasible) passes it when lam * top <= 2 + CRITERION_SLACK or
+  lam <= 1/sqrt(2): (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) =
+  4 (A^2 + B^2) <= 8 for |A|, |B| <= 1, so top <= 2 sqrt(2) for every pair
+  and every pair is jointly measurable at 1/sqrt(2) (Busch 1986).
 
-povm_joint_observable is the one decision for any two dichotomic
-observables: it sends a sharp pair (both yes-effects projectors) to
-pvm_joint_observable and decides every other pair by the contrast formula,
-or past it by the oracle.  Each decision checks only its final witness,
-once, as one (4, d, d) stack; |A+B| and |A-B| in between are raw arrays.
+For Bloch vectors |A+B| and |A-B| are the scalars |m+n| and |m-n|, and
+top = |m+n| + |m-n| is the paper's criterion.  For a sharp pair the gate
+is exact: past it the verdict is a closed-form "no".  Any other pair past
+it goes to an independent alternating-projection (Dykstra) feasibility
+oracle, Anderson-accelerated, which also cross-checks every closed-form
+verdict in the test suite.  The largest feasible unsharpness of a pair
+comes from the same gate; its worst case over Bloch-vector pairs,
+1/sqrt(2), is reached at every orthogonal pair.
+
+The operator form needs no block decomposition.  The anticommutator
+{A, B} of a sharp pair commutes with A and B, so on every invariant block
+of the pair (Halmos, "Two subspaces", 1969) |A+B| and |A-B| are the
+scalars |m+n| and |m-n| of that block's Bloch vectors, 2 and 0 (or 0 and
+2) on a commuting one, and the witness is the qubit midpoint witness
+block by block.  |A+B| and |A-B| come from eigh of A+B and A-B with
+absolute eigenvalues (_abs_pair), not from (2 +- {A,B})^(1/2), whose square
+root loses half the digits where {A,B} is near +-2: on commuting and
+nearly aligned blocks.  Each decision checks only its final witness, once,
+as one (4, d, d) stack; |A+B| and |A-B| in between are raw arrays.
 """
 
 from __future__ import annotations
@@ -260,6 +257,34 @@ def _bloch_norms(m: np.ndarray, n: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(m + n)), float(np.linalg.norm(m - n))
 
 
+def _feasible(lam, top):
+    """The one closed-form gate, for a float lam or an array of them: True where
+    the witness of _witnesses at lam is PSD, by lam * top <= 2 or by Busch's bound."""
+    # Every contrast the constructors accept has |A|, |B| <= 1 + 2 PSD_TOL (effects
+    # in [-PSD_TOL, 1 + PSD_TOL], projectors as effects, |m| <= 1 + BLOCH_NORM_TOL),
+    # so top <= 2 sqrt(2) (1 + 2 PSD_TOL) and at lam <= 1/sqrt(2) every G_jk is
+    # at least (2 - lam * top) / 8 >= -PSD_TOL / 2.
+    return (lam <= LAMBDA_OPT) | (lam * top <= 2.0 + CRITERION_SLACK)
+
+
+def _abs_pair(a: np.ndarray, b: np.ndarray):
+    """|A+B| and |A-B|, from one eigh of A+B and A-B with absolute eigenvalues,
+    and top, the largest eigenvalue of |A+B| + |A-B|."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(len(a), len(b))
+    w, v = np.linalg.eigh(np.stack([a + b, a - b]))
+    abs_sum, abs_diff = (v * np.abs(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+    return abs_sum, abs_diff, float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1])
+
+
+def _witnesses(a, b, abs_sum, abs_diff, lam) -> np.ndarray:
+    """The one witness formula G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4,
+    raw: a (4, d, d) stack for a float lam, (r, 4, d, d) for an (r, 1, 1, 1) lam."""
+    t = lam * (abs_sum - abs_diff) / 2.0
+    j, k = _SIGNS[:, 0, None, None], _SIGNS[:, 1, None, None]
+    return (identity(len(a)) + lam * (j * a + k * b) + _JK_SIGNS * t) / 4.0
+
+
 def _yes(g, tol: float, o1lam, o2lam, iterations: int) -> FeasibilityReport:
     """A "yes" carrying the witness g, checked once at tol, and its residuals."""
     effects, min_eig = _validated_effects(g, tol)
@@ -275,40 +300,29 @@ def _no(value: float) -> FeasibilityReport:
     return FeasibilityReport("no", None, 0.0, (2.0 - value) / 8.0, 0)
 
 
-def _qubit_effects(m: np.ndarray, n: np.ndarray, lam):
-    """Criterion value lam * (|m+n| + |m-n|) for unit Bloch vectors and lam a
-    float or a 1-d array of them, and the (k, 4, 2, 2) stack of raw midpoint
-    witnesses at the k values of lam within the boundary, in order."""
-    s, d = _bloch_norms(m, n)
-    value = lam * (s + d)
-    lam = np.asarray(lam, dtype=float)[value <= 2.0 + CRITERION_SLACK][:, None]
-    j, k = _SIGNS[:, 0], _SIGNS[:, 1]
-    jk_t = j * k * (lam * (s - d) / 2.0)
-    c = lam[..., None] * (j[:, None] * m + k[:, None] * n)
-    return value, 0.25 * ((1.0 + jk_t)[..., None, None] * identity(2)
-                          + sum(c[..., i, None, None] * p for i, p in enumerate(PAULI)))
-
-
 def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
     """Joint observable for two smeared rank-1 qubit projective pairs.
 
-    Decides by the closed-form criterion lam * (|m+n| + |m-n|) <= 2.  When
-    feasible the witness is the midpoint construction
+    top = |m+n| + |m-n|, the paper's criterion, and the gate of this module
+    decides: "yes" when lam * top <= 2 or lam <= 1/sqrt(2), else "no".  The
+    witness is the one formula on A = m.sigma, B = n.sigma with |A+-B| the
+    scalars |m+-n|, the midpoint construction
 
         G_jk = ((1 + jk t) I + lam (j m + k n).sigma) / 4,
         t = lam (|m+n| - |m-n|) / 2,
 
-    which satisfies normalization and both marginals exactly and is PSD
-    down to -CRITERION_SLACK / 8 at the criterion boundary.  The verdict and
-    witness are independently cross-checked against the alternating-projection
-    oracle in the test suite, never trusted bare.
+    checked at QUBIT_WITNESS_TOL.  The verdict and witness are independently
+    cross-checked against the alternating-projection oracle in the test
+    suite, never trusted bare.
     """
     mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
     lam = validate_lambda(lam)
-    value, effects = _qubit_effects(mb.v, nb.v, lam)
-    if not len(effects):
-        return _no(value)
-    return _yes(effects[0], QUBIT_WITNESS_TOL, smear(mb.observable(), lam), smear(nb.observable(), lam), 0)
+    s, d = _bloch_norms(mb.v, nb.v)
+    if not _feasible(lam, s + d):
+        return _no(lam * (s + d))
+    o1, o2 = mb.observable(), nb.observable()
+    g = _witnesses(o1.difference(), o2.difference(), s * identity(2), d * identity(2), lam)
+    return _yes(g, QUBIT_WITNESS_TOL, smear(o1, lam), smear(o2, lam), 0)
 
 
 def qubit_verdicts(m, n, lams) -> list[str]:
@@ -316,26 +330,13 @@ def qubit_verdicts(m, n, lams) -> list[str]:
     "yes" witnesses are one stack, checked as that function checks each, in one eigensolve."""
     mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
     lams = np.array([validate_lambda(lam) for lam in lams])
-    value, effects = _qubit_effects(mb.v, nb.v, lams)
-    _check_effects(effects.reshape(-1, 2, 2), QUBIT_WITNESS_TOL)
-    _within("joint-normalization", _max_abs(effects.sum(axis=1) - identity(2)), JOINT_NORMALIZATION_TOL)
-    return ["yes" if v <= 2.0 + CRITERION_SLACK else "no" for v in value]
-
-
-def _contrast_pair_effects(a: np.ndarray, b: np.ndarray, lam: float):
-    """Criterion value lam * top for the contrasts (E_yes - E_no) A = a and
-    B = b, with top the largest eigenvalue of |A+B| + |A-B|, and the
-    (4, d, d) stack of raw witnesses
-    G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(len(a), len(b))
-    eye = identity(len(a))
-    w, v = np.linalg.eigh(np.stack([a + b, a - b]))
-    abs_sum, abs_diff = (v * np.abs(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-    value = lam * float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1])
-    t = lam * (abs_sum - abs_diff) / 2.0
-    effects = [eye + lam * (j * a + k * b) + j * k * t for j, k in OUTCOME_SIGNS]
-    return value, np.stack(effects) / 4.0
+    s, d = _bloch_norms(mb.v, nb.v)
+    yes = _feasible(lams, s + d)
+    g = _witnesses(mb.observable().difference(), nb.observable().difference(),
+                   s * identity(2), d * identity(2), lams[yes, None, None, None])
+    _check_effects(g.reshape(-1, 2, 2), QUBIT_WITNESS_TOL)
+    _within("joint-normalization", _max_abs(g.sum(axis=1) - identity(2)), JOINT_NORMALIZATION_TOL)
+    return ["yes" if y else "no" for y in yes]
 
 
 def _sharp_contrast(p: Projector) -> np.ndarray:
@@ -345,21 +346,21 @@ def _sharp_contrast(p: Projector) -> np.ndarray:
 def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport:
     """Joint observable for two smeared projective measurements.
 
-    Decides by the operator criterion lam * top <= 2, top the largest
-    eigenvalue of |A+B| + |A-B| for A = 2 p1 - I, B = 2 p2 - I, and builds
-    the witness G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4:
-    the qubit midpoint witness on every invariant block of the pair, with
-    no decomposition built.  |A+B| and |A-B| come from eigh of A+B and A-B,
-    which keeps full precision on commuting and nearly aligned blocks.  A
-    "no" carries the would-be smallest eigenvalue (2 - lam * top) / 8.
-    Only the final witness is validated and checked.
+    The one gate and the one witness formula on A = 2 p1 - I, B = 2 p2 - I,
+    top the largest eigenvalue of |A+B| + |A-B|: the witness is the qubit
+    midpoint witness on every invariant block of the pair, with no
+    decomposition built, and the gate is exact, so past it the verdict is
+    a closed-form "no" carrying the would-be smallest eigenvalue
+    (2 - lam * top) / 8.  Only the final witness is validated and checked.
     """
     lam = validate_lambda(lam)
     p1, p2 = _require(p1, Projector), _require(p2, Projector)
-    value, effects = _contrast_pair_effects(_sharp_contrast(p1), _sharp_contrast(p2), lam)
-    if value > 2.0 + CRITERION_SLACK:
-        return _no(value)
-    return _yes(effects, PSD_TOL, smear(p1.observable(), lam), smear(p2.observable(), lam), 0)
+    a, b = _sharp_contrast(p1), _sharp_contrast(p2)
+    abs_sum, abs_diff, top = _abs_pair(a, b)
+    if not _feasible(lam, top):
+        return _no(lam * top)
+    g = _witnesses(a, b, abs_sum, abs_diff, lam)
+    return _yes(g, PSD_TOL, smear(p1.observable(), lam), smear(p2.observable(), lam), 0)
 
 
 def _sharp_pair(o1: DichotomicObservable, o2: DichotomicObservable):
@@ -382,20 +383,12 @@ def povm_joint_observable(
 
     A sharp pair (both yes-effects projectors, by Projector.from_matrix)
     is decided by pvm_joint_observable, so its report is that of the
-    projectors.  Every other pair takes the operator formula of
-    pvm_joint_observable on the contrasts A = E1 - N1, B = E2 - N2 of the
-    two observables, on the system itself.  Its marginals are the smeared
-    observables exactly, and every G_jk is at least (2 - lam * top) / 8;
-    since (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8
-    for |A|, |B| <= 1, top <= 2 sqrt(2) and the witness is PSD for every
-    lam <= 1/sqrt(2) (Busch 1986).  The witness is checked once, at
-    PSD_TOL, so effects inside the Effect window but just outside [0, 1]
-    still get one.
-
-    So the verdict is a closed-form "yes" (0 iterations) when
-    lam <= 1/sqrt(2) or lam * top <= 2 + CRITERION_SLACK.  Past both, the
-    formula gives no witness and feasibility_oracle decides, at its
-    default settings; its report shows iterations > 0.
+    projectors.  Every other pair takes the one gate and the one witness
+    formula on its contrasts A = E1 - N1, B = E2 - N2, on the system
+    itself: a closed-form "yes" (0 iterations), checked once at PSD_TOL,
+    whenever lam <= 1/sqrt(2) or lam * top <= 2.  Past the gate the formula
+    gives no witness and feasibility_oracle decides, at its default
+    settings; its report shows iterations > 0.
     """
     if _require(o1, DichotomicObservable).dim != _require(o2, DichotomicObservable).dim:
         raise DimensionMismatch(o1.dim, o2.dim)
@@ -403,11 +396,12 @@ def povm_joint_observable(
     sharp = _sharp_pair(o1, o2)
     if sharp is not None:
         return pvm_joint_observable(*sharp, lam)
-    value, effects = _contrast_pair_effects(o1.difference(), o2.difference(), lam)
+    a, b = o1.difference(), o2.difference()
+    abs_sum, abs_diff, top = _abs_pair(a, b)
     o1lam, o2lam = smear(o1, lam), smear(o2, lam)
-    if lam > LAMBDA_OPT and value > 2.0 + CRITERION_SLACK:
+    if not _feasible(lam, top):
         return feasibility_oracle(o1lam, o2lam)
-    return _yes(effects, PSD_TOL, o1lam, o2lam, 0)
+    return _yes(_witnesses(a, b, abs_sum, abs_diff, lam), PSD_TOL, o1lam, o2lam, 0)
 
 
 def _affine_project(
@@ -581,17 +575,17 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
 
     pair_source is "worst-case", two BlochVectors or two
     DichotomicObservables; anything else raises ValidationError
-    ("pair-source").  The threshold comes from the closed forms:
+    ("pair-source").  The threshold comes from the gate of the decisions:
 
-    * Bloch vectors m, n: min(1, 2 / (|m+n| + |m-n|));
-    * two sharp observables (both yes-effects projectors, by the sharp-pair
-      test of povm_joint_observable): min(1, 2 / top), top the largest
-      eigenvalue of |A+B| + |A-B| for A = 2P - I, B = 2Q - I, that is the
-      minimum of 1 / (c + sqrt(1 - c^2)) over the overlaps c of the pair's
-      two-dimensional blocks;
-    * any other pair of observables: 1/sqrt(2), where
-      povm_joint_observable builds a witness for every pair, since
-      top <= 2 sqrt(2) for any contrasts A, B of norm at most 1.
+    * Bloch vectors m, n, with top = |m+n| + |m-n|, and two sharp
+      observables (both yes-effects projectors, by the sharp-pair test of
+      povm_joint_observable), with top the largest eigenvalue of
+      |A+B| + |A-B| for A = 2P - I, B = 2Q - I: 1 where the gate passes
+      lam = 1, else 2 / top, for a sharp pair the minimum of
+      1 / (c + sqrt(1 - c^2)) over the overlaps c of its two-dimensional
+      blocks;
+    * any other pair of observables: 1/sqrt(2), where the gate passes
+      every pair.
 
     The returned point is confirmed with the feasibility oracle; the
     returned pair is the pair decided: the inputs, or the worst-case pair.
@@ -614,20 +608,17 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
             "pair-source", detail=f"not a pair: {type(pair_source).__name__}"
         ) from None
     if isinstance(a, BlochVector) and isinstance(b, BlochVector):
-        value = min(1.0, 2.0 / criterion_value(a, b, 1.0))
+        top = sum(_bloch_norms(a.v, b.v))
         o1, o2 = a.observable(), b.observable()
     elif isinstance(a, DichotomicObservable) and isinstance(b, DichotomicObservable):
         o1, o2 = a, b
         sharp = _sharp_pair(a, b)
-        if sharp is None:
-            value = LAMBDA_OPT
-        else:
-            top, _ = _contrast_pair_effects(_sharp_contrast(sharp[0]), _sharp_contrast(sharp[1]), 1.0)
-            value = 1.0 if top <= 2.0 + CRITERION_SLACK else 2.0 / top
+        top = None if sharp is None else _abs_pair(*map(_sharp_contrast, sharp))[2]
     else:
         raise ValidationError(
             "pair-source", detail="need two BlochVectors or two DichotomicObservables, "
             f"got {type(a).__name__} and {type(b).__name__}")
+    value = LAMBDA_OPT if top is None else 1.0 if _feasible(1.0, top) else 2.0 / top
 
     verdict = feasibility_oracle(smear(o1, value), smear(o2, value)).feasible
     if verdict == "no":

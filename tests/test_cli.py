@@ -250,6 +250,24 @@ class TestJointlyMeasurable:
         assert code == 0
         assert json.loads(out)["feasible"] == "yes"
 
+    def test_edge_of_window_projectors_at_lambda_opt(self, tmp_path, capsys):
+        # P = diag(1 + 0.9e-10, 0) passes the idempotency check at 1e-10, and
+        # with Q = H P H the pair has top just above 2 sqrt(2): lam * top
+        # passes 2 + CRITERION_SLACK, yet the witness is PSD to -PSD_TOL / 2.
+        p = np.diag([1.0 + 0.9e-10, 0.0]).astype(complex)
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        paths = []
+        for name, m in (("p", p), ("q", h @ p @ h)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(matrix_to_json(m)))
+            paths.append(str(path))
+        code, out = _run(["jointly-measurable", "--o1", paths[0], "--o2", paths[1],
+                          "--lambda", repr(INV_SQRT2), "--expect-feasible"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["feasible"], payload["iterations"]) == ("yes", 0)
+        assert payload["min_eigenvalue"] >= -1e-9
+
     def test_povm_pair_past_lambda_opt_gets_a_verdict(self, tmp_path, capsys):
         # Once exit 1, with a pointer to --oracle, above 1/sqrt(2).  The first
         # pair has top = 1.84, so the closed form still says "yes" at 0.9;

@@ -1,6 +1,7 @@
 """Block decomposition of projector pairs, dilation, compression."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,17 +213,25 @@ class TestBlock:
             ((1, 1, 1, math.inf), "block-overlap"),
             ((1, 1, 1, True), "block-overlap"),
             ((1, 1, 1, 1j), "block-overlap"),
+            ((2, 1, 1, 10**400), "block-overlap"),
+            ((2, 1, 1, Fraction(10**5000, 3)), "block-overlap"),
         ],
     )
     def test_invalid_field_is_rejected(self, fields, invariant):
         # dim 2.0, rank True, overlap "x", nan, inf and True used to be kept,
-        # and rank "a" ended in a bare TypeError.
+        # and rank "a" ended in a bare TypeError.  An overlap past the float
+        # range was kept as an int or a Fraction, and float() of it overflowed.
         with pytest.raises(ValidationError, match=f"^{invariant}: got "):
             Block(*fields)
 
     def test_overlap_past_one_by_rounding_is_kept(self):
         # two_projector_blocks returns cosines up to a few ulps past 1.
         assert Block(2, 1, 1, 1.0000000000000004).overlap == 1.0000000000000004
+
+    @pytest.mark.parametrize("overlap", [1, Fraction(1, 3), np.float32(0.5)])
+    def test_overlap_is_kept_as_a_float(self, overlap):
+        kept = Block(2, 1, 1, overlap).overlap
+        assert type(kept) is float and kept == float(overlap)
 
     @pytest.mark.parametrize(
         "blocks, invariant",

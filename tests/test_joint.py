@@ -34,7 +34,7 @@ from unsharpjoint import (
 )
 from unsharpjoint.cli import feasibility_to_json
 from unsharpjoint.joint import (
-    CERTIFICATE_EVERY, CRITERION_SLACK, _contrast_pair_effects, _yes
+    CERTIFICATE_EVERY, CRITERION_SLACK, _abs_pair, _yes, qubit_verdicts
 )
 from unsharpjoint.operators import PAULI_X, PAULI_Z, PSD_TOL, identity
 
@@ -1064,7 +1064,7 @@ class TestOracleAgainstReferenceLoop:
                 d = int(rng.choice([3, 4, 8]))
                 if kind == "projector":
                     p, q = (_random_projector(rng, d, int(rng.integers(1, d))) for _ in range(2))
-                    top, _ = _contrast_pair_effects(2.0 * p.matrix - np.eye(d), 2.0 * q.matrix - np.eye(d), 1.0)
+                    top = _abs_pair(2.0 * p.matrix - np.eye(d), 2.0 * q.matrix - np.eye(d))[2]
                     threshold = min(1.0, 2.0 / top)
                     o1, o2 = p.observable(), q.observable()
                 else:
@@ -1136,3 +1136,51 @@ class TestOneDecision:
             _assert_witnesses_yes(rep, o1lam, o2lam)
         elif rep.feasible == "no" and rep.iterations > 0:
             _assert_certifies_no(rep, o1lam, o2lam)
+
+
+def _complementary_pair(rng, d, excess):
+    """Projectors of rank d/2 on C^d, every block at 45 degrees, their range
+    eigenvalue 1 + excess: inside the idempotency window, so |A| = 1 + 2 excess."""
+    p = np.kron(np.diag([1.0 + excess, 0.0]), np.eye(d // 2))
+    h = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), np.eye(d // 2))
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return tuple(Projector.from_matrix(u @ m @ u.conj().T) for m in (p, h @ p @ h))
+
+
+class TestGateAtLambdaOpt:
+    # Inputs at the edge of their windows have top just above 2 sqrt(2), so
+    # lam * top passes 2 + CRITERION_SLACK at LAMBDA_OPT; the witness is still
+    # PSD to -PSD_TOL / 2 there, and every path says "yes".
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_edge_of_window_projector_pairs(self, d):
+        rng = np.random.default_rng(d + 2300)
+        for excess in rng.uniform(0.1e-10, 0.95e-10, size=6):
+            p, q = _complementary_pair(rng, d, excess)
+            for rep in (pvm_joint_observable(p, q, LAMBDA_OPT),
+                        povm_joint_observable(p.observable(), q.observable(), LAMBDA_OPT)):
+                assert rep.feasible == "yes" and rep.iterations == 0
+                assert rep.min_eigenvalue >= -PSD_TOL
+                _assert_witnesses_yes(rep, smear(p.observable(), LAMBDA_OPT), smear(q.observable(), LAMBDA_OPT))
+            assert pvm_joint_observable(p, q, LAMBDA_OPT + 1e-3).feasible == "no"
+
+    def test_edge_of_window_bloch_pairs(self):
+        rng = np.random.default_rng(2301)
+        for excess in rng.uniform(0.5e-12, 0.99e-12, size=20):
+            u, w = _random_unit(rng), _random_unit(rng)
+            w = w - (w @ u) * u
+            m, n = BlochVector((1.0 + excess) * u), BlochVector((1.0 + excess) * w / np.linalg.norm(w))
+            rep = qubit_joint_observable(m, n, LAMBDA_OPT)
+            assert rep.feasible == "yes"
+            assert rep.min_eigenvalue >= -PSD_TOL
+            _assert_witnesses_yes(rep, smear(m.observable(), LAMBDA_OPT), smear(n.observable(), LAMBDA_OPT))
+            assert qubit_verdicts(m, n, [0.5, LAMBDA_OPT, LAMBDA_OPT + 1e-3]) == ["yes", "yes", "no"]
+
+    @pytest.mark.parametrize("n", [[1e-13, 0.0, 1.0], [9e-13, 0.0, 1.0], [1.0, 2.0, 0.5], [1.0, 0.0, 0.0]])
+    def test_lambda_opt_search_same_for_bloch_and_sharp_pairs(self, n):
+        # Near m = z, top is about 2 + |m - n|, inside the gate slack: the
+        # gate passes lam = 1 for both forms of the pair.
+        m, n = BlochVector([0.0, 0.0, 1.0]), BlochVector.normalized(n)
+        bloch = lambda_opt_search((m, n)).value
+        assert lambda_opt_search((m.observable(), n.observable())).value == pytest.approx(bloch, abs=1e-15)
+        assert (bloch == 1.0) == (criterion_value(m, n, 1.0) <= 2.0 + CRITERION_SLACK)

@@ -2,8 +2,10 @@
 operators, pinned here name by name, and the closed-form/oracle
 disagreement band that two of them set.
 
-A moved tolerance shows up as a one-line diff of LEDGER, and a float
-literal below 1e-3 anywhere else in the package fails the literal check.
+A moved tolerance shows up as a one-line diff of LEDGER, a float literal
+below 1e-3 anywhere else in the package fails the literal check, and a
+read of CRITERION_SLACK outside the one gate, joint._feasible, fails the
+gate check.
 The acceptance criteria are exempt: their gate literals are printed in
 their detail strings.
 """
@@ -94,8 +96,29 @@ def test_no_bare_tolerance_literal():
     assert not bare
 
 
+def _readers(tree: ast.AST, name: str, scope: str = "<module>"):
+    """The enclosing function of every read of name (a Name or an attribute)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _readers(node, name, node.name)
+            continue
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            yield scope
+        yield from _readers(node, name, scope)
+
+
+def test_one_gate_reads_the_criterion_slack():
+    # Every closed-form verdict passes joint._feasible; a second copy of the
+    # gate would read CRITERION_SLACK somewhere else.
+    readers = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
+               for scope in _readers(ast.parse(path.read_text(encoding="utf-8")), "CRITERION_SLACK")]
+    assert readers == ["joint.py:_feasible"]
+
+
 def test_closed_form_and_oracle_disagree_only_inside_the_band():
-    """The band is (2 + CRITERION_SLACK, 2 + 8 PSD_TOL] in criterion value.
+    """The band is (2 + CRITERION_SLACK, 2 + 8 PSD_TOL] in criterion value,
+    at lam above 1/sqrt(2): since top <= 2 sqrt(2), a value past 2 puts lam there.
 
     Past 2 + CRITERION_SLACK the closed form says "no".  The oracle says
     "yes" once an affine point is PSD to -PSD_TOL, and the qubit midpoint
