@@ -59,7 +59,6 @@ from .operators import (
     DichotomicObservable,
     Effect,
     Projector,
-    PAULI,
     _check_effects,
     _frozen,
     _max_abs,
@@ -74,6 +73,7 @@ from .operators import (
 from .unsharp import smear, validate_lambda
 
 LAMBDA_OPT = 1.0 / math.sqrt(2.0)
+_BUSCH_EDGE = math.sqrt(0.5)  # 1/sqrt(2) rounded to nearest, one ulp above LAMBDA_OPT
 
 OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _SIGNS = np.array(OUTCOME_SIGNS, dtype=float)
@@ -91,12 +91,14 @@ class BlochVector:
     """Unit 3-vector parametrizing a rank-1 qubit projector (I + v.sigma)/2."""
 
     v: np.ndarray
+    # observable(), kept once built; threads that race to build it build equal values.
+    _observable: DichotomicObservable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = _number_array(self.v, "bloch-3-vector").reshape(-1)
         if a.shape != (3,):
             raise ValidationError("bloch-3-vector", detail=f"shape {a.shape}")
-        norm = float(np.linalg.norm(a))
+        norm = math.sqrt(a.dot(a))
         if not math.isfinite(norm):
             raise ValidationError("bloch-finite", detail=f"got {a.tolist()}")
         _within("bloch-unit-norm", abs(norm - 1.0), BLOCH_NORM_TOL)
@@ -124,12 +126,16 @@ class BlochVector:
 
     def projector(self) -> Projector:
         # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to BLOCH_NORM_TOL:
-        # a projector and an effect by construction.
-        m = 0.5 * (identity(2) + sum(c * s for c, s in zip(self.v, PAULI)))
+        # a projector and an effect by construction.  (I + v.sigma) / 2 entry by entry:
+        # + 0.0 turns -0.0 into the +0.0 of the sum over Pauli matrices, bit for bit.
+        x, y, z = (c + 0.0 for c in self.v.tolist())
+        m = 0.5 * np.array([[1.0 + z, complex(x, 0.0 - y)], [complex(x, y), 1.0 - z]])
         return _frozen(Projector, matrix=m, rank=1)
 
     def observable(self) -> DichotomicObservable:
-        return self.projector().observable()
+        if self._observable is None:
+            object.__setattr__(self, "_observable", self.projector().observable())
+        return self._observable
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,18 +238,14 @@ def check_joint(
             == _require(o2lam, DichotomicObservable).dim):
         raise DimensionMismatch(j.dim, o1lam.dim, o2lam.dim)
     gpp, gpm, gmp, gmm = (e.matrix for e in j.effects)
-    return JointResiduals(
-        normalization=_max_abs(gpp + gpm + gmp + gmm - identity(j.dim)),
-        marginal_first=max(
-            _max_abs(gpp + gpm - o1lam.yes_effect.matrix),
-            _max_abs(gmp + gmm - o1lam.no_effect.matrix),
-        ),
-        marginal_second=max(
-            _max_abs(gpp + gmp - o2lam.yes_effect.matrix),
-            _max_abs(gpm + gmm - o2lam.no_effect.matrix),
-        ),
-        min_eigenvalue=j.min_eigenvalue(),
-    )
+    norm, yes1, no1, yes2, no2 = np.abs(np.stack([
+        gpp + gpm + gmp + gmm - identity(j.dim),
+        gpp + gpm - o1lam.yes_effect.matrix,
+        gmp + gmm - o1lam.no_effect.matrix,
+        gpp + gmp - o2lam.yes_effect.matrix,
+        gpm + gmm - o2lam.no_effect.matrix,
+    ])).max(axis=(1, 2)).tolist()
+    return JointResiduals(norm, max(yes1, no1), max(yes2, no2), j.min_eigenvalue())
 
 
 def criterion_value(m, n, lam) -> float:
@@ -253,8 +255,9 @@ def criterion_value(m, n, lam) -> float:
 
 
 def _bloch_norms(m: np.ndarray, n: np.ndarray) -> tuple[float, float]:
-    """|m+n| and |m-n| for two Bloch vectors."""
-    return float(np.linalg.norm(m + n)), float(np.linalg.norm(m - n))
+    """|m+n| and |m-n| for two Bloch vectors, as np.linalg.norm evaluates them."""
+    s, d = m + n, m - n
+    return math.sqrt(s.dot(s)), math.sqrt(d.dot(d))
 
 
 def _feasible(lam, top):
@@ -263,8 +266,9 @@ def _feasible(lam, top):
     # Every contrast the constructors accept has |A|, |B| <= 1 + 2 PSD_TOL (effects
     # in [-PSD_TOL, 1 + PSD_TOL], projectors as effects, |m| <= 1 + BLOCH_NORM_TOL),
     # so top <= 2 sqrt(2) (1 + 2 PSD_TOL) and at lam <= 1/sqrt(2) every G_jk is
-    # at least (2 - lam * top) / 8 >= -PSD_TOL / 2.
-    return (lam <= LAMBDA_OPT) | (lam * top <= 2.0 + CRITERION_SLACK)
+    # at least (2 - lam * top) / 8 >= -PSD_TOL / 2.  _BUSCH_EDGE passes 1/sqrt(2)
+    # by less than 1e-16 relative, far inside that slack.
+    return (lam <= _BUSCH_EDGE) | (lam * top <= 2.0 + CRITERION_SLACK)
 
 
 def _abs_pair(a: np.ndarray, b: np.ndarray):
@@ -287,10 +291,10 @@ def _witnesses(a, b, abs_sum, abs_diff, lam) -> np.ndarray:
 
 def _yes(g, tol: float, o1lam, o2lam, iterations: int) -> FeasibilityReport:
     """A "yes" carrying the witness g, checked once at tol, and its residuals."""
-    effects, min_eig = _validated_effects(g, tol)
-    witness = JointObservable(*effects)
-    object.__setattr__(witness, "_min_eig", min_eig)
+    (g_pp, g_pm, g_mp, g_mm), min_eig = _validated_effects(g, tol)
+    witness = _frozen(JointObservable, g_pp=g_pp, g_pm=g_pm, g_mp=g_mp, g_mm=g_mm, _min_eig=min_eig)
     res = check_joint(witness, o1lam, o2lam)
+    _within("joint-normalization", res.normalization, JOINT_NORMALIZATION_TOL)
     return FeasibilityReport("yes", witness, res.marginal_max, res.min_eigenvalue, iterations)
 
 
@@ -508,7 +512,7 @@ def feasibility_oracle(
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
     max_iter = validate_max_iter(max_iter)
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
-    eye = np.eye(o1lam.dim, dtype=complex)
+    eye = identity(o1lam.dim)
     half_sum = 0.5 * (y1 + y2)
     quarter_eye = 0.25 * eye
     base = np.stack([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
@@ -581,9 +585,9 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
       observables (both yes-effects projectors, by the sharp-pair test of
       povm_joint_observable), with top the largest eigenvalue of
       |A+B| + |A-B| for A = 2P - I, B = 2Q - I: 1 where the gate passes
-      lam = 1, else 2 / top, for a sharp pair the minimum of
+      lam = 1, else 2 / top (for a sharp pair the minimum of
       1 / (c + sqrt(1 - c^2)) over the overlaps c of its two-dimensional
-      blocks;
+      blocks), but never below LAMBDA_OPT, which the gate passes;
     * any other pair of observables: 1/sqrt(2), where the gate passes
       every pair.
 
@@ -618,7 +622,7 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
         raise ValidationError(
             "pair-source", detail="need two BlochVectors or two DichotomicObservables, "
             f"got {type(a).__name__} and {type(b).__name__}")
-    value = LAMBDA_OPT if top is None else 1.0 if _feasible(1.0, top) else 2.0 / top
+    value = LAMBDA_OPT if top is None else 1.0 if _feasible(1.0, top) else max(LAMBDA_OPT, 2.0 / top)
 
     verdict = feasibility_oracle(smear(o1, value), smear(o2, value)).feasible
     if verdict == "no":

@@ -19,6 +19,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Complex, Integral, Real
@@ -51,9 +52,8 @@ SWEEP_END_SLACK = 1e-12  # abs: uj sweep keeps a grid point this far past --stop
 BOB_DIRECTION_CUTOFF = 1e-12  # abs: |m +- n| below this is a zero direction for Bob in uj sweep
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a norm below it has lost bits to underflow
 
 
 def square_matrix(m) -> np.ndarray:
@@ -102,8 +102,12 @@ def _frozen(cls, **fields):
     return obj
 
 
+@functools.lru_cache(maxsize=16)
 def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
+    """The dim x dim complex identity: one shared read-only array per dim."""
+    eye = np.eye(dim, dtype=complex)
+    eye.setflags(write=False)
+    return eye
 
 
 def _max_abs(a) -> float:
@@ -288,7 +292,7 @@ def _unit_vector(vec) -> np.ndarray:
         raise ValidationError("finite-entries")
     with np.errstate(over="ignore"):
         n = np.linalg.norm(v)
-    if not math.sqrt(np.finfo(float).tiny) <= n < math.inf:
+    if not _SQRT_TINY <= n < math.inf:
         # |v|^2 overflowed or fell below the normal range: scale the largest part
         # to 1, part by part, as a complex divide by a subnormal overflows.
         scale = _max_abs(np.concatenate([v.real, v.imag]))
@@ -326,8 +330,9 @@ class DensityMatrix:
     @classmethod
     def pure(cls, vec) -> "DensityMatrix":
         v = _unit_vector(vec)
-        # v v^H is PSD: only the eigensolve is skipped.
-        m = require_hermitian(np.outer(v, v.conj()))
+        # v v^H of a finite unit v is finite, square and PSD: only two checks run.
+        m = np.outer(v, v.conj())
+        _within("hermiticity", _max_abs(m - m.conj().T), HERMITIAN_TOL)
         _within("unit-trace", abs(float(np.trace(m).real) - 1.0), AFFINE_TOL)
         return _frozen(cls, matrix=m)
 
@@ -336,7 +341,7 @@ class DensityMatrix:
         """I / dim; dim is any integer of at least 1 but a bool, else square-matrix,
         and small enough that numpy can size a complex dim x dim array."""
         dim = _require_int(dim, "square-matrix", 1, math.isqrt(np.iinfo(np.intp).max // 16))
-        return cls(identity(dim) / dim)
+        return cls(np.eye(dim, dtype=complex) / dim)  # not identity(dim): no large dim is cached
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -250,23 +250,38 @@ class TestJointlyMeasurable:
         assert code == 0
         assert json.loads(out)["feasible"] == "yes"
 
-    def test_edge_of_window_projectors_at_lambda_opt(self, tmp_path, capsys):
-        # P = diag(1 + 0.9e-10, 0) passes the idempotency check at 1e-10, and
-        # with Q = H P H the pair has top just above 2 sqrt(2): lam * top
-        # passes 2 + CRITERION_SLACK, yet the witness is PSD to -PSD_TOL / 2.
+    @staticmethod
+    def _edge_of_window_pair(tmp_path):
+        """--o1/--o2 files of P = diag(1 + 0.9e-10, 0), inside the idempotency
+        check at 1e-10, and Q = H P H: top is just above 2 sqrt(2)."""
         p = np.diag([1.0 + 0.9e-10, 0.0]).astype(complex)
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        paths = []
+        files = []
         for name, m in (("p", p), ("q", h @ p @ h)):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(matrix_to_json(m)))
-            paths.append(str(path))
-        code, out = _run(["jointly-measurable", "--o1", paths[0], "--o2", paths[1],
+            files += [f"--o{len(files) // 2 + 1}", str(path)]
+        return files
+
+    def test_edge_of_window_projectors_at_lambda_opt(self, tmp_path, capsys):
+        # lam * top passes 2 + CRITERION_SLACK, yet the witness is PSD to -PSD_TOL / 2.
+        code, out = _run(["jointly-measurable", *self._edge_of_window_pair(tmp_path),
                           "--lambda", repr(INV_SQRT2), "--expect-feasible"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert (payload["feasible"], payload["iterations"]) == ("yes", 0)
         assert payload["min_eigenvalue"] >= -1e-9
+
+    def test_edge_of_window_projectors_at_the_nearest_float(self, tmp_path, capsys):
+        # The rounded value of 1/sqrt(2), one ulp above LAMBDA_OPT, gets the same
+        # closed-form "yes"; lambda-opt reports LAMBDA_OPT, not 2 / top just below it.
+        files = self._edge_of_window_pair(tmp_path)
+        code, out = _run(["jointly-measurable", *files, "--lambda", "0.7071067811865476"], capsys)
+        assert code == 0
+        assert (json.loads(out)["feasible"], json.loads(out)["iterations"]) == ("yes", 0)
+        code, out = _run(["lambda-opt", "--mode", "pair", *files], capsys)
+        assert code == 0
+        assert json.loads(out)["lambda_opt"] == INV_SQRT2
 
     def test_povm_pair_past_lambda_opt_gets_a_verdict(self, tmp_path, capsys):
         # Once exit 1, with a pointer to --oracle, above 1/sqrt(2).  The first

@@ -34,9 +34,9 @@ from unsharpjoint import (
 )
 from unsharpjoint.cli import feasibility_to_json
 from unsharpjoint.joint import (
-    CERTIFICATE_EVERY, CRITERION_SLACK, _abs_pair, _yes, qubit_verdicts
+    CERTIFICATE_EVERY, CRITERION_SLACK, _abs_pair, _bloch_norms, _yes, qubit_verdicts
 )
-from unsharpjoint.operators import PAULI_X, PAULI_Z, PSD_TOL, identity
+from unsharpjoint.operators import PAULI_X, PAULI_Z, PSD_TOL, _max_abs, identity
 
 Z = BlochVector(np.array([0.0, 0.0, 1.0]))
 X = BlochVector(np.array([1.0, 0.0, 0.0]))
@@ -1138,6 +1138,73 @@ class TestOneDecision:
             _assert_certifies_no(rep, o1lam, o2lam)
 
 
+PAULI = (PAULI_X, np.array([[0, -1j], [1j, 0]]), PAULI_Z)
+
+
+class TestQubitPathBitIdentity:
+    """The qubit path builds each value once, with the bits of the plain forms."""
+
+    @staticmethod
+    def _vectors():
+        rng = np.random.default_rng(2401)
+        seeded = [v / np.linalg.norm(v) for v in rng.normal(size=(300, 3))]
+        axes = []
+        for axis, sign in itertools.product(range(3), (1.0, -1.0)):
+            for zeros in itertools.product((0.0, -0.0), repeat=2):
+                v = list(zeros)
+                v.insert(axis, sign)
+                axes.append(np.array(v))
+        return seeded + axes + [np.array([5e-324, -0.0, 1.0]), np.array([0.6, -0.0, -0.8])]
+
+    def test_direct_projector_is_the_pauli_sum(self):
+        for v in self._vectors():
+            got = BlochVector(v).projector().matrix
+            want = 0.5 * (identity(2) + sum(c * s for c, s in zip(v, PAULI)))
+            assert np.array_equal(got, want), v
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float))), v
+
+    def test_bloch_norms_are_linalg_norm(self):
+        vs = self._vectors()
+        for m, n in zip(vs, vs[1:] + vs[:1]):
+            got = _bloch_norms(BlochVector(m).v, BlochVector(n).v)
+            want = (float(np.linalg.norm(m + n)), float(np.linalg.norm(m - n)))
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_observable_is_built_once(self):
+        b = BlochVector([0.6, 0.0, 0.8])
+        assert b.observable() is b.observable()
+        other = BlochVector([0.6, 0.0, 0.8]).observable()
+        assert other is not b.observable()
+        assert other.yes_effect.matrix.tobytes() == b.observable().yes_effect.matrix.tobytes()
+
+    def test_stacked_residuals_are_the_per_term_values(self):
+        rng = np.random.default_rng(2402)
+        for lam in (0.3, 0.6, LAMBDA_OPT):
+            m, n = BlochVector.normalized(rng.normal(size=3)), BlochVector.normalized(rng.normal(size=3))
+            rep = qubit_joint_observable(m, n, lam)
+            # Moves the column marginals by the bump, the normalization by 5e-10.
+            bump = 1e-4 * rng.normal(size=(2, 2))
+            bump = bump + bump.T
+            g = [e.matrix for e in rep.witness.effects]
+            witness = JointObservable(Effect(g[0] + bump), Effect(g[1] - bump), Effect(g[2]),
+                                      Effect(g[3] + 5e-10 * identity(2)))
+            o1lam, o2lam = smear(m.observable(), lam), smear(n.observable(), lam)
+            gpp, gpm, gmp, gmm = (e.matrix for e in witness.effects)
+            res = check_joint(witness, o1lam, o2lam)
+            assert res.normalization == _max_abs(gpp + gpm + gmp + gmm - identity(2)) > 0.0
+            assert res.marginal_first == max(_max_abs(gpp + gpm - o1lam.yes_effect.matrix),
+                                             _max_abs(gmp + gmm - o1lam.no_effect.matrix))
+            assert res.marginal_second == max(_max_abs(gpp + gmp - o2lam.yes_effect.matrix),
+                                              _max_abs(gpm + gmm - o2lam.no_effect.matrix))
+
+    def test_witness_off_normalization_is_refused(self):
+        # Four valid effects I/2 sum to 2 I: the one normalization check of _yes refuses them.
+        o1lam, o2lam = smear(Z.observable(), 0.5), smear(X.observable(), 0.5)
+        with pytest.raises(ValidationError, match="joint-normalization") as exc:
+            _yes(np.stack([identity(2) / 2.0] * 4), PSD_TOL, o1lam, o2lam, 0)
+        assert exc.value.residual == 1.0
+
+
 def _complementary_pair(rng, d, excess):
     """Projectors of rank d/2 on C^d, every block at 45 degrees, their range
     eigenvalue 1 + excess: inside the idempotency window, so |A| = 1 + 2 excess."""
@@ -1175,6 +1242,44 @@ class TestGateAtLambdaOpt:
             assert rep.min_eigenvalue >= -PSD_TOL
             _assert_witnesses_yes(rep, smear(m.observable(), LAMBDA_OPT), smear(n.observable(), LAMBDA_OPT))
             assert qubit_verdicts(m, n, [0.5, LAMBDA_OPT, LAMBDA_OPT + 1e-3]) == ["yes", "yes", "no"]
+
+    def test_every_path_says_yes_at_the_float_nearest_to_busch_bound(self):
+        # math.sqrt(0.5) is 1/sqrt(2) rounded to nearest, one ulp above LAMBDA_OPT;
+        # the gate's 1/sqrt(2) escape covers it on every path.
+        lam = math.sqrt(0.5)
+        assert lam == np.nextafter(LAMBDA_OPT, 1.0)
+        rng = np.random.default_rng(2403)
+        for d in (2, 4):
+            p, q = _complementary_pair(rng, d, 0.9e-10)
+            for rep in (pvm_joint_observable(p, q, lam),
+                        povm_joint_observable(p.observable(), q.observable(), lam)):
+                assert (rep.feasible, rep.iterations) == ("yes", 0)
+                _assert_witnesses_yes(rep, smear(p.observable(), lam), smear(q.observable(), lam))
+        m, n = BlochVector([0.0, 0.0, 1.0 + 0.9e-12]), BlochVector([1.0 + 0.9e-12, 0.0, 0.0])
+        rep = qubit_joint_observable(m, n, lam)
+        assert rep.feasible == "yes"
+        _assert_witnesses_yes(rep, smear(m.observable(), lam), smear(n.observable(), lam))
+        assert qubit_verdicts(m, n, [lam]) == ["yes"]
+        # A pair of effects at the ends of the window, not sharp: no oracle at lam.
+        e = np.diag([1.0 + 0.9e-9, -0.9e-9]).astype(complex)
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        o1, o2 = (DichotomicObservable.from_yes_effect(x) for x in (e, h @ e @ h))
+        rep = povm_joint_observable(o1, o2, lam)
+        assert (rep.feasible, rep.iterations) == ("yes", 0)
+        _assert_witnesses_yes(rep, smear(o1, lam), smear(o2, lam))
+
+    def test_lambda_opt_search_never_below_lambda_opt(self):
+        # At the edge of the windows 2 / top falls just below LAMBDA_OPT, where
+        # the gate already says "yes"; the search reports LAMBDA_OPT there.
+        p, q = _complementary_pair(np.random.default_rng(2404), 2, 0.9e-10)
+        m, n = BlochVector([0.0, 0.0, 1.0 + 0.9e-12]), BlochVector([1.0 + 0.9e-12, 0.0, 0.0])
+        for pair in ((p.observable(), q.observable()), (m, n)):
+            res = lambda_opt_search(pair)
+            assert (res.value, res.oracle_verdict) == (LAMBDA_OPT, "yes")
+            obs = [x.observable() if isinstance(x, BlochVector) else x for x in pair]
+            assert povm_joint_observable(*obs, res.value).feasible == "yes"
+        # An orthogonal pair of unit vectors whose 2 / top rounds to one ulp below LAMBDA_OPT.
+        assert lambda_opt_search("worst-case", seed=81).value == LAMBDA_OPT
 
     @pytest.mark.parametrize("n", [[1e-13, 0.0, 1.0], [9e-13, 0.0, 1.0], [1.0, 2.0, 0.5], [1.0, 0.0, 0.0]])
     def test_lambda_opt_search_same_for_bloch_and_sharp_pairs(self, n):

@@ -298,6 +298,23 @@ class TestProjector:
             Effect(p.as_effect().matrix)
 
 
+class TestIdentity:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_one_read_only_identity_per_dimension(self, d):
+        eye = identity(d)
+        assert identity(d) is eye
+        assert np.array_equal(eye, np.eye(d)) and eye.dtype == complex
+        assert not eye.flags.writeable
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+
+    def test_maximally_mixed_caches_no_identity(self):
+        before = identity.cache_info()
+        rho = DensityMatrix.maximally_mixed(300)
+        assert identity.cache_info() == before
+        assert rho.matrix[0, 0] == 1.0 / 300
+
+
 class TestDensityMatrix:
     def test_pure_state(self):
         rho = DensityMatrix.pure([1, 1])
