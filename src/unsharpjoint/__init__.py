@@ -19,7 +19,7 @@ from .operators import (
     matrix_to_json,
     projector_onto,
 )
-from .unsharp import SmearedMeanReport, mean_value, smear, smeared_mean, validate_lambda
+from .unsharp import mean_value, smear, validate_lambda
 from .decompose import (
     ANCILLA_CONVENTION,
     Block,
@@ -49,7 +49,6 @@ from .bell import (
     TSIRELSON_BOUND,
     box_chsh,
     chsh,
-    correlation,
     deterministic_box,
     local_deterministic_boxes,
     optimal_settings,
@@ -79,7 +78,6 @@ __all__ = [
     "NoSignalingBox",
     "ParseError",
     "Projector",
-    "SmearedMeanReport",
     "TSIRELSON_BOUND",
     "UnsharpJointError",
     "ValidationError",
@@ -87,7 +85,6 @@ __all__ = [
     "check_joint",
     "chsh",
     "compress",
-    "correlation",
     "criterion_value",
     "deterministic_box",
     "feasibility_oracle",
@@ -106,7 +103,6 @@ __all__ = [
     "singlet",
     "smear",
     "smeared_chsh",
-    "smeared_mean",
     "two_projector_blocks",
     "validate_lambda",
     "white_noise_box",

@@ -190,11 +190,6 @@ def _report(t: np.ndarray, bound: float) -> ChshReport:
                       within_bound=value <= bound + CHSH_BOUND_SLACK)
 
 
-def correlation(state: DensityMatrix, a: DichotomicObservable, b: DichotomicObservable) -> float:
-    """Tr[state (A x B)] with A = E_yes - E_no on each wing."""
-    return float(_table(state, (a,), (b,))[0, 0])
-
-
 def chsh(
     state: DensityMatrix, a1: DichotomicObservable, a2: DichotomicObservable,
     b1: DichotomicObservable, b2: DichotomicObservable,

@@ -54,6 +54,7 @@ from .operators import (
 from .unsharp import smear
 
 SCHEMA = "uj/1"
+SWEEP_MAX_ROWS = 10**5  # a row costs about 2 KB and 14 us; a larger grid is refused unbuilt
 
 
 def _load_json(path: str) -> dict:
@@ -297,6 +298,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # unchanged by `lam += step`, and the loop would never end.
     if args.step < math.ulp(stop + SWEEP_END_SLACK):
         raise ValidationError("sweep-grid", detail=f"step {args.step!r} cannot advance lambda")
+    rows = int((stop + SWEEP_END_SLACK - args.start) / args.step) + 1  # int floors: stop >= start
+    if rows > SWEEP_MAX_ROWS:
+        raise ValidationError("sweep-grid", detail=f"about {rows} rows, past {SWEEP_MAX_ROWS}")
     grid = []
     lam = args.start
     while lam <= stop + SWEEP_END_SLACK:

@@ -66,7 +66,6 @@ from .operators import (
     _require,
     _require_int,
     _unit_vector,
-    _validated_effects,
     _within,
     identity,
 )
@@ -81,7 +80,7 @@ _JK_SIGNS = (_SIGNS[:, 0] * _SIGNS[:, 1])[:, None, None]  # the sign of F in the
 
 # The oracle tests for a Farkas certificate at most every CERTIFICATE_EVERY
 # iterations, and accepts one whose pairing with the affine points lies
-# below -CERTIFICATE_MARGIN * d * max(|H|_F, 1), far above rounding.
+# below -CERTIFICATE_MARGIN * d * |H|_F, far above rounding.
 CERTIFICATE_EVERY = 5
 ANDERSON_MEMORY = 3
 
@@ -105,10 +104,6 @@ class BlochVector:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "v", a)
-
-    @classmethod
-    def coerce(cls, v) -> "BlochVector":
-        return v if isinstance(v, BlochVector) else cls(v)
 
     @classmethod
     def normalized(cls, v) -> "BlochVector":
@@ -249,8 +244,8 @@ def check_joint(
 
 
 def criterion_value(m, n, lam) -> float:
-    """lam * (|m+n| + |m-n|); the pair is jointly measurable iff <= 2."""
-    s, d = _bloch_norms(BlochVector.coerce(m).v, BlochVector.coerce(n).v)
+    """lam * (|m+n| + |m-n|) for BlochVectors m, n; the pair is jointly measurable iff <= 2."""
+    s, d = _bloch_norms(_require(m, BlochVector).v, _require(n, BlochVector).v)
     return validate_lambda(lam) * (s + d)
 
 
@@ -291,8 +286,11 @@ def _witnesses(a, b, abs_sum, abs_diff, lam) -> np.ndarray:
 
 def _yes(g, tol: float, o1lam, o2lam, iterations: int) -> FeasibilityReport:
     """A "yes" carrying the witness g, checked once at tol, and its residuals."""
-    (g_pp, g_pm, g_mp, g_mm), min_eig = _validated_effects(g, tol)
-    witness = _frozen(JointObservable, g_pp=g_pp, g_pm=g_pm, g_mp=g_mp, g_mm=g_mm, _min_eig=min_eig)
+    eigs = _check_effects(g, tol, raw=True)
+    g.setflags(write=False)
+    g_pp, g_pm, g_mp, g_mm = (_frozen(Effect, matrix=m) for m in g)
+    witness = _frozen(JointObservable, g_pp=g_pp, g_pm=g_pm, g_mp=g_mp, g_mm=g_mm,
+                      _min_eig=float(np.min(eigs[4:, 0])))
     res = check_joint(witness, o1lam, o2lam)
     _within("joint-normalization", res.normalization, JOINT_NORMALIZATION_TOL)
     return FeasibilityReport("yes", witness, res.marginal_max, res.min_eigenvalue, iterations)
@@ -305,7 +303,7 @@ def _no(value: float) -> FeasibilityReport:
 
 
 def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
-    """Joint observable for two smeared rank-1 qubit projective pairs.
+    """Joint observable for two smeared rank-1 qubit projective pairs, BlochVectors m and n.
 
     top = |m+n| + |m-n|, the paper's criterion, and the gate of this module
     decides: "yes" when lam * top <= 2 or lam <= 1/sqrt(2), else "no".  The
@@ -319,7 +317,7 @@ def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
     cross-checked against the alternating-projection oracle in the test
     suite, never trusted bare.
     """
-    mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
+    mb, nb = _require(m, BlochVector), _require(n, BlochVector)
     lam = validate_lambda(lam)
     s, d = _bloch_norms(mb.v, nb.v)
     if not _feasible(lam, s + d):
@@ -332,7 +330,7 @@ def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
 def qubit_verdicts(m, n, lams) -> list[str]:
     """qubit_joint_observable(m, n, lam).feasible for each lam of a sequence: the
     "yes" witnesses are one stack, checked as that function checks each, in one eigensolve."""
-    mb, nb = BlochVector.coerce(m), BlochVector.coerce(n)
+    mb, nb = _require(m, BlochVector), _require(n, BlochVector)
     lams = np.array([validate_lambda(lam) for lam in lams])
     s, d = _bloch_norms(mb.v, nb.v)
     yes = _feasible(lams, s + d)
@@ -459,13 +457,20 @@ def _farkas_certificate(
     the point F = 0), hermitized and shifted by t (I, I, I, I) into the PSD
     cones.  If that pairing is negative beyond rounding, no PSD affine
     point exists: the pairing of two PSD matrices is never negative.
+
+    Soundness of the relative margin: for every PSD G on the affine set,
+    <H, G> equals the pairing; if H is PSD down to -eps, then <H, G> >=
+    -eps d, as the four G_jk sum to I; and rounding in the PSD shift and
+    the pairing is O(ulp d |H|_F |base|), so a margin proportional to
+    |H|_F is the right scale.  A floor under |H|_F, which shrinks with the
+    distance to the boundary, would refuse every certificate close to it.
     """
     h = y - x
     k = h[0] - h[1] - h[2] + h[3]
     h = _hermitize(h - np.stack([k, -k, -k, k]) / 4.0)
     h = h + max(0.0, -float(np.min(np.linalg.eigvalsh(h)))) * eye
     pairing = float(np.sum(np.conj(h) * base).real)
-    if pairing >= -CERTIFICATE_MARGIN * len(eye) * max(float(np.linalg.norm(h)), 1.0):
+    if pairing >= -CERTIFICATE_MARGIN * len(eye) * float(np.linalg.norm(h)):
         return None
     h.setflags(write=False)
     return h

@@ -40,12 +40,11 @@ JOINT_NORMALIZATION_TOL = 1e-9  # abs: max|G_pp + G_pm + G_mp + G_mm - I| of a j
 BLOCH_NORM_TOL = 1e-12  # abs: ||v| - 1| of a Bloch vector
 CRITERION_SLACK = 1e-12  # abs: lam * top may pass 2 by this and still get a witness, PSD to -slack/8
 QUBIT_WITNESS_TOL = 1e-11  # abs: the effect window of the closed-form qubit witness
-CERTIFICATE_MARGIN = 1e-12  # rel: a Farkas pairing must lie below -margin * d * max(|H|_F, 1)
+CERTIFICATE_MARGIN = 1e-12  # rel: a Farkas pairing must lie below -margin * d * |H|_F
 ANDERSON_TIKHONOV = 1e-10  # rel: Tikhonov weight of the Anderson least squares, times tr(dG^T dG)
 CLUSTER_TOL = 1e-10  # abs: cos^2 values closer than this are one angle; sin*cos below it snaps to 0
 BLOCK_RESIDUAL_TOL = 1e-9  # abs: max off-block entry of a conjugated projector
 UNITARITY_TOL = 1e-10  # abs: max|U^H U - I| of a block decomposition's basis
-SCALING_TOL = 1e-12  # abs: |smeared mean - lam * sharp mean|
 BOX_TOL = 1e-12  # abs: a box's normalization and no-signaling gaps
 CHSH_BOUND_SLACK = 1e-9  # abs: a CHSH value within its bound up to this
 SWEEP_END_SLACK = 1e-12  # abs: uj sweep keeps a grid point this far past --stop
@@ -194,15 +193,6 @@ def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
                 raise ValidationError("spectrum-in-[0,1]",
                                       detail=f"eigenvalue {eig!r} outside [{lo!r}, {hi!r}]")
     return eigs
-
-
-def _validated_effects(g, tol: float) -> tuple[tuple[Effect, ...], float]:
-    """An Effect for each m of a (k, d, d) stack, checked by _check_effects at
-    tol, and the smallest raw eigenvalue."""
-    g = np.asarray(g, dtype=complex)
-    eigs = _check_effects(g, tol, raw=True)
-    g.setflags(write=False)
-    return tuple(_frozen(Effect, matrix=m) for m in g), float(np.min(eigs[len(g):, 0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,14 +12,11 @@ the package that takes one checks it by validate_lambda.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .operators import (
-    SCALING_TOL, DensityMatrix, DichotomicObservable, Effect, _frozen, _got, _require, _within,
-)
+from .operators import DensityMatrix, DichotomicObservable, Effect, _frozen, _got, _require
 
 
 def validate_lambda(lam) -> float:
@@ -57,24 +54,3 @@ def mean_value(obs: DichotomicObservable, state: DensityMatrix) -> float:
         raise DimensionMismatch(obs.dim, state.dim)
     return float(np.trace(state.matrix @ obs.difference()).real)
 
-
-@dataclass(frozen=True)
-class SmearedMeanReport:
-    """Both sides of the smeared-mean identity, computed independently.
-
-    value      -- mean of the smeared observable on the state
-    scaled_mean -- lam times the sharp mean
-    """
-
-    value: float
-    scaled_mean: float
-
-
-def smeared_mean(obs: DichotomicObservable, lam, state: DensityMatrix) -> SmearedMeanReport:
-    """Mean of the smeared observable, with its scaling identity checked: the
-    two sides must agree to SCALING_TOL, so every call doubles as a self-test
-    of the smearing map."""
-    lam = validate_lambda(lam)
-    value, scaled_mean = mean_value(smear(obs, lam), state), lam * mean_value(obs, state)
-    _within("smeared-mean-scaling", abs(value - scaled_mean), SCALING_TOL)
-    return SmearedMeanReport(value=value, scaled_mean=scaled_mean)

@@ -7,6 +7,7 @@ line (visible with pytest -s or in the captured output on failure).
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from unsharpjoint import acceptance
@@ -40,3 +41,20 @@ def test_time_bound(number, bound, elapsed, passed, monkeypatch):
     assert result.runtime == bound + elapsed
     assert result.line.startswith("PASS" if passed else "FAIL")
     assert result.line.endswith(f"criterion {number} (stub): detail [{bound + elapsed:.1f}s]")
+
+
+def test_a_drifting_smearing_map_fails_criterion_9(monkeypatch):
+    # A smear that misses lam by a relative 1e-9 must give a FAIL line with the
+    # measured drift, not an error.  The random draws are stubbed to one
+    # observable with mean 1 and its eigenstate, so the 10^4 triples run fast.
+    obs = acceptance.DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]))
+    state = acceptance.DensityMatrix.pure([1.0, 0.0])
+    real = acceptance.smear
+    monkeypatch.setattr(acceptance, "_random_effect", lambda rng, d: obs.yes_effect)
+    monkeypatch.setattr(acceptance, "_random_state", lambda rng, d: state)
+    monkeypatch.setattr(acceptance, "smear", lambda o, lam: real(o, lam * (1 - 1e-9)))
+    result = run(*CRITERIA[8])
+    assert not result.passed
+    assert result.line.startswith(
+        "FAIL criterion 9 (smeared-mean scaling): max |smeared - lam*sharp| ")
+    assert 5e-10 < float(result.detail.split()[4]) <= 1e-9

@@ -32,7 +32,6 @@ SURFACE = {
     "NoSignalingBox": '(table)',
     "ParseError": '(path, detail)',
     "Projector": '(matrix, rank)',
-    "SmearedMeanReport": '(value, scaled_mean)',
     "TSIRELSON_BOUND": None,
     "UnsharpJointError": None,
     "ValidationError": "(invariant, residual=None, detail='')",
@@ -40,7 +39,6 @@ SURFACE = {
     "check_joint": '(j, o1lam, o2lam)',
     "chsh": '(state, a1, a2, b1, b2)',
     "compress": '(g)',
-    "correlation": '(state, a, b)',
     "criterion_value": '(m, n, lam)',
     "deterministic_box": '(alice, bob)',
     "feasibility_oracle": '(o1lam, o2lam, max_iter=20000)',
@@ -59,7 +57,6 @@ SURFACE = {
     "singlet": '()',
     "smear": '(obs, lam)',
     "smeared_chsh": '(state, a1, a2, b1, b2, lam)',
-    "smeared_mean": '(obs, lam, state)',
     "two_projector_blocks": '(p, q)',
     "validate_lambda": '(lam)',
     "white_noise_box": '()',
@@ -72,7 +69,7 @@ SURFACE = {
 MEMBERS = {
     "Block": ('dim', 'overlap', 'rank_p', 'rank_q'),
     "BlockDecomposition": ('blocks', 'dim', 'off_block_mass', 'reconstruction_residual', 'unitary'),
-    "BlochVector": ('coerce', 'normalized', 'observable', 'projector', 'v'),
+    "BlochVector": ('normalized', 'observable', 'projector', 'v'),
     "ChshReport": ('bound_lambda', 'terms', 'value', 'within_bound'),
     "DensityMatrix": ('dim', 'matrix', 'maximally_mixed', 'pure'),
     "DichotomicObservable": ('difference', 'dim', 'from_yes_effect', 'no_effect', 'yes_effect'),
@@ -85,7 +82,6 @@ MEMBERS = {
     "NoSignalingBox": ('correlators', 'p', 'to_json'),
     "ParseError": (),
     "Projector": ('as_effect', 'dim', 'from_matrix', 'matrix', 'observable', 'rank'),
-    "SmearedMeanReport": ('scaled_mean', 'value'),
     "UnsharpJointError": (),
     "ValidationError": (),
 }

@@ -14,7 +14,6 @@ from unsharpjoint import (
     ValidationError,
     box_chsh,
     chsh,
-    correlation,
     deterministic_box,
     local_deterministic_boxes,
     optimal_settings,
@@ -36,28 +35,30 @@ def _random_unit(rng):
 
 
 class TestCorrelation:
+    """Single correlators Tr[state (A (x) B)], read as the first term of chsh(state, a, a, b, b)."""
+
     def test_singlet_anticorrelated(self):
         z = _observable_of(PAULI_Z)
-        assert correlation(singlet(), z, z) == pytest.approx(-1.0, abs=1e-12)
+        assert chsh(singlet(), z, z, z, z).terms[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_product_state_uncorrelated_in_x(self):
         rho = DensityMatrix.pure([1, 0, 0, 0])
         x = _observable_of(PAULI_X)
-        assert abs(correlation(rho, x, x)) < 1e-12
+        assert abs(chsh(rho, x, x, x, x).terms[0]) < 1e-12
 
     def test_singlet_tilted(self):
         # Bloch-formula oracle: the singlet correlator is -a.b, so z
         # against (z+x)/sqrt(2) gives exactly -1/sqrt(2).
         z = _observable_of(PAULI_Z)
         tilted = _observable_of((PAULI_Z + PAULI_X) / math.sqrt(2))
-        assert correlation(singlet(), z, tilted) == pytest.approx(
+        assert chsh(singlet(), z, z, tilted, tilted).terms[0] == pytest.approx(
             -INV_SQRT2, abs=1e-12
         )
 
     def test_dimension_mismatch(self):
         z = _observable_of(PAULI_Z)
         with pytest.raises(DimensionMismatch):
-            correlation(DensityMatrix.maximally_mixed(2), z, z)
+            chsh(DensityMatrix.maximally_mixed(2), z, z, z, z)
 
 
 @pytest.mark.parametrize("wing,dims", [(0, (4, 3, 2)), (1, (4, 2, 3))], ids=["alice", "bob"])
@@ -67,9 +68,9 @@ class TestCorrelation:
         lambda state, a, b: chsh(state, *a, *b),
         lambda state, a, b: smeared_chsh(state, *a, *b, 0.5),
         lambda state, a, b: smeared_chsh_values(state, *a, *b, [0.5, 0.9]),
-        lambda state, a, b: correlation(state, a[1], b[1]),
+        lambda state, a, b: chsh(state, a[1], a[1], b[1], b[1]),
     ],
-    ids=["chsh", "smeared_chsh", "smeared_chsh_values", "correlation"],
+    ids=["chsh", "smeared_chsh", "smeared_chsh_values", "chsh-one-pair"],
 )
 def test_a_qutrit_observable_on_one_wing_is_a_dimension_mismatch(call, wing, dims):
     # Every pair is checked before the observables are stacked, so a 3x3 a2

@@ -28,7 +28,6 @@ VALID = {
     "Block": (2, 1, 1, 0.5),
     "BlockDecomposition": (np.eye(2), (uj.Block(1, 1, 1, 1.0), uj.Block(1, 0, 0, 0.0))),
     "BlochVector": ([0.0, 0.0, 1.0],),
-    "BlochVector.coerce": ([0.0, 0.0, 1.0],),
     "BlochVector.normalized": ([0.0, 0.0, 2.0],),
     "ChshReport": (2.0, (0.5, 0.5, 0.5, -0.5), 2.0, True),
     "DensityMatrix": (np.eye(2) / 2,),
@@ -42,12 +41,10 @@ VALID = {
     "NoSignalingBox": (uj.pr_box().to_json()["p"],),
     "Projector": (np.diag([1.0, 0.0]), 1),
     "Projector.from_matrix": (np.diag([1.0, 0.0]),),
-    "SmearedMeanReport": (0.25, 0.25),
     "box_chsh": (uj.pr_box(),),
     "check_joint": (_WITNESS, _SMEARED, _SMEARED),
     "chsh": (uj.singlet(), _OBS, _OBS, _OBS, _OBS),
     "compress": (np.eye(4) / 2,),
-    "correlation": (uj.singlet(), _OBS, _OBS),
     "criterion_value": (_M, _N, 0.5),
     "deterministic_box": ((1, -1), (-1, 1)),
     "feasibility_oracle": (_SMEARED, _SMEARED, 50),
@@ -66,14 +63,13 @@ VALID = {
     "singlet": (),
     "smear": (_OBS, 0.5),
     "smeared_chsh": (uj.singlet(), _OBS, _OBS, _OBS, _OBS, 0.5),
-    "smeared_mean": (_OBS, 0.5, _MIXED),
     "two_projector_blocks": (_P, _Q),
     "validate_lambda": (0.5,),
     "white_noise_box": (),
 }
 
 # Callables of __all__ left out: the error types, and two result records.
-# Result records are plain and check nothing; the three with rows above used
+# Result records are plain and check nothing; the two with rows above used
 # to re-check their fields, and a check put back must refuse each wrong value typed.
 NOT_INPUTS = {
     "DimensionMismatch", "JointResiduals", "LambdaOptResult", "ParseError", "UnsharpJointError",

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from unsharpjoint import (
     smeared_chsh,
 )
 from unsharpjoint.bell import SETTINGS
-from unsharpjoint.cli import _build_parser, main
+from unsharpjoint.cli import SWEEP_MAX_ROWS, _build_parser, main
 
 INV_SQRT2 = 0.7071067811865475
 
@@ -636,6 +637,30 @@ class TestSweep:
         assert code == 1
         assert captured.out == ""
         assert "sweep-grid" in captured.err
+
+    def test_a_grid_past_the_row_cap_is_refused_unbuilt(self, capsys, monkeypatch):
+        # floor((1 - 0.5) / step) + 1 = SWEEP_MAX_ROWS + 1 rows.  Nothing may
+        # compute a row, and the peak allocation stays far below the 3.2 MB
+        # that the list of SWEEP_MAX_ROWS + 1 grid floats alone would take.
+        from unsharpjoint import cli
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "qubit_verdicts", no_rows)
+        monkeypatch.setattr(cli, "smeared_chsh_values", no_rows)
+        step = repr(0.5 / SWEEP_MAX_ROWS)
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--start", "0.5", "--stop", "1", "--step", step])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        rows = SWEEP_MAX_ROWS + 1
+        assert captured.err == f"error: sweep-grid: about {rows} rows, past {SWEEP_MAX_ROWS}\n"
+        assert peak < 100_000
 
     def test_one_eigensolve_per_sweep(self, eigensolves, capsys):
         code, out = _run(["sweep", "--start", "0.005", "--stop", "0.6", "--step", "0.005"], capsys)

@@ -4,10 +4,11 @@ import itertools
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unsharpjoint import (
@@ -22,6 +23,7 @@ from unsharpjoint import (
     Projector,
     ValidationError,
     check_joint,
+    chsh,
     criterion_value,
     feasibility_oracle,
     lambda_opt_search,
@@ -36,7 +38,7 @@ from unsharpjoint.cli import feasibility_to_json
 from unsharpjoint.joint import (
     CERTIFICATE_EVERY, CRITERION_SLACK, _abs_pair, _bloch_norms, _yes, qubit_verdicts
 )
-from unsharpjoint.operators import PAULI_X, PAULI_Z, PSD_TOL, _max_abs, identity
+from unsharpjoint.operators import CERTIFICATE_MARGIN, PAULI_X, PAULI_Z, PSD_TOL, _max_abs, identity
 
 Z = BlochVector(np.array([0.0, 0.0, 1.0]))
 X = BlochVector(np.array([1.0, 0.0, 0.0]))
@@ -73,15 +75,16 @@ def _random_rotation(rng):
 def _assert_certifies_no(rep, o1lam, o2lam):
     """Re-verify an oracle "no" in plain numpy: four PSD matrices H_jk with
     H_pp - H_pm - H_mp + H_mm = 0, whose pairing with the affine point
-    (0, Y1, Y2, I - Y1 - Y2) built from the targets is negative.  Every
-    joint observable pairs non-negatively with H and lies on the affine
-    set, where the pairing is constant, so none exists."""
+    (0, Y1, Y2, I - Y1 - Y2) built from the targets lies below the oracle's
+    margin -CERTIFICATE_MARGIN d |H|_F; every tolerance scales with |H|_F
+    alone.  Every joint observable pairs non-negatively with H and lies on
+    the affine set, where the pairing is constant, so none exists."""
     assert rep.feasible == "no"
     h = np.asarray(rep.certificate)
     d = o1lam.dim
     assert h.shape == (4, d, d)
     assert not h.flags.writeable
-    scale = max(float(np.linalg.norm(h)), 1.0)
+    scale = float(np.linalg.norm(h))
     for hjk in h:
         assert np.max(np.abs(hjk - hjk.conj().T)) <= 1e-15 * scale
         assert np.linalg.eigvalsh(hjk)[0] >= -1e-12 * scale
@@ -89,7 +92,37 @@ def _assert_certifies_no(rep, o1lam, o2lam):
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
     affine = (np.zeros((d, d)), y1, y2, np.eye(d) - y1 - y2)
     pairing = sum(np.trace(hjk @ ajk).real for hjk, ajk in zip(h, affine))
-    assert pairing < 0.0
+    assert pairing < -CERTIFICATE_MARGIN * d * scale
+
+
+def _assert_certifies_no_exactly(h, o1lam, o2lam):
+    """Re-verify a qubit oracle "no" in exact rational arithmetic on its floats.
+
+    Each H_jk + eps I, eps four ulps of |H|_F for the rounding of the PSD
+    shift, is PSD by its principal minors; K = H_pp - H_pm - H_mp + H_mm
+    pairs with every 0 <= F <= I to at most the sum of |Re K_ij| + |Im K_ij|.
+    Every joint observable is G = (F, Y1 - F, Y2 - F, I - Y1 - Y2 + F) with
+    PSD effects summing to I, so <H, G> >= -eps d and <H, G> <= pairing + that
+    sum, where the pairing is <H, (0, Y1, Y2, I - Y1 - Y2)>: both cannot hold
+    when pairing + sum + eps d < 0."""
+    def exact(z):
+        return Fraction(float(z.real)), Fraction(float(z.imag))
+
+    assert h.shape == (4, 2, 2)
+    eps = Fraction(4 * np.finfo(float).eps) * Fraction(float(np.linalg.norm(h)))
+    for hjk in h:
+        (a, a_im), (br, bi), (cr, ci), (c, c_im) = map(exact, hjk.ravel())
+        assert a_im == c_im == 0 and (cr, ci) == (br, -bi)  # exactly Hermitian
+        assert a + eps >= 0 and c + eps >= 0 and (a + eps) * (c + eps) - br * br - bi * bi >= 0
+    y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
+    pairing = bound = Fraction(0)
+    for i, j in itertools.product(range(2), repeat=2):
+        hs = [exact(hjk[i, j]) for hjk in h]
+        u, v = exact(y1[i, j]), exact(y2[i, j])
+        base = [(0, 0), u, v, (int(i == j) - u[0] - v[0], -u[1] - v[1])]
+        pairing += sum(hr * br + hi * bi for (hr, hi), (br, bi) in zip(hs, base))
+        bound += sum(abs(hs[0][p] - hs[1][p] - hs[2][p] + hs[3][p]) for p in (0, 1))
+    assert pairing + bound + 2 * eps < 0
 
 
 class TestBlochVector:
@@ -112,8 +145,7 @@ class TestBlochVector:
         ids=["strings", "one-string", "complex", "huge-int", "huge-negative-int"],
     )
     @pytest.mark.parametrize(
-        "build", [BlochVector, BlochVector.coerce, BlochVector.normalized],
-        ids=["init", "coerce", "normalized"],
+        "build", [BlochVector, BlochVector.normalized], ids=["init", "normalized"],
     )
     def test_non_numeric_entries_rejected(self, build, v):
         # Strings were read as numbers, and a huge int raised a bare OverflowError.
@@ -156,6 +188,24 @@ class TestBlochVector:
         assert np.isfinite(b.v).all()
         assert abs(np.linalg.norm(b.v) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("wing", [0, 1], ids=["m", "n"])
+    @pytest.mark.parametrize(
+        "call",
+        [qubit_joint_observable, criterion_value,
+         lambda m, n, lam: qubit_verdicts(m, n, [lam])],
+        ids=["qubit_joint_observable", "criterion_value", "qubit_verdicts"],
+    )
+    @pytest.mark.parametrize(
+        "raw", [[0.0, 0.0, 1.0], (0.0, 0.0, 1.0), np.array([0.0, 0.0, 1.0])],
+        ids=["list", "tuple", "ndarray"],
+    )
+    def test_a_raw_vector_is_refused(self, raw, call, wing):
+        # Each takes BlochVectors only, as lambda_opt_search does.
+        pair = [Z, X]
+        pair[wing] = raw
+        with pytest.raises(ValidationError, match=rf"^bloch-vector: got {type(raw).__name__}$"):
+            call(*pair, 0.5)
+
 
 class TestQubitJointObservable:
     def test_identical_directions_feasible_at_any_lambda(self):
@@ -193,7 +243,7 @@ class TestQubitJointObservable:
     def test_antipodal_directions(self):
         # m = -n degenerates |m+n| to zero; the construction stays valid
         # for every lambda (the pair shares one sharp measurement).
-        rep = qubit_joint_observable([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], 1.0)
+        rep = qubit_joint_observable(Z, BlochVector([0.0, 0.0, -1.0]), 1.0)
         assert rep.feasible == "yes"
         res = check_joint(
             rep.witness,
@@ -546,6 +596,21 @@ class TestFeasibilityOracle:
         assert res.marginal_max <= 1e-9
         assert res.min_eigenvalue >= -1e-9
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 3e-8])
+    def test_a_no_just_past_the_threshold_is_certified_fast(self, delta):
+        # The Farkas margin scales with |H|_F, which shrinks with the distance
+        # to the boundary: with a floor of 1 under |H|_F these probes ran the
+        # whole 20,000-iteration budget to "undetermined".
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            m, n = (BlochVector.normalized(rng.normal(size=3)) for _ in range(2))
+            lam = 2.0 / criterion_value(m, n, 1.0) * (1.0 + delta)
+            o1lam, o2lam = smear(m.observable(), lam), smear(n.observable(), lam)
+            rep = feasibility_oracle(o1lam, o2lam)
+            assert rep.feasible == "no" and rep.iterations < 100
+            _assert_certifies_no(rep, o1lam, o2lam)
+            _assert_certifies_no_exactly(rep.certificate, o1lam, o2lam)
+
     def test_agreement_sample(self):
         # Small version of the acceptance sweep: verdicts match the
         # closed form away from the criterion boundary.
@@ -568,12 +633,11 @@ class TestFeasibilityOracle:
     @given(st.integers(0, 2**32 - 1))
     def test_bloch_pairs_outside_band(self, seed):
         rng = np.random.default_rng(seed)
-        m, n = _random_unit(rng), _random_unit(rng)
+        m, n = BlochVector(_random_unit(rng)), BlochVector(_random_unit(rng))
         lam = float(rng.uniform(0.3, 0.95))
         cval = criterion_value(m, n, lam)
         assume(abs(cval - 2.0) >= 0.02)
-        o1lam = smear(BlochVector(m).observable(), lam)
-        o2lam = smear(BlochVector(n).observable(), lam)
+        o1lam, o2lam = smear(m.observable(), lam), smear(n.observable(), lam)
         rep = feasibility_oracle(o1lam, o2lam)
         assert rep.feasible == ("yes" if cval <= 2.0 else "no")
         if rep.feasible == "no":
@@ -688,15 +752,18 @@ class TestLambdaOptSearch:
 
     @settings(max_examples=60)
     @given(_unit_vectors(), _unit_vectors())
+    # top = 2 + 1e-12 lies inside the gate's slack, so the value is 1, not 2 / top.
+    @example(np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 1e-12]))
     def test_bloch_pair_is_closed_form_boundary(self, m, n):
-        res = lambda_opt_search((BlochVector(m), BlochVector(n)))
-        closed = min(1.0, 2.0 / (np.linalg.norm(m + n) + np.linalg.norm(m - n)))
+        res = lambda_opt_search(pair := (BlochVector(m), BlochVector(n)))
+        top = np.linalg.norm(m + n) + np.linalg.norm(m - n)
+        closed = 1.0 if top <= 2.0 + CRITERION_SLACK else 2.0 / top
         assert res.value == pytest.approx(closed, abs=1e-15)
         assert res.oracle_verdict in ("yes", "undetermined")
-        assert qubit_joint_observable(m, n, res.value).feasible == "yes"
+        assert qubit_joint_observable(*pair, res.value).feasible == "yes"
         above = res.value * (1.0 + 1e-9)
         if res.value < 1.0 and above <= 1.0:
-            assert qubit_joint_observable(m, n, above).feasible == "no"
+            assert qubit_joint_observable(*pair, above).feasible == "no"
 
     def test_projector_pair(self):
         pair = (projector_onto([1, 0]).observable(), projector_onto([1, 1]).observable())
@@ -904,12 +971,10 @@ class TestWitnessBuiltOnce:
         assert len(eigensolves) <= k + k // CERTIFICATE_EVERY + 2
 
     def test_derived_values_make_no_eigensolve(self, eigensolves):
-        from unsharpjoint.bell import correlation
-
         obs = Z.observable()
         smeared = smear(obs, 0.6)
         state = DensityMatrix.pure([1.0, 2j, -0.5, 0.25])
-        correlation(state, smeared, X.observable())
+        chsh(state, smeared, smeared, X.observable(), X.observable())
         assert eigensolves == []
 
     @settings(max_examples=40)
@@ -1030,6 +1095,7 @@ def _assert_witnesses_yes(rep, o1lam, o2lam):
     which sum to the identity."""
     assert rep.feasible == "yes"
     g = [np.asarray(e.matrix) for e in rep.witness.effects]
+    assert all(not gjk.flags.writeable for gjk in g)
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
     for gjk in g:
         assert np.max(np.abs(gjk - gjk.conj().T)) <= 1e-12

@@ -21,7 +21,6 @@ from unsharpjoint import (
     box_chsh,
     check_joint,
     chsh,
-    correlation,
     feasibility_oracle,
     matrix_from_json,
     matrix_to_json,
@@ -34,7 +33,6 @@ from unsharpjoint import (
     singlet,
     smear,
     smeared_chsh,
-    smeared_mean,
     two_projector_blocks,
 )
 from unsharpjoint.bell import smeared_chsh_values
@@ -102,14 +100,13 @@ _P = projector_onto([1, 0])
         (lambda: povm_joint_observable(_OBS, _RAW, 0.5), "dichotomic-observable"),
         (lambda: feasibility_oracle(_RAW, _OBS), "dichotomic-observable"),
         (lambda: mean_value(_RAW, DensityMatrix.maximally_mixed(2)), "dichotomic-observable"),
-        (lambda: correlation(DensityMatrix.maximally_mixed(4), _OBS, _RAW), "dichotomic-observable"),
         (lambda: chsh(singlet(), _OBS, _OBS, _OBS, _RAW), "dichotomic-observable"),
         (lambda: smeared_chsh(singlet(), _RAW, _OBS, _OBS, _OBS, 0.5), "dichotomic-observable"),
         (lambda: mean_value(_OBS, _RAW), "density-matrix"),
-        (lambda: smeared_mean(_OBS, 0.5, _RAW), "density-matrix"),
-        (lambda: correlation(_RAW4, _OBS, _OBS), "density-matrix"),
         (lambda: chsh(_RAW4, _OBS, _OBS, _OBS, _OBS), "density-matrix"),
         (lambda: smeared_chsh(_RAW4, _OBS, _OBS, _OBS, _OBS, 0.5), "density-matrix"),
+        (lambda: smeared_chsh_values(singlet(), _OBS, _OBS, _RAW, _OBS, [0.5]),
+         "dichotomic-observable"),
         (lambda: smeared_chsh_values(_RAW4, _OBS, _OBS, _OBS, _OBS, [0.5]), "density-matrix"),
         (lambda: pvm_joint_observable(_P, _RAW, 0.5), "projector"),
         (lambda: two_projector_blocks(_RAW, _P), "projector"),
@@ -122,10 +119,10 @@ _P = projector_onto([1, 0])
         (lambda: BlockDecomposition(np.eye(2), (_RAW,)), "block"),
     ],
     ids=["smear", "neumark-dilate", "povm-joint-observable", "feasibility-oracle", "mean-value",
-         "correlation", "chsh", "smeared-chsh", "mean-value-state", "smeared-mean-state",
-         "correlation-state", "chsh-state", "smeared-chsh-state", "smeared-chsh-values-state",
-         "pvm-joint-observable", "two-projector-blocks", "check-joint", "check-joint-observable",
-         "box-chsh", "dichotomic-observable", "joint-observable", "block-decomposition"],
+         "chsh", "smeared-chsh", "smeared-chsh-values", "mean-value-state", "chsh-state",
+         "smeared-chsh-state", "smeared-chsh-values-state", "pvm-joint-observable",
+         "two-projector-blocks", "check-joint", "check-joint-observable", "box-chsh",
+         "dichotomic-observable", "joint-observable", "block-decomposition"],
 )
 def test_raw_matrix_for_an_observable_is_rejected(call, invariant):
     # Each used to end in a bare AttributeError: 'numpy.ndarray' object has
@@ -201,7 +198,8 @@ class TestMinEigenvalue:
         # zero mode in every outcome effect.
         from unsharpjoint import LAMBDA_OPT, qubit_joint_observable
 
-        rep = qubit_joint_observable([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], LAMBDA_OPT)
+        m, n = BlochVector([0.0, 0.0, 1.0]), BlochVector([1.0, 0.0, 0.0])
+        rep = qubit_joint_observable(m, n, LAMBDA_OPT)
         for e in rep.witness.effects:
             assert abs(np.linalg.eigvalsh(e.matrix)[0]) < 1e-9
 
@@ -470,7 +468,7 @@ class TestWitnessCheck:
     )
     @pytest.mark.parametrize("tol", [1e-11, 1e-9])
     def test_raises_what_effect_raises(self, defects, tol):
-        from unsharpjoint.operators import _validated_effects
+        from unsharpjoint.operators import _check_effects
 
         rng = np.random.default_rng(8)
         stack = [_effect_matrix(int(s), rng.uniform(0, 1, size=3)) for s in rng.integers(0, 99, 4)]
@@ -497,14 +495,34 @@ class TestWitnessCheck:
 
         expected = next((r for r in (outcome(lambda g=g: _window_check(g, tol)) for g in stack)
                          if isinstance(r, tuple)), None)
-        got = outcome(lambda: _validated_effects(np.stack(stack), tol))
+        got = outcome(lambda: _check_effects(np.stack(stack), tol, raw=True))
         if expected is None:
-            effects, raw_min = got
-            assert [e.matrix.tobytes() for e in effects] == [np.asarray(g).tobytes() for g in stack]
-            assert raw_min == min(float(np.linalg.eigvalsh(g)[0]) for g in stack)
-            assert all(not e.matrix.flags.writeable for e in effects)
+            # The raw spectra follow the hermitized ones; a witness keeps their smallest entry.
+            assert float(np.min(got[len(stack):, 0])) == min(
+                float(np.linalg.eigvalsh(g)[0]) for g in stack)
         else:
             assert got == expected
+
+    def test_a_yes_keeps_the_stack_it_was_given(self):
+        # Four random effects normalized to sum to I (G_i = S^-1/2 E_i S^-1/2):
+        # the witness holds exactly the bytes passed in, read-only, and the
+        # smallest raw eigenvalue.
+        from unsharpjoint.joint import _yes
+
+        rng = np.random.default_rng(8)
+        e = np.stack([_effect_matrix(int(s), rng.uniform(0, 1, size=3))
+                      for s in rng.integers(0, 99, 4)])
+        w, v = np.linalg.eigh(e.sum(axis=0))
+        root = (v / np.sqrt(w)) @ v.conj().T
+        g = root @ e @ root
+        before = [m.tobytes() for m in g]
+        o1 = DichotomicObservable.from_yes_effect(g[0] + g[1])
+        o2 = DichotomicObservable.from_yes_effect(g[0] + g[2])
+        rep = _yes(g, 1e-9, o1, o2, 7)
+        assert (rep.feasible, rep.iterations) == ("yes", 7)
+        assert [x.matrix.tobytes() for x in rep.witness.effects] == before
+        assert all(not x.matrix.flags.writeable for x in rep.witness.effects)
+        assert rep.min_eigenvalue == min(float(np.linalg.eigvalsh(m)[0]) for m in g)
 
 
 class TestJsonFormat:

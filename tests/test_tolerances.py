@@ -45,7 +45,6 @@ LEDGER = {
     "CLUSTER_TOL": 1e-10,
     "BLOCK_RESIDUAL_TOL": 1e-9,
     "UNITARITY_TOL": 1e-10,
-    "SCALING_TOL": 1e-12,
     "BOX_TOL": 1e-12,
     "CHSH_BOUND_SLACK": 1e-9,
     "SWEEP_END_SLACK": 1e-12,
@@ -56,7 +55,6 @@ LEDGER = {
 MOVED = {
     "decompose": ("CLUSTER_TOL", "BLOCK_RESIDUAL_TOL", "UNITARITY_TOL"),
     "joint": ("CRITERION_SLACK", "CERTIFICATE_MARGIN"),
-    "unsharp": ("SCALING_TOL",),
 }
 
 # A ledger line of operators.py: one name, one literal, and a comment that

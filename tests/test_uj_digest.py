@@ -1,0 +1,22 @@
+"""Smoke test of tools/uj_digest.py, the byte-identity digest of the cli workload's argvs."""
+
+import hashlib
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_one_seed_gives_one_digest_per_distinct_argv_and_their_total(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))  # perfbench, imported read-only by the tool
+    spec = importlib.util.spec_from_file_location("uj_digest", ROOT / "tools" / "uj_digest.py")
+    uj_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(uj_digest)
+    *rows, total = uj_digest.report((101,))
+    # 12 command forms with 3 variants each, and a fourth box-chsh variant.
+    assert len(rows) == 37
+    assert all(re.fullmatch(r"[0-9a-f]{64}  101 [a-z-]+-[0-3]", row) for row in rows)
+    assert len({row.split()[2] for row in rows}) == 37
+    expected = hashlib.sha256(b"".join(bytes.fromhex(row.split()[0]) for row in rows)).hexdigest()
+    assert total == f"{expected}  total over 37 argvs"

@@ -21,10 +21,8 @@ from unsharpjoint import (
     singlet,
     smear,
     smeared_chsh,
-    smeared_mean,
     validate_lambda,
 )
-from unsharpjoint import unsharp
 from unsharpjoint.bell import smeared_chsh_values
 from unsharpjoint.joint import qubit_verdicts
 from unsharpjoint.operators import identity
@@ -61,19 +59,20 @@ class TestValidateLambda:
 
 _Z, _X = (DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]).astype(complex)),
           DichotomicObservable.from_yes_effect(np.full((2, 2), 0.5, dtype=complex)))
+_ZX = (BlochVector([0, 0, 1]), BlochVector([1, 0, 0]))
 
 # Every public function that takes an unsharpness, called with lam.
 LAMBDA_TAKERS = {
     "smear": lambda lam: smear(_Z, lam),
-    "smeared_mean": lambda lam: smeared_mean(_Z, lam, DensityMatrix.pure(np.array([1.0, 0.0]))),
-    "criterion_value": lambda lam: criterion_value([0, 0, 1], [1, 0, 0], lam),
-    "qubit_joint_observable": lambda lam: qubit_joint_observable([0, 0, 1], [1, 0, 0], lam),
+    "criterion_value": lambda lam: criterion_value(*_ZX, lam),
+    "qubit_joint_observable": lambda lam: qubit_joint_observable(*_ZX, lam),
     "povm_joint_observable": lambda lam: povm_joint_observable(_Z, _X, lam),
     "pvm_joint_observable": lambda lam: pvm_joint_observable(
         BlochVector([0, 0, 1]).projector(), BlochVector([1, 0, 0]).projector(), lam),
     "smeared_chsh": lambda lam: smeared_chsh(singlet(), *optimal_settings(), lam),
-    "qubit_verdicts": lambda lam: qubit_verdicts([0, 0, 1], [1, 0, 0], [lam]),
+    "qubit_verdicts": lambda lam: qubit_verdicts(*_ZX, [lam]),
     "smeared_chsh_values": lambda lam: smeared_chsh_values(singlet(), *optimal_settings(), [lam]),
+    "validate_lambda": validate_lambda,
 }
 
 
@@ -182,28 +181,20 @@ class TestMeanValue:
 
 
 class TestSmearedMean:
+    """The mean of the smeared observable against lam times the sharp mean."""
+
     def test_lambda_one(self):
         rng = np.random.default_rng(53)
         obs, state = _random_observable(rng), _random_state(rng)
-        report = smeared_mean(obs, 1.0, state)
-        assert report.value == pytest.approx(mean_value(obs, state), abs=1e-14)
+        sharp = mean_value(obs, state)
+        assert mean_value(smear(obs, 1.0), state) == pytest.approx(sharp, abs=1e-14)
 
     def test_half_lambda_on_eigenstate(self):
         # Mean 1 scales to exactly 0.5 at lam = 1/2.
         obs = DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]).astype(complex))
         state = DensityMatrix.pure([1, 0])
-        report = smeared_mean(obs, 0.5, state)
-        assert report.value == pytest.approx(0.5, abs=1e-14)
-        assert report.scaled_mean == pytest.approx(0.5, abs=1e-14)
-
-    def test_a_drifting_smearing_map_is_caught(self, monkeypatch):
-        # smeared_mean checks the identity itself: a smear that misses lam by
-        # a relative 1e-9 puts the mean-1 value 5e-10 off, past SCALING_TOL.
-        real = unsharp.smear
-        monkeypatch.setattr(unsharp, "smear", lambda obs, lam: real(obs, lam * (1 - 1e-9)))
-        obs = DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]))
-        with pytest.raises(ValidationError, match=r"^smeared-mean-scaling \(residual 5\.000e-10\)$"):
-            smeared_mean(obs, 0.5, DensityMatrix.pure([1, 0]))
+        assert mean_value(smear(obs, 0.5), state) == pytest.approx(0.5, abs=1e-14)
+        assert 0.5 * mean_value(obs, state) == pytest.approx(0.5, abs=1e-14)
 
     def test_scaling_identity_sweep(self):
         rng = np.random.default_rng(59)
@@ -211,6 +202,6 @@ class TestSmearedMean:
         for _ in range(10_000):
             obs, state = _random_observable(rng), _random_state(rng)
             lam = 1.0 - float(rng.uniform(0.0, 1.0))
-            report = smeared_mean(obs, lam, state)
-            worst = max(worst, abs(report.value - report.scaled_mean))
+            smeared, sharp = mean_value(smear(obs, lam), state), mean_value(obs, state)
+            worst = max(worst, abs(smeared - lam * sharp))
         assert worst <= 1e-12

@@ -1,0 +1,84 @@
+"""Digest every `uj` output of the benchmark's cli workload, for byte-identity checks.
+
+Rebuilds the distinct argvs of the `cli` workload (perfbench/workloads.py,
+imported read-only) for each seed, runs each in process through
+`unsharpjoint.cli.main` and prints one sha256 per argv over its exit code,
+stdout, stderr and `--out` bytes, then one total over all of them.  The
+temporary working directory is replaced by a fixed token before hashing, so
+two runs hash the same bytes whenever `uj` writes the same bytes.
+
+Compare two trees of the package by running it against each `src/`:
+
+    python tools/uj_digest.py --src /path/to/parent/src > parent.txt
+    python tools/uj_digest.py > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = tuple(range(101, 111))  # the cli workload's seeds
+WORK_TOKEN = b"<work>"
+
+
+def _digest(code: int, out: str, err: str, report: bytes | None, work: bytes) -> str:
+    h = hashlib.sha256()
+    for part in (str(code).encode(), out.encode(), err.encode(), b"-" if report is None else report):
+        part = part.replace(work, WORK_TOKEN)
+        h.update(len(part).to_bytes(8, "big") + part)
+    return h.hexdigest()
+
+
+def digests(seeds) -> list[tuple[int, str, str]]:
+    """(seed, "form-variant", sha256) for every distinct cli argv of each seed."""
+    from perfbench.workloads import CLI_ARGVS, CliWorkload
+    from unsharpjoint import cli
+
+    rows = []
+    with tempfile.TemporaryDirectory(prefix="uj-digest-") as tmp:
+        for seed in seeds:
+            workdir = Path(tmp) / str(seed)
+            workload = CliWorkload(seed, workdir)
+            workload.prepare()
+            work = str(workdir).encode()
+            for key in sorted(set(CLI_ARGVS), key=CLI_ARGVS.index):
+                argv, _ = workload.argvs[key]
+                out_path = Path(argv[argv.index("--out") + 1])
+                out_path.unlink(missing_ok=True)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(list(argv))
+                report = out_path.read_bytes() if out_path.exists() else None
+                digest = _digest(code, stdout.getvalue(), stderr.getvalue(), report, work)
+                rows.append((seed, f"{key[0]}-{key[1]}", digest))
+    return rows
+
+
+def report(seeds) -> list[str]:
+    """One "sha256  seed form-variant" line per argv, then their total."""
+    rows = digests(seeds)
+    total = hashlib.sha256(b"".join(bytes.fromhex(digest) for _, _, digest in rows))
+    lines = [f"{digest}  {seed} {name}" for seed, name, digest in rows]
+    return lines + [f"{total.hexdigest()}  total over {len(rows)} argvs"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="the src/ directory of the package to run (default: this tree's)")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT)]
+    print("\n".join(report(SEEDS)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
