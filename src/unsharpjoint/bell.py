@@ -29,7 +29,7 @@ from .operators import (
     BOX_TOL, CHSH_BOUND_SLACK, PAULI_X, PAULI_Z, DensityMatrix,
     DichotomicObservable, _number_array, _require, _within, identity,
 )
-from .unsharp import _smeared_matrices, validate_lambda
+from .unsharp import _lambda_array, _smeared_matrices, validate_lambda
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 LOCAL_BOUND = 2.0
@@ -217,7 +217,7 @@ def smeared_chsh_values(
 ) -> np.ndarray:
     """smeared_chsh(state, a1, a2, b1, b2, lam).value for each lam of a
     sequence, each lam checked, the tables of all of them one stack."""
-    lams = np.array([validate_lambda(lam) for lam in lams])[:, None, None]
+    lams = _lambda_array(lams)[:, None, None]
     return _chsh(_table(state, (a1, a2), (b1, b2), lams))
 
 

@@ -2,30 +2,35 @@
 
 A pair of two-outcome measurements is jointly measurable when a single
 four-outcome POVM {G_pp, G_pm, G_mp, G_mm} reproduces both of them as
-marginals.  Every closed-form verdict of this module, for qubit, projective
-and POVM pairs alike, comes from one witness formula and one gate on the
-contrasts A = E1 - N1, B = E2 - N2 of the pair (m.sigma and n.sigma for
-Bloch vectors m, n; 2P - I and 2Q - I for projectors):
+marginals.  Every decision of this module is made in one place,
+_decide(pair, lam), on a pair value from one of three builders, the only
+code that classifies a pair: _bloch_pair (Bloch vectors m, n),
+_projector_pair (projectors P, Q) and _observable_pair (dichotomic
+observables; a sharp pair becomes the pair of its projectors).  The pair
+holds top, the largest eigenvalue of |A+B| + |A-B| for the contrasts
+A = E1 - N1, B = E2 - N2 (m.sigma and n.sigma; 2P - I and 2Q - I), and
+_decide takes one of three paths:
 
 * the witness (_witnesses)
 
     G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4
 
   has the two smeared observables as marginals, and every G_jk is at least
-  (2 - lam * top) / 8, top the largest eigenvalue of |A+B| + |A-B|;
-* the gate (_feasible) passes it when lam * top <= 2 + CRITERION_SLACK or
-  lam <= 1/sqrt(2): (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) =
-  4 (A^2 + B^2) <= 8 for |A|, |B| <= 1, so top <= 2 sqrt(2) for every pair
-  and every pair is jointly measurable at 1/sqrt(2) (Busch 1986).
+  (2 - lam * top) / 8, so the gate (_feasible) passes it when
+  lam * top <= 2 + CRITERION_SLACK or lam <= 1/sqrt(2):
+  (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8 for
+  |A|, |B| <= 1, so top <= 2 sqrt(2) and every pair is jointly measurable
+  at 1/sqrt(2) (Busch 1986);
+* past the gate, a closed-form "no" for a sharp pair, for which the gate
+  is exact;
+* past the gate, any other pair goes to an independent alternating-
+  projection (Dykstra) feasibility oracle, Anderson-accelerated, which
+  also cross-checks every closed-form verdict in the test suite.
 
 For Bloch vectors |A+B| and |A-B| are the scalars |m+n| and |m-n|, and
-top = |m+n| + |m-n| is the paper's criterion.  For a sharp pair the gate
-is exact: past it the verdict is a closed-form "no".  Any other pair past
-it goes to an independent alternating-projection (Dykstra) feasibility
-oracle, Anderson-accelerated, which also cross-checks every closed-form
-verdict in the test suite.  The largest feasible unsharpness of a pair
-comes from the same gate; its worst case over Bloch-vector pairs,
-1/sqrt(2), is reached at every orthogonal pair.
+top = |m+n| + |m-n| is the paper's criterion.  The largest feasible
+unsharpness of a pair comes from the same top and gate; its worst case
+over Bloch-vector pairs, 1/sqrt(2), is reached at every orthogonal pair.
 
 The operator form needs no block decomposition.  The anticommutator
 {A, B} of a sharp pair commutes with A and B, so on every invariant block
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,13 +75,12 @@ from .operators import (
     _within,
     identity,
 )
-from .unsharp import smear, validate_lambda
+from .unsharp import _lambda_array, smear, validate_lambda
 
 LAMBDA_OPT = 1.0 / math.sqrt(2.0)
 _BUSCH_EDGE = math.sqrt(0.5)  # 1/sqrt(2) rounded to nearest, one ulp above LAMBDA_OPT
 
-OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-_SIGNS = np.array(OUTCOME_SIGNS, dtype=float)
+_SIGNS = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)), dtype=float)
 _JK_SIGNS = (_SIGNS[:, 0] * _SIGNS[:, 1])[:, None, None]  # the sign of F in the oracle's G_jk
 
 # The oracle tests for a Farkas certificate at most every CERTIFICATE_EVERY
@@ -245,14 +250,7 @@ def check_joint(
 
 def criterion_value(m, n, lam) -> float:
     """lam * (|m+n| + |m-n|) for BlochVectors m, n; the pair is jointly measurable iff <= 2."""
-    s, d = _bloch_norms(_require(m, BlochVector).v, _require(n, BlochVector).v)
-    return validate_lambda(lam) * (s + d)
-
-
-def _bloch_norms(m: np.ndarray, n: np.ndarray) -> tuple[float, float]:
-    """|m+n| and |m-n| for two Bloch vectors, as np.linalg.norm evaluates them."""
-    s, d = m + n, m - n
-    return math.sqrt(s.dot(s)), math.sqrt(d.dot(d))
+    return validate_lambda(lam) * _bloch_pair(m, n).top
 
 
 def _feasible(lam, top):
@@ -264,6 +262,56 @@ def _feasible(lam, top):
     # at least (2 - lam * top) / 8 >= -PSD_TOL / 2.  _BUSCH_EDGE passes 1/sqrt(2)
     # by less than 1e-16 relative, far inside that slack.
     return (lam <= _BUSCH_EDGE) | (lam * top <= 2.0 + CRITERION_SLACK)
+
+
+class _Pair(NamedTuple):
+    """A pair as _decide reads it; parts() builds, only when a verdict needs them,
+    the witness's A, B, |A+B|, |A-B| and the two observables to smear."""
+
+    top: float  # the largest eigenvalue of |A+B| + |A-B|
+    exact: bool  # a sharp pair: past the gate the verdict is a closed-form "no"
+    tol: float  # the witness tolerance
+    parts: Callable[[], tuple]
+
+
+def _bloch_pair(m, n) -> _Pair:
+    """The pair of BlochVectors m, n: |A+-B| are the scalars |m+-n|, as
+    np.linalg.norm evaluates them, and the observables are built only for a witness."""
+    mb, nb = _require(m, BlochVector), _require(n, BlochVector)
+    sv, dv = mb.v + nb.v, mb.v - nb.v
+    s, d = math.sqrt(sv.dot(sv)), math.sqrt(dv.dot(dv))
+
+    def parts():
+        o1, o2 = mb.observable(), nb.observable()
+        return o1.difference(), o2.difference(), s * identity(2), d * identity(2), o1, o2
+
+    return _Pair(s + d, True, QUBIT_WITNESS_TOL, parts)
+
+
+def _projector_pair(p1, p2) -> _Pair:
+    """The pair of Projectors p1, p2, with A = 2 p1 - I, B = 2 p2 - I."""
+    p1, p2 = _require(p1, Projector), _require(p2, Projector)
+    a, b = (2.0 * p.matrix - identity(p.dim) for p in (p1, p2))
+    abs_sum, abs_diff, top = _abs_pair(a, b)
+    return _Pair(top, True, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, p1.observable(), p2.observable()))
+
+
+def _observable_pair(o1, o2) -> _Pair:
+    """The pair of two DichotomicObservables: that of their yes-effects if both
+    are projectors (by Projector.from_matrix), else one with A = E1 - N1,
+    B = E2 - N2 and an inexact gate.  A projector's trace is its rank, so a
+    non-integer trace rules a pair out before the idempotency check."""
+    if _require(o1, DichotomicObservable).dim != _require(o2, DichotomicObservable).dim:
+        raise DimensionMismatch(o1.dim, o2.dim)
+    ms = (o1.yes_effect.matrix, o2.yes_effect.matrix)
+    if not any(abs(t - round(t)) > RANK_TOL for t in (float(np.trace(m).real) for m in ms)):
+        try:
+            return _projector_pair(*(Projector.from_matrix(m) for m in ms))
+        except ValidationError:
+            pass
+    a, b = o1.difference(), o2.difference()
+    abs_sum, abs_diff, top = _abs_pair(a, b)
+    return _Pair(top, False, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, o1, o2))
 
 
 def _abs_pair(a: np.ndarray, b: np.ndarray):
@@ -296,114 +344,56 @@ def _yes(g, tol: float, o1lam, o2lam, iterations: int) -> FeasibilityReport:
     return FeasibilityReport("yes", witness, res.marginal_max, res.min_eigenvalue, iterations)
 
 
-def _no(value: float) -> FeasibilityReport:
-    """A closed-form "no" at criterion value > 2, with the smallest
-    eigenvalue (2 - value) / 8 the midpoint witness would have had."""
-    return FeasibilityReport("no", None, 0.0, (2.0 - value) / 8.0, 0)
+def _decide(pair: _Pair, lam: float) -> FeasibilityReport:
+    """The one place a decision picks its path: the witness where the gate
+    passes; past it a closed-form "no" for an exact pair, carrying the smallest
+    eigenvalue (2 - lam * top) / 8 the witness would have had; else the oracle."""
+    if _feasible(lam, pair.top):
+        a, b, abs_sum, abs_diff, o1, o2 = pair.parts()
+        return _yes(_witnesses(a, b, abs_sum, abs_diff, lam), pair.tol, smear(o1, lam), smear(o2, lam), 0)
+    if pair.exact:
+        return FeasibilityReport("no", None, 0.0, (2.0 - lam * pair.top) / 8.0, 0)
+    *_, o1, o2 = pair.parts()
+    return feasibility_oracle(smear(o1, lam), smear(o2, lam))
 
 
 def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
-    """Joint observable for two smeared rank-1 qubit projective pairs, BlochVectors m and n.
-
-    top = |m+n| + |m-n|, the paper's criterion, and the gate of this module
-    decides: "yes" when lam * top <= 2 or lam <= 1/sqrt(2), else "no".  The
-    witness is the one formula on A = m.sigma, B = n.sigma with |A+-B| the
-    scalars |m+-n|, the midpoint construction
-
-        G_jk = ((1 + jk t) I + lam (j m + k n).sigma) / 4,
-        t = lam (|m+n| - |m-n|) / 2,
-
-    checked at QUBIT_WITNESS_TOL.  The verdict and witness are independently
-    cross-checked against the alternating-projection oracle in the test
-    suite, never trusted bare.
-    """
-    mb, nb = _require(m, BlochVector), _require(n, BlochVector)
-    lam = validate_lambda(lam)
-    s, d = _bloch_norms(mb.v, nb.v)
-    if not _feasible(lam, s + d):
-        return _no(lam * (s + d))
-    o1, o2 = mb.observable(), nb.observable()
-    g = _witnesses(o1.difference(), o2.difference(), s * identity(2), d * identity(2), lam)
-    return _yes(g, QUBIT_WITNESS_TOL, smear(o1, lam), smear(o2, lam), 0)
+    """Joint observable for two smeared rank-1 qubit projective pairs, BlochVectors m
+    and n, decided as the module docstring says: the witness is the midpoint
+    construction G_jk = ((1 + jk t) I + lam (j m + k n).sigma) / 4 with
+    t = lam (|m+n| - |m-n|) / 2, checked at QUBIT_WITNESS_TOL."""
+    return _decide(_bloch_pair(m, n), validate_lambda(lam))
 
 
 def qubit_verdicts(m, n, lams) -> list[str]:
     """qubit_joint_observable(m, n, lam).feasible for each lam of a sequence: the
     "yes" witnesses are one stack, checked as that function checks each, in one eigensolve."""
-    mb, nb = _require(m, BlochVector), _require(n, BlochVector)
-    lams = np.array([validate_lambda(lam) for lam in lams])
-    s, d = _bloch_norms(mb.v, nb.v)
-    yes = _feasible(lams, s + d)
-    g = _witnesses(mb.observable().difference(), nb.observable().difference(),
-                   s * identity(2), d * identity(2), lams[yes, None, None, None])
-    _check_effects(g.reshape(-1, 2, 2), QUBIT_WITNESS_TOL)
+    pair = _bloch_pair(m, n)
+    lams = _lambda_array(lams)
+    yes = _feasible(lams, pair.top)
+    a, b, abs_sum, abs_diff, _, _ = pair.parts()
+    g = _witnesses(a, b, abs_sum, abs_diff, lams[yes, None, None, None])
+    _check_effects(g.reshape(-1, 2, 2), pair.tol)
     _within("joint-normalization", _max_abs(g.sum(axis=1) - identity(2)), JOINT_NORMALIZATION_TOL)
     return ["yes" if y else "no" for y in yes]
 
 
-def _sharp_contrast(p: Projector) -> np.ndarray:
-    return 2.0 * p.matrix - identity(p.dim)
-
-
 def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport:
-    """Joint observable for two smeared projective measurements.
-
-    The one gate and the one witness formula on A = 2 p1 - I, B = 2 p2 - I,
-    top the largest eigenvalue of |A+B| + |A-B|: the witness is the qubit
-    midpoint witness on every invariant block of the pair, with no
-    decomposition built, and the gate is exact, so past it the verdict is
-    a closed-form "no" carrying the would-be smallest eigenvalue
-    (2 - lam * top) / 8.  Only the final witness is validated and checked.
-    """
+    """Joint observable for two smeared projective measurements, decided as the
+    module docstring says: the witness is the qubit midpoint witness on every
+    invariant block of the pair, with no decomposition built."""
     lam = validate_lambda(lam)
-    p1, p2 = _require(p1, Projector), _require(p2, Projector)
-    a, b = _sharp_contrast(p1), _sharp_contrast(p2)
-    abs_sum, abs_diff, top = _abs_pair(a, b)
-    if not _feasible(lam, top):
-        return _no(lam * top)
-    g = _witnesses(a, b, abs_sum, abs_diff, lam)
-    return _yes(g, PSD_TOL, smear(p1.observable(), lam), smear(p2.observable(), lam), 0)
-
-
-def _sharp_pair(o1: DichotomicObservable, o2: DichotomicObservable):
-    """The yes-effects of two sharp observables as Projectors; None unless both
-    are sharp.  A projector's trace is its rank, so a non-integer trace rules
-    a pair out before the idempotency check."""
-    ms = (o1.yes_effect.matrix, o2.yes_effect.matrix)
-    if any(abs(t - round(t)) > RANK_TOL for t in (float(np.trace(m).real) for m in ms)):
-        return None
-    try:
-        return tuple(Projector.from_matrix(m) for m in ms)
-    except ValidationError:
-        return None
+    return _decide(_projector_pair(p1, p2), lam)
 
 
 def povm_joint_observable(
     o1: DichotomicObservable, o2: DichotomicObservable, lam
 ) -> FeasibilityReport:
-    """Joint observable for any two smeared dichotomic observables.
-
-    A sharp pair (both yes-effects projectors, by Projector.from_matrix)
-    is decided by pvm_joint_observable, so its report is that of the
-    projectors.  Every other pair takes the one gate and the one witness
-    formula on its contrasts A = E1 - N1, B = E2 - N2, on the system
-    itself: a closed-form "yes" (0 iterations), checked once at PSD_TOL,
-    whenever lam <= 1/sqrt(2) or lam * top <= 2.  Past the gate the formula
-    gives no witness and feasibility_oracle decides, at its default
-    settings; its report shows iterations > 0.
-    """
-    if _require(o1, DichotomicObservable).dim != _require(o2, DichotomicObservable).dim:
-        raise DimensionMismatch(o1.dim, o2.dim)
-    lam = validate_lambda(lam)
-    sharp = _sharp_pair(o1, o2)
-    if sharp is not None:
-        return pvm_joint_observable(*sharp, lam)
-    a, b = o1.difference(), o2.difference()
-    abs_sum, abs_diff, top = _abs_pair(a, b)
-    o1lam, o2lam = smear(o1, lam), smear(o2, lam)
-    if not _feasible(lam, top):
-        return feasibility_oracle(o1lam, o2lam)
-    return _yes(_witnesses(a, b, abs_sum, abs_diff, lam), PSD_TOL, o1lam, o2lam, 0)
+    """Joint observable for any two smeared dichotomic observables, decided as
+    the module docstring says; a sharp pair as pvm_joint_observable decides its
+    projectors, any other past the gate by feasibility_oracle at its default
+    settings, whose report shows iterations > 0."""
+    return _decide(_observable_pair(o1, o2), validate_lambda(lam))
 
 
 def _affine_project(
@@ -582,33 +572,32 @@ class LambdaOptResult:
 def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
     """Largest feasible unsharpness for a pair, or the worst case over pairs.
 
-    pair_source is "worst-case", two BlochVectors or two
-    DichotomicObservables; anything else raises ValidationError
-    ("pair-source").  The threshold comes from the gate of the decisions:
+    seed is checked first.  pair_source is "worst-case", two BlochVectors or
+    two DichotomicObservables; anything else raises ValidationError
+    ("pair-source").  The threshold is the gate's (see the module docstring):
 
-    * Bloch vectors m, n, with top = |m+n| + |m-n|, and two sharp
-      observables (both yes-effects projectors, by the sharp-pair test of
-      povm_joint_observable), with top the largest eigenvalue of
-      |A+B| + |A-B| for A = 2P - I, B = 2Q - I: 1 where the gate passes
-      lam = 1, else 2 / top (for a sharp pair the minimum of
-      1 / (c + sqrt(1 - c^2)) over the overlaps c of its two-dimensional
-      blocks), but never below LAMBDA_OPT, which the gate passes;
+    * an exact pair (Bloch vectors, or two sharp observables as
+      povm_joint_observable finds them): 1 where the gate passes lam = 1,
+      else 2 / top (for a sharp pair the minimum of 1 / (c + sqrt(1 - c^2))
+      over the overlaps c of its two-dimensional blocks), but never below
+      LAMBDA_OPT, which the gate passes;
     * any other pair of observables: 1/sqrt(2), where the gate passes
       every pair.
 
     The returned point is confirmed with the feasibility oracle; the
     returned pair is the pair decided: the inputs, or the worst-case pair.
 
-    "worst-case" takes a random orthogonal Bloch pair drawn from seed.
-    Every orthogonal pair has |m+n| = |m-n| = sqrt(2), so its threshold is
-    the smallest of all pairs (Busch 1986); the value is that pair's exact
-    threshold, 1/sqrt(2) to rounding.
+    "worst-case" takes a uniformly random orthogonal Bloch pair drawn from
+    seed.  Every orthogonal pair has |m+n| = |m-n| = sqrt(2), so its
+    threshold is the smallest of all pairs (Busch 1986); the value is that
+    pair's exact threshold, 1/sqrt(2) to rounding.
     """
+    seed = validate_seed(seed)
     if isinstance(pair_source, str):
         if pair_source != "worst-case":
             raise ValidationError("pair-source", detail=repr(pair_source))
-        m, n = _worst_case_pair(validate_seed(seed))
-        pair_source = (BlochVector.normalized(m), BlochVector.normalized(n))
+        m, w = np.random.default_rng(seed).normal(size=(2, 3))
+        pair_source = (BlochVector.normalized(m), BlochVector.normalized(w - (w @ m) / (m @ m) * m))
 
     try:
         a, b = pair_source
@@ -617,17 +606,15 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
             "pair-source", detail=f"not a pair: {type(pair_source).__name__}"
         ) from None
     if isinstance(a, BlochVector) and isinstance(b, BlochVector):
-        top = sum(_bloch_norms(a.v, b.v))
-        o1, o2 = a.observable(), b.observable()
+        pair, o1, o2 = _bloch_pair(a, b), a.observable(), b.observable()
     elif isinstance(a, DichotomicObservable) and isinstance(b, DichotomicObservable):
-        o1, o2 = a, b
-        sharp = _sharp_pair(a, b)
-        top = None if sharp is None else _abs_pair(*map(_sharp_contrast, sharp))[2]
+        pair, o1, o2 = _observable_pair(a, b), a, b
     else:
         raise ValidationError(
             "pair-source", detail="need two BlochVectors or two DichotomicObservables, "
             f"got {type(a).__name__} and {type(b).__name__}")
-    value = LAMBDA_OPT if top is None else 1.0 if _feasible(1.0, top) else max(LAMBDA_OPT, 2.0 / top)
+    top = pair.top
+    value = LAMBDA_OPT if not pair.exact else 1.0 if _feasible(1.0, top) else max(LAMBDA_OPT, 2.0 / top)
 
     verdict = feasibility_oracle(smear(o1, value), smear(o2, value)).feasible
     if verdict == "no":
@@ -635,9 +622,3 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
             "oracle-contradicts-construction", detail=f"at lambda={value!r}"
         )
     return LambdaOptResult(value=value, pair=(a, b), oracle_verdict=verdict)
-
-
-def _worst_case_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A uniformly random orthogonal pair of 3-vectors, not yet normalized."""
-    m, w = np.random.default_rng(seed).normal(size=(2, 3))
-    return m, w - (w @ m) / (m @ m) * m

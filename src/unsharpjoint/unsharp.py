@@ -28,6 +28,15 @@ def validate_lambda(lam) -> float:
     return float(lam)
 
 
+def _lambda_array(lams) -> np.ndarray:
+    """Each lam of a sequence checked by validate_lambda, as a float array."""
+    try:
+        lams = iter(lams)
+    except TypeError:
+        raise ValidationError("lambda-sequence", detail=_got(lams)) from None
+    return np.array([validate_lambda(lam) for lam in lams])
+
+
 def smear(obs: DichotomicObservable, lam) -> DichotomicObservable:
     """Mix each effect of obs with its complement at weight (1 - lam)/2.
 

@@ -36,7 +36,7 @@ from unsharpjoint import (
 )
 from unsharpjoint.cli import feasibility_to_json
 from unsharpjoint.joint import (
-    CERTIFICATE_EVERY, CRITERION_SLACK, _abs_pair, _bloch_norms, _yes, qubit_verdicts
+    CERTIFICATE_EVERY, CRITERION_SLACK, _abs_pair, _bloch_pair, _yes, qubit_verdicts
 )
 from unsharpjoint.operators import CERTIFICATE_MARGIN, PAULI_X, PAULI_Z, PSD_TOL, _max_abs, identity
 
@@ -227,6 +227,13 @@ class TestQubitJointObservable:
         assert rep.certificate is None
         o1lam, o2lam = smear(Z.observable(), 0.72), smear(X.observable(), 0.72)
         _assert_certifies_no(feasibility_oracle(o1lam, o2lam), o1lam, o2lam)
+
+    def test_a_no_builds_no_observable(self):
+        # A "no" needs only top; building the two observables would cost more
+        # than the rest of the decision.
+        m, n = BlochVector([0.0, 0.0, 1.0]), BlochVector([1.0, 0.0, 0.0])
+        assert qubit_joint_observable(m, n, 0.72).feasible == "no"
+        assert m._observable is None and n._observable is None
 
     def test_witness_residuals_tiny(self):
         rng = np.random.default_rng(101)
@@ -874,9 +881,11 @@ class TestLambdaOptSearch:
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True])
     def test_worst_case_rejects_a_seed_outside_uint64(self, seed):
-        # -1 used to raise numpy's bare ValueError.
-        with pytest.raises(ValidationError, match="seed-uint64"):
-            lambda_opt_search("worst-case", seed=seed)
+        # -1 used to raise numpy's bare ValueError; with an explicit pair the
+        # seed went unchecked.
+        for source in ("worst-case", (Z, X)):
+            with pytest.raises(ValidationError, match="seed-uint64"):
+                lambda_opt_search(source, seed=seed)
 
     def test_worst_case_takes_numpy_integers(self):
         res = lambda_opt_search("worst-case", seed=np.uint64(7))
@@ -1232,9 +1241,11 @@ class TestQubitPathBitIdentity:
     def test_bloch_norms_are_linalg_norm(self):
         vs = self._vectors()
         for m, n in zip(vs, vs[1:] + vs[:1]):
-            got = _bloch_norms(BlochVector(m).v, BlochVector(n).v)
-            want = (float(np.linalg.norm(m + n)), float(np.linalg.norm(m - n)))
-            assert [x.hex() for x in got] == [x.hex() for x in want]
+            pair = _bloch_pair(BlochVector(m), BlochVector(n))
+            s, d = (float(np.linalg.norm(v)) for v in (m + n, m - n))
+            _, _, abs_sum, abs_diff, _, _ = pair.parts()
+            assert np.array_equal(abs_sum, s * np.eye(2)) and np.array_equal(abs_diff, d * np.eye(2))
+            assert pair.top.hex() == (s + d).hex()
 
     def test_observable_is_built_once(self):
         b = BlochVector([0.6, 0.0, 0.8])

@@ -3,9 +3,9 @@ operators, pinned here name by name, and the closed-form/oracle
 disagreement band that two of them set.
 
 A moved tolerance shows up as a one-line diff of LEDGER, a float literal
-below 1e-3 anywhere else in the package fails the literal check, and a
-read of CRITERION_SLACK outside the one gate, joint._feasible, fails the
-gate check.
+below 1e-3 anywhere else in the package fails the literal check, a read
+of CRITERION_SLACK outside the one gate, joint._feasible, fails the gate
+check, and a path chosen outside joint._decide fails the core check.
 The acceptance criteria are exempt: their gate literals are printed in
 their detail strings.
 """
@@ -112,6 +112,21 @@ def test_one_gate_reads_the_criterion_slack():
     readers = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
                for scope in _readers(ast.parse(path.read_text(encoding="utf-8")), "CRITERION_SLACK")]
     assert readers == ["joint.py:_feasible"]
+
+
+def test_one_core_picks_the_path():
+    # joint._decide alone chooses among the witness, a closed-form "no" and the
+    # oracle, and the operator pair builders alone take |A+B| and |A-B|; a second
+    # copy of either would call these somewhere else.
+    tree = ast.parse((SRC / "joint.py").read_text(encoding="utf-8"))
+    callers = {name: sorted(set(_readers(tree, name)))
+               for name in ("feasibility_oracle", "_witnesses", "_feasible", "_abs_pair")}
+    assert callers == {
+        "feasibility_oracle": ["_decide", "lambda_opt_search"],  # the search confirms its value
+        "_witnesses": ["_decide", "qubit_verdicts"],
+        "_feasible": ["_decide", "lambda_opt_search", "qubit_verdicts"],
+        "_abs_pair": ["_observable_pair", "_projector_pair"],
+    }
 
 
 def test_closed_form_and_oracle_disagree_only_inside_the_band():

@@ -99,6 +99,18 @@ class TestLambdaIsARealNumber:
         LAMBDA_TAKERS[taker](lam)
         assert type(validate_lambda(lam)) is float and validate_lambda(lam) == float(lam)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda lams: qubit_verdicts(*_ZX, lams),
+         lambda lams: smeared_chsh_values(singlet(), *optimal_settings(), lams)],
+        ids=["qubit_verdicts", "smeared_chsh_values"],
+    )
+    @pytest.mark.parametrize("lams", [0.5, None, np.array(0.5)], ids=["float", "none", "0-d-array"])
+    def test_a_grid_that_is_not_a_sequence_is_refused(self, call, lams):
+        # Each used to escape as a bare TypeError from iterating over lams.
+        with pytest.raises(ValidationError, match=r"^lambda-sequence: got "):
+            call(lams)
+
 
 class TestSmear:
     def test_lambda_one_is_identity_map(self):
