@@ -7,7 +7,7 @@ _decide(pair, lam), on a pair value from one of three builders, the only
 code that classifies a pair: _bloch_pair (Bloch vectors m, n),
 _projector_pair (projectors P, Q) and _observable_pair (dichotomic
 observables; a sharp pair becomes the pair of its projectors).  The pair
-holds top, the largest eigenvalue of |A+B| + |A-B| for the contrasts
+gives top(), the largest eigenvalue of |A+B| + |A-B| for the contrasts
 A = E1 - N1, B = E2 - N2 (m.sigma and n.sigma; 2P - I and 2Q - I), and
 _decide takes one of three paths:
 
@@ -250,7 +250,7 @@ def check_joint(
 
 def criterion_value(m, n, lam) -> float:
     """lam * (|m+n| + |m-n|) for BlochVectors m, n; the pair is jointly measurable iff <= 2."""
-    return validate_lambda(lam) * _bloch_pair(m, n).top
+    return validate_lambda(lam) * _bloch_pair(m, n).top()
 
 
 def _feasible(lam, top):
@@ -265,13 +265,19 @@ def _feasible(lam, top):
 
 
 class _Pair(NamedTuple):
-    """A pair as _decide reads it; parts() builds, only when a verdict needs them,
-    the witness's A, B, |A+B|, |A-B| and the two observables to smear."""
+    """A pair as _decide reads it; top() and parts() build, only when a verdict needs
+    them, the gate's top and the witness's A, B, |A+B|, |A-B| and observables to smear."""
 
-    top: float  # the largest eigenvalue of |A+B| + |A-B|
+    top: Callable[[], float]  # the largest eigenvalue of |A+B| + |A-B|
     exact: bool  # a sharp pair: past the gate the verdict is a closed-form "no"
     tol: float  # the witness tolerance
     parts: Callable[[], tuple]
+
+
+def _once(f):
+    """f's value as a thunk that calls f once; cheaper to build than functools.cache."""
+    kept = []
+    return lambda: kept[0] if kept else kept.append(f()) or kept[0]
 
 
 def _bloch_pair(m, n) -> _Pair:
@@ -285,7 +291,7 @@ def _bloch_pair(m, n) -> _Pair:
         o1, o2 = mb.observable(), nb.observable()
         return o1.difference(), o2.difference(), s * identity(2), d * identity(2), o1, o2
 
-    return _Pair(s + d, True, QUBIT_WITNESS_TOL, parts)
+    return _Pair(lambda: s + d, True, QUBIT_WITNESS_TOL, parts)
 
 
 def _projector_pair(p1, p2) -> _Pair:
@@ -293,7 +299,7 @@ def _projector_pair(p1, p2) -> _Pair:
     p1, p2 = _require(p1, Projector), _require(p2, Projector)
     a, b = (2.0 * p.matrix - identity(p.dim) for p in (p1, p2))
     abs_sum, abs_diff, top = _abs_pair(a, b)
-    return _Pair(top, True, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, p1.observable(), p2.observable()))
+    return _Pair(lambda: top, True, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, p1.observable(), p2.observable()))
 
 
 def _observable_pair(o1, o2) -> _Pair:
@@ -309,9 +315,10 @@ def _observable_pair(o1, o2) -> _Pair:
             return _projector_pair(*(Projector.from_matrix(m) for m in ms))
         except ValidationError:
             pass
-    a, b = o1.difference(), o2.difference()
-    abs_sum, abs_diff, top = _abs_pair(a, b)
-    return _Pair(top, False, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, o1, o2))
+    # Built on first need: lambda_opt_search, which reads only exact, builds neither.
+    contrasts = _once(lambda: (o1.difference(), o2.difference()))
+    absolute = _once(lambda: _abs_pair(*contrasts()))
+    return _Pair(lambda: absolute()[2], False, PSD_TOL, lambda: (*contrasts(), *absolute()[:2], o1, o2))
 
 
 def _abs_pair(a: np.ndarray, b: np.ndarray):
@@ -348,11 +355,11 @@ def _decide(pair: _Pair, lam: float) -> FeasibilityReport:
     """The one place a decision picks its path: the witness where the gate
     passes; past it a closed-form "no" for an exact pair, carrying the smallest
     eigenvalue (2 - lam * top) / 8 the witness would have had; else the oracle."""
-    if _feasible(lam, pair.top):
+    if _feasible(lam, pair.top()):
         a, b, abs_sum, abs_diff, o1, o2 = pair.parts()
         return _yes(_witnesses(a, b, abs_sum, abs_diff, lam), pair.tol, smear(o1, lam), smear(o2, lam), 0)
     if pair.exact:
-        return FeasibilityReport("no", None, 0.0, (2.0 - lam * pair.top) / 8.0, 0)
+        return FeasibilityReport("no", None, 0.0, (2.0 - lam * pair.top()) / 8.0, 0)
     *_, o1, o2 = pair.parts()
     return feasibility_oracle(smear(o1, lam), smear(o2, lam))
 
@@ -370,7 +377,7 @@ def qubit_verdicts(m, n, lams) -> list[str]:
     "yes" witnesses are one stack, checked as that function checks each, in one eigensolve."""
     pair = _bloch_pair(m, n)
     lams = _lambda_array(lams)
-    yes = _feasible(lams, pair.top)
+    yes = _feasible(lams, pair.top())
     a, b, abs_sum, abs_diff, _, _ = pair.parts()
     g = _witnesses(a, b, abs_sum, abs_diff, lams[yes, None, None, None])
     _check_effects(g.reshape(-1, 2, 2), pair.tol)
@@ -613,8 +620,8 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
         raise ValidationError(
             "pair-source", detail="need two BlochVectors or two DichotomicObservables, "
             f"got {type(a).__name__} and {type(b).__name__}")
-    top = pair.top
-    value = LAMBDA_OPT if not pair.exact else 1.0 if _feasible(1.0, top) else max(LAMBDA_OPT, 2.0 / top)
+    value = (LAMBDA_OPT if not pair.exact  # an inexact pair's top is never computed
+             else 1.0 if _feasible(1.0, pair.top()) else max(LAMBDA_OPT, 2.0 / pair.top()))
 
     verdict = feasibility_oracle(smear(o1, value), smear(o2, value)).feasible
     if verdict == "no":

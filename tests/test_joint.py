@@ -785,7 +785,12 @@ class TestLambdaOptSearch:
         assert res.value == 1.0
         assert res.pair == pair  # the inputs, not observables rebuilt from projectors
 
-    def test_povm_pair_takes_lambda_opt(self):
+    def test_povm_pair_takes_lambda_opt(self, monkeypatch):
+        # Its value is LAMBDA_OPT whatever top is, so |A+B| and |A-B| are never taken.
+        def refuse(a, b):
+            raise AssertionError("_abs_pair called")
+
+        monkeypatch.setattr("unsharpjoint.joint._abs_pair", refuse)
         rng = np.random.default_rng(181)
         for d in (2, 3, 5):
             o1 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
@@ -1245,7 +1250,7 @@ class TestQubitPathBitIdentity:
             s, d = (float(np.linalg.norm(v)) for v in (m + n, m - n))
             _, _, abs_sum, abs_diff, _, _ = pair.parts()
             assert np.array_equal(abs_sum, s * np.eye(2)) and np.array_equal(abs_diff, d * np.eye(2))
-            assert pair.top.hex() == (s + d).hex()
+            assert pair.top().hex() == (s + d).hex()
 
     def test_observable_is_built_once(self):
         b = BlochVector([0.6, 0.0, 0.8])
