@@ -87,7 +87,7 @@ def criterion_1_lambda_opt() -> tuple[bool, str]:
     res = lambda_opt_search("worst-case", seed=2026)
     err = abs(res.value - LAMBDA_OPT)
     passed = err <= 1e-3
-    return passed, f"value {res.value:.6f}, |err| {err:.2e} (tol 1e-3), oracle {res.oracle_verdict}"
+    return passed, f"value {res.value:.6f}, |err| {err:.2e} (tol 1e-3)"
 
 
 def criterion_2_tsirelson() -> tuple[bool, str]:

@@ -246,7 +246,6 @@ def _cmd_lambda_opt(args: argparse.Namespace) -> int:
         "schema": SCHEMA,
         "kind": "lambda-opt",
         "lambda_opt": result.value,
-        "oracle_verdict": result.oracle_verdict,
         "pair": pair_json,
     }
     _emit(args.out, payload)

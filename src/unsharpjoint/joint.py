@@ -7,7 +7,7 @@ _decide(pair, lam), on a pair value from one of three builders, the only
 code that classifies a pair: _bloch_pair (Bloch vectors m, n),
 _projector_pair (projectors P, Q) and _observable_pair (dichotomic
 observables; a sharp pair becomes the pair of its projectors).  The pair
-gives top(), the largest eigenvalue of |A+B| + |A-B| for the contrasts
+carries top, the largest eigenvalue of |A+B| + |A-B| for the contrasts
 A = E1 - N1, B = E2 - N2 (m.sigma and n.sigma; 2P - I and 2Q - I), and
 _decide takes one of three paths:
 
@@ -29,8 +29,9 @@ _decide takes one of three paths:
 
 For Bloch vectors |A+B| and |A-B| are the scalars |m+n| and |m-n|, and
 top = |m+n| + |m-n| is the paper's criterion.  The largest feasible
-unsharpness of a pair comes from the same top and gate; its worst case
-over Bloch-vector pairs, 1/sqrt(2), is reached at every orthogonal pair.
+unsharpness of a pair comes from the same top and gate, and _decide checks it;
+its worst case over Bloch-vector pairs, 1/sqrt(2), is reached at every
+orthogonal pair.
 
 The operator form needs no block decomposition.  The anticommutator
 {A, B} of a sharp pair commutes with A and B, so on every invariant block
@@ -250,7 +251,7 @@ def check_joint(
 
 def criterion_value(m, n, lam) -> float:
     """lam * (|m+n| + |m-n|) for BlochVectors m, n; the pair is jointly measurable iff <= 2."""
-    return validate_lambda(lam) * _bloch_pair(m, n).top()
+    return validate_lambda(lam) * _bloch_pair(m, n).top
 
 
 def _feasible(lam, top):
@@ -265,19 +266,13 @@ def _feasible(lam, top):
 
 
 class _Pair(NamedTuple):
-    """A pair as _decide reads it; top() and parts() build, only when a verdict needs
-    them, the gate's top and the witness's A, B, |A+B|, |A-B| and observables to smear."""
+    """A pair as _decide reads it: the gate's top, and parts(), which gives the
+    witness's A, B, |A+B|, |A-B| and observables to smear (built only for a witness)."""
 
-    top: Callable[[], float]  # the largest eigenvalue of |A+B| + |A-B|
+    top: float  # the largest eigenvalue of |A+B| + |A-B|
     exact: bool  # a sharp pair: past the gate the verdict is a closed-form "no"
     tol: float  # the witness tolerance
     parts: Callable[[], tuple]
-
-
-def _once(f):
-    """f's value as a thunk that calls f once; cheaper to build than functools.cache."""
-    kept = []
-    return lambda: kept[0] if kept else kept.append(f()) or kept[0]
 
 
 def _bloch_pair(m, n) -> _Pair:
@@ -291,7 +286,7 @@ def _bloch_pair(m, n) -> _Pair:
         o1, o2 = mb.observable(), nb.observable()
         return o1.difference(), o2.difference(), s * identity(2), d * identity(2), o1, o2
 
-    return _Pair(lambda: s + d, True, QUBIT_WITNESS_TOL, parts)
+    return _Pair(s + d, True, QUBIT_WITNESS_TOL, parts)
 
 
 def _projector_pair(p1, p2) -> _Pair:
@@ -299,7 +294,7 @@ def _projector_pair(p1, p2) -> _Pair:
     p1, p2 = _require(p1, Projector), _require(p2, Projector)
     a, b = (2.0 * p.matrix - identity(p.dim) for p in (p1, p2))
     abs_sum, abs_diff, top = _abs_pair(a, b)
-    return _Pair(lambda: top, True, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, p1.observable(), p2.observable()))
+    return _Pair(top, True, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, p1.observable(), p2.observable()))
 
 
 def _observable_pair(o1, o2) -> _Pair:
@@ -315,10 +310,9 @@ def _observable_pair(o1, o2) -> _Pair:
             return _projector_pair(*(Projector.from_matrix(m) for m in ms))
         except ValidationError:
             pass
-    # Built on first need: lambda_opt_search, which reads only exact, builds neither.
-    contrasts = _once(lambda: (o1.difference(), o2.difference()))
-    absolute = _once(lambda: _abs_pair(*contrasts()))
-    return _Pair(lambda: absolute()[2], False, PSD_TOL, lambda: (*contrasts(), *absolute()[:2], o1, o2))
+    a, b = o1.difference(), o2.difference()
+    abs_sum, abs_diff, top = _abs_pair(a, b)
+    return _Pair(top, False, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, o1, o2))
 
 
 def _abs_pair(a: np.ndarray, b: np.ndarray):
@@ -355,11 +349,11 @@ def _decide(pair: _Pair, lam: float) -> FeasibilityReport:
     """The one place a decision picks its path: the witness where the gate
     passes; past it a closed-form "no" for an exact pair, carrying the smallest
     eigenvalue (2 - lam * top) / 8 the witness would have had; else the oracle."""
-    if _feasible(lam, pair.top()):
+    if _feasible(lam, pair.top):
         a, b, abs_sum, abs_diff, o1, o2 = pair.parts()
         return _yes(_witnesses(a, b, abs_sum, abs_diff, lam), pair.tol, smear(o1, lam), smear(o2, lam), 0)
     if pair.exact:
-        return FeasibilityReport("no", None, 0.0, (2.0 - lam * pair.top()) / 8.0, 0)
+        return FeasibilityReport("no", None, 0.0, (2.0 - lam * pair.top) / 8.0, 0)
     *_, o1, o2 = pair.parts()
     return feasibility_oracle(smear(o1, lam), smear(o2, lam))
 
@@ -377,7 +371,7 @@ def qubit_verdicts(m, n, lams) -> list[str]:
     "yes" witnesses are one stack, checked as that function checks each, in one eigensolve."""
     pair = _bloch_pair(m, n)
     lams = _lambda_array(lams)
-    yes = _feasible(lams, pair.top())
+    yes = _feasible(lams, pair.top)
     a, b, abs_sum, abs_diff, _, _ = pair.parts()
     g = _witnesses(a, b, abs_sum, abs_diff, lams[yes, None, None, None])
     _check_effects(g.reshape(-1, 2, 2), pair.tol)
@@ -573,7 +567,6 @@ class LambdaOptResult:
 
     value: float
     pair: tuple
-    oracle_verdict: str
 
 
 def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
@@ -591,8 +584,8 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
     * any other pair of observables: 1/sqrt(2), where the gate passes
       every pair.
 
-    The returned point is confirmed with the feasibility oracle; the
-    returned pair is the pair decided: the inputs, or the worst-case pair.
+    The value is checked as every "yes" is, by _decide, whose gate passes it;
+    the returned pair is the pair decided: the inputs, or the worst-case pair.
 
     "worst-case" takes a uniformly random orthogonal Bloch pair drawn from
     seed.  Every orthogonal pair has |m+n| = |m-n| = sqrt(2), so its
@@ -613,19 +606,14 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
             "pair-source", detail=f"not a pair: {type(pair_source).__name__}"
         ) from None
     if isinstance(a, BlochVector) and isinstance(b, BlochVector):
-        pair, o1, o2 = _bloch_pair(a, b), a.observable(), b.observable()
+        pair = _bloch_pair(a, b)
     elif isinstance(a, DichotomicObservable) and isinstance(b, DichotomicObservable):
-        pair, o1, o2 = _observable_pair(a, b), a, b
+        pair = _observable_pair(a, b)
     else:
         raise ValidationError(
             "pair-source", detail="need two BlochVectors or two DichotomicObservables, "
             f"got {type(a).__name__} and {type(b).__name__}")
-    value = (LAMBDA_OPT if not pair.exact  # an inexact pair's top is never computed
-             else 1.0 if _feasible(1.0, pair.top()) else max(LAMBDA_OPT, 2.0 / pair.top()))
-
-    verdict = feasibility_oracle(smear(o1, value), smear(o2, value)).feasible
-    if verdict == "no":
-        raise ValidationError(
-            "oracle-contradicts-construction", detail=f"at lambda={value!r}"
-        )
-    return LambdaOptResult(value=value, pair=(a, b), oracle_verdict=verdict)
+    value = (LAMBDA_OPT if not pair.exact
+             else 1.0 if _feasible(1.0, pair.top) else max(LAMBDA_OPT, 2.0 / pair.top))
+    _decide(pair, value)  # the gate passes value: the witness is built and checked
+    return LambdaOptResult(value=value, pair=(a, b))

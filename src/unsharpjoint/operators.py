@@ -182,14 +182,14 @@ def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
     gh = g.swapaxes(1, 2).conj()
     residuals = np.abs(g - gh).max(axis=(1, 2))
     eigs = np.linalg.eigvalsh(np.concatenate([(g + gh) / 2, g]) if raw else (g + gh) / 2)
-    lo, hi = -tol, 1.0 + tol
+    lo, hi = -tol, 1.0 + tol  # tested negated: a nan spectrum (entries past ~9e307) fails
     k = len(g)
-    if (residuals.max(initial=0.0) > HERMITIAN_TOL or eigs[:k, 0].min(initial=lo) < lo
-            or eigs[:k, -1].max(initial=hi) > hi):
+    if (residuals.max(initial=0.0) > HERMITIAN_TOL or not eigs[:k, 0].min(initial=lo) >= lo
+            or not eigs[:k, -1].max(initial=hi) <= hi):
         for res, spectrum in zip(residuals, eigs):
             _within("hermiticity", res, HERMITIAN_TOL)
-            eig = float(spectrum[0] if spectrum[0] < lo else spectrum[-1])
-            if eig < lo or eig > hi:
+            eig = float(spectrum[0] if not spectrum[0] >= lo else spectrum[-1])
+            if not lo <= eig <= hi:
                 raise ValidationError("spectrum-in-[0,1]",
                                       detail=f"eigenvalue {eig!r} outside [{lo!r}, {hi!r}]")
     return eigs
@@ -264,7 +264,11 @@ class Projector:
     @classmethod
     def from_matrix(cls, m) -> "Projector":
         a = square_matrix(m)
-        return cls(a, rank=int(round(float(np.trace(a).real))))
+        with np.errstate(over="ignore"):  # finite entries can sum past the float range
+            trace = float(np.trace(a).real)
+        if not math.isfinite(trace):
+            raise ValidationError("rank-equals-trace", detail=f"trace {trace!r}")
+        return cls(a, rank=round(trace))
 
     def as_effect(self) -> Effect:
         # The idempotency bound keeps the spectrum in the effect window.
@@ -347,8 +351,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of matrix_to_json; validates shape against the declared dim.
 
-    Anything else (not an object, a missing field, a non-integer dim,
-    non-numeric entries) raises ValidationError("operator-json").
+    Anything else (not an object, a missing field, a dim that is a bool or
+    no integer, non-numeric entries) raises ValidationError("operator-json").
     """
     if not isinstance(obj, dict):
         raise ValidationError("operator-json", detail=f"expected an object, got {type(obj).__name__}")
@@ -356,7 +360,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         if key not in obj:
             raise ValidationError("operator-json", detail=f"missing field {key!r}")
     dim = obj["dim"]
-    if not (isinstance(dim, Integral) or isinstance(dim, float) and dim.is_integer()):
+    if isinstance(dim, bool) or not (isinstance(dim, Integral)
+                                     or isinstance(dim, float) and dim.is_integer()):
         raise ValidationError("operator-json", detail=f"dim {dim!r} is not an integer")
     dim = int(dim)
     try:

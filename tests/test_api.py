@@ -28,7 +28,7 @@ SURFACE = {
     "JointObservable": '(g_pp, g_pm, g_mp, g_mm)',
     "JointResiduals": '(normalization, marginal_first, marginal_second, min_eigenvalue)',
     "LAMBDA_OPT": None,
-    "LambdaOptResult": '(value, pair, oracle_verdict)',
+    "LambdaOptResult": '(value, pair)',
     "NoSignalingBox": '(table)',
     "ParseError": '(path, detail)',
     "Projector": '(matrix, rank)',
@@ -78,7 +78,7 @@ MEMBERS = {
     "FeasibilityReport": ('__bool__', 'certificate', 'feasible', 'iterations', 'marginal_residual', 'min_eigenvalue', 'witness'),
     "JointObservable": ('dim', 'effects', 'g_mm', 'g_mp', 'g_pm', 'g_pp', 'min_eigenvalue'),
     "JointResiduals": ('marginal_first', 'marginal_max', 'marginal_second', 'min_eigenvalue', 'normalization'),
-    "LambdaOptResult": ('oracle_verdict', 'pair', 'value'),
+    "LambdaOptResult": ('pair', 'value'),
     "NoSignalingBox": ('correlators', 'p', 'to_json'),
     "ParseError": (),
     "Projector": ('as_effect', 'dim', 'from_matrix', 'matrix', 'observable', 'rank'),

@@ -79,6 +79,7 @@ NOT_INPUTS = {
 WRONG = (
     None, "x", "1", 1.5, True, -1, 0, np.eye(2) / 2, np.eye(3) / 3, np.full((2, 2), np.nan),
     [], {}, [[1.0, 2.0], [3.0]], 10**400, 10**5000, Fraction(10**5000, 3), object(), np.zeros(3),
+    np.diag([1e308, 1e308]), np.full((2, 2), 1e308),
 )
 
 

@@ -316,8 +316,8 @@ def _observable_report(yes):
 
 
 def _lambda_opt_report(value, pair):
-    return json.dumps({"kind": "lambda-opt", "lambda_opt": value, "oracle_verdict": "yes",
-                       "pair": pair, "schema": "uj/1"}, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"kind": "lambda-opt", "lambda_opt": value, "pair": pair, "schema": "uj/1"},
+                      sort_keys=True, indent=2) + "\n"
 
 
 class TestLambdaOpt:
@@ -363,11 +363,12 @@ class TestLambdaOpt:
         assert code == 0
         payload = json.loads(out)
         assert payload["lambda_opt"] == pytest.approx(want, abs=1e-15)
-        assert payload["oracle_verdict"] == "yes"
         assert payload["pair"]["o1"]["kind"] == "observable"
-        code, out = _run(["jointly-measurable", *files, "--lambda", repr(payload["lambda_opt"])], capsys)
-        assert code == 0
-        assert json.loads(out)["feasible"] == "yes"
+        lam = repr(payload["lambda_opt"])
+        for oracle in ([], ["--oracle"]):  # the closed form, then the oracle as the reference
+            code, out = _run(["jointly-measurable", *files, "--lambda", lam, *oracle], capsys)
+            assert code == 0
+            assert json.loads(out)["feasible"] == "yes"
 
     def test_worst_case_deterministic(self, fixtures, capsys):
         args = ["lambda-opt", "--mode", "worst-case"]
@@ -789,6 +790,9 @@ class TestErrors:
             # An entry of 401 digits used to end in a bare OverflowError, and
             # numpy read the strings "1" and " 1 " as numbers.
             (["blocks", "--p", "BAD", "--q", "q.json"], {"dim": 1, "re": [[10**400]], "im": [[0]]}),
+            # Finite entries whose trace is past the float range used to end in
+            # a bare OverflowError from round().
+            (["blocks", "--p", "BAD", "--q", "q.json"], matrix_to_json(np.diag([1e308, 1e308]))),
             (["smear", "--obs", "BAD", "--lambda", "0.5"], {"dim": 1, "re": [["1"]], "im": [[0]]}),
             (["chsh", "--state", "BAD", "--settings", "settings.json"],
              {"dim": 4, "re": [[" 1 ", 0, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4}),
@@ -802,8 +806,8 @@ class TestErrors:
             "box-cell-number", "box-number", "box-huge-negative", "box-huge-positive",
             "box-sum-past-float-range", "blocks-number", "state-number",
             "settings-entry-number", "state-not-psd", "projector-not-idempotent",
-            "blocks-huge-entry", "smear-numeric-string", "state-padded-numeric-string",
-            "5000-digit-integer", "not-utf-8",
+            "blocks-huge-entry", "blocks-trace-past-float-range", "smear-numeric-string",
+            "state-padded-numeric-string", "5000-digit-integer", "not-utf-8",
         ],
     )
     def test_malformed_file_exits_one(self, argv, content, fixtures, tmp_path, capsys):

@@ -747,11 +747,17 @@ _PAIR_KINDS = {
 }
 
 
+def _oracle_verdict(res) -> str:
+    """The oracle's verdict on a lambda_opt_search result's pair at its value: the reference check."""
+    obs = [x.observable() if isinstance(x, BlochVector) else x for x in res.pair]
+    return feasibility_oracle(*(smear(o, res.value) for o in obs)).feasible
+
+
 class TestLambdaOptSearch:
     def test_orthogonal_pair(self):
         res = lambda_opt_search((Z, X))
         assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-15)
-        assert res.oracle_verdict in ("yes", "undetermined")
+        assert _oracle_verdict(res) in ("yes", "undetermined")
 
     def test_identical_pair(self):
         res = lambda_opt_search((Z, Z))
@@ -766,7 +772,7 @@ class TestLambdaOptSearch:
         top = np.linalg.norm(m + n) + np.linalg.norm(m - n)
         closed = 1.0 if top <= 2.0 + CRITERION_SLACK else 2.0 / top
         assert res.value == pytest.approx(closed, abs=1e-15)
-        assert res.oracle_verdict in ("yes", "undetermined")
+        assert _oracle_verdict(res) in ("yes", "undetermined")
         assert qubit_joint_observable(*pair, res.value).feasible == "yes"
         above = res.value * (1.0 + 1e-9)
         if res.value < 1.0 and above <= 1.0:
@@ -786,19 +792,22 @@ class TestLambdaOptSearch:
         assert res.pair == pair  # the inputs, not observables rebuilt from projectors
 
     def test_povm_pair_takes_lambda_opt(self, monkeypatch):
-        # Its value is LAMBDA_OPT whatever top is, so |A+B| and |A-B| are never taken.
-        def refuse(a, b):
-            raise AssertionError("_abs_pair called")
+        # Its value is LAMBDA_OPT whatever top is, where the gate passes every
+        # pair: neither the search nor a decision at that value runs the oracle.
+        def refuse(*args, **kwargs):
+            raise AssertionError("feasibility_oracle called")
 
-        monkeypatch.setattr("unsharpjoint.joint._abs_pair", refuse)
         rng = np.random.default_rng(181)
         for d in (2, 3, 5):
             o1 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
             o2 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
-            res = lambda_opt_search((o1, o2))
+            with monkeypatch.context() as patch:
+                patch.setattr("unsharpjoint.joint.feasibility_oracle", refuse)
+                res = lambda_opt_search((o1, o2))
+                assert povm_joint_observable(o1, o2, res.value).feasible == "yes"
             assert res.value == LAMBDA_OPT
             assert res.pair == (o1, o2)
-            assert res.oracle_verdict == "yes"
+            assert _oracle_verdict(res) == "yes"
 
     @pytest.mark.parametrize("projector_first", [True, False])
     def test_mixed_pair_takes_lambda_opt(self, projector_first):
@@ -808,7 +817,7 @@ class TestLambdaOptSearch:
         o = DichotomicObservable.from_yes_effect(_random_effect(rng, 3))
         res = lambda_opt_search((p, o) if projector_first else (o, p))
         assert res.value == LAMBDA_OPT
-        assert res.oracle_verdict == "yes"
+        assert _oracle_verdict(res) == "yes"
         assert res.pair == ((p, o) if projector_first else (o, p))
         assert povm_joint_observable(*res.pair, res.value).feasible == "yes"
 
@@ -831,7 +840,7 @@ class TestLambdaOptSearch:
             return
         res = lambda_opt_search((a, b))
         assert res.value == pytest.approx(want, abs=1e-15)
-        assert res.oracle_verdict in ("yes", "undetermined")
+        assert _oracle_verdict(res) in ("yes", "undetermined")
 
     @pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], {"a": 1}], ids=["string", "ragged", "dict"])
     @pytest.mark.parametrize("first", [True, False])
@@ -871,7 +880,7 @@ class TestLambdaOptSearch:
             assert abs(m.v @ n.v) <= 1e-15, seed
             assert res.value == pytest.approx(2.0 / criterion_value(m, n, 1.0), abs=1e-15)
             assert abs(res.value - LAMBDA_OPT) <= 1e-15, seed
-            assert res.oracle_verdict != "no"
+            assert _oracle_verdict(res) != "no"
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
@@ -1250,7 +1259,7 @@ class TestQubitPathBitIdentity:
             s, d = (float(np.linalg.norm(v)) for v in (m + n, m - n))
             _, _, abs_sum, abs_diff, _, _ = pair.parts()
             assert np.array_equal(abs_sum, s * np.eye(2)) and np.array_equal(abs_diff, d * np.eye(2))
-            assert pair.top().hex() == (s + d).hex()
+            assert pair.top.hex() == (s + d).hex()
 
     def test_observable_is_built_once(self):
         b = BlochVector([0.6, 0.0, 0.8])
@@ -1357,7 +1366,7 @@ class TestGateAtLambdaOpt:
         m, n = BlochVector([0.0, 0.0, 1.0 + 0.9e-12]), BlochVector([1.0 + 0.9e-12, 0.0, 0.0])
         for pair in ((p.observable(), q.observable()), (m, n)):
             res = lambda_opt_search(pair)
-            assert (res.value, res.oracle_verdict) == (LAMBDA_OPT, "yes")
+            assert (res.value, _oracle_verdict(res)) == (LAMBDA_OPT, "yes")
             obs = [x.observable() if isinstance(x, BlochVector) else x for x in pair]
             assert povm_joint_observable(*obs, res.value).feasible == "yes"
         # An orthogonal pair of unit vectors whose 2 / top rounds to one ulp below LAMBDA_OPT.

@@ -235,8 +235,10 @@ class TestObservable:
             (np.diag([1.5, 0.0]), r"^spectrum-in-\[0,1\]"),
             (np.diag([0.5, -0.1]), r"^spectrum-in-\[0,1\]"),
             (np.array([[math.nan, 0.0], [0.0, 0.5]]), r"^finite-entries"),
+            # m + m^H overflows to a nan spectrum, which every window test used to pass.
+            (np.diag([1e308, -1e308]), r"^spectrum-in-\[0,1\]"),
         ],
-        ids=["non-hermitian", "above-one", "negative", "nan"],
+        ids=["non-hermitian", "above-one", "negative", "nan", "hermitian-part-overflows"],
     )
     def test_from_yes_effect_validates_a_raw_matrix(self, m, error):
         with pytest.raises(ValidationError, match=error):
@@ -559,6 +561,7 @@ class TestJsonFormat:
             {"dim": 1, "re": [["1"]], "im": [[0]]},
             {"dim": 2, "re": [[" 1 ", 0], [0, 1]], "im": [[0, 0], [0, 0]]},
             {"dim": 2, "re": [["1", 2**70], [0, 1]], "im": [[0, 0], [0, 0]]},
+            {"dim": True, "re": [[1]], "im": [[0]]},
         ],
     )
     def test_malformed_operator_rejected(self, obj):

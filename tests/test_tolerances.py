@@ -122,7 +122,7 @@ def test_one_core_picks_the_path():
     callers = {name: sorted(set(_readers(tree, name)))
                for name in ("feasibility_oracle", "_witnesses", "_feasible", "_abs_pair")}
     assert callers == {
-        "feasibility_oracle": ["_decide", "lambda_opt_search"],  # the search confirms its value
+        "feasibility_oracle": ["_decide"],
         "_witnesses": ["_decide", "qubit_verdicts"],
         "_feasible": ["_decide", "lambda_opt_search", "qubit_verdicts"],
         "_abs_pair": ["_observable_pair", "_projector_pair"],
