@@ -7,7 +7,8 @@ JSON is written with sorted keys, CSV with '.' decimals, ',' separators,
 LF line endings and 15 significant digits.
 
 argparse hands its namespace straight to the command handlers; each handler
-range-checks the flags it reads before it opens any file.
+range-checks the flags it reads before it opens any file.  Every file is read
+through _load, so every bad input file is one ParseError naming the file.
 
 Exit status: 0 on success, 2 when an infeasible verdict meets
 --expect-feasible, 1 on any error.
@@ -57,28 +58,25 @@ SCHEMA = "uj/1"
 SWEEP_MAX_ROWS = 10**5  # a row costs about 2 KB and 14 us; a larger grid is refused unbuilt
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, build):
+    """build(obj) for the JSON object in a file.  Every failure is a ParseError
+    naming the file: a file that cannot be read or decoded, a failed check, a
+    missing key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # not UTF-8, or an integer past int()'s digit limit
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, a huge int, too deep
         raise ParseError(path, str(exc)) from exc
     if not isinstance(obj, dict):
         raise ParseError(path, f"expected a JSON object, got {type(obj).__name__}")
-    return obj
-
-
-def _load(path: str, build):
-    """build(obj) for the JSON object in a file; a failed check names the file."""
-    obj = _load_json(path)
     try:
         return build(obj)
     except ValidationError as exc:
         raise ParseError(path, str(exc)) from exc
+    except KeyError as exc:
+        raise ParseError(path, f"missing field {exc.args[0]!r}") from exc
 
 
 def _observable(obj) -> DichotomicObservable:
@@ -202,19 +200,13 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _decide(
-    o1: DichotomicObservable, o2: DichotomicObservable, args: argparse.Namespace
-) -> FeasibilityReport:
-    if args.oracle:
-        return feasibility_oracle(smear(o1, args.lam), smear(o2, args.lam), max_iter=args.max_iter)
-    return povm_joint_observable(o1, o2, args.lam)
-
-
 def _cmd_jointly_measurable(args: argparse.Namespace) -> int:
     validate_max_iter(args.max_iter)
-    o1 = _load(args.o1, _observable)
-    o2 = _load(args.o2, _observable)
-    rep = _decide(o1, o2, args)
+    o1, o2 = (_load(f, _observable) for f in (args.o1, args.o2))
+    if args.oracle:
+        rep = feasibility_oracle(smear(o1, args.lam), smear(o2, args.lam), max_iter=args.max_iter)
+    else:
+        rep = povm_joint_observable(o1, o2, args.lam)
     _emit(args.out, feasibility_to_json(rep))
     if args.expect_feasible and rep.feasible != "yes":
         return 2
@@ -254,31 +246,15 @@ def _cmd_lambda_opt(args: argparse.Namespace) -> int:
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
     state = _load(args.state, lambda obj: DensityMatrix(matrix_from_json(obj)))
-    settings = _load_json(args.settings)
-    obs = {}
-    for key in ("a1", "a2", "b1", "b2"):
-        if key not in settings:
-            raise ParseError(args.settings, f"missing setting {key!r}")
-        try:
-            obs[key] = _observable(settings[key])
-        except ValidationError as exc:
-            raise ParseError(args.settings, str(exc)) from exc
-    if args.lam is None:
-        rep = chsh(state, obs["a1"], obs["a2"], obs["b1"], obs["b2"])
-    else:
-        rep = smeared_chsh(state, obs["a1"], obs["a2"], obs["b1"], obs["b2"], args.lam)
+    settings = _load(args.settings,
+                     lambda obj: [_observable(obj[key]) for key in ("a1", "a2", "b1", "b2")])
+    rep = chsh(state, *settings) if args.lam is None else smeared_chsh(state, *settings, args.lam)
     _emit(args.out, chsh_to_json(rep))
     return 0
 
 
 def _cmd_box_chsh(args: argparse.Namespace) -> int:
-    obj = _load_json(args.box)
-    if "p" not in obj:
-        raise ParseError(args.box, "missing field 'p'")
-    try:
-        box = NoSignalingBox(obj["p"])
-    except ValidationError as exc:
-        raise ParseError(args.box, str(exc)) from exc
+    box = _load(args.box, lambda obj: NoSignalingBox(obj["p"]))
     _emit(args.out, chsh_to_json(box_chsh(box)))
     return 0
 
@@ -365,22 +341,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", help="write the report to this path (default stdout)")
-
     p = sub.add_parser("smear", help="smear an observable by lambda")
     p.add_argument("--obs", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    add_common(p)
 
     p = sub.add_parser("blocks", help="two-projector block decomposition")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    add_common(p)
 
     p = sub.add_parser("dilate", help="projective dilation of a dichotomic POVM")
     p.add_argument("--obs", required=True)
-    add_common(p)
 
     p = sub.add_parser("jointly-measurable", help="joint measurability of a pair")
     p.add_argument("--o1", required=True)
@@ -389,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="use the alternating-projection oracle")
     p.add_argument("--expect-feasible", action="store_true", help="exit 2 unless feasible")
     p.add_argument("--max-iter", type=int, default=20000)
-    add_common(p)
 
     p = sub.add_parser("lambda-opt", help="largest feasible unsharpness")
     p.add_argument("--mode", choices=("pair", "worst-case"), default="pair")
@@ -398,18 +367,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="Bloch vector 'x,y,z' for the second observable")
     p.add_argument("--o1", help="observable file (alternative to --m)")
     p.add_argument("--o2", help="observable file (alternative to --n)")
-    add_common(p)
 
     p = sub.add_parser("chsh", help="CHSH report for a state and settings")
     p.add_argument("--state", required=True)
     p.add_argument("--settings", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="smear Alice's settings by this unsharpness")
-    add_common(p)
 
     p = sub.add_parser("box-chsh", help="CHSH of a no-signaling box table")
     p.add_argument("--box", required=True)
-    add_common(p)
 
     p = sub.add_parser("sweep", help="lambda sweep: verdict, smeared CHSH, bound")
     p.add_argument("--m", default="0,0,1")
@@ -417,11 +383,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    add_common(p)
 
-    p = sub.add_parser("acceptance", help="run the acceptance criteria")
-    add_common(p)
+    sub.add_parser("acceptance", help="run the acceptance criteria")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the report to this path (default stdout)")
     return parser
 
 

@@ -39,6 +39,7 @@ from .operators import (
     Projector,
     _got,
     _max_abs,
+    _quiet,
     _require,
     _require_int,
     _within,
@@ -100,6 +101,7 @@ class BlockDecomposition:
     unitary: np.ndarray
     blocks: tuple[Block, ...]
 
+    @_quiet
     def __post_init__(self):
         u = square_matrix(self.unitary)
         d = u.shape[0]

@@ -70,6 +70,7 @@ from .operators import (
     _frozen,
     _max_abs,
     _number_array,
+    _quiet,
     _require,
     _require_int,
     _unit_vector,
@@ -99,6 +100,7 @@ class BlochVector:
     # observable(), kept once built; threads that race to build it build equal values.
     _observable: DichotomicObservable | None = field(default=None, init=False, repr=False)
 
+    @_quiet
     def __post_init__(self):
         a = _number_array(self.v, "bloch-3-vector").reshape(-1)
         if a.shape != (3,):

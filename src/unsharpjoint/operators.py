@@ -53,6 +53,8 @@ BOB_DIRECTION_CUTOFF = 1e-12  # abs: |m +- n| below this is a zero direction for
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a norm below it has lost bits to underflow
+# Residual checks run under it: an overflow to inf or nan is refused by _within, not warned of.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def square_matrix(m) -> np.ndarray:
@@ -115,9 +117,9 @@ def _max_abs(a) -> float:
 
 
 def _within(invariant: str, residual: float, tol: float, detail: str = "") -> None:
-    """The one residual check: ValidationError(invariant, residual, detail) if
-    residual > tol."""
-    if residual > tol:
+    """The one residual check: ValidationError(invariant, residual, detail)
+    unless residual <= tol, so a nan residual fails too."""
+    if not residual <= tol:
         raise ValidationError(invariant, float(residual), detail)
 
 
@@ -136,6 +138,12 @@ def _require_int(value, invariant: str, lo: float, hi: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, Integral)) or not lo <= value <= hi:
         raise ValidationError(invariant, detail=_got(value))
     return int(value)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^H) / 2 of a matrix or of each matrix of a stack, halved first so
+    that no finite m overflows; the same value for every non-subnormal entry."""
+    return m / 2 + m.conj().swapaxes(-1, -2) / 2
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -171,6 +179,7 @@ class Effect:
         return _frozen(Effect, matrix=identity(self.dim) - self.matrix)
 
 
+@_quiet
 def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
     """Check each m of a (k, d, d) stack for hermiticity and a spectrum in the
     window [-tol, 1 + tol], in one eigvalsh call (a non-finite entry anywhere
@@ -179,10 +188,10 @@ def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
     else its largest.  Returns the hermitized spectra, then the raw if raw."""
     if not np.isfinite(g).all():
         raise ValidationError("finite-entries")
-    gh = g.swapaxes(1, 2).conj()
-    residuals = np.abs(g - gh).max(axis=(1, 2))
-    eigs = np.linalg.eigvalsh(np.concatenate([(g + gh) / 2, g]) if raw else (g + gh) / 2)
-    lo, hi = -tol, 1.0 + tol  # tested negated: a nan spectrum (entries past ~9e307) fails
+    residuals = np.abs(g - g.swapaxes(1, 2).conj()).max(axis=(1, 2))
+    h = _hermitian_part(g)
+    eigs = np.linalg.eigvalsh(np.concatenate([h, g]) if raw else h)
+    lo, hi = -tol, 1.0 + tol  # tested negated: a nan spectrum fails
     k = len(g)
     if (residuals.max(initial=0.0) > HERMITIAN_TOL or not eigs[:k, 0].min(initial=lo) >= lo
             or not eigs[:k, -1].max(initial=hi) <= hi):
@@ -242,11 +251,12 @@ class Projector:
     matrix: np.ndarray
     rank: int
 
+    @_quiet
     def __post_init__(self):
         rank = _require_int(self.rank, "rank-integer", -math.inf)
         m = require_hermitian(self.matrix)
         _within("idempotency", _max_abs(m @ m - m), HERMITIAN_TOL)
-        h = (m + m.conj().T) / 2
+        h = _hermitian_part(m)
         # |mu^2 - mu| <= |h^2 - h|_F =: eps puts each eigenvalue mu of h in [-eps, 1 + eps].
         _within("idempotency", np.linalg.norm(h @ h - h), PSD_TOL)
         # A rank outside [0, dim] equals no trace (and may be past the float range).
@@ -309,9 +319,10 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
+    @_quiet
     def __post_init__(self):
         m = require_hermitian(self.matrix)
-        _within("psd", -np.linalg.eigvalsh((m + m.conj().T) / 2)[0], PSD_TOL)
+        _within("psd", -np.linalg.eigvalsh(_hermitian_part(m))[0], PSD_TOL)
         _within("unit-trace", abs(float(np.trace(m).real) - 1.0), AFFINE_TOL)
         m = m.copy()
         m.setflags(write=False)

@@ -1,6 +1,7 @@
 """Every public callable, called with a wrong value in place of each of its
 arguments in turn, returns or raises an UnsharpJointError, never a bare
-Python exception.
+Python exception; a numpy RuntimeWarning is one too, as the suite's
+filterwarnings setting turns it into an error.
 
 VALID holds one valid call per callable of unsharpjoint.__all__ (and per
 public alternate constructor); WRONG holds the wrong values.  A name added to
@@ -79,7 +80,9 @@ NOT_INPUTS = {
 WRONG = (
     None, "x", "1", 1.5, True, -1, 0, np.eye(2) / 2, np.eye(3) / 3, np.full((2, 2), np.nan),
     [], {}, [[1.0, 2.0], [3.0]], 10**400, 10**5000, Fraction(10**5000, 3), object(), np.zeros(3),
-    np.diag([1e308, 1e308]), np.full((2, 2), 1e308),
+    np.diag([1e308, 1e308]), np.full((2, 2), 1e308), np.array([[0.0, 1e308], [-1e308, 0.0]]),
+    np.array([[0.5, 0, 0, 1e308], [0, 0, 0, 0], [0, 0, 0, 0], [1e308, 0, 0, 0.5]]),
+    [1e308, 1e308, 0.0],
 )
 
 

@@ -212,13 +212,16 @@ class TestJointlyMeasurable:
         from unsharpjoint import cli
 
         seen = []
-        decide = cli._decide
 
-        def recording(o1, o2, args):
-            seen.append((args.oracle, args.max_iter))
-            return decide(o1, o2, args)
+        def recording(decide):
+            def wrapper(*args, **kwargs):
+                flags = sys._getframe(1).f_locals["args"]  # the namespace of the deciding handler
+                seen.append((flags.oracle, flags.max_iter))
+                return decide(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(cli, "_decide", recording)
+        for name in ("feasibility_oracle", "povm_joint_observable"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
         pair = ["jointly-measurable", "--o1", fixtures["p.json"], "--o2", fixtures["q.json"],
                 "--lambda", "0.72"]
         reports = []
@@ -581,6 +584,31 @@ def test_any_json_in_any_file_argument_exits_zero_or_one(argv, content, shared_f
         code = main([shared_fixtures.get(a, a) for a in argv])
     assert code in (0, 1)
     assert (err.getvalue() == "") if code == 0 else err.getvalue().startswith("error: ")
+
+
+# Two files the property above never writes: its JSON stays 6 leaves small, its
+# matrices 3x3.  Nesting past the recursion limit, and a hermitian 4x4 with
+# entries near 1e308, whose hermitian part (m + m^H) / 2 overflowed to inf.
+HUGE = np.diag([0.5, 0.0, 0.0, 0.5])
+HUGE[0, 3] = HUGE[3, 0] = 1e308
+HOSTILE = {"nested": "[" * 100_000 + "]" * 100_000, "huge": json.dumps(matrix_to_json(HUGE))}
+
+
+@pytest.mark.parametrize("argv", FILE_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_file_in_any_file_argument_is_one_error_line(name, argv, shared_fixtures):
+    content = HOSTILE[name]
+    if name == "huge" and argv[-2:] == ["--settings", "BAD"]:
+        settings = json.loads(Path(shared_fixtures["settings.json"]).read_text())
+        content = json.dumps(settings | {"a1": matrix_to_json(HUGE)})
+    Path(shared_fixtures["BAD"]).write_text(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([shared_fixtures.get(a, a) for a in argv])
+    assert code == 1
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("error: ")
 
 
 class TestSweep:

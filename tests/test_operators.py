@@ -328,6 +328,12 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
 
+    def test_psd_enforced_past_the_overflow_of_the_hermitian_part(self):
+        # Eigenvalues 0.5 +- 1e308: (m + m^H) / 2 used to overflow to a nan
+        # spectrum, which the psd check passed.
+        with pytest.raises(ValidationError, match=r"^psd \(residual 1\.000e\+308\)$"):
+            DensityMatrix(np.array([[0.5, 1e308], [1e308, 0.5]]))
+
     @pytest.mark.parametrize(
         "vec,invariant",
         [
