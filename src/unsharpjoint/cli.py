@@ -9,6 +9,8 @@ LF line endings and 15 significant digits.
 argparse hands its namespace straight to the command handlers; each handler
 range-checks the flags it reads before it opens any file.  Every file is read
 through _load, so every bad input file is one ParseError naming the file.
+Each handler returns its report and exit code, and main writes the report
+through _emit, so an --out that cannot be written is one ParseError too.
 
 Exit status: 0 on success, 2 when an infeasible verdict meets
 --expect-feasible, 1 on any error.
@@ -97,81 +99,75 @@ def _parse_bloch(text: str) -> BlochVector:
     return BlochVector.normalized(np.array(parts))
 
 
+def _report(kind: str, **fields) -> dict:
+    """A report of this kind, tagged with the schema."""
+    return {"schema": SCHEMA, "kind": kind, **fields}
+
+
+def _outcome_map(prefix: str, matrices) -> dict:
+    """The four matrices of the outcomes ++, +-, -+, -- under prefix_pp ... prefix_mm."""
+    return {f"{prefix}_{key}": matrix_to_json(m) for key, m in zip(("pp", "pm", "mp", "mm"), matrices)}
+
+
 def observable_to_json(obs: DichotomicObservable) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "observable",
-        "yes": matrix_to_json(obs.yes_effect.matrix),
-        "no": matrix_to_json(obs.no_effect.matrix),
-    }
+    return _report(
+        "observable",
+        yes=matrix_to_json(obs.yes_effect.matrix),
+        no=matrix_to_json(obs.no_effect.matrix),
+    )
 
 
 def feasibility_to_json(rep: FeasibilityReport) -> dict:
-    witness = None
-    if rep.witness is not None:
-        witness = {
-            key: matrix_to_json(e.matrix)
-            for key, e in zip(("g_pp", "g_pm", "g_mp", "g_mm"), rep.witness.effects)
-        }
-    payload = {
-        "schema": SCHEMA,
-        "kind": "feasibility",
-        "feasible": rep.feasible,
-        "marginal_residual": rep.marginal_residual,
-        "min_eigenvalue": rep.min_eigenvalue,
-        "iterations": rep.iterations,
-        "witness": witness,
-    }
+    payload = _report(
+        "feasibility",
+        feasible=rep.feasible,
+        marginal_residual=rep.marginal_residual,
+        min_eigenvalue=rep.min_eigenvalue,
+        iterations=rep.iterations,
+        witness=None if rep.witness is None
+        else _outcome_map("g", (e.matrix for e in rep.witness.effects)),
+    )
     if rep.certificate is not None:
-        payload["certificate"] = {
-            key: matrix_to_json(h)
-            for key, h in zip(("h_pp", "h_pm", "h_mp", "h_mm"), rep.certificate)
-        }
+        payload["certificate"] = _outcome_map("h", rep.certificate)
     return payload
 
 
 def chsh_to_json(rep: ChshReport) -> dict:
     t11, t12, t21, t22 = rep.terms
-    return {
-        "schema": SCHEMA,
-        "kind": "chsh",
-        "value": rep.value,
-        "terms": {"t11": t11, "t12": t12, "t21": t21, "t22": t22},
-        "bound_lambda": rep.bound_lambda,
-        "within_bound": rep.within_bound,
-    }
+    return _report(
+        "chsh",
+        value=rep.value,
+        terms={"t11": t11, "t12": t12, "t21": t21, "t22": t22},
+        bound_lambda=rep.bound_lambda,
+        within_bound=rep.within_bound,
+    )
 
 
-def _emit(out: str | None, payload, text: str | None = None) -> None:
-    """Write the report to --out (or stdout); JSON unless text is given."""
-    if text is None:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8", newline="")
-    else:
+def _emit(out: str | None, report) -> None:
+    """Write the report to --out (or stdout): a str as it is, anything else as JSON."""
+    text = report if isinstance(report, str) else json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ParseError(out, exc.strerror or str(exc)) from exc
 
 
-def _fifteen(x: float) -> str:
-    return f"{float(x):.15g}"
+def _cmd_smear(args: argparse.Namespace) -> tuple[dict, int]:
+    return observable_to_json(smear(_load(args.obs, _observable), args.lam)), 0
 
 
-def _cmd_smear(args: argparse.Namespace) -> int:
-    obs = _load(args.obs, _observable)
-    _emit(args.out, observable_to_json(smear(obs, args.lam)))
-    return 0
-
-
-def _cmd_blocks(args: argparse.Namespace) -> int:
+def _cmd_blocks(args: argparse.Namespace) -> tuple[dict, int]:
     p, q = (_load(f, lambda obj: Projector.from_matrix(matrix_from_json(obj))) for f in (args.p, args.q))
     dec = two_projector_blocks(p, q)
     # Each block's columns of the unitary follow those of the blocks before it.
     starts = itertools.accumulate((b.dim for b in dec.blocks), initial=0)
-    payload = {
-        "schema": SCHEMA,
-        "kind": "block-decomposition",
-        "unitary": matrix_to_json(dec.unitary),
-        "blocks": [
+    return _report(
+        "block-decomposition",
+        unitary=matrix_to_json(dec.unitary),
+        blocks=[
             {
                 "dim": b.dim,
                 "basis_columns": list(range(start, start + b.dim)),
@@ -181,39 +177,30 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
             }
             for b, start in zip(dec.blocks, starts)
         ],
-    }
-    _emit(args.out, payload)
-    return 0
+    ), 0
 
 
-def _cmd_dilate(args: argparse.Namespace) -> int:
-    obs = _load(args.obs, _observable)
-    proj = neumark_dilate(obs)
-    payload = {
-        "schema": SCHEMA,
-        "kind": "dilation",
-        "projector": matrix_to_json(proj.matrix),
-        "rank": proj.rank,
-        "convention": ANCILLA_CONVENTION,
-    }
-    _emit(args.out, payload)
-    return 0
+def _cmd_dilate(args: argparse.Namespace) -> tuple[dict, int]:
+    proj = neumark_dilate(_load(args.obs, _observable))
+    return _report(
+        "dilation",
+        projector=matrix_to_json(proj.matrix),
+        rank=proj.rank,
+        convention=ANCILLA_CONVENTION,
+    ), 0
 
 
-def _cmd_jointly_measurable(args: argparse.Namespace) -> int:
+def _cmd_jointly_measurable(args: argparse.Namespace) -> tuple[dict, int]:
     validate_max_iter(args.max_iter)
     o1, o2 = (_load(f, _observable) for f in (args.o1, args.o2))
     if args.oracle:
         rep = feasibility_oracle(smear(o1, args.lam), smear(o2, args.lam), max_iter=args.max_iter)
     else:
         rep = povm_joint_observable(o1, o2, args.lam)
-    _emit(args.out, feasibility_to_json(rep))
-    if args.expect_feasible and rep.feasible != "yes":
-        return 2
-    return 0
+    return feasibility_to_json(rep), 2 if args.expect_feasible and rep.feasible != "yes" else 0
 
 
-def _cmd_lambda_opt(args: argparse.Namespace) -> int:
+def _cmd_lambda_opt(args: argparse.Namespace) -> tuple[dict, int]:
     validate_seed(args.seed)
     given = {flag for flag in ("m", "n", "o1", "o2") if getattr(args, flag) is not None}
     if args.mode == "worst-case":
@@ -234,32 +221,27 @@ def _cmd_lambda_opt(args: argparse.Namespace) -> int:
         pair_json = {"m": list(a.v), "n": list(b.v)}
     else:
         pair_json = {"o1": observable_to_json(a), "o2": observable_to_json(b)}
-    payload = {
-        "schema": SCHEMA,
-        "kind": "lambda-opt",
-        "lambda_opt": result.value,
-        "pair": pair_json,
-    }
-    _emit(args.out, payload)
-    return 0
+    return _report(
+        "lambda-opt",
+        lambda_opt=result.value,
+        pair=pair_json,
+    ), 0
 
 
-def _cmd_chsh(args: argparse.Namespace) -> int:
+def _cmd_chsh(args: argparse.Namespace) -> tuple[dict, int]:
     state = _load(args.state, lambda obj: DensityMatrix(matrix_from_json(obj)))
     settings = _load(args.settings,
                      lambda obj: [_observable(obj[key]) for key in ("a1", "a2", "b1", "b2")])
     rep = chsh(state, *settings) if args.lam is None else smeared_chsh(state, *settings, args.lam)
-    _emit(args.out, chsh_to_json(rep))
-    return 0
+    return chsh_to_json(rep), 0
 
 
-def _cmd_box_chsh(args: argparse.Namespace) -> int:
+def _cmd_box_chsh(args: argparse.Namespace) -> tuple[dict, int]:
     box = _load(args.box, lambda obj: NoSignalingBox(obj["p"]))
-    _emit(args.out, chsh_to_json(box_chsh(box)))
-    return 0
+    return chsh_to_json(box_chsh(box)), 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     m = _parse_bloch(args.m)
     n = _parse_bloch(args.n)
     if not all(map(math.isfinite, (args.start, args.stop, args.step))):
@@ -291,17 +273,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     lines = ["lambda,feasible,smeared_chsh,bound"]
     for lam, verdict, value in zip(grid, qubit_verdicts(m, n, grid), values):
-        lines.append(f"{_fifteen(lam)},{verdict},{_fifteen(value)},{_fifteen(2.0 / lam)}")
-    _emit(args.out, None, text="\n".join(lines) + "\n")
-    return 0
+        lines.append(f"{lam:.15g},{verdict},{value:.15g},{2.0 / lam:.15g}")
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_acceptance(args: argparse.Namespace) -> int:
+def _cmd_acceptance(args: argparse.Namespace) -> tuple[dict | None, int]:
     results = acceptance_mod.run_all()
-    payload = {
-        "schema": SCHEMA,
-        "kind": "acceptance",
-        "criteria": [
+    all_passed = all(r.passed for r in results)
+    report = _report(
+        "acceptance",
+        criteria=[
             {
                 "number": r.number,
                 "name": r.name,
@@ -311,11 +292,9 @@ def _cmd_acceptance(args: argparse.Namespace) -> int:
             }
             for r in results
         ],
-        "all_passed": all(r.passed for r in results),
-    }
-    if args.out:
-        _emit(args.out, payload)
-    return 0 if all(r.passed for r in results) else 1
+        all_passed=all_passed,
+    )
+    return report if args.out else None, 0 if all_passed else 1
 
 
 _COMMANDS = {
@@ -394,10 +373,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        report, code = _COMMANDS[args.command](args)
+        if report is not None:
+            _emit(args.out, report)
     except UnsharpJointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Every error is an UnsharpJointError.  A value the package refuses raises a
 ValidationError, which names the invariant that failed ("hermiticity",
 "spectrum-in-[0,1]", "idempotency", "box-cell", "density-matrix", ...) and
 the residual where one is measured; callers branch on exc.invariant.  Only
-operands of incompatible dimension (DimensionMismatch) and malformed input
-files (ParseError, which names the file) have types of their own.
+operands of incompatible dimension (DimensionMismatch) and files uj cannot
+read or write (ParseError, which names the file) have types of their own.
 """
 
 
@@ -40,7 +40,7 @@ class DimensionMismatch(UnsharpJointError):
 
 
 class ParseError(UnsharpJointError):
-    """Malformed input file; reports the offending file and field."""
+    """A file uj cannot read or write; reports the offending file and field."""
 
     def __init__(self, path: str, detail: str):
         self.path = path

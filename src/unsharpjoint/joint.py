@@ -68,6 +68,7 @@ from .operators import (
     Projector,
     _check_effects,
     _frozen,
+    _hermitian_part,
     _max_abs,
     _number_array,
     _quiet,
@@ -419,10 +420,6 @@ def _affine_project(
     return (base.view(float) + _JK_SIGNS * f.view(float)).view(complex)
 
 
-def _hermitize(h: np.ndarray) -> np.ndarray:
-    return (h + h.conj().transpose(0, 2, 1)) / 2.0
-
-
 def _psd_from_eigh(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Componentwise projection onto PSD of a Hermitian stack, from its eigh."""
     return (vecs * np.maximum(eigs, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
@@ -460,7 +457,7 @@ def _farkas_certificate(
     """
     h = y - x
     k = h[0] - h[1] - h[2] + h[3]
-    h = _hermitize(h - np.stack([k, -k, -k, k]) / 4.0)
+    h = _hermitian_part(h - np.stack([k, -k, -k, k]) / 4.0)
     h = h + max(0.0, -float(np.min(np.linalg.eigvalsh(h)))) * eye
     pairing = float(np.sum(np.conj(h) * base).real)
     if pairing >= -CERTIFICATE_MARGIN * len(eye) * float(np.linalg.norm(h)):
@@ -517,7 +514,7 @@ def feasibility_oracle(
 
     x = _affine_project(np.stack([eye / 4.0] * 4), base, half_sum, quarter_eye)
     z = x + np.zeros_like(x)  # the Dykstra correction starts at 0
-    eigs, vecs = np.linalg.eigh(_hermitize(z))
+    eigs, vecs = np.linalg.eigh(_hermitian_part(z))
     dz, dg, last = [], [], None  # the steps of z and of g; the last accepted (z, g, |g|)
     tested = 0  # the iteration of the last certificate test
 
@@ -542,7 +539,7 @@ def feasibility_oracle(
                 if not np.isfinite(step).all():
                     step, dz, dg = zr + g, [], []
         z = step.view(complex).reshape(x.shape)
-        eigs, vecs = np.linalg.eigh(np.concatenate([x, _hermitize(z)]))
+        eigs, vecs = np.linalg.eigh(np.concatenate([x, _hermitian_part(z)]))
         if eigs[:4, 0].min() >= -PSD_TOL:
             return _yes(x, PSD_TOL, o1lam, o2lam, it)
         eigs, vecs = eigs[4:], vecs[4:]
@@ -553,7 +550,7 @@ def feasibility_oracle(
             if certificate is not None:
                 return _gap_report("no", x, y, it, certificate)
 
-    return _gap_report("undetermined", x, _psd_from_eigh(*np.linalg.eigh(_hermitize(x))), max_iter)
+    return _gap_report("undetermined", x, _psd_from_eigh(*np.linalg.eigh(_hermitian_part(x))), max_iter)
 
 
 def _gap_report(verdict: str, x, y, iterations: int, certificate=None) -> FeasibilityReport:

@@ -141,9 +141,10 @@ def _require_int(value, invariant: str, lo: float, hi: float = math.inf) -> int:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^H) / 2 of a matrix or of each matrix of a stack, halved first so
-    that no finite m overflows; the same value for every non-subnormal entry."""
-    return m / 2 + m.conj().swapaxes(-1, -2) / 2
+    """(m + m^H) / 2 of a matrix or of each matrix of a stack, as m/2 + (m/2)^H
+    so that no finite m overflows; the same value for every non-subnormal entry."""
+    h = m / 2
+    return h + h.conj().swapaxes(-1, -2)
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -359,6 +360,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+@_quiet  # an inf entry makes 1j * im nan; square_matrix refuses it as finite-entries
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of matrix_to_json; validates shape against the declared dim.
 

@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: commands, formats, exit codes, determinism."""
 
 import argparse
+import ast
 import contextlib
+import errno
+import inspect
 import io
 import json
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -29,8 +33,10 @@ from unsharpjoint import (
     singlet,
     smeared_chsh,
 )
+from unsharpjoint import acceptance, cli
 from unsharpjoint.bell import SETTINGS
 from unsharpjoint.cli import SWEEP_MAX_ROWS, _build_parser, main
+from test_tolerances import _readers
 
 INV_SQRT2 = 0.7071067811865475
 
@@ -828,6 +834,8 @@ class TestErrors:
             # and a file that is not UTF-8 used to end in a bare ValueError.
             (["box-chsh", "--box", "BAD"], b'{"p": ' + b"9" * 5000 + b"}"),
             (["box-chsh", "--box", "BAD"], b'{"p": "\xff"}'),
+            # An infinite imaginary part printed numpy's "invalid value" warning first.
+            (["smear", "--obs", "BAD", "--lambda", "0.5"], {"dim": 1, "re": [[0.0]], "im": [[math.inf]]}),
         ],
         ids=[
             "top-level-number", "dim-string", "entry-string", "yes-number",
@@ -835,7 +843,7 @@ class TestErrors:
             "box-sum-past-float-range", "blocks-number", "state-number",
             "settings-entry-number", "state-not-psd", "projector-not-idempotent",
             "blocks-huge-entry", "blocks-trace-past-float-range", "smear-numeric-string",
-            "state-padded-numeric-string", "5000-digit-integer", "not-utf-8",
+            "state-padded-numeric-string", "5000-digit-integer", "not-utf-8", "infinite-imaginary",
         ],
     )
     def test_malformed_file_exits_one(self, argv, content, fixtures, tmp_path, capsys):
@@ -903,6 +911,20 @@ class TestErrors:
         code = main(["smear", "--obs", "/nonexistent.json", "--lambda", "0.5"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["--m", "a,b,c", "--start", "0.5", "--stop", "0.6", "--step", "0.1"],
+             "error: <bloch>: expected 'x,y,z', got 'a,b,c'\n"),
+            (["--start", "0.6", "--stop", "0.5", "--step", "0.1"],
+             "error: sweep-grid: need step > 0 and stop >= start\n"),
+        ],
+        ids=["bloch-not-numbers", "stop-before-start"],
+    )
+    def test_sweep_message_is_pinned(self, argv, err, capsys):
+        assert main(["sweep", *argv]) == 1
+        assert capsys.readouterr() == ("", err)
+
 
 _WORST_CASE_TAKES_NO_PAIR = "--mode worst-case takes no --m/--n/--o1/--o2"
 _NEED_ONE_PAIR = "need --m/--n or --o1/--o2"
@@ -959,6 +981,30 @@ class TestFlagWindows:
         assert str(exc.value) == "seed-uint64: got -1"
 
 
+# Stand-ins for the acceptance criteria, which take seconds: number, name,
+# check and time bound, as in acceptance.CRITERIA.
+_HOLDS = (1, "holds", lambda: (True, "fine"), math.inf)
+_BREAKS = (2, "breaks", lambda: (False, "off by one"), math.inf)
+_TIMED_LINE = re.compile(r"(.*) \[\d+\.\ds\]")
+
+# One valid argv of every subcommand, files named as in _write_fixtures.
+_EVERY_COMMAND = {
+    "smear": ["--obs", "p.json", "--lambda", "0.5"],
+    "blocks": ["--p", "p.json", "--q", "q.json"],
+    "dilate": ["--obs", "p.json"],
+    "jointly-measurable": ["--o1", "p.json", "--o2", "q.json", "--lambda", "0.5"],
+    "lambda-opt": ["--m", "0,0,1", "--n", "1,0,0"],
+    "chsh": ["--state", "singlet.json", "--settings", "settings.json"],
+    "box-chsh": ["--box", "pr.json"],
+    "sweep": ["--start", "0.5", "--stop", "0.6", "--step", "0.1"],
+    "acceptance": [],
+}
+
+
+def _untimed_lines(out: str) -> list[str]:
+    return [_TIMED_LINE.fullmatch(line).group(1) for line in out.splitlines()]
+
+
 class TestOutputFile:
     def test_report_written(self, fixtures, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -967,6 +1013,55 @@ class TestOutputFile:
         )
         assert code == 0
         assert json.loads(out_path.read_text())["value"] == 4.0
+
+    @pytest.mark.parametrize("target,code", [("missing/r.json", errno.ENOENT), (".", errno.EISDIR)],
+                             ids=["missing-directory", "a-directory"])
+    @pytest.mark.parametrize("command", list(_EVERY_COMMAND))
+    def test_unwritable_out_is_one_error_line(self, command, target, code, fixtures, tmp_path, capsys,
+                                              monkeypatch):
+        # Each used to end in a FileNotFoundError or IsADirectoryError traceback.
+        monkeypatch.setattr(acceptance, "CRITERIA", (_HOLDS,))
+        out = tmp_path / target
+        argv = [command, *(fixtures.get(a, a) for a in _EVERY_COMMAND[command]), "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: {os.strerror(code)}\n"
+        # No report reaches stdout; acceptance prints its criterion lines as they run.
+        assert _untimed_lines(captured.out) == (["PASS criterion 1 (holds): fine"]
+                                                 if command == "acceptance" else [])
+
+
+class TestAcceptance:
+    @pytest.mark.parametrize("criteria,code", [((_HOLDS,), 0), ((_HOLDS, _BREAKS), 1)],
+                             ids=["all-pass", "one-fails"])
+    def test_one_line_per_criterion_and_no_report_on_stdout(self, criteria, code, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+        assert main(["acceptance"]) == code
+        lines = ["PASS criterion 1 (holds): fine", "FAIL criterion 2 (breaks): off by one"]
+        assert _untimed_lines(capsys.readouterr().out) == lines[:len(criteria)]
+
+    def test_report_written_to_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "CRITERIA", (_HOLDS, _BREAKS))
+        out = tmp_path / "acceptance.json"
+        assert main(["acceptance", "--out", str(out)]) == 1
+        assert len(_untimed_lines(capsys.readouterr().out)) == 2
+        report = json.loads(out.read_text())
+        assert sorted(report) == ["all_passed", "criteria", "kind", "schema"]
+        assert (report["schema"], report["kind"], report["all_passed"]) == ("uj/1", "acceptance", False)
+        assert [(c["number"], c["passed"]) for c in report["criteria"]] == [(1, True), (2, False)]
+
+
+def test_one_report_path():
+    # main alone writes a report and _report alone tags one with the schema; a
+    # handler that wrote its own report or built its own envelope would read
+    # these somewhere else.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert {name: sorted(set(_readers(tree, name))) for name in ("_emit", "SCHEMA")} == {
+        "_emit": ["main"],
+        "SCHEMA": ["_report"],
+    }
+    assert list(inspect.signature(cli._emit).parameters) == ["out", "report"]
 
 
 class TestReadme:

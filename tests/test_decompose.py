@@ -245,6 +245,11 @@ class TestBlock:
             BlockDecomposition(np.eye(2), blocks)
 
 
+    def test_blocks_must_tile_the_unitary(self):
+        with pytest.raises(ValidationError, match="^block-dims-sum-to-d$"):
+            BlockDecomposition(np.eye(2), (Block(1, 1, 1, 1.0),))
+
+
 class TestNearlyAlignedBlocks:
     # d = 8, rank 3: angles {eps, 0.7, 1.2}, or {eps, pi/2 - eps, 1.2}
     # with both ends in one pair; 50 samples a row.

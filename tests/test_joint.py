@@ -569,6 +569,27 @@ class TestCheckJoint:
         assert res.marginal_max <= 0.01
 
 
+
+_QUARTER = Effect(identity(2) / 4.0)
+_QUTRIT = smear(projector_onto([1, 0, 0]).observable(), 0.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DichotomicObservable(Effect(identity(2)), Effect(np.zeros((3, 3)))),
+        lambda: JointObservable(_QUARTER, _QUARTER, _QUARTER, Effect(identity(3) / 4.0)),
+        lambda: check_joint(JointObservable(*[_QUARTER] * 4), smear(Z.observable(), 0.5), _QUTRIT),
+        lambda: feasibility_oracle(smear(Z.observable(), 0.5), _QUTRIT),
+    ],
+    ids=["observable", "joint-observable", "check-joint", "oracle"],
+)
+def test_operands_on_a_qubit_and_a_qutrit_are_a_dimension_mismatch(build):
+    with pytest.raises(DimensionMismatch) as exc:
+        build()
+    assert set(exc.value.dims) == {2, 3}
+
+
 class TestFeasibilityOracle:
     def test_commuting_pair_fast(self):
         p = Projector.from_matrix(np.diag([1.0, 0.0]).astype(complex))

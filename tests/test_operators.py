@@ -36,7 +36,7 @@ from unsharpjoint import (
     two_projector_blocks,
 )
 from unsharpjoint.bell import smeared_chsh_values
-from unsharpjoint.operators import HERMITIAN_TOL, PAULI_Z, identity
+from unsharpjoint.operators import HERMITIAN_TOL, PAULI_Z, _hermitian_part, identity
 
 _EMPTY = np.zeros((0, 0))
 
@@ -573,3 +573,14 @@ class TestJsonFormat:
     def test_malformed_operator_rejected(self, obj):
         with pytest.raises(ValidationError, match="operator-json"):
             matrix_from_json(obj)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (8, 2, 2)])
+def test_hermitian_part_keeps_every_bit_of_the_sum_of_halves(shape):
+    # m/2 + (m/2)^H halves once; conj(m/2) is exactly conj(m)/2, so every bit
+    # of m/2 + m^H/2 is kept, subnormal and near-overflow entries included.
+    rng = np.random.default_rng(5)
+    re, im = rng.choice([-1.0, 1.0], size=(2, *shape)) * 10.0 ** rng.uniform(-320, 308, size=(2, *shape))
+    m = re + 1j * im
+    want = m / 2 + m.conj().swapaxes(-1, -2) / 2
+    assert np.array_equal(_hermitian_part(m).view(np.uint64), want.view(np.uint64))

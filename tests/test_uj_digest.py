@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PINNED_TOTAL_101 = "1ef099c02ea81c24a8bd25be394c16dc159f7b8d7f93f5179a108a5ee9218af4"
 
 
 def test_one_seed_gives_one_digest_per_distinct_argv_and_their_total(monkeypatch):
@@ -20,3 +21,6 @@ def test_one_seed_gives_one_digest_per_distinct_argv_and_their_total(monkeypatch
     assert len({row.split()[2] for row in rows}) == 37
     expected = hashlib.sha256(b"".join(bytes.fromhex(row.split()[0]) for row in rows)).hexdigest()
     assert total == f"{expected}  total over 37 argvs"
+    # The bytes of every report, pinned: a change that means to alter them
+    # updates this value and says so.
+    assert expected == PINNED_TOTAL_101
