@@ -17,7 +17,6 @@ from .operators import (
     Projector,
     matrix_from_json,
     matrix_to_json,
-    projector_onto,
 )
 from .unsharp import mean_value, smear, validate_lambda
 from .decompose import (
@@ -49,13 +48,11 @@ from .bell import (
     TSIRELSON_BOUND,
     box_chsh,
     chsh,
-    deterministic_box,
     local_deterministic_boxes,
     optimal_settings,
     pr_box,
     singlet,
     smeared_chsh,
-    white_noise_box,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +83,6 @@ __all__ = [
     "chsh",
     "compress",
     "criterion_value",
-    "deterministic_box",
     "feasibility_oracle",
     "lambda_opt_search",
     "local_deterministic_boxes",
@@ -97,7 +93,6 @@ __all__ = [
     "optimal_settings",
     "povm_joint_observable",
     "pr_box",
-    "projector_onto",
     "pvm_joint_observable",
     "qubit_joint_observable",
     "singlet",
@@ -105,5 +100,4 @@ __all__ = [
     "smeared_chsh",
     "two_projector_blocks",
     "validate_lambda",
-    "white_noise_box",
 ]

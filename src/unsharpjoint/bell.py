@@ -11,7 +11,7 @@ correlators t[x, y], from one of two sources:
   algebraic maximum 4 is reached by the PR box.
 
 A box is one float array p[x, y, a, b].  Every box built here has
-entries in {0, 1/4, 1/2, 1}, which floats hold exactly, so the PR box
+entries in {0, 1/2, 1}, which floats hold exactly, so the PR box
 gives CHSH = 4 and the deterministic boxes CHSH = 2 with no rounding.
 """
 
@@ -99,9 +99,6 @@ class NoSignalingBox:
         p = self.p
         return p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
 
-    def to_json(self) -> dict:
-        return {"p": dict(zip(SETTINGS, self.p.reshape(4, 2, 2).tolist()))}
-
 
 def _box(p: np.ndarray) -> NoSignalingBox:
     """The box of an array p[x, y, a, b], through the validating constructor."""
@@ -117,27 +114,12 @@ def pr_box() -> NoSignalingBox:
     return _box(0.5 * ((a ^ b) == (x & y)))
 
 
-def white_noise_box() -> NoSignalingBox:
-    return _box(np.full((2, 2, 2, 2), 0.25))
-
-
-def deterministic_box(alice: tuple[int, int], bob: tuple[int, int]) -> NoSignalingBox:
-    """Local deterministic box: outcome signs fixed per setting.
-
-    alice[x-1] and bob[y-1] are the +/-1 outcomes for settings x, y; each
-    party needs exactly two signs, else deterministic-outcomes.
-    """
-    for signs in (alice, bob):
-        if not np.array_equal(np.abs(_number_array(signs, "deterministic-outcomes")), (1, 1)):
-            raise ValidationError("deterministic-outcomes", detail=f"got {signs!r}")
-    x, y, a, b = np.indices((2, 2, 2, 2))
-    a_out, b_out = ((1 - np.array(signs, dtype=int)) // 2 for signs in (alice, bob))
-    return _box(1.0 * ((a == a_out[x]) & (b == b_out[y])))
-
-
 def local_deterministic_boxes() -> list[NoSignalingBox]:
-    """All sixteen deterministic local strategies, Bob's second outcome varying fastest."""
-    return [deterministic_box(s[:2], s[2:]) for s in itertools.product((1, -1), repeat=4)]
+    """All sixteen deterministic local strategies: outcome bits (alpha_1, alpha_2,
+    beta_1, beta_2) fixed per setting, Bob's second bit varying fastest."""
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    return [_box(1.0 * ((a == s[x]) & (b == s[2 + y])))
+            for s in map(np.array, itertools.product((0, 1), repeat=4))]
 
 
 @dataclass(frozen=True)

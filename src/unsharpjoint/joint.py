@@ -254,7 +254,7 @@ def check_joint(
 
 def criterion_value(m, n, lam) -> float:
     """lam * (|m+n| + |m-n|) for BlochVectors m, n; the pair is jointly measurable iff <= 2."""
-    return validate_lambda(lam) * _bloch_pair(m, n).top
+    return _bloch_pair(m, n).top * validate_lambda(lam)
 
 
 def _feasible(lam, top):
@@ -386,8 +386,7 @@ def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport
     """Joint observable for two smeared projective measurements, decided as the
     module docstring says: the witness is the qubit midpoint witness on every
     invariant block of the pair, with no decomposition built."""
-    lam = validate_lambda(lam)
-    return _decide(_projector_pair(p1, p2), lam)
+    return _decide(_projector_pair(p1, p2), validate_lambda(lam))
 
 
 def povm_joint_observable(

@@ -308,12 +308,6 @@ def _unit_vector(vec) -> np.ndarray:
     return v / n
 
 
-def projector_onto(vec) -> Projector:
-    """Rank-1 projector onto the ray of a (nonzero) vector."""
-    v = _unit_vector(vec)
-    return Projector(np.outer(v, v.conj()), rank=1)
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian positive-semidefinite operator of unit trace."""
@@ -341,13 +335,6 @@ class DensityMatrix:
         _within("hermiticity", _max_abs(m - m.conj().T), HERMITIAN_TOL)
         _within("unit-trace", abs(float(np.trace(m).real) - 1.0), AFFINE_TOL)
         return _frozen(cls, matrix=m)
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        """I / dim; dim is any integer of at least 1 but a bool, else square-matrix,
-        and small enough that numpy can size a complex dim x dim array."""
-        dim = _require_int(dim, "square-matrix", 1, math.isqrt(np.iinfo(np.intp).max // 16))
-        return cls(np.eye(dim, dtype=complex) / dim)  # not identity(dim): no large dim is cached
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

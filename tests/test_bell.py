@@ -1,5 +1,6 @@
 """Correlators, CHSH reports, no-signaling boxes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,15 +15,13 @@ from unsharpjoint import (
     ValidationError,
     box_chsh,
     chsh,
-    deterministic_box,
     local_deterministic_boxes,
     optimal_settings,
     pr_box,
     singlet,
     smeared_chsh,
-    white_noise_box,
 )
-from unsharpjoint.bell import _observable_of, smeared_chsh_values
+from unsharpjoint.bell import SETTINGS, _observable_of, smeared_chsh_values
 from unsharpjoint.operators import PAULI_X, PAULI_Z
 
 TWO_SQRT2 = 2.8284271247461903
@@ -58,7 +57,7 @@ class TestCorrelation:
     def test_dimension_mismatch(self):
         z = _observable_of(PAULI_Z)
         with pytest.raises(DimensionMismatch):
-            chsh(DensityMatrix.maximally_mixed(2), z, z, z, z)
+            chsh(DensityMatrix(np.eye(2) / 2), z, z, z, z)
 
 
 @pytest.mark.parametrize("wing,dims", [(0, (4, 3, 2)), (1, (4, 2, 3))], ids=["alice", "bob"])
@@ -140,6 +139,11 @@ class TestSmearedChsh:
             assert abs(smeared - lam * sharp) <= 1e-12
 
 
+def _uniform() -> dict:
+    """A fresh table of the uniform (white-noise) box: every entry 1/4."""
+    return {key: [[0.25, 0.25], [0.25, 0.25]] for key in SETTINGS}
+
+
 class TestBoxes:
     def test_pr_box_hits_four_exactly(self):
         rep = box_chsh(pr_box())
@@ -156,10 +160,10 @@ class TestBoxes:
         assert signed.count(2.0) == 8
 
     def test_white_noise_vanishes(self):
-        assert box_chsh(white_noise_box()).value == 0.0
+        assert box_chsh(NoSignalingBox(_uniform())).value == 0.0
 
     def test_no_signaling_residuals(self):
-        for box in (pr_box(), white_noise_box(), *local_deterministic_boxes()):
+        for box in (pr_box(), NoSignalingBox(_uniform()), *local_deterministic_boxes()):
             alice = box.p.sum(axis=3)  # [x, y, a]
             bob = box.p.sum(axis=2)  # [x, y, b]
             assert np.max(np.abs(alice[:, 0] - alice[:, 1])) <= 1e-12
@@ -175,14 +179,14 @@ class TestBoxes:
             assert box_chsh(NoSignalingBox(table)).value <= 4.0 + 1e-12
 
     def test_negative_entry_rejected(self):
-        table = pr_box().to_json()["p"]
+        table = dict(zip(SETTINGS, pr_box().p.reshape(4, 2, 2).tolist()))
         table["11"][0][0] = -0.1
         table["11"][0][1] = 0.6
         with pytest.raises(ValidationError, match=r"^box-nonnegative"):
             NoSignalingBox(table)
 
     def test_unnormalized_rejected(self):
-        table = white_noise_box().to_json()["p"]
+        table = _uniform()
         table["22"][1][1] = 0.3
         with pytest.raises(ValidationError, match=r"^box-normalization"):
             NoSignalingBox(table)
@@ -200,7 +204,7 @@ class TestBoxes:
         ],
     )
     def test_malformed_cell_rejected(self, cell):
-        table = white_noise_box().to_json()["p"]
+        table = _uniform()
         table["11"] = cell
         with pytest.raises(ValidationError, match=r"^box-cell"):
             NoSignalingBox(table)
@@ -220,24 +224,33 @@ class TestBoxes:
         with pytest.raises(ValidationError, match=r"^no-signaling-alice"):
             NoSignalingBox(table)
 
-    def test_outcome_sign_lookup(self):
-        box = deterministic_box((1, -1), (1, 1))
-        # p[x-1, y-1, (1-a)//2, (1-b)//2] is p(a, b | x, y) for signs a, b.
-        def prob(a, b, x, y):
-            return box.p[x - 1, y - 1, (1 - a) // 2, (1 - b) // 2]
-
-        assert prob(+1, +1, 1, 1) == 1
-        assert prob(-1, +1, 2, 1) == 1
-        assert prob(+1, +1, 2, 2) == 0
+    @pytest.mark.parametrize(
+        "index, bits",
+        list(enumerate(itertools.product((0, 1), repeat=4))),
+        ids=["".join(map(str, bits)) for bits in itertools.product((0, 1), repeat=4)],
+    )
+    def test_deterministic_boxes_bit_by_bit(self, index, bits):
+        # Box `index` has p[x, y, a, b] = [a = alpha_x] [b = beta_y] for the
+        # outcome bits (alpha_1, alpha_2, beta_1, beta_2) = bits, Bob's second
+        # bit varying fastest.
+        boxes = local_deterministic_boxes()
+        assert len(boxes) == 16
+        a1, a2, b1, b2 = bits
+        want = np.zeros((2, 2, 2, 2))
+        for x, y in itertools.product((0, 1), repeat=2):
+            want[x, y, (a1, a2)[x], (b1, b2)[y]] = 1.0
+        box = boxes[index]
+        assert box.p.dtype == want.dtype and box.p.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
-        "alice, bob",
-        [((1, 0), (1, 1)), ((1, 1, 1), (1, 1)), ((1,), (1, 1)), (1, (1, 1)), ((1, 1), ("1", 1)),
-         ((1, 1), ((1,), (1, 1)))],
-        ids=["zero-sign", "three-signs", "one-sign", "bare-sign", "string-sign", "ragged"],
+        "boxes",
+        [lambda: [pr_box()], lambda: [NoSignalingBox(_uniform())], local_deterministic_boxes],
+        ids=["pr", "uniform", "deterministic"],
     )
-    def test_each_party_needs_two_signs(self, alice, bob):
-        # Three signs used to build a box from the first two, and one sign or
-        # a bare one ended in an IndexError or a TypeError.
-        with pytest.raises(ValidationError, match=r"^deterministic-outcomes"):
-            deterministic_box(alice, bob)
+    def test_table_of_p_rebuilds_the_box(self, boxes):
+        # The tables the tests build by hand: key "xy" holds p[x-1, y-1] as [a][b].
+        for box in boxes():
+            table = dict(zip(SETTINGS, box.p.reshape(4, 2, 2).tolist()))
+            for (x, y, a, b), value in np.ndenumerate(box.p):
+                assert table[f"{x + 1}{y + 1}"][a][b] == value
+            assert NoSignalingBox(table).p.tobytes() == box.p.tobytes()

@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 import unsharpjoint as uj
+from unsharpjoint.bell import SETTINGS
 
 _EFFECT = uj.Effect(np.diag([0.3, 0.6]))
 _OBS = uj.DichotomicObservable.from_yes_effect(_EFFECT)
 _SMEARED = uj.smear(_OBS, 0.5)
 _WITNESS = uj.povm_joint_observable(_OBS, _OBS, 0.5).witness
-_P, _Q = uj.projector_onto([1, 0]), uj.projector_onto([1, 1])
+_P, _Q = uj.Projector.from_matrix(np.diag([1.0, 0.0])), uj.Projector.from_matrix(np.full((2, 2), 0.5))
 _M, _N = uj.BlochVector([0.0, 0.0, 1.0]), uj.BlochVector([1.0, 0.0, 0.0])
-_MIXED = uj.DensityMatrix.maximally_mixed(2)
+_MIXED = uj.DensityMatrix(np.eye(2) / 2)
 
 # name -> the positional arguments of one valid call.
 VALID = {
@@ -32,14 +33,13 @@ VALID = {
     "BlochVector.normalized": ([0.0, 0.0, 2.0],),
     "ChshReport": (2.0, (0.5, 0.5, 0.5, -0.5), 2.0, True),
     "DensityMatrix": (np.eye(2) / 2,),
-    "DensityMatrix.maximally_mixed": (2,),
     "DensityMatrix.pure": ([1.0, 0.0],),
     "DichotomicObservable": (_EFFECT, _EFFECT.complement()),
     "DichotomicObservable.from_yes_effect": (np.diag([0.3, 0.6]),),
     "Effect": (np.diag([0.3, 0.6]),),
     "FeasibilityReport": ("no", None, 0.0, -0.01, 0),
     "JointObservable": _WITNESS.effects,
-    "NoSignalingBox": (uj.pr_box().to_json()["p"],),
+    "NoSignalingBox": (dict(zip(SETTINGS, uj.pr_box().p.reshape(4, 2, 2).tolist())),),
     "Projector": (np.diag([1.0, 0.0]), 1),
     "Projector.from_matrix": (np.diag([1.0, 0.0]),),
     "box_chsh": (uj.pr_box(),),
@@ -47,7 +47,6 @@ VALID = {
     "chsh": (uj.singlet(), _OBS, _OBS, _OBS, _OBS),
     "compress": (np.eye(4) / 2,),
     "criterion_value": (_M, _N, 0.5),
-    "deterministic_box": ((1, -1), (-1, 1)),
     "feasibility_oracle": (_SMEARED, _SMEARED, 50),
     "lambda_opt_search": ((_M, _N), 2026),
     "local_deterministic_boxes": (),
@@ -58,7 +57,6 @@ VALID = {
     "optimal_settings": (),
     "povm_joint_observable": (_OBS, _OBS, 0.5),
     "pr_box": (),
-    "projector_onto": ([1.0, 0.0],),
     "pvm_joint_observable": (_P, _Q, 0.5),
     "qubit_joint_observable": (_M, _N, 0.5),
     "singlet": (),
@@ -66,7 +64,6 @@ VALID = {
     "smeared_chsh": (uj.singlet(), _OBS, _OBS, _OBS, _OBS, 0.5),
     "two_projector_blocks": (_P, _Q),
     "validate_lambda": (0.5,),
-    "white_noise_box": (),
 }
 
 # Callables of __all__ left out: the error types, and two result records.

@@ -18,11 +18,17 @@ from unsharpjoint import (
     ValidationError,
     compress,
     neumark_dilate,
-    projector_onto,
     two_projector_blocks,
 )
 from unsharpjoint.decompose import CLUSTER_TOL
 from unsharpjoint.operators import PAULI_X, identity
+
+
+def _ray(vec):
+    """The rank-1 projector onto the ray of a nonzero vector."""
+    u = np.array(vec, dtype=complex)
+    u /= np.linalg.norm(u)
+    return Projector.from_matrix(np.outer(u, u.conj()))
 
 
 def _random_projector(rng, dim, rank):
@@ -87,7 +93,7 @@ def _random_effect(rng, dim):
 
 class TestTwoProjectorBlocks:
     def test_identical_rank_one_projectors(self):
-        p = projector_onto([1, 0])
+        p = _ray([1, 0])
         dec = two_projector_blocks(p, p)
         shapes = sorted((b.dim, b.rank_p, b.rank_q) for b in dec.blocks)
         assert shapes == [(1, 0, 0), (1, 1, 1)]
@@ -98,8 +104,8 @@ class TestTwoProjectorBlocks:
     def test_z_plus_pair(self):
         # |0> against |+>: a single 2-dim block with overlap 1/sqrt(2),
         # the inner product computed directly.
-        p = projector_onto([1, 0])
-        q = projector_onto([1, 1])
+        p = _ray([1, 0])
+        q = _ray([1, 1])
         dec = two_projector_blocks(p, q)
         assert len(dec.blocks) == 1
         blk = dec.blocks[0]
@@ -184,8 +190,8 @@ class TestTwoProjectorBlocks:
         assert kinds == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_rejects_dimension_mismatch(self):
-        p = projector_onto([1, 0])
-        q = projector_onto([1, 0, 0])
+        p = _ray([1, 0])
+        q = _ray([1, 0, 0])
         with pytest.raises(DimensionMismatch):
             two_projector_blocks(p, q)
 

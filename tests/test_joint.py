@@ -28,7 +28,6 @@ from unsharpjoint import (
     feasibility_oracle,
     lambda_opt_search,
     povm_joint_observable,
-    projector_onto,
     pvm_joint_observable,
     qubit_joint_observable,
     smear,
@@ -42,6 +41,13 @@ from unsharpjoint.operators import CERTIFICATE_MARGIN, PAULI_X, PAULI_Z, PSD_TOL
 
 Z = BlochVector(np.array([0.0, 0.0, 1.0]))
 X = BlochVector(np.array([1.0, 0.0, 0.0]))
+
+
+def _ray(vec):
+    """The rank-1 projector onto the ray of a nonzero vector."""
+    u = np.array(vec, dtype=complex)
+    u /= np.linalg.norm(u)
+    return Projector.from_matrix(np.outer(u, u.conj()))
 
 
 def _random_unit(rng):
@@ -324,7 +330,7 @@ class TestPvmJointObservable:
     ])
     def test_dimension_mismatch_is_typed(self, decide):
         with pytest.raises(DimensionMismatch):
-            decide(projector_onto([1, 0]), projector_onto([1, 0, 0]))
+            decide(_ray([1, 0]), _ray([1, 0, 0]))
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
     def test_embedded_pair_threshold(self, dim):
@@ -415,7 +421,7 @@ class TestPovmJointObservable:
         assert res.min_eigenvalue >= -1e-9
 
     def test_sharp_pair_agrees_with_pvm_path(self):
-        p, q = projector_onto([1, 0]), projector_onto([1, 1])
+        p, q = _ray([1, 0]), _ray([1, 1])
         lam = 0.66
         via_povm = povm_joint_observable(p.observable(), q.observable(), lam)
         via_pvm = pvm_joint_observable(p, q, lam)
@@ -571,7 +577,7 @@ class TestCheckJoint:
 
 
 _QUARTER = Effect(identity(2) / 4.0)
-_QUTRIT = smear(projector_onto([1, 0, 0]).observable(), 0.5)
+_QUTRIT = smear(_ray([1, 0, 0]).observable(), 0.5)
 
 
 @pytest.mark.parametrize(
@@ -761,7 +767,7 @@ def _unit_vectors():
 _PAIR_KINDS = {
     "bloch": lambda: Z,
     "vector": lambda: np.array([math.sin(1.0), 0.0, math.cos(1.0)]),
-    "projector": lambda: projector_onto([1, 1]),
+    "projector": lambda: _ray([1, 1]),
     "observable": lambda: DichotomicObservable.from_yes_effect(np.diag([0.3, 0.6])),
     "effect": lambda: Effect(np.diag([0.3, 0.6])),
     "matrix": lambda: np.diag([0.3, 0.6]),
@@ -800,7 +806,7 @@ class TestLambdaOptSearch:
             assert qubit_joint_observable(*pair, above).feasible == "no"
 
     def test_projector_pair(self):
-        pair = (projector_onto([1, 0]).observable(), projector_onto([1, 1]).observable())
+        pair = (_ray([1, 0]).observable(), _ray([1, 1]).observable())
         res = lambda_opt_search(pair)
         assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-12)
 
@@ -1112,7 +1118,7 @@ def _reference_oracle(o1lam, o2lam, max_iter):
         h = h + max(0.0, -float(np.min(np.linalg.eigvalsh(h)))) * eye
         affine = np.stack([np.zeros_like(eye), y1, y2, eye - y1 - y2])
         pairing = float(np.sum(np.conj(h) * affine).real)
-        if pairing >= -1e-12 * d * max(float(np.linalg.norm(h)), 1.0):
+        if pairing >= -CERTIFICATE_MARGIN * d * float(np.linalg.norm(h)):
             return None
         return h
 
@@ -1246,6 +1252,19 @@ class TestOneDecision:
             _assert_witnesses_yes(rep, o1lam, o2lam)
         elif rep.feasible == "no" and rep.iterations > 0:
             _assert_certifies_no(rep, o1lam, o2lam)
+
+
+    @pytest.mark.parametrize("decide, invariant", [
+        (qubit_joint_observable, "bloch-vector"),
+        (criterion_value, "bloch-vector"),
+        (pvm_joint_observable, "projector"),
+        (povm_joint_observable, "dichotomic-observable"),
+    ], ids=["qubit", "criterion", "pvm", "povm"])
+    def test_every_argument_wrong_names_the_first(self, decide, invariant):
+        # Each builds its pair before it checks lam; pvm and criterion_value
+        # used to check lam first and name it.
+        with pytest.raises(ValidationError, match=rf"^{invariant}: got str$"):
+            decide("x", "y", 2.0)
 
 
 PAULI = (PAULI_X, np.array([[0, -1j], [1j, 0]]), PAULI_Z)

@@ -170,7 +170,7 @@ class TestMeanValue:
 
     def test_maximally_mixed_bloch(self):
         rng = np.random.default_rng(47)
-        state = DensityMatrix.maximally_mixed(2)
+        state = DensityMatrix(np.eye(2) / 2)
         for _ in range(10):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
@@ -189,7 +189,7 @@ class TestMeanValue:
     def test_dimension_mismatch(self):
         obs = DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(DimensionMismatch):
-            mean_value(obs, DensityMatrix.maximally_mixed(3))
+            mean_value(obs, DensityMatrix(np.eye(3) / 3))
 
 
 class TestSmearedMean:
