@@ -10,7 +10,8 @@ argparse hands its namespace straight to the command handlers; each handler
 range-checks the flags it reads before it opens any file.  Every file is read
 through _load, so every bad input file is one ParseError naming the file.
 Each handler returns its report and exit code, and main writes the report
-through _emit, so an --out that cannot be written is one ParseError too.
+through _emit, so an --out that cannot be written is one ParseError too;
+acceptance opens its --out before the criteria run, so it fails at once.
 
 Exit status: 0 on success, 2 when an infeasible verdict meets
 --expect-feasible, 1 on any error.
@@ -19,12 +20,12 @@ Exit status: 0 on success, 2 when an infeasible verdict meets
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -143,16 +144,24 @@ def chsh_to_json(rep: ChshReport) -> dict:
     )
 
 
+@contextlib.contextmanager
+def _out_file(out: str, mode: str):
+    """--out opened as text in mode; an OSError in it is one ParseError naming the path."""
+    try:
+        with open(out, mode, encoding="utf-8", newline="") as f:
+            yield f
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ParseError(out, exc.strerror or str(exc)) from exc
+
+
 def _emit(out: str | None, report) -> None:
     """Write the report to --out (or stdout): a str as it is, anything else as JSON."""
     text = report if isinstance(report, str) else json.dumps(report, sort_keys=True, indent=2) + "\n"
     if not out:
         sys.stdout.write(text)
         return
-    try:
-        Path(out).write_text(text, encoding="utf-8", newline="")
-    except OSError as exc:  # a missing directory, a directory, no permission
-        raise ParseError(out, exc.strerror or str(exc)) from exc
+    with _out_file(out, "w") as f:
+        f.write(text)
 
 
 def _cmd_smear(args: argparse.Namespace) -> tuple[dict, int]:
@@ -278,6 +287,9 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_acceptance(args: argparse.Namespace) -> tuple[dict | None, int]:
+    if args.out:  # an unwritable --out fails before the criteria run; "a" keeps an existing file
+        with _out_file(args.out, "a"):
+            pass
     results = acceptance_mod.run_all()
     all_passed = all(r.passed for r in results)
     report = _report(

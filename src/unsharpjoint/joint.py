@@ -23,9 +23,11 @@ _decide takes one of three paths:
   at 1/sqrt(2) (Busch 1986);
 * past the gate, a closed-form "no" for a sharp pair, for which the gate
   is exact;
-* past the gate, any other pair goes to an independent alternating-
-  projection (Dykstra) feasibility oracle, Anderson-accelerated, which
-  also cross-checks every closed-form verdict in the test suite.
+* past the gate, any other pair goes to an alternating-projection
+  (Dykstra) feasibility oracle, Anderson-accelerated and started at the
+  witness.  Its verdicts do not rest on the start (a "yes" is a checked PSD
+  point of the affine set, a "no" a Farkas certificate), so it also
+  cross-checks every closed-form verdict in the test suite.
 
 For Bloch vectors |A+B| and |A-B| are the scalars |m+n| and |m-n|, and
 top = |m+n| + |m-n| is the paper's criterion.  The largest feasible
@@ -86,9 +88,9 @@ _BUSCH_EDGE = math.sqrt(0.5)  # 1/sqrt(2) rounded to nearest, one ulp above LAMB
 _SIGNS = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)), dtype=float)
 _JK_SIGNS = (_SIGNS[:, 0] * _SIGNS[:, 1])[:, None, None]  # the sign of F in the oracle's G_jk
 
-# The oracle tests for a Farkas certificate at most every CERTIFICATE_EVERY
-# iterations, and accepts one whose pairing with the affine points lies
-# below -CERTIFICATE_MARGIN * d * |H|_F, far above rounding.
+# The oracle tests for a Farkas certificate at iteration 1, then at most every
+# CERTIFICATE_EVERY iterations, and accepts one whose pairing with the affine
+# points lies below -CERTIFICATE_MARGIN * d * |H|_F, far above rounding.
 CERTIFICATE_EVERY = 5
 ANDERSON_MEMORY = 3
 
@@ -475,6 +477,12 @@ def feasibility_oracle(
     Dykstra's alternating projections between the product of four PSD
     cones and the affine space of the marginal constraints iterate
     T(z) = P_aff(P_psd(z)) + z - P_psd(z); y = P_psd(z), x = P_aff(y).
+    They start at the midpoint witness of the smeared contrasts
+    A = 2 Y1 - I, B = 2 Y2 - I, _witnesses(A, B, |A+B|, |A-B|, 1), which
+    is affine by construction (projected once, for rounding) and equals the
+    witness _decide builds at the same lam: inside the gate it is PSD and
+    the verdict is "yes" at iteration 1, and past it the gap y - x of
+    iteration 1 is most often already a certificate.
     Each step is a type-II Anderson step on T (Walker & Ni 2011) in the
     real view of the stack, z + g - (dZ + dG) gamma: g = T(z) - z = x - y,
     dZ and dG are the last ANDERSON_MEMORY differences of z and g, and
@@ -489,18 +497,19 @@ def feasibility_oracle(
     * "yes" once an affine iterate is PSD to -PSD_TOL, the effect
       tolerance, so the witness validates as a JointObservable; marginals
       then hold exactly;
-    * "no" once a Farkas certificate verifies, tested at the first accepted
-      point CERTIFICATE_EVERY iterations after the last test: four PSD
-      matrices H_jk with H_pp - H_pm - H_mp + H_mm = 0 whose pairing with
-      the affine points is negative, which no PSD joint observable allows.
-      The certificate rides on the report;
+    * "no" once a Farkas certificate verifies, tested at iteration 1 and
+      then at the first accepted point CERTIFICATE_EVERY iterations after
+      the last test: four PSD matrices H_jk with H_pp - H_pm - H_mp + H_mm
+      = 0 whose pairing with the affine points is negative, which no PSD
+      joint observable allows.  The certificate rides on the report;
     * "undetermined" when the max_iter budget runs out first, which is
       expected only in a thin band around the feasibility boundary.
 
-    Each iteration makes one eigensolve, eigh of an (8, d, d) stack: the raw
-    affine iterate for the PSD test and the hermitized input of the next PSD
-    projection.  A "no" or "undetermined" report takes min_eigenvalue from
-    eigvalsh, which at d >= 3 can differ from eigh's in the last bits.
+    The start takes |A+B| and |A-B| from _abs_pair, and each iteration makes
+    one eigensolve, eigh of an (8, d, d) stack: the raw affine iterate for
+    the PSD test and the hermitized input of the next PSD projection.  A
+    "no" or "undetermined" report takes min_eigenvalue from eigvalsh, which
+    at d >= 3 can differ from eigh's in the last bits.
     """
     if _require(o1lam, DichotomicObservable).dim != _require(o2lam, DichotomicObservable).dim:
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
@@ -511,11 +520,12 @@ def feasibility_oracle(
     quarter_eye = 0.25 * eye
     base = np.stack([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
 
-    x = _affine_project(np.stack([eye / 4.0] * 4), base, half_sum, quarter_eye)
+    a, b = 2.0 * y1 - eye, 2.0 * y2 - eye
+    x = _affine_project(_witnesses(a, b, *_abs_pair(a, b)[:2], 1.0), base, half_sum, quarter_eye)
     z = x + np.zeros_like(x)  # the Dykstra correction starts at 0
     eigs, vecs = np.linalg.eigh(_hermitian_part(z))
     dz, dg, last = [], [], None  # the steps of z and of g; the last accepted (z, g, |g|)
-    tested = 0  # the iteration of the last certificate test
+    tested = 1 - CERTIFICATE_EVERY  # the iteration of the last test: the first is at 1
 
     for it in range(1, max_iter + 1):
         y = _psd_from_eigh(eigs, vecs)

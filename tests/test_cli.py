@@ -1026,9 +1026,8 @@ class TestOutputFile:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {out}: {os.strerror(code)}\n"
-        # No report reaches stdout; acceptance prints its criterion lines as they run.
-        assert _untimed_lines(captured.out) == (["PASS criterion 1 (holds): fine"]
-                                                 if command == "acceptance" else [])
+        # Nothing reaches stdout: acceptance opens --out before any criterion runs.
+        assert captured.out == ""
 
 
 class TestAcceptance:
@@ -1040,6 +1039,22 @@ class TestAcceptance:
         assert main(["acceptance"]) == code
         lines = ["PASS criterion 1 (holds): fine", "FAIL criterion 2 (breaks): off by one"]
         assert _untimed_lines(capsys.readouterr().out) == lines[:len(criteria)]
+
+    def test_out_is_opened_first_and_kept_until_the_report(self, tmp_path, capsys, monkeypatch):
+        # The early open appends, so a file already at --out keeps its bytes
+        # while the criteria run; the report then replaces them.
+        out = tmp_path / "acceptance.json"
+        out.write_text("kept\n")
+        seen = []
+
+        def reads_out():
+            seen.append(out.read_text())
+            return True, "fine"
+
+        monkeypatch.setattr(acceptance, "CRITERIA", ((1, "reads out", reads_out, math.inf),))
+        assert main(["acceptance", "--out", str(out)]) == 0
+        assert seen == ["kept\n"]
+        assert json.loads(out.read_text())["all_passed"] is True
 
     def test_report_written_to_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(acceptance, "CRITERIA", (_HOLDS, _BREAKS))

@@ -101,6 +101,15 @@ def _assert_certifies_no(rep, o1lam, o2lam):
     assert pairing < -CERTIFICATE_MARGIN * d * scale
 
 
+def _threshold_probes(delta):
+    """Five seeded qubit pairs, each smeared to (1 + delta) times its threshold."""
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        m, n = (BlochVector.normalized(rng.normal(size=3)) for _ in range(2))
+        lam = 2.0 / criterion_value(m, n, 1.0) * (1.0 + delta)
+        yield smear(m.observable(), lam), smear(n.observable(), lam)
+
+
 def _assert_certifies_no_exactly(h, o1lam, o2lam):
     """Re-verify a qubit oracle "no" in exact rational arithmetic on its floats.
 
@@ -635,13 +644,46 @@ class TestFeasibilityOracle:
         # The Farkas margin scales with |H|_F, which shrinks with the distance
         # to the boundary: with a floor of 1 under |H|_F these probes ran the
         # whole 20,000-iteration budget to "undetermined".
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            m, n = (BlochVector.normalized(rng.normal(size=3)) for _ in range(2))
-            lam = 2.0 / criterion_value(m, n, 1.0) * (1.0 + delta)
-            o1lam, o2lam = smear(m.observable(), lam), smear(n.observable(), lam)
+        for o1lam, o2lam in _threshold_probes(delta):
             rep = feasibility_oracle(o1lam, o2lam)
             assert rep.feasible == "no" and rep.iterations < 100
+            _assert_certifies_no(rep, o1lam, o2lam)
+            _assert_certifies_no_exactly(rep.certificate, o1lam, o2lam)
+
+    @pytest.mark.parametrize("kind", ["bloch", "projector", "povm"])
+    def test_starts_at_the_midpoint_witness(self, kind):
+        # Inside the gate the warm start, the midpoint witness of the smeared
+        # contrasts, is already a joint observable: a "yes" at iteration 1
+        # carrying _decide's witness at the same lam, to rounding.
+        decide = {"bloch": qubit_joint_observable, "projector": pvm_joint_observable,
+                  "povm": povm_joint_observable}[kind]
+        rng = np.random.default_rng(["bloch", "projector", "povm"].index(kind) + 53)
+        for i in range(20):
+            if kind == "bloch":
+                p, q = BlochVector(_random_unit(rng)), BlochVector(_random_unit(rng))
+            else:
+                d = int(rng.choice([3, 4, 8]))
+                if kind == "projector":
+                    p, q = (_random_projector(rng, d, int(rng.integers(1, d))) for _ in range(2))
+                else:
+                    p, q = (DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2))
+            o1, o2 = (x if kind == "povm" else x.observable() for x in (p, q))
+            threshold = lambda_opt_search((p, q) if kind == "bloch" else (o1, o2)).value
+            lam = threshold if i % 4 == 0 else threshold * float(rng.uniform(0.5, 1.0))
+            closed = decide(p, q, lam)
+            rep = feasibility_oracle(smear(o1, lam), smear(o2, lam))
+            assert (closed.feasible, closed.iterations) == ("yes", 0)
+            assert (rep.feasible, rep.iterations) == ("yes", 1)
+            for g, w in zip(rep.witness.effects, closed.witness.effects):
+                assert _max_abs(g.matrix - w.matrix) <= 1e-14
+
+    def test_a_no_closer_to_the_threshold_is_certified_within_the_budget(self):
+        # At 1e-8 past the threshold, started from (I/4, I/4, I/4, I/4) with
+        # the first test at iteration 5, these probes took 316 to 10,503
+        # iterations, and the second ran the 20,000-iteration default budget
+        # to "undetermined".  From the midpoint witness each is a "no".
+        for o1lam, o2lam in _threshold_probes(1e-8):
+            rep = feasibility_oracle(o1lam, o2lam)
             _assert_certifies_no(rep, o1lam, o2lam)
             _assert_certifies_no_exactly(rep.certificate, o1lam, o2lam)
 
@@ -748,7 +790,8 @@ class TestFeasibilityOracle:
 
     @pytest.mark.parametrize("max_iter", [1, np.int32(1), np.int64(1), np.uint8(1)])
     def test_integer_budget_reported_as_int(self, max_iter):
-        o1lam, o2lam = smear(Z.observable(), 0.72), smear(X.observable(), 0.72)
+        # A pair 1e-8 past its threshold, which one iteration leaves undecided.
+        o1lam, o2lam = next(_threshold_probes(1e-8))
         rep = feasibility_oracle(o1lam, o2lam, max_iter=max_iter)
         assert rep.feasible == "undetermined"
         assert type(rep.iterations) is int and rep.iterations == 1
@@ -1007,10 +1050,13 @@ class TestWitnessBuiltOnce:
             lam = 0.5 if path == "oracle" else LAMBDA_OPT
             assert check_joint(rep.witness, smear(o1, lam), smear(o2, lam)).min_eigenvalue == raw
 
-    @pytest.mark.parametrize("factor,verdict", [(0.97, "yes"), (1.03, "no")])
+    @pytest.mark.parametrize("factor,verdict", [(0.97, "yes"), (1.03, "no"), (1.0 + 1e-8, "no")])
     def test_oracle_makes_one_eigensolve_per_iteration(self, factor, verdict, eigensolves):
-        # One eigh per iteration (plus one before the first), an eigvalsh per
-        # certificate test, and one for the witness check or the "no" report.
+        # Two eigensolves for the warm start's |A+B| and |A-B| (_abs_pair), one
+        # eigh per iteration (plus one before the first), an eigvalsh per
+        # certificate test (at iteration 1, then every CERTIFICATE_EVERY), and
+        # one for the witness check or the "no" report.  The last case runs
+        # thousands of iterations, so the bound is checked where k is large.
         n = BlochVector.normalized([math.sin(1.0), 0.3, math.cos(1.0)])
         lam = factor * 2.0 / criterion_value(Z, n, 1.0)
         o1lam, o2lam = smear(Z.observable(), lam), smear(n.observable(), lam)
@@ -1018,7 +1064,7 @@ class TestWitnessBuiltOnce:
         rep = feasibility_oracle(o1lam, o2lam)
         assert rep.feasible == verdict
         k = rep.iterations
-        assert len(eigensolves) <= k + k // CERTIFICATE_EVERY + 2
+        assert len(eigensolves) <= k + -(-k // CERTIFICATE_EVERY) + 4
 
     def test_derived_values_make_no_eigensolve(self, eigensolves):
         obs = Z.observable()
@@ -1091,10 +1137,11 @@ class TestReportInvariants:
 
 
 def _reference_oracle(o1lam, o2lam, max_iter):
-    """feasibility_oracle without its Anderson step, written plainly: Dykstra's
-    alternating projections with an eigh for each PSD projection, an eigvalsh
-    of every affine iterate, a certificate test every CERTIFICATE_EVERY
-    iterations, and the affine stack and certificate built afresh each time."""
+    """feasibility_oracle without its Anderson step and warm start, written
+    plainly: Dykstra's alternating projections from (I/4, I/4, I/4, I/4),
+    with an eigh for each PSD projection, an eigvalsh of every affine
+    iterate, a certificate test every CERTIFICATE_EVERY iterations, and the
+    affine stack and certificate built afresh each time."""
     d = o1lam.dim
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
 
@@ -1163,13 +1210,15 @@ def _assert_verdict_checks(rep, o1lam, o2lam):
 
 
 class TestOracleAgainstReferenceLoop:
-    @pytest.mark.parametrize("kind", ["qubit", "projector", "povm"])
+    @pytest.mark.parametrize("kind", ["qubit", "projector", "povm", "povm-past-gate"])
     def test_decides_wherever_the_plain_loop_does(self, kind):
-        # The Anderson step changes the iterates, so reports are not the
-        # plain loop's bytes. On the same draws the verdicts never conflict,
-        # every verdict of the plain loop within the budget is also reached,
-        # and every witness and certificate passes its own numpy check.
-        rng = np.random.default_rng(["qubit", "projector", "povm"].index(kind) + 409)
+        # The Anderson step and the warm start change the iterates, so reports
+        # are not the plain loop's bytes. On the same draws the verdicts never
+        # conflict, every verdict of the plain loop within the budget is also
+        # reached, and every witness and certificate passes its own numpy check.
+        # POVM draws near 1/sqrt(2) are all "yes" of the midpoint witness; the
+        # near-sharp pairs past the gate check "no" against the plain loop.
+        rng = np.random.default_rng(["qubit", "projector", "povm", "povm-past-gate"].index(kind) + 409)
         verdicts, decided, reference_decided = set(), 0, 0
         for _ in range(60):
             if kind == "qubit":
@@ -1183,10 +1232,15 @@ class TestOracleAgainstReferenceLoop:
                     top = _abs_pair(2.0 * p.matrix - np.eye(d), 2.0 * q.matrix - np.eye(d))[2]
                     threshold = min(1.0, 2.0 / top)
                     o1, o2 = p.observable(), q.observable()
-                else:
+                elif kind == "povm":
                     o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2))
                     threshold = LAMBDA_OPT
-            lam = min(1.0, threshold * float(rng.uniform(0.97, 1.03)))
+                else:
+                    o1, o2 = (DichotomicObservable.from_yes_effect(_near_sharp_effect(rng, d)) for _ in range(2))
+            if kind == "povm-past-gate":
+                lam = float(rng.uniform(0.9, 1.0))
+            else:
+                lam = min(1.0, threshold * float(rng.uniform(0.97, 1.03)))
             o1lam, o2lam = smear(o1, lam), smear(o2, lam)
             max_iter = int(rng.integers(1, 61))
             rng.uniform(-12, -2)  # keeps every later draw of this seed in place
@@ -1199,7 +1253,7 @@ class TestOracleAgainstReferenceLoop:
             verdicts.add(rep.feasible)
             decided += rep.feasible != "undetermined"
             reference_decided += ref.feasible != "undetermined"
-        assert len(verdicts) >= 2
+        assert (verdicts == {"yes"}) if kind == "povm" else (len(verdicts) >= 2)
         assert decided > reference_decided
 
 
