@@ -157,7 +157,8 @@ class JointObservable:
     g_pm: Effect
     g_mp: Effect
     g_mm: Effect
-    # Smallest raw eigenvalue, kept by the witness check for check_joint.
+    # Smallest raw eigenvalue, from the witness check's one raw spectrum (its Weyl
+    # margin leaves only a hermitized fallback near the window's edges), for check_joint.
     _min_eig: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -298,7 +299,8 @@ def _projector_pair(p1, p2) -> _Pair:
     """The pair of Projectors p1, p2, with A = 2 p1 - I, B = 2 p2 - I."""
     p1, p2 = _require(p1, Projector), _require(p2, Projector)
     a, b = (2.0 * p.matrix - identity(p.dim) for p in (p1, p2))
-    abs_sum, abs_diff, top = _abs_pair(a, b)
+    abs_sum, abs_diff = _abs_pair(a, b)
+    top = float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1])
     return _Pair(top, True, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, p1.observable(), p2.observable()))
 
 
@@ -316,18 +318,18 @@ def _observable_pair(o1, o2) -> _Pair:
         except ValidationError:
             pass
     a, b = o1.difference(), o2.difference()
-    abs_sum, abs_diff, top = _abs_pair(a, b)
+    abs_sum, abs_diff = _abs_pair(a, b)
+    top = float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1])
     return _Pair(top, False, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, o1, o2))
 
 
 def _abs_pair(a: np.ndarray, b: np.ndarray):
-    """|A+B| and |A-B|, from one eigh of A+B and A-B with absolute eigenvalues,
-    and top, the largest eigenvalue of |A+B| + |A-B|."""
+    """|A+B| and |A-B|, from one eigh of A+B and A-B with absolute eigenvalues."""
     if a.shape != b.shape:
         raise DimensionMismatch(len(a), len(b))
     w, v = np.linalg.eigh(np.stack([a + b, a - b]))
     abs_sum, abs_diff = (v * np.abs(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-    return abs_sum, abs_diff, float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1])
+    return abs_sum, abs_diff
 
 
 def _witnesses(a, b, abs_sum, abs_diff, lam) -> np.ndarray:
@@ -340,11 +342,11 @@ def _witnesses(a, b, abs_sum, abs_diff, lam) -> np.ndarray:
 
 def _yes(g, tol: float, o1lam, o2lam, iterations: int) -> FeasibilityReport:
     """A "yes" carrying the witness g, checked once at tol, and its residuals."""
-    eigs = _check_effects(g, tol, raw=True)
+    eigs = _check_effects(g, tol)
     g.setflags(write=False)
     g_pp, g_pm, g_mp, g_mm = (_frozen(Effect, matrix=m) for m in g)
     witness = _frozen(JointObservable, g_pp=g_pp, g_pm=g_pm, g_mp=g_mp, g_mm=g_mm,
-                      _min_eig=float(np.min(eigs[4:, 0])))
+                      _min_eig=float(np.min(eigs[:, 0])))
     res = check_joint(witness, o1lam, o2lam)
     _within("joint-normalization", res.normalization, JOINT_NORMALIZATION_TOL)
     return FeasibilityReport("yes", witness, res.marginal_max, res.min_eigenvalue, iterations)
@@ -373,7 +375,7 @@ def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
 
 def qubit_verdicts(m, n, lams) -> list[str]:
     """qubit_joint_observable(m, n, lam).feasible for each lam of a sequence: the
-    "yes" witnesses are one stack, checked as that function checks each, in one eigensolve."""
+    "yes" witnesses are one stack, checked as that function checks each, by one _check_effects."""
     pair = _bloch_pair(m, n)
     lams = _lambda_array(lams)
     yes = _feasible(lams, pair.top)
@@ -521,7 +523,7 @@ def feasibility_oracle(
     base = np.stack([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
 
     a, b = 2.0 * y1 - eye, 2.0 * y2 - eye
-    x = _affine_project(_witnesses(a, b, *_abs_pair(a, b)[:2], 1.0), base, half_sum, quarter_eye)
+    x = _affine_project(_witnesses(a, b, *_abs_pair(a, b), 1.0), base, half_sum, quarter_eye)
     z = x + np.zeros_like(x)  # the Dykstra correction starts at 0
     eigs, vecs = np.linalg.eigh(_hermitian_part(z))
     dz, dg, last = [], [], None  # the steps of z and of g; the last accepted (z, g, |g|)

@@ -11,10 +11,11 @@ residual check runs through _within, which raises ValidationError(invariant,
 residual) past its tolerance.  Validation errors report raw residuals.
 
 Public constructors validate, derived values are built unchecked by
-_frozen, and a joint witness (or a stack of them) is checked once, in one
-eigensolve, by _check_effects.  Every type freezes its matrix (read-only
-array), so instances are plain immutable values and safe to share across
-threads.
+_frozen, and a joint witness (or a stack of them) is checked once by
+_check_effects: one raw spectrum decides it past a Weyl margin from the
+window's edges, a hermitized fallback near them.  Every type freezes its
+matrix (read-only array), so instances are plain immutable values and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ BOB_DIRECTION_CUTOFF = 1e-12  # abs: |m +- n| below this is a zero direction for
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a norm below it has lost bits to underflow
+_EPS = np.finfo(float).eps
 # Residual checks run under it: an overflow to inf or nan is refused by _within, not warned of.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
@@ -181,22 +183,29 @@ class Effect:
 
 
 @_quiet
-def _check_effects(g: np.ndarray, tol: float, raw: bool = False) -> np.ndarray:
+def _check_effects(g: np.ndarray, tol: float) -> np.ndarray:
     """Check each m of a (k, d, d) stack for hermiticity and a spectrum in the
-    window [-tol, 1 + tol], in one eigvalsh call (a non-finite entry anywhere
-    first); Effect(m) is the k = 1 case at PSD_TOL.  The first failing m raises,
-    spectrum-in-[0,1] naming its smallest eigenvalue if that is below the window,
-    else its largest.  Returns the hermitized spectra, then the raw if raw."""
+    window [-tol, 1 + tol] (a non-finite entry anywhere first); Effect(m) is the
+    k = 1 case at PSD_TOL.  Returns the raw spectra, eigvalsh of each m as it is.
+
+    eigvalsh reads the lower triangle of m, a Hermitian L with |L - h|_2 <= d r / 2
+    for the hermitian part h and the stack's largest residual r = max|m - m^H|,
+    so by Weyl's inequality (Bhatia, Matrix Analysis, 1997, Cor. III.2.6) a raw
+    spectrum inside the window by d (r / 2 + 16 eps), which adds the rounding of
+    both eigensolves, puts the hermitized one inside it too.  Any other stack
+    falls back to the hermitized spectra: the first failing m raises, hermiticity
+    first, then spectrum-in-[0,1] naming its smallest eigenvalue if that is below
+    the window, else its largest."""
     if not np.isfinite(g).all():
         raise ValidationError("finite-entries")
     residuals = np.abs(g - g.swapaxes(1, 2).conj()).max(axis=(1, 2))
-    h = _hermitian_part(g)
-    eigs = np.linalg.eigvalsh(np.concatenate([h, g]) if raw else h)
+    eigs = np.linalg.eigvalsh(g)
     lo, hi = -tol, 1.0 + tol  # tested negated: a nan spectrum fails
-    k = len(g)
-    if (residuals.max(initial=0.0) > HERMITIAN_TOL or not eigs[:k, 0].min(initial=lo) >= lo
-            or not eigs[:k, -1].max(initial=hi) <= hi):
-        for res, spectrum in zip(residuals, eigs):
+    worst = residuals.max(initial=0.0)
+    margin = g.shape[-1] * (worst / 2 + 16 * _EPS)
+    if not (worst <= HERMITIAN_TOL
+            and ((lo + margin <= eigs[:, 0]) & (eigs[:, -1] <= hi - margin)).all()):
+        for res, spectrum in zip(residuals, np.linalg.eigvalsh(_hermitian_part(g))):
             _within("hermiticity", res, HERMITIAN_TOL)
             eig = float(spectrum[0] if not spectrum[0] >= lo else spectrum[-1])
             if not lo <= eig <= hi:

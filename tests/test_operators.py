@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from unsharpjoint import (
@@ -455,6 +455,30 @@ def _window_check(g, tol):
         raise ValidationError("spectrum-in-[0,1]", detail=f"eigenvalue {float(eigs[-1])!r} {window}")
 
 
+def _outcome(fn):
+    """fn()'s value, or the type and text of the ValidationError it raises."""
+    try:
+        return fn()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _reference(stack, tol):
+    """The outcome of the first matrix of stack that _window_check refuses, or None."""
+    return next((r for r in (_outcome(lambda m=m: _window_check(m, tol)) for m in stack)
+                 if isinstance(r, tuple)), None)
+
+
+def _assert_as_reference(got, expected, stack):
+    """got, the outcome of _check_effects on stack, against the reference's: the
+    same error type and text, or on a pass eigvalsh of each raw matrix, bit for bit."""
+    if expected is None:
+        assert isinstance(got, np.ndarray), got
+        assert got.tobytes() == np.stack([np.linalg.eigvalsh(m) for m in stack]).tobytes()
+    else:
+        assert isinstance(got, tuple) and got == expected
+
+
 class TestWitnessCheck:
     """The batched check of a stack of effects against the same checks on
     each matrix, one by one."""
@@ -486,21 +510,124 @@ class TestWitnessCheck:
                 m = (v * w) @ v.conj().T
             stack[where] = m
 
-        def outcome(fn):
-            try:
-                return fn()
-            except ValidationError as exc:
-                return type(exc), str(exc)
-
-        expected = next((r for r in (outcome(lambda g=g: _window_check(g, tol)) for g in stack)
-                         if isinstance(r, tuple)), None)
-        got = outcome(lambda: _check_effects(np.stack(stack), tol, raw=True))
+        expected = _reference(stack, tol)
+        got = _outcome(lambda: _check_effects(np.stack(stack), tol))
         if expected is None:
-            # The raw spectra follow the hermitized ones; a witness keeps their smallest entry.
-            assert float(np.min(got[len(stack):, 0])) == min(
+            # The check returns the raw spectra; a witness keeps their smallest entry.
+            assert float(np.min(got[:, 0])) == min(
                 float(np.linalg.eigvalsh(g)[0]) for g in stack)
         else:
             assert got == expected
+
+    @staticmethod
+    def _record(monkeypatch):
+        """The shapes of every np.linalg.eigvalsh input, and the count of
+        _hermitian_part calls made from operators, from now on."""
+        from unsharpjoint import operators
+
+        shapes, hermitized = [], []
+        real_eigvalsh, real_hermitian_part = np.linalg.eigvalsh, operators._hermitian_part
+
+        def eigvalsh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_eigvalsh(a, *args, **kwargs)
+
+        def hermitian_part(m):
+            hermitized.append(np.shape(m))
+            return real_hermitian_part(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(operators, "_hermitian_part", hermitian_part)
+        return shapes, hermitized
+
+    def test_a_package_witness_takes_one_raw_spectrum(self, monkeypatch):
+        # At d = 64 the midpoint witness of two projectors is decided by the
+        # raw (4, d, d) spectrum alone: the only other eigvalsh is the pair's
+        # top, and no hermitized copy is made.
+        from unsharpjoint import LAMBDA_OPT
+
+        d, rng = 64, np.random.default_rng(64)
+
+        def projector():
+            u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0][:, :d // 2]
+            return Projector(u @ u.conj().T, rank=d // 2)
+
+        p, q = projector(), projector()
+        shapes, hermitized = self._record(monkeypatch)
+        rep = pvm_joint_observable(p, q, LAMBDA_OPT)
+        assert rep.feasible == "yes"
+        assert shapes == [(d, d), (4, d, d)]
+        assert hermitized == []
+        assert rep.min_eigenvalue == min(float(np.linalg.eigvalsh(e.matrix)[0])
+                                         for e in rep.witness.effects)
+
+    @pytest.mark.parametrize("plant", ["residual-below", "residual-above", "low-inside",
+                                       "low-outside", "high-inside", "high-outside"])
+    @pytest.mark.parametrize("tol", [1e-11, 1e-9])
+    def test_the_edges_fall_back_to_the_hermitized_spectrum(self, plant, tol, monkeypatch):
+        # A residual near HERMITIAN_TOL on a stack with spectra touching 0 and 1
+        # (a margin d r / 2 past the window's room), or an eigenvalue within
+        # the margin of either edge, sends the check to the hermitized
+        # spectra, which give the verdict of the per-matrix reference.
+        from unsharpjoint.operators import _check_effects
+
+        d, eps = 32, np.finfo(float).eps  # d r / 2 passes PSD_TOL at r = 0.9 HERMITIAN_TOL
+        rng = np.random.default_rng(17)
+        spectra = rng.uniform(0.2, 0.8, size=(3, d))
+        spectra[:, 0], spectra[:, -1] = 0.0, 1.0
+        stack = [_effect_matrix(int(s), w) for s, w in zip(rng.integers(0, 99, 3), spectra)]
+        if plant.startswith("residual"):
+            r = HERMITIAN_TOL * (0.9 if plant == "residual-below" else 1.1)
+            stack[1][2, 5] += r
+        else:
+            margin = d * (float(max(np.abs(g - g.conj().T).max() for g in stack)) / 2 + 16 * eps)
+            edge, sign = (-tol, 1.0) if plant.startswith("low") else (1.0 + tol, -1.0)
+            w, v = np.linalg.eigh(stack[2])
+            w[0 if sign > 0 else -1] = edge + sign * margin / 2 * (1 if plant.endswith("inside") else -1)
+            stack[2] = (v * w) @ v.conj().T
+        expected = _reference(stack, tol)
+        assert (expected is None) == (plant in {"residual-below", "low-inside", "high-inside"})
+        shapes, hermitized = self._record(monkeypatch)
+        got = _outcome(lambda: _check_effects(np.stack(stack), tol))
+        assert shapes == [(3, d, d), (3, d, d)]
+        assert hermitized == [(3, d, d)]
+        _assert_as_reference(got, expected, stack)
+
+    @seed(1986)
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 16),
+           st.sampled_from([1e-11, 1e-9]), st.floats(0.0, 1.0), st.data())
+    def test_matches_the_per_matrix_check(self, rng_seed, k, d, tol, residual_share, data):
+        # Random (k, d, d) stacks with extreme eigenvalues planted within
+        # +-d (r + 32 eps) of -tol and 1 + tol, twice the margin, and a residual
+        # r up to HERMITIAN_TOL planted in the lower triangle of one matrix
+        # along the eigenvector of a planted extreme eigenvalue, where it moves
+        # the raw spectrum off the hermitized one the most: the verdict is the
+        # per-matrix reference's, error text included, and a pass returns the
+        # raw spectra bit for bit.
+        from unsharpjoint.operators import _check_effects
+
+        rng = np.random.default_rng(rng_seed)
+        r = residual_share * HERMITIAN_TOL
+        span = d * (r + 32 * np.finfo(float).eps)
+        target, edge = data.draw(st.integers(0, k - 1)), data.draw(st.sampled_from([0, -1]))
+        stack = []
+        for i in range(k):
+            w = np.sort(rng.uniform(0.0, 1.0, size=d))
+            if data.draw(st.booleans()) or (i, edge) == (target, 0):
+                w[0] = -tol + span * data.draw(st.floats(-1.0, 1.0))
+            if data.draw(st.booleans()) or (i, edge) == (target, -1):
+                w[-1] = 1.0 + tol + span * data.draw(st.floats(-1.0, 1.0))
+            stack.append(_effect_matrix(int(rng.integers(0, 2**32)), w))
+        m = stack[target]
+        v = np.linalg.eigh(m)[1][:, edge]
+        lower = np.tril(np.outer(v, v.conj()), -1)
+        if d == 1:
+            m[0, 0] += 0.5j * r
+        else:
+            m += data.draw(st.sampled_from([-r, r])) * lower / np.abs(lower).max()
+        _assert_as_reference(_outcome(lambda: _check_effects(np.stack(stack), tol)),
+                             _reference(stack, tol), stack)
 
     def test_a_yes_keeps_the_stack_it_was_given(self):
         # Four random effects normalized to sum to I (G_i = S^-1/2 E_i S^-1/2):
