@@ -7,7 +7,9 @@ JSON is written with sorted keys, CSV with '.' decimals, ',' separators,
 LF line endings and 15 significant digits.
 
 argparse hands its namespace straight to the command handlers; each handler
-range-checks the flags it reads before it opens any file.  Every file is read
+range-checks the flags it reads (--lambda, --seed) before it opens any file.
+jointly-measurable --oracle runs feasibility_oracle at its fixed budget,
+joint.MAX_ITER iterations.  Every file is read
 through _load, so every bad input file is one ParseError naming the file.
 Each handler returns its report and exit code, and main writes the report
 through _emit, so an --out that cannot be written is one ParseError too;
@@ -42,7 +44,6 @@ from .joint import (
     lambda_opt_search,
     povm_joint_observable,
     qubit_verdicts,
-    validate_max_iter,
     validate_seed,
 )
 from .operators import (
@@ -55,7 +56,7 @@ from .operators import (
     matrix_from_json,
     matrix_to_json,
 )
-from .unsharp import smear
+from .unsharp import smear, validate_lambda
 
 SCHEMA = "uj/1"
 SWEEP_MAX_ROWS = 10**5  # a row costs about 2 KB and 14 us; a larger grid is refused unbuilt
@@ -165,6 +166,7 @@ def _emit(out: str | None, report) -> None:
 
 
 def _cmd_smear(args: argparse.Namespace) -> tuple[dict, int]:
+    validate_lambda(args.lam)
     return observable_to_json(smear(_load(args.obs, _observable), args.lam)), 0
 
 
@@ -200,10 +202,10 @@ def _cmd_dilate(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_jointly_measurable(args: argparse.Namespace) -> tuple[dict, int]:
-    validate_max_iter(args.max_iter)
+    validate_lambda(args.lam)
     o1, o2 = (_load(f, _observable) for f in (args.o1, args.o2))
     if args.oracle:
-        rep = feasibility_oracle(smear(o1, args.lam), smear(o2, args.lam), max_iter=args.max_iter)
+        rep = feasibility_oracle(smear(o1, args.lam), smear(o2, args.lam))
     else:
         rep = povm_joint_observable(o1, o2, args.lam)
     return feasibility_to_json(rep), 2 if args.expect_feasible and rep.feasible != "yes" else 0
@@ -238,6 +240,8 @@ def _cmd_lambda_opt(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_chsh(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.lam is not None:
+        validate_lambda(args.lam)
     state = _load(args.state, lambda obj: DensityMatrix(matrix_from_json(obj)))
     settings = _load(args.settings,
                      lambda obj: [_observable(obj[key]) for key in ("a1", "a2", "b1", "b2")])
@@ -349,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--oracle", action="store_true", help="use the alternating-projection oracle")
     p.add_argument("--expect-feasible", action="store_true", help="exit 2 unless feasible")
-    p.add_argument("--max-iter", type=int, default=20000)
 
     p = sub.add_parser("lambda-opt", help="largest feasible unsharpness")
     p.add_argument("--mode", choices=("pair", "worst-case"), default="pair")

@@ -92,6 +92,7 @@ _JK_SIGNS = (_SIGNS[:, 0] * _SIGNS[:, 1])[:, None, None]  # the sign of F in the
 # CERTIFICATE_EVERY iterations, and accepts one whose pairing with the affine
 # points lies below -CERTIFICATE_MARGIN * d * |H|_F, far above rounding.
 CERTIFICATE_EVERY = 5
+MAX_ITER = 20000
 ANDERSON_MEMORY = 3
 
 
@@ -216,6 +217,7 @@ class FeasibilityReport:
                          "no" from the closed form, the (negative) value
                          the construction would have had; for an oracle
                          "no" or "undetermined", that of its affine iterate
+                         in the oracle's own eigh
     iterations        -- oracle iterations (0 for constructive paths)
     certificate       -- for an oracle "no", the read-only (4, d, d) stack
                          of PSD matrices H_pp, H_pm, H_mp, H_mm with
@@ -398,8 +400,8 @@ def povm_joint_observable(
 ) -> FeasibilityReport:
     """Joint observable for any two smeared dichotomic observables, decided as
     the module docstring says; a sharp pair as pvm_joint_observable decides its
-    projectors, any other past the gate by feasibility_oracle at its default
-    settings, whose report shows iterations > 0."""
+    projectors, any other past the gate by feasibility_oracle, whose report
+    shows iterations > 0."""
     return _decide(_observable_pair(o1, o2), validate_lambda(lam))
 
 
@@ -421,16 +423,6 @@ def _affine_project(
     """
     f = 0.25 * (h[0] - h[1] - h[2] + h[3]) + half_sum - quarter_eye
     return (base.view(float) + _JK_SIGNS * f.view(float)).view(complex)
-
-
-def _psd_from_eigh(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Componentwise projection onto PSD of a Hermitian stack, from its eigh."""
-    return (vecs * np.maximum(eigs, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-
-
-def validate_max_iter(max_iter) -> int:
-    """Check the oracle's iteration budget as an integer of at least 1."""
-    return _require_int(max_iter, "max-iter>=1", 1)
 
 
 def validate_seed(seed) -> int:
@@ -472,7 +464,6 @@ def _farkas_certificate(
 def feasibility_oracle(
     o1lam: DichotomicObservable,
     o2lam: DichotomicObservable,
-    max_iter: int = 20000,
 ) -> FeasibilityReport:
     """Decide joint measurability by Anderson-accelerated alternating projections.
 
@@ -504,18 +495,17 @@ def feasibility_oracle(
       the last test: four PSD matrices H_jk with H_pp - H_pm - H_mp + H_mm
       = 0 whose pairing with the affine points is negative, which no PSD
       joint observable allows.  The certificate rides on the report;
-    * "undetermined" when the max_iter budget runs out first, which is
+    * "undetermined" when MAX_ITER iterations pass first, which is
       expected only in a thin band around the feasibility boundary.
 
     The start takes |A+B| and |A-B| from _abs_pair, and each iteration makes
     one eigensolve, eigh of an (8, d, d) stack: the raw affine iterate for
     the PSD test and the hermitized input of the next PSD projection.  A
-    "no" or "undetermined" report takes min_eigenvalue from eigvalsh, which
-    at d >= 3 can differ from eigh's in the last bits.
+    "no" or "undetermined" report takes the gap max|x - y| and the smallest
+    eigenvalue of x, from that eigh, at its last iteration.
     """
     if _require(o1lam, DichotomicObservable).dim != _require(o2lam, DichotomicObservable).dim:
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
-    max_iter = validate_max_iter(max_iter)
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
     eye = identity(o1lam.dim)
     half_sum = 0.5 * (y1 + y2)
@@ -528,9 +518,10 @@ def feasibility_oracle(
     eigs, vecs = np.linalg.eigh(_hermitian_part(z))
     dz, dg, last = [], [], None  # the steps of z and of g; the last accepted (z, g, |g|)
     tested = 1 - CERTIFICATE_EVERY  # the iteration of the last test: the first is at 1
+    certificate = None
 
-    for it in range(1, max_iter + 1):
-        y = _psd_from_eigh(eigs, vecs)
+    for it in range(1, MAX_ITER + 1):
+        y = (vecs * np.maximum(eigs, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)  # P_psd(z)
         x = _affine_project(y, base, half_sum, quarter_eye)
         zr, g = z.view(float).ravel(), (x - y).view(float).ravel()
         norm = float(np.linalg.norm(g))
@@ -551,7 +542,8 @@ def feasibility_oracle(
                     step, dz, dg = zr + g, [], []
         z = step.view(complex).reshape(x.shape)
         eigs, vecs = np.linalg.eigh(np.concatenate([x, _hermitian_part(z)]))
-        if eigs[:4, 0].min() >= -PSD_TOL:
+        low = float(eigs[:4, 0].min())
+        if low >= -PSD_TOL:
             return _yes(x, PSD_TOL, o1lam, o2lam, it)
         eigs, vecs = eigs[4:], vecs[4:]
 
@@ -559,16 +551,10 @@ def feasibility_oracle(
             tested = it
             certificate = _farkas_certificate(x, y, base, eye)
             if certificate is not None:
-                return _gap_report("no", x, y, it, certificate)
+                break
 
-    return _gap_report("undetermined", x, _psd_from_eigh(*np.linalg.eigh(_hermitian_part(x))), max_iter)
-
-
-def _gap_report(verdict: str, x, y, iterations: int, certificate=None) -> FeasibilityReport:
-    """An oracle "no" or "undetermined": the gap max|x - y| between its affine
-    and PSD iterates and the smallest eigenvalue of x."""
-    return FeasibilityReport(verdict, None, _max_abs(x - y),
-                             float(np.min(np.linalg.eigvalsh(x))), iterations, certificate)
+    return FeasibilityReport("undetermined" if certificate is None else "no", None,
+                             _max_abs(x - y), low, it, certificate)
 
 
 @dataclass(frozen=True, eq=False)

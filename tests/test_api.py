@@ -43,7 +43,7 @@ SURFACE = {
     "chsh": '(state, a1, a2, b1, b2)',
     "compress": '(g)',
     "criterion_value": '(m, n, lam)',
-    "feasibility_oracle": '(o1lam, o2lam, max_iter=20000)',
+    "feasibility_oracle": '(o1lam, o2lam)',
     "lambda_opt_search": '(pair_source, seed=2026)',
     "local_deterministic_boxes": '()',
     "matrix_from_json": '(obj)',

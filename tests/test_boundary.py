@@ -47,7 +47,7 @@ VALID = {
     "chsh": (uj.singlet(), _OBS, _OBS, _OBS, _OBS),
     "compress": (np.eye(4) / 2,),
     "criterion_value": (_M, _N, 0.5),
-    "feasibility_oracle": (_SMEARED, _SMEARED, 50),
+    "feasibility_oracle": (_SMEARED, _SMEARED),
     "lambda_opt_search": ((_M, _N), 2026),
     "local_deterministic_boxes": (),
     "matrix_from_json": (uj.matrix_to_json(np.eye(2)),),

@@ -204,17 +204,9 @@ class TestJointlyMeasurable:
         assert payload["iterations"] > 0
         assert sorted(payload["certificate"]) == ["h_mm", "h_mp", "h_pm", "h_pp"]
 
-    def test_oracle_rejects_non_positive_budget(self, fixtures, capsys):
-        code = main(
-            ["jointly-measurable", "--o1", fixtures["p.json"], "--o2", fixtures["q.json"],
-             "--lambda", "0.7", "--oracle", "--max-iter", "-1"]
-        )
-        assert code == 1
-        assert "max-iter>=1" in capsys.readouterr().err
-
     def test_repeated_main_sees_only_its_own_flags(self, fixtures, capsys, monkeypatch):
         # The parser is built once per process; a second call must not
-        # inherit the first call's --oracle or --max-iter.
+        # inherit the first call's --oracle.
         from unsharpjoint import cli
 
         seen = []
@@ -222,7 +214,7 @@ class TestJointlyMeasurable:
         def recording(decide):
             def wrapper(*args, **kwargs):
                 flags = sys._getframe(1).f_locals["args"]  # the namespace of the deciding handler
-                seen.append((flags.oracle, flags.max_iter))
+                seen.append(flags.oracle)
                 return decide(*args, **kwargs)
             return wrapper
 
@@ -231,12 +223,12 @@ class TestJointlyMeasurable:
         pair = ["jointly-measurable", "--o1", fixtures["p.json"], "--o2", fixtures["q.json"],
                 "--lambda", "0.72"]
         reports = []
-        for extra in (["--oracle", "--max-iter", "50"], []):
+        for extra in (["--oracle"], []):
             code, out = _run(pair + extra, capsys)
             assert code == 0
             reports.append(json.loads(out))
-        assert seen == [(True, 50), (False, 20000)]
-        assert 0 < reports[0]["iterations"] <= 50
+        assert seen == [True, False]
+        assert reports[0]["iterations"] > 0
         assert reports[1]["iterations"] == 0
         assert "certificate" not in reports[1]
 
@@ -932,15 +924,18 @@ _NEED_ONE_PAIR = "need --m/--n or --o1/--o2"
 
 class TestFlagWindows:
     # The files do not exist: each window is checked before any file read.
-    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed-form", "oracle"])
-    @pytest.mark.parametrize("max_iter", ["0", "-1"])
-    def test_max_iter_window(self, max_iter, oracle, capsys):
-        code = main(
-            ["jointly-measurable", "--o1", "/nonexistent.json", "--o2", "/nonexistent.json",
-             "--lambda", "0.7", "--max-iter", max_iter, *oracle]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: max-iter>=1: got {max_iter}\n"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["smear", "--obs", "/nonexistent.json"],
+            ["jointly-measurable", "--o1", "/nonexistent.json", "--o2", "/nonexistent.json"],
+            ["chsh", "--state", "/nonexistent.json", "--settings", "/nonexistent.json"],
+        ],
+        ids=["smear", "jointly-measurable", "chsh"],
+    )
+    def test_lambda_window(self, argv, capsys):
+        assert main([*argv, "--lambda", "2"]) == 1
+        assert capsys.readouterr().err == "error: lambda-in-(0,1]: got 2.0\n"
 
     @pytest.mark.parametrize("mode", ["pair", "worst-case"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

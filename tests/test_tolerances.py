@@ -26,7 +26,7 @@ from unsharpjoint import (
     qubit_joint_observable,
     smear,
 )
-from unsharpjoint import operators
+from unsharpjoint import joint, operators
 from unsharpjoint.operators import CRITERION_SLACK, PSD_TOL
 
 SRC = Path(unsharpjoint.__file__).parent
@@ -130,7 +130,7 @@ def test_one_core_picks_the_path():
     }
 
 
-def test_closed_form_and_oracle_disagree_only_inside_the_band():
+def test_closed_form_and_oracle_disagree_only_inside_the_band(monkeypatch):
     """The band is (2 + CRITERION_SLACK, 2 + 8 PSD_TOL] in criterion value,
     at lam above 1/sqrt(2): since top <= 2 sqrt(2), a value past 2 puts lam there.
 
@@ -141,6 +141,7 @@ def test_closed_form_and_oracle_disagree_only_inside_the_band():
     each other; "undetermined" above it is allowed (ROADMAP item 6).
     """
     lo, hi = 2.0 + CRITERION_SLACK, 2.0 + 8.0 * PSD_TOL
+    monkeypatch.setattr(joint, "MAX_ITER", 300)
     rng = np.random.default_rng(9)
     for _ in range(12):
         m, n = (BlochVector.normalized(v) for v in rng.normal(size=(2, 3)))
@@ -150,8 +151,7 @@ def test_closed_form_and_oracle_disagree_only_inside_the_band():
             lam = target / top
             value = criterion_value(m, n, lam)
             closed = qubit_joint_observable(m, n, lam).feasible
-            oracle = feasibility_oracle(smear(m.observable(), lam), smear(n.observable(), lam),
-                                        max_iter=300).feasible
+            oracle = feasibility_oracle(smear(m.observable(), lam), smear(n.observable(), lam)).feasible
             if value <= lo:
                 assert (closed, oracle) in {("yes", "yes"), ("yes", "undetermined")}
             elif value > hi:
