@@ -890,8 +890,12 @@ class TestErrors:
             ["jointly-measurable", "--o1", "a.json", "--o2", "b.json", "--lambda", "0.7",
              "--tol", "1e-9"],
             ["lambda-opt", "--mode", "worst-case", "--mesh", "1000"],
+            ["jointly-measurable", "--o1", "a.json", "--o2", "b.json", "--lambda", "0.7",
+             "--max-iter", "50"],
+            ["jointly-measurable", "--o1", "a.json", "--o2", "b.json", "--lambda", "0.7",
+             "--oracle", "--max-iter", "50"],
         ],
-        ids=["jointly-measurable-tol", "worst-case-mesh"],
+        ids=["jointly-measurable-tol", "worst-case-mesh", "closed-form-max-iter", "oracle-max-iter"],
     )
     def test_removed_flags_are_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -922,20 +926,36 @@ _WORST_CASE_TAKES_NO_PAIR = "--mode worst-case takes no --m/--n/--o1/--o2"
 _NEED_ONE_PAIR = "need --m/--n or --o1/--o2"
 
 
+_LAMBDA_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [
+        ["smear", "--obs", "/nonexistent.json"],
+        ["jointly-measurable", "--o1", "/nonexistent.json", "--o2", "/nonexistent.json"],
+        ["chsh", "--state", "/nonexistent.json", "--settings", "/nonexistent.json"],
+    ],
+    ids=["smear", "jointly-measurable", "chsh"],
+)
+_MISSING_FILE = "error: /nonexistent.json: [Errno 2] No such file or directory: '/nonexistent.json'\n"
+
+
 class TestFlagWindows:
     # The files do not exist: each window is checked before any file read.
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["smear", "--obs", "/nonexistent.json"],
-            ["jointly-measurable", "--o1", "/nonexistent.json", "--o2", "/nonexistent.json"],
-            ["chsh", "--state", "/nonexistent.json", "--settings", "/nonexistent.json"],
-        ],
-        ids=["smear", "jointly-measurable", "chsh"],
-    )
-    def test_lambda_window(self, argv, capsys):
-        assert main([*argv, "--lambda", "2"]) == 1
-        assert capsys.readouterr().err == "error: lambda-in-(0,1]: got 2.0\n"
+    @_LAMBDA_COMMANDS
+    @pytest.mark.parametrize("lam,got", [("2", "2.0"), ("0", "0.0"), ("-0.5", "-0.5"), ("nan", "nan"),
+                                         ("inf", "inf")])
+    def test_lambda_window(self, argv, lam, got, capsys):
+        assert main([*argv, f"--lambda={lam}"]) == 1
+        assert capsys.readouterr().err == f"error: lambda-in-(0,1]: got {got}\n"
+
+    @_LAMBDA_COMMANDS
+    def test_lambda_of_one_reaches_the_files(self, argv, capsys):
+        # 1 closes the window, so the first error is the missing file's.
+        assert main([*argv, "--lambda", "1"]) == 1
+        assert capsys.readouterr().err == _MISSING_FILE
+
+    def test_chsh_without_lambda_checks_no_window(self, capsys):
+        assert main(["chsh", "--state", "/nonexistent.json", "--settings", "/nonexistent.json"]) == 1
+        assert capsys.readouterr().err == _MISSING_FILE
 
     @pytest.mark.parametrize("mode", ["pair", "worst-case"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
