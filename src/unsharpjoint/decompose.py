@@ -11,7 +11,9 @@ of complementarity.
 two_projector_blocks pairs the eigenvectors of q's compressions to ran p
 and ker p, in the style of Bjorck & Golub (Math. Comp. 27, 1973).  No step
 divides by a small sine or cosine, so nearly aligned pairs decompose as
-well as generic ones.
+well as generic ones.  The basis is written once and checked once, for
+unitarity and, in one stacked product, the block diagonality of p and q;
+its Block values are valid by construction and are not checked again.
 
 The same module hosts the 2-level-ancilla dilation of a dichotomic POVM to
 a projector and the compression back to the system, both in the one
@@ -37,6 +39,7 @@ from .operators import (
     DichotomicObservable,
     Effect,
     Projector,
+    _frozen,
     _got,
     _max_abs,
     _quiet,
@@ -119,11 +122,8 @@ class BlockDecomposition:
     @functools.cached_property
     def _off_block_mask(self) -> np.ndarray:
         """True at the entries of a d x d matrix outside the declared blocks."""
-        mask = np.ones((self.dim, self.dim), dtype=bool)
-        offset = 0
-        for blk in self.blocks:
-            mask[offset : offset + blk.dim, offset : offset + blk.dim] = False
-            offset += blk.dim
+        ids = np.repeat(np.arange(len(self.blocks)), [blk.dim for blk in self.blocks])
+        mask = ids[:, None] != ids
         mask.setflags(write=False)
         return mask
 
@@ -221,15 +221,14 @@ def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
         entries.append(([a, b], 1, 1, float(np.sqrt(ci) if ci >= 0.5 else si / np.sqrt(1.0 - ci))))
     entries.sort(key=lambda e: (len(e[0]) == 1, -e[3], -e[1], -e[2]))
 
-    columns: list[np.ndarray] = []
-    blocks: list[Block] = []
-    for cols, rank_p, rank_q, overlap in entries:
-        columns.extend(cols)
-        blocks.append(Block(len(cols), rank_p, rank_q, overlap))
-    decomp = BlockDecomposition(np.column_stack(columns), tuple(blocks))
-
-    for m in (pm, qm):
-        _within("block-diagonality", decomp.off_block_mass(m), BLOCK_RESIDUAL_TOL)
+    unitary = np.stack([col for cols, *_ in entries for col in cols], axis=1)
+    decomp = _frozen(BlockDecomposition, unitary=unitary, blocks=tuple(
+        _frozen(Block, dim=len(cols), rank_p=rank_p, rank_q=rank_q, overlap=overlap)
+        for cols, rank_p, rank_q, overlap in entries))
+    uh = unitary.conj().T
+    _within("unitary", _max_abs(uh @ unitary - np.eye(len(unitary))), UNITARITY_TOL)
+    conj = uh @ np.stack([pm, qm]) @ unitary
+    _within("block-diagonality", _max_abs(conj[:, decomp._off_block_mask]), BLOCK_RESIDUAL_TOL)
     return decomp
 
 

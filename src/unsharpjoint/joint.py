@@ -8,7 +8,8 @@ code that classifies a pair: _bloch_pair (Bloch vectors m, n),
 _projector_pair (projectors P, Q) and _observable_pair (dichotomic
 observables; a sharp pair becomes the pair of its projectors).  The pair
 carries top, the largest eigenvalue of |A+B| + |A-B| for the contrasts
-A = E1 - N1, B = E2 - N2 (m.sigma and n.sigma; 2P - I and 2Q - I), and
+A = E1 - N1, B = E2 - N2 (m.sigma and n.sigma; 2P - I and 2Q - I), solved
+once and only when read: the gate reads it only past lam = 1/sqrt(2).
 _decide takes one of three paths:
 
 * the witness (_witnesses)
@@ -44,14 +45,15 @@ block by block.  |A+B| and |A-B| come from eigh of A+B and A-B with
 absolute eigenvalues (_abs_pair), not from (2 +- {A,B})^(1/2), whose square
 root loses half the digits where {A,B} is near +-2: on commuting and
 nearly aligned blocks.  Each decision checks only its final witness, once,
-as one (4, d, d) stack; |A+B| and |A-B| in between are raw arrays.
+as one (4, d, d) stack filled in place; |A+B| and |A-B| are raw arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -85,8 +87,8 @@ from .unsharp import _lambda_array, smear, validate_lambda
 LAMBDA_OPT = 1.0 / math.sqrt(2.0)
 _BUSCH_EDGE = math.sqrt(0.5)  # 1/sqrt(2) rounded to nearest, one ulp above LAMBDA_OPT
 
-_SIGNS = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)), dtype=float)
-_JK_SIGNS = (_SIGNS[:, 0] * _SIGNS[:, 1])[:, None, None]  # the sign of F in the oracle's G_jk
+_PM = np.array((1.0, -1.0))[:, None, None]  # the k of lam (A + k B) in _witnesses
+_JK_SIGNS = np.array((1.0, -1.0, -1.0, 1.0))[:, None, None]  # the sign of F in the oracle's G_jk
 
 # The oracle tests for a Farkas certificate at iteration 1, then at most every
 # CERTIFICATE_EVERY iterations, and accepts one whose pairing with the affine
@@ -247,13 +249,14 @@ def check_joint(
             == _require(o2lam, DichotomicObservable).dim):
         raise DimensionMismatch(j.dim, o1lam.dim, o2lam.dim)
     gpp, gpm, gmp, gmm = (e.matrix for e in j.effects)
-    norm, yes1, no1, yes2, no2 = np.abs(np.stack([
-        gpp + gpm + gmp + gmm - identity(j.dim),
-        gpp + gpm - o1lam.yes_effect.matrix,
-        gmp + gmm - o1lam.no_effect.matrix,
-        gpp + gmp - o2lam.yes_effect.matrix,
-        gpm + gmm - o2lam.no_effect.matrix,
-    ])).max(axis=(1, 2)).tolist()
+    r = np.empty((5, j.dim, j.dim), dtype=complex)
+    r_norm, r_yes1, r_no1, r_yes2, r_no2 = r  # each written in place, in the order of its sum
+    np.subtract(np.add(gpp, gpm, out=r_norm), o1lam.yes_effect.matrix, out=r_yes1)
+    np.subtract(np.add(gmp, gmm, out=r_no1), o1lam.no_effect.matrix, out=r_no1)
+    np.subtract(np.add(gpp, gmp, out=r_yes2), o2lam.yes_effect.matrix, out=r_yes2)
+    np.subtract(np.add(gpm, gmm, out=r_no2), o2lam.no_effect.matrix, out=r_no2)
+    np.subtract(np.add(np.add(r_norm, gmp, out=r_norm), gmm, out=r_norm), identity(j.dim), out=r_norm)
+    norm, yes1, no1, yes2, no2 = np.abs(r).max(axis=(1, 2)).tolist()
     return JointResiduals(norm, max(yes1, no1), max(yes2, no2), j.min_eigenvalue())
 
 
@@ -262,25 +265,32 @@ def criterion_value(m, n, lam) -> float:
     return _bloch_pair(m, n).top * validate_lambda(lam)
 
 
-def _feasible(lam, top):
+def _feasible(lam, pair):
     """The one closed-form gate, for a float lam or an array of them: True where
-    the witness of _witnesses at lam is PSD, by lam * top <= 2 or by Busch's bound."""
+    the witness of _witnesses at lam is PSD, by Busch's bound or by lam * top <= 2;
+    the pair's top is not read for a float lam that Busch's bound passes."""
     # Every contrast the constructors accept has |A|, |B| <= 1 + 2 PSD_TOL (effects
     # in [-PSD_TOL, 1 + PSD_TOL], projectors as effects, |m| <= 1 + BLOCH_NORM_TOL),
     # so top <= 2 sqrt(2) (1 + 2 PSD_TOL) and at lam <= 1/sqrt(2) every G_jk is
     # at least (2 - lam * top) / 8 >= -PSD_TOL / 2.  _BUSCH_EDGE passes 1/sqrt(2)
     # by less than 1e-16 relative, far inside that slack.
-    return (lam <= _BUSCH_EDGE) | (lam * top <= 2.0 + CRITERION_SLACK)
+    busch = lam <= _BUSCH_EDGE
+    return busch if busch is True else busch | (lam * pair.top <= 2.0 + CRITERION_SLACK)
 
 
-class _Pair(NamedTuple):
-    """A pair as _decide reads it: the gate's top, and parts(), which gives the
-    witness's A, B, |A+B|, |A-B| and observables to smear (built only for a witness)."""
+@dataclass(eq=False)
+class _Pair:
+    """A pair as _decide reads it: the gate's top, solved at most once and only when
+    read, and parts(), the witness's A, B, |A+B|, |A-B| and observables to smear."""
 
-    top: float  # the largest eigenvalue of |A+B| + |A-B|
+    solve_top: Callable[[], float]  # the largest eigenvalue of |A+B| + |A-B|
     exact: bool  # a sharp pair: past the gate the verdict is a closed-form "no"
     tol: float  # the witness tolerance
     parts: Callable[[], tuple]
+
+    @functools.cached_property
+    def top(self) -> float:
+        return self.solve_top()
 
 
 def _bloch_pair(m, n) -> _Pair:
@@ -294,7 +304,7 @@ def _bloch_pair(m, n) -> _Pair:
         o1, o2 = mb.observable(), nb.observable()
         return o1.difference(), o2.difference(), s * identity(2), d * identity(2), o1, o2
 
-    return _Pair(s + d, True, QUBIT_WITNESS_TOL, parts)
+    return _Pair(lambda: s + d, True, QUBIT_WITNESS_TOL, parts)
 
 
 def _projector_pair(p1, p2) -> _Pair:
@@ -302,8 +312,8 @@ def _projector_pair(p1, p2) -> _Pair:
     p1, p2 = _require(p1, Projector), _require(p2, Projector)
     a, b = (2.0 * p.matrix - identity(p.dim) for p in (p1, p2))
     abs_sum, abs_diff = _abs_pair(a, b)
-    top = float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1])
-    return _Pair(top, True, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, p1.observable(), p2.observable()))
+    return _Pair(lambda: float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1]), True, PSD_TOL,
+                 lambda: (a, b, abs_sum, abs_diff, p1.observable(), p2.observable()))
 
 
 def _observable_pair(o1, o2) -> _Pair:
@@ -321,8 +331,8 @@ def _observable_pair(o1, o2) -> _Pair:
             pass
     a, b = o1.difference(), o2.difference()
     abs_sum, abs_diff = _abs_pair(a, b)
-    top = float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1])
-    return _Pair(top, False, PSD_TOL, lambda: (a, b, abs_sum, abs_diff, o1, o2))
+    return _Pair(lambda: float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1]), False, PSD_TOL,
+                 lambda: (a, b, abs_sum, abs_diff, o1, o2))
 
 
 def _abs_pair(a: np.ndarray, b: np.ndarray):
@@ -337,9 +347,15 @@ def _abs_pair(a: np.ndarray, b: np.ndarray):
 def _witnesses(a, b, abs_sum, abs_diff, lam) -> np.ndarray:
     """The one witness formula G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4,
     raw: a (4, d, d) stack for a float lam, (r, 4, d, d) for an (r, 1, 1, 1) lam."""
-    t = lam * (abs_sum - abs_diff) / 2.0
-    j, k = _SIGNS[:, 0, None, None], _SIGNS[:, 1, None, None]
-    return (identity(len(a)) + lam * (j * a + k * b) + _JK_SIGNS * t) / 4.0
+    # Filled in place by adding or subtracting lam (A+B), lam (A-B) and t: signs of
+    # +-1 are exact, so only a zero's sign could differ, and I + x clears it.
+    sd, t = lam * (a + _PM * b), lam * (abs_sum - abs_diff) / 2.0
+    g = np.empty((*sd.shape[:-3], 4, *a.shape), dtype=complex)
+    np.add(identity(len(a)), sd, out=g[..., :2, :, :])  # (j, k) = (+, +), (+, -)
+    np.subtract(identity(len(a)), sd[..., ::-1, :, :], out=g[..., 2:, :, :])  # (-, +), (-, -)
+    g[..., ::3, :, :] += t
+    g[..., 1:3, :, :] -= t
+    return np.divide(g, 4.0, out=g)
 
 
 def _yes(g, tol: float, o1lam, o2lam, iterations: int) -> FeasibilityReport:
@@ -358,7 +374,7 @@ def _decide(pair: _Pair, lam: float) -> FeasibilityReport:
     """The one place a decision picks its path: the witness where the gate
     passes; past it a closed-form "no" for an exact pair, carrying the smallest
     eigenvalue (2 - lam * top) / 8 the witness would have had; else the oracle."""
-    if _feasible(lam, pair.top):
+    if _feasible(lam, pair):
         a, b, abs_sum, abs_diff, o1, o2 = pair.parts()
         return _yes(_witnesses(a, b, abs_sum, abs_diff, lam), pair.tol, smear(o1, lam), smear(o2, lam), 0)
     if pair.exact:
@@ -380,7 +396,7 @@ def qubit_verdicts(m, n, lams) -> list[str]:
     "yes" witnesses are one stack, checked as that function checks each, by one _check_effects."""
     pair = _bloch_pair(m, n)
     lams = _lambda_array(lams)
-    yes = _feasible(lams, pair.top)
+    yes = _feasible(lams, pair)
     a, b, abs_sum, abs_diff, _, _ = pair.parts()
     g = _witnesses(a, b, abs_sum, abs_diff, lams[yes, None, None, None])
     _check_effects(g.reshape(-1, 2, 2), pair.tol)
@@ -610,6 +626,6 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
             "pair-source", detail="need two BlochVectors or two DichotomicObservables, "
             f"got {type(a).__name__} and {type(b).__name__}")
     value = (LAMBDA_OPT if not pair.exact
-             else 1.0 if _feasible(1.0, pair.top) else max(LAMBDA_OPT, 2.0 / pair.top))
+             else 1.0 if _feasible(1.0, pair) else max(LAMBDA_OPT, 2.0 / pair.top))
     _decide(pair, value)  # the gate passes value: the witness is built and checked
     return LambdaOptResult(value=value, pair=(a, b))

@@ -1,5 +1,6 @@
 """Block decomposition of projector pairs, dilation, compression."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -311,6 +312,57 @@ class TestNearlyAlignedBlocks:
             both=species.count(1), p_only=species.count(2), q_only=species.count(3),
         )
         _assert_planted_blocks(two_projector_blocks(p, q), p, q, cos_sin)
+
+
+def _pinned_pairs():
+    """Seeded projector pairs past the cli's d <= 16, and the edge pairs."""
+    rng = np.random.default_rng(3535)
+    eps = 1e-8
+    zero, eye = np.zeros((4, 4)), np.eye(4)
+    third = _random_projector(rng, 6, 3)
+    return [
+        (_random_projector(rng, 32, 11), _random_projector(rng, 32, 20)),
+        (_random_projector(rng, 64, 40), _random_projector(rng, 64, 23)),
+        _planted_pair(rng, 16, [(math.cos(eps), math.sin(eps)), (math.cos(0.7), math.sin(0.7))],
+                      both=1, p_only=2, q_only=3),
+        (Projector([[1.0]], rank=1), Projector([[0.0]], rank=0)),
+        (Projector(zero, rank=0), _random_projector(rng, 4, 2)),
+        (Projector(eye, rank=4), _random_projector(rng, 4, 1)),
+        (third, third),
+    ]
+
+
+class TestPinnedDecompositions:
+    # sha256 over every pair's unitary bytes and (dim, rank_p, rank_q, overlap)
+    # tuples: the bytes of the one-pass assembly, equal to those of the
+    # column stack and the validated Block values it replaced.
+    PINNED = "2b1ad95f9e65b689d99c71291131590d52f75706f225705af7c7cb73a993a5e5"
+
+    def test_unitaries_and_blocks_are_pinned(self):
+        h = hashlib.sha256()
+        for p, q in _pinned_pairs():
+            dec = two_projector_blocks(p, q)
+            h.update(dec.unitary.tobytes())
+            h.update(repr([(b.dim, b.rank_p, b.rank_q, b.overlap.hex()) for b in dec.blocks]).encode())
+        assert h.hexdigest() == self.PINNED
+
+    def test_returned_decompositions_are_full_values(self):
+        for p, q in _pinned_pairs():
+            dec = two_projector_blocks(p, q)
+            assert not dec.unitary.flags.writeable
+            assert all(type(b.overlap) is float and type(b.rank_p) is int for b in dec.blocks)
+            assert tuple(Block(b.dim, b.rank_p, b.rank_q, b.overlap) for b in dec.blocks) == dec.blocks
+            checked = BlockDecomposition(dec.unitary, dec.blocks)
+            mask = np.ones((dec.dim, dec.dim), dtype=bool)
+            offset = 0
+            for b in dec.blocks:
+                mask[offset:offset + b.dim, offset:offset + b.dim] = False
+                offset += b.dim
+            assert np.array_equal(dec._off_block_mask, mask)
+            assert not dec._off_block_mask.flags.writeable
+            for m in (p.matrix, q.matrix):
+                assert dec.off_block_mass(m) == checked.off_block_mass(m) <= 1e-9
+                assert dec.reconstruction_residual(m) == checked.reconstruction_residual(m) <= 1e-9
 
 
 class TestNeumarkDilate:

@@ -1015,6 +1015,60 @@ class TestWitnessBuiltOnce:
             counts.append(len(eigensolves))
         assert counts[0] == counts[1]
 
+    @staticmethod
+    def _count_top_solves(monkeypatch):
+        """A list that gets one entry for each eigvalsh of a single matrix, which
+        only an operator pair's top takes (a witness check solves a stack)."""
+        solves, real = [], np.linalg.eigvalsh
+
+        def eigvalsh(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                solves.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        return solves
+
+    def test_a_no_past_the_gate_solves_top_once_and_builds_no_witness(self, monkeypatch):
+        d, rng = 64, np.random.default_rng(75)
+        p, q = _random_projector(rng, d, d // 2), _random_projector(rng, d, d // 2)
+        solves, built = self._count_top_solves(monkeypatch), []
+        real_witnesses = joint._witnesses
+        monkeypatch.setattr(joint, "_witnesses", lambda *args: built.append(1) or real_witnesses(*args))
+        rep = pvm_joint_observable(p, q, 0.75)
+        assert rep.feasible == "no" and rep.min_eigenvalue < 0.0
+        assert solves == [(d, d)]
+        assert built == []
+
+    @pytest.mark.parametrize("sharp", [True, False])
+    def test_lambda_opt_search_solves_top_once_on_an_exact_pair(self, sharp, monkeypatch):
+        # An exact pair reads top for its value and again in the gate of the
+        # decision that checks it past 1/sqrt(2), one cached solve; any other
+        # pair takes 1/sqrt(2), where the gate needs no top.
+        rng = np.random.default_rng(76)
+        if sharp:
+            o1, o2 = (_random_projector(rng, 6, 3).observable() for _ in range(2))
+        else:
+            o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, 6)) for _ in range(2))
+        solves = self._count_top_solves(monkeypatch)
+        value = lambda_opt_search((o1, o2)).value
+        assert solves == ([(6, 6)] if sharp else [])
+        assert value > LAMBDA_OPT if sharp else value == LAMBDA_OPT
+
+    @pytest.mark.parametrize("lam", [0.3, LAMBDA_OPT, math.sqrt(0.5)])
+    @pytest.mark.parametrize("path", ["povm", "sharp-povm", "pvm"])
+    def test_a_pair_inside_busch_s_bound_solves_no_top(self, path, lam, monkeypatch):
+        rng = np.random.default_rng(77)
+        if path == "povm":
+            pair = [DichotomicObservable.from_yes_effect(_random_effect(rng, 5)) for _ in range(2)]
+        else:
+            pair = [_random_projector(rng, 5, 2) for _ in range(2)]
+            pair = [p.observable() for p in pair] if path == "sharp-povm" else pair
+        decide = pvm_joint_observable if path == "pvm" else povm_joint_observable
+        solves = self._count_top_solves(monkeypatch)
+        assert decide(*pair, lam).feasible == "yes"
+        assert solves == []
+
     def test_qubit_yes_makes_one_eigensolve(self, eigensolves):
         # The witness is checked once, as one stack, and check_joint reuses
         # its smallest eigenvalue; the smeared targets are built unchecked.
@@ -1386,6 +1440,72 @@ class TestQubitPathBitIdentity:
         with pytest.raises(ValidationError, match="joint-normalization") as exc:
             _yes(np.stack([identity(2) / 2.0] * 4), PSD_TOL, o1lam, o2lam, 0)
         assert exc.value.residual == 1.0
+
+
+class TestInPlaceBitIdentity:
+    """The witness stack and check_joint's residuals, filled in place, carry the
+    bits of the formulas written out term by term."""
+
+    @staticmethod
+    def _inputs(rng, d):
+        """Hermitian A, B with some A == B entries (and signed zeros among them),
+        and |A+B|, |A-B| as _abs_pair builds them."""
+        a, b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
+        a, b = (m + m.conj().T for m in (a, b))
+        same = rng.random((d, d)) < 0.4
+        same = same | same.T
+        b[same] = a[same]
+        a[0, 0] = b[0, 0] = complex(-0.0, 0.0)
+        if d > 1:
+            a[0, 1], b[0, 1] = complex(0.0, -0.0), complex(-0.0, 0.0)
+            a[1, 0], b[1, 0] = a[0, 1].conjugate(), b[0, 1].conjugate()
+        return (a, b, *joint._abs_pair(a, b))
+
+    @staticmethod
+    def _formula(a, b, abs_sum, abs_diff, lam):
+        """G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4, one (j, k) at a time."""
+        eye = np.eye(len(a), dtype=complex)
+        return np.stack([(eye + lam * (j * a + k * b) + j * k * (lam * (abs_sum - abs_diff) / 2.0)) / 4.0
+                         for j, k in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_witnesses_are_the_formula_bit_for_bit(self, d):
+        rng = np.random.default_rng(3500 + d)
+        lams = np.array([0.3, LAMBDA_OPT, math.sqrt(0.5), 0.9, 1.0])
+        for _ in range(20):
+            a, b, abs_sum, abs_diff = self._inputs(rng, d)
+            assert np.signbit((a - b).view(float)).any() or d == 1
+            for lam in lams:
+                got = joint._witnesses(a, b, abs_sum, abs_diff, float(lam))
+                want = self._formula(a, b, abs_sum, abs_diff, float(lam))
+                assert got.shape == (4, d, d) and got.tobytes() == want.tobytes()
+            got = joint._witnesses(a, b, abs_sum, abs_diff, lams[:, None, None, None])
+            want = np.stack([self._formula(a, b, abs_sum, abs_diff, lam) for lam in lams])
+            assert got.shape == (len(lams), 4, d, d) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_check_joint_residuals_are_the_per_term_values(self, d):
+        rng = np.random.default_rng(3600 + d)
+        for lam in (0.4, 0.6):
+            o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2))
+            o1lam, o2lam = smear(o1, lam), smear(o2, lam)
+            exact = povm_joint_observable(o1, o2, lam).witness
+            g = [e.matrix for e in exact.effects]
+            # Moves the row marginals by b1, the column marginals by b2 and the
+            # normalization by 5e-10; every G_jk stays PSD, as lam * top < 2.
+            b1, b2 = (1e-4 * (m + m.T) for m in rng.normal(size=(2, d, d)))
+            moved = JointObservable(Effect(g[0] + b1 + b2), Effect(g[1] - b2), Effect(g[2] - b1),
+                                    Effect(g[3] + 5e-10 * np.eye(d)))
+            for witness in (exact, moved):
+                gpp, gpm, gmp, gmm = (e.matrix for e in witness.effects)
+                eye = np.eye(d, dtype=complex)
+                res = check_joint(witness, o1lam, o2lam)
+                assert res.normalization == float(np.max(np.abs(gpp + gpm + gmp + gmm - eye)))
+                assert res.marginal_first == max(float(np.max(np.abs(gpp + gpm - o1lam.yes_effect.matrix))),
+                                                 float(np.max(np.abs(gmp + gmm - o1lam.no_effect.matrix))))
+                assert res.marginal_second == max(float(np.max(np.abs(gpp + gmp - o2lam.yes_effect.matrix))),
+                                                  float(np.max(np.abs(gpm + gmm - o2lam.no_effect.matrix))))
+            assert res.marginal_max > 1e-6
 
 
 def _complementary_pair(rng, d, excess):

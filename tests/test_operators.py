@@ -542,8 +542,8 @@ class TestWitnessCheck:
 
     def test_a_package_witness_takes_one_raw_spectrum(self, monkeypatch):
         # At d = 64 the midpoint witness of two projectors is decided by the
-        # raw (4, d, d) spectrum alone: the only other eigvalsh is the pair's
-        # top, and no hermitized copy is made.
+        # raw (4, d, d) spectrum alone: at LAMBDA_OPT the gate passes on lam,
+        # so the pair's top is never solved, and no hermitized copy is made.
         from unsharpjoint import LAMBDA_OPT
 
         d, rng = 64, np.random.default_rng(64)
@@ -556,7 +556,7 @@ class TestWitnessCheck:
         shapes, hermitized = self._record(monkeypatch)
         rep = pvm_joint_observable(p, q, LAMBDA_OPT)
         assert rep.feasible == "yes"
-        assert shapes == [(d, d), (4, d, d)]
+        assert shapes == [(4, d, d)]
         assert hermitized == []
         assert rep.min_eigenvalue == min(float(np.linalg.eigvalsh(e.matrix)[0])
                                          for e in rep.witness.effects)

@@ -7,13 +7,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED_TOTAL_101 = "e45c66d2fe0706044b132de8b11a171e21f7f6bda66d20a277f0e6011c732157"
+PINNED_LIBRARY_101 = "79a7d767e08d23b141686fa96eed7a99660a535d967e5e6f9c9ba89208786f35"
 
 
-def test_one_seed_gives_one_digest_per_distinct_argv_and_their_total(monkeypatch):
+def _tool(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))  # perfbench, imported read-only by the tool
     spec = importlib.util.spec_from_file_location("uj_digest", ROOT / "tools" / "uj_digest.py")
     uj_digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(uj_digest)
+    return uj_digest
+
+
+def test_one_seed_gives_one_digest_per_distinct_argv_and_their_total(monkeypatch):
+    uj_digest = _tool(monkeypatch)
     *rows, total = uj_digest.report((101,))
     # 12 command forms with 3 variants each, and a fourth box-chsh variant.
     assert len(rows) == 37
@@ -24,3 +30,9 @@ def test_one_seed_gives_one_digest_per_distinct_argv_and_their_total(monkeypatch
     # The bytes of every report, pinned: a change that means to alter them
     # updates this value and says so.
     assert expected == PINNED_TOTAL_101
+
+
+def test_one_seed_gives_one_library_digest_past_the_cli_dimensions(monkeypatch):
+    # One blocks op-mix cycle: projector pairs up to d = 64, POVM pairs up to 16.
+    line = _tool(monkeypatch).library_digest((101,))
+    assert line == f"{PINNED_LIBRARY_101}  blocks library over 1 seeds x 100 ops"

@@ -7,6 +7,12 @@ stdout, stderr and `--out` bytes, then one total over all of them.  The
 temporary working directory is replaced by a fixed token before hashing, so
 two runs hash the same bytes whenever `uj` writes the same bytes.
 
+The cli's files reach d = 16 at most, so a last line digests the library
+outputs past it: one cycle of the `blocks` workload's op mix (projector
+pairs up to d = 64, POVM pairs up to d = 16) for each seed, over every
+`two_projector_blocks` unitary and its blocks and every report's witness,
+`min_eigenvalue` and `marginal_residual`.
+
 Compare two trees of the package by running it against each `src/`:
 
     python tools/uj_digest.py --src /path/to/parent/src > parent.txt
@@ -70,6 +76,24 @@ def report(seeds) -> list[str]:
     return lines + [f"{total.hexdigest()}  total over {len(rows)} argvs"]
 
 
+def library_digest(seeds) -> str:
+    """One "sha256  blocks library ..." line over one blocks op-mix cycle per seed."""
+    from perfbench.workloads import BlocksWorkload
+
+    h = hashlib.sha256()
+    for seed in seeds:
+        workload = BlocksWorkload(seed, Path(tempfile.gettempdir()))  # reads no file
+        for index in range(workload.cycle):
+            dec, rep, _ = workload.run(workload.make(index))
+            parts = [] if dec is None else [dec.unitary.tobytes(), repr(
+                [(b.dim, b.rank_p, b.rank_q, b.overlap.hex()) for b in dec.blocks]).encode()]
+            parts += [b"-"] if rep.witness is None else [e.matrix.tobytes() for e in rep.witness.effects]
+            parts += [float(rep.min_eigenvalue).hex().encode(), float(rep.marginal_residual).hex().encode()]
+            for part in parts:
+                h.update(len(part).to_bytes(8, "big") + part)
+    return f"{h.hexdigest()}  blocks library over {len(seeds)} seeds x {BlocksWorkload.cycle} ops"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -77,6 +101,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT)]
     print("\n".join(report(SEEDS)))
+    print(library_digest(SEEDS))
     return 0
 
 
