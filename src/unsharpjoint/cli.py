@@ -2,9 +2,9 @@
 
 Every command reads operators in the row-major JSON format
 {"dim": d, "re": [[...]], "im": [[...]]} and emits reports tagged with
-"schema": "uj/1".  Reports are deterministic for fixed inputs and seed:
-JSON is written with sorted keys, CSV with '.' decimals, ',' separators,
-LF line endings and 15 significant digits.
+"schema": "uj/1".  Reports are deterministic for fixed inputs and seed: JSON
+is the text of json.dumps(report, sort_keys=True, indent=2) and a newline, by
+_json; CSV has '.' decimals, ',' separators, LF endings, 15 significant digits.
 
 argparse hands its namespace straight to the command handlers; each handler
 range-checks the flags it reads (--lambda, --seed) before it opens any file.
@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -155,9 +156,36 @@ def _out_file(out: str, mode: str):
         raise ParseError(out, exc.strerror or str(exc)) from exc
 
 
+def _json(obj, pad: str = "\n") -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2) for str keys, a list of floats
+    in one C-level join; pad is obj's newline and indent.  TypeError where json raises one."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (int, float)):
+        text = int.__repr__(obj) if isinstance(obj, int) else float.__repr__(obj)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    if isinstance(obj, (list, tuple, dict)) and not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            text = "n"
+        if "n" in text:  # an item that is not a float, or is nan or inf
+            text = ("," + inner).join([_json(x, inner) for x in obj])
+        return "[" + inner + text + pad + "]"
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(out: str | None, report) -> None:
-    """Write the report to --out (or stdout): a str as it is, anything else as JSON."""
-    text = report if isinstance(report, str) else json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write the report to --out (or stdout): a str as it is, anything else as _json's JSON."""
+    text = report if isinstance(report, str) else _json(report) + "\n"
     if not out:
         sys.stdout.write(text)
         return

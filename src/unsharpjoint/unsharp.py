@@ -22,6 +22,8 @@ from .operators import DensityMatrix, DichotomicObservable, Effect, _frozen, _go
 def validate_lambda(lam) -> float:
     """Check an unsharpness as a real number (not a bool) in (0, 1], and
     nonzero as a float; lam = 0 erases all information about the input."""
+    if type(lam) is float and 0 < lam <= 1:  # the common case, without the ABC check
+        return lam
     if (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
             or not 0 < lam <= 1 or not float(lam) > 0):
         raise ValidationError("lambda-in-(0,1]", detail=_got(lam))

@@ -1082,13 +1082,56 @@ class TestAcceptance:
         assert [(c["number"], c["passed"]) for c in report["criteria"]] == [(1, True), (2, False)]
 
 
+# Any value json.dumps writes with str keys: every kind of float (NaN, the
+# infinities, -0.0, subnormals, 1e308, np.float64), integers past 2**64,
+# bools, None, non-ASCII, control-character and surrogate strings, and lists,
+# tuples and objects of them, empty ones and lists of floats alone included.
+WRITER_FLOAT = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                     np.float64(math.nan), np.float64(-0.0)]),
+)
+WRITER_STR = st.text(st.characters(exclude_categories=()), max_size=4) | st.sampled_from(
+    ["", "\x00", "\x1f\x7f", "\ud800", '"\\/', "\u2603\U0001f600"])
+WRITER_LEAF = st.one_of(
+    st.none(), st.booleans(), WRITER_FLOAT, WRITER_STR,
+    st.integers() | st.sampled_from([2**64, -(2**64) - 1, 10**300]),
+)
+WRITER_VALUE = st.recursive(
+    WRITER_LEAF | st.lists(WRITER_FLOAT, max_size=5),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(WRITER_STR, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=150)
+    @given(WRITER_VALUE)
+    def test_bytes_of_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [np.int64(0), np.int64(3), {1.0}, [np.int64(0)],
+                                       {"a": np.float32(0.5)}, np.zeros(2)],
+                             ids=["int64-zero", "int64", "set", "int64-item", "float32-value", "array"])
+    def test_what_json_cannot_write_raises_type_error(self, value):
+        # np.int64(0) is falsy, yet is no empty list: it is refused as json refuses it.
+        with pytest.raises(TypeError) as exc:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(exc.value))):
+            cli._json(value)
+
+
 def test_one_report_path():
-    # main alone writes a report and _report alone tags one with the schema; a
-    # handler that wrote its own report or built its own envelope would read
-    # these somewhere else.
+    # main alone writes a report, through _emit and its _json alone, and _report
+    # alone tags one with the schema; a handler that wrote its own report or
+    # built its own envelope would read these somewhere else.
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    assert {name: sorted(set(_readers(tree, name))) for name in ("_emit", "SCHEMA")} == {
+    assert {name: sorted(set(_readers(tree, name))) for name in ("_emit", "_json", "dumps", "SCHEMA")} == {
         "_emit": ["main"],
+        "_json": ["_emit", "_json"],
+        "dumps": [],
         "SCHEMA": ["_report"],
     }
     assert list(inspect.signature(cli._emit).parameters) == ["out", "report"]

@@ -1644,3 +1644,38 @@ class TestCovariance:
                 assert {rep.feasible, povm_joint_observable(*pair, lam).feasible} != {"yes", "no"}
         if rep.feasible == "yes":
             assert povm_joint_observable(*obs[0], 0.9 * lam).feasible != "no"
+
+
+def _direct_sum(x, y):
+    """The block-diagonal matrix of x and y."""
+    out = np.zeros((len(x) + len(y),) * 2, dtype=complex)
+    out[:len(x), :len(x)], out[len(x):, len(x):] = x, y
+    return out
+
+
+class TestDirectSum:
+    @seed(2016)
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4), st.booleans(), st.booleans())
+    def test_a_direct_sum_takes_the_larger_top_and_decides_as_both_summands(
+            self, rng_seed, d1, d2, sharp1, sharp2):
+        # |A+B| and |A-B| of a block-diagonal pair are block diagonal, so its
+        # top is the larger summand's, and a joint observable of the sum cuts
+        # down to one of each summand, while one of each sums to one of the sum
+        # (Heinosaari, Miyadera & Ziman 2016): a "yes" exactly when both say
+        # "yes", away from the gate's edge lam * top = 2.
+        rng = np.random.default_rng(rng_seed)
+        summands = [tuple(_random_projector(rng, d, int(rng.integers(0, d + 1))).matrix if sharp
+                          else _near_sharp_effect(rng, d) for _ in range(2))
+                    for d, sharp in ((d1, sharp1), (d2, sharp2))]
+        effects = [*summands, tuple(map(_direct_sum, *summands))]
+        obs = [tuple(DichotomicObservable.from_yes_effect(e) for e in pair) for pair in effects]
+        pairs = [_observable_pair(*pair) for pair in obs]
+        assert pairs[2].top == pytest.approx(max(pairs[0].top, pairs[1].top), rel=1e-12)
+        if sharp1 and sharp2:
+            values = [lambda_opt_search(pair).value for pair in obs]
+            assert values[2] == pytest.approx(min(values[:2]), rel=0, abs=1e-12)
+        lam = float(rng.uniform(LAMBDA_OPT, 1.0))
+        if all(abs(lam * pair.top - 2.0) > 1e-6 for pair in pairs[:2]):
+            yes = [joint._decide(pair, lam).feasible == "yes" for pair in pairs]
+            assert yes[2] == (yes[0] and yes[1])

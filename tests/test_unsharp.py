@@ -56,6 +56,22 @@ class TestValidateLambda:
         assert validate_lambda(1.0) == 1.0
         assert validate_lambda(1e-9) == 1e-9
 
+    @pytest.mark.parametrize(
+        "lam, text",
+        [(True, "True"), ("0.5", "'0.5'"), (Fraction(3, 2), "Fraction(3, 2)"), (math.nan, "nan"),
+         (0, "0"), (-0.0, "-0.0"), (math.nextafter(1.0, 2.0), "1.0000000000000002"),
+         (np.float64(math.nextafter(1.0, 2.0)), "np.float64(1.0000000000000002)"),
+         (np.float64(math.nan), "np.float64(nan)"), (np.float64(-0.0), "np.float64(-0.0)")],
+        ids=["bool", "str", "fraction", "nan", "zero", "negative-zero", "next-above-one",
+             "float64-next-above-one", "float64-nan", "float64-negative-zero"],
+    )
+    def test_error_names_the_value(self, lam, text):
+        # A plain float in (0, 1] skips the ABC check; every other value
+        # takes the full check and names itself in the error.
+        with pytest.raises(ValidationError) as exc:
+            validate_lambda(lam)
+        assert str(exc.value) == f"lambda-in-(0,1]: got {text}"
+
 
 _Z, _X = (DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]).astype(complex)),
           DichotomicObservable.from_yes_effect(np.full((2, 2), 0.5, dtype=complex)))
@@ -79,9 +95,10 @@ LAMBDA_TAKERS = {
 class TestLambdaIsARealNumber:
     @pytest.mark.parametrize("taker", sorted(LAMBDA_TAKERS))
     @pytest.mark.parametrize(
-        "lam", [None, "abc", "0.5", True, [0.5], 1 + 0j, math.nan, 0, 1 + 1e-9, Fraction(1, 10**400)],
+        "lam", [None, "abc", "0.5", True, [0.5], 1 + 0j, math.nan, 0, 1 + 1e-9, Fraction(1, 10**400),
+                -0.0, math.nextafter(1.0, 2.0), np.float64(math.nextafter(1.0, 2.0))],
         ids=["none", "abc", "str-half", "true", "list", "complex", "nan", "zero", "above-one",
-             "fraction-below-float"],
+             "fraction-below-float", "negative-zero", "next-above-one", "float64-next-above-one"],
     )
     def test_rejected_as_validation_error(self, taker, lam):
         # None and "abc" used to escape as a bare TypeError or ValueError
@@ -92,8 +109,10 @@ class TestLambdaIsARealNumber:
 
     @pytest.mark.parametrize("taker", sorted(LAMBDA_TAKERS))
     @pytest.mark.parametrize(
-        "lam", [np.float32(0.5), np.float64(0.5), 1, Fraction(1, 2)],
-        ids=["float32", "float64", "int-one", "fraction"],
+        "lam", [np.float32(0.5), np.float64(0.5), 1, Fraction(1, 2), 5e-324, math.nextafter(1.0, 0.0),
+                np.float64(1.0)],
+        ids=["float32", "float64", "int-one", "fraction", "smallest-float", "next-below-one",
+             "float64-one"],
     )
     def test_real_numbers_accepted(self, taker, lam):
         LAMBDA_TAKERS[taker](lam)
