@@ -148,9 +148,9 @@ def _table(state: DensityMatrix, alice, bob, lam=None) -> np.ndarray:
     alice = [_require(a, DichotomicObservable) for a in alice]
     bob = [_require(b, DichotomicObservable) for b in bob]
     d = _require(state, DensityMatrix).dim
-    for a, b in itertools.product(alice, bob):
-        if d != a.dim * b.dim:
-            raise DimensionMismatch(d, a.dim, b.dim)
+    dims = [a.dim for a in alice], [b.dim for b in bob]
+    if {da * db for da, db in itertools.product(*dims)} != {d}:
+        raise DimensionMismatch(d, *next(p for p in itertools.product(*dims) if p[0] * p[1] != d))
     # np.stack(..., axis=-3) at a quarter of its cost: the axis of an (r, 1, 1) lam comes first.
     x = np.array([a.difference() if lam is None else np.subtract(*_smeared_matrices(a, lam))
                   for a in alice]).swapaxes(0, -3)
@@ -158,7 +158,7 @@ def _table(state: DensityMatrix, alice, bob, lam=None) -> np.ndarray:
     # A_x (x) B_y, entry by entry the single product x[i, j] y[k, l], as np.kron.
     op = x[..., :, None, :, None, :, None] * y[:, None, :, None, :]
     op = op.reshape(op.shape[:-4] + state.matrix.shape)
-    return np.trace(state.matrix @ op, axis1=-2, axis2=-1).real
+    return (state.matrix @ op).trace(axis1=-2, axis2=-1).real
 
 
 def _chsh(t: np.ndarray):
@@ -167,8 +167,9 @@ def _chsh(t: np.ndarray):
 
 
 def _report(t: np.ndarray, bound: float) -> ChshReport:
-    value = float(_chsh(t))
-    return ChshReport(value=value, terms=tuple(t.ravel().tolist()), bound_lambda=bound,
+    terms = t11, t12, t21, t22 = tuple(t.ravel().tolist())
+    value = abs(t11 + t12 + t21 - t22)  # _chsh's float operations, in its order
+    return ChshReport(value=value, terms=terms, bound_lambda=bound,
                       within_bound=value <= bound + CHSH_BOUND_SLACK)
 
 

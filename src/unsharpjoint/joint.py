@@ -30,11 +30,12 @@ _decide takes one of three paths:
   point of the affine set, a "no" a Farkas certificate), so it also
   cross-checks every closed-form verdict in the test suite.
 
-For Bloch vectors |A+B| and |A-B| are the scalars |m+n| and |m-n|, and
-top = |m+n| + |m-n| is the paper's criterion.  The largest feasible
-unsharpness of a pair comes from the same top and gate, and _decide checks it;
-its worst case over Bloch-vector pairs, 1/sqrt(2), is reached at every
-orthogonal pair.
+For Bloch vectors |A+B| and |A-B| are the scalars |m+n| and |m-n|,
+top = |m+n| + |m-n| is the paper's criterion, and each observable wraps
+(I + v.sigma) / 2 and its complement directly, once per vector.  The
+largest feasible unsharpness of a pair comes from the same top and gate,
+and _decide checks it; its worst case over Bloch-vector pairs, 1/sqrt(2),
+is reached at every orthogonal pair.
 
 The operator form needs no block decomposition.  The anticommutator
 {A, B} of a sharp pair commutes with A and B, so on every invariant block
@@ -133,17 +134,15 @@ class BlochVector:
         # |a|^2 overflowed, or lost its bits below the normal range: rescale first.
         return cls(_unit_vector(a).real)
 
-    def projector(self) -> Projector:
-        # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to BLOCH_NORM_TOL:
-        # a projector and an effect by construction.  (I + v.sigma) / 2 entry by entry:
-        # + 0.0 turns -0.0 into the +0.0 of the sum over Pauli matrices, bit for bit.
-        x, y, z = (c + 0.0 for c in self.v.tolist())
-        m = 0.5 * np.array([[1.0 + z, complex(x, 0.0 - y)], [complex(x, y), 1.0 - z]])
-        return _frozen(Projector, matrix=m, rank=1)
-
     def observable(self) -> DichotomicObservable:
         if self._observable is None:
-            object.__setattr__(self, "_observable", self.projector().observable())
+            # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to BLOCH_NORM_TOL:
+            # a projector and an effect by construction.  (I + v.sigma) / 2 entry by entry:
+            # + 0.0 turns -0.0 into the +0.0 of the sum over Pauli matrices, bit for bit.
+            x, y, z = (c + 0.0 for c in self.v.tolist())
+            m = 0.5 * np.array([[1.0 + z, complex(x, 0.0 - y)], [complex(x, y), 1.0 - z]])
+            yes, no = (_frozen(Effect, matrix=e) for e in (m, identity(2) - m))
+            object.__setattr__(self, "_observable", _frozen(DichotomicObservable, yes_effect=yes, no_effect=no))
         return self._observable
 
 
@@ -358,9 +357,9 @@ def _witnesses(a, b, abs_sum, abs_diff, lam) -> np.ndarray:
     return np.divide(g, 4.0, out=g)
 
 
-def _yes(g, tol: float, o1lam, o2lam, iterations: int) -> FeasibilityReport:
-    """A "yes" carrying the witness g, checked once at tol, and its residuals."""
-    eigs = _check_effects(g, tol)
+def _yes(g, tol: float, o1lam, o2lam, iterations: int, eigs=None) -> FeasibilityReport:
+    """A "yes" carrying the witness g, checked once at tol (on raw spectra eigs if given), and its residuals."""
+    eigs = _check_effects(g, tol, eigs)
     g.setflags(write=False)
     g_pp, g_pm, g_mp, g_mm = (_frozen(Effect, matrix=m) for m in g)
     witness = _frozen(JointObservable, g_pp=g_pp, g_pm=g_pm, g_mp=g_mp, g_mm=g_mm,
@@ -517,8 +516,8 @@ def feasibility_oracle(
     The start takes |A+B| and |A-B| from _abs_pair, and each iteration makes
     one eigensolve, eigh of an (8, d, d) stack: the raw affine iterate for
     the PSD test and the hermitized input of the next PSD projection.  A
-    "no" or "undetermined" report takes the gap max|x - y| and the smallest
-    eigenvalue of x, from that eigh, at its last iteration.
+    "yes" is checked on, and a "no" or "undetermined" reported from, that
+    eigh at its last iteration: the gap max|x - y| and the spectrum of x.
     """
     if _require(o1lam, DichotomicObservable).dim != _require(o2lam, DichotomicObservable).dim:
         raise DimensionMismatch(o1lam.dim, o2lam.dim)
@@ -560,7 +559,7 @@ def feasibility_oracle(
         eigs, vecs = np.linalg.eigh(np.concatenate([x, _hermitian_part(z)]))
         low = float(eigs[:4, 0].min())
         if low >= -PSD_TOL:
-            return _yes(x, PSD_TOL, o1lam, o2lam, it)
+            return _yes(x, PSD_TOL, o1lam, o2lam, it, eigs[:4])
         eigs, vecs = eigs[4:], vecs[4:]
 
         if it - tested >= CERTIFICATE_EVERY and not rejected:

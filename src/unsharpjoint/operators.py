@@ -12,10 +12,11 @@ residual) past its tolerance.  Validation errors report raw residuals.
 
 Public constructors validate, derived values are built unchecked by
 _frozen, and a joint witness (or a stack of them) is checked once by
-_check_effects: one raw spectrum decides it past a Weyl margin from the
-window's edges, a hermitized fallback near them.  Every type freezes its
-matrix (read-only array), so instances are plain immutable values and safe
-to share across threads.
+_check_effects: one raw spectrum (the oracle's own eigh, for its "yes")
+decides it past a Weyl margin from the window's edges, a hermitized
+fallback near them; its entries are read for finiteness only when a
+residual is not finite.  Every type freezes its matrix (read-only array),
+so instances are plain immutable values and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -98,10 +99,10 @@ def _frozen(cls, **fields):
     """cls(**fields) without its checks, for values valid by construction
     from validated ones; array fields are made read-only in place."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)  # no class built here has __slots__
     return obj
 
 
@@ -115,7 +116,7 @@ def identity(dim: int) -> np.ndarray:
 
 def _max_abs(a) -> float:
     """The largest |entry| of a, as a float; 0.0 for an empty a."""
-    return float(np.max(np.abs(a), initial=0.0))
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _within(invariant: str, residual: float, tol: float, detail: str = "") -> None:
@@ -183,25 +184,28 @@ class Effect:
 
 
 @_quiet
-def _check_effects(g: np.ndarray, tol: float) -> np.ndarray:
+def _check_effects(g: np.ndarray, tol: float, eigs: np.ndarray | None = None) -> np.ndarray:
     """Check each m of a (k, d, d) stack for hermiticity and a spectrum in the
     window [-tol, 1 + tol] (a non-finite entry anywhere first); Effect(m) is the
-    k = 1 case at PSD_TOL.  Returns the raw spectra, eigvalsh of each m as it is.
+    k = 1 case at PSD_TOL.  Returns the raw spectra, eigvalsh of each m as it is,
+    or eigs, the caller's ascending (k, d) spectra of the same raw stack.
 
     eigvalsh reads the lower triangle of m, a Hermitian L with |L - h|_2 <= d r / 2
     for the hermitian part h and the stack's largest residual r = max|m - m^H|,
     so by Weyl's inequality (Bhatia, Matrix Analysis, 1997, Cor. III.2.6) a raw
     spectrum inside the window by d (r / 2 + 16 eps), which adds the rounding of
-    both eigensolves, puts the hermitized one inside it too.  Any other stack
-    falls back to the hermitized spectra: the first failing m raises, hermiticity
-    first, then spectrum-in-[0,1] naming its smallest eigenvalue if that is below
-    the window, else its largest."""
-    if not np.isfinite(g).all():
-        raise ValidationError("finite-entries")
+    both eigensolves, puts the hermitized one inside it too.  Spectra from eigh
+    are backward stable as eigvalsh's are, so the same 16 eps d covers them.  Any
+    other stack falls back to the hermitized spectra: the first failing m raises,
+    hermiticity first, then spectrum-in-[0,1] naming its smallest eigenvalue if
+    that is below the window, else its largest."""
     residuals = np.abs(g - g.swapaxes(1, 2).conj()).max(axis=(1, 2))
-    eigs = np.linalg.eigvalsh(g)
-    lo, hi = -tol, 1.0 + tol  # tested negated: a nan spectrum fails
     worst = residuals.max(initial=0.0)
+    # A nan or inf entry leaves a nan or inf residual, so only then are the entries read.
+    if not worst < math.inf and not np.isfinite(g).all():
+        raise ValidationError("finite-entries")
+    eigs = np.linalg.eigvalsh(g) if eigs is None else eigs
+    lo, hi = -tol, 1.0 + tol  # tested negated: a nan spectrum fails
     margin = g.shape[-1] * (worst / 2 + 16 * _EPS)
     if not (worst <= HERMITIAN_TOL
             and ((lo + margin <= eigs[:, 0]) & (eigs[:, -1] <= hi - margin)).all()):
@@ -299,13 +303,18 @@ class Projector:
         return DichotomicObservable.from_yes_effect(self.as_effect())
 
 
+def _norm(v: np.ndarray) -> float:
+    """|v| of a contiguous complex vector: np.linalg.norm's own sum, bit for bit."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
 def _unit_vector(vec) -> np.ndarray:
     """vec / |vec| as a complex vector, for every finite vec nonzero in floating point."""
-    v = _number_array(vec, "numeric-vector", complex).reshape(-1)
+    v = _number_array(vec, "numeric-vector", complex).ravel()
     if not np.isfinite(v).all():
         raise ValidationError("finite-entries")
     with np.errstate(over="ignore"):
-        n = np.linalg.norm(v)
+        n = _norm(v)
     if not _SQRT_TINY <= n < math.inf:
         # |v|^2 overflowed or fell below the normal range: scale the largest part
         # to 1, part by part, as a complex divide by a subnormal overflows.
@@ -313,7 +322,7 @@ def _unit_vector(vec) -> np.ndarray:
         if scale == 0:
             raise ValidationError("nonzero-vector")
         v = v.real / scale + 1j * (v.imag / scale)
-        n = np.linalg.norm(v)
+        n = _norm(v)
     return v / n
 
 
@@ -342,7 +351,7 @@ class DensityMatrix:
         # v v^H of a finite unit v is finite, square and PSD: only two checks run.
         m = np.outer(v, v.conj())
         _within("hermiticity", _max_abs(m - m.conj().T), HERMITIAN_TOL)
-        _within("unit-trace", abs(float(np.trace(m).real) - 1.0), AFFINE_TOL)
+        _within("unit-trace", abs(float(m.trace().real) - 1.0), AFFINE_TOL)
         return _frozen(cls, matrix=m)
 
 

@@ -69,7 +69,7 @@ SURFACE = {
 MEMBERS = {
     "Block": ('dim', 'overlap', 'rank_p', 'rank_q'),
     "BlockDecomposition": ('blocks', 'dim', 'off_block_mass', 'reconstruction_residual', 'unitary'),
-    "BlochVector": ('normalized', 'observable', 'projector', 'v'),
+    "BlochVector": ('normalized', 'observable', 'v'),
     "ChshReport": ('bound_lambda', 'terms', 'value', 'within_bound'),
     "DensityMatrix": ('dim', 'matrix', 'pure'),
     "DichotomicObservable": ('difference', 'dim', 'from_yes_effect', 'no_effect', 'yes_effect'),

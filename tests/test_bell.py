@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsharpjoint import (
     BlochVector,
@@ -21,7 +23,7 @@ from unsharpjoint import (
     singlet,
     smeared_chsh,
 )
-from unsharpjoint.bell import SETTINGS, _observable_of, smeared_chsh_values
+from unsharpjoint.bell import SETTINGS, _chsh, _observable_of, smeared_chsh_values
 from unsharpjoint.operators import PAULI_X, PAULI_Z
 
 TWO_SQRT2 = 2.8284271247461903
@@ -110,6 +112,21 @@ class TestChsh:
             obs = [BlochVector(_random_unit(rng)).observable() for _ in range(4)]
             worst = max(worst, chsh(rho, *obs).value)
         assert worst <= TWO_SQRT2 + 1e-6
+
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, exclude_min=True))
+    def test_value_is_the_sum_of_its_own_terms(self, seed, lam):
+        # A report's value is |t11 + t12 + t21 - t22| of its own terms, in
+        # Python floats, with the bits of the table's numpy sum _chsh.
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix.pure(rng.normal(size=4) + 1j * rng.normal(size=4))
+        obs = [BlochVector(_random_unit(rng)).observable() for _ in range(4)]
+        for rep in (chsh(rho, *obs), smeared_chsh(rho, *obs, lam)):
+            t11, t12, t21, t22 = rep.terms
+            assert type(rep.value) is float
+            assert rep.value == abs(t11 + t12 + t21 - t22)
+            assert rep.value == float(_chsh(np.array(rep.terms).reshape(2, 2)))
 
 
 class TestSmearedChsh:

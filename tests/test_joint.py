@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from unsharpjoint import (
     LAMBDA_OPT,
+    Block,
+    BlockDecomposition,
     BlochVector,
     DensityMatrix,
     DichotomicObservable,
@@ -55,6 +57,11 @@ def _ray(vec):
 def _random_unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def _projector_of(b: BlochVector) -> Projector:
+    """The rank-1 projector (I + v.sigma) / 2 of a Bloch vector, through the public check."""
+    return Projector(b.observable().yes_effect.matrix, rank=1)
 
 
 def _random_effect(rng, dim):
@@ -422,9 +429,9 @@ class TestPovmJointObservable:
 
     def test_shrunk_orthogonal_pair(self):
         a1 = DichotomicObservable.from_yes_effect(
-            (2.0 / 3.0) * Z.projector().matrix + 0.0 * identity(2)
+            (2.0 / 3.0) * Z.observable().yes_effect.matrix + 0.0 * identity(2)
         )
-        a2 = DichotomicObservable.from_yes_effect((2.0 / 3.0) * X.projector().matrix)
+        a2 = DichotomicObservable.from_yes_effect((2.0 / 3.0) * X.observable().yes_effect.matrix)
         rep = povm_joint_observable(a1, a2, LAMBDA_OPT)
         assert rep.feasible == "yes"
         res = check_joint(rep.witness, smear(a1, LAMBDA_OPT), smear(a2, LAMBDA_OPT))
@@ -550,7 +557,7 @@ class TestPovmJointObservable:
         def decide(lam):
             if path == "povm":
                 return povm_joint_observable(Z.observable(), X.observable(), lam)
-            return pvm_joint_observable(Z.projector(), X.projector(), lam)
+            return pvm_joint_observable(_projector_of(Z), _projector_of(X), lam)
 
         assert decide(LAMBDA_OPT).feasible == "yes"
         rep = decide(LAMBDA_OPT + 5e-13)
@@ -1096,7 +1103,9 @@ class TestWitnessBuiltOnce:
                     rep = povm_joint_observable(o1, o2, LAMBDA_OPT)
                 else:
                     rep = feasibility_oracle(smear(o1, 0.5), smear(o2, 0.5))
-            raw = min(float(np.linalg.eigvalsh(e.matrix)[0]) for e in rep.witness.effects)
+            # The oracle's witness check reads the values of the loop's own eigh.
+            solve = (lambda m: np.linalg.eigh(m)[0]) if path == "oracle" else np.linalg.eigvalsh
+            raw = min(float(solve(e.matrix)[0]) for e in rep.witness.effects)
             assert rep.min_eigenvalue == raw
             lam = 0.5 if path == "oracle" else LAMBDA_OPT
             assert check_joint(rep.witness, smear(o1, lam), smear(o2, lam)).min_eigenvalue == raw
@@ -1105,10 +1114,10 @@ class TestWitnessBuiltOnce:
     def test_oracle_makes_one_eigensolve_per_iteration(self, factor, verdict, eigensolves):
         # One eigh for the warm start's |A+B| and |A-B| (_abs_pair), one eigh
         # per iteration (plus one before the first), an eigvalsh per
-        # certificate test (at iteration 1, then every CERTIFICATE_EVERY), and
-        # for a "yes" one for the witness check; a "no" is reported from the
-        # loop's own spectrum.  The last case runs thousands of iterations, so
-        # the bound is checked where k is large.
+        # certificate test (at iteration 1, then every CERTIFICATE_EVERY); a
+        # "yes" is checked and a "no" reported from the loop's own spectrum.
+        # The last case runs thousands of iterations, so the bound is checked
+        # where k is large.
         n = BlochVector.normalized([math.sin(1.0), 0.3, math.cos(1.0)])
         lam = factor * 2.0 / criterion_value(Z, n, 1.0)
         o1lam, o2lam = smear(Z.observable(), lam), smear(n.observable(), lam)
@@ -1116,7 +1125,9 @@ class TestWitnessBuiltOnce:
         rep = feasibility_oracle(o1lam, o2lam)
         assert rep.feasible == verdict
         k = rep.iterations
-        assert len(eigensolves) <= k + -(-k // CERTIFICATE_EVERY) + (3 if verdict == "yes" else 2)
+        assert len(eigensolves) <= k + -(-k // CERTIFICATE_EVERY) + 2
+        if verdict == "yes":
+            assert eigensolves == ["eigh"] * (k + 2)
 
     def test_derived_values_make_no_eigensolve(self, eigensolves):
         obs = Z.observable()
@@ -1163,7 +1174,7 @@ class TestWitnessBuiltOnce:
     def test_operator_criterion_is_the_bloch_criterion(self, m, n, lam):
         m, n = BlochVector(m), BlochVector(n)
         assume(lam > 0.0 and abs(lam * criterion_value(m, n, 1.0) - 2.0) >= 1e-9)
-        by_operator = pvm_joint_observable(m.projector(), n.projector(), lam)
+        by_operator = pvm_joint_observable(_projector_of(m), _projector_of(n), lam)
         by_bloch = qubit_joint_observable(m, n, lam)
         assert by_operator.feasible == by_bloch.feasible
         if by_bloch.feasible == "no":
@@ -1393,10 +1404,12 @@ class TestQubitPathBitIdentity:
 
     def test_direct_projector_is_the_pauli_sum(self):
         for v in self._vectors():
-            got = BlochVector(v).projector().matrix
+            obs = BlochVector(v).observable()
+            got = obs.yes_effect.matrix
             want = 0.5 * (identity(2) + sum(c * s for c, s in zip(v, PAULI)))
             assert np.array_equal(got, want), v
             assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float))), v
+            assert obs.no_effect.matrix.tobytes() == (identity(2) - want).tobytes(), v
 
     def test_bloch_norms_are_linalg_norm(self):
         vs = self._vectors()
@@ -1406,6 +1419,24 @@ class TestQubitPathBitIdentity:
             _, _, abs_sum, abs_diff, _, _ = pair.parts()
             assert np.array_equal(abs_sum, s * np.eye(2)) and np.array_equal(abs_diff, d * np.eye(2))
             assert pair.top.hex() == (s + d).hex()
+
+    def test_qubit_path_values_refuse_a_write(self):
+        # Every value built unchecked on the qubit path is read-only: the
+        # observable's effects, the smeared effects and the witness effects.
+        m = BlochVector([0.6, 0.0, 0.8])
+        rep = qubit_joint_observable(m, X, 0.6)
+        values = [m.observable(), smear(m.observable(), 0.6)]
+        effects = [e for o in values for e in (o.yes_effect, o.no_effect)] + list(rep.witness.effects)
+        assert len(effects) == 8
+        for e in effects:
+            with pytest.raises(ValueError, match="read-only"):
+                e.matrix[0, 0] = 0.5
+
+    def test_frozen_values_keep_an_instance_dict(self):
+        # _frozen sets a value's fields through its __dict__, which __slots__ would remove.
+        for cls in (Effect, DichotomicObservable, Projector, DensityMatrix, JointObservable,
+                    Block, BlockDecomposition):
+            assert all("__slots__" not in vars(klass) for klass in cls.__mro__[:-1]), cls
 
     def test_observable_is_built_once(self):
         b = BlochVector([0.6, 0.0, 0.8])

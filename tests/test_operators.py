@@ -34,7 +34,7 @@ from unsharpjoint import (
     two_projector_blocks,
 )
 from unsharpjoint.bell import smeared_chsh_values
-from unsharpjoint.operators import HERMITIAN_TOL, PAULI_Z, _hermitian_part, identity
+from unsharpjoint.operators import HERMITIAN_TOL, PAULI_Z, PSD_TOL, _hermitian_part, _unit_vector, identity
 
 _EMPTY = np.zeros((0, 0))
 
@@ -419,8 +419,7 @@ class TestDerivedValuesAreValid:
     def test_bloch_vector_at_the_norm_slack(self, seed, slack, lam):
         v = np.random.default_rng(seed).normal(size=3)
         b = BlochVector(v / np.linalg.norm(v) * (1.0 + slack))
-        p = b.projector()
-        Projector(p.matrix, rank=p.rank)
+        Projector(b.observable().yes_effect.matrix, rank=1)
         _revalidate(b.observable())
         _revalidate(smear(b.observable(), lam))
 
@@ -437,6 +436,44 @@ class TestDerivedValuesAreValid:
                 DensityMatrix.pure(v)
             return
         DensityMatrix(DensityMatrix.pure(v).matrix)
+
+
+def _unit_by_linalg_norm(vec) -> np.ndarray:
+    """vec / |vec| with |vec| from np.linalg.norm, rescaled first where |vec|^2
+    leaves the normal range: the bits _unit_vector gives."""
+    v = np.asarray(vec, dtype=complex).ravel()
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if not math.sqrt(np.finfo(float).tiny) <= n < math.inf:
+        scale = np.abs(np.concatenate([v.real, v.imag])).max()
+        v = v.real / scale + 1j * (v.imag / scale)
+        n = np.linalg.norm(v)
+    return v / n
+
+
+class TestUnitVectorBits:
+    """_unit_vector takes np.linalg.norm's own sum: the same bits at every scale."""
+
+    @pytest.mark.parametrize("vec", [
+        [5e-324, 0.0], [5e-324, 5e-324j], [1e-310, -3e-320j, 2.5e-315], [1e-160, 1e-160j],
+        [1e300, 1e300j, -1e300], [1e300, 1.0], [1.7e308, -1.7e308j], [1.0, 2j, -0.5, 0.25],
+    ])
+    def test_subnormal_and_huge_entries(self, vec):
+        want = _unit_by_linalg_norm(vec)
+        assert _unit_vector(vec).tobytes() == want.tobytes()
+        assert DensityMatrix.pure(vec).matrix.tobytes() == np.outer(want, want.conj()).tobytes()
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1.0),
+                 min_size=1, max_size=6),
+        st.integers(-320, 300),
+    )
+    def test_matches_linalg_norm_at_every_scale(self, entries, exponent):
+        v = np.array(entries, dtype=complex) * 10.0**exponent
+        for w in (v, v[::2]):  # a strided view as well
+            if np.any(w):
+                assert _unit_vector(w).tobytes() == _unit_by_linalg_norm(w).tobytes()
 
 
 def _window_check(g, tol):
@@ -518,6 +555,32 @@ class TestWitnessCheck:
                 float(np.linalg.eigvalsh(g)[0]) for g in stack)
         else:
             assert got == expected
+
+    @pytest.mark.parametrize("where", [0, 3], ids=["first", "last"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_entry_is_refused_first(self, value, entry, part, where, eigensolves):
+        # The entries are read only when the residuals are not finite, which a
+        # nan or inf entry always makes them: finite-entries, before any eigensolve.
+        from unsharpjoint.operators import _check_effects
+
+        g = np.stack([identity(2) / 2.0] * 4)
+        getattr(g, part)[(where, *entry)] = value
+        with pytest.raises(ValidationError, match=r"^finite-entries$"):
+            _check_effects(g, PSD_TOL)
+        assert eigensolves == []
+
+    @pytest.mark.parametrize("part,entries", [("real", (1e308, -1e308)), ("imag", (1e308, 1e308))])
+    def test_a_finite_stack_whose_residual_overflows_is_not_hermitian(self, part, entries):
+        # m - m^H overflows to inf on finite entries: hermiticity, not finite-entries.
+        from unsharpjoint.operators import _check_effects
+
+        g = np.stack([identity(2) / 2.0] * 4)
+        getattr(g, part)[3, 0, 1], getattr(g, part)[3, 1, 0] = entries
+        with pytest.raises(ValidationError, match=r"^hermiticity") as exc:
+            _check_effects(g, PSD_TOL)
+        assert exc.value.residual == math.inf
 
     @staticmethod
     def _record(monkeypatch):

@@ -21,6 +21,7 @@ import numpy as np
 import unsharpjoint
 from unsharpjoint import (
     BlochVector,
+    check_joint,
     criterion_value,
     feasibility_oracle,
     qubit_joint_observable,
@@ -158,3 +159,27 @@ def test_closed_form_and_oracle_disagree_only_inside_the_band(monkeypatch):
                 assert (closed, oracle) in {("no", "no"), ("no", "undetermined")}
             else:  # the band itself: the oracle finds the witness the closed form refuses
                 assert (closed, oracle) == ("no", "yes")
+
+
+def test_the_oracle_decides_criterion_5_s_in_band_pairs():
+    """Criterion 5 leaves out the pairs within 0.02 of the criterion's 2; the
+    oracle decides each as the exact Bloch-pair verdict does, with its evidence."""
+    rng = np.random.default_rng(505)
+    banded = 0
+    for _ in range(1000):  # criterion 5's draws, in its order
+        m, n = (BlochVector(v / np.linalg.norm(v)) for v in (rng.normal(size=3), rng.normal(size=3)))
+        lam = float(rng.uniform(0.3, 0.95))
+        value = criterion_value(m, n, lam)
+        if abs(value - 2.0) >= 0.02:
+            continue
+        banded += 1
+        o1lam, o2lam = smear(m.observable(), lam), smear(n.observable(), lam)
+        rep = feasibility_oracle(o1lam, o2lam)
+        assert rep.feasible == ("yes" if value <= 2.0 else "no"), value
+        assert rep.iterations <= 12
+        if rep.feasible == "yes":
+            res = check_joint(rep.witness, o1lam, o2lam)
+            assert res.marginal_max <= 1e-9 and res.min_eigenvalue >= -1e-9
+        else:
+            assert rep.certificate is not None
+    assert banded == 17

@@ -8,6 +8,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PINNED_TOTAL_101 = "e45c66d2fe0706044b132de8b11a171e21f7f6bda66d20a277f0e6011c732157"
 PINNED_LIBRARY_101 = "79a7d767e08d23b141686fa96eed7a99660a535d967e5e6f9c9ba89208786f35"
+# Computed on the tree before the qubit path's direct Bloch observable, leaner
+# _frozen, Python-float CHSH sums and the oracle's reused spectrum.
+PINNED_QUBIT_101 = "2466a1f98781ba1df2e0e48b0fff9e1ccf69c675055f074507900abde627e7c6"
 
 
 def _tool(monkeypatch):
@@ -36,3 +39,10 @@ def test_one_seed_gives_one_library_digest_past_the_cli_dimensions(monkeypatch):
     # One blocks op-mix cycle: projector pairs up to d = 64, POVM pairs up to 16.
     line = _tool(monkeypatch).library_digest((101,))
     assert line == f"{PINNED_LIBRARY_101}  blocks library over 1 seeds x 100 ops"
+
+
+def test_one_seed_gives_one_qubit_and_oracle_digest(monkeypatch):
+    # 200 ops of the qubit workload (closed-form decision, check_joint, pure
+    # state, both CHSH reports) and 200 of the oracle workload.
+    line = _tool(monkeypatch).qubit_digest((101,))
+    assert line == f"{PINNED_QUBIT_101}  qubit/oracle library over 1 seeds x 200 ops each"

@@ -11,6 +11,7 @@ from unsharpjoint import (
     DensityMatrix,
     DichotomicObservable,
     DimensionMismatch,
+    Projector,
     ValidationError,
     criterion_value,
     mean_value,
@@ -84,7 +85,7 @@ LAMBDA_TAKERS = {
     "qubit_joint_observable": lambda lam: qubit_joint_observable(*_ZX, lam),
     "povm_joint_observable": lambda lam: povm_joint_observable(_Z, _X, lam),
     "pvm_joint_observable": lambda lam: pvm_joint_observable(
-        BlochVector([0, 0, 1]).projector(), BlochVector([1, 0, 0]).projector(), lam),
+        *(Projector(b.observable().yes_effect.matrix, rank=1) for b in _ZX), lam),
     "smeared_chsh": lambda lam: smeared_chsh(singlet(), *optimal_settings(), lam),
     "qubit_verdicts": lambda lam: qubit_verdicts(*_ZX, [lam]),
     "smeared_chsh_values": lambda lam: smeared_chsh_values(singlet(), *optimal_settings(), [lam]),

@@ -7,11 +7,17 @@ stdout, stderr and `--out` bytes, then one total over all of them.  The
 temporary working directory is replaced by a fixed token before hashing, so
 two runs hash the same bytes whenever `uj` writes the same bytes.
 
-The cli's files reach d = 16 at most, so a last line digests the library
+The cli's files reach d = 16 at most, so a library line digests the
 outputs past it: one cycle of the `blocks` workload's op mix (projector
 pairs up to d = 64, POVM pairs up to d = 16) for each seed, over every
 `two_projector_blocks` unitary and its blocks and every report's witness,
-`min_eigenvalue` and `marginal_residual`.
+`min_eigenvalue` and `marginal_residual`.  The cli's argvs never reach
+`qubit_joint_observable`, `DensityMatrix.pure` on random states or the
+oracle's qubit "yes", so a last line digests QUBIT_OPS ops of the `qubit`
+and of the `oracle` workload for each seed: every report's verdict,
+iterations, witness or certificate, `min_eigenvalue` and
+`marginal_residual`, and for a qubit op its `check_joint` residuals,
+`criterion_value` and both CHSH reports.
 
 Compare two trees of the package by running it against each `src/`:
 
@@ -33,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = tuple(range(101, 111))  # the cli workload's seeds
 WORK_TOKEN = b"<work>"
+QUBIT_OPS = 200  # ops of the qubit and of the oracle workload per seed
 
 
 def _digest(code: int, out: str, err: str, report: bytes | None, work: bytes) -> str:
@@ -76,6 +83,17 @@ def report(seeds) -> list[str]:
     return lines + [f"{total.hexdigest()}  total over {len(rows)} argvs"]
 
 
+def _report_parts(rep) -> list[bytes]:
+    """The bytes of a FeasibilityReport: witness (or "-"), min_eigenvalue, marginal_residual."""
+    parts = [b"-"] if rep.witness is None else [e.matrix.tobytes() for e in rep.witness.effects]
+    return parts + [float(rep.min_eigenvalue).hex().encode(), float(rep.marginal_residual).hex().encode()]
+
+
+def _update(h, parts) -> None:
+    for part in parts:
+        h.update(len(part).to_bytes(8, "big") + part)
+
+
 def library_digest(seeds) -> str:
     """One "sha256  blocks library ..." line over one blocks op-mix cycle per seed."""
     from perfbench.workloads import BlocksWorkload
@@ -87,11 +105,30 @@ def library_digest(seeds) -> str:
             dec, rep, _ = workload.run(workload.make(index))
             parts = [] if dec is None else [dec.unitary.tobytes(), repr(
                 [(b.dim, b.rank_p, b.rank_q, b.overlap.hex()) for b in dec.blocks]).encode()]
-            parts += [b"-"] if rep.witness is None else [e.matrix.tobytes() for e in rep.witness.effects]
-            parts += [float(rep.min_eigenvalue).hex().encode(), float(rep.marginal_residual).hex().encode()]
-            for part in parts:
-                h.update(len(part).to_bytes(8, "big") + part)
+            _update(h, parts + _report_parts(rep))
     return f"{h.hexdigest()}  blocks library over {len(seeds)} seeds x {BlocksWorkload.cycle} ops"
+
+
+def qubit_digest(seeds) -> str:
+    """One "sha256  qubit/oracle library ..." line over QUBIT_OPS ops of each workload per seed."""
+    from perfbench.workloads import OracleWorkload, QubitWorkload
+
+    h = hashlib.sha256()
+    for seed in seeds:
+        qubit, oracle = (w(seed, Path(tempfile.gettempdir())) for w in (QubitWorkload, OracleWorkload))
+        for index in range(QUBIT_OPS):
+            rep, residuals, crit, sharp, smeared = qubit.run(qubit.make(index))
+            fields = [crit] if residuals is None else [crit, residuals.normalization, residuals.marginal_first,
+                                                       residuals.marginal_second, residuals.min_eigenvalue]
+            for chsh in (sharp, smeared):
+                fields += [*chsh.terms, chsh.value, chsh.bound_lambda]
+            text = repr([float(x).hex() for x in fields] + [sharp.within_bound, smeared.within_bound])
+            _update(h, [rep.feasible.encode(), *_report_parts(rep), text.encode()])
+        for index in range(QUBIT_OPS):
+            rep = oracle.run(oracle.make(index))
+            evidence = b"-" if rep.certificate is None else rep.certificate.tobytes()
+            _update(h, [rep.feasible.encode(), str(rep.iterations).encode(), evidence, *_report_parts(rep)])
+    return f"{h.hexdigest()}  qubit/oracle library over {len(seeds)} seeds x {QUBIT_OPS} ops each"
 
 
 def main(argv=None) -> int:
@@ -102,6 +139,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT)]
     print("\n".join(report(SEEDS)))
     print(library_digest(SEEDS))
+    print(qubit_digest(SEEDS))
     return 0
 
 
