@@ -12,8 +12,9 @@ two_projector_blocks pairs the eigenvectors of q's compressions to ran p
 and ker p, in the style of Bjorck & Golub (Math. Comp. 27, 1973).  No step
 divides by a small sine or cosine, so nearly aligned pairs decompose as
 well as generic ones.  The basis is written once and checked once, for
-unitarity and, in one stacked product, the block diagonality of p and q;
-its Block values are valid by construction and are not checked again.
+unitarity and, in one stacked product, the block diagonality of p and q,
+whose off-block maximum is read in place with the blocks zeroed; its Block
+values are valid by construction and are not checked again.
 
 The same module hosts the 2-level-ancilla dilation of a dichotomic POVM to
 a projector and the compression back to the system, both in the one
@@ -46,6 +47,7 @@ from .operators import (
     _require,
     _require_int,
     _within,
+    identity,
     square_matrix,
 )
 
@@ -185,13 +187,13 @@ def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
     pu, pk, cos2, sig = [], [], [], []   # the 2-dim blocks
     entries = []   # (columns, rank_p, rank_q, overlap)
     for gr, gk, value in groups:
-        if len(gr) == len(gk) == 1 and abs(coupling[gk[0], gr[0]]) > CLUSTER_TOL:
+        x = coupling[gk[0], gr[0]] if len(gr) == len(gk) == 1 else 0.0
+        if (sx := abs(x)) > CLUSTER_TOL:
             # One u and one k need no SVD: sigma = |x|, phase x / |x|.
-            x = coupling[gk[0], gr[0]]
             pu.append(u[:, gr[0]])
-            pk.append(k[:, gk[0]] * (x / abs(x)))
+            pk.append(k[:, gk[0]] * (x / sx))
             cos2.append(c[gr[0]])
-            sig.append(abs(x))
+            sig.append(sx)
             continue
         ug, kg, r = u[:, gr], k[:, gk], 0
         if gr and gk:
@@ -218,17 +220,22 @@ def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
     for a, b, ci, si in zip(pu, pk, cos2, sig):
         # Below cos^2 = 1/2 the cosine is better read off the coupling,
         # sin(theta)cos(theta) / sin(theta), than from the eigenvalue.
-        entries.append(([a, b], 1, 1, float(np.sqrt(ci) if ci >= 0.5 else si / np.sqrt(1.0 - ci))))
+        entries.append(([a, b], 1, 1, float(math.sqrt(ci) if ci >= 0.5 else si / math.sqrt(1.0 - ci))))
     entries.sort(key=lambda e: (len(e[0]) == 1, -e[3], -e[1], -e[2]))
 
     unitary = np.stack([col for cols, *_ in entries for col in cols], axis=1)
     decomp = _frozen(BlockDecomposition, unitary=unitary, blocks=tuple(
         _frozen(Block, dim=len(cols), rank_p=rank_p, rank_q=rank_q, overlap=overlap)
         for cols, rank_p, rank_q, overlap in entries))
-    uh = unitary.conj().T
-    _within("unitary", _max_abs(uh @ unitary - np.eye(len(unitary))), UNITARITY_TOL)
-    conj = uh @ np.stack([pm, qm]) @ unitary
-    _within("block-diagonality", _max_abs(conj[:, decomp._off_block_mask]), BLOCK_RESIDUAL_TOL)
+    d, uh = len(unitary), unitary.conj().T
+    _within("unitary", _max_abs(uh @ unitary - identity(d)), UNITARITY_TOL)
+    # The off-block maximum in place: zero the diagonal and the off-diagonal
+    # pair of each 2-dim block (the sort put those blocks first).
+    off = np.abs(uh @ np.stack([pm, qm]) @ unitary)
+    off.reshape(2, -1)[:, ::d + 1] = 0.0
+    two = np.arange(0, 2 * len(pu), 2)
+    off[:, two, two + 1] = off[:, two + 1, two] = 0.0
+    _within("block-diagonality", float(off.max()), BLOCK_RESIDUAL_TOL)
     return decomp
 
 

@@ -10,13 +10,15 @@ Every tolerance of the package is named once, in the ledger below, and every
 residual check runs through _within, which raises ValidationError(invariant,
 residual) past its tolerance.  Validation errors report raw residuals.
 
-Public constructors validate, derived values are built unchecked by
-_frozen, and a joint witness (or a stack of them) is checked once by
-_check_effects: one raw spectrum (the oracle's own eigh, for its "yes")
-decides it past a Weyl margin from the window's edges, a hermitized
-fallback near them; its entries are read for finiteness only when a
-residual is not finite.  Every type freezes its matrix (read-only array),
-so instances are plain immutable values and safe to share across threads.
+Public constructors validate, and each check reads a matrix once (one
+isfinite pass; one m @ m - m for both idempotency bounds of a Hermitian
+Projector); derived values are built unchecked by _frozen, and a joint
+witness (or a stack of them) is checked once by _check_effects: one raw
+spectrum (the oracle's own eigh, for its "yes") decides it past a Weyl
+margin from the window's edges, a hermitized fallback near them; its
+entries are read for finiteness only when a residual is not finite.
+Every type freezes its matrix (read-only array), so instances are plain
+immutable values and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def square_matrix(m) -> np.ndarray:
     a = _number_array(m, "square-matrix", complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValidationError("square-matrix", detail=f"shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # False where either part is nan or +-inf
         raise ValidationError("finite-entries")
     return a
 
@@ -199,7 +201,8 @@ def _check_effects(g: np.ndarray, tol: float, eigs: np.ndarray | None = None) ->
     other stack falls back to the hermitized spectra: the first failing m raises,
     hermiticity first, then spectrum-in-[0,1] naming its smallest eigenvalue if
     that is below the window, else its largest."""
-    residuals = np.abs(g - g.swapaxes(1, 2).conj()).max(axis=(1, 2))
+    r = np.conjugate(g.swapaxes(1, 2))
+    residuals = np.abs(np.subtract(r, g, out=r)).max(axis=(1, 2))  # |m^H - m| = |m - m^H|
     worst = residuals.max(initial=0.0)
     # A nan or inf entry leaves a nan or inf residual, so only then are the entries read.
     if not worst < math.inf and not np.isfinite(g).all():
@@ -268,11 +271,16 @@ class Projector:
     @_quiet
     def __post_init__(self):
         rank = _require_int(self.rank, "rank-integer", -math.inf)
-        m = require_hermitian(self.matrix)
-        _within("idempotency", _max_abs(m @ m - m), HERMITIAN_TOL)
-        h = _hermitian_part(m)
+        m = square_matrix(self.matrix)
+        hermiticity = _max_abs(m - m.conj().T)
+        _within("hermiticity", hermiticity, HERMITIAN_TOL)
+        r = m @ m - m
+        _within("idempotency", _max_abs(r), HERMITIAN_TOL)
+        if hermiticity:  # else the hermitian part h is m, up to signed zeros and subnormals
+            h = _hermitian_part(m)
+            r = h @ h - h
         # |mu^2 - mu| <= |h^2 - h|_F =: eps puts each eigenvalue mu of h in [-eps, 1 + eps].
-        _within("idempotency", np.linalg.norm(h @ h - h), PSD_TOL)
+        _within("idempotency", _norm(r.ravel()), PSD_TOL)
         # A rank outside [0, dim] equals no trace (and may be past the float range).
         _require_int(rank, "rank-equals-trace", 0, len(m))
         _within("rank-equals-trace", abs(float(np.trace(m).real) - rank), RANK_TOL)

@@ -21,8 +21,9 @@ from unsharpjoint import (
     neumark_dilate,
     two_projector_blocks,
 )
-from unsharpjoint.decompose import CLUSTER_TOL
-from unsharpjoint.operators import PAULI_X, identity
+from unsharpjoint import decompose
+from unsharpjoint.decompose import BLOCK_RESIDUAL_TOL, CLUSTER_TOL
+from unsharpjoint.operators import PAULI_X, _frozen, _max_abs, identity
 
 
 def _ray(vec):
@@ -363,6 +364,57 @@ class TestPinnedDecompositions:
             for m in (p.matrix, q.matrix):
                 assert dec.off_block_mass(m) == checked.off_block_mass(m) <= 1e-9
                 assert dec.reconstruction_residual(m) == checked.reconstruction_residual(m) <= 1e-9
+
+
+def _checked_residuals(monkeypatch, p, q):
+    """two_projector_blocks(p, q) and the residual of each check it ran, by invariant."""
+    seen = {}
+    real = decompose._within
+
+    def within(invariant, residual, tol, detail=""):
+        seen[invariant] = residual
+        real(invariant, residual, tol, detail)
+
+    monkeypatch.setattr(decompose, "_within", within)
+    return two_projector_blocks(p, q), seen
+
+
+def _commuting_pair():
+    rng = np.random.default_rng(38)
+    u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    p, q = (u @ np.diag(diag) @ u.conj().T for diag in ([1.0, 1, 0, 0, 1], [1.0, 0, 1, 0, 1]))
+    return Projector(p, rank=3), Projector(q, rank=3)
+
+
+class TestBlockChecks:
+    @pytest.mark.parametrize("index", range(len(_pinned_pairs()) + 1))
+    def test_in_place_residuals_are_those_of_the_mask(self, monkeypatch, index):
+        # The pinned pairs hold d = 1, P = Q and trivial pairs; the last is a
+        # commuting pair in a random basis, all 1-dim blocks.
+        p, q = (_pinned_pairs() + [_commuting_pair()])[index]
+        dec, seen = _checked_residuals(monkeypatch, p, q)
+        u = dec.unitary
+        conj = u.conj().T @ np.stack([p.matrix, q.matrix]) @ u
+        assert seen["block-diagonality"] == _max_abs(conj[:, dec._off_block_mask])
+        assert seen["unitary"] == _max_abs(u.conj().T @ u - np.eye(dec.dim))
+
+    @pytest.mark.parametrize("planted", [5e-10, 1e-8])
+    def test_a_planted_off_block_entry_is_refused_past_the_tolerance(self, monkeypatch, planted):
+        # q couples ran p and ran q (value 1) to ker p and ran q (value 0)
+        # by `planted`: no block pairs them, so it stays an off-block entry.
+        # Past HERMITIAN_TOL the entry leaves q no projector: it is built unchecked.
+        p = Projector(np.diag([1.0, 1.0, 0.0, 0.0]), rank=2)
+        qm = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
+        qm[0, 2] = qm[2, 0] = planted
+        q = _frozen(Projector, matrix=qm, rank=2)
+        if planted <= BLOCK_RESIDUAL_TOL:
+            dec, seen = _checked_residuals(monkeypatch, p, q)
+            assert [b.dim for b in dec.blocks] == [1, 1, 1, 1]
+            assert seen["block-diagonality"] == planted
+        else:
+            with pytest.raises(ValidationError, match=r"^block-diagonality") as exc:
+                two_projector_blocks(p, q)
+            assert exc.value.residual == planted
 
 
 class TestNeumarkDilate:

@@ -122,6 +122,23 @@ def test_raw_matrix_for_an_observable_is_rejected(call, invariant):
         call()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [Effect, lambda m: Projector(m, 1), Projector.from_matrix, DensityMatrix, matrix_to_json],
+    ids=["effect", "projector", "projector-from-matrix", "density", "json"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("at", [(1, 1), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_a_non_finite_part_is_refused_by_every_square_matrix_caller(build, value, part, at):
+    # One isfinite pass reads both parts: either part alone, nan or +-inf,
+    # anywhere, is refused first, before any other check.
+    m = np.diag([1.0, 0.0]).astype(complex)
+    getattr(m, part)[at] = value
+    with pytest.raises(ValidationError, match="^finite-entries$"):
+        build(m)
+
+
 # Frozen by direct arithmetic on the diagonal 2x2 case.
 HALF_PLUS = 0.8535533905932737   # (2 + sqrt 2) / 4
 HALF_MINUS = 0.1464466094067262  # (2 - sqrt 2) / 4
@@ -277,6 +294,37 @@ class TestProjector:
         rank = d // 2
         with pytest.raises(ValidationError, match=r"^idempotency"):
             Projector(q[:, 1:rank + 1] @ q[:, 1:rank + 1].T - eps * np.outer(v, v), rank=rank)
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-12], ids=["hermitian", "skew-1e-12"])
+    @pytest.mark.parametrize("eps", [0.5e-9, 0.99e-9, 1.01e-9, 1.4e-9])
+    def test_frobenius_bound_reads_the_hermitian_part(self, monkeypatch, skew, eps):
+        # The spectral test's matrix at d = 32, where eps spread over d^2
+        # entries passes the entrywise check, plus a skew-Hermitian part.  An
+        # exactly Hermitian m is its own hermitian part; any other m is
+        # hermitized first.  Either way the verdict and the error text are
+        # those of |h^2 - h|_F for h = (m + m^H) / 2.
+        from unsharpjoint import operators
+
+        d, rank = 32, 16
+        v = np.ones(d) / math.sqrt(d)
+        q, _ = np.linalg.qr(np.column_stack([v, np.random.default_rng(5).normal(size=(d, d - 1))]))
+        m = q[:, 1:rank + 1] @ q[:, 1:rank + 1].T - eps * np.outer(v, v) + 0j
+        m[0, 1] += 1j * skew
+        m[1, 0] += 1j * skew
+        h = _hermitian_part(m)
+        want = np.linalg.norm(h @ h - h)
+        hermitized = []
+        real = operators._hermitian_part
+        monkeypatch.setattr(operators, "_hermitian_part", lambda a: hermitized.append(1) or real(a))
+        if want <= PSD_TOL:
+            Projector(m, rank=rank)
+        else:
+            with pytest.raises(ValidationError, match=r"^idempotency") as exc:
+                Projector(m, rank=rank)
+            assert exc.value.residual == want
+            assert str(exc.value) == str(ValidationError("idempotency", want))
+        assert (want <= PSD_TOL) == (eps < PSD_TOL)
+        assert len(hermitized) == (skew != 0)
 
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_haar_projectors_pass_and_are_effects(self, d):

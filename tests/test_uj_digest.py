@@ -3,7 +3,10 @@
 import hashlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED_TOTAL_101 = "e45c66d2fe0706044b132de8b11a171e21f7f6bda66d20a277f0e6011c732157"
@@ -46,3 +49,26 @@ def test_one_seed_gives_one_qubit_and_oracle_digest(monkeypatch):
     # state, both CHSH reports) and 200 of the oracle workload.
     line = _tool(monkeypatch).qubit_digest((101,))
     assert line == f"{PINNED_QUBIT_101}  qubit/oracle library over 1 seeds x 200 ops each"
+
+
+def test_a_src_without_the_package_is_refused(monkeypatch, tmp_path, capsys):
+    # It used to digest whatever unsharpjoint it could import instead, so
+    # two trees compared "the same" when --src named no tree at all.
+    uj_digest = _tool(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        uj_digest.main(["--src", str(tmp_path / "src")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_a_package_imported_from_elsewhere_is_refused(monkeypatch, tmp_path, capsys):
+    # This process has imported unsharpjoint from the tree under test, so a
+    # --src holding another package would be digested with this tree's bytes.
+    uj_digest = _tool(monkeypatch)
+    (tmp_path / "unsharpjoint").mkdir()
+    (tmp_path / "unsharpjoint" / "__init__.py").write_text("")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with pytest.raises(SystemExit) as exc:
+        uj_digest.main(["--src", str(tmp_path)])
+    assert str(exc.value.code).startswith("error: imported unsharpjoint from ")
+    assert capsys.readouterr().out == ""

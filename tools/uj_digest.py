@@ -136,7 +136,15 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="the src/ directory of the package to run (default: this tree's)")
     args = parser.parse_args(argv)
-    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT)]
+    package = Path(args.src).resolve() / "unsharpjoint"
+    if not (package / "__init__.py").is_file():
+        parser.error(f"--src {args.src} holds no unsharpjoint package")
+    sys.path[:0] = [str(package.parent), str(ROOT)]
+    import unsharpjoint
+
+    # An unsharpjoint imported before, or found first on sys.path, would be digested instead.
+    if Path(unsharpjoint.__file__).resolve().parent != package:
+        raise SystemExit(f"error: imported unsharpjoint from {unsharpjoint.__file__}, not {package}")
     print("\n".join(report(SEEDS)))
     print(library_digest(SEEDS))
     print(qubit_digest(SEEDS))
