@@ -152,10 +152,12 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return h + h.conj().swapaxes(-1, -2)
 
 
-def require_hermitian(m) -> np.ndarray:
+def require_hermitian(m) -> tuple[np.ndarray, float]:
+    """square_matrix(m) and its hermiticity residual max|m - m^H|, checked."""
     a = square_matrix(m)
-    _within("hermiticity", _max_abs(a - a.conj().T), HERMITIAN_TOL)
-    return a
+    residual = _max_abs(a - a.conj().T)
+    _within("hermiticity", residual, HERMITIAN_TOL)
+    return a, residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,8 +203,7 @@ def _check_effects(g: np.ndarray, tol: float, eigs: np.ndarray | None = None) ->
     other stack falls back to the hermitized spectra: the first failing m raises,
     hermiticity first, then spectrum-in-[0,1] naming its smallest eigenvalue if
     that is below the window, else its largest."""
-    r = np.conjugate(g.swapaxes(1, 2))
-    residuals = np.abs(np.subtract(r, g, out=r)).max(axis=(1, 2))  # |m^H - m| = |m - m^H|
+    residuals = np.abs(g - g.swapaxes(1, 2).conj()).max(axis=(1, 2))
     worst = residuals.max(initial=0.0)
     # A nan or inf entry leaves a nan or inf residual, so only then are the entries read.
     if not worst < math.inf and not np.isfinite(g).all():
@@ -271,9 +272,7 @@ class Projector:
     @_quiet
     def __post_init__(self):
         rank = _require_int(self.rank, "rank-integer", -math.inf)
-        m = square_matrix(self.matrix)
-        hermiticity = _max_abs(m - m.conj().T)
-        _within("hermiticity", hermiticity, HERMITIAN_TOL)
+        m, hermiticity = require_hermitian(self.matrix)
         r = m @ m - m
         _within("idempotency", _max_abs(r), HERMITIAN_TOL)
         if hermiticity:  # else the hermitian part h is m, up to signed zeros and subnormals
@@ -342,7 +341,7 @@ class DensityMatrix:
 
     @_quiet
     def __post_init__(self):
-        m = require_hermitian(self.matrix)
+        m, _ = require_hermitian(self.matrix)
         _within("psd", -np.linalg.eigvalsh(_hermitian_part(m))[0], PSD_TOL)
         _within("unit-trace", abs(float(np.trace(m).real) - 1.0), AFFINE_TOL)
         m = m.copy()

@@ -388,7 +388,7 @@ def _commuting_pair():
 
 class TestBlockChecks:
     @pytest.mark.parametrize("index", range(len(_pinned_pairs()) + 1))
-    def test_in_place_residuals_are_those_of_the_mask(self, monkeypatch, index):
+    def test_residuals_are_those_of_the_mask(self, monkeypatch, index):
         # The pinned pairs hold d = 1, P = Q and trivial pairs; the last is a
         # commuting pair in a random basis, all 1-dim blocks.
         p, q = (_pinned_pairs() + [_commuting_pair()])[index]
