@@ -33,7 +33,6 @@ from .joint import (
     FeasibilityReport,
     JointObservable,
     JointResiduals,
-    LambdaOptResult,
     check_joint,
     criterion_value,
     feasibility_oracle,
@@ -41,6 +40,7 @@ from .joint import (
     povm_joint_observable,
     pvm_joint_observable,
     qubit_joint_observable,
+    worst_case_pair,
 )
 from .bell import (
     ChshReport,
@@ -71,7 +71,6 @@ __all__ = [
     "JointObservable",
     "JointResiduals",
     "LAMBDA_OPT",
-    "LambdaOptResult",
     "NoSignalingBox",
     "ParseError",
     "Projector",
@@ -100,4 +99,5 @@ __all__ = [
     "smeared_chsh",
     "two_projector_blocks",
     "validate_lambda",
+    "worst_case_pair",
 ]

@@ -38,6 +38,7 @@ from .joint import (
     povm_joint_observable,
     pvm_joint_observable,
     qubit_joint_observable,
+    worst_case_pair,
 )
 from .operators import DensityMatrix, DichotomicObservable, Effect, Projector
 from .unsharp import mean_value, smear
@@ -55,11 +56,6 @@ class AcceptanceResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} criterion {self.number} ({self.name}): {self.detail} [{self.runtime:.1f}s]"
-
-
-def _random_unit(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 def _random_projector(rng, dim: int, rank: int) -> Projector:
@@ -84,10 +80,10 @@ def _random_state(rng, dim: int) -> DensityMatrix:
 def criterion_1_lambda_opt() -> tuple[bool, str]:
     """The worst case, a random orthogonal Bloch pair, lands on 1/sqrt(2)
     within 1e-3, in under 60 s."""
-    res = lambda_opt_search("worst-case", seed=2026)
-    err = abs(res.value - LAMBDA_OPT)
+    value = lambda_opt_search(*worst_case_pair(2026))
+    err = abs(value - LAMBDA_OPT)
     passed = err <= 1e-3
-    return passed, f"value {res.value:.6f}, |err| {err:.2e} (tol 1e-3)"
+    return passed, f"value {value:.6f}, |err| {err:.2e} (tol 1e-3)"
 
 
 def criterion_2_tsirelson() -> tuple[bool, str]:
@@ -102,7 +98,7 @@ def criterion_2_tsirelson() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(10_000):
         rho = _random_state(rng, 4)
-        obs = [BlochVector(_random_unit(rng)).observable() for _ in range(4)]
+        obs = [BlochVector.normalized(rng.normal(size=3)).observable() for _ in range(4)]
         value = chsh(rho, obs[0], obs[1], obs[2], obs[3]).value
         worst = max(worst, value)
     passed = sat_err <= 1e-6 and worst <= bound + 1e-6
@@ -134,8 +130,8 @@ def criterion_4_witness_validity() -> tuple[bool, str]:
     worst_eig = math.inf
     feasible = 0
     for _ in range(1000):
-        m = BlochVector(_random_unit(rng))
-        n = BlochVector(_random_unit(rng))
+        m = BlochVector.normalized(rng.normal(size=3))
+        n = BlochVector.normalized(rng.normal(size=3))
         rep = qubit_joint_observable(m, n, lam)
         if not rep:
             continue
@@ -157,8 +153,8 @@ def criterion_5_oracle_agreement() -> tuple[bool, str]:
     rng = np.random.default_rng(505)
     checked = agreed = banded = iterations = certified = 0
     for _ in range(1000):
-        m = BlochVector(_random_unit(rng))
-        n = BlochVector(_random_unit(rng))
+        m = BlochVector.normalized(rng.normal(size=3))
+        n = BlochVector.normalized(rng.normal(size=3))
         lam = float(rng.uniform(0.3, 0.95))
         cval = criterion_value(m, n, lam)
         if abs(cval - 2.0) < 0.02:

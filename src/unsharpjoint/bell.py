@@ -25,9 +25,10 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
+from .joint import BlochVector
 from .operators import (
-    BOX_TOL, CHSH_BOUND_SLACK, PAULI_X, PAULI_Z, DensityMatrix,
-    DichotomicObservable, _number_array, _require, _within, identity,
+    BOX_TOL, CHSH_BOUND_SLACK, DensityMatrix, DichotomicObservable, _holds_bool,
+    _number_array, _require, _within,
 )
 from .unsharp import _lambda_array, _smeared_matrices, validate_lambda
 
@@ -44,7 +45,7 @@ def _cell(key: str, cell) -> np.ndarray:
         rows = _number_array(cell, "box-cell")
     except ValidationError:
         rows = None
-    if rows is None or rows.shape != (2, 2) or not np.isfinite(rows).all():
+    if rows is None or rows.shape != (2, 2) or not np.isfinite(rows).all() or _holds_bool(cell):
         raise ValidationError("box-cell", detail=f"setting {key!r} is not a 2x2 table of numbers")
     return rows
 
@@ -214,19 +215,9 @@ def singlet() -> DensityMatrix:
     return DensityMatrix.pure(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
 
 
-def _observable_of(matrix) -> DichotomicObservable:
-    """Sharp observable of a +/-1-valued Hermitian: yes-effect (I + M)/2."""
-    return DichotomicObservable.from_yes_effect((identity(2) + matrix) / 2.0)
-
-
 def optimal_settings() -> tuple[
     DichotomicObservable, DichotomicObservable, DichotomicObservable, DichotomicObservable
 ]:
     """Alice z, x; Bob (z+x)/sqrt(2), (z-x)/sqrt(2): saturates 2*sqrt(2) on the singlet."""
-    s2 = math.sqrt(2.0)
-    return (
-        _observable_of(PAULI_Z),
-        _observable_of(PAULI_X),
-        _observable_of((PAULI_Z + PAULI_X) / s2),
-        _observable_of((PAULI_Z - PAULI_X) / s2),
-    )
+    r = 1.0 / math.sqrt(2.0)
+    return tuple(BlochVector(v).observable() for v in ((0, 0, 1), (1, 0, 0), (r, 0, r), (-r, 0, r)))

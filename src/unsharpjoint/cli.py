@@ -46,6 +46,7 @@ from .joint import (
     povm_joint_observable,
     qubit_verdicts,
     validate_seed,
+    worst_case_pair,
 )
 from .operators import (
     BOB_DIRECTION_CUTOFF,
@@ -85,12 +86,10 @@ def _load(path: str, build):
 
 
 def _observable(obj) -> DichotomicObservable:
-    """Observable format: {"yes": op, "no": op}, {"yes": op} or a bare yes-effect operator."""
+    """Observable format: {"yes": op, "no": op} or a bare yes-effect operator;
+    an object with "yes" and no "no" is a missing field."""
     if isinstance(obj, dict) and "yes" in obj:
-        yes = Effect(matrix_from_json(obj["yes"]))
-        if "no" in obj:
-            return DichotomicObservable(yes, Effect(matrix_from_json(obj["no"])))
-        return DichotomicObservable.from_yes_effect(yes)
+        return DichotomicObservable(*(Effect(matrix_from_json(obj[key])) for key in ("yes", "no")))
     return DichotomicObservable.from_yes_effect(matrix_from_json(obj))
 
 
@@ -247,24 +246,19 @@ def _cmd_lambda_opt(args: argparse.Namespace) -> tuple[dict, int]:
             raise ValidationError(
                 "lambda-opt-pair-inputs", detail="--mode worst-case takes no --m/--n/--o1/--o2"
             )
-        source = "worst-case"
+        a, b = worst_case_pair(args.seed)
     elif given == {"m", "n"}:
-        source = (_parse_bloch(args.m), _parse_bloch(args.n))
+        a, b = _parse_bloch(args.m), _parse_bloch(args.n)
     elif given == {"o1", "o2"}:
-        source = (_load(args.o1, _observable), _load(args.o2, _observable))
+        a, b = _load(args.o1, _observable), _load(args.o2, _observable)
     else:
         raise ValidationError("lambda-opt-pair-inputs", detail="need --m/--n or --o1/--o2")
-    result = lambda_opt_search(source, seed=args.seed)
-    a, b = result.pair
+    value = lambda_opt_search(a, b)
     if isinstance(a, BlochVector):
         pair_json = {"m": list(a.v), "n": list(b.v)}
     else:
         pair_json = {"o1": observable_to_json(a), "o2": observable_to_json(b)}
-    return _report(
-        "lambda-opt",
-        lambda_opt=result.value,
-        pair=pair_json,
-    ), 0
+    return _report("lambda-opt", lambda_opt=value, pair=pair_json), 0
 
 
 def _cmd_chsh(args: argparse.Namespace) -> tuple[dict, int]:
@@ -306,8 +300,10 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
         lam += args.step
 
     # Bob measures along m + n and m - n; for m = +/-n, any unit vector in the
-    # place of the zero one contributes 0.
-    bob = [BlochVector.normalized(v / np.linalg.norm(v) if np.linalg.norm(v) >= BOB_DIRECTION_CUTOFF
+    # place of the zero one contributes 0.  normalized divides v / |v| again,
+    # by a norm an ulp or so off 1; without the first division the last bits
+    # of Bob's direction, and so the 15-digit CHSH column, would change.
+    bob = [BlochVector.normalized(v / norm if (norm := np.linalg.norm(v)) >= BOB_DIRECTION_CUTOFF
                                   else [0.0, 1.0, 0.0]) for v in (m.v + n.v, m.v - n.v)]
     values = smeared_chsh_values(
         singlet(), m.observable(), n.observable(), *(b.observable() for b in bob), grid

@@ -116,10 +116,6 @@ class BlockDecomposition:
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
-    @property
-    def dim(self) -> int:
-        return self.unitary.shape[0]
-
     @functools.cached_property
     def _off_block_mask(self) -> np.ndarray:
         """True at the entries of a d x d matrix outside the declared blocks."""

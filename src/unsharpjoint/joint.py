@@ -33,9 +33,9 @@ _decide takes one of three paths:
 For Bloch vectors |A+B| and |A-B| are the scalars |m+n| and |m-n|,
 top = |m+n| + |m-n| is the paper's criterion, and each observable wraps
 (I + v.sigma) / 2 and its complement directly, once per vector.  The
-largest feasible unsharpness of a pair comes from the same top and gate,
-and _decide checks it; its worst case over Bloch-vector pairs, 1/sqrt(2),
-is reached at every orthogonal pair.
+largest feasible unsharpness of a pair (lambda_opt_search) comes from the
+same top and gate, and _decide checks it; its worst case over Bloch-vector
+pairs, 1/sqrt(2), is reached at every orthogonal pair (worst_case_pair).
 
 The operator form needs no block decomposition.  The anticommutator
 {A, B} of a sharp pair commutes with A and B, so on every invariant block
@@ -572,20 +572,19 @@ def feasibility_oracle(
                              _max_abs(x - y), low, it, certificate)
 
 
-@dataclass(frozen=True, eq=False)
-class LambdaOptResult:
-    """Largest certified-feasible unsharpness and the pair it was decided for."""
+def worst_case_pair(seed) -> tuple[BlochVector, BlochVector]:
+    """A uniformly random orthogonal Bloch pair drawn from seed, checked by
+    validate_seed.  Every orthogonal pair has |m+n| = |m-n| = sqrt(2), so its
+    threshold is the smallest of all pairs (Busch 1986): 1/sqrt(2) to rounding."""
+    m, w = np.random.default_rng(validate_seed(seed)).normal(size=(2, 3))
+    return BlochVector.normalized(m), BlochVector.normalized(w - (w @ m) / (m @ m) * m)
 
-    value: float
-    pair: tuple
 
+def lambda_opt_search(a, b) -> float:
+    """The largest feasible unsharpness of a pair: two BlochVectors or two
+    DichotomicObservables; anything else raises ValidationError ("pair-source").
 
-def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
-    """Largest feasible unsharpness for a pair, or the worst case over pairs.
-
-    seed is checked first.  pair_source is "worst-case", two BlochVectors or
-    two DichotomicObservables; anything else raises ValidationError
-    ("pair-source").  The threshold is the gate's (see the module docstring):
+    The threshold is the gate's (see the module docstring):
 
     * an exact pair (Bloch vectors, or two sharp observables as
       povm_joint_observable finds them): 1 where the gate passes lam = 1,
@@ -595,27 +594,8 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
     * any other pair of observables: 1/sqrt(2), where the gate passes
       every pair.
 
-    The value is checked as every "yes" is, by _decide, whose gate passes it;
-    the returned pair is the pair decided: the inputs, or the worst-case pair.
-
-    "worst-case" takes a uniformly random orthogonal Bloch pair drawn from
-    seed.  Every orthogonal pair has |m+n| = |m-n| = sqrt(2), so its
-    threshold is the smallest of all pairs (Busch 1986); the value is that
-    pair's exact threshold, 1/sqrt(2) to rounding.
+    The value is checked as every "yes" is, by _decide, whose gate passes it.
     """
-    seed = validate_seed(seed)
-    if isinstance(pair_source, str):
-        if pair_source != "worst-case":
-            raise ValidationError("pair-source", detail=repr(pair_source))
-        m, w = np.random.default_rng(seed).normal(size=(2, 3))
-        pair_source = (BlochVector.normalized(m), BlochVector.normalized(w - (w @ m) / (m @ m) * m))
-
-    try:
-        a, b = pair_source
-    except (TypeError, ValueError):
-        raise ValidationError(
-            "pair-source", detail=f"not a pair: {type(pair_source).__name__}"
-        ) from None
     if isinstance(a, BlochVector) and isinstance(b, BlochVector):
         pair = _bloch_pair(a, b)
     elif isinstance(a, DichotomicObservable) and isinstance(b, DichotomicObservable):
@@ -627,4 +607,4 @@ def lambda_opt_search(pair_source, seed: int = 2026) -> LambdaOptResult:
     value = (LAMBDA_OPT if not pair.exact
              else 1.0 if _feasible(1.0, pair) else max(LAMBDA_OPT, 2.0 / pair.top))
     _decide(pair, value)  # the gate passes value: the witness is built and checked
-    return LambdaOptResult(value=value, pair=(a, b))
+    return value

@@ -24,6 +24,7 @@ immutable values and safe to share across threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Complex, Integral, Real
@@ -54,10 +55,9 @@ CHSH_BOUND_SLACK = 1e-9  # abs: a CHSH value within its bound up to this
 SWEEP_END_SLACK = 1e-12  # abs: uj sweep keeps a grid point this far past --stop
 BOB_DIRECTION_CUTOFF = 1e-12  # abs: |m +- n| below this is a zero direction for Bob in uj sweep
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a norm below it has lost bits to underflow
 _EPS = np.finfo(float).eps
+_BOOLS = frozenset((bool, np.bool_))  # the entry types _holds_bool refuses
 # Residual checks run under it: an overflow to inf or nan is refused by _within, not warned of.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
@@ -95,6 +95,12 @@ def _number_array(obj, invariant: str, dtype=float) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(invariant, detail=str(exc)) from exc
     raise ValidationError(invariant, detail="entries must be numbers")
+
+
+def _holds_bool(rows) -> bool:
+    """Whether a 2-D table of numbers, nested sequences or an array, holds a
+    bool: numpy reads True as 1.0, also in a row of floats, whatever the dtype."""
+    return not _BOOLS.isdisjoint(map(type, itertools.chain.from_iterable(rows)))
 
 
 def _frozen(cls, **fields):
@@ -398,4 +404,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             "operator-json",
             detail=f"re/im shapes {re.shape}/{im.shape} do not match dim {dim}",
         )
+    if _holds_bool(obj["re"]) or _holds_bool(obj["im"]):  # JSON true and false are no numbers
+        raise ValidationError("operator-json", detail="re/im entries must be numbers")
     return re + 1j * im

@@ -31,7 +31,6 @@ SURFACE = {
     "JointObservable": '(g_pp, g_pm, g_mp, g_mm)',
     "JointResiduals": '(normalization, marginal_first, marginal_second, min_eigenvalue)',
     "LAMBDA_OPT": None,
-    "LambdaOptResult": '(value, pair)',
     "NoSignalingBox": '(table)',
     "ParseError": '(path, detail)',
     "Projector": '(matrix, rank)',
@@ -44,7 +43,7 @@ SURFACE = {
     "compress": '(g)',
     "criterion_value": '(m, n, lam)',
     "feasibility_oracle": '(o1lam, o2lam)',
-    "lambda_opt_search": '(pair_source, seed=2026)',
+    "lambda_opt_search": '(a, b)',
     "local_deterministic_boxes": '()',
     "matrix_from_json": '(obj)',
     "matrix_to_json": '(m)',
@@ -60,6 +59,7 @@ SURFACE = {
     "smeared_chsh": '(state, a1, a2, b1, b2, lam)',
     "two_projector_blocks": '(p, q)',
     "validate_lambda": '(lam)',
+    "worst_case_pair": '(seed)',
 }
 
 # class -> the public attributes that the package's own classes in its MRO
@@ -68,7 +68,7 @@ SURFACE = {
 # the pin does not move with the Python version.
 MEMBERS = {
     "Block": ('dim', 'overlap', 'rank_p', 'rank_q'),
-    "BlockDecomposition": ('blocks', 'dim', 'off_block_mass', 'reconstruction_residual', 'unitary'),
+    "BlockDecomposition": ('blocks', 'off_block_mass', 'reconstruction_residual', 'unitary'),
     "BlochVector": ('normalized', 'observable', 'v'),
     "ChshReport": ('bound_lambda', 'terms', 'value', 'within_bound'),
     "DensityMatrix": ('dim', 'matrix', 'pure'),
@@ -78,7 +78,6 @@ MEMBERS = {
     "FeasibilityReport": ('__bool__', 'certificate', 'feasible', 'iterations', 'marginal_residual', 'min_eigenvalue', 'witness'),
     "JointObservable": ('dim', 'effects', 'g_mm', 'g_mp', 'g_pm', 'g_pp', 'min_eigenvalue'),
     "JointResiduals": ('marginal_first', 'marginal_max', 'marginal_second', 'min_eigenvalue', 'normalization'),
-    "LambdaOptResult": ('pair', 'value'),
     "NoSignalingBox": ('correlators', 'p'),
     "ParseError": (),
     "Projector": ('as_effect', 'dim', 'from_matrix', 'matrix', 'observable', 'rank'),

@@ -23,16 +23,37 @@ from unsharpjoint import (
     singlet,
     smeared_chsh,
 )
-from unsharpjoint.bell import SETTINGS, _chsh, _observable_of, smeared_chsh_values
-from unsharpjoint.operators import PAULI_X, PAULI_Z
+from unsharpjoint.bell import SETTINGS, _chsh, smeared_chsh_values
 
 TWO_SQRT2 = 2.8284271247461903
 INV_SQRT2 = 0.7071067811865475
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _observable_of(matrix) -> DichotomicObservable:
+    """Sharp observable of a +/-1-valued Hermitian: yes-effect (I + M)/2."""
+    return DichotomicObservable.from_yes_effect((np.eye(2, dtype=complex) + matrix) / 2.0)
 
 
 def _random_unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+class TestOptimalSettings:
+    def test_matches_the_pauli_reference_bit_for_bit(self):
+        # z, x, (z + x)/sqrt(2), (z - x)/sqrt(2) as (I + M)/2 of Pauli matrices,
+        # the signs of zero parts included.
+        s2 = math.sqrt(2.0)
+        want = [_observable_of(m) for m in
+                (PAULI_Z, PAULI_X, (PAULI_Z + PAULI_X) / s2, (PAULI_Z - PAULI_X) / s2)]
+        for got, ref in zip(optimal_settings(), want, strict=True):
+            for g, r in ((got.yes_effect.matrix, ref.yes_effect.matrix),
+                         (got.no_effect.matrix, ref.no_effect.matrix)):
+                for part in (np.real, np.imag):
+                    assert np.array_equal(part(g), part(r))
+                    assert np.array_equal(np.signbit(part(g)), np.signbit(part(r)))
 
 
 class TestCorrelation:
@@ -218,6 +239,10 @@ class TestBoxes:
             [[0.25, 0.25, 0.0], [0.25, 0.25]],
             [[0.25, "x"], [0.25, 0.25]],
             [[0.25, math.nan], [0.25, 0.25]],
+            # Normalized but for the booleans, which numpy reads as 1.0 and 0.0.
+            [[True, False], [False, False]],
+            [[1.0, 0.0], [0.0, False]],
+            np.array([[True, False], [False, False]]),
         ],
     )
     def test_malformed_cell_rejected(self, cell):

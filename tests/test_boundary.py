@@ -48,7 +48,7 @@ VALID = {
     "compress": (np.eye(4) / 2,),
     "criterion_value": (_M, _N, 0.5),
     "feasibility_oracle": (_SMEARED, _SMEARED),
-    "lambda_opt_search": ((_M, _N), 2026),
+    "lambda_opt_search": (_M, _N),
     "local_deterministic_boxes": (),
     "matrix_from_json": (uj.matrix_to_json(np.eye(2)),),
     "matrix_to_json": (np.eye(2),),
@@ -64,14 +64,14 @@ VALID = {
     "smeared_chsh": (uj.singlet(), _OBS, _OBS, _OBS, _OBS, 0.5),
     "two_projector_blocks": (_P, _Q),
     "validate_lambda": (0.5,),
+    "worst_case_pair": (2026,),
 }
 
-# Callables of __all__ left out: the error types, and two result records.
+# Callables of __all__ left out: the error types, and one result record.
 # Result records are plain and check nothing; the two with rows above used
 # to re-check their fields, and a check put back must refuse each wrong value typed.
 NOT_INPUTS = {
-    "DimensionMismatch", "JointResiduals", "LambdaOptResult", "ParseError", "UnsharpJointError",
-    "ValidationError",
+    "DimensionMismatch", "JointResiduals", "ParseError", "UnsharpJointError", "ValidationError",
 }
 
 WRONG = (

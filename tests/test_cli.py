@@ -25,13 +25,13 @@ from unsharpjoint import (
     BlochVector,
     DensityMatrix,
     ValidationError,
-    lambda_opt_search,
     matrix_from_json,
     matrix_to_json,
     optimal_settings,
     qubit_joint_observable,
     singlet,
     smeared_chsh,
+    worst_case_pair,
 )
 from unsharpjoint import acceptance, cli
 from unsharpjoint.bell import SETTINGS
@@ -409,7 +409,6 @@ class TestChsh:
             settings = json.load(fh)
         a1 = matrix_from_json(settings["a1"])
         settings["a1"] = {"yes": settings["a1"], "no": matrix_to_json(np.eye(2) - a1)}
-        settings["b2"] = {"yes": settings["b2"]}
         path = tmp_path / "yes-no.json"
         path.write_text(json.dumps(settings))
         code, out = _run(
@@ -417,6 +416,12 @@ class TestChsh:
         )
         assert code == 0
         assert abs(json.loads(out)["value"] - 2.828427) <= 1e-6
+        # An entry with "yes" and no "no" is refused: the format has a bare
+        # operator or both effects.
+        settings["b2"] = {"yes": settings["b2"]}
+        path.write_text(json.dumps(settings))
+        assert main(["chsh", "--state", fixtures["singlet.json"], "--settings", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: missing field 'no'\n")
 
     @pytest.mark.parametrize(
         "state,lam,bound,terms,value",
@@ -868,9 +873,19 @@ class TestErrors:
              "spectrum-in-[0,1]: eigenvalue 1.2 outside [-1e-09, 1.000000001]"),
             (["blocks", "--p", "p.json", "--q", "BAD"], matrix_to_json(0.5 * np.eye(2)),
              "idempotency (residual 2.500e-01)"),
+            # JSON true and false were read as 1.0 and 0.0, also among floats.
+            (["smear", "--obs", "BAD", "--lambda", "0.5"],
+             {"dim": 2, "re": [[True, False], [False, False]], "im": [[0, 0], [0, 0]]},
+             "operator-json: re/im entries must be numbers"),
+            (["smear", "--obs", "BAD", "--lambda", "0.5"],
+             {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [False, 0.0]]},
+             "operator-json: re/im entries must be numbers"),
+            (["box-chsh", "--box", "BAD"],
+             {"p": {k: [[0.25, 0.25]] * 2 for k in SETTINGS} | {"12": [[True, 0.0], [0.0, 0.0]]}},
+             "box-cell: setting '12' is not a 2x2 table of numbers"),
         ],
         ids=["entry-string", "ragged-re", "box-cell-string", "not-hermitian", "above-one",
-             "not-idempotent"],
+             "not-idempotent", "re-booleans", "im-boolean-among-floats", "box-cell-boolean"],
     )
     def test_malformed_file_message_is_pinned(self, argv, content, message, fixtures, tmp_path,
                                               capsys):
@@ -988,11 +1003,11 @@ class TestFlagWindows:
         assert captured.err == f"error: lambda-opt-pair-inputs: {detail}\n"
 
     def test_seed_message_is_the_library_message(self, capsys):
-        # The flag and lambda_opt_search share one seed check.
+        # The flag and worst_case_pair share one seed check.
         assert main(["lambda-opt", "--mode", "worst-case", "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed-uint64: got -1\n"
         with pytest.raises(ValidationError) as exc:
-            lambda_opt_search("worst-case", seed=-1)
+            worst_case_pair(-1)
         assert str(exc.value) == "seed-uint64: got -1"
 
 

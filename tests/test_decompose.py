@@ -23,7 +23,9 @@ from unsharpjoint import (
 )
 from unsharpjoint import decompose
 from unsharpjoint.decompose import BLOCK_RESIDUAL_TOL, CLUSTER_TOL
-from unsharpjoint.operators import PAULI_X, _frozen, _max_abs, identity
+from unsharpjoint.operators import _frozen, _max_abs, identity
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def _ray(vec):
@@ -354,7 +356,7 @@ class TestPinnedDecompositions:
             assert all(type(b.overlap) is float and type(b.rank_p) is int for b in dec.blocks)
             assert tuple(Block(b.dim, b.rank_p, b.rank_q, b.overlap) for b in dec.blocks) == dec.blocks
             checked = BlockDecomposition(dec.unitary, dec.blocks)
-            mask = np.ones((dec.dim, dec.dim), dtype=bool)
+            mask = np.ones((p.dim, p.dim), dtype=bool)
             offset = 0
             for b in dec.blocks:
                 mask[offset:offset + b.dim, offset:offset + b.dim] = False
@@ -396,7 +398,7 @@ class TestBlockChecks:
         u = dec.unitary
         conj = u.conj().T @ np.stack([p.matrix, q.matrix]) @ u
         assert seen["block-diagonality"] == _max_abs(conj[:, dec._off_block_mask])
-        assert seen["unitary"] == _max_abs(u.conj().T @ u - np.eye(dec.dim))
+        assert seen["unitary"] == _max_abs(u.conj().T @ u - np.eye(p.dim))
 
     @pytest.mark.parametrize("planted", [5e-10, 1e-8])
     def test_a_planted_off_block_entry_is_refused_past_the_tolerance(self, monkeypatch, planted):

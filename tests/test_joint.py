@@ -34,6 +34,7 @@ from unsharpjoint import (
     qubit_joint_observable,
     smear,
     two_projector_blocks,
+    worst_case_pair,
 )
 from unsharpjoint import joint
 from unsharpjoint.cli import feasibility_to_json
@@ -41,8 +42,10 @@ from unsharpjoint.joint import (
     CERTIFICATE_EVERY, CRITERION_SLACK, _bloch_pair, _observable_pair, _projector_pair, _yes,
     qubit_verdicts,
 )
-from unsharpjoint.operators import CERTIFICATE_MARGIN, PAULI_X, PAULI_Z, PSD_TOL, _max_abs, identity
+from unsharpjoint.operators import CERTIFICATE_MARGIN, PSD_TOL, _max_abs, identity
 
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 Z = BlochVector(np.array([0.0, 0.0, 1.0]))
 X = BlochVector(np.array([1.0, 0.0, 0.0]))
 
@@ -344,7 +347,7 @@ class TestPvmJointObservable:
 
     @pytest.mark.parametrize("decide", [
         lambda p, q: pvm_joint_observable(p, q, 0.5),
-        lambda p, q: lambda_opt_search((p.observable(), q.observable())),
+        lambda p, q: lambda_opt_search(p.observable(), q.observable()),
     ])
     def test_dimension_mismatch_is_typed(self, decide):
         with pytest.raises(DimensionMismatch):
@@ -677,7 +680,7 @@ class TestFeasibilityOracle:
                 else:
                     p, q = (DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2))
             o1, o2 = (x if kind == "povm" else x.observable() for x in (p, q))
-            threshold = lambda_opt_search((p, q) if kind == "bloch" else (o1, o2)).value
+            threshold = lambda_opt_search(*((p, q) if kind == "bloch" else (o1, o2)))
             lam = threshold if i % 4 == 0 else threshold * float(rng.uniform(0.5, 1.0))
             closed = decide(p, q, lam)
             rep = feasibility_oracle(smear(o1, lam), smear(o2, lam))
@@ -733,7 +736,7 @@ class TestFeasibilityOracle:
     def test_projector_pairs_bracket_the_threshold(self, seed, d):
         rng = np.random.default_rng(seed)
         p, q = _random_projector(rng, d, d // 2), _random_projector(rng, d, d // 2)
-        threshold = lambda_opt_search((p.observable(), q.observable())).value
+        threshold = lambda_opt_search(p.observable(), q.observable())
         assume(1.03 * threshold <= 1.0)
         for lam, want in ((0.97 * threshold, "yes"), (1.03 * threshold, "no")):
             o1lam, o2lam = smear(p.observable(), lam), smear(q.observable(), lam)
@@ -754,7 +757,7 @@ class TestFeasibilityOracle:
             a = _random_projector(rng, d, int(rng.integers(0, d + 1)))
             b = _random_projector(rng, d, int(rng.integers(0, d + 1)))
         o1, o2 = a.observable(), b.observable()
-        lam = lambda_opt_search((a, b) if bloch else (o1, o2)).value
+        lam = lambda_opt_search(*((a, b) if bloch else (o1, o2)))
         rep = feasibility_oracle(smear(o1, lam), smear(o2, lam))
         assert rep.feasible != "no"
 
@@ -820,49 +823,44 @@ _PAIR_KINDS = {
 }
 
 
-def _oracle_verdict(res) -> str:
-    """The oracle's verdict on a lambda_opt_search result's pair at its value: the reference check."""
-    obs = [x.observable() if isinstance(x, BlochVector) else x for x in res.pair]
-    return feasibility_oracle(*(smear(o, res.value) for o in obs)).feasible
+def _oracle_verdict(pair, value) -> str:
+    """The oracle's verdict on a pair at a lambda_opt_search value: the reference check."""
+    obs = [x.observable() if isinstance(x, BlochVector) else x for x in pair]
+    return feasibility_oracle(*(smear(o, value) for o in obs)).feasible
 
 
 class TestLambdaOptSearch:
     def test_orthogonal_pair(self):
-        res = lambda_opt_search((Z, X))
-        assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-15)
-        assert _oracle_verdict(res) in ("yes", "undetermined")
+        value = lambda_opt_search(Z, X)
+        assert value == pytest.approx(LAMBDA_OPT, abs=1e-15)
+        assert _oracle_verdict((Z, X), value) in ("yes", "undetermined")
 
     def test_identical_pair(self):
-        res = lambda_opt_search((Z, Z))
-        assert res.value == 1.0
+        assert lambda_opt_search(Z, Z) == 1.0
 
     @settings(max_examples=60)
     @given(_unit_vectors(), _unit_vectors())
     # top = 2 + 1e-12 lies inside the gate's slack, so the value is 1, not 2 / top.
     @example(np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 1e-12]))
     def test_bloch_pair_is_closed_form_boundary(self, m, n):
-        res = lambda_opt_search(pair := (BlochVector(m), BlochVector(n)))
+        value = lambda_opt_search(*(pair := (BlochVector(m), BlochVector(n))))
         top = np.linalg.norm(m + n) + np.linalg.norm(m - n)
         closed = 1.0 if top <= 2.0 + CRITERION_SLACK else 2.0 / top
-        assert res.value == pytest.approx(closed, abs=1e-15)
-        assert _oracle_verdict(res) in ("yes", "undetermined")
-        assert qubit_joint_observable(*pair, res.value).feasible == "yes"
-        above = res.value * (1.0 + 1e-9)
-        if res.value < 1.0 and above <= 1.0:
+        assert value == pytest.approx(closed, abs=1e-15)
+        assert _oracle_verdict(pair, value) in ("yes", "undetermined")
+        assert qubit_joint_observable(*pair, value).feasible == "yes"
+        above = value * (1.0 + 1e-9)
+        if value < 1.0 and above <= 1.0:
             assert qubit_joint_observable(*pair, above).feasible == "no"
 
     def test_projector_pair(self):
-        pair = (_ray([1, 0]).observable(), _ray([1, 1]).observable())
-        res = lambda_opt_search(pair)
-        assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-12)
+        value = lambda_opt_search(_ray([1, 0]).observable(), _ray([1, 1]).observable())
+        assert value == pytest.approx(LAMBDA_OPT, abs=1e-12)
 
     def test_commuting_projector_pair_is_sharp(self):
         p = Projector.from_matrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
         q = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
-        pair = (p.observable(), q.observable())
-        res = lambda_opt_search(pair)
-        assert res.value == 1.0
-        assert res.pair == pair  # the inputs, not observables rebuilt from projectors
+        assert lambda_opt_search(p.observable(), q.observable()) == 1.0
 
     def test_povm_pair_takes_lambda_opt(self, monkeypatch):
         # Its value is LAMBDA_OPT whatever top is, where the gate passes every
@@ -876,11 +874,10 @@ class TestLambdaOptSearch:
             o2 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
             with monkeypatch.context() as patch:
                 patch.setattr("unsharpjoint.joint.feasibility_oracle", refuse)
-                res = lambda_opt_search((o1, o2))
-                assert povm_joint_observable(o1, o2, res.value).feasible == "yes"
-            assert res.value == LAMBDA_OPT
-            assert res.pair == (o1, o2)
-            assert _oracle_verdict(res) == "yes"
+                value = lambda_opt_search(o1, o2)
+                assert povm_joint_observable(o1, o2, value).feasible == "yes"
+            assert value == LAMBDA_OPT
+            assert _oracle_verdict((o1, o2), value) == "yes"
 
     @pytest.mark.parametrize("projector_first", [True, False])
     def test_mixed_pair_takes_lambda_opt(self, projector_first):
@@ -888,11 +885,11 @@ class TestLambdaOptSearch:
         rng = np.random.default_rng(197)
         p = _random_projector(rng, 3, 1).observable()
         o = DichotomicObservable.from_yes_effect(_random_effect(rng, 3))
-        res = lambda_opt_search((p, o) if projector_first else (o, p))
-        assert res.value == LAMBDA_OPT
-        assert _oracle_verdict(res) == "yes"
-        assert res.pair == ((p, o) if projector_first else (o, p))
-        assert povm_joint_observable(*res.pair, res.value).feasible == "yes"
+        pair = (p, o) if projector_first else (o, p)
+        value = lambda_opt_search(*pair)
+        assert value == LAMBDA_OPT
+        assert _oracle_verdict(pair, value) == "yes"
+        assert povm_joint_observable(*pair, value).feasible == "yes"
 
     @pytest.mark.parametrize("first,second", list(itertools.product(_PAIR_KINDS, repeat=2)))
     def test_branch_is_chosen_from_both_elements(self, first, second):
@@ -909,18 +906,18 @@ class TestLambdaOptSearch:
             want = LAMBDA_OPT
         else:
             with pytest.raises(ValidationError, match="pair-source"):
-                lambda_opt_search((a, b))
+                lambda_opt_search(a, b)
             return
-        res = lambda_opt_search((a, b))
-        assert res.value == pytest.approx(want, abs=1e-15)
-        assert _oracle_verdict(res) in ("yes", "undetermined")
+        value = lambda_opt_search(a, b)
+        assert value == pytest.approx(want, abs=1e-15)
+        assert _oracle_verdict((a, b), value) in ("yes", "undetermined")
 
     @pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], {"a": 1}], ids=["string", "ragged", "dict"])
     @pytest.mark.parametrize("first", [True, False])
     def test_non_numeric_element_is_rejected(self, bad, first):
         o = _PAIR_KINDS["observable"]()
         with pytest.raises(ValidationError, match="pair-source"):
-            lambda_opt_search((bad, o) if first else (o, bad))
+            lambda_opt_search(*((bad, o) if first else (o, bad)))
 
     def test_higher_dimensional_projector_pair(self):
         # The search lands on the worst block angle's exact boundary
@@ -937,48 +934,43 @@ class TestLambdaOptSearch:
             for b in two_projector_blocks(p, q).blocks
             if b.dim == 2
         )
-        res = lambda_opt_search((p.observable(), q.observable()))
-        assert res.value == pytest.approx(expected, abs=1e-12)
+        assert lambda_opt_search(p.observable(), q.observable()) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("element", [3, None, ([0, 0, 1],), ([0, 0, 1], [1, 0, 0], [0, 1, 0])],
+                             ids=["int", "none", "1-tuple", "3-tuple"])
+    def test_malformed_pair_source(self, element):
+        # Each used to escape as a bare TypeError or ValueError as a pair source.
+        for pair in ((element, Z), (Z, element)):
+            with pytest.raises(ValidationError, match="pair-source"):
+                lambda_opt_search(*pair)
 
     def test_worst_case(self):
-        res = lambda_opt_search("worst-case")
-        assert res.value == pytest.approx(LAMBDA_OPT, abs=1e-3)
-        assert res.value >= LAMBDA_OPT - 1e-3
+        value = lambda_opt_search(*worst_case_pair(2026))
+        assert value == pytest.approx(LAMBDA_OPT, abs=1e-3)
+        assert value >= LAMBDA_OPT - 1e-3
 
     def test_worst_case_reaches_inverse_sqrt2(self):
-        # The pair is orthogonal, so its threshold is 1/sqrt(2) to rounding.
+        # worst_case_pair draws unit, orthogonal vectors, so the threshold is
+        # 1/sqrt(2) to rounding.
         for seed in range(50):
-            res = lambda_opt_search("worst-case", seed=seed)
-            m, n = res.pair
+            m, n = pair = worst_case_pair(seed)
+            assert abs(m.v @ m.v - 1.0) <= 1e-15 and abs(n.v @ n.v - 1.0) <= 1e-15, seed
             assert abs(m.v @ n.v) <= 1e-15, seed
-            assert res.value == pytest.approx(2.0 / criterion_value(m, n, 1.0), abs=1e-15)
-            assert abs(res.value - LAMBDA_OPT) <= 1e-15, seed
-            assert _oracle_verdict(res) != "no"
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValidationError):
-            lambda_opt_search("best-case")
-
-    @pytest.mark.parametrize("source", [3, None, ([0, 0, 1],), ([0, 0, 1], [1, 0, 0], [0, 1, 0])],
-                             ids=["int", "none", "1-tuple", "3-tuple"])
-    def test_malformed_pair_source(self, source):
-        # Each used to escape as a bare TypeError or ValueError.
-        with pytest.raises(ValidationError, match="pair-source"):
-            lambda_opt_search(source)
+            value = lambda_opt_search(*pair)
+            assert value == pytest.approx(2.0 / criterion_value(m, n, 1.0), abs=1e-15)
+            assert abs(value - LAMBDA_OPT) <= 1e-15, seed
+            assert _oracle_verdict(pair, value) != "no"
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True])
     def test_worst_case_rejects_a_seed_outside_uint64(self, seed):
-        # -1 used to raise numpy's bare ValueError; with an explicit pair the
-        # seed went unchecked.
-        for source in ("worst-case", (Z, X)):
-            with pytest.raises(ValidationError, match="seed-uint64"):
-                lambda_opt_search(source, seed=seed)
+        # -1 used to raise numpy's bare ValueError.
+        with pytest.raises(ValidationError, match="seed-uint64"):
+            worst_case_pair(seed)
 
     def test_worst_case_takes_numpy_integers(self):
-        res = lambda_opt_search("worst-case", seed=np.uint64(7))
-        want = lambda_opt_search("worst-case", seed=7)
-        assert res.value == want.value
-        assert [v.v.tobytes() for v in res.pair] == [v.v.tobytes() for v in want.pair]
+        for seed, same in ((np.uint64(2**64 - 1), 2**64 - 1), (np.int64(7), 7)):
+            got, want = worst_case_pair(seed), worst_case_pair(same)
+            assert [v.v.tobytes() for v in got] == [v.v.tobytes() for v in want]
 
 
 def _random_projector(rng, d, rank):
@@ -1058,7 +1050,7 @@ class TestWitnessBuiltOnce:
         else:
             o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, 6)) for _ in range(2))
         solves = self._count_top_solves(monkeypatch)
-        value = lambda_opt_search((o1, o2)).value
+        value = lambda_opt_search(o1, o2)
         assert solves == ([(6, 6)] if sharp else [])
         assert value > LAMBDA_OPT if sharp else value == LAMBDA_OPT
 
@@ -1142,7 +1134,7 @@ class TestWitnessBuiltOnce:
         rng = np.random.default_rng(seed)
         p = _random_projector(rng, d, data.draw(st.integers(0, d)))
         q = _random_projector(rng, d, data.draw(st.integers(0, d)))
-        rep = pvm_joint_observable(p, q, lambda_opt_search((p.observable(), q.observable())).value)
+        rep = pvm_joint_observable(p, q, lambda_opt_search(p.observable(), q.observable()))
         assert rep.feasible == "yes"
         assert rep.min_eigenvalue >= -1e-11
         assert rep.marginal_residual <= 1e-9
@@ -1160,7 +1152,7 @@ class TestWitnessBuiltOnce:
         rng = np.random.default_rng(seed)
         rp, rq = data.draw(st.integers(1, d - 1)), data.draw(st.integers(1, d))
         p, q = _near_aligned_pair(rng, d, rp, rq, math.exp(log_angle))
-        lam = lambda_opt_search((p.observable(), q.observable())).value
+        lam = lambda_opt_search(p.observable(), q.observable())
         rep = pvm_joint_observable(p, q, lam)
         assert rep.feasible == "yes"
         assert rep.min_eigenvalue >= -1e-11
@@ -1608,20 +1600,20 @@ class TestGateAtLambdaOpt:
         p, q = _complementary_pair(np.random.default_rng(2404), 2, 0.9e-10)
         m, n = BlochVector([0.0, 0.0, 1.0 + 0.9e-12]), BlochVector([1.0 + 0.9e-12, 0.0, 0.0])
         for pair in ((p.observable(), q.observable()), (m, n)):
-            res = lambda_opt_search(pair)
-            assert (res.value, _oracle_verdict(res)) == (LAMBDA_OPT, "yes")
+            value = lambda_opt_search(*pair)
+            assert (value, _oracle_verdict(pair, value)) == (LAMBDA_OPT, "yes")
             obs = [x.observable() if isinstance(x, BlochVector) else x for x in pair]
-            assert povm_joint_observable(*obs, res.value).feasible == "yes"
+            assert povm_joint_observable(*obs, value).feasible == "yes"
         # An orthogonal pair of unit vectors whose 2 / top rounds to one ulp below LAMBDA_OPT.
-        assert lambda_opt_search("worst-case", seed=81).value == LAMBDA_OPT
+        assert lambda_opt_search(*worst_case_pair(81)) == LAMBDA_OPT == 0.7071067811865475
 
     @pytest.mark.parametrize("n", [[1e-13, 0.0, 1.0], [9e-13, 0.0, 1.0], [1.0, 2.0, 0.5], [1.0, 0.0, 0.0]])
     def test_lambda_opt_search_same_for_bloch_and_sharp_pairs(self, n):
         # Near m = z, top is about 2 + |m - n|, inside the gate slack: the
         # gate passes lam = 1 for both forms of the pair.
         m, n = BlochVector([0.0, 0.0, 1.0]), BlochVector.normalized(n)
-        bloch = lambda_opt_search((m, n)).value
-        assert lambda_opt_search((m.observable(), n.observable())).value == pytest.approx(bloch, abs=1e-15)
+        bloch = lambda_opt_search(m, n)
+        assert lambda_opt_search(m.observable(), n.observable()) == pytest.approx(bloch, abs=1e-15)
         assert (bloch == 1.0) == (criterion_value(m, n, 1.0) <= 2.0 + CRITERION_SLACK)
 
 
@@ -1704,7 +1696,7 @@ class TestDirectSum:
         pairs = [_observable_pair(*pair) for pair in obs]
         assert pairs[2].top == pytest.approx(max(pairs[0].top, pairs[1].top), rel=1e-12)
         if sharp1 and sharp2:
-            values = [lambda_opt_search(pair).value for pair in obs]
+            values = [lambda_opt_search(*pair) for pair in obs]
             assert values[2] == pytest.approx(min(values[:2]), rel=0, abs=1e-12)
         lam = float(rng.uniform(LAMBDA_OPT, 1.0))
         if all(abs(lam * pair.top - 2.0) > 1e-6 for pair in pairs[:2]):

@@ -34,9 +34,10 @@ from unsharpjoint import (
     two_projector_blocks,
 )
 from unsharpjoint.bell import smeared_chsh_values
-from unsharpjoint.operators import HERMITIAN_TOL, PAULI_Z, PSD_TOL, _hermitian_part, _unit_vector, identity
+from unsharpjoint.operators import HERMITIAN_TOL, PSD_TOL, _hermitian_part, _unit_vector, identity
 
 _EMPTY = np.zeros((0, 0))
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @pytest.mark.parametrize(
@@ -797,11 +798,19 @@ class TestJsonFormat:
             {"dim": 2, "re": [[" 1 ", 0], [0, 1]], "im": [[0, 0], [0, 0]]},
             {"dim": 2, "re": [["1", 2**70], [0, 1]], "im": [[0, 0], [0, 0]]},
             {"dim": True, "re": [[1]], "im": [[0]]},
+            {"dim": 1, "re": [[True]], "im": [[0]]},
+            {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.5]], "im": [[0.0, False], [0.0, 0.0]]},
+            {"dim": 2, "re": np.eye(2, dtype=bool), "im": np.zeros((2, 2))},
         ],
     )
     def test_malformed_operator_rejected(self, obj):
         with pytest.raises(ValidationError, match="operator-json"):
             matrix_from_json(obj)
+
+    def test_array_entries_are_accepted(self):
+        m = np.array([[0.5, 0.25 - 0.5j], [0.25 + 0.5j, 0.5]])
+        back = matrix_from_json({"dim": 2, "re": m.real, "im": m.imag})
+        assert np.array_equal(back, m)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (8, 2, 2)])

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import math
 import re
 import sys
 from pathlib import Path
@@ -49,6 +50,26 @@ def test_one_seed_gives_one_qubit_and_oracle_digest(monkeypatch):
     # state, both CHSH reports) and 200 of the oracle workload.
     line = _tool(monkeypatch).qubit_digest((101,))
     assert line == f"{PINNED_QUBIT_101}  qubit/oracle library over 1 seeds x 200 ops each"
+
+
+def test_the_acceptance_line_digests_each_verdict_and_detail_but_no_runtime(monkeypatch):
+    # Stand-ins for the criteria, which take seconds: number, name, check and
+    # time bound, as in acceptance.CRITERIA.
+    from unsharpjoint import acceptance
+
+    uj_digest = _tool(monkeypatch)
+    holds = (1, "holds", lambda: (True, "fine"), math.inf)
+    monkeypatch.setattr(acceptance, "CRITERIA", (holds, (2, "breaks", lambda: (False, "off by one"), math.inf)))
+    h = hashlib.sha256()
+    for part in (b"1", b"holds", b"True", b"fine", b"2", b"breaks", b"False", b"off by one"):
+        h.update(len(part).to_bytes(8, "big") + part)
+    line = uj_digest.acceptance_digest()
+    assert line == f"{h.hexdigest()}  acceptance verdicts over 2 criteria"
+    # A time bound that run() would fail leaves the line as it is; a detail does not.
+    monkeypatch.setattr(acceptance, "CRITERIA", (holds, (2, "breaks", lambda: (False, "off by one"), 0.0)))
+    assert uj_digest.acceptance_digest() == line
+    monkeypatch.setattr(acceptance, "CRITERIA", (holds, (2, "breaks", lambda: (False, "off by two"), math.inf)))
+    assert uj_digest.acceptance_digest() != line
 
 
 def test_a_src_without_the_package_is_refused(monkeypatch, tmp_path, capsys):

@@ -17,7 +17,9 @@ oracle's qubit "yes", so a last line digests QUBIT_OPS ops of the `qubit`
 and of the `oracle` workload for each seed: every report's verdict,
 iterations, witness or certificate, `min_eigenvalue` and
 `marginal_residual`, and for a qubit op its `check_joint` residuals,
-`criterion_value` and both CHSH reports.
+`criterion_value` and both CHSH reports.  A fourth line digests the
+acceptance verdicts: each criterion of `acceptance.CRITERIA`, run once, by
+its number, name, passed flag and detail line, without its runtime.
 
 Compare two trees of the package by running it against each `src/`:
 
@@ -131,6 +133,20 @@ def qubit_digest(seeds) -> str:
     return f"{h.hexdigest()}  qubit/oracle library over {len(seeds)} seeds x {QUBIT_OPS} ops each"
 
 
+def acceptance_digest() -> str:
+    """One "sha256  acceptance verdicts ..." line over every criterion of acceptance.CRITERIA.
+
+    passed is the check's own verdict, before the time bound that run() adds,
+    so the line does not move with the machine's speed."""
+    from unsharpjoint.acceptance import CRITERIA
+
+    h = hashlib.sha256()
+    for number, name, check, _ in CRITERIA:
+        passed, detail = check()
+        _update(h, [str(number).encode(), name.encode(), str(bool(passed)).encode(), detail.encode()])
+    return f"{h.hexdigest()}  acceptance verdicts over {len(CRITERIA)} criteria"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -148,6 +164,7 @@ def main(argv=None) -> int:
     print("\n".join(report(SEEDS)))
     print(library_digest(SEEDS))
     print(qubit_digest(SEEDS))
+    print(acceptance_digest())
     return 0
 
 
