@@ -185,10 +185,15 @@ def criterion_6_block_roundtrip() -> tuple[bool, str]:
         p = _random_projector(rng, d, int(rng.integers(1, d)))
         q = _random_projector(rng, d, int(rng.integers(1, d)))
         dec = two_projector_blocks(p, q)
-        max_dim = max(max_dim, max(b.dim for b in dec.blocks))
+        dims = [b.dim for b in dec.blocks]
+        max_dim = max(max_dim, *dims)
+        ids = np.repeat(np.arange(len(dims)), dims)  # each column's block, from the dims alone
+        u, off = dec.unitary, ids[:, None] != ids
         for m in (p.matrix, q.matrix):
-            worst_off = max(worst_off, dec.off_block_mass(m))
-            worst_rec = max(worst_rec, dec.reconstruction_residual(m))
+            conj = u.conj().T @ m @ u
+            worst_off = max(worst_off, float(np.abs(conj[off]).max(initial=0.0)))
+            conj[off] = 0.0  # U . blockdiag(restrictions) . U^dagger rebuilds m
+            worst_rec = max(worst_rec, float(np.abs(u @ conj @ u.conj().T - m).max()))
     passed = max_dim <= 2 and worst_off <= 1e-9 and worst_rec <= 1e-9
     return passed, (
         f"max block dim {max_dim}, off-block {worst_off:.2e}, "

@@ -297,6 +297,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     lam = args.start
     while lam <= stop + SWEEP_END_SLACK:
         grid.append(min(lam, 1.0))
+        if lam >= 1.0:  # every later point would be clamped to this 1.0 again
+            break
         lam += args.step
 
     # Bob measures along m + n and m - n; for m = +/-n, any unit vector in the

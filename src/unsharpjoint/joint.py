@@ -151,8 +151,9 @@ class JointObservable:
     """Four effects with outcome labels (+,+), (+,-), (-,+), (-,-).
 
     The effects sum to the identity (to JOINT_NORMALIZATION_TOL); each is
-    PSD by Effect validation.  Row marginals reproduce the first observable,
-    column marginals the second.
+    PSD by Effect validation, or in a decision's witness by the one stacked
+    _check_effects of _yes, which then wraps them unchecked.  Row marginals
+    reproduce the first observable, column marginals the second.
     """
 
     g_pp: Effect
@@ -510,8 +511,9 @@ def feasibility_oracle(
       the last test: four PSD matrices H_jk with H_pp - H_pm - H_mp + H_mm
       = 0 whose pairing with the affine points is negative, which no PSD
       joint observable allows.  The certificate rides on the report;
-    * "undetermined" when MAX_ITER iterations pass first, which is
-      expected only in a thin band around the feasibility boundary.
+    * "undetermined" when MAX_ITER iterations pass first: near the
+      feasibility boundary, and also for near-sharp pairs at lam = 1, where
+      nothing is smeared (3 of 100 at d = 2; ROADMAP item 19).
 
     The start takes |A+B| and |A-B| from _abs_pair, and each iteration makes
     one eigensolve, eigh of an (8, d, d) stack: the raw affine iterate for

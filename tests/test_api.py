@@ -68,7 +68,7 @@ SURFACE = {
 # the pin does not move with the Python version.
 MEMBERS = {
     "Block": ('dim', 'overlap', 'rank_p', 'rank_q'),
-    "BlockDecomposition": ('blocks', 'off_block_mass', 'reconstruction_residual', 'unitary'),
+    "BlockDecomposition": ('blocks', 'unitary'),
     "BlochVector": ('normalized', 'observable', 'v'),
     "ChshReport": ('bound_lambda', 'terms', 'value', 'within_bound'),
     "DensityMatrix": ('dim', 'matrix', 'pure'),

@@ -648,6 +648,16 @@ class TestSweep:
             "0.72,no,2.03646752981726,2.77777777777778\n"
         ))
 
+    def test_the_lambda_one_row_is_printed_once(self, capsys):
+        # Each lam in (1, 1 + SWEEP_END_SLACK] is clamped to 1.0; the grid
+        # used to print that row three times.
+        argv = ["sweep", "--start", "0.999999999999", "--stop", "1", "--step", "3e-13"]
+        code, out = _run(argv, capsys)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert rows[-1] == "1,no,2.82842712474619,2"
+        assert [r.split(",")[0] for r in rows].count("1") == 1
+
     @pytest.mark.parametrize(
         "start,stop,step",
         [
@@ -777,6 +787,8 @@ def _reference_sweep(m, n, start, stop, step):
             state, m.observable(), n.observable(), b1.observable(), b2.observable(), row
         ).value
         lines.append(f"{row:.15g},{verdict},{value:.15g},{2.0 / row:.15g}")
+        if lam >= 1.0:
+            break
         lam += step
     return "\n".join(lines) + "\n"
 

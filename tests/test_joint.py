@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 from unsharpjoint import (
     LAMBDA_OPT,
-    Block,
-    BlockDecomposition,
     BlochVector,
     DensityMatrix,
     DichotomicObservable,
@@ -1426,8 +1424,7 @@ class TestQubitPathBitIdentity:
 
     def test_frozen_values_keep_an_instance_dict(self):
         # _frozen sets a value's fields through its __dict__, which __slots__ would remove.
-        for cls in (Effect, DichotomicObservable, Projector, DensityMatrix, JointObservable,
-                    Block, BlockDecomposition):
+        for cls in (Effect, DichotomicObservable, Projector, DensityMatrix, JointObservable):
             assert all("__slots__" not in vars(klass) for klass in cls.__mro__[:-1]), cls
 
     def test_observable_is_built_once(self):
@@ -1641,6 +1638,23 @@ class TestNearProjectorPair:
         verdicts = {povm_joint_observable(o1, o2, _NEAR_PROJECTOR_LAM).feasible,
                     pvm_joint_observable(p1, p2, _NEAR_PROJECTOR_LAM).feasible}
         assert "no" not in verdicts
+
+
+class TestLambdaOneEdge:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 19")
+    def test_the_first_near_sharp_draw_is_decided(self):
+        # Draw 0 of the d = 2 near-sharp pairs from default_rng(2026) at
+        # lam = 1, where nothing is smeared: the oracle ends "undetermined"
+        # after MAX_ITER iterations, far from any thin band.
+        rng = np.random.default_rng(2026)
+        o1, o2 = (DichotomicObservable.from_yes_effect(_near_sharp_effect(rng, 2)) for _ in range(2))
+        rep = povm_joint_observable(o1, o2, 1.0)
+        assert rep.feasible != "undetermined"
+        o1lam, o2lam = smear(o1, 1.0), smear(o2, 1.0)
+        if rep.feasible == "yes":
+            _assert_witnesses_yes(rep, o1lam, o2lam)
+        else:
+            _assert_certifies_no(rep, o1lam, o2lam)
 
 
 class TestCovariance:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from unsharpjoint import (
     BlochVector,
-    BlockDecomposition,
     DensityMatrix,
     DichotomicObservable,
     Effect,
@@ -107,13 +106,12 @@ _P = Projector.from_matrix(np.diag([1.0, 0.0]).astype(complex))
         (lambda: box_chsh(pr_box().p), "no-signaling-box"),
         (lambda: DichotomicObservable(_RAW, _RAW), "effect"),
         (lambda: JointObservable(*[_RAW / 2] * 4), "effect"),
-        (lambda: BlockDecomposition(np.eye(2), (_RAW,)), "block"),
     ],
     ids=["smear", "neumark-dilate", "povm-joint-observable", "feasibility-oracle", "mean-value",
          "chsh", "smeared-chsh", "smeared-chsh-values", "mean-value-state", "chsh-state",
          "smeared-chsh-state", "smeared-chsh-values-state", "pvm-joint-observable",
          "two-projector-blocks", "check-joint", "check-joint-observable", "box-chsh",
-         "dichotomic-observable", "joint-observable", "block-decomposition"],
+         "dichotomic-observable", "joint-observable"],
 )
 def test_raw_matrix_for_an_observable_is_rejected(call, invariant):
     # Each used to end in a bare AttributeError: 'numpy.ndarray' object has
