@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from unsharpjoint import acceptance
+from unsharpjoint import Block, BlockDecomposition, acceptance
 from unsharpjoint.acceptance import CRITERIA, run
 
 
@@ -58,3 +58,40 @@ def test_a_drifting_smearing_map_fails_criterion_9(monkeypatch):
     assert result.line.startswith(
         "FAIL criterion 9 (smeared-mean scaling): max |smeared - lam*sharp| ")
     assert 5e-10 < float(result.detail.split()[4]) <= 1e-9
+
+
+def _split(dec):
+    """Each 2-dim block reported as two 1-dim blocks."""
+    return [Block(1, b.rank_p, b.rank_q, b.overlap) for b in dec.blocks for _ in range(b.dim)]
+
+
+def _merged(dec):
+    """The first two blocks reported as one."""
+    first, second, *rest = dec.blocks
+    return [Block(first.dim + second.dim, 1, 1, 0.0), *rest]
+
+
+@pytest.mark.parametrize("relabel, fails_on", [
+    (_split, "off-block"),
+    (lambda dec: dec.blocks[::-1], "off-block"),
+    (_merged, "max block dim"),
+], ids=["split", "reversed", "merged"])
+def test_mislabelled_blocks_fail_criterion_6(monkeypatch, relabel, fails_on):
+    # Criterion 6 builds its mask from the blocks' dims, not from the
+    # package's own: a builder whose blocks do not match its unitary's
+    # columns must give a FAIL line, naming what went past its bound.
+    real = acceptance.two_projector_blocks
+
+    def relabelled(p, q):
+        dec = real(p, q)
+        return BlockDecomposition(dec.unitary, tuple(relabel(dec)))
+
+    monkeypatch.setattr(acceptance, "two_projector_blocks", relabelled)
+    result = run(*CRITERIA[5])
+    assert not result.passed
+    assert result.line.startswith("FAIL criterion 6 (two-projector block round-trip): ")
+    detail = dict(part.rsplit(" ", 1) for part in result.detail.split(" (tol")[0].split(", "))
+    if fails_on == "max block dim":
+        assert int(detail[fails_on]) > 2
+    else:
+        assert float(detail[fails_on]) > 1e-9

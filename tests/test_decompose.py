@@ -1,5 +1,6 @@
 """Block decomposition of projector pairs, dilation, compression."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unsharpjoint import (
+    Block,
     DichotomicObservable,
     DimensionMismatch,
     Effect,
@@ -315,20 +317,85 @@ class TestPinnedDecompositions:
         assert h.hexdigest() == self.PINNED
 
     def test_returned_decompositions_are_full_values(self):
-        # Block and BlockDecomposition check nothing: the builder's output
-        # must hold their invariants by itself.
         for p, q in _pinned_pairs():
-            dec = two_projector_blocks(p, q)
-            assert not dec.unitary.flags.writeable
-            assert type(dec.blocks) is tuple
-            for b in dec.blocks:
-                assert type(b.dim) is int and b.dim in (1, 2)
-                for rank in (b.rank_p, b.rank_q):
-                    assert type(rank) is int and 0 <= rank <= b.dim
-                assert type(b.overlap) is float and math.isfinite(b.overlap)
-            assert sum(b.dim for b in dec.blocks) == p.dim
-            for m in (p.matrix, q.matrix):
-                assert max(_block_residuals(dec, m)) <= 1e-9
+            _assert_full_values(two_projector_blocks(p, q), p, q)
+
+
+def _assert_full_values(dec, p, q):
+    """Block and BlockDecomposition check nothing: the builder's output must
+    hold the invariants their docstrings state by itself."""
+    assert not dec.unitary.flags.writeable
+    assert type(dec.blocks) is tuple
+    for b in dec.blocks:
+        assert type(b) is Block
+        assert type(b.dim) is int and b.dim in (1, 2)
+        for rank in (b.rank_p, b.rank_q):
+            assert type(rank) is int and 0 <= rank <= b.dim
+        assert type(b.overlap) is float and math.isfinite(b.overlap)
+        if b.dim == 2:
+            # Not capped at 1: rounding can put a cosine a few ulps past it.
+            assert (b.rank_p, b.rank_q) == (1, 1)
+            assert 0.0 < b.overlap <= 1.0 + 4 * np.finfo(float).eps
+        else:
+            assert b.overlap == (1.0 if (b.rank_p, b.rank_q) == (1, 1) else 0.0)
+    assert sum(b.dim for b in dec.blocks) == p.dim
+    assert sum(b.rank_p for b in dec.blocks) == p.rank
+    assert sum(b.rank_q for b in dec.blocks) == q.rank
+    for m in (p.matrix, q.matrix):
+        assert max(_block_residuals(dec, m)) <= 1e-9
+
+
+def _d1(rank):
+    return Projector([[float(rank)]], rank=rank)
+
+
+def _angle_rays(theta):
+    return _ray([1, 0]), _ray([math.cos(theta), math.sin(theta)])
+
+
+def _complement(p):
+    return Projector(identity(p.dim) - p.matrix, rank=p.dim - p.rank)
+
+
+# Pairs of every block species and edge, each built by the one builder.
+_SPECIES = {
+    "d1-ran-ran": lambda rng: (_d1(1), _d1(1)),
+    "d1-ran-ker": lambda rng: (_d1(1), _d1(0)),
+    "d1-ker-ran": lambda rng: (_d1(0), _d1(1)),
+    "d1-ker-ker": lambda rng: (_d1(0), _d1(0)),
+    "equal-rays": lambda rng: _angle_rays(0.0),
+    "orthogonal-rays": lambda rng: _angle_rays(math.pi / 2),
+    "z-plus": lambda rng: _angle_rays(math.pi / 4),
+    "tiny-angle": lambda rng: _angle_rays(1e-9),
+    "near-right-angle": lambda rng: _angle_rays(math.pi / 2 - 1e-9),
+    "p-zero": lambda rng: (Projector(np.zeros((5, 5)), rank=0), _random_projector(rng, 5, 2)),
+    "p-identity": lambda rng: (Projector(np.eye(5), rank=5), _random_projector(rng, 5, 3)),
+    "p-equals-q": lambda rng: (lambda p: (p, p))(_random_projector(rng, 6, 3)),
+    "p-and-complement": lambda rng: (lambda p: (p, _complement(p)))(_random_projector(rng, 6, 2)),
+    "commuting-random-basis": lambda rng: _commuting_pair(),
+    "every-species": lambda rng: _planted_pair(rng, 10, [(math.cos(0.7), math.sin(0.7))],
+                                               both=2, p_only=2, q_only=2),
+    "close-angles": lambda rng: _planted_pair(rng, 8, [(math.cos(0.7), math.sin(0.7)),
+                                                       (math.cos(0.7 + 1e-8), math.sin(0.7 + 1e-8))]),
+    "random-c8": lambda rng: (_random_projector(rng, 8, 3), _random_projector(rng, 8, 5)),
+    "random-c64": lambda rng: (_random_projector(rng, 64, 30), _random_projector(rng, 64, 41)),
+}
+
+
+class TestBuilderInvariants:
+    @pytest.mark.parametrize("species", _SPECIES)
+    def test_blocks_hold_the_record_invariants(self, species):
+        # The record checks that once guarded hand-built values now bind
+        # two_projector_blocks alone, on every block species and edge pair.
+        p, q = _SPECIES[species](np.random.default_rng(4040))
+        _assert_full_values(two_projector_blocks(p, q), p, q)
+
+    @pytest.mark.parametrize("field", ["dim", "rank_p", "rank_q", "overlap", "unitary", "blocks"])
+    def test_returned_records_are_frozen(self, field):
+        dec = two_projector_blocks(*_angle_rays(math.pi / 4))
+        record = dec if field in ("unitary", "blocks") else dec.blocks[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
 
 
 def _checked_residuals(monkeypatch, p, q):
