@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Complex, Integral, Real
 
 import numpy as np
@@ -274,6 +274,8 @@ class Projector:
 
     matrix: np.ndarray
     rank: int
+    # observable(), kept once built; threads that race to build it build equal values.
+    _observable: DichotomicObservable | None = field(default=None, init=False, repr=False)
 
     @_quiet
     def __post_init__(self):
@@ -313,7 +315,9 @@ class Projector:
 
     def observable(self) -> DichotomicObservable:
         """The sharp dichotomic measurement {P, I - P}."""
-        return DichotomicObservable.from_yes_effect(self.as_effect())
+        if self._observable is None:
+            object.__setattr__(self, "_observable", DichotomicObservable.from_yes_effect(self.as_effect()))
+        return self._observable
 
 
 def _norm(v: np.ndarray) -> float:

@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1070,6 +1071,31 @@ class TestOutputFile:
         assert captured.err == f"error: {out}: {os.strerror(code)}\n"
         # Nothing reaches stdout: acceptance opens --out before any criterion runs.
         assert captured.out == ""
+
+    @pytest.mark.parametrize("planted", ["longer", "shorter", "empty"])
+    @pytest.mark.parametrize("command", list(_EVERY_COMMAND))
+    def test_a_planted_out_is_rewritten_to_the_fresh_bytes(self, command, planted, fixtures, tmp_path,
+                                                           capsys, monkeypatch):
+        # --out is written in place: a longer file must lose its tail, which
+        # a report written without the trim would leave behind.
+        monkeypatch.setattr(acceptance, "CRITERIA", (_HOLDS,))
+        monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: 0.0))  # runtime 0.0
+        argv = [command, *(fixtures.get(a, a) for a in _EVERY_COMMAND[command]), "--out"]
+        fresh, out = tmp_path / "fresh.out", tmp_path / "planted.out"
+        assert main(argv + [str(fresh)]) == 0
+        report = fresh.read_bytes()
+        out.write_bytes(b"#" * {"longer": len(report) + 4096, "shorter": len(report) // 2, "empty": 0}[planted])
+        assert main(argv + [str(out)]) == 0
+        assert out.read_bytes() == report
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", list(_EVERY_COMMAND))
+    def test_a_device_out_is_written_and_not_trimmed(self, command, fixtures, capsys, monkeypatch):
+        # os.devnull is no regular file: fstat reads its size as 0, so nothing is trimmed.
+        monkeypatch.setattr(acceptance, "CRITERIA", (_HOLDS,))
+        argv = [command, *(fixtures.get(a, a) for a in _EVERY_COMMAND[command]), "--out", os.devnull]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestAcceptance:

@@ -335,6 +335,17 @@ class TestProjector:
             assert p.rank == rank
             Effect(p.as_effect().matrix)
 
+    @pytest.mark.parametrize("d", [2, 4, 64])
+    def test_observable_is_built_once(self, d):
+        # A projective pair's parts and a smear of the same projector share one observable.
+        q, _ = np.linalg.qr(np.random.default_rng(d).normal(size=(d, d)) + 0j)
+        p = Projector.from_matrix(q[:, : d // 2] @ q[:, : d // 2].conj().T)
+        obs = p.observable()
+        assert obs is p.observable()
+        assert obs.yes_effect.matrix is p.matrix
+        assert obs.no_effect.matrix.tobytes() == (identity(d) - p.matrix).tobytes()
+        assert Projector.from_matrix(p.matrix).observable() is not obs
+
 
 class TestIdentity:
     @pytest.mark.parametrize("d", [1, 2, 5])

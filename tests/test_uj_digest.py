@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -37,6 +38,17 @@ def test_one_seed_gives_one_digest_per_distinct_argv_and_their_total(monkeypatch
     # The bytes of every report, pinned: a change that means to alter them
     # updates this value and says so.
     assert expected == PINNED_TOTAL_101
+
+
+def test_a_report_left_untrimmed_over_a_longer_file_is_refused(monkeypatch):
+    # Each argv runs again over a planted --out longer than its report; with
+    # no trim, the planted file's tail outlives the rewrite.
+    uj_digest = _tool(monkeypatch)
+    monkeypatch.setattr(os, "ftruncate", lambda fd, length: None)
+    with pytest.raises(SystemExit) as exc:
+        uj_digest.report((101,))
+    assert re.fullmatch(r"error: 101 [a-z-]+-[0-3]: a planted --out longer than the report was not "
+                        r"rewritten to the report's bytes", str(exc.value.code))
 
 
 def test_one_seed_gives_one_library_digest_past_the_cli_dimensions(monkeypatch):

@@ -5,7 +5,10 @@ imported read-only) for each seed, runs each in process through
 `unsharpjoint.cli.main` and prints one sha256 per argv over its exit code,
 stdout, stderr and `--out` bytes, then one total over all of them.  The
 temporary working directory is replaced by a fixed token before hashing, so
-two runs hash the same bytes whenever `uj` writes the same bytes.
+two runs hash the same bytes whenever `uj` writes the same bytes.  Each argv
+then runs again over a planted `--out` longer than its report, and the tool
+exits non-zero unless that file ends up holding exactly the report's bytes:
+`uj` writes `--out` in place, so a report not trimmed would keep a tail.
 
 The cli's files reach d = 16 at most, so a library line digests the
 outputs past it: one cycle of the `blocks` workload's op mix (projector
@@ -74,6 +77,13 @@ def digests(seeds) -> list[tuple[int, str, str]]:
                 report = out_path.read_bytes() if out_path.exists() else None
                 digest = _digest(code, stdout.getvalue(), stderr.getvalue(), report, work)
                 rows.append((seed, f"{key[0]}-{key[1]}", digest))
+                if report is not None:
+                    out_path.write_bytes(b"#" * (len(report) + 4096))
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                        cli.main(list(argv))
+                    if out_path.read_bytes() != report:
+                        raise SystemExit(f"error: {seed} {key[0]}-{key[1]}: a planted --out longer than the "
+                                         "report was not rewritten to the report's bytes")
     return rows
 
 
