@@ -9,7 +9,7 @@ the CHSH expression: smearing one wing by lam rescales the quantum value
 the no-signaling range.
 """
 
-from .errors import DimensionMismatch, ParseError, UnsharpJointError, ValidationError
+from .errors import ParseError, UnsharpJointError, ValidationError
 from .operators import (
     DensityMatrix,
     DichotomicObservable,
@@ -65,7 +65,6 @@ __all__ = [
     "ChshReport",
     "DensityMatrix",
     "DichotomicObservable",
-    "DimensionMismatch",
     "Effect",
     "FeasibilityReport",
     "JointObservable",

@@ -24,7 +24,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .joint import BlochVector
 from .operators import (
     BOX_TOL, CHSH_BOUND_SLACK, DensityMatrix, DichotomicObservable, _holds_bool,
@@ -151,7 +151,8 @@ def _table(state: DensityMatrix, alice, bob, lam=None) -> np.ndarray:
     d = _require(state, DensityMatrix).dim
     dims = [a.dim for a in alice], [b.dim for b in bob]
     if {da * db for da, db in itertools.product(*dims)} != {d}:
-        raise DimensionMismatch(d, *next(p for p in itertools.product(*dims) if p[0] * p[1] != d))
+        pair = next(p for p in itertools.product(*dims) if p[0] * p[1] != d)
+        raise ValidationError("same-dimension", detail=f"incompatible dimensions {(d, *pair)}")
     # np.stack(..., axis=-3) at a quarter of its cost: the axis of an (r, 1, 1) lam comes first.
     x = np.array([a.difference() if lam is None else np.subtract(*_smeared_matrices(a, lam))
                   for a in alice]).swapaxes(0, -3)

@@ -9,11 +9,12 @@ _json; CSV has '.' decimals, ',' separators, LF endings, 15 significant digits.
 argparse hands its namespace straight to the command handlers; each handler
 range-checks the flags it reads (--lambda, --seed) before it opens any file.
 jointly-measurable --oracle runs feasibility_oracle at its fixed budget,
-joint.MAX_ITER iterations.  Every file is read
+joint.MAX_ITER iterations.  ParseError is for files alone: every file is read
 through _load, so every bad input file is one ParseError naming the file.
 Each handler returns its report and exit code, and main writes the report
 through _emit, so an --out that cannot be written is one ParseError too;
 acceptance opens its --out before the criteria run, so it fails at once.
+Any other refusal (a flag, a --m or --n, operands of two files) is a ValidationError.
 --out is written in place, over an existing file's bytes, and trimmed to the
 report's length; the acceptance pre-check keeps an existing file's bytes until
 the report replaces them.  After a failed write the file's content is
@@ -101,7 +102,7 @@ def _parse_bloch(text: str) -> BlochVector:
     try:
         parts = [float(x) for x in text.split(",")]
     except ValueError as exc:
-        raise ParseError("<bloch>", f"expected 'x,y,z', got {text!r}") from exc
+        raise ValidationError("bloch-3-vector", detail=f"expected 'x,y,z', got {text!r}") from exc
     return BlochVector.normalized(np.array(parts))
 
 

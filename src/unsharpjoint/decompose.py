@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .operators import (
     BLOCK_RESIDUAL_TOL,
     CLUSTER_TOL,
@@ -42,6 +42,7 @@ from .operators import (
     Projector,
     _max_abs,
     _require,
+    _same_dim,
     _within,
     identity,
     square_matrix,
@@ -108,8 +109,7 @@ def two_projector_blocks(p: Projector, q: Projector) -> BlockDecomposition:
     in ran q, ran p in ker q, ker p in ran q, ker p in ker q.  Within a
     species of several directions any orthonormal basis is valid.
     """
-    if _require(p, Projector).dim != _require(q, Projector).dim:
-        raise DimensionMismatch(p.dim, q.dim)
+    _same_dim(_require(p, Projector).dim, _require(q, Projector).dim)
     pm, qm = p.matrix, q.matrix
     evals, evecs = np.linalg.eigh(pm)
     ran, ker = evecs[:, evals > 0.5], evecs[:, evals <= 0.5]

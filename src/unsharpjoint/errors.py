@@ -1,11 +1,12 @@
 """Exception hierarchy shared by all unsharpjoint modules.
 
-Every error is an UnsharpJointError.  A value the package refuses raises a
-ValidationError, which names the invariant that failed ("hermiticity",
-"spectrum-in-[0,1]", "idempotency", "box-cell", "density-matrix", ...) and
-the residual where one is measured; callers branch on exc.invariant.  Only
-operands of incompatible dimension (DimensionMismatch) and files uj cannot
-read or write (ParseError, which names the file) have types of their own.
+Every error is an UnsharpJointError of one of two kinds.  A value the package
+refuses, or a combination of values it refuses, raises a ValidationError,
+which names the invariant that failed ("hermiticity", "spectrum-in-[0,1]",
+"idempotency", "box-cell", "density-matrix", "same-dimension" for operands
+on spaces of different dimension, ...) and the residual where one is
+measured; callers branch on exc.invariant.  Only a file uj cannot read or
+write has a type of its own: ParseError, which names the file.
 """
 
 
@@ -14,7 +15,7 @@ class UnsharpJointError(Exception):
 
 
 class ValidationError(UnsharpJointError):
-    """An object violates one of its construction invariants.
+    """A refused value, or a refused combination of values: an invariant failed.
 
     Carries the invariant name and the measured residual so callers can
     report exactly what failed and by how much.
@@ -29,14 +30,6 @@ class ValidationError(UnsharpJointError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-class DimensionMismatch(UnsharpJointError):
-    """Operands act on spaces of incompatible dimension."""
-
-    def __init__(self, *dims: int):
-        self.dims = dims
-        super().__init__(f"incompatible dimensions {dims}")
 
 
 class ParseError(UnsharpJointError):

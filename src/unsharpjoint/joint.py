@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .operators import (
     ANDERSON_TIKHONOV,
     BLOCH_NORM_TOL,
@@ -79,6 +79,7 @@ from .operators import (
     _quiet,
     _require,
     _require_int,
+    _same_dim,
     _unit_vector,
     _within,
     identity,
@@ -165,11 +166,9 @@ class JointObservable:
     _min_eig: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        dims = {_require(e, Effect).dim for e in self.effects}
-        if len(dims) != 1:
-            raise DimensionMismatch(*sorted(dims))
+        eye = identity(_same_dim(*(_require(e, Effect).dim for e in self.effects)))
         total = sum(e.matrix for e in self.effects)
-        _within("joint-normalization", _max_abs(total - identity(self.dim)), JOINT_NORMALIZATION_TOL)
+        _within("joint-normalization", _max_abs(total - eye), JOINT_NORMALIZATION_TOL)
 
     @property
     def effects(self) -> tuple[Effect, Effect, Effect, Effect]:
@@ -245,9 +244,8 @@ def check_joint(
     o2lam: DichotomicObservable,
 ) -> JointResiduals:
     """Residuals of j against two (already smeared) target observables."""
-    if not (_require(j, JointObservable).dim == _require(o1lam, DichotomicObservable).dim
-            == _require(o2lam, DichotomicObservable).dim):
-        raise DimensionMismatch(j.dim, o1lam.dim, o2lam.dim)
+    _same_dim(_require(j, JointObservable).dim, _require(o1lam, DichotomicObservable).dim,
+              _require(o2lam, DichotomicObservable).dim)
     gpp, gpm, gmp, gmm = (e.matrix for e in j.effects)
     r = np.empty((5, j.dim, j.dim), dtype=complex)
     r_norm, r_yes1, r_no1, r_yes2, r_no2 = r  # each written in place, in the order of its sum
@@ -310,7 +308,8 @@ def _bloch_pair(m, n) -> _Pair:
 def _projector_pair(p1, p2) -> _Pair:
     """The pair of Projectors p1, p2, with A = 2 p1 - I, B = 2 p2 - I."""
     p1, p2 = _require(p1, Projector), _require(p2, Projector)
-    a, b = (2.0 * p.matrix - identity(p.dim) for p in (p1, p2))
+    eye = identity(_same_dim(p1.dim, p2.dim))
+    a, b = (2.0 * p.matrix - eye for p in (p1, p2))
     abs_sum, abs_diff = _abs_pair(a, b)
     return _Pair(lambda: float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1]), True, PSD_TOL,
                  lambda: (a, b, abs_sum, abs_diff, p1.observable(), p2.observable()))
@@ -321,8 +320,7 @@ def _observable_pair(o1, o2) -> _Pair:
     are projectors (by Projector.from_matrix), else one with A = E1 - N1,
     B = E2 - N2 and an inexact gate.  A projector's trace is its rank, so a
     non-integer trace rules a pair out before the idempotency check."""
-    if _require(o1, DichotomicObservable).dim != _require(o2, DichotomicObservable).dim:
-        raise DimensionMismatch(o1.dim, o2.dim)
+    _same_dim(_require(o1, DichotomicObservable).dim, _require(o2, DichotomicObservable).dim)
     ms = (o1.yes_effect.matrix, o2.yes_effect.matrix)
     if not any(abs(t - round(t)) > RANK_TOL for t in (float(np.trace(m).real) for m in ms)):
         try:
@@ -336,9 +334,7 @@ def _observable_pair(o1, o2) -> _Pair:
 
 
 def _abs_pair(a: np.ndarray, b: np.ndarray):
-    """|A+B| and |A-B|, from one eigh of A+B and A-B with absolute eigenvalues."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(len(a), len(b))
+    """|A+B| and |A-B| (a, b of one shape), from one eigh of A+B and A-B with absolute eigenvalues."""
     w, v = np.linalg.eigh(np.stack([a + b, a - b]))
     abs_sum, abs_diff = (v * np.abs(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
     return abs_sum, abs_diff
@@ -477,6 +473,16 @@ def _farkas_certificate(
     return h
 
 
+@_quiet  # a step past the float range comes back non-finite, and the oracle refuses it
+def _anderson_step(step: np.ndarray, dz: list, dg: list, g: np.ndarray) -> np.ndarray:
+    """step - (dZ + dG) gamma, gamma the Tikhonov-weighted least-squares fit of g by dG."""
+    a = np.array(dg)
+    gram = a @ a.T
+    # All of dg is 0 only when the trace is: then gamma = 0.
+    gram += (ANDERSON_TIKHONOV * np.trace(gram) or 1.0) * np.eye(len(gram))
+    return step - (np.array(dz) + a).T @ np.linalg.solve(gram, a @ g)
+
+
 def feasibility_oracle(
     o1lam: DichotomicObservable,
     o2lam: DichotomicObservable,
@@ -521,10 +527,8 @@ def feasibility_oracle(
     "yes" is checked on, and a "no" or "undetermined" reported from, that
     eigh at its last iteration: the gap max|x - y| and the spectrum of x.
     """
-    if _require(o1lam, DichotomicObservable).dim != _require(o2lam, DichotomicObservable).dim:
-        raise DimensionMismatch(o1lam.dim, o2lam.dim)
+    eye = identity(_same_dim(*(_require(o, DichotomicObservable).dim for o in (o1lam, o2lam))))
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
-    eye = identity(o1lam.dim)
     half_sum = 0.5 * (y1 + y2)
     quarter_eye = 0.25 * eye
     base = np.stack([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
@@ -550,11 +554,7 @@ def feasibility_oracle(
                 dz, dg = [*dz, zr - last[0]][-ANDERSON_MEMORY:], [*dg, g - last[1]][-ANDERSON_MEMORY:]
             last, step = (zr, g, norm), zr + g
             if dg:
-                a = np.array(dg)
-                gram = a @ a.T
-                # All of dg is 0 only when the trace is: then gamma = 0.
-                gram += (ANDERSON_TIKHONOV * np.trace(gram) or 1.0) * np.eye(len(gram))
-                step = step - (np.array(dz) + a).T @ np.linalg.solve(gram, a @ g)
+                step = _anderson_step(step, dz, dg, g)
                 if not np.isfinite(step).all():
                     step, dz, dg = zr + g, [], []
         z = step.view(complex).reshape(x.shape)

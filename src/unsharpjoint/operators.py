@@ -31,7 +31,7 @@ from numbers import Complex, Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 
 # The tolerance ledger: every tolerance of the package, named once.  Each bounds
 # a residual of O(1) quantities (entries of effects, states and unitaries, unit
@@ -237,9 +237,8 @@ class DichotomicObservable:
 
     def __post_init__(self):
         yes, no = _require(self.yes_effect, Effect), _require(self.no_effect, Effect)
-        if yes.dim != no.dim:
-            raise DimensionMismatch(yes.dim, no.dim)
-        _within("yes+no=identity", _max_abs(yes.matrix + no.matrix - identity(yes.dim)), AFFINE_TOL)
+        eye = identity(_same_dim(yes.dim, no.dim))
+        _within("yes+no=identity", _max_abs(yes.matrix + no.matrix - eye), AFFINE_TOL)
 
     @property
     def dim(self) -> int:
@@ -263,6 +262,13 @@ def _require(value, cls):
         invariant = "".join(f"-{c.lower()}" if c.isupper() else c for c in cls.__name__).lstrip("-")
         raise ValidationError(invariant, detail=f"got {type(value).__name__}")
     return value
+
+
+def _same_dim(*dims: int) -> int:
+    """The dimension that all of dims share, else ValidationError("same-dimension") naming them."""
+    if len(set(dims)) > 1:
+        raise ValidationError("same-dimension", detail=f"incompatible dimensions {dims}")
+    return dims[0]
 
 
 @dataclass(frozen=True, eq=False)

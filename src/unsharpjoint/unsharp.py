@@ -15,8 +15,8 @@ import numbers
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
-from .operators import DensityMatrix, DichotomicObservable, Effect, _frozen, _got, _require
+from .errors import ValidationError
+from .operators import DensityMatrix, DichotomicObservable, Effect, _frozen, _got, _require, _same_dim
 
 
 def validate_lambda(lam) -> float:
@@ -61,7 +61,6 @@ def _smeared_matrices(obs: DichotomicObservable, lam) -> tuple[np.ndarray, np.nd
 
 def mean_value(obs: DichotomicObservable, state: DensityMatrix) -> float:
     """p_yes - p_no = Tr[state (E_yes - E_no)]; always in [-1, 1]."""
-    if _require(obs, DichotomicObservable).dim != _require(state, DensityMatrix).dim:
-        raise DimensionMismatch(obs.dim, state.dim)
+    _same_dim(_require(obs, DichotomicObservable).dim, _require(state, DensityMatrix).dim)
     return float(np.trace(state.matrix @ obs.difference()).real)
 

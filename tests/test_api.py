@@ -25,7 +25,6 @@ SURFACE = {
     "ChshReport": '(value, terms, bound_lambda, within_bound)',
     "DensityMatrix": '(matrix)',
     "DichotomicObservable": '(yes_effect, no_effect)',
-    "DimensionMismatch": '(*dims)',
     "Effect": '(matrix)',
     "FeasibilityReport": '(feasible, witness, marginal_residual, min_eigenvalue, iterations, certificate=None)',
     "JointObservable": '(g_pp, g_pm, g_mp, g_mm)',
@@ -73,7 +72,6 @@ MEMBERS = {
     "ChshReport": ('bound_lambda', 'terms', 'value', 'within_bound'),
     "DensityMatrix": ('dim', 'matrix', 'pure'),
     "DichotomicObservable": ('difference', 'dim', 'from_yes_effect', 'no_effect', 'yes_effect'),
-    "DimensionMismatch": (),
     "Effect": ('complement', 'dim', 'matrix'),
     "FeasibilityReport": ('__bool__', 'certificate', 'feasible', 'iterations', 'marginal_residual', 'min_eigenvalue', 'witness'),
     "JointObservable": ('dim', 'effects', 'g_mm', 'g_mp', 'g_pm', 'g_pp', 'min_eigenvalue'),

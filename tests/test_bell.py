@@ -12,7 +12,6 @@ from unsharpjoint import (
     BlochVector,
     DensityMatrix,
     DichotomicObservable,
-    DimensionMismatch,
     NoSignalingBox,
     ValidationError,
     box_chsh,
@@ -79,7 +78,7 @@ class TestCorrelation:
 
     def test_dimension_mismatch(self):
         z = _observable_of(PAULI_Z)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"^same-dimension: incompatible dimensions \(2, 2, 2\)$"):
             chsh(DensityMatrix(np.eye(2) / 2), z, z, z, z)
 
 
@@ -96,14 +95,15 @@ class TestCorrelation:
 )
 def test_a_qutrit_observable_on_one_wing_is_a_dimension_mismatch(call, wing, dims):
     # Every pair is checked before the observables are stacked, so a 3x3 a2
-    # or b2 names the dimensions of its pair, not a numpy shape error.
+    # or b2 names the state's dimension and its pair's, not a numpy shape error.
     a1, a2, b1, b2 = optimal_settings()
     qutrit = DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0, 0.0]))
     wings = [[a1, a2], [b1, b2]]
     wings[wing][1] = qutrit
-    with pytest.raises(DimensionMismatch) as exc:
+    with pytest.raises(ValidationError) as exc:
         call(singlet(), *wings)
-    assert exc.value.dims == dims
+    assert exc.value.invariant == "same-dimension"
+    assert str(exc.value) == f"same-dimension: incompatible dimensions {dims}"
 
 
 class TestChsh:

@@ -1,7 +1,7 @@
 """Every public callable, called with a wrong value in place of each of its
-arguments in turn, returns or raises an UnsharpJointError, never a bare
-Python exception; a numpy RuntimeWarning is one too, as the suite's
-filterwarnings setting turns it into an error.
+arguments in turn, returns or raises a ValidationError, never another
+UnsharpJointError nor a bare Python exception; a numpy RuntimeWarning is one
+too, as the suite's filterwarnings setting turns it into an error.
 
 VALID holds one valid call per callable of unsharpjoint.__all__ (and per
 public alternate constructor); WRONG holds the wrong values.  A name added to
@@ -71,7 +71,7 @@ VALID = {
 # Result records are plain and check nothing; the two with rows above used
 # to re-check their fields, and a check put back must refuse each wrong value typed.
 NOT_INPUTS = {
-    "DimensionMismatch", "JointResiduals", "ParseError", "UnsharpJointError", "ValidationError",
+    "JointResiduals", "ParseError", "UnsharpJointError", "ValidationError",
 }
 
 WRONG = (
@@ -99,7 +99,7 @@ def test_a_wrong_argument_is_refused_typed(name):
         for wrong in WRONG:
             try:
                 call(*args[:i], wrong, *args[i + 1:])
-            except uj.UnsharpJointError:
+            except uj.ValidationError:
                 pass
             except Exception as exc:  # noqa: BLE001 -- any other exception is an escape
                 escapes.append(f"argument {i} = {wrong!r}: {type(exc).__name__}: {exc}")

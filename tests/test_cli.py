@@ -457,7 +457,7 @@ class TestChsh:
         path.write_text(json.dumps(settings))
         argv = ["chsh", "--state", fixtures["singlet.json"], "--settings", str(path)]
         assert main(argv + ([] if lam is None else ["--lambda", lam])) == 1
-        assert capsys.readouterr() == ("", f"error: incompatible dimensions {dims}\n")
+        assert capsys.readouterr() == ("", f"error: same-dimension: incompatible dimensions {dims}\n")
 
 
 def _chsh_bytes(bound, terms, value, within):
@@ -908,6 +908,28 @@ class TestErrors:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["smear", "--obs", "BAD", "--lambda", "0.5"],
+            ["dilate", "--obs", "BAD"],
+            ["jointly-measurable", "--o1", "BAD", "--o2", "p.json", "--lambda", "0.5"],
+            ["jointly-measurable", "--o1", "p.json", "--o2", "BAD", "--lambda", "0.5", "--oracle"],
+            ["lambda-opt", "--o1", "BAD", "--o2", "p.json"],
+            ["lambda-opt", "--o1", "p.json", "--o2", "BAD"],
+        ],
+        ids=["smear", "dilate", "jointly-measurable-o1", "jointly-measurable-o2-oracle",
+             "lambda-opt-o1", "lambda-opt-o2"],
+    )
+    def test_an_observable_of_mixed_dimension_names_its_file(self, argv, fixtures, tmp_path, capsys):
+        # A qubit yes-effect with a qutrit no-effect used to escape _load as an
+        # untyped "error: incompatible dimensions (2, 3)" naming no file.
+        bad = tmp_path / "mixed.json"
+        bad.write_text(json.dumps({"yes": matrix_to_json(np.eye(2)), "no": matrix_to_json(np.zeros((3, 3)))}))
+        argv = [str(bad) if a == "BAD" else fixtures.get(a, a) for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {bad}: same-dimension: incompatible dimensions (2, 3)\n")
+
     def test_lambda_opt_has_no_tol_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["lambda-opt", "--m", "0,0,1", "--n", "1,0,0", "--tol", "1e-4"])
@@ -939,7 +961,7 @@ class TestErrors:
         "argv,err",
         [
             (["--m", "a,b,c", "--start", "0.5", "--stop", "0.6", "--step", "0.1"],
-             "error: <bloch>: expected 'x,y,z', got 'a,b,c'\n"),
+             "error: bloch-3-vector: expected 'x,y,z', got 'a,b,c'\n"),
             (["--start", "0.6", "--stop", "0.5", "--step", "0.1"],
              "error: sweep-grid: need step > 0 and stop >= start\n"),
         ],

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from unsharpjoint import (
     Block,
     DichotomicObservable,
-    DimensionMismatch,
     Effect,
     Projector,
     ValidationError,
@@ -215,7 +214,7 @@ class TestTwoProjectorBlocks:
     def test_rejects_dimension_mismatch(self):
         p = _ray([1, 0])
         q = _ray([1, 0, 0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"^same-dimension: incompatible dimensions \(2, 3\)$"):
             two_projector_blocks(p, q)
 
     def test_unitary_is_unitary(self):

@@ -7,7 +7,9 @@ below 1e-3 anywhere else in the package fails the literal check, a read
 of CRITERION_SLACK outside the one gate, joint._feasible, fails the gate
 check, and a path chosen outside joint._decide fails the core check.
 The acceptance criteria are exempt: their gate literals are printed in
-their detail strings.
+their detail strings.  Refusals are pinned the same way: every raise in the
+package raises a ValidationError but those of the files uj reads and writes,
+and every operand dimension is checked by one helper.
 """
 
 import ast
@@ -95,24 +97,65 @@ def test_no_bare_tolerance_literal():
     assert not bare
 
 
-def _readers(tree: ast.AST, name: str, scope: str = "<module>"):
-    """The enclosing function of every read of name (a Name or an attribute)."""
+# The raises that are no ValidationError: "module.function" -> the one type it raises.
+OTHER_RAISES = {
+    "cli._load": "ParseError",  # a file uj cannot read, or whose content is refused
+    "cli._write_out": "ParseError",  # an --out uj cannot write
+    "cli._json": "TypeError",  # what json.dumps raises for a value it cannot write
+}
+
+
+def _scoped(tree: ast.AST, scope: str = "<module>"):
+    """(the enclosing function's name, node) for every node under tree."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _readers(node, name, node.name)
-            continue
+            yield from _scoped(node, node.name)
+        else:
+            yield scope, node
+            yield from _scoped(node, scope)
+
+
+def _readers(tree: ast.AST, name: str):
+    """The enclosing function of every read of name (a Name or an attribute)."""
+    for scope, node in _scoped(tree):
         if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
                 or isinstance(node, ast.Attribute) and node.attr == name):
             yield scope
-        yield from _readers(node, name, scope)
+
+
+def _modules():
+    """(module name, its AST) for every module of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_raise_is_a_validation_error_but_a_file_s():
+    # One refusal type: a value or a combination of values the package refuses
+    # is a ValidationError, and callers branch on its invariant.
+    odd = []
+    for module, tree in _modules():
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(exc) if exc else "<bare raise>"
+                if name != "ValidationError" and OTHER_RAISES.get(f"{module}.{scope}") != name:
+                    odd.append(f"{module}.{scope}: {name}")
+    assert not odd
+
+
+def test_one_helper_refuses_operands_of_different_dimension():
+    # operators._same_dim checks that operands share one dimension; only the
+    # CHSH table, whose state lives on Alice's space times Bob's, has its own rule.
+    sites = [f"{module}.{scope}" for module, tree in _modules() for scope, node in _scoped(tree)
+             if isinstance(node, ast.Constant) and node.value == "same-dimension"]
+    assert sites == ["bell._table", "operators._same_dim"]
 
 
 def test_one_gate_reads_the_criterion_slack():
     # Every closed-form verdict passes joint._feasible; a second copy of the
     # gate would read CRITERION_SLACK somewhere else.
-    readers = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
-               for scope in _readers(ast.parse(path.read_text(encoding="utf-8")), "CRITERION_SLACK")]
-    assert readers == ["joint.py:_feasible"]
+    readers = [f"{module}.{scope}" for module, tree in _modules() for scope in _readers(tree, "CRITERION_SLACK")]
+    assert readers == ["joint._feasible"]
 
 
 def test_one_core_picks_the_path():

@@ -16,6 +16,8 @@ PINNED_LIBRARY_101 = "79a7d767e08d23b141686fa96eed7a99660a535d967e5e6f9c9ba89208
 # Computed on the tree before the qubit path's direct Bloch observable, leaner
 # _frozen, Python-float CHSH sums and the oracle's reused spectrum.
 PINNED_QUBIT_101 = "2466a1f98781ba1df2e0e48b0fff9e1ccf69c675055f074507900abde627e7c6"
+# Computed with every dimension refusal a ValidationError("same-dimension").
+PINNED_REFUSALS = "b9d7473aa93f6714770e23f6cc3babfe6fbac829ab9ee88c5675d395e1d8895d"
 
 
 def _tool(monkeypatch):
@@ -62,6 +64,31 @@ def test_one_seed_gives_one_qubit_and_oracle_digest(monkeypatch):
     # state, both CHSH reports) and 200 of the oracle workload.
     line = _tool(monkeypatch).qubit_digest((101,))
     assert line == f"{PINNED_QUBIT_101}  qubit/oracle library over 1 seeds x 200 ops each"
+
+
+def test_one_digest_per_refused_argv_and_one_line_over_them(monkeypatch):
+    uj_digest = _tool(monkeypatch)
+    rows = uj_digest.refusal_digests()
+    assert [name for name, _ in rows] == list(uj_digest.REFUSALS)
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in rows)
+    assert len({digest for _, digest in rows}) == len(rows)
+    expected = hashlib.sha256(b"".join(bytes.fromhex(digest) for _, digest in rows)).hexdigest()
+    # A fresh work directory each run, replaced by one token: the same line.
+    assert uj_digest.refusal_digest() == f"{expected}  refusals over {len(rows)} argvs"
+    # The exit code and bytes of every refusal, pinned: a change that means to
+    # alter a message updates this value and says so.
+    assert expected == PINNED_REFUSALS
+
+
+def test_an_argv_that_uj_accepts_is_reported(monkeypatch):
+    # A --m that is no Bloch vector, planted as accepted: the sweep exits 0.
+    from unsharpjoint import BlochVector, cli
+
+    uj_digest = _tool(monkeypatch)
+    monkeypatch.setattr(cli, "_parse_bloch", lambda text: BlochVector.normalized([0.0, 0.0, 1.0]))
+    with pytest.raises(SystemExit) as exc:
+        uj_digest.refusal_digest()
+    assert exc.value.code == "error: refusal sweep-m-not-numbers: uj exited 0 on an argv it must refuse"
 
 
 def test_the_acceptance_line_digests_each_verdict_and_detail_but_no_runtime(monkeypatch):

@@ -10,7 +10,6 @@ from unsharpjoint import (
     BlochVector,
     DensityMatrix,
     DichotomicObservable,
-    DimensionMismatch,
     Projector,
     ValidationError,
     criterion_value,
@@ -208,7 +207,7 @@ class TestMeanValue:
 
     def test_dimension_mismatch(self):
         obs = DichotomicObservable.from_yes_effect(np.diag([1.0, 0.0]).astype(complex))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"^same-dimension: incompatible dimensions \(2, 3\)$"):
             mean_value(obs, DensityMatrix(np.eye(3) / 3))
 
 

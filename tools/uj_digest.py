@@ -23,6 +23,10 @@ iterations, witness or certificate, `min_eigenvalue` and
 `criterion_value` and both CHSH reports.  A fourth line digests the
 acceptance verdicts: each criterion of `acceptance.CRITERIA`, run once, by
 its number, name, passed flag and detail line, without its runtime.
+Every argv so far succeeds, so a fifth line digests argvs that `uj` must
+refuse (REFUSALS, on files planted in a temporary directory): each one's
+exit code, stdout and stderr, with the directory replaced by the same token.
+The tool exits non-zero if any of them exits 0.
 
 Compare two trees of the package by running it against each `src/`:
 
@@ -37,6 +41,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +50,41 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = tuple(range(101, 111))  # the cli workload's seeds
 WORK_TOKEN = b"<work>"
 QUBIT_OPS = 200  # ops of the qubit and of the oracle workload per seed
+
+_Z = {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+_HALF = [[0.5, 0.0], [0.0, 0.5]]
+# The files the refused argvs read, by name under the work directory.
+REFUSAL_FILES = {
+    "z.json": _Z,
+    "not-json.json": "{not json",
+    "array.json": [1, 2],
+    "true-entry.json": {"dim": 2, "re": [[True, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+    "mixed.json": {"yes": {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+                   "no": {"dim": 3, "re": [[0] * 3] * 3, "im": [[0] * 3] * 3}},
+    "singlet.json": {"dim": 4, "re": [[0, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]],
+                     "im": [[0] * 4] * 4},
+    "qutrit-a2.json": {"a1": _Z, "a2": {"dim": 3, "re": [[1, 0, 0], [0, 0, 0], [0, 0, 0]], "im": [[0] * 3] * 3},
+                       "b1": _Z, "b2": _Z},
+    "negative-cell.json": {"p": {"11": [[-0.25, 0.5], [0.5, 0.25]], "12": _HALF, "21": _HALF, "22": _HALF}},
+}
+_GRID = ["--start", "0.5", "--stop", "0.6", "--step", "0.1"]
+# name -> an argv that uj must refuse; "{work}" is the work directory.
+REFUSALS = {
+    "missing-file": ["smear", "--obs", "{work}/missing.json", "--lambda", "0.5"],
+    "not-json": ["smear", "--obs", "{work}/not-json.json", "--lambda", "0.5"],
+    "json-array": ["smear", "--obs", "{work}/array.json", "--lambda", "0.5"],
+    "true-entry": ["smear", "--obs", "{work}/true-entry.json", "--lambda", "0.5"],
+    "mixed-dimension": ["smear", "--obs", "{work}/mixed.json", "--lambda", "0.5"],
+    "lambda-0": ["smear", "--obs", "{work}/z.json", "--lambda", "0"],
+    "lambda-nan": ["smear", "--obs", "{work}/z.json", "--lambda", "nan"],
+    "sweep-m-not-numbers": ["sweep", "--m", "a,b,c", *_GRID],
+    "sweep-m-zero": ["sweep", "--m", "0,0,0", *_GRID],
+    "worst-case-with-m": ["lambda-opt", "--mode", "worst-case", "--m", "0,0,1"],
+    "chsh-qutrit-a2": ["chsh", "--state", "{work}/singlet.json", "--settings", "{work}/qutrit-a2.json"],
+    "box-negative-cell": ["box-chsh", "--box", "{work}/negative-cell.json"],
+    "out-missing-directory": ["smear", "--obs", "{work}/z.json", "--lambda", "0.5",
+                              "--out", "{work}/missing/out.json"],
+}
 
 
 def _digest(code: int, out: str, err: str, report: bytes | None, work: bytes) -> str:
@@ -143,6 +183,31 @@ def qubit_digest(seeds) -> str:
     return f"{h.hexdigest()}  qubit/oracle library over {len(seeds)} seeds x {QUBIT_OPS} ops each"
 
 
+def refusal_digests() -> list[tuple[str, str]]:
+    """(name, sha256) for every argv of REFUSALS; SystemExit if uj accepts one."""
+    from unsharpjoint import cli
+
+    rows = []
+    with tempfile.TemporaryDirectory(prefix="uj-refusals-") as tmp:
+        for name, content in REFUSAL_FILES.items():
+            (Path(tmp) / name).write_text(content if isinstance(content, str) else json.dumps(content))
+        for name, argv in REFUSALS.items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main([arg.format(work=tmp) for arg in argv])
+            if code == 0:
+                raise SystemExit(f"error: refusal {name}: uj exited 0 on an argv it must refuse")
+            rows.append((name, _digest(code, stdout.getvalue(), stderr.getvalue(), None, tmp.encode())))
+    return rows
+
+
+def refusal_digest() -> str:
+    """One "sha256  refusals over N argvs" line over the digests of refusal_digests."""
+    rows = refusal_digests()
+    total = hashlib.sha256(b"".join(bytes.fromhex(digest) for _, digest in rows))
+    return f"{total.hexdigest()}  refusals over {len(rows)} argvs"
+
+
 def acceptance_digest() -> str:
     """One "sha256  acceptance verdicts ..." line over every criterion of acceptance.CRITERIA.
 
@@ -175,6 +240,7 @@ def main(argv=None) -> int:
     print(library_digest(SEEDS))
     print(qubit_digest(SEEDS))
     print(acceptance_digest())
+    print(refusal_digest())
     return 0
 
 
