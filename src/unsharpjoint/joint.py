@@ -3,14 +3,13 @@
 A pair of two-outcome measurements is jointly measurable when a single
 four-outcome POVM {G_pp, G_pm, G_mp, G_mm} reproduces both of them as
 marginals.  Every decision of this module is made in one place,
-_decide(pair, lam), on a pair value from one of three builders, the only
-code that classifies a pair: _bloch_pair (Bloch vectors m, n),
-_projector_pair (projectors P, Q) and _observable_pair (dichotomic
-observables; a sharp pair becomes the pair of its projectors).  The pair
-carries top, the largest eigenvalue of |A+B| + |A-B| for the contrasts
-A = E1 - N1, B = E2 - N2 (m.sigma and n.sigma; 2P - I and 2Q - I), solved
-once and only when read: the gate reads it only past lam = 1/sqrt(2).
-_decide takes one of three paths:
+_decide(pair, lam), on a pair value from one of two builders, the only
+code that classifies a pair: _bloch_pair (Bloch vectors m, n) and
+_observable_pair (dichotomic observables, sharp or not).  The pair carries
+top, the largest eigenvalue of |A+B| + |A-B| for the contrasts
+A = E1 - N1, B = E2 - N2 (m.sigma and n.sigma), and its Bell value beta,
+each solved once and only when read: the gate reads top only past
+lam = 1/sqrt(2).  _decide takes one of three paths:
 
 * the witness (_witnesses)
 
@@ -22,8 +21,10 @@ _decide takes one of three paths:
   (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8 for
   |A|, |B| <= 1, so top <= 2 sqrt(2) and every pair is jointly measurable
   at 1/sqrt(2) (Busch 1986);
-* past the gate, a closed-form "no" for a sharp pair, for which the gate
-  is exact;
+* past the gate, a "no" where lam * beta > 2 + CRITERION_SLACK: lam * beta
+  is the CHSH value of an experiment on the smeared pair (_bell_value; for
+  Bloch vectors beta = top), and no jointly measurable pair violates CHSH
+  (Wolf, Perez-Garcia & Fernandez 2009).  A sharp pair has beta = top;
 * past the gate, any other pair goes to an alternating-projection
   (Dykstra) feasibility oracle, Anderson-accelerated and started at the
   witness.  Its verdicts do not rest on the start (a "yes" is a checked PSD
@@ -63,11 +64,11 @@ from .operators import (
     ANDERSON_TIKHONOV,
     BLOCH_NORM_TOL,
     CERTIFICATE_MARGIN,
+    CLUSTER_TOL,
     CRITERION_SLACK,
     JOINT_NORMALIZATION_TOL,
     PSD_TOL,
     QUBIT_WITNESS_TOL,
-    RANK_TOL,
     DichotomicObservable,
     Effect,
     Projector,
@@ -213,10 +214,10 @@ class FeasibilityReport:
     marginal_residual -- max-abs marginal/normalization defect of the
                          witness; for an oracle "no" or "undetermined",
                          the max-abs gap between its affine and PSD
-                         iterates; 0.0 for a closed-form "no"
+                         iterates; 0.0 for a Bell "no"
     min_eigenvalue    -- smallest eigenvalue of the witness effects; for a
-                         "no" from the closed form, the (negative) value
-                         the construction would have had; for an oracle
+                         Bell "no", the (negative) value (2 - lam * top) / 8
+                         the witness would have had; for an oracle
                          "no" or "undetermined", that of its affine iterate
                          in the oracle's own eigh
     iterations        -- oracle iterations (0 for constructive paths)
@@ -279,10 +280,10 @@ def _feasible(lam, pair):
 @dataclass(eq=False)
 class _Pair:
     """A pair as _decide reads it: the gate's top, solved at most once and only when
-    read, and parts(), the witness's A, B, |A+B|, |A-B| and observables to smear."""
+    read, the Bell value beta(), and parts(), the witness's A, B, |A+B|, |A-B| and observables to smear."""
 
     solve_top: Callable[[], float]  # the largest eigenvalue of |A+B| + |A-B|
-    exact: bool  # a sharp pair: past the gate the verdict is a closed-form "no"
+    beta: Callable[[], float]  # the pair's Bell value, at most top; _decide calls it past the gate
     tol: float  # the witness tolerance
     parts: Callable[[], tuple]
 
@@ -293,7 +294,7 @@ class _Pair:
 
 def _bloch_pair(m, n) -> _Pair:
     """The pair of BlochVectors m, n: |A+-B| are the scalars |m+-n|, as
-    np.linalg.norm evaluates them, and the observables are built only for a witness."""
+    np.linalg.norm evaluates them, beta = top, and the observables are built only for a witness."""
     mb, nb = _require(m, BlochVector), _require(n, BlochVector)
     sv, dv = mb.v + nb.v, mb.v - nb.v
     s, d = math.sqrt(sv.dot(sv)), math.sqrt(dv.dot(dv))
@@ -302,35 +303,26 @@ def _bloch_pair(m, n) -> _Pair:
         o1, o2 = mb.observable(), nb.observable()
         return o1.difference(), o2.difference(), s * identity(2), d * identity(2), o1, o2
 
-    return _Pair(lambda: s + d, True, QUBIT_WITNESS_TOL, parts)
-
-
-def _projector_pair(p1, p2) -> _Pair:
-    """The pair of Projectors p1, p2, with A = 2 p1 - I, B = 2 p2 - I."""
-    p1, p2 = _require(p1, Projector), _require(p2, Projector)
-    eye = identity(_same_dim(p1.dim, p2.dim))
-    a, b = (2.0 * p.matrix - eye for p in (p1, p2))
-    abs_sum, abs_diff = _abs_pair(a, b)
-    return _Pair(lambda: float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1]), True, PSD_TOL,
-                 lambda: (a, b, abs_sum, abs_diff, p1.observable(), p2.observable()))
+    return _Pair(lambda: s + d, lambda: s + d, QUBIT_WITNESS_TOL, parts)
 
 
 def _observable_pair(o1, o2) -> _Pair:
-    """The pair of two DichotomicObservables: that of their yes-effects if both
-    are projectors (by Projector.from_matrix), else one with A = E1 - N1,
-    B = E2 - N2 and an inexact gate.  A projector's trace is its rank, so a
-    non-integer trace rules a pair out before the idempotency check."""
+    """The pair of two DichotomicObservables, with A = E1 - N1, B = E2 - N2."""
     _same_dim(_require(o1, DichotomicObservable).dim, _require(o2, DichotomicObservable).dim)
-    ms = (o1.yes_effect.matrix, o2.yes_effect.matrix)
-    if not any(abs(t - round(t)) > RANK_TOL for t in (float(np.trace(m).real) for m in ms)):
-        try:
-            return _projector_pair(*(Projector.from_matrix(m) for m in ms))
-        except ValidationError:
-            pass
     a, b = o1.difference(), o2.difference()
     abs_sum, abs_diff = _abs_pair(a, b)
-    return _Pair(lambda: float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1]), False, PSD_TOL,
+    return _Pair(lambda: float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1]),
+                 lambda: _bell_value(a, b, abs_sum + abs_diff), PSD_TOL,
                  lambda: (a, b, abs_sum, abs_diff, o1, o2))
+
+
+def _bell_value(a, b, s) -> float:
+    """beta = (|Q^H (A+B) Q|_1 + |Q^H (A-B) Q|_1) / k for the k eigenvectors Q of s = |A+B| + |A-B|
+    within CLUSTER_TOL of its top: lam * beta is the CHSH value of the maximally entangled state on
+    ran Q, with Alice's pair smeared by lam and Bob measuring sign(Q^H (A +- B) Q)^T."""
+    w, v = np.linalg.eigh(s)
+    q = v[:, w >= w[-1] - CLUSTER_TOL]
+    return float(np.abs(np.linalg.eigvalsh(q.conj().T @ np.stack([a + b, a - b]) @ q)).sum()) / q.shape[1]
 
 
 def _abs_pair(a: np.ndarray, b: np.ndarray):
@@ -368,12 +360,12 @@ def _yes(g, tol: float, o1lam, o2lam, iterations: int, eigs=None) -> Feasibility
 
 def _decide(pair: _Pair, lam: float) -> FeasibilityReport:
     """The one place a decision picks its path: the witness where the gate
-    passes; past it a closed-form "no" for an exact pair, carrying the smallest
-    eigenvalue (2 - lam * top) / 8 the witness would have had; else the oracle."""
+    passes; past it a Bell "no" where lam * beta > 2 + CRITERION_SLACK, carrying
+    the smallest eigenvalue (2 - lam * top) / 8 the witness would have had; else the oracle."""
     if _feasible(lam, pair):
         a, b, abs_sum, abs_diff, o1, o2 = pair.parts()
         return _yes(_witnesses(a, b, abs_sum, abs_diff, lam), pair.tol, smear(o1, lam), smear(o2, lam), 0)
-    if pair.exact:
+    if lam * pair.beta() > 2.0 + CRITERION_SLACK:
         return FeasibilityReport("no", None, 0.0, (2.0 - lam * pair.top) / 8.0, 0)
     *_, o1, o2 = pair.parts()
     return feasibility_oracle(smear(o1, lam), smear(o2, lam))
@@ -402,18 +394,19 @@ def qubit_verdicts(m, n, lams) -> list[str]:
 
 def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport:
     """Joint observable for two smeared projective measurements, decided as the
-    module docstring says: the witness is the qubit midpoint witness on every
-    invariant block of the pair, with no decomposition built."""
-    return _decide(_projector_pair(p1, p2), validate_lambda(lam))
+    module docstring says, as povm_joint_observable decides their observables:
+    the witness is the qubit midpoint witness on every invariant block of the
+    pair, with no decomposition built, and past the gate the verdict is "no"."""
+    return _decide(_observable_pair(*(_require(p, Projector).observable() for p in (p1, p2))),
+                   validate_lambda(lam))
 
 
 def povm_joint_observable(
     o1: DichotomicObservable, o2: DichotomicObservable, lam
 ) -> FeasibilityReport:
     """Joint observable for any two smeared dichotomic observables, decided as
-    the module docstring says; a sharp pair as pvm_joint_observable decides its
-    projectors, any other past the gate by feasibility_oracle, whose report
-    shows iterations > 0."""
+    the module docstring says: past the gate a Bell "no" (iterations 0), or
+    else the verdict of feasibility_oracle, whose report shows iterations > 0."""
     return _decide(_observable_pair(o1, o2), validate_lambda(lam))
 
 
@@ -588,25 +581,31 @@ def lambda_opt_search(a, b) -> float:
 
     The threshold is the gate's (see the module docstring):
 
-    * an exact pair (Bloch vectors, or two sharp observables as
-      povm_joint_observable finds them): 1 where the gate passes lam = 1,
-      else 2 / top (for a sharp pair the minimum of 1 / (c + sqrt(1 - c^2))
-      over the overlaps c of its two-dimensional blocks), but never below
+    * a sharp pair (Bloch vectors, or two observables whose yes-effects
+      Projector.from_matrix accepts): 1 where the gate passes lam = 1,
+      else 2 / top (the minimum of 1 / (c + sqrt(1 - c^2)) over the
+      overlaps c of its two-dimensional blocks), but never below
       LAMBDA_OPT, which the gate passes;
     * any other pair of observables: 1/sqrt(2), where the gate passes
       every pair.
 
     The value is checked as every "yes" is, by _decide, whose gate passes it.
     """
+    sharp = True
     if isinstance(a, BlochVector) and isinstance(b, BlochVector):
         pair = _bloch_pair(a, b)
     elif isinstance(a, DichotomicObservable) and isinstance(b, DichotomicObservable):
         pair = _observable_pair(a, b)
+        try:
+            for o in (a, b):
+                Projector.from_matrix(o.yes_effect.matrix)
+        except ValidationError:
+            sharp = False
     else:
         raise ValidationError(
             "pair-source", detail="need two BlochVectors or two DichotomicObservables, "
             f"got {type(a).__name__} and {type(b).__name__}")
-    value = (LAMBDA_OPT if not pair.exact
+    value = (LAMBDA_OPT if not sharp
              else 1.0 if _feasible(1.0, pair) else max(LAMBDA_OPT, 2.0 / pair.top))
     _decide(pair, value)  # the gate passes value: the witness is built and checked
     return value

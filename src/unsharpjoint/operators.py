@@ -47,7 +47,7 @@ CRITERION_SLACK = 1e-12  # abs: lam * top may pass 2 by this and still get a wit
 QUBIT_WITNESS_TOL = 1e-11  # abs: the effect window of the closed-form qubit witness
 CERTIFICATE_MARGIN = 1e-12  # rel: a Farkas pairing must lie below -margin * d * |H|_F
 ANDERSON_TIKHONOV = 1e-10  # rel: Tikhonov weight of the Anderson least squares, times tr(dG^T dG)
-CLUSTER_TOL = 1e-10  # abs: cos^2 values closer than this are one angle; sin*cos below it snaps to 0
+CLUSTER_TOL = 1e-10  # abs: cos^2 values (or eigenvalues at a Bell top) this close are one; sin*cos below it is 0
 BLOCK_RESIDUAL_TOL = 1e-9  # abs: max off-block entry of a conjugated projector
 UNITARITY_TOL = 1e-10  # abs: max|U^H U - I| of a block decomposition's basis
 BOX_TOL = 1e-12  # abs: a box's normalization and no-signaling gaps

@@ -25,6 +25,7 @@ from unsharpjoint import (
     ANCILLA_CONVENTION,
     BlochVector,
     DensityMatrix,
+    DichotomicObservable,
     ValidationError,
     matrix_from_json,
     matrix_to_json,
@@ -287,26 +288,31 @@ class TestJointlyMeasurable:
         assert json.loads(out)["lambda_opt"] == INV_SQRT2
 
     def test_povm_pair_past_lambda_opt_gets_a_verdict(self, tmp_path, capsys):
-        # Once exit 1, with a pointer to --oracle, above 1/sqrt(2).  The first
-        # pair has top = 1.84, so the closed form still says "yes" at 0.9;
-        # the shrunk z/x pair, top = 2.8 > 2 / 0.9, goes to the oracle,
-        # whose "no" carries a certificate.
-        files = {}
-        for name, m in (("unsharp", np.diag([0.9, 0.2])),
-                        ("tilted", np.array([[0.7, 0.2], [0.2, 0.4]])),
-                        ("z", np.diag([0.995, 0.005])),
-                        ("x", np.array([[0.5, 0.495], [0.495, 0.5]]))):
-            files[name] = tmp_path / f"{name}.json"
-            files[name].write_text(json.dumps(matrix_to_json(m)))
-        for first, second, verdict in (("unsharp", "tilted", "yes"), ("z", "x", "no")):
-            code = main(["jointly-measurable", "--o1", str(files[first]),
-                         "--o2", str(files[second]), "--lambda", "0.9"])
+        # Above 1/sqrt(2).  The first pair has top = 1.84, so the closed form
+        # still says "yes" at 0.9; the shrunk z/x pair, top = 2.8 > 2 / 0.9,
+        # violates CHSH at 0.9 on the maximally entangled qubit pair, so its "no"
+        # comes at iteration 0, and --oracle's "no" carries a certificate.
+        yes_effects = {"unsharp": np.diag([0.9, 0.2]), "tilted": np.array([[0.7, 0.2], [0.2, 0.4]]),
+                       "z": np.diag([0.995, 0.005]), "x": np.array([[0.5, 0.495], [0.495, 0.5]])}
+        for name, m in yes_effects.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(matrix_to_json(m)))
+        r = 1.0 / math.sqrt(2.0)
+        phi_plus = DensityMatrix.pure(np.array([r, 0.0, 0.0, r]))
+        alice = (DichotomicObservable.from_yes_effect(yes_effects[k]) for k in ("z", "x"))
+        bob = (BlochVector(np.array([s, 0.0, r])).observable() for s in (r, -r))
+        bell = smeared_chsh(phi_plus, *alice, *bob, 0.9).value
+        assert bell == pytest.approx(0.9 * 0.99 * 2.0 * math.sqrt(2.0), abs=1e-14)
+        payloads = []
+        for first, second, *oracle in (("unsharp", "tilted"), ("z", "x"), ("z", "x", "--oracle")):
+            code = main(["jointly-measurable", "--o1", str(tmp_path / f"{first}.json"),
+                         "--o2", str(tmp_path / f"{second}.json"), "--lambda", "0.9", *oracle])
             captured = capsys.readouterr()
             assert (code, captured.err) == (0, "")
-            payload = json.loads(captured.out)
-            assert payload["feasible"] == verdict
-            assert (payload["iterations"] > 0) == (verdict == "no")
-            assert ("certificate" in payload) == (verdict == "no")
+            payloads.append(json.loads(captured.out))
+        assert [(p["feasible"], p["iterations"] > 0, "certificate" in p) for p in payloads] == [
+            ("yes", False, False), ("no", False, False), ("no", True, True)]
+        assert (payloads[1]["marginal_residual"], payloads[1]["witness"]) == (0.0, None)
+        assert payloads[1]["min_eigenvalue"] == pytest.approx((2.0 - bell) / 8.0, abs=1e-15)
 
 
 def _observable_report(yes):

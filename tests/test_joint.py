@@ -30,16 +30,17 @@ from unsharpjoint import (
     pvm_joint_observable,
     qubit_joint_observable,
     smear,
+    smeared_chsh,
     two_projector_blocks,
     worst_case_pair,
 )
 from unsharpjoint import joint
 from unsharpjoint.cli import feasibility_to_json
 from unsharpjoint.joint import (
-    CERTIFICATE_EVERY, CRITERION_SLACK, _bloch_pair, _observable_pair, _projector_pair, _yes,
+    CERTIFICATE_EVERY, CRITERION_SLACK, _bloch_pair, _observable_pair, _yes,
     qubit_verdicts,
 )
-from unsharpjoint.operators import CERTIFICATE_MARGIN, PSD_TOL, _max_abs, identity
+from unsharpjoint.operators import CERTIFICATE_MARGIN, CLUSTER_TOL, PSD_TOL, _max_abs, identity
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -498,9 +499,11 @@ class TestPovmJointObservable:
 
     def test_effects_just_outside_the_unit_interval(self):
         # |A| = |B| = 1 + 1e-9, valid at the default tolerance: the witness
-        # is checked at PSD_TOL.  Just past 1/sqrt(2) the
-        # contrast witness fails lam * top <= 2 + CRITERION_SLACK, and the
-        # oracle's checked "yes" replaces the closed form's "no".
+        # is checked at PSD_TOL.  Just past 1/sqrt(2) the contrast witness
+        # fails lam * top <= 2 + CRITERION_SLACK, and lam * beta - 2 = 2e-9 at
+        # the given operators, whose smeared effects are physical: no exactly
+        # PSD joint observable exists, and the verdict is a Bell "no".  The
+        # oracle still finds one PSD to -PSD_TOL at iteration 1.
         s = 1.0 + 1e-9
         o1 = DichotomicObservable.from_yes_effect((identity(2) + s * PAULI_Z) / 2.0)
         o2 = DichotomicObservable.from_yes_effect((identity(2) + s * PAULI_X) / 2.0)
@@ -509,7 +512,12 @@ class TestPovmJointObservable:
         assert rep.marginal_residual <= 1e-15
         assert -PSD_TOL <= rep.min_eigenvalue < 0.0
         lam = LAMBDA_OPT + 5e-13
+        # The maximally entangled qubit pair's CHSH value with Bob at (z +- x) / sqrt(2).
+        assert _observable_pair(o1, o2).beta() == pytest.approx(2.0 * math.sqrt(2.0) * s, rel=1e-15)
+        assert lam * 2.0 * math.sqrt(2.0) * s - 2.0 == pytest.approx(2e-9, rel=1e-3)
         rep = povm_joint_observable(o1, o2, lam)
+        assert (rep.feasible, rep.iterations, rep.witness) == ("no", 0, None)
+        rep = feasibility_oracle(smear(o1, lam), smear(o2, lam))
         assert rep.iterations == 1
         _assert_witnesses_yes(rep, smear(o1, lam), smear(o2, lam))
 
@@ -1304,7 +1312,7 @@ class TestOracleAgainstReferenceLoop:
                 d = int(rng.choice([3, 4, 8]))
                 if kind == "projector":
                     p, q = (_random_projector(rng, d, int(rng.integers(1, d))) for _ in range(2))
-                    threshold = min(1.0, 2.0 / _projector_pair(p, q).top)
+                    threshold = min(1.0, 2.0 / _observable_pair(p.observable(), q.observable()).top)
                     o1, o2 = p.observable(), q.observable()
                 elif kind == "povm":
                     o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2))
@@ -1653,13 +1661,99 @@ class TestNearProjectorPair:
                         for m in _NEAR_PROJECTORS)
         _assert_witnesses_yes(feasibility_oracle(o1lam, o2lam), o1lam, o2lam)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
     def test_no_closed_form_path_says_no(self):
         o1, o2 = (DichotomicObservable.from_yes_effect(m) for m in _NEAR_PROJECTORS)
         p1, p2 = (Projector.from_matrix(m) for m in _NEAR_PROJECTORS)
         verdicts = {povm_joint_observable(o1, o2, _NEAR_PROJECTOR_LAM).feasible,
                     pvm_joint_observable(p1, p2, _NEAR_PROJECTOR_LAM).feasible}
         assert "no" not in verdicts
+
+
+def _rebuilt_chsh(o1, o2, lam) -> float:
+    """The CHSH value of a Bell "no"'s experiment, rebuilt in plain numpy and run
+    through smeared_chsh on the full d^2-dimensional state: the maximally
+    entangled state sum_i q_i (x) e_i / sqrt(k) on the span of the k eigenvectors
+    q_i of |A+B| + |A-B| within CLUSTER_TOL of its top, Alice's pair smeared by
+    lam, and Bob measuring sign(Q^H (A +- B) Q)^T on e_1..e_k (and +1 past them)."""
+    a, b = (o.yes_effect.matrix - o.no_effect.matrix for o in (o1, o2))
+
+    def absolute(m):
+        w, v = np.linalg.eigh(m)
+        return (v * np.abs(w)) @ v.conj().T
+
+    w, v = np.linalg.eigh(absolute(a + b) + absolute(a - b))
+    q = v[:, w >= w[-1] - CLUSTER_TOL]
+    d, k = q.shape
+    psi = sum(np.kron(q[:, i], np.eye(d)[i]) for i in range(k)) / math.sqrt(k)
+    bob = []
+    for m in (a + b, a - b):
+        w, v = np.linalg.eigh(q.conj().T @ m @ q)
+        yes = np.eye(d, dtype=complex)
+        yes[:k, :k] = (np.eye(k) + ((v * np.where(w >= 0.0, 1.0, -1.0)) @ v.conj().T).T) / 2.0
+        bob.append(DichotomicObservable.from_yes_effect(yes))
+    return smeared_chsh(DensityMatrix.pure(psi), o1, o2, *bob, lam).value
+
+
+def _degenerate_sharp_pair(rng, family):
+    """Projectors whose top eigenspace of |A+B| + |A-B| holds two or more whole
+    blocks: P (x) I_2, a direct sum of blocks at theta and pi/2 - theta (both
+    at top 2 (cos theta + sin theta)), or a pair summed with itself."""
+    if family == "theta":
+        theta = float(rng.uniform(0.1, math.pi / 4 - 0.05))
+        rays = [np.array([math.cos(t), math.sin(t)]) for t in (theta, math.pi / 2 - theta)]
+        p, q = np.diag([1.0, 0.0, 1.0, 0.0]), _direct_sum(*(np.outer(r, r) for r in rays))
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        return tuple(Projector.from_matrix(u @ m @ u.conj().T) for m in (p, q))
+    d = int(rng.integers(2, 5))
+    p, q = (_random_projector(rng, d, int(rng.integers(1, d))).matrix for _ in range(2))
+    if family == "kron":
+        return Projector.from_matrix(np.kron(p, np.eye(2))), Projector.from_matrix(np.kron(q, np.eye(2)))
+    return Projector.from_matrix(_direct_sum(p, p)), Projector.from_matrix(_direct_sum(q, q))
+
+
+class TestBellNo:
+    @seed(2009)
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.floats(1e-12, 1e-10), st.floats(1e-12, 1e-10),
+           st.floats(1e-12, 1e-9))
+    def test_a_no_past_the_gate_rests_on_a_chsh_violation(self, rng_seed, d, eps1, eps2, past):
+        # Near-projectors (1 - eps) P + eps I pass Projector's idempotency window
+        # but are not sharp; just past the gate, a "no" must come with an
+        # experiment whose CHSH value passes 2, and a "yes" with its witness.
+        rng = np.random.default_rng(rng_seed)
+        e1, e2 = ((1.0 - eps) * _random_projector(rng, d, int(rng.integers(1, d))).matrix + eps * np.eye(d)
+                  for eps in (eps1, eps2))
+        o1, o2 = (DichotomicObservable.from_yes_effect(e) for e in (e1, e2))
+        lam = (2.0 + CRITERION_SLACK) / _observable_pair(o1, o2).top + past
+        assume(lam <= 1.0)
+        p1, p2 = (Projector.from_matrix(e) for e in (e1, e2))
+        for rep in (povm_joint_observable(o1, o2, lam), pvm_joint_observable(p1, p2, lam)):
+            if rep.feasible == "no":
+                assert _rebuilt_chsh(o1, o2, lam) > 2.0
+            else:
+                _assert_witnesses_yes(rep, smear(o1, lam), smear(o2, lam))
+
+    @pytest.mark.parametrize("family", ["kron", "theta", "self"])
+    def test_a_degenerate_sharp_top_gets_the_closed_form_no(self, family):
+        # Every block in the top eigenspace reaches top, so beta = top; a start
+        # from span(x, Ax, Bx) of one top vector x would miss whole blocks.
+        rng = np.random.default_rng(["kron", "theta", "self"].index(family) + 2009)
+        for _ in range(10):
+            p, q = _degenerate_sharp_pair(rng, family)
+            top = _observable_pair(p.observable(), q.observable()).top
+            lam = min(1.0, 2.0 / top * float(rng.uniform(1.001, 1.05)))
+            assert lam * top > 2.0 + CRITERION_SLACK
+            # The top of the contrasts 2P - I, 2Q - I, as the projector builder read it before.
+            eye = np.eye(p.dim)
+            abs_sum, abs_diff = joint._abs_pair(2.0 * p.matrix - eye, 2.0 * q.matrix - eye)
+            sharp_top = float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1])
+            o1, o2 = p.observable(), q.observable()
+            for rep in (pvm_joint_observable(p, q, lam), povm_joint_observable(o1, o2, lam)):
+                assert (rep.feasible, rep.witness, rep.marginal_residual, rep.iterations, rep.certificate) == (
+                    "no", None, 0.0, 0, None)
+                assert rep.min_eigenvalue == (2.0 - lam * top) / 8.0
+                assert rep.min_eigenvalue == pytest.approx((2.0 - lam * sharp_top) / 8.0, abs=1e-15)
+            assert _rebuilt_chsh(o1, o2, lam) == pytest.approx(lam * top, abs=1e-12)
 
 
 class TestLambdaOneEdge:

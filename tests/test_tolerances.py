@@ -152,10 +152,10 @@ def test_one_helper_refuses_operands_of_different_dimension():
 
 
 def test_one_gate_reads_the_criterion_slack():
-    # Every closed-form verdict passes joint._feasible; a second copy of the
-    # gate would read CRITERION_SLACK somewhere else.
+    # Every closed-form "yes" passes joint._feasible and every Bell "no" joint._decide;
+    # a second copy of either would read CRITERION_SLACK somewhere else.
     readers = [f"{module}.{scope}" for module, tree in _modules() for scope in _readers(tree, "CRITERION_SLACK")]
-    assert readers == ["joint._feasible"]
+    assert sorted(readers) == ["joint._decide", "joint._feasible"]
 
 
 def test_one_core_picks_the_path():
@@ -170,8 +170,17 @@ def test_one_core_picks_the_path():
         "feasibility_oracle": ["_decide"],
         "_witnesses": ["_decide", "feasibility_oracle", "qubit_verdicts"],
         "_feasible": ["_decide", "lambda_opt_search", "qubit_verdicts"],
-        "_abs_pair": ["_observable_pair", "_projector_pair", "feasibility_oracle"],
+        "_abs_pair": ["_observable_pair", "feasibility_oracle"],
     }
+
+
+def test_sharpness_is_read_in_one_place():
+    # Past the gate a "no" rests on the pair's Bell value, which one builder
+    # solves; only lambda_opt_search, which picks between two lower bounds that
+    # _decide checks, asks whether a pair of observables is sharp.
+    tree = ast.parse((SRC / "joint.py").read_text(encoding="utf-8"))
+    callers = {name: sorted(set(_readers(tree, name))) for name in ("from_matrix", "_bell_value")}
+    assert callers == {"from_matrix": ["lambda_opt_search"], "_bell_value": ["_observable_pair"]}
 
 
 def test_closed_form_and_oracle_disagree_only_inside_the_band(monkeypatch):

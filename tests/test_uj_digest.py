@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED_TOTAL_101 = "e45c66d2fe0706044b132de8b11a171e21f7f6bda66d20a277f0e6011c732157"
-PINNED_LIBRARY_101 = "79a7d767e08d23b141686fa96eed7a99660a535d967e5e6f9c9ba89208786f35"
+# Computed with a pair of projectors decided through its observables, A = E - N.
+PINNED_TOTAL_101 = "2ce7afd80eb12c070dba97251476af9f612d15beb03321771f09c206ed28c66f"
+PINNED_LIBRARY_101 = "1a140ab2d4b88ba274f53e6a857cd9caf1f978110b0746ea77e129cc17e0c6d7"
 # Computed on the tree before the qubit path's direct Bloch observable, leaner
 # _frozen, Python-float CHSH sums and the oracle's reused spectrum.
 PINNED_QUBIT_101 = "2466a1f98781ba1df2e0e48b0fff9e1ccf69c675055f074507900abde627e7c6"
