@@ -21,10 +21,10 @@ lam = 1/sqrt(2).  _decide takes one of three paths:
   (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8 for
   |A|, |B| <= 1, so top <= 2 sqrt(2) and every pair is jointly measurable
   at 1/sqrt(2) (Busch 1986);
-* past the gate, a "no" where lam * beta > 2 + CRITERION_SLACK: lam * beta
-  is the CHSH value of an experiment on the smeared pair (_bell_value; for
-  Bloch vectors beta = top), and no jointly measurable pair violates CHSH
-  (Wolf, Perez-Garcia & Fernandez 2009).  A sharp pair has beta = top;
+* past the gate, a "no" where lam * beta, the CHSH value of an experiment on
+  the smeared pair (_bell_value; beta = top for Bloch vectors, and for a sharp
+  pair outside _decide's band), passes 2 by more than effects outside [0, I]
+  add, as no jointly measurable pair violates CHSH (Wolf, Perez-Garcia & Fernandez 2009);
 * past the gate, any other pair goes to an alternating-projection
   (Dykstra) feasibility oracle, Anderson-accelerated and started at the
   witness.  Its verdicts do not rest on the start (a "yes" is a checked PSD
@@ -261,7 +261,7 @@ def check_joint(
 
 def criterion_value(m, n, lam) -> float:
     """lam * (|m+n| + |m-n|) for BlochVectors m, n; the pair is jointly measurable iff <= 2."""
-    return _bloch_pair(m, n).top * validate_lambda(lam)
+    return _bloch_pair(m, n).top() * validate_lambda(lam)
 
 
 def _feasible(lam, pair):
@@ -274,27 +274,23 @@ def _feasible(lam, pair):
     # at least (2 - lam * top) / 8 >= -PSD_TOL / 2.  _BUSCH_EDGE passes 1/sqrt(2)
     # by less than 1e-16 relative, far inside that slack.
     busch = lam <= _BUSCH_EDGE
-    return busch if busch is True else busch | (lam * pair.top <= 2.0 + CRITERION_SLACK)
+    return busch if busch is True else busch | (lam * pair.top() <= 2.0 + CRITERION_SLACK)
 
 
 @dataclass(eq=False)
 class _Pair:
-    """A pair as _decide reads it: the gate's top, solved at most once and only when
-    read, the Bell value beta(), and parts(), the witness's A, B, |A+B|, |A-B| and observables to smear."""
+    """A pair as _decide reads it: top() and bell(), whose eigensolve runs at most once and
+    only when called, and parts(), the witness's A, B, |A+B|, |A-B| and observables to smear."""
 
-    solve_top: Callable[[], float]  # the largest eigenvalue of |A+B| + |A-B|
-    beta: Callable[[], float]  # the pair's Bell value, at most top; _decide calls it past the gate
+    top: Callable[[], float]  # the largest eigenvalue of |A+B| + |A-B|
+    bell: Callable[[], tuple[float, float]]  # (beta, radius) as _bell_value defines them; read past the gate
     tol: float  # the witness tolerance
     parts: Callable[[], tuple]
 
-    @functools.cached_property
-    def top(self) -> float:
-        return self.solve_top()
-
 
 def _bloch_pair(m, n) -> _Pair:
-    """The pair of BlochVectors m, n: |A+-B| are the scalars |m+-n|, as
-    np.linalg.norm evaluates them, beta = top, and the observables are built only for a witness."""
+    """The pair of BlochVectors m, n: |A+-B| are the scalars |m+-n|, as np.linalg.norm evaluates
+    them, beta = top, radius 1 (unit vectors), and the observables are built only for a witness."""
     mb, nb = _require(m, BlochVector), _require(n, BlochVector)
     sv, dv = mb.v + nb.v, mb.v - nb.v
     s, d = math.sqrt(sv.dot(sv)), math.sqrt(dv.dot(dv))
@@ -303,26 +299,28 @@ def _bloch_pair(m, n) -> _Pair:
         o1, o2 = mb.observable(), nb.observable()
         return o1.difference(), o2.difference(), s * identity(2), d * identity(2), o1, o2
 
-    return _Pair(lambda: s + d, lambda: s + d, QUBIT_WITNESS_TOL, parts)
+    return _Pair(lambda: s + d, lambda: (s + d, 1.0), QUBIT_WITNESS_TOL, parts)
 
 
 def _observable_pair(o1, o2) -> _Pair:
-    """The pair of two DichotomicObservables, with A = E1 - N1, B = E2 - N2."""
+    """The pair of two DichotomicObservables, with A = E1 - N1, B = E2 - N2: top and
+    bell() read one eigh of |A+B| + |A-B|, solved at most once and only when called."""
     _same_dim(_require(o1, DichotomicObservable).dim, _require(o2, DichotomicObservable).dim)
     a, b = o1.difference(), o2.difference()
     abs_sum, abs_diff = _abs_pair(a, b)
-    return _Pair(lambda: float(np.linalg.eigvalsh(abs_sum + abs_diff)[-1]),
-                 lambda: _bell_value(a, b, abs_sum + abs_diff), PSD_TOL,
+    spectrum = functools.cache(lambda: np.linalg.eigh(abs_sum + abs_diff))
+    return _Pair(lambda: float(spectrum()[0][-1]), lambda: _bell_value(a, b, *spectrum()), PSD_TOL,
                  lambda: (a, b, abs_sum, abs_diff, o1, o2))
 
 
-def _bell_value(a, b, s) -> float:
-    """beta = (|Q^H (A+B) Q|_1 + |Q^H (A-B) Q|_1) / k for the k eigenvectors Q of s = |A+B| + |A-B|
-    within CLUSTER_TOL of its top: lam * beta is the CHSH value of the maximally entangled state on
-    ran Q, with Alice's pair smeared by lam and Bob measuring sign(Q^H (A +- B) Q)^T."""
-    w, v = np.linalg.eigh(s)
+def _bell_value(a, b, w, v) -> tuple[float, float]:
+    """beta = (|Q^H (A+B) Q|_1 + |Q^H (A-B) Q|_1) / k for the k eigenvectors Q of the eigh w, v of
+    |A+B| + |A-B| within CLUSTER_TOL of its top, and the radius max(|Q^H A Q|, |Q^H B Q|): lam * beta
+    is the CHSH value of the maximally entangled state on ran Q, with Alice's pair smeared by lam
+    and Bob measuring sign(Q^H (A +- B) Q)^T, and Alice's effects there lie in [0, I] iff lam * radius <= 1."""
     q = v[:, w >= w[-1] - CLUSTER_TOL]
-    return float(np.abs(np.linalg.eigvalsh(q.conj().T @ np.stack([a + b, a - b]) @ q)).sum()) / q.shape[1]
+    e = np.abs(np.linalg.eigvalsh(q.conj().T @ np.stack([a + b, a - b, a, b]) @ q))
+    return float(e[:2].sum()) / q.shape[1], float(e[2:].max())
 
 
 def _abs_pair(a: np.ndarray, b: np.ndarray):
@@ -359,14 +357,17 @@ def _yes(g, tol: float, o1lam, o2lam, iterations: int, eigs=None) -> Feasibility
 
 
 def _decide(pair: _Pair, lam: float) -> FeasibilityReport:
-    """The one place a decision picks its path: the witness where the gate
-    passes; past it a Bell "no" where lam * beta > 2 + CRITERION_SLACK, carrying
-    the smallest eigenvalue (2 - lam * top) / 8 the witness would have had; else the oracle."""
+    """The one place a decision picks its path: the witness where the gate passes; past it
+    a Bell "no" where lam * beta - 4 max(0, lam * radius - 1) > 2 + CRITERION_SLACK (Alice's
+    effects outside [0, I] add at most the second term: Bob's X +- Y have norm <= 2), carrying
+    (2 - lam * top) / 8, the witness's smallest eigenvalue; else the oracle, which also decides
+    a sharp pair whose beta lies below top by its spread of values within CLUSTER_TOL."""
     if _feasible(lam, pair):
         a, b, abs_sum, abs_diff, o1, o2 = pair.parts()
         return _yes(_witnesses(a, b, abs_sum, abs_diff, lam), pair.tol, smear(o1, lam), smear(o2, lam), 0)
-    if lam * pair.beta() > 2.0 + CRITERION_SLACK:
-        return FeasibilityReport("no", None, 0.0, (2.0 - lam * pair.top) / 8.0, 0)
+    beta, radius = pair.bell()
+    if lam * beta - 4.0 * max(0.0, lam * radius - 1.0) > 2.0 + CRITERION_SLACK:
+        return FeasibilityReport("no", None, 0.0, (2.0 - lam * pair.top()) / 8.0, 0)
     *_, o1, o2 = pair.parts()
     return feasibility_oracle(smear(o1, lam), smear(o2, lam))
 
@@ -396,7 +397,7 @@ def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport
     """Joint observable for two smeared projective measurements, decided as the
     module docstring says, as povm_joint_observable decides their observables:
     the witness is the qubit midpoint witness on every invariant block of the
-    pair, with no decomposition built, and past the gate the verdict is "no"."""
+    pair, with no decomposition built; past the gate a sharp pair outside _decide's band gets a Bell "no"."""
     return _decide(_observable_pair(*(_require(p, Projector).observable() for p in (p1, p2))),
                    validate_lambda(lam))
 
@@ -606,6 +607,6 @@ def lambda_opt_search(a, b) -> float:
             "pair-source", detail="need two BlochVectors or two DichotomicObservables, "
             f"got {type(a).__name__} and {type(b).__name__}")
     value = (LAMBDA_OPT if not sharp
-             else 1.0 if _feasible(1.0, pair) else max(LAMBDA_OPT, 2.0 / pair.top))
+             else 1.0 if _feasible(1.0, pair) else max(LAMBDA_OPT, 2.0 / pair.top()))
     _decide(pair, value)  # the gate passes value: the witness is built and checked
     return value

@@ -501,9 +501,10 @@ class TestPovmJointObservable:
         # |A| = |B| = 1 + 1e-9, valid at the default tolerance: the witness
         # is checked at PSD_TOL.  Just past 1/sqrt(2) the contrast witness
         # fails lam * top <= 2 + CRITERION_SLACK, and lam * beta - 2 = 2e-9 at
-        # the given operators, whose smeared effects are physical: no exactly
-        # PSD joint observable exists, and the verdict is a Bell "no".  The
-        # oracle still finds one PSD to -PSD_TOL at iteration 1.
+        # the given operators, whose smeared effects are physical (lam * radius
+        # = lam * s < 1): no exactly PSD joint observable exists, and the
+        # verdict is a Bell "no".  The oracle still finds one PSD to -PSD_TOL
+        # at iteration 1.
         s = 1.0 + 1e-9
         o1 = DichotomicObservable.from_yes_effect((identity(2) + s * PAULI_Z) / 2.0)
         o2 = DichotomicObservable.from_yes_effect((identity(2) + s * PAULI_X) / 2.0)
@@ -513,7 +514,7 @@ class TestPovmJointObservable:
         assert -PSD_TOL <= rep.min_eigenvalue < 0.0
         lam = LAMBDA_OPT + 5e-13
         # The maximally entangled qubit pair's CHSH value with Bob at (z +- x) / sqrt(2).
-        assert _observable_pair(o1, o2).beta() == pytest.approx(2.0 * math.sqrt(2.0) * s, rel=1e-15)
+        assert _observable_pair(o1, o2).bell() == pytest.approx((2.0 * math.sqrt(2.0) * s, s), rel=1e-15)
         assert lam * 2.0 * math.sqrt(2.0) * s - 2.0 == pytest.approx(2e-9, rel=1e-3)
         rep = povm_joint_observable(o1, o2, lam)
         assert (rep.feasible, rep.iterations, rep.witness) == ("no", 0, None)
@@ -1044,16 +1045,20 @@ class TestWitnessBuiltOnce:
 
     @staticmethod
     def _count_top_solves(monkeypatch):
-        """A list that gets one entry for each eigvalsh of a single matrix, which
-        only an operator pair's top takes (a witness check solves a stack)."""
-        solves, real = [], np.linalg.eigvalsh
+        """A list that gets one entry for each eigh or eigvalsh of a single matrix,
+        which only an operator pair's |A+B| + |A-B| takes, for its top and its Bell
+        value (_abs_pair, a witness check and the Bell value's blocks solve stacks)."""
+        solves = []
 
-        def eigvalsh(a, *args, **kwargs):
-            if np.ndim(a) == 2:
-                solves.append(np.shape(a))
-            return real(a, *args, **kwargs)
+        def recording(real):
+            def wrapper(a, *args, **kwargs):
+                if np.ndim(a) == 2:
+                    solves.append(np.shape(a))
+                return real(a, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
         return solves
 
     def test_a_no_past_the_gate_solves_top_once_and_builds_no_witness(self, monkeypatch):
@@ -1312,7 +1317,7 @@ class TestOracleAgainstReferenceLoop:
                 d = int(rng.choice([3, 4, 8]))
                 if kind == "projector":
                     p, q = (_random_projector(rng, d, int(rng.integers(1, d))) for _ in range(2))
-                    threshold = min(1.0, 2.0 / _observable_pair(p.observable(), q.observable()).top)
+                    threshold = min(1.0, 2.0 / _observable_pair(p.observable(), q.observable()).top())
                     o1, o2 = p.observable(), q.observable()
                 elif kind == "povm":
                     o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2))
@@ -1438,7 +1443,7 @@ class TestQubitPathBitIdentity:
             s, d = (float(np.linalg.norm(v)) for v in (m + n, m - n))
             _, _, abs_sum, abs_diff, _, _ = pair.parts()
             assert np.array_equal(abs_sum, s * np.eye(2)) and np.array_equal(abs_diff, d * np.eye(2))
-            assert pair.top.hex() == (s + d).hex()
+            assert pair.top().hex() == (s + d).hex()
 
     def test_qubit_path_values_refuse_a_write(self):
         # Every value built unchecked on the qubit path is read-only: the
@@ -1724,7 +1729,7 @@ class TestBellNo:
         e1, e2 = ((1.0 - eps) * _random_projector(rng, d, int(rng.integers(1, d))).matrix + eps * np.eye(d)
                   for eps in (eps1, eps2))
         o1, o2 = (DichotomicObservable.from_yes_effect(e) for e in (e1, e2))
-        lam = (2.0 + CRITERION_SLACK) / _observable_pair(o1, o2).top + past
+        lam = (2.0 + CRITERION_SLACK) / _observable_pair(o1, o2).top() + past
         assume(lam <= 1.0)
         p1, p2 = (Projector.from_matrix(e) for e in (e1, e2))
         for rep in (povm_joint_observable(o1, o2, lam), pvm_joint_observable(p1, p2, lam)):
@@ -1740,7 +1745,7 @@ class TestBellNo:
         rng = np.random.default_rng(["kron", "theta", "self"].index(family) + 2009)
         for _ in range(10):
             p, q = _degenerate_sharp_pair(rng, family)
-            top = _observable_pair(p.observable(), q.observable()).top
+            top = _observable_pair(p.observable(), q.observable()).top()
             lam = min(1.0, 2.0 / top * float(rng.uniform(1.001, 1.05)))
             assert lam * top > 2.0 + CRITERION_SLACK
             # The top of the contrasts 2P - I, 2Q - I, as the projector builder read it before.
@@ -1754,6 +1759,39 @@ class TestBellNo:
                 assert rep.min_eigenvalue == (2.0 - lam * top) / 8.0
                 assert rep.min_eigenvalue == pytest.approx((2.0 - lam * sharp_top) / 8.0, abs=1e-15)
             assert _rebuilt_chsh(o1, o2, lam) == pytest.approx(lam * top, abs=1e-12)
+
+
+    @pytest.mark.parametrize("yes2", [None, (1.0, -5e-10)])
+    def test_effects_outside_the_unit_interval_get_no_bell_no(self, yes2):
+        # Effects inside the window [-PSD_TOL, 1 + PSD_TOL] but outside [0, I] at
+        # lam = 1: lam * beta - 2 = 2e-9 comes from the window alone, and the
+        # observable paired with itself (or a commuting pair) is jointly measurable.
+        o1 = DichotomicObservable.from_yes_effect(np.diag([1.0 + 5e-10, -5e-10]))
+        o2 = o1 if yes2 is None else DichotomicObservable.from_yes_effect(np.diag(yes2))
+        beta, radius = _observable_pair(o1, o2).bell()
+        assert (beta, radius) == pytest.approx((2.0 + 2e-9, 1.0 + 1e-9), abs=1e-15)
+        rep = povm_joint_observable(o1, o2, 1.0)
+        assert rep.iterations >= 1
+        _assert_witnesses_yes(rep, smear(o1, 1.0), smear(o2, 1.0))
+
+    def test_a_sharp_pair_whose_top_blocks_differ_goes_to_the_oracle_in_the_band(self):
+        # Two blocks whose values 2 (cos t + sin t) lie 5e-11 apart: both are in the
+        # top cluster, so beta is their mean, top - beta = 2.5e-11.  Just past the
+        # gate, lam * top - 2 = 2 CRITERION_SLACK < lam (top - beta): no Bell "no",
+        # and the oracle's witness, at most (2 - lam * top) / 8 below 0, says "yes".
+        t = 0.6
+        dt = 5e-11 / (2.0 * (math.cos(t) - math.sin(t)))
+        rays = [np.array([math.cos(x), math.sin(x)]) for x in (t, t + dt)]
+        p = Projector.from_matrix(np.diag([1.0, 0.0, 1.0, 0.0]))
+        q = Projector.from_matrix(_direct_sum(*(np.outer(r, r) for r in rays)))
+        pair = _observable_pair(p.observable(), q.observable())
+        top, (beta, _) = pair.top(), pair.bell()
+        assert top - beta == pytest.approx(2.5e-11, rel=1e-3)
+        lam = (2.0 + 2.0 * CRITERION_SLACK) / top
+        for rep in (pvm_joint_observable(p, q, lam), povm_joint_observable(p.observable(), q.observable(), lam)):
+            assert rep.iterations == 1
+            assert rep.min_eigenvalue == pytest.approx(-CRITERION_SLACK / 4.0, rel=1e-3)
+            _assert_witnesses_yes(rep, smear(p.observable(), lam), smear(q.observable(), lam))
 
 
 class TestLambdaOneEdge:
@@ -1789,10 +1827,10 @@ class TestCovariance:
         lam = float(rng.uniform(LAMBDA_OPT, 1.0))
         variants = [(e1, e2), (e2, e1), (np.eye(d) - e1, e2), (u @ e1 @ u.conj().T, u @ e2 @ u.conj().T)]
         obs = [tuple(DichotomicObservable.from_yes_effect(e) for e in pair) for pair in variants]
-        top = _observable_pair(*obs[0]).top
+        top = _observable_pair(*obs[0]).top()
         rep = povm_joint_observable(*obs[0], lam)
         for pair in obs[1:]:
-            assert _observable_pair(*pair).top == pytest.approx(top, rel=1e-12)
+            assert _observable_pair(*pair).top() == pytest.approx(top, rel=1e-12)
             if abs(lam * top - 2.0) >= 1e-6:
                 assert {rep.feasible, povm_joint_observable(*pair, lam).feasible} != {"yes", "no"}
         if rep.feasible == "yes":
@@ -1824,11 +1862,11 @@ class TestDirectSum:
         effects = [*summands, tuple(map(_direct_sum, *summands))]
         obs = [tuple(DichotomicObservable.from_yes_effect(e) for e in pair) for pair in effects]
         pairs = [_observable_pair(*pair) for pair in obs]
-        assert pairs[2].top == pytest.approx(max(pairs[0].top, pairs[1].top), rel=1e-12)
+        assert pairs[2].top() == pytest.approx(max(pairs[0].top(), pairs[1].top()), rel=1e-12)
         if sharp1 and sharp2:
             values = [lambda_opt_search(*pair) for pair in obs]
             assert values[2] == pytest.approx(min(values[:2]), rel=0, abs=1e-12)
         lam = float(rng.uniform(LAMBDA_OPT, 1.0))
-        if all(abs(lam * pair.top - 2.0) > 1e-6 for pair in pairs[:2]):
+        if all(abs(lam * pair.top() - 2.0) > 1e-6 for pair in pairs[:2]):
             yes = [joint._decide(pair, lam).feasible == "yes" for pair in pairs]
             assert yes[2] == (yes[0] and yes[1])

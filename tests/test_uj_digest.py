@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# Computed with a pair of projectors decided through its observables, A = E - N.
-PINNED_TOTAL_101 = "2ce7afd80eb12c070dba97251476af9f612d15beb03321771f09c206ed28c66f"
+# Computed with a pair of projectors decided through its observables, A = E - N,
+# whose top comes from the one eigh that also gives its Bell value.
+PINNED_TOTAL_101 = "3a2cddc273c012915fc47ad195c9a2e54f03cad939a8c86ef101ed8e27ab1ae3"
 PINNED_LIBRARY_101 = "1a140ab2d4b88ba274f53e6a857cd9caf1f978110b0746ea77e129cc17e0c6d7"
 # Computed on the tree before the qubit path's direct Bloch observable, leaner
 # _frozen, Python-float CHSH sums and the oracle's reused spectrum.
