@@ -315,12 +315,9 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
             break
         lam += args.step
 
-    # Bob measures along m + n and m - n; for m = +/-n, any unit vector in the
-    # place of the zero one contributes 0.  normalized divides v / |v| again,
-    # by a norm an ulp or so off 1; without the first division the last bits
-    # of Bob's direction, and so the 15-digit CHSH column, would change.
-    bob = [BlochVector.normalized(v / norm if (norm := np.linalg.norm(v)) >= BOB_DIRECTION_CUTOFF
-                                  else [0.0, 1.0, 0.0]) for v in (m.v + n.v, m.v - n.v)]
+    # Bob measures along m + n and m - n; for m = +/-n, any unit vector in place of the zero one adds 0.
+    bob = [BlochVector.normalized(v if np.linalg.norm(v) >= BOB_DIRECTION_CUTOFF else [0.0, 1.0, 0.0])
+           for v in (m.v + n.v, m.v - n.v)]
     values = smeared_chsh_values(
         singlet(), m.observable(), n.observable(), *(b.observable() for b in bob), grid
     )

@@ -103,7 +103,8 @@ ANDERSON_MEMORY = 3
 
 @dataclass(frozen=True, eq=False)
 class BlochVector:
-    """Unit 3-vector parametrizing a rank-1 qubit projector (I + v.sigma)/2."""
+    """Unit 3-vector parametrizing a rank-1 qubit projector (I + v.sigma)/2: stores
+    v / |v| once |v| lies within BLOCH_NORM_TOL of 1."""
 
     v: np.ndarray
     # observable(), kept once built; threads that race to build it build equal values.
@@ -118,27 +119,21 @@ class BlochVector:
         if not math.isfinite(norm):
             raise ValidationError("bloch-finite", detail=f"got {a.tolist()}")
         _within("bloch-unit-norm", abs(norm - 1.0), BLOCH_NORM_TOL)
-        a = a.copy()
+        a = a / norm
         a.setflags(write=False)
         object.__setattr__(self, "v", a)
 
     @classmethod
+    @_quiet
     def normalized(cls, v) -> "BlochVector":
         a = _number_array(v, "bloch-3-vector").reshape(-1)
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(a))
-        if 0.0 < norm < math.inf:
-            unit = a / norm
-            if abs(float(np.linalg.norm(unit)) - 1.0) <= BLOCH_NORM_TOL:
-                return cls(unit)
         if not (np.isfinite(a).all() and a.any()):
-            raise ValidationError("bloch-nonzero-finite-norm", detail=f"norm {norm!r}")
-        # |a|^2 overflowed, or lost its bits below the normal range: rescale first.
+            raise ValidationError("bloch-nonzero-finite-norm", detail=f"norm {math.sqrt(a.dot(a))!r}")
         return cls(_unit_vector(a).real)
 
     def observable(self) -> DichotomicObservable:
         if self._observable is None:
-            # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to BLOCH_NORM_TOL:
+            # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to an ulp:
             # a projector and an effect by construction.  (I + v.sigma) / 2 entry by entry:
             # + 0.0 turns -0.0 into the +0.0 of the sum over Pauli matrices, bit for bit.
             x, y, z = (c + 0.0 for c in self.v.tolist())
@@ -269,7 +264,7 @@ def _feasible(lam, pair):
     the witness of _witnesses at lam is PSD, by Busch's bound or by lam * top <= 2;
     the pair's top is not read for a float lam that Busch's bound passes."""
     # Every contrast the constructors accept has |A|, |B| <= 1 + 2 PSD_TOL (effects
-    # in [-PSD_TOL, 1 + PSD_TOL], projectors as effects, |m| <= 1 + BLOCH_NORM_TOL),
+    # in [-PSD_TOL, 1 + PSD_TOL], projectors as effects, unit Bloch vectors),
     # so top <= 2 sqrt(2) (1 + 2 PSD_TOL) and at lam <= 1/sqrt(2) every G_jk is
     # at least (2 - lam * top) / 8 >= -PSD_TOL / 2.  _BUSCH_EDGE passes 1/sqrt(2)
     # by less than 1e-16 relative, far inside that slack.
@@ -290,7 +285,7 @@ class _Pair:
 
 def _bloch_pair(m, n) -> _Pair:
     """The pair of BlochVectors m, n: |A+-B| are the scalars |m+-n|, as np.linalg.norm evaluates
-    them, beta = top, radius 1 (unit vectors), and the observables are built only for a witness."""
+    them, beta = top, radius 1 (each stored v / |v|), and the observables are built only for a witness."""
     mb, nb = _require(m, BlochVector), _require(n, BlochVector)
     sv, dv = mb.v + nb.v, mb.v - nb.v
     s, d = math.sqrt(sv.dot(sv)), math.sqrt(dv.dot(dv))

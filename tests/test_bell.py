@@ -43,10 +43,11 @@ def _random_unit(rng):
 class TestOptimalSettings:
     def test_matches_the_pauli_reference_bit_for_bit(self):
         # z, x, (z + x)/sqrt(2), (z - x)/sqrt(2) as (I + M)/2 of Pauli matrices,
-        # the signs of zero parts included.
-        s2 = math.sqrt(2.0)
+        # the signs of zero parts included.  A BlochVector stores v / |v|, so
+        # Bob's entries are sqrt(1/2) correctly rounded, not 1 / fl(sqrt(2)).
+        c = math.sqrt(0.5)
         want = [_observable_of(m) for m in
-                (PAULI_Z, PAULI_X, (PAULI_Z + PAULI_X) / s2, (PAULI_Z - PAULI_X) / s2)]
+                (PAULI_Z, PAULI_X, (PAULI_Z + PAULI_X) * c, (PAULI_Z - PAULI_X) * c)]
         for got, ref in zip(optimal_settings(), want, strict=True):
             for g, r in ((got.yes_effect.matrix, ref.yes_effect.matrix),
                          (got.no_effect.matrix, ref.no_effect.matrix)):

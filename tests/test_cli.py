@@ -340,9 +340,9 @@ class TestLambdaOpt:
                  "o2": _observable_report([[0.5, 0.5], [0.5, 0.5]]),
              })),
             (["--mode", "worst-case", "--seed", "2026"],
-             _lambda_opt_report(0.7071067811865476, {
-                 "m": [-0.38323720870680267, 0.11624417424290794, -0.9163059171571484],
-                 "n": [0.852556692985493, 0.42618797263471847, -0.30250768126966315],
+             _lambda_opt_report(0.7071067811865475, {
+                 "m": [-0.3832372087068027, 0.11624417424290795, -0.9163059171571485],
+                 "n": [0.8525566929854931, 0.4261879726347185, -0.3025076812696632],
              })),
         ],
         ids=["bloch", "projector-files", "worst-case"],
@@ -434,14 +434,16 @@ class TestChsh:
         "state,lam,bound,terms,value",
         [
             ("singlet.json", None, "2.8284271247461903",
-             ("-0.7071067811865476",) * 3 + ("0.7071067811865476",), "2.8284271247461903"),
-            ("singlet.json", "0.7071067811865476", "2.0", ("-0.5",) * 3 + ("0.5",), "2.0"),
+             ("-0.7071067811865476",) * 2 + ("-0.7071067811865477", "0.7071067811865477"),
+             "2.8284271247461907"),
+            ("singlet.json", "0.7071067811865476", "2.0",
+             ("-0.5", "-0.5", "-0.5000000000000001", "0.5000000000000001"), "2.0"),
             ("pure.json", None, "2.8284271247461903",
-             ("0.33992832719762767", "0.24929550118186955", "0.2921284045782133", "0.8309465884515852"),
-             "0.05040564450612539"),
+             ("0.33992832719762767", "0.2492955011818695", "0.29212840457821326", "0.8309465884515852"),
+             "0.05040564450612517"),
             ("pure.json", "0.7071067811865476", "2.0",
-             ("0.24036562527884198", "0.17627853940499888", "0.2065659758544619", "0.587567967497943"),
-             "0.03564217304035977"),
+             ("0.240365625278842", "0.1762785394049989", "0.20656597585446185", "0.5875679674979432"),
+             "0.03564217304035966"),
         ],
         ids=["singlet-sharp", "singlet-smeared", "pure-sharp", "pure-smeared"],
     )
@@ -781,7 +783,7 @@ def _reference_sweep(m, n, start, stop, step):
         norm = np.linalg.norm(v)
         if norm < 1e-12:
             return np.array([0.0, 1.0, 0.0])
-        return v / norm
+        return v
 
     b1 = BlochVector.normalized(unit_or_fallback(m.v + n.v))
     b2 = BlochVector.normalized(unit_or_fallback(m.v - n.v))

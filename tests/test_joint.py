@@ -184,19 +184,23 @@ class TestBlochVector:
         with pytest.raises(ValidationError, match="bloch-nonzero-finite-norm"):
             BlochVector.normalized(v)
 
+    @settings(max_examples=100)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)
-           .filter(any))
-    def test_normalized_takes_every_finite_nonzero_vector(self, v):
+           .filter(any), st.floats(-0.99e-12, 0.99e-12))
+    def test_normalized_takes_every_finite_nonzero_vector(self, v, off):
         # Where |v|^2 overflows or loses its bits below the normal range, v is
-        # rescaled first; wherever v / |v| is a unit vector, those are the bits.
+        # rescaled first.  What normalized stores, and what the constructor
+        # stores of it scaled to the window's edges, is v / |v|: unit to 2 ulp,
+        # along v, and paired with itself at a top of 2 to 4 ulp.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             b = BlochVector.normalized(v)
-        assert abs(np.linalg.norm(b.v) - 1.0) <= 1e-12
-        with np.errstate(all="ignore"):
-            plain = np.array(v) / np.linalg.norm(v)
-        if abs(np.linalg.norm(plain) - 1.0) <= 1e-12:
-            assert b.v.tobytes() == plain.tobytes()
+        u = np.array(v) / np.abs(v).max()  # v's direction, with no overflow or underflow in |u|
+        u /= np.linalg.norm(u)
+        for c in (b, BlochVector(b.v * (1.0 + off))):
+            assert abs(np.linalg.norm(c.v) - 1.0) <= 2 * math.ulp(1.0)
+            assert np.abs(c.v - u).max() <= 1e-15
+            assert _bloch_pair(c, c).top() <= 2.0 + 4 * math.ulp(1.0)
 
     @given(
         st.lists(
@@ -212,6 +216,21 @@ class TestBlochVector:
             return
         assert np.isfinite(b.v).all()
         assert abs(np.linalg.norm(b.v) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0 + 0.9e-12, 1.0 - 0.9e-12], ids=["over", "under"])
+    @pytest.mark.parametrize("direction", [*np.eye(3), np.random.default_rng(98).normal(size=3)],
+                             ids=["x", "y", "z", "seeded"])
+    def test_a_vector_at_the_window_s_edge_is_decided_as_a_unit_vector(self, direction, scale):
+        # m with itself is jointly measurable at lambda = 1 on every path.  Kept
+        # as given, m = (0, 0, 1 + 0.9e-12) read lambda * top - 2 = 1.8e-12 past
+        # the slack: a "no" from both qubit paths, while the oracle said "yes".
+        m = BlochVector(direction / np.linalg.norm(direction) * scale)
+        rep = qubit_joint_observable(m, m, 1.0)
+        assert (rep.feasible, rep.iterations) == ("yes", 0)
+        assert qubit_verdicts(m, m, [1.0]) == ["yes"]
+        assert povm_joint_observable(m.observable(), m.observable(), 1.0).feasible == "yes"
+        assert lambda_opt_search(m, m) == 1.0
+        assert criterion_value(m, m, 1.0) <= 2.0 + 4.4e-16
 
     @pytest.mark.parametrize("wing", [0, 1], ids=["m", "n"])
     @pytest.mark.parametrize(
@@ -1428,8 +1447,8 @@ class TestQubitPathBitIdentity:
         return seeded + axes + [np.array([5e-324, -0.0, 1.0]), np.array([0.6, -0.0, -0.8])]
 
     def test_direct_projector_is_the_pauli_sum(self):
-        for v in self._vectors():
-            obs = BlochVector(v).observable()
+        for b in map(BlochVector, self._vectors()):
+            v, obs = b.v, b.observable()  # the stored v / |v|
             got = obs.yes_effect.matrix
             want = 0.5 * (identity(2) + sum(c * s for c, s in zip(v, PAULI)))
             assert np.array_equal(got, want), v
@@ -1437,10 +1456,10 @@ class TestQubitPathBitIdentity:
             assert obs.no_effect.matrix.tobytes() == (identity(2) - want).tobytes(), v
 
     def test_bloch_norms_are_linalg_norm(self):
-        vs = self._vectors()
+        vs = [BlochVector(v) for v in self._vectors()]
         for m, n in zip(vs, vs[1:] + vs[:1]):
-            pair = _bloch_pair(BlochVector(m), BlochVector(n))
-            s, d = (float(np.linalg.norm(v)) for v in (m + n, m - n))
+            pair = _bloch_pair(m, n)
+            s, d = (float(np.linalg.norm(v)) for v in (m.v + n.v, m.v - n.v))
             _, _, abs_sum, abs_diff, _, _ = pair.parts()
             assert np.array_equal(abs_sum, s * np.eye(2)) and np.array_equal(abs_diff, d * np.eye(2))
             assert pair.top().hex() == (s + d).hex()

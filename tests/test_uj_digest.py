@@ -12,12 +12,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # Computed with a pair of projectors decided through its observables, A = E - N,
-# whose top comes from the one eigh that also gives its Bell value.
-PINNED_TOTAL_101 = "3a2cddc273c012915fc47ad195c9a2e54f03cad939a8c86ef101ed8e27ab1ae3"
+# whose top comes from the one eigh that also gives its Bell value, and every
+# BlochVector stored as v / |v|.
+PINNED_TOTAL_101 = "84faa3f491ddf4dfd3e635bc4091e1678e71acc57c311d471c9a325cb60c64d3"
 PINNED_LIBRARY_101 = "1a140ab2d4b88ba274f53e6a857cd9caf1f978110b0746ea77e129cc17e0c6d7"
-# Computed on the tree before the qubit path's direct Bloch observable, leaner
-# _frozen, Python-float CHSH sums and the oracle's reused spectrum.
-PINNED_QUBIT_101 = "2466a1f98781ba1df2e0e48b0fff9e1ccf69c675055f074507900abde627e7c6"
+# Computed with every BlochVector stored as v / |v|.
+PINNED_QUBIT_101 = "60e0151c5e727455988056fe8b88f5013c88ee640da8704fabd71eb9a7da086b"
 # Computed with every dimension refusal a ValidationError("same-dimension").
 PINNED_REFUSALS = "b9d7473aa93f6714770e23f6cc3babfe6fbac829ab9ee88c5675d395e1d8895d"
 
