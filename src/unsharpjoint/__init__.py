@@ -11,6 +11,7 @@ the no-signaling range.
 
 from .errors import ParseError, UnsharpJointError, ValidationError
 from .operators import (
+    BlochVector,
     DensityMatrix,
     DichotomicObservable,
     Effect,
@@ -29,7 +30,6 @@ from .decompose import (
 )
 from .joint import (
     LAMBDA_OPT,
-    BlochVector,
     FeasibilityReport,
     JointObservable,
     JointResiduals,

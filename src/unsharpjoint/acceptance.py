@@ -30,7 +30,6 @@ from .bell import (
 from .decompose import compress, neumark_dilate, two_projector_blocks
 from .joint import (
     LAMBDA_OPT,
-    BlochVector,
     check_joint,
     criterion_value,
     feasibility_oracle,
@@ -40,7 +39,7 @@ from .joint import (
     qubit_joint_observable,
     worst_case_pair,
 )
-from .operators import DensityMatrix, DichotomicObservable, Effect, Projector
+from .operators import BlochVector, DensityMatrix, DichotomicObservable, Effect, Projector
 from .unsharp import mean_value, smear
 
 

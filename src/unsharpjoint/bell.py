@@ -25,10 +25,9 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .joint import BlochVector
 from .operators import (
-    BOX_TOL, CHSH_BOUND_SLACK, DensityMatrix, DichotomicObservable, _holds_bool,
-    _number_array, _require, _within,
+    BOX_TOL, CHSH_BOUND_SLACK, BlochVector, DensityMatrix, DichotomicObservable, _holds_bool,
+    _number_array, _quiet, _require, _within,
 )
 from .unsharp import _lambda_array, _smeared_matrices, validate_lambda
 
@@ -67,21 +66,19 @@ class NoSignalingBox:
     table: InitVar[Mapping]
     p: np.ndarray = field(init=False)
 
+    @_quiet  # a cell's four entries can sum past the float range: an inf excess, not a warning
     def __post_init__(self, table):
         if not isinstance(table, Mapping):
             raise ValidationError("box-settings", detail="table must map settings to cells")
         p = np.empty((4, 2, 2))
-        # A cell's four entries can sum past the float range: an inf excess, not a warning.
-        with np.errstate(over="ignore"):
-            for i, key in enumerate(SETTINGS):
-                if key not in table:
-                    raise ValidationError("box-settings", detail=f"missing setting {key!r}")
-                cell = p[i] = _cell(key, table[key])
-                if cell.min() < 0:
-                    a, b = divmod(int(np.flatnonzero(cell < 0)[0]), 2)
-                    raise ValidationError("box-nonnegative", float(-cell[a, b]),
-                                          detail=f"p({a},{b}|{key})")
-                _within("box-normalization", abs(float(cell.sum()) - 1.0), BOX_TOL, f"setting {key!r}")
+        for i, key in enumerate(SETTINGS):
+            if key not in table:
+                raise ValidationError("box-settings", detail=f"missing setting {key!r}")
+            cell = p[i] = _cell(key, table[key])
+            if cell.min() < 0:
+                a, b = divmod(int(np.flatnonzero(cell < 0)[0]), 2)
+                raise ValidationError("box-nonnegative", float(-cell[a, b]), detail=f"p({a},{b}|{key})")
+            _within("box-normalization", abs(float(cell.sum()) - 1.0), BOX_TOL, f"setting {key!r}")
         p = p.reshape(2, 2, 2, 2)
 
         # Alice's marginal must not depend on y, Bob's not on x.

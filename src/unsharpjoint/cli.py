@@ -44,7 +44,6 @@ from .bell import (
 from .decompose import ANCILLA_CONVENTION, neumark_dilate, two_projector_blocks
 from .errors import ParseError, UnsharpJointError, ValidationError
 from .joint import (
-    BlochVector,
     FeasibilityReport,
     feasibility_oracle,
     lambda_opt_search,
@@ -54,8 +53,8 @@ from .joint import (
     worst_case_pair,
 )
 from .operators import (
-    BOB_DIRECTION_CUTOFF,
     SWEEP_END_SLACK,
+    BlochVector,
     DensityMatrix,
     DichotomicObservable,
     Effect,
@@ -316,8 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
         lam += args.step
 
     # Bob measures along m + n and m - n; for m = +/-n, any unit vector in place of the zero one adds 0.
-    bob = [BlochVector.normalized(v if np.linalg.norm(v) >= BOB_DIRECTION_CUTOFF else [0.0, 1.0, 0.0])
-           for v in (m.v + n.v, m.v - n.v)]
+    bob = [BlochVector.normalized(v if v.any() else [0.0, 1.0, 0.0]) for v in (m.v + n.v, m.v - n.v)]
     values = smeared_chsh_values(
         singlet(), m.observable(), n.observable(), *(b.observable() for b in bob), grid
     )

@@ -32,8 +32,8 @@ lam = 1/sqrt(2).  _decide takes one of three paths:
   cross-checks every closed-form verdict in the test suite.
 
 For Bloch vectors |A+B| and |A-B| are the scalars |m+n| and |m-n|,
-top = |m+n| + |m-n| is the paper's criterion, and each observable wraps
-(I + v.sigma) / 2 and its complement directly, once per vector.  The
+top = |m+n| + |m-n| is the paper's criterion, and the observables, (I + v.sigma) / 2
+and its complement, are the vectors' own, built once per vector.  The
 largest feasible unsharpness of a pair (lambda_opt_search) comes from the
 same top and gate, and _decide checks it; its worst case over Bloch-vector
 pairs, 1/sqrt(2), is reached at every orthogonal pair (worst_case_pair).
@@ -62,13 +62,13 @@ import numpy as np
 from .errors import ValidationError
 from .operators import (
     ANDERSON_TIKHONOV,
-    BLOCH_NORM_TOL,
     CERTIFICATE_MARGIN,
     CLUSTER_TOL,
     CRITERION_SLACK,
     JOINT_NORMALIZATION_TOL,
     PSD_TOL,
     QUBIT_WITNESS_TOL,
+    BlochVector,
     DichotomicObservable,
     Effect,
     Projector,
@@ -76,12 +76,10 @@ from .operators import (
     _frozen,
     _hermitian_part,
     _max_abs,
-    _number_array,
     _quiet,
     _require,
     _require_int,
     _same_dim,
-    _unit_vector,
     _within,
     identity,
 )
@@ -99,48 +97,6 @@ _JK_SIGNS = np.array((1.0, -1.0, -1.0, 1.0))[:, None, None]  # the sign of F in 
 CERTIFICATE_EVERY = 5
 MAX_ITER = 20000
 ANDERSON_MEMORY = 3
-
-
-@dataclass(frozen=True, eq=False)
-class BlochVector:
-    """Unit 3-vector parametrizing a rank-1 qubit projector (I + v.sigma)/2: stores
-    v / |v| once |v| lies within BLOCH_NORM_TOL of 1."""
-
-    v: np.ndarray
-    # observable(), kept once built; threads that race to build it build equal values.
-    _observable: DichotomicObservable | None = field(default=None, init=False, repr=False)
-
-    @_quiet
-    def __post_init__(self):
-        a = _number_array(self.v, "bloch-3-vector").reshape(-1)
-        if a.shape != (3,):
-            raise ValidationError("bloch-3-vector", detail=f"shape {a.shape}")
-        norm = math.sqrt(a.dot(a))
-        if not math.isfinite(norm):
-            raise ValidationError("bloch-finite", detail=f"got {a.tolist()}")
-        _within("bloch-unit-norm", abs(norm - 1.0), BLOCH_NORM_TOL)
-        a = a / norm
-        a.setflags(write=False)
-        object.__setattr__(self, "v", a)
-
-    @classmethod
-    @_quiet
-    def normalized(cls, v) -> "BlochVector":
-        a = _number_array(v, "bloch-3-vector").reshape(-1)
-        if not (np.isfinite(a).all() and a.any()):
-            raise ValidationError("bloch-nonzero-finite-norm", detail=f"norm {math.sqrt(a.dot(a))!r}")
-        return cls(_unit_vector(a).real)
-
-    def observable(self) -> DichotomicObservable:
-        if self._observable is None:
-            # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to an ulp:
-            # a projector and an effect by construction.  (I + v.sigma) / 2 entry by entry:
-            # + 0.0 turns -0.0 into the +0.0 of the sum over Pauli matrices, bit for bit.
-            x, y, z = (c + 0.0 for c in self.v.tolist())
-            m = 0.5 * np.array([[1.0 + z, complex(x, 0.0 - y)], [complex(x, y), 1.0 - z]])
-            yes, no = (_frozen(Effect, matrix=e) for e in (m, identity(2) - m))
-            object.__setattr__(self, "_observable", _frozen(DichotomicObservable, yes_effect=yes, no_effect=no))
-        return self._observable
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,7 @@
-"""Validated operator types and the JSON operator format.
+"""Validated values (operators, states, BlochVector) and the JSON operator format.
 
 Everything downstream (smearing, block decomposition, joint observables,
-CHSH correlators) is built out of the types defined here.  All matrices are
+CHSH correlators) is built out of the values defined here.  All matrices are
 dense complex arrays; the constructions in this package live on small
 Hilbert spaces (d <= 64; only `uj dilate` doubles it), so no sparsity is
 needed.
@@ -53,12 +53,11 @@ UNITARITY_TOL = 1e-10  # abs: max|U^H U - I| of a block decomposition's basis
 BOX_TOL = 1e-12  # abs: a box's normalization and no-signaling gaps
 CHSH_BOUND_SLACK = 1e-9  # abs: a CHSH value within its bound up to this
 SWEEP_END_SLACK = 1e-12  # abs: uj sweep keeps a grid point this far past --stop
-BOB_DIRECTION_CUTOFF = 1e-12  # abs: |m +- n| below this is a zero direction for Bob in uj sweep
 
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a norm below it has lost bits to underflow
 _EPS = np.finfo(float).eps
 _BOOLS = frozenset((bool, np.bool_))  # the entry types _holds_bool refuses
-# Residual checks run under it: an overflow to inf or nan is refused by _within, not warned of.
+# The one float-warning guard, a decorator only: an overflow to inf or nan is refused, not warned of.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -307,10 +306,10 @@ class Projector:
         return self.matrix.shape[0]
 
     @classmethod
+    @_quiet  # finite entries can sum past the float range, to inf or nan
     def from_matrix(cls, m) -> "Projector":
         a = square_matrix(m)
-        with np.errstate(over="ignore"):  # finite entries can sum past the float range
-            trace = float(np.trace(a).real)
+        trace = float(np.trace(a).real)
         if not math.isfinite(trace):
             raise ValidationError("rank-equals-trace", detail=f"trace {trace!r}")
         return cls(a, rank=round(trace))
@@ -331,13 +330,13 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
+@_quiet
 def _unit_vector(vec) -> np.ndarray:
     """vec / |vec| as a complex vector, for every finite vec nonzero in floating point."""
     v = _number_array(vec, "numeric-vector", complex).ravel()
     if not np.isfinite(v).all():
         raise ValidationError("finite-entries")
-    with np.errstate(over="ignore"):
-        n = _norm(v)
+    n = _norm(v)
     if not _SQRT_TINY <= n < math.inf:
         # |v|^2 overflowed or fell below the normal range: scale the largest part
         # to 1, part by part, as a complex divide by a subnormal overflows.
@@ -347,6 +346,50 @@ def _unit_vector(vec) -> np.ndarray:
         v = v.real / scale + 1j * (v.imag / scale)
         n = _norm(v)
     return v / n
+
+
+@dataclass(frozen=True, eq=False)
+class BlochVector:
+    """Unit 3-vector parametrizing a rank-1 qubit projector (I + v.sigma)/2: stores
+    v / |v| once |v| lies within BLOCH_NORM_TOL of 1."""
+
+    v: np.ndarray
+    # observable(), kept once built; threads that race to build it build equal values.
+    _observable: DichotomicObservable | None = field(default=None, init=False, repr=False)
+
+    @_quiet
+    def __post_init__(self):
+        a = _number_array(self.v, "bloch-3-vector").reshape(-1)
+        if a.shape != (3,):
+            raise ValidationError("bloch-3-vector", detail=f"shape {a.shape}")
+        norm = math.sqrt(a.dot(a))
+        if not math.isfinite(norm):
+            raise ValidationError("bloch-finite", detail=f"got {a.tolist()}")
+        _within("bloch-unit-norm", abs(norm - 1.0), BLOCH_NORM_TOL)
+        a = a / norm
+        a.setflags(write=False)
+        object.__setattr__(self, "v", a)
+
+    @classmethod
+    @_quiet  # a refused v's |v|^2 may overflow
+    def normalized(cls, v) -> "BlochVector":
+        a = _number_array(v, "bloch-3-vector").reshape(-1)
+        try:
+            u = _unit_vector(a).real
+        except ValidationError as exc:
+            raise ValidationError("bloch-nonzero-finite-norm", detail=f"norm {math.sqrt(a.dot(a))!r}") from exc
+        return cls(u)
+
+    def observable(self) -> DichotomicObservable:
+        if self._observable is None:
+            # Exactly Hermitian, eigenvalues (1 +- |v|) / 2 with |v| = 1 to an ulp:
+            # a projector and an effect by construction.  (I + v.sigma) / 2 entry by entry:
+            # + 0.0 turns -0.0 into the +0.0 of the sum over Pauli matrices, bit for bit.
+            x, y, z = (c + 0.0 for c in self.v.tolist())
+            m = 0.5 * np.array([[1.0 + z, complex(x, 0.0 - y)], [complex(x, y), 1.0 - z]])
+            yes, no = (_frozen(Effect, matrix=e) for e in (m, identity(2) - m))
+            object.__setattr__(self, "_observable", _frozen(DichotomicObservable, yes_effect=yes, no_effect=no))
+        return self._observable
 
 
 @dataclass(frozen=True, eq=False)

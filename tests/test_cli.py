@@ -27,6 +27,7 @@ from unsharpjoint import (
     DensityMatrix,
     DichotomicObservable,
     ValidationError,
+    criterion_value,
     matrix_from_json,
     matrix_to_json,
     optimal_settings,
@@ -719,6 +720,23 @@ class TestSweep:
         assert out.count(",yes,") == 120
         assert len(eigensolves) <= 1
 
+    @pytest.mark.parametrize("n_text,chsh", [("1e-13,0,1", ["1.80000000000009", "2.0000000000001"]),
+                                             ("0,0,1", ["1.8", "2"])], ids=["m-n-of-1e-13", "m-equals-n"])
+    def test_bob_measures_along_every_nonzero_m_minus_n(self, n_text, chsh, monkeypatch, capsys):
+        # m - n of length 1e-13 was read as zero and Bob measured along y, so the
+        # sweep printed 1.8 and 2; along m - n it prints lam * criterion_value.
+        # Only an exact zero, m = n, puts y in its place.
+        m, n = _bloch("0,0,1"), _bloch(n_text)
+        assert [f"{criterion_value(m, n, lam):.15g}" for lam in (0.9, 1.0)] == chsh
+        directions, normalized = [], BlochVector.normalized
+        monkeypatch.setattr(BlochVector, "normalized",
+                            classmethod(lambda cls, v: directions.append(np.array(v)) or normalized(v)))
+        code, out = _run(["sweep", "--m", "0,0,1", "--n", n_text, "--start", "0.9", "--stop", "1",
+                          "--step", "0.1"], capsys)
+        assert code == 0
+        assert [row.split(",")[2] for row in out.splitlines()[1:]] == chsh
+        assert directions[-1].tolist() == ([0.0, 1.0, 0.0] if n_text == "0,0,1" else (m.v - n.v).tolist())
+
     @settings(max_examples=40)
     @given(st.data())
     def test_matches_the_row_by_row_reference(self, data):
@@ -779,14 +797,11 @@ def _reference_sweep(m, n, start, stop, step):
     """The sweep CSV built row by row from the public per-lambda calls."""
     state = singlet()
 
-    def unit_or_fallback(v):
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            return np.array([0.0, 1.0, 0.0])
-        return v
+    def or_fallback(v):
+        return v if np.any(v) else np.array([0.0, 1.0, 0.0])
 
-    b1 = BlochVector.normalized(unit_or_fallback(m.v + n.v))
-    b2 = BlochVector.normalized(unit_or_fallback(m.v - n.v))
+    b1 = BlochVector.normalized(or_fallback(m.v + n.v))
+    b2 = BlochVector.normalized(or_fallback(m.v - n.v))
     lines = ["lambda,feasible,smeared_chsh,bound"]
     lam = start
     while lam <= min(stop, 1.0) + 1e-12:
@@ -904,9 +919,14 @@ class TestErrors:
             (["box-chsh", "--box", "BAD"],
              {"p": {k: [[0.25, 0.25]] * 2 for k in SETTINGS} | {"12": [[True, 0.0], [0.0, 0.0]]}},
              "box-cell: setting '12' is not a 2x2 table of numbers"),
+            # The trace's reduction adds inf and -inf: numpy's "invalid value"
+            # warning was printed first (under -W error, raised instead).
+            (["blocks", "--p", "BAD", "--q", "q.json"],
+             matrix_to_json(np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308])), "rank-equals-trace: trace nan"),
         ],
         ids=["entry-string", "ragged-re", "box-cell-string", "not-hermitian", "above-one",
-             "not-idempotent", "re-booleans", "im-boolean-among-floats", "box-cell-boolean"],
+             "not-idempotent", "re-booleans", "im-boolean-among-floats", "box-cell-boolean",
+             "trace-inf-minus-inf"],
     )
     def test_malformed_file_message_is_pinned(self, argv, content, message, fixtures, tmp_path,
                                               capsys):

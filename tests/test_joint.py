@@ -178,10 +178,12 @@ class TestBlochVector:
             build(v)
 
     @pytest.mark.parametrize(
-        "v", [[0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]]
+        "v, norm", [([0.0, 0.0, 0.0], "0.0"), ([math.nan, 0.0, 1.0], "nan"), ([math.inf, 0.0, 0.0], "inf"),
+                    ([1e200, math.inf, 0.0], "inf")]
     )
-    def test_normalized_rejects_degenerate_norm(self, v):
-        with pytest.raises(ValidationError, match="bloch-nonzero-finite-norm"):
+    def test_normalized_rejects_degenerate_norm(self, v, norm):
+        # The last |v|^2 overflows as the refusal reports it: no RuntimeWarning under -W error.
+        with pytest.raises(ValidationError, match=f"^bloch-nonzero-finite-norm: norm {norm}$"):
             BlochVector.normalized(v)
 
     @settings(max_examples=100)
@@ -1389,8 +1391,10 @@ class TestOneDecision:
     def test_povm_joint_observable_decides_every_pair(self, seed, d, sharp1, sharp2, lam):
         # Projector, POVM and mixed pairs: a sharp pair is the projectors'
         # report byte for byte; any other pair is a closed-form "yes" exactly
-        # where lam <= 1/sqrt(2) or lam * top <= 2 + slack, and an oracle
-        # verdict elsewhere.  Every verdict passes its own numpy check.
+        # where lam <= 1/sqrt(2) or lam * top <= 2 + slack, past that a Bell
+        # "no" exactly where lam * beta, less what effects outside [0, I] add,
+        # passes 2 + slack, and an oracle verdict elsewhere.  Every verdict
+        # passes its own numpy check, a Bell "no" a rebuilt CHSH value above 2.
         rng = np.random.default_rng(seed)
         elements = [
             _random_projector(rng, d, int(rng.integers(0, d + 1))).matrix if sharp
@@ -1404,15 +1408,22 @@ class TestOneDecision:
             assert _report_bytes(rep) == _report_bytes(pvm_joint_observable(p1, p2, lam))
         else:
             a, b = (2.0 * m - np.eye(d) for m in elements)
-            top = np.linalg.eigvalsh(_abs(a + b) + _abs(a - b))[-1]
-            closed = lam <= LAMBDA_OPT or lam * top <= 2.0 + CRITERION_SLACK
-            assert (rep.iterations == 0) == closed
+            w, v = np.linalg.eigh(_abs(a + b) + _abs(a - b))
+            closed = lam <= LAMBDA_OPT or lam * w[-1] <= 2.0 + CRITERION_SLACK
+            # beta and radius in numpy, on the eigenvectors q within CLUSTER_TOL of the top.
+            q = v[:, w >= w[-1] - CLUSTER_TOL]
+            e = [np.abs(np.linalg.eigvalsh(q.conj().T @ h @ q)) for h in (a + b, a - b, a, b)]
+            beta, radius = (e[0].sum() + e[1].sum()) / q.shape[1], max(e[2].max(), e[3].max())
+            bell = lam * beta - 4.0 * max(0.0, lam * radius - 1.0) > 2.0 + CRITERION_SLACK
+            assert (rep.iterations == 0) == (closed or bell)
             assert rep.feasible == "yes" or not closed
         o1lam, o2lam = smear(o1, lam), smear(o2, lam)
         if rep.feasible == "yes":
             _assert_witnesses_yes(rep, o1lam, o2lam)
         elif rep.feasible == "no" and rep.iterations > 0:
             _assert_certifies_no(rep, o1lam, o2lam)
+        elif rep.feasible == "no":
+            assert _rebuilt_chsh(o1, o2, lam) > 2.0
 
 
     @pytest.mark.parametrize("decide, invariant", [

@@ -276,6 +276,12 @@ class TestProjector:
         with pytest.raises(ValidationError, match="rank-integer"):
             Projector(np.diag([1.0, 0.0]).astype(complex), rank=rank)
 
+    def test_a_trace_of_inf_minus_inf_is_a_typed_error(self):
+        # The trace's reduction adds inf and -inf; under the suite's -W error,
+        # numpy's "invalid value" RuntimeWarning used to escape instead.
+        with pytest.raises(ValidationError, match=r"^rank-equals-trace: trace nan$"):
+            Projector.from_matrix(np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308]))
+
     def test_numpy_integer_rank_is_kept_as_int(self):
         p = Projector(np.diag([1.0, 0.0]).astype(complex), rank=np.int64(1))
         assert type(p.rank) is int and p.rank == 1
@@ -532,6 +538,29 @@ class TestUnitVectorBits:
         for w in (v, v[::2]):  # a strided view as well
             if np.any(w):
                 assert _unit_vector(w).tobytes() == _unit_by_linalg_norm(w).tobytes()
+
+    @pytest.mark.parametrize("vec", [
+        [-0.0, 0.0, 1.0], [0.6, -0.0, -0.8], [-0.0, -0.0, -3.0], [0.1, 0.2, -0.3],
+        [1e-320, -0.0, 0.0], [3e-310, -2.5e-315, 1e-320], [-1e300, 1e300, -0.0], [1.7e308, 1.7e308, -0.0],
+    ])
+    def test_normalized_stores_the_complex_path_s_bits(self, vec):
+        # BlochVector.normalized scales through _unit_vector's complex path, which
+        # divides by the real norm through its reciprocal and reads -0.0 as +0.0,
+        # and stores that unit vector as its constructor does: a real path that
+        # keeps -0.0, or skips the rescale of a subnormal or huge vector, differs.
+        want = _unit_by_linalg_norm(vec).real
+        assert BlochVector.normalized(vec).v.tobytes() == (want / math.sqrt(want.dot(want))).tobytes()
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0])), min_size=3, max_size=3),
+        st.integers(-320, 300),
+    )
+    def test_normalized_stores_the_complex_path_s_bits_at_every_scale(self, entries, exponent):
+        v = np.array(entries) * 10.0**exponent
+        if np.any(v):
+            want = _unit_by_linalg_norm(v).real
+            assert BlochVector.normalized(v).v.tobytes() == (want / math.sqrt(want.dot(want))).tobytes()
 
 
 def _window_check(g, tol):

@@ -51,7 +51,6 @@ LEDGER = {
     "BOX_TOL": 1e-12,
     "CHSH_BOUND_SLACK": 1e-9,
     "SWEEP_END_SLACK": 1e-12,
-    "BOB_DIRECTION_CUTOFF": 1e-12,
 }
 
 # module -> the ledger names it used to define, still importable from it.
@@ -181,6 +180,32 @@ def test_sharpness_is_read_in_one_place():
     tree = ast.parse((SRC / "joint.py").read_text(encoding="utf-8"))
     callers = {name: sorted(set(_readers(tree, name))) for name in ("from_matrix", "_bell_value")}
     assert callers == {"from_matrix": ["lambda_opt_search"], "_bell_value": ["_observable_pair"]}
+
+
+def test_bell_imports_nothing_from_joint():
+    # Validated values live in operators, decisions in joint, correlators in
+    # bell: bell reads values only, so joint may import bell.
+    tree = ast.parse((SRC / "bell.py").read_text(encoding="utf-8"))
+    package = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert package == {"errors", "operators", "unsharp"}
+    assert joint.BlochVector is operators.BlochVector is unsharpjoint.BlochVector
+
+
+def test_one_guard_silences_float_warnings():
+    # operators._quiet is the one np.errstate of the package, and every use of
+    # it is a decorator: numpy refuses a `with _quiet:` around a call that it
+    # decorates, and a second errstate would silence a different set of warnings.
+    sites, as_decorator = [], []
+    for module, tree in _modules():
+        decorators = {id(d) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                      for d in node.decorator_list}
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.errstate":
+                sites.append(f"{module}.{scope}")
+            if isinstance(node, ast.Name) and node.id == "_quiet" and isinstance(node.ctx, ast.Load):
+                as_decorator.append(id(node) in decorators)
+    assert sites == ["operators.<module>"]
+    assert as_decorator and all(as_decorator)
 
 
 def test_closed_form_and_oracle_disagree_only_inside_the_band(monkeypatch):

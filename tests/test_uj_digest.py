@@ -18,8 +18,9 @@ PINNED_TOTAL_101 = "84faa3f491ddf4dfd3e635bc4091e1678e71acc57c311d471c9a325cb60c
 PINNED_LIBRARY_101 = "1a140ab2d4b88ba274f53e6a857cd9caf1f978110b0746ea77e129cc17e0c6d7"
 # Computed with every BlochVector stored as v / |v|.
 PINNED_QUBIT_101 = "60e0151c5e727455988056fe8b88f5013c88ee640da8704fabd71eb9a7da086b"
-# Computed with every dimension refusal a ValidationError("same-dimension").
-PINNED_REFUSALS = "b9d7473aa93f6714770e23f6cc3babfe6fbac829ab9ee88c5675d395e1d8895d"
+# Computed with every dimension refusal a ValidationError("same-dimension"), and
+# a projector whose trace adds inf and -inf refused in one error line.
+PINNED_REFUSALS = "5a1593e54554d0d9b659d6500e8d4e166113a3b45d7a40b4b4f9806af850cab4"
 
 
 def _tool(monkeypatch):

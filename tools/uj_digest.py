@@ -66,6 +66,9 @@ REFUSAL_FILES = {
     "qutrit-a2.json": {"a1": _Z, "a2": {"dim": 3, "re": [[1, 0, 0], [0, 0, 0], [0, 0, 0]], "im": [[0] * 3] * 3},
                        "b1": _Z, "b2": _Z},
     "negative-cell.json": {"p": {"11": [[-0.25, 0.5], [0.5, 0.25]], "12": _HALF, "21": _HALF, "22": _HALF}},
+    # Its trace adds inf and -inf: one error line, no numpy warning before it.
+    "trace-nan.json": {"dim": 4, "re": [[1.7e308, 0, 0, 0], [0, 1.7e308, 0, 0], [0, 0, -1.7e308, 0],
+                                        [0, 0, 0, -1.7e308]], "im": [[0] * 4] * 4},
 }
 _GRID = ["--start", "0.5", "--stop", "0.6", "--step", "0.1"]
 # name -> an argv that uj must refuse; "{work}" is the work directory.
@@ -82,6 +85,7 @@ REFUSALS = {
     "worst-case-with-m": ["lambda-opt", "--mode", "worst-case", "--m", "0,0,1"],
     "chsh-qutrit-a2": ["chsh", "--state", "{work}/singlet.json", "--settings", "{work}/qutrit-a2.json"],
     "box-negative-cell": ["box-chsh", "--box", "{work}/negative-cell.json"],
+    "blocks-trace-nan": ["blocks", "--p", "{work}/trace-nan.json", "--q", "{work}/z.json"],
     "out-missing-directory": ["smear", "--obs", "{work}/z.json", "--lambda", "0.5",
                               "--out", "{work}/missing/out.json"],
 }
