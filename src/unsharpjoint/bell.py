@@ -10,8 +10,8 @@ correlators t[x, y], from one of two sources:
 * the correlators of a conditional-probability table (a box), where the
   algebraic maximum 4 is reached by the PR box.
 
-A box is one float array p[x, y, a, b].  Every box built here has
-entries in {0, 1/2, 1}, which floats hold exactly, so the PR box
+A box is one float array p[x, y, a, b].  Every box built here has entries
+in {0, 1/2, 1}, which floats hold exactly: it is built unchecked, the PR box
 gives CHSH = 4 and the deterministic boxes CHSH = 2 with no rounding.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import (
-    BOX_TOL, CHSH_BOUND_SLACK, BlochVector, DensityMatrix, DichotomicObservable, _holds_bool,
+    BOX_TOL, CHSH_BOUND_SLACK, BlochVector, DensityMatrix, DichotomicObservable, _frozen, _holds_bool,
     _number_array, _quiet, _require, _within,
 )
 from .unsharp import _lambda_array, _smeared_matrices, validate_lambda
@@ -98,25 +98,20 @@ class NoSignalingBox:
         return p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
 
 
-def _box(p: np.ndarray) -> NoSignalingBox:
-    """The box of an array p[x, y, a, b], through the validating constructor."""
-    return NoSignalingBox(dict(zip(SETTINGS, p.reshape(4, 2, 2))))
-
-
 def pr_box() -> NoSignalingBox:
     """Extremal no-signaling box: outcomes agree unless both settings are 2.
 
     In bit form, a xor b = x and y; every entry is 0 or 1/2 exactly.
     """
     x, y, a, b = np.indices((2, 2, 2, 2))
-    return _box(0.5 * ((a ^ b) == (x & y)))
+    return _frozen(NoSignalingBox, p=0.5 * ((a ^ b) == (x & y)))
 
 
 def local_deterministic_boxes() -> list[NoSignalingBox]:
     """All sixteen deterministic local strategies: outcome bits (alpha_1, alpha_2,
     beta_1, beta_2) fixed per setting, Bob's second bit varying fastest."""
     x, y, a, b = np.indices((2, 2, 2, 2))
-    return [_box(1.0 * ((a == s[x]) & (b == s[2 + y])))
+    return [_frozen(NoSignalingBox, p=1.0 * ((a == s[x]) & (b == s[2 + y])))
             for s in map(np.array, itertools.product((0, 1), repeat=4))]
 
 

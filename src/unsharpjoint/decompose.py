@@ -19,10 +19,10 @@ No verdict and no lambda-opt value reads the blocks: they serve `uj blocks`,
 acceptance criterion 6 and the `blocks` benchmark workload.
 
 The same module hosts the 2-level-ancilla dilation of a dichotomic POVM to
-a projector and the compression back to the system, both in the one
-convention ANCILLA_CONVENTION: system tensor ancilla, ancilla state =
-index 0 of the last factor.  No joint-measurability decision uses this
-module.
+a projector, built unchecked, and the checked compression back to the
+system, both in the one convention ANCILLA_CONVENTION: system tensor
+ancilla, ancilla state = index 0 of the last factor.  No joint-measurability
+decision uses this module.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .operators import (
     DichotomicObservable,
     Effect,
     Projector,
+    _frozen,
     _max_abs,
     _require,
     _same_dim,
@@ -188,7 +189,7 @@ def neumark_dilate(obs: DichotomicObservable) -> Projector:
     |v_i> = sqrt(a_i) |e_i>|0> + sqrt(1 - a_i) |e_i>|1>, a_i clipped to [0, 1].
     Compressing onto ancilla state |0> recovers A to 1e-12 when its spectrum
     lies in [0, 1], else A clipped, at most PSD_TOL away at the window's edges.
-    """
+    The v_i are orthonormal to rounding: a rank-d projector, built unchecked."""
     a = _require(obs, DichotomicObservable).yes_effect
     d = a.dim
     eigs, vecs = np.linalg.eigh(a.matrix)
@@ -197,8 +198,7 @@ def neumark_dilate(obs: DichotomicObservable) -> Projector:
     v = np.zeros((2 * d, d), dtype=complex)
     v[0::2, :] = vecs * np.sqrt(eigs)
     v[1::2, :] = vecs * np.sqrt(1.0 - eigs)
-    proj = v @ v.conj().T
-    return Projector(proj, rank=d)
+    return _frozen(Projector, matrix=v @ v.conj().T, rank=d)
 
 
 def compress(g) -> Effect:

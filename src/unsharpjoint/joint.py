@@ -106,21 +106,22 @@ class JointObservable:
     The effects sum to the identity (to JOINT_NORMALIZATION_TOL); each is
     PSD by Effect validation, or in a decision's witness by the one stacked
     _check_effects of _yes, which then wraps them unchecked.  Row marginals
-    reproduce the first observable, column marginals the second.
+    reproduce the first observable, column marginals the second.  Its smallest
+    eigenvalue is set when it is built: from each effect's eigvalsh here, from
+    the witness check's raw spectra in _yes.
     """
 
     g_pp: Effect
     g_pm: Effect
     g_mp: Effect
     g_mm: Effect
-    # Smallest raw eigenvalue, from the witness check's one raw spectrum (its Weyl
-    # margin leaves only a hermitized fallback near the window's edges), for check_joint.
-    _min_eig: float | None = field(default=None, init=False, repr=False)
+    _min_eig: float = field(init=False, repr=False)
 
     def __post_init__(self):
         eye = identity(_same_dim(*(_require(e, Effect).dim for e in self.effects)))
         total = sum(e.matrix for e in self.effects)
         _within("joint-normalization", _max_abs(total - eye), JOINT_NORMALIZATION_TOL)
+        object.__setattr__(self, "_min_eig", min(float(np.linalg.eigvalsh(e.matrix)[0]) for e in self.effects))
 
     @property
     def effects(self) -> tuple[Effect, Effect, Effect, Effect]:
@@ -131,9 +132,7 @@ class JointObservable:
         return self.g_pp.dim
 
     def min_eigenvalue(self) -> float:
-        if self._min_eig is not None:
-            return self._min_eig
-        return min(float(np.linalg.eigvalsh(e.matrix)[0]) for e in self.effects)
+        return self._min_eig
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,14 @@ from unsharpjoint import (
     DichotomicObservable,
     Effect,
     JointObservable,
+    NoSignalingBox,
     Projector,
     ValidationError,
     box_chsh,
     check_joint,
     chsh,
     feasibility_oracle,
+    local_deterministic_boxes,
     matrix_from_json,
     matrix_to_json,
     mean_value,
@@ -32,7 +34,7 @@ from unsharpjoint import (
     smeared_chsh,
     two_projector_blocks,
 )
-from unsharpjoint.bell import smeared_chsh_values
+from unsharpjoint.bell import SETTINGS, smeared_chsh_values
 from unsharpjoint.operators import HERMITIAN_TOL, PSD_TOL, _hermitian_part, _unit_vector, identity
 
 _EMPTY = np.zeros((0, 0))
@@ -457,7 +459,9 @@ UNIT_LAMBDA = st.floats(0.0, 1.0, exclude_min=True)
 
 class TestDerivedValuesAreValid:
     """Values built unchecked (complements, smeared observables, Bloch
-    projectors, pure states) pass every public check when rebuilt."""
+    projectors, pure states, Neumark projectors, the built-in boxes) pass
+    every public check when rebuilt, and a joint observable's smallest
+    eigenvalue is set when it is built."""
 
     @settings(max_examples=150)
     @given(
@@ -500,6 +504,41 @@ class TestDerivedValuesAreValid:
                 DensityMatrix.pure(v)
             return
         DensityMatrix(DensityMatrix.pure(v).matrix)
+
+    @settings(max_examples=100)
+    @given(
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0, -PSD_TOL / 2, 1.0 + PSD_TOL / 2]), st.floats(0.0, 1.0)),
+                 min_size=1, max_size=16),
+    )
+    def test_neumark_projector(self, seed, eigs):
+        dil = neumark_dilate(DichotomicObservable.from_yes_effect(_effect_matrix(seed, eigs)))
+        d = len(eigs)
+        assert dil.rank == d and not dil.matrix.flags.writeable
+        assert Projector(dil.matrix, rank=d).matrix.tobytes() == dil.matrix.tobytes()
+
+    def test_built_in_boxes(self):
+        boxes = [pr_box(), *local_deterministic_boxes()]
+        assert len(boxes) == 17
+        for box in boxes:
+            rebuilt = NoSignalingBox(dict(zip(SETTINGS, box.p.reshape(4, 2, 2))))
+            assert box.p.shape == rebuilt.p.shape and not box.p.flags.writeable
+            assert rebuilt.p.tobytes() == box.p.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_hand_built_joint_observable_s_smallest_eigenvalue(self, eigensolves, d):
+        # G_k = S^(-1/2) X_k^H X_k S^(-1/2) for S = sum of X_k^H X_k: four effects summing to I.
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+        g = x.conj().swapaxes(1, 2) @ x
+        w, v = np.linalg.eigh(g.sum(axis=0))
+        root = (v / np.sqrt(w)) @ v.conj().T
+        j = JointObservable(*(Effect(_hermitian_part(root @ m @ root)) for m in g))
+        want = min(float(np.linalg.eigvalsh(e.matrix)[0]) for e in j.effects)
+        eigensolves.clear()
+        got = j.min_eigenvalue()
+        assert eigensolves == []
+        assert got.hex() == want.hex()
 
 
 def _unit_by_linalg_norm(vec) -> np.ndarray:

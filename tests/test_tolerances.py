@@ -9,7 +9,8 @@ check, and a path chosen outside joint._decide fails the core check.
 The acceptance criteria are exempt: their gate literals are printed in
 their detail strings.  Refusals are pinned the same way: every raise in the
 package raises a ValidationError but those of the files uj reads and writes,
-and every operand dimension is checked by one helper.
+every operand dimension is checked by one helper, and a validating
+constructor runs only where a value enters from outside.
 """
 
 import ast
@@ -105,10 +106,10 @@ OTHER_RAISES = {
 
 
 def _scoped(tree: ast.AST, scope: str = "<module>"):
-    """(the enclosing function's name, node) for every node under tree."""
+    """(the enclosing function's name, "Class.method" for a method, node) for every node under tree."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _scoped(node, node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped(node, node.name if scope == "<module>" else f"{scope}.{node.name}")
         else:
             yield scope, node
             yield from _scoped(node, scope)
@@ -189,6 +190,39 @@ def test_bell_imports_nothing_from_joint():
     package = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
     assert package == {"errors", "operators", "unsharp"}
     assert joint.BlochVector is operators.BlochVector is unsharpjoint.BlochVector
+
+
+# The types whose constructors validate, and the one place each of their calls
+# may run: where a value enters from outside.  Every other value is built unchecked.
+VALIDATING = ("Effect", "DichotomicObservable", "Projector", "DensityMatrix", "BlochVector",
+              "NoSignalingBox", "JointObservable")
+BOUNDARY = {
+    "cli._observable",  # an observable file uj reads
+    "cli._cmd_chsh",  # a state file uj reads
+    "cli._cmd_box_chsh",  # a box file uj reads
+    "operators.Projector.from_matrix",  # a raw matrix
+    "operators.DichotomicObservable.from_yes_effect",  # a raw matrix, or an Effect as it is
+    "operators.BlochVector.normalized",  # a raw vector, checked by the constructor's norm window
+    "decompose.compress",  # a raw matrix, or an Effect's
+    "bell.optimal_settings",  # constants that take the constructor's stored bits v / |v|
+    "acceptance._random_projector",  # the criteria's inputs enter as a user's would
+    "acceptance._random_effect",  # likewise
+}
+
+
+def test_validating_constructors_run_only_at_the_boundary():
+    # A value derived from validated ones (a complement, a smeared observable, a
+    # pure state, a built-in box, a dilation, a witness) is valid by construction
+    # and built by operators._frozen; a constructor call anywhere else re-runs
+    # checks that cannot fail.
+    sites = set()
+    for module, tree in _modules():
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func).rsplit(".", 1)[-1]
+                if name in VALIDATING or name == "cls":
+                    sites.add(f"{module}.{scope}")
+    assert sites == BOUNDARY
 
 
 def test_one_guard_silences_float_warnings():

@@ -21,6 +21,10 @@ PINNED_QUBIT_101 = "60e0151c5e727455988056fe8b88f5013c88ee640da8704fabd71eb9a7da
 # Computed with every dimension refusal a ValidationError("same-dimension"), and
 # a projector whose trace adds inf and -inf refused in one error line.
 PINNED_REFUSALS = "5a1593e54554d0d9b659d6500e8d4e166113a3b45d7a40b4b4f9806af850cab4"
+# Computed with the built-in boxes checked by NoSignalingBox, the dilations by
+# Projector and the pure states by two residual checks; the same bytes since
+# all three are built unchecked.
+PINNED_UNCHECKED_101 = "ea4d608a5a1cecd2974cd3d4fddc7eb10fa70a8d7c2b7beda22ae59ab80ee2ee"
 
 
 def _tool(monkeypatch):
@@ -67,6 +71,14 @@ def test_one_seed_gives_one_qubit_and_oracle_digest(monkeypatch):
     # state, both CHSH reports) and 200 of the oracle workload.
     line = _tool(monkeypatch).qubit_digest((101,))
     assert line == f"{PINNED_QUBIT_101}  qubit/oracle library over 1 seeds x 200 ops each"
+
+
+def test_one_seed_gives_one_digest_of_the_values_built_unchecked(monkeypatch):
+    # The PR box and the 16 deterministic boxes, both effects of each of the 50
+    # POVM ops of one blocks cycle dilated (d up to 16), and 200 qubit pure states.
+    line = _tool(monkeypatch).unchecked_digest((101,))
+    assert line == (f"{PINNED_UNCHECKED_101}  unchecked values over 17 boxes, 100 dilations "
+                    "and 1 seeds x 200 pure states")
 
 
 def test_one_digest_per_refused_argv_and_one_line_over_them(monkeypatch):

@@ -26,7 +26,13 @@ its number, name, passed flag and detail line, without its runtime.
 Every argv so far succeeds, so a fifth line digests argvs that `uj` must
 refuse (REFUSALS, on files planted in a temporary directory): each one's
 exit code, stdout and stderr, with the directory replaced by the same token.
-The tool exits non-zero if any of them exits 0.
+The tool exits non-zero if any of them exits 0.  The cli's argvs dilate
+only up to d = 4 and never print a built-in box, so a sixth line digests
+the values the package builds without re-running a constructor's checks:
+the `p` bytes of `pr_box()` and of each `local_deterministic_boxes()`
+table, `neumark_dilate` of both effects of every POVM op of one `blocks`
+cycle per seed (d up to 16), and `DensityMatrix.pure` of the ψ of QUBIT_OPS
+`qubit` ops per seed.
 
 Compare two trees of the package by running it against each `src/`:
 
@@ -187,6 +193,30 @@ def qubit_digest(seeds) -> str:
     return f"{h.hexdigest()}  qubit/oracle library over {len(seeds)} seeds x {QUBIT_OPS} ops each"
 
 
+def unchecked_digest(seeds) -> str:
+    """One "sha256  unchecked values ..." line over the built-in boxes, the
+    dilations of the blocks workload's POVM effects and the qubit ops' pure states."""
+    from perfbench.workloads import BlocksWorkload, QubitWorkload
+    from unsharpjoint import (DensityMatrix, DichotomicObservable, local_deterministic_boxes,
+                              neumark_dilate, pr_box)
+
+    h = hashlib.sha256()
+    boxes = [pr_box(), *local_deterministic_boxes()]
+    _update(h, [box.p.tobytes() for box in boxes])
+    dilations = 0
+    for seed in seeds:
+        blocks, qubit = (w(seed, Path(tempfile.gettempdir())) for w in (BlocksWorkload, QubitWorkload))
+        povms = [op.data for op in map(blocks.make, range(blocks.cycle)) if op.kind == "povm"]
+        for yes in (m for data in povms for m in (data["a"], data["b"])):
+            p = neumark_dilate(DichotomicObservable.from_yes_effect(yes))
+            _update(h, [p.matrix.tobytes(), str(p.rank).encode()])
+            dilations += 1
+        for index in range(QUBIT_OPS):
+            _update(h, [DensityMatrix.pure(qubit.make(index).data["psi"]).matrix.tobytes()])
+    return (f"{h.hexdigest()}  unchecked values over {len(boxes)} boxes, {dilations} dilations "
+            f"and {len(seeds)} seeds x {QUBIT_OPS} pure states")
+
+
 def refusal_digests() -> list[tuple[str, str]]:
     """(name, sha256) for every argv of REFUSALS; SystemExit if uj accepts one."""
     from unsharpjoint import cli
@@ -245,6 +275,7 @@ def main(argv=None) -> int:
     print(qubit_digest(SEEDS))
     print(acceptance_digest())
     print(refusal_digest())
+    print(unchecked_digest(SEEDS))
     return 0
 
 
