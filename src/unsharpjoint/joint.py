@@ -27,9 +27,11 @@ lam = 1/sqrt(2).  _decide takes one of three paths:
   add, as no jointly measurable pair violates CHSH (Wolf, Perez-Garcia & Fernandez 2009);
 * past the gate, any other pair goes to an alternating-projection
   (Dykstra) feasibility oracle, Anderson-accelerated and started at the
-  witness.  Its verdicts do not rest on the start (a "yes" is a checked PSD
-  point of the affine set, a "no" a Farkas certificate), so it also
-  cross-checks every closed-form verdict in the test suite.
+  witness, which is its "yes" at iteration 0 where it is PSD: the gate's
+  bound is exact for a sharp pair, not for every other.  Its verdicts do not
+  rest on the start (a "yes" is a checked PSD point of the affine set, a
+  "no" a Farkas certificate), so it also cross-checks every closed-form
+  verdict in the test suite.
 
 For Bloch vectors |A+B| and |A-B| are the scalars |m+n| and |m-n|,
 top = |m+n| + |m-n| is the paper's criterion, and the observables, (I + v.sigma) / 2
@@ -169,8 +171,9 @@ class FeasibilityReport:
                          Bell "no", the (negative) value (2 - lam * top) / 8
                          the witness would have had; for an oracle
                          "no" or "undetermined", that of its affine iterate
-                         in the oracle's own eigh
-    iterations        -- oracle iterations (0 for constructive paths)
+                         in the oracle's own eigvalsh
+    iterations        -- oracle projections (0 for the closed-form paths, and
+                         for an oracle "yes" at its start)
     certificate       -- for an oracle "no", the read-only (4, d, d) stack
                          of PSD matrices H_pp, H_pm, H_mp, H_mm with
                          H_pp - H_pm - H_mp + H_mm = 0 and a negative
@@ -310,8 +313,9 @@ def _decide(pair: _Pair, lam: float) -> FeasibilityReport:
     """The one place a decision picks its path: the witness where the gate passes; past it
     a Bell "no" where lam * beta - 4 max(0, lam * radius - 1) > 2 + CRITERION_SLACK (Alice's
     effects outside [0, I] add at most the second term: Bob's X +- Y have norm <= 2), carrying
-    (2 - lam * top) / 8, the witness's smallest eigenvalue; else the oracle, which also decides
-    a sharp pair whose beta lies below top by its spread of values within CLUSTER_TOL."""
+    (2 - lam * top) / 8, the witness's smallest eigenvalue; else the oracle, started at the same
+    witness (a "yes" at iteration 0 where it is PSD), which also decides a sharp pair whose beta
+    lies below top by its spread of values within CLUSTER_TOL."""
     if _feasible(lam, pair):
         a, b, abs_sum, abs_diff, o1, o2 = pair.parts()
         return _yes(_witnesses(a, b, abs_sum, abs_diff, lam), pair.tol, smear(o1, lam), smear(o2, lam), 0)
@@ -357,7 +361,8 @@ def povm_joint_observable(
 ) -> FeasibilityReport:
     """Joint observable for any two smeared dichotomic observables, decided as
     the module docstring says: past the gate a Bell "no" (iterations 0), or
-    else the verdict of feasibility_oracle, whose report shows iterations > 0."""
+    else the verdict of feasibility_oracle, whose report shows iterations > 0
+    unless its start, the witness at lam, is already PSD."""
     return _decide(_observable_pair(o1, o2), validate_lambda(lam))
 
 
@@ -440,8 +445,8 @@ def feasibility_oracle(
     A = 2 Y1 - I, B = 2 Y2 - I, _witnesses(A, B, |A+B|, |A-B|, 1), which
     is affine by construction (projected once, for rounding) and equals the
     witness _decide builds at the same lam: inside the gate it is PSD and
-    the verdict is "yes" at iteration 1, and past it the gap y - x of
-    iteration 1 is most often already a certificate.
+    the verdict is "yes" at iteration 0, carrying the start, and past it the
+    gap y - x of iteration 1 is most often already a certificate.
     Each step is a type-II Anderson step on T (Walker & Ni 2011) in the
     real view of the stack, z + g - (dZ + dG) gamma: g = T(z) - z = x - y,
     dZ and dG are the last ANDERSON_MEMORY differences of z and g, and
@@ -453,9 +458,9 @@ def feasibility_oracle(
     2020): where no joint observable exists, |g| levels off at the gap and
     the plain steps carry y - x to the gap vector.  The verdict is:
 
-    * "yes" once an affine iterate is PSD to -PSD_TOL, the effect
-      tolerance, so the witness validates as a JointObservable; marginals
-      then hold exactly;
+    * "yes" once an affine point, the start or an iterate, is PSD to
+      -PSD_TOL, the effect tolerance, so the witness validates as a
+      JointObservable; marginals then hold exactly;
     * "no" once a Farkas certificate verifies, tested at iteration 1 and
       then at the first accepted point CERTIFICATE_EVERY iterations after
       the last test: four PSD matrices H_jk with H_pp - H_pm - H_mp + H_mm
@@ -465,11 +470,13 @@ def feasibility_oracle(
       feasibility boundary, and also for near-sharp pairs at lam = 1, where
       nothing is smeared (3 of 100 at d = 2; ROADMAP item 19).
 
-    The start takes |A+B| and |A-B| from _abs_pair, and each iteration makes
-    one eigensolve, eigh of an (8, d, d) stack: the raw affine iterate for
-    the PSD test and the hermitized input of the next PSD projection.  A
-    "yes" is checked on, and a "no" or "undetermined" reported from, that
-    eigh at its last iteration: the gap max|x - y| and the spectrum of x.
+    The start takes |A+B| and |A-B| from _abs_pair.  Each pass solves only
+    what it reads: y = P_psd(z) from the last eigh, x = P_aff(y), eigvalsh
+    of the raw x for the PSD test, the certificate test, the Anderson step,
+    and only then eigh of the hermitized (4, d, d) z for the next pass; the
+    start gets only the eigvalsh, and no eigh runs after a verdict.  A "yes"
+    is checked on, and a "no" or "undetermined" reported from, the last
+    eigvalsh: the gap max|x - y| and the spectrum of x.
     """
     eye = identity(_same_dim(*(_require(o, DichotomicObservable).dim for o in (o1lam, o2lam))))
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
@@ -480,39 +487,37 @@ def feasibility_oracle(
     a, b = 2.0 * y1 - eye, 2.0 * y2 - eye
     x = _affine_project(_witnesses(a, b, *_abs_pair(a, b), 1.0), base, half_sum, quarter_eye)
     z = x + np.zeros_like(x)  # the Dykstra correction starts at 0
-    eigs, vecs = np.linalg.eigh(_hermitian_part(z))
     dz, dg, last = [], [], None  # the steps of z and of g; the last accepted (z, g, |g|)
     tested = 1 - CERTIFICATE_EVERY  # the iteration of the last test: the first is at 1
     certificate = None
 
-    for it in range(1, MAX_ITER + 1):
+    for it in range(MAX_ITER + 1):  # iteration 0 tests the start, each later one a projection
+        spectra = np.linalg.eigvalsh(x)
+        low = float(spectra[:, 0].min())
+        if low >= -PSD_TOL:
+            return _yes(x, PSD_TOL, o1lam, o2lam, it, spectra)
+        if it:
+            zr, g = z.view(float).ravel(), (x - y).view(float).ravel()
+            norm = float(np.linalg.norm(g))
+            rejected = bool(dg) and norm > last[2]  # dg is empty after a plain step
+            if it - tested >= CERTIFICATE_EVERY and not rejected:
+                tested, certificate = it, _farkas_certificate(x, y, base, eye)
+            if certificate is not None or it == MAX_ITER:
+                break
+            if rejected:
+                step, dz, dg = last[0] + last[1], [], []
+            else:
+                if last is not None:
+                    dz, dg = [*dz, zr - last[0]][-ANDERSON_MEMORY:], [*dg, g - last[1]][-ANDERSON_MEMORY:]
+                last, step = (zr, g, norm), zr + g
+                if dg:
+                    step = _anderson_step(step, dz, dg, g)
+                    if not np.isfinite(step).all():
+                        step, dz, dg = zr + g, [], []
+            z = step.view(complex).reshape(x.shape)
+        eigs, vecs = np.linalg.eigh(_hermitian_part(z))
         y = (vecs * np.maximum(eigs, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)  # P_psd(z)
         x = _affine_project(y, base, half_sum, quarter_eye)
-        zr, g = z.view(float).ravel(), (x - y).view(float).ravel()
-        norm = float(np.linalg.norm(g))
-        rejected = bool(dg) and norm > last[2]  # dg is empty after a plain step
-        if rejected:
-            step, dz, dg = last[0] + last[1], [], []
-        else:
-            if last is not None:
-                dz, dg = [*dz, zr - last[0]][-ANDERSON_MEMORY:], [*dg, g - last[1]][-ANDERSON_MEMORY:]
-            last, step = (zr, g, norm), zr + g
-            if dg:
-                step = _anderson_step(step, dz, dg, g)
-                if not np.isfinite(step).all():
-                    step, dz, dg = zr + g, [], []
-        z = step.view(complex).reshape(x.shape)
-        eigs, vecs = np.linalg.eigh(np.concatenate([x, _hermitian_part(z)]))
-        low = float(eigs[:4, 0].min())
-        if low >= -PSD_TOL:
-            return _yes(x, PSD_TOL, o1lam, o2lam, it, eigs[:4])
-        eigs, vecs = eigs[4:], vecs[4:]
-
-        if it - tested >= CERTIFICATE_EVERY and not rejected:
-            tested = it
-            certificate = _farkas_certificate(x, y, base, eye)
-            if certificate is not None:
-                break
 
     return FeasibilityReport("undetermined" if certificate is None else "no", None,
                              _max_abs(x - y), low, it, certificate)

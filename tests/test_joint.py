@@ -1,5 +1,6 @@
 """Joint-measurability constructions, the oracle, and threshold search."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -118,6 +119,82 @@ def _threshold_probes(delta):
         m, n = (BlochVector.normalized(rng.normal(size=3)) for _ in range(2))
         lam = 2.0 / criterion_value(m, n, 1.0) * (1.0 + delta)
         yield smear(m.observable(), lam), smear(n.observable(), lam)
+
+
+def _oracle_start(o1lam, o2lam):
+    """The oracle's start: the midpoint witness of the smeared contrasts at lam = 1,
+    projected once onto the affine set of the targets' marginals."""
+    y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
+    eye = identity(o1lam.dim)
+    base = np.stack([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
+    a, b = 2.0 * y1 - eye, 2.0 * y2 - eye
+    g = joint._witnesses(a, b, *joint._abs_pair(a, b), 1.0)
+    return joint._affine_project(g, base, 0.5 * (y1 + y2), 0.25 * eye)
+
+
+def _sha256(stack) -> str | None:
+    return None if stack is None else hashlib.sha256(np.asarray(stack).tobytes()).hexdigest()
+
+
+# Draws of default_rng(48) in the order of TestFeasibilityOracle's
+# test_no_iterate_moves: index -> (verdict, iterations, sha256 of the
+# certificate bytes) of each near-sharp pair whose oracle makes more than one
+# projection, and at d = 2 also (min_eigenvalue.hex(), sha256 of the witness
+# bytes).  Computed before the oracle tested its start.
+_PINNED_PATHS = {
+    1: ('yes', 14, None),
+    2: ('no', 24, 'ff7c7ff0c22e2e414bc071a97487f047c234fcf5979073e33ba0367de7fdf7a8'),
+    4: ('no', 54, '41a027eece9687c5e4f7f9c88860c353bf5ac7a3875965c9b600d5bd6193a88f'),
+    6: ('yes', 23, None),
+    8: ('yes', 3, None, '-0x1.4eb5800000000p-42', 'd2352b0e5cb01c236febe2a4c621d29907aa8b234b03f6b6b3cd66c7cc2a7e44'),
+    9: ('no', 32, 'd238a0df53031707454ae896621af958a17be45c6de8cadb960456dd4d5c92c0'),
+    10: ('yes', 3, None, '-0x1.f100000000000p-50', 'bfb569c76472a4e1057f79033c211e5f4f072c7fc47f8c9c550ac5ddc2de31e7'),
+    11: ('yes', 132, None),
+    14: ('no', 42, '7821857ee62311c92fb9e0a56973e1eb503e29696a85a75fc7da2b1095e09d9e'),
+    18: ('no', 44, '4858e2dfafb612f83acac7c9948935a8ff97e4f4101efe333d2599c99fd3096c'),
+    19: ('no', 46, 'de4f526e82295f43142c83c8bfa28971a6915d2a9cc73df9b790b33ebe98bc92'),
+    20: ('no', 31, '4a14844021ca8e57d7f89c610083eda2c978f2fe99bbfeb63766c717e6563f41'),
+    22: ('yes', 47, None),
+    24: ('no', 17, '3238ff68ff981863ae8abe9e75398d6e75e5b19771292cda8398d194bbc1812a'),
+    25: ('yes', 3, None),
+    26: ('no', 51, '26d90b49541d109a79ff6f9ed7eaf6021361ea670192082017c0c79a7a71d880'),
+    28: ('no', 6, '0c048c80427fa068782a63140fbbdc48760e25ae7800d51ce82d8b7a8a586f19'),
+    29: ('no', 11, 'e403eb39de90feebb32c464a4e9e738a4e63580ec45313046c1773a7076befbf'),
+    31: ('no', 6, '2b2658f8e56286f073f49279668298f89a55a562f22dc751ede4a0b54245c44f'),
+    32: ('yes', 5, None),
+    33: ('no', 49, '94629ea00e61b53dd4b51087fdcfb7dead7109f742b593ca34ef011eb0d03a69'),
+    34: ('no', 11, 'f00dcb5e0541a1801eafa19e2f585c1f867a4ab5b90ed418a4cec8af1c4f849b'),
+    35: ('yes', 15, None),
+    36: ('yes', 17, None),
+    37: ('no', 6, 'b15ef5b3afc6d97405ab491c52dd456b037619ecf2b91d305f32fd8415bec8da'),
+    38: ('yes', 3, None),
+    39: ('yes', 3, None),
+    40: ('yes', 3, None, '-0x1.f63e000000000p-42', 'b8b925dca084234c289607c5ad15357eddfa86513207cfe59d58fc7393bc5fd8'),
+    41: ('no', 16, '10a183799c1333f9d7b2b38878df8bc5ba86b66fb485a1ebfdf62bd94632ff9d'),
+    43: ('no', 33, '38340e72a1b7d4cb81f9ff6fa2d355c2b02b23d5265e2350e053c74647196cf2'),
+    44: ('no', 6, 'd83afbbbc7d85ba2257c4276ad2e2c151185efb376c4f79b29622d080ea90a3a'),
+    45: ('no', 11, 'a1dca817a1d8656c07b4c7789cf32c065a3a8eab0bf8cc8a3201101ba7788822'),
+    46: ('yes', 3, None),
+    47: ('yes', 9, None),
+    50: ('yes', 13, None),
+    53: ('yes', 12, None),
+    56: ('no', 11, '405066427e0f1c2386e2f534529b71508bba845368d26f5af006252c6b1e5343'),
+    57: ('no', 11, 'e0462e29a5b4315ecd6e84e8444ed8a204bd6b0c206c9d29a0bd636768ff8488'),
+    58: ('yes', 24, None),
+    59: ('yes', 3, None),
+    63: ('yes', 3, None),
+    64: ('no', 6, 'c375e1b45e432da987112fff164ae61f10a89c787592706517533f03ce86047e'),
+    66: ('no', 6, '114e2ca37f9e1dcf0259afa1159124d76347908f87ff879017b197c77113f5d2'),
+    67: ('yes', 18, None),
+    68: ('no', 56, '96e53a2b24d6f67da419a4fd51a51409caeba66575f6c2a8978d754f3e6a687a'),
+    70: ('no', 18, 'c13204412c6401e6469d79bec5e727a447473285f73aee6244d3b76c0f7ead5e'),
+    71: ('yes', 13, None),
+    73: ('yes', 9, None),
+    74: ('no', 6, 'c343559d5dc4e92ae88cfcfafacc65e3c66d5607638716001816467dc4f173ed', '-0x1.a0ad49d83c95cp-6', None),
+    75: ('no', 6, 'd5e966ce352f77527ff6982c22209b4dceb86c5c59a4aa81bc0e6f6c6cfa39be'),
+    77: ('yes', 18, None),
+    78: ('yes', 3, None, '-0x1.61cb800000000p-41', '42c301eb77bdc3d97c27d369f3952cdeb5ee9276acdf989ae17fd4352030202d'),
+}
 
 
 def _assert_certifies_no_exactly(h, o1lam, o2lam):
@@ -524,8 +601,8 @@ class TestPovmJointObservable:
         # fails lam * top <= 2 + CRITERION_SLACK, and lam * beta - 2 = 2e-9 at
         # the given operators, whose smeared effects are physical (lam * radius
         # = lam * s < 1): no exactly PSD joint observable exists, and the
-        # verdict is a Bell "no".  The oracle still finds one PSD to -PSD_TOL
-        # at iteration 1.
+        # verdict is a Bell "no".  The oracle's start is already PSD to
+        # -PSD_TOL: a "yes" at iteration 0, before any projection.
         s = 1.0 + 1e-9
         o1 = DichotomicObservable.from_yes_effect((identity(2) + s * PAULI_Z) / 2.0)
         o2 = DichotomicObservable.from_yes_effect((identity(2) + s * PAULI_X) / 2.0)
@@ -540,7 +617,7 @@ class TestPovmJointObservable:
         rep = povm_joint_observable(o1, o2, lam)
         assert (rep.feasible, rep.iterations, rep.witness) == ("no", 0, None)
         rep = feasibility_oracle(smear(o1, lam), smear(o2, lam))
-        assert rep.iterations == 1
+        assert (rep.feasible, rep.iterations) == ("yes", 0)
         _assert_witnesses_yes(rep, smear(o1, lam), smear(o2, lam))
 
     def test_effects_at_the_edge_of_the_window(self):
@@ -715,8 +792,9 @@ class TestFeasibilityOracle:
     @pytest.mark.parametrize("kind", ["bloch", "projector", "povm"])
     def test_starts_at_the_midpoint_witness(self, kind):
         # Inside the gate the warm start, the midpoint witness of the smeared
-        # contrasts, is already a joint observable: a "yes" at iteration 1
-        # carrying _decide's witness at the same lam, to rounding.
+        # contrasts, is already a joint observable: a "yes" at iteration 0,
+        # before any projection, carrying the start itself, bit for bit, and
+        # _decide's witness at the same lam, to rounding.
         decide = {"bloch": qubit_joint_observable, "projector": pvm_joint_observable,
                   "povm": povm_joint_observable}[kind]
         rng = np.random.default_rng(["bloch", "projector", "povm"].index(kind) + 53)
@@ -733,11 +811,35 @@ class TestFeasibilityOracle:
             threshold = lambda_opt_search(*((p, q) if kind == "bloch" else (o1, o2)))
             lam = threshold if i % 4 == 0 else threshold * float(rng.uniform(0.5, 1.0))
             closed = decide(p, q, lam)
-            rep = feasibility_oracle(smear(o1, lam), smear(o2, lam))
+            o1lam, o2lam = smear(o1, lam), smear(o2, lam)
+            rep = feasibility_oracle(o1lam, o2lam)
             assert (closed.feasible, closed.iterations) == ("yes", 0)
-            assert (rep.feasible, rep.iterations) == ("yes", 1)
+            assert (rep.feasible, rep.iterations) == ("yes", 0)
+            _assert_witnesses_yes(rep, o1lam, o2lam)
+            assert np.stack([g.matrix for g in rep.witness.effects]).tobytes() == _oracle_start(o1lam, o2lam).tobytes()
             for g, w in zip(rep.witness.effects, closed.witness.effects):
                 assert _max_abs(g.matrix - w.matrix) <= 1e-14
+
+    def test_no_iterate_moves(self):
+        # Near-sharp pairs past the gate, d = 2 to 6: the verdict, iteration
+        # count and certificate bytes of each pair that makes more than one
+        # projection are pinned, at d = 2 also its witness bytes and
+        # min_eigenvalue; every other draw is decided at its start or at its
+        # first projection.
+        rng = np.random.default_rng(48)
+        for index in range(80):
+            d = int(rng.integers(2, 7))
+            o1, o2 = (DichotomicObservable.from_yes_effect(_near_sharp_effect(rng, d)) for _ in range(2))
+            lam = float(rng.uniform(0.8, 1.0))
+            rep = feasibility_oracle(smear(o1, lam), smear(o2, lam))
+            if index not in _PINNED_PATHS:
+                assert rep.iterations <= 1
+                continue
+            row = (rep.feasible, rep.iterations, _sha256(rep.certificate))
+            if d == 2:
+                witness = None if rep.witness is None else [e.matrix for e in rep.witness.effects]
+                row += (rep.min_eigenvalue.hex(), _sha256(witness))
+            assert row == _PINNED_PATHS[index], index
 
     def test_a_no_closer_to_the_threshold_is_certified_within_the_budget(self):
         # At 1e-8 past the threshold, started from (I/4, I/4, I/4, I/4) with
@@ -1149,31 +1251,55 @@ class TestWitnessBuiltOnce:
                     rep = povm_joint_observable(o1, o2, LAMBDA_OPT)
                 else:
                     rep = feasibility_oracle(smear(o1, 0.5), smear(o2, 0.5))
-            # The oracle's witness check reads the values of the loop's own eigh.
-            solve = (lambda m: np.linalg.eigh(m)[0]) if path == "oracle" else np.linalg.eigvalsh
-            raw = min(float(solve(e.matrix)[0]) for e in rep.witness.effects)
+            raw = min(float(np.linalg.eigvalsh(e.matrix)[0]) for e in rep.witness.effects)
             assert rep.min_eigenvalue == raw
             lam = 0.5 if path == "oracle" else LAMBDA_OPT
             assert check_joint(rep.witness, smear(o1, lam), smear(o2, lam)).min_eigenvalue == raw
 
-    @pytest.mark.parametrize("factor,verdict", [(0.97, "yes"), (1.03, "no"), (1.0 + 1e-8, "no")])
-    def test_oracle_makes_one_eigensolve_per_iteration(self, factor, verdict, eigensolves):
-        # One eigh for the warm start's |A+B| and |A-B| (_abs_pair), one eigh
-        # per iteration (plus one before the first), an eigvalsh per
-        # certificate test (at iteration 1, then every CERTIFICATE_EVERY); a
-        # "yes" is checked and a "no" reported from the loop's own spectrum.
-        # The last case runs thousands of iterations, so the bound is checked
-        # where k is large.
-        n = BlochVector.normalized([math.sin(1.0), 0.3, math.cos(1.0)])
-        lam = factor * 2.0 / criterion_value(Z, n, 1.0)
-        o1lam, o2lam = smear(Z.observable(), lam), smear(n.observable(), lam)
-        del eigensolves[:]
+    @pytest.mark.parametrize("case,verdict", [
+        (0.97, "yes"), ("near-sharp", "yes"), (1.03, "no"), (1.0 + 1e-8, "no")])
+    def test_oracle_solves_only_what_it_reads(self, case, verdict, monkeypatch):
+        # One eigh of (2, d, d) for the start's |A+B| and |A-B| (_abs_pair) and
+        # one eigvalsh of the start; then per projection one eigh of the (4, d, d)
+        # input it projects and one eigvalsh of the affine point it gives; one
+        # eigvalsh per certificate test, after that point's; nothing after the
+        # verdict.  A "yes" is checked and any report read on those eigvalsh.
+        if case == "near-sharp":  # past the gate, PSD only after projections
+            rng = np.random.default_rng(20)
+            o1lam, o2lam = (smear(DichotomicObservable.from_yes_effect(_near_sharp_effect(rng, 3)), 0.9)
+                            for _ in range(2))
+        else:
+            n = BlochVector.normalized([math.sin(1.0), 0.3, math.cos(1.0)])
+            lam = case * 2.0 / criterion_value(Z, n, 1.0)
+            o1lam, o2lam = smear(Z.observable(), lam), smear(n.observable(), lam)
+        calls = []
+
+        def recording(name, real):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return real(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(joint, "_farkas_certificate", recording("certificate", joint._farkas_certificate))
         rep = feasibility_oracle(o1lam, o2lam)
         assert rep.feasible == verdict
-        k = rep.iterations
-        assert len(eigensolves) <= k + -(-k // CERTIFICATE_EVERY) + 2
-        if verdict == "yes":
-            assert eigensolves == ["eigh"] * (k + 2)
+        d, k = o1lam.dim, rep.iterations
+        assert (k == 0) == (case == 0.97)
+        pair, stack = (2, d, d), (4, d, d)
+        # The iteration of each certificate test: the projections made before it.
+        tested = [calls[:i].count(("eigh", stack)) for i, call in enumerate(calls) if call[0] == "certificate"]
+        expected = [("eigh", pair), ("eigvalsh", stack)]
+        for it in range(1, k + 1):
+            expected += [("eigh", stack), ("eigvalsh", stack)]
+            if it in tested:
+                expected += [("certificate", (4, d, d)), ("eigvalsh", stack)]
+        assert calls == expected
+        # At iteration 1, then at most every CERTIFICATE_EVERY, the last test at the "no".
+        assert tested[:1] == ([1] if k else [])
+        assert all(b - a >= CERTIFICATE_EVERY for a, b in zip(tested, tested[1:]))
+        assert (tested[-1:] == [k]) == (verdict == "no")
 
     def test_derived_values_make_no_eigensolve(self, eigensolves):
         obs = Z.observable()
@@ -1388,13 +1514,17 @@ class TestOneDecision:
             st.sampled_from([LAMBDA_OPT, 1.0]),
         ),
     )
+    # Past the gate, a non-sharp pair whose oracle start is PSD by 7.4e-3.
+    @example(26, 2, False, False, 0.9)
     def test_povm_joint_observable_decides_every_pair(self, seed, d, sharp1, sharp2, lam):
         # Projector, POVM and mixed pairs: a sharp pair is the projectors'
         # report byte for byte; any other pair is a closed-form "yes" exactly
         # where lam <= 1/sqrt(2) or lam * top <= 2 + slack, past that a Bell
         # "no" exactly where lam * beta, less what effects outside [0, I] add,
-        # passes 2 + slack, and an oracle verdict elsewhere.  Every verdict
-        # passes its own numpy check, a Bell "no" a rebuilt CHSH value above 2.
+        # passes 2 + slack, and an oracle verdict elsewhere, at iteration 0
+        # exactly where the oracle's start, the midpoint witness at lam, is
+        # PSD to -PSD_TOL.  Every verdict passes its own numpy check, a Bell
+        # "no" a rebuilt CHSH value above 2.
         rng = np.random.default_rng(seed)
         elements = [
             _random_projector(rng, d, int(rng.integers(0, d + 1))).matrix if sharp
@@ -1415,7 +1545,11 @@ class TestOneDecision:
             e = [np.abs(np.linalg.eigvalsh(q.conj().T @ h @ q)) for h in (a + b, a - b, a, b)]
             beta, radius = (e[0].sum() + e[1].sum()) / q.shape[1], max(e[2].max(), e[3].max())
             bell = lam * beta - 4.0 * max(0.0, lam * radius - 1.0) > 2.0 + CRITERION_SLACK
-            assert (rep.iterations == 0) == (closed or bell)
+            # The midpoint witness of the smeared contrasts lam A, lam B, raw.
+            t = lam * (_abs(a + b) - _abs(a - b)) / 2.0
+            g = np.stack([np.eye(d) + lam * (j * a + k * b) + j * k * t for j in (1, -1) for k in (1, -1)])
+            start = np.linalg.eigvalsh(g / 4.0)[:, 0].min() >= -PSD_TOL
+            assert (rep.iterations == 0) == (closed or bell or start)
             assert rep.feasible == "yes" or not closed
         o1lam, o2lam = smear(o1, lam), smear(o2, lam)
         if rep.feasible == "yes":
@@ -1800,15 +1934,17 @@ class TestBellNo:
         o2 = o1 if yes2 is None else DichotomicObservable.from_yes_effect(np.diag(yes2))
         beta, radius = _observable_pair(o1, o2).bell()
         assert (beta, radius) == pytest.approx((2.0 + 2e-9, 1.0 + 1e-9), abs=1e-15)
+        # The oracle's start is PSD to -PSD_TOL: a "yes" at iteration 0.
         rep = povm_joint_observable(o1, o2, 1.0)
-        assert rep.iterations >= 1
+        assert (rep.feasible, rep.iterations) == ("yes", 0)
         _assert_witnesses_yes(rep, smear(o1, 1.0), smear(o2, 1.0))
 
     def test_a_sharp_pair_whose_top_blocks_differ_goes_to_the_oracle_in_the_band(self):
         # Two blocks whose values 2 (cos t + sin t) lie 5e-11 apart: both are in the
         # top cluster, so beta is their mean, top - beta = 2.5e-11.  Just past the
         # gate, lam * top - 2 = 2 CRITERION_SLACK < lam (top - beta): no Bell "no",
-        # and the oracle's witness, at most (2 - lam * top) / 8 below 0, says "yes".
+        # and the oracle's start, at most (2 - lam * top) / 8 below 0, says "yes"
+        # at iteration 0.
         t = 0.6
         dt = 5e-11 / (2.0 * (math.cos(t) - math.sin(t)))
         rays = [np.array([math.cos(x), math.sin(x)]) for x in (t, t + dt)]
@@ -1819,7 +1955,7 @@ class TestBellNo:
         assert top - beta == pytest.approx(2.5e-11, rel=1e-3)
         lam = (2.0 + 2.0 * CRITERION_SLACK) / top
         for rep in (pvm_joint_observable(p, q, lam), povm_joint_observable(p.observable(), q.observable(), lam)):
-            assert rep.iterations == 1
+            assert (rep.feasible, rep.iterations) == ("yes", 0)
             assert rep.min_eigenvalue == pytest.approx(-CRITERION_SLACK / 4.0, rel=1e-3)
             _assert_witnesses_yes(rep, smear(p.observable(), lam), smear(q.observable(), lam))
 

@@ -11,13 +11,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# Computed with a pair of projectors decided through its observables, A = E - N,
-# whose top comes from the one eigh that also gives its Bell value, and every
-# BlochVector stored as v / |v|.
-PINNED_TOTAL_101 = "84faa3f491ddf4dfd3e635bc4091e1678e71acc57c311d471c9a325cb60c64d3"
+# Computed with the oracle's "yes" at iteration 0 where its start is already
+# PSD, carrying that start; past a pair of projectors decided through its
+# observables, A = E - N, whose top comes from the one eigh that also gives its
+# Bell value, and every BlochVector stored as v / |v|.
+PINNED_TOTAL_101 = "e5787a2c1139e624ba33df05d27e3945e379223fa8c3ad12e5f688c682f50a5b"
 PINNED_LIBRARY_101 = "1a140ab2d4b88ba274f53e6a857cd9caf1f978110b0746ea77e129cc17e0c6d7"
-# Computed with every BlochVector stored as v / |v|.
-PINNED_QUBIT_101 = "60e0151c5e727455988056fe8b88f5013c88ee640da8704fabd71eb9a7da086b"
+# Computed with the oracle's start-decided "yes" as above, and every
+# BlochVector stored as v / |v|.
+PINNED_QUBIT_101 = "16e045d5356617cf48b20128a09f483870902fa4143ba64c92205c6c8af7a8b1"
 # Computed with every dimension refusal a ValidationError("same-dimension"), and
 # a projector whose trace adds inf and -inf refused in one error line.
 PINNED_REFUSALS = "5a1593e54554d0d9b659d6500e8d4e166113a3b45d7a40b4b4f9806af850cab4"
