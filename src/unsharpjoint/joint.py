@@ -27,7 +27,9 @@ lam = 1/sqrt(2).  _decide takes one of three paths:
   add, as no jointly measurable pair violates CHSH (Wolf, Perez-Garcia & Fernandez 2009);
 * past the gate, any other pair goes to an alternating-projection
   (Dykstra) feasibility oracle, Anderson-accelerated and started at the
-  witness, which is its "yes" at iteration 0 where it is PSD: the gate's
+  witness, built from the one part of it that the affine projection reads,
+  G_pp - G_pm - G_mp + G_mm = lam (|A+B| - |A-B|) / 2.  The start is its
+  "yes" at iteration 0 where it is PSD: the gate's
   bound is exact for a sharp pair, not for every other.  Its verdicts do not
   rest on the start (a "yes" is a checked PSD point of the affine set, a
   "no" a Farkas certificate), so it also cross-checks every closed-form
@@ -278,7 +280,7 @@ def _bell_value(a, b, w, v) -> tuple[float, float]:
 
 def _abs_pair(a: np.ndarray, b: np.ndarray):
     """|A+B| and |A-B| (a, b of one shape), from one eigh of A+B and A-B with absolute eigenvalues."""
-    w, v = np.linalg.eigh(np.stack([a + b, a - b]))
+    w, v = np.linalg.eigh(np.array([a + b, a - b]))
     abs_sum, abs_diff = (v * np.abs(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
     return abs_sum, abs_diff
 
@@ -367,9 +369,10 @@ def povm_joint_observable(
 
 
 def _affine_project(
-    h: np.ndarray, base: np.ndarray, half_sum: np.ndarray, quarter_eye: np.ndarray
+    k: np.ndarray, base: np.ndarray, half_sum: np.ndarray, quarter_eye: np.ndarray
 ) -> np.ndarray:
-    """Orthogonal projection onto the marginal constraints.
+    """Orthogonal projection onto the marginal constraints of a (4, d, d) stack h,
+    given by the one part of h it reads, its moment k = h_pp - h_pm - h_mp + h_mm.
 
     The constraint set {G_pp + G_pm = Y1, G_mp + G_mm = I - Y1,
     G_pp + G_mp = Y2, G_pm + G_mm = I - Y2} is the affine space
@@ -377,12 +380,12 @@ def _affine_project(
 
         (F, Y1 - F, Y2 - F, I - Y1 - Y2 + F) = base + (F, -F, -F, F).
 
-    The nearest point to h has F = (h_pp - h_pm - h_mp + h_mm) / 4 plus
-    half_sum - quarter_eye = (Y1 + Y2) / 2 - I / 4.  base[0] is -0 in both
-    parts and the signs multiply real and imaginary parts as floats, so no
-    zero part of F changes sign.
+    The nearest point to h has F = k / 4 plus half_sum - quarter_eye
+    = (Y1 + Y2) / 2 - I / 4.  base[0] is -0 in both parts and the signs
+    multiply real and imaginary parts as floats, so no zero part of F
+    changes sign.
     """
-    f = 0.25 * (h[0] - h[1] - h[2] + h[3]) + half_sum - quarter_eye
+    f = 0.25 * k + half_sum - quarter_eye
     return (base.view(float) + _JK_SIGNS * f.view(float)).view(complex)
 
 
@@ -413,7 +416,7 @@ def _farkas_certificate(
     """
     h = y - x
     k = h[0] - h[1] - h[2] + h[3]
-    h = _hermitian_part(h - np.stack([k, -k, -k, k]) / 4.0)
+    h = _hermitian_part(h - np.array([k, -k, -k, k]) / 4.0)
     h = h + max(0.0, -float(np.min(np.linalg.eigvalsh(h)))) * eye
     pairing = float(np.sum(np.conj(h) * base).real)
     if pairing >= -CERTIFICATE_MARGIN * len(eye) * float(np.linalg.norm(h)):
@@ -442,11 +445,11 @@ def feasibility_oracle(
     cones and the affine space of the marginal constraints iterate
     T(z) = P_aff(P_psd(z)) + z - P_psd(z); y = P_psd(z), x = P_aff(y).
     They start at the midpoint witness of the smeared contrasts
-    A = 2 Y1 - I, B = 2 Y2 - I, _witnesses(A, B, |A+B|, |A-B|, 1), which
-    is affine by construction (projected once, for rounding) and equals the
-    witness _decide builds at the same lam: inside the gate it is PSD and
-    the verdict is "yes" at iteration 0, carrying the start, and past it the
-    gap y - x of iteration 1 is most often already a certificate.
+    A = 2 Y1 - I, B = 2 Y2 - I, _witnesses(A, B, |A+B|, |A-B|, 1), an affine
+    point built by _affine_project from its moment (|A+B| - |A-B|) / 2 with no
+    witness stack, and _decide's witness at the same lam: inside the gate it
+    is PSD and the verdict is "yes" at iteration 0, carrying the start, and
+    past it the gap y - x of iteration 1 is most often already a certificate.
     Each step is a type-II Anderson step on T (Walker & Ni 2011) in the
     real view of the stack, z + g - (dZ + dG) gamma: g = T(z) - z = x - y,
     dZ and dG are the last ANDERSON_MEMORY differences of z and g, and
@@ -482,11 +485,10 @@ def feasibility_oracle(
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
     half_sum = 0.5 * (y1 + y2)
     quarter_eye = 0.25 * eye
-    base = np.stack([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
+    base = np.array([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
 
-    a, b = 2.0 * y1 - eye, 2.0 * y2 - eye
-    x = _affine_project(_witnesses(a, b, *_abs_pair(a, b), 1.0), base, half_sum, quarter_eye)
-    z = x + np.zeros_like(x)  # the Dykstra correction starts at 0
+    abs_sum, abs_diff = _abs_pair(2.0 * y1 - eye, 2.0 * y2 - eye)
+    x = _affine_project((abs_sum - abs_diff) / 2.0, base, half_sum, quarter_eye)
     dz, dg, last = [], [], None  # the steps of z and of g; the last accepted (z, g, |g|)
     tested = 1 - CERTIFICATE_EVERY  # the iteration of the last test: the first is at 1
     certificate = None
@@ -515,9 +517,11 @@ def feasibility_oracle(
                     if not np.isfinite(step).all():
                         step, dz, dg = zr + g, [], []
             z = step.view(complex).reshape(x.shape)
+        else:
+            z = x + np.zeros_like(x)  # the Dykstra correction starts at 0
         eigs, vecs = np.linalg.eigh(_hermitian_part(z))
         y = (vecs * np.maximum(eigs, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)  # P_psd(z)
-        x = _affine_project(y, base, half_sum, quarter_eye)
+        x = _affine_project(y[0] - y[1] - y[2] + y[3], base, half_sum, quarter_eye)
 
     return FeasibilityReport("undetermined" if certificate is None else "no", None,
                              _max_abs(x - y), low, it, certificate)

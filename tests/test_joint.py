@@ -123,13 +123,13 @@ def _threshold_probes(delta):
 
 def _oracle_start(o1lam, o2lam):
     """The oracle's start: the midpoint witness of the smeared contrasts at lam = 1,
-    projected once onto the affine set of the targets' marginals."""
+    built as the affine point of the targets' marginals whose moment
+    G_pp - G_pm - G_mp + G_mm is the witness's own, (|A+B| - |A-B|) / 2."""
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
     eye = identity(o1lam.dim)
-    base = np.stack([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
-    a, b = 2.0 * y1 - eye, 2.0 * y2 - eye
-    g = joint._witnesses(a, b, *joint._abs_pair(a, b), 1.0)
-    return joint._affine_project(g, base, 0.5 * (y1 + y2), 0.25 * eye)
+    base = np.array([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
+    abs_sum, abs_diff = joint._abs_pair(2.0 * y1 - eye, 2.0 * y2 - eye)
+    return joint._affine_project((abs_sum - abs_diff) / 2.0, base, 0.5 * (y1 + y2), 0.25 * eye)
 
 
 def _sha256(stack) -> str | None:
@@ -140,60 +140,63 @@ def _sha256(stack) -> str | None:
 # test_no_iterate_moves: index -> (verdict, iterations, sha256 of the
 # certificate bytes) of each near-sharp pair whose oracle makes more than one
 # projection, and at d = 2 also (min_eigenvalue.hex(), sha256 of the witness
-# bytes).  Computed before the oracle tested its start.
+# bytes).  Computed before the oracle tested its start; the certificates and the
+# d = 2 witnesses re-pinned when the start was built from its moment
+# (|A+B| - |A-B|) / 2 instead of projected back from _witnesses, with every
+# verdict and iteration count as it was.
 _PINNED_PATHS = {
     1: ('yes', 14, None),
-    2: ('no', 24, 'ff7c7ff0c22e2e414bc071a97487f047c234fcf5979073e33ba0367de7fdf7a8'),
-    4: ('no', 54, '41a027eece9687c5e4f7f9c88860c353bf5ac7a3875965c9b600d5bd6193a88f'),
+    2: ('no', 24, '62420d7175305366bad71089b4870e7e69073e20b6ffcecdd80c7cf8fd0e58cd'),
+    4: ('no', 54, 'a5e3582d618f56456baa2f501b5477bb70634776f14a4cfecc9dd8907fab8e64'),
     6: ('yes', 23, None),
     8: ('yes', 3, None, '-0x1.4eb5800000000p-42', 'd2352b0e5cb01c236febe2a4c621d29907aa8b234b03f6b6b3cd66c7cc2a7e44'),
-    9: ('no', 32, 'd238a0df53031707454ae896621af958a17be45c6de8cadb960456dd4d5c92c0'),
+    9: ('no', 32, 'feb9c826f8ae582d6f777d3bcf444c7de45aea35b5d2d0215031052a064744a3'),
     10: ('yes', 3, None, '-0x1.f100000000000p-50', 'bfb569c76472a4e1057f79033c211e5f4f072c7fc47f8c9c550ac5ddc2de31e7'),
     11: ('yes', 132, None),
-    14: ('no', 42, '7821857ee62311c92fb9e0a56973e1eb503e29696a85a75fc7da2b1095e09d9e'),
-    18: ('no', 44, '4858e2dfafb612f83acac7c9948935a8ff97e4f4101efe333d2599c99fd3096c'),
-    19: ('no', 46, 'de4f526e82295f43142c83c8bfa28971a6915d2a9cc73df9b790b33ebe98bc92'),
-    20: ('no', 31, '4a14844021ca8e57d7f89c610083eda2c978f2fe99bbfeb63766c717e6563f41'),
+    14: ('no', 42, '91be9e65a459eff8688d22e20f803932e529a0e4ca06d8b9c794dbef6fb9a841'),
+    18: ('no', 44, '5b11e18ea5c9a65f9cfe4a24c665371060f033e54859897f46dfb5977b145994'),
+    19: ('no', 46, '36de8e8c4586d703be6678773cb1f859e053f6215732a751f84b93a2dacdcb71'),
+    20: ('no', 31, '1ea961dea0bcf4dc0a438d6d7d79b48dc522a5780f155ec03ae898f4d9291e5b'),
     22: ('yes', 47, None),
-    24: ('no', 17, '3238ff68ff981863ae8abe9e75398d6e75e5b19771292cda8398d194bbc1812a'),
+    24: ('no', 17, '2ad76bdf4147216c647f180fc14b748c9af842161db3cc3160a60d113b51a1bd'),
     25: ('yes', 3, None),
-    26: ('no', 51, '26d90b49541d109a79ff6f9ed7eaf6021361ea670192082017c0c79a7a71d880'),
-    28: ('no', 6, '0c048c80427fa068782a63140fbbdc48760e25ae7800d51ce82d8b7a8a586f19'),
-    29: ('no', 11, 'e403eb39de90feebb32c464a4e9e738a4e63580ec45313046c1773a7076befbf'),
-    31: ('no', 6, '2b2658f8e56286f073f49279668298f89a55a562f22dc751ede4a0b54245c44f'),
+    26: ('no', 51, '755edc707a355f21bb624d132ffb52946c729511c5448964981429a237958963'),
+    28: ('no', 6, '1a60d4fa1225a28b9da704dea880f538adfa6b2696bfb0c789a5223dd305e80e'),
+    29: ('no', 11, 'ff0cbc7fff53f97f09b8417f8252a850dd382ebda32afa2989e4427db74f306f'),
+    31: ('no', 6, 'ae5a22768609f792d02e046566d44869fa41cb1d2e746e68c8e3cf1f39eeb16b'),
     32: ('yes', 5, None),
-    33: ('no', 49, '94629ea00e61b53dd4b51087fdcfb7dead7109f742b593ca34ef011eb0d03a69'),
-    34: ('no', 11, 'f00dcb5e0541a1801eafa19e2f585c1f867a4ab5b90ed418a4cec8af1c4f849b'),
+    33: ('no', 49, '2324d425066d0710559bc7ee76fcd8f962c4c5aa6fe9102c25df25d0b6a7009c'),
+    34: ('no', 11, '467120cb6722254828f69c179241f8efe933c811e668b3a0182e0efef29d5c28'),
     35: ('yes', 15, None),
     36: ('yes', 17, None),
-    37: ('no', 6, 'b15ef5b3afc6d97405ab491c52dd456b037619ecf2b91d305f32fd8415bec8da'),
+    37: ('no', 6, '2c7ac61b3c71e150cc6aa981915a78c3834a1ebeede912f7ee7e96ec56ab5a8b'),
     38: ('yes', 3, None),
     39: ('yes', 3, None),
-    40: ('yes', 3, None, '-0x1.f63e000000000p-42', 'b8b925dca084234c289607c5ad15357eddfa86513207cfe59d58fc7393bc5fd8'),
-    41: ('no', 16, '10a183799c1333f9d7b2b38878df8bc5ba86b66fb485a1ebfdf62bd94632ff9d'),
-    43: ('no', 33, '38340e72a1b7d4cb81f9ff6fa2d355c2b02b23d5265e2350e053c74647196cf2'),
-    44: ('no', 6, 'd83afbbbc7d85ba2257c4276ad2e2c151185efb376c4f79b29622d080ea90a3a'),
-    45: ('no', 11, 'a1dca817a1d8656c07b4c7789cf32c065a3a8eab0bf8cc8a3201101ba7788822'),
+    40: ('yes', 3, None, '-0x1.f67a000000000p-42', 'a864c9ce358e16e94793ca60af865ae8ce3087352436eff6f785e0427bfc4554'),
+    41: ('no', 16, '2deeb3fac36e560346174a41cdf28609ffe9923967de181815c8d917df7dd927'),
+    43: ('no', 33, '5dad9cedbc37786bcea4f319ec30d5538a5d639d84a7b69e4ef117c9f08e2cd7'),
+    44: ('no', 6, '73a1da4faf935da189d259a30bc3bdf7543db058d3819d440fa56f10d52853fa'),
+    45: ('no', 11, '7f3ace4b13822891027ad2cf05cf84bfb391f45f180c30b64cd4e4324c086014'),
     46: ('yes', 3, None),
     47: ('yes', 9, None),
     50: ('yes', 13, None),
     53: ('yes', 12, None),
-    56: ('no', 11, '405066427e0f1c2386e2f534529b71508bba845368d26f5af006252c6b1e5343'),
-    57: ('no', 11, 'e0462e29a5b4315ecd6e84e8444ed8a204bd6b0c206c9d29a0bd636768ff8488'),
+    56: ('no', 11, 'd08e56193644586e1c996cc52e93db54f376e2ba96b6041edc5f071830e68e00'),
+    57: ('no', 11, 'e8473929b5066a4d7b970e0b3235b44d4f65a0c56015b5e255f302f7e55b5903'),
     58: ('yes', 24, None),
     59: ('yes', 3, None),
     63: ('yes', 3, None),
-    64: ('no', 6, 'c375e1b45e432da987112fff164ae61f10a89c787592706517533f03ce86047e'),
-    66: ('no', 6, '114e2ca37f9e1dcf0259afa1159124d76347908f87ff879017b197c77113f5d2'),
+    64: ('no', 6, 'd78952425357e9207b0783c909b0d8eb11cbde69831a7790fc8cb5f2ebc0821a'),
+    66: ('no', 6, '088da8fc20b707e057f8eacc41d9b4345654eaf8ea7e39f658da6fc7a848e4a6'),
     67: ('yes', 18, None),
-    68: ('no', 56, '96e53a2b24d6f67da419a4fd51a51409caeba66575f6c2a8978d754f3e6a687a'),
-    70: ('no', 18, 'c13204412c6401e6469d79bec5e727a447473285f73aee6244d3b76c0f7ead5e'),
+    68: ('no', 56, '62e877d5d4c5bf4c59f97621bf796b436a20da8335fa3a546b4ac2b5fb49b686'),
+    70: ('no', 18, '7f4ad438a896d53e8dc2cef1d79aaf9b2aa0faefc0f8e9432f2d97770c123f5f'),
     71: ('yes', 13, None),
     73: ('yes', 9, None),
     74: ('no', 6, 'c343559d5dc4e92ae88cfcfafacc65e3c66d5607638716001816467dc4f173ed', '-0x1.a0ad49d83c95cp-6', None),
-    75: ('no', 6, 'd5e966ce352f77527ff6982c22209b4dceb86c5c59a4aa81bc0e6f6c6cfa39be'),
+    75: ('no', 6, '8be3bc609b6f1c57c57c606585853208700d58f7adc45bea5549e57bff13696f'),
     77: ('yes', 18, None),
-    78: ('yes', 3, None, '-0x1.61cb800000000p-41', '42c301eb77bdc3d97c27d369f3952cdeb5ee9276acdf989ae17fd4352030202d'),
+    78: ('yes', 3, None, '-0x1.61bd800000000p-41', '717e123135a73e3bf2edbabac80793c2c50cfe6a331d0f5a2644ff4218d690f3'),
 }
 
 
@@ -819,6 +822,45 @@ class TestFeasibilityOracle:
             assert np.stack([g.matrix for g in rep.witness.effects]).tobytes() == _oracle_start(o1lam, o2lam).tobytes()
             for g, w in zip(rep.witness.effects, closed.witness.effects):
                 assert _max_abs(g.matrix - w.matrix) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["bloch", "projector", "povm"])
+    def test_the_start_is_the_affine_point_of_the_witness_s_moment(self, kind):
+        # The affine projection reads only G_pp - G_pm - G_mp + G_mm, which for
+        # the witness at lam is lam (|A+B| - |A-B|) / 2: the oracle builds its
+        # start from that moment, and where the start is PSD its "yes" carries
+        # the projection of the witness stack, (F, Y1 - F, Y2 - F, I - Y1 - Y2 + F)
+        # with F = (G_pp - G_pm - G_mp + G_mm) / 4 + (Y1 + Y2) / 2 - I / 4, to an ulp.
+        rng = np.random.default_rng(["bloch", "projector", "povm"].index(kind) + 49)
+        psd_starts = 0
+        for _ in range(30):
+            if kind == "bloch":
+                o1, o2 = (BlochVector(_random_unit(rng)).observable() for _ in range(2))
+            elif kind == "projector":
+                d = int(rng.integers(2, 17))
+                o1, o2 = (_random_projector(rng, d, int(rng.integers(1, d))).observable() for _ in range(2))
+            else:
+                d = int(rng.integers(2, 17))
+                o1, o2 = (DichotomicObservable.from_yes_effect(_near_sharp_effect(rng, d)) for _ in range(2))
+            lam = 1.0 - float(rng.uniform(0.0, 0.5))
+            a, b = o1.difference(), o2.difference()
+            abs_sum, abs_diff = joint._abs_pair(a, b)
+            w = joint._witnesses(a, b, abs_sum, abs_diff, lam)
+            assert _max_abs(w[0] - w[1] - w[2] + w[3] - lam * (abs_sum - abs_diff) / 2.0) <= 4 * np.finfo(float).eps
+
+            o1lam, o2lam = smear(o1, lam), smear(o2, lam)
+            y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
+            eye = np.eye(o1lam.dim)
+            a, b = 2.0 * y1 - eye, 2.0 * y2 - eye
+            g = joint._witnesses(a, b, *joint._abs_pair(a, b), 1.0)
+            f = 0.25 * (g[0] - g[1] - g[2] + g[3]) + (y1 + y2) / 2.0 - eye / 4.0
+            projected = np.array([f, y1 - f, y2 - f, eye - y1 - y2 + f])
+            if np.linalg.eigvalsh(projected)[:, 0].min() < -PSD_TOL:
+                continue
+            psd_starts += 1
+            rep = feasibility_oracle(o1lam, o2lam)
+            assert (rep.feasible, rep.iterations) == ("yes", 0)
+            assert _max_abs(np.array([e.matrix for e in rep.witness.effects]) - projected) <= 2.2e-16
+        assert psd_starts >= 5
 
     def test_no_iterate_moves(self):
         # Near-sharp pairs past the gate, d = 2 to 6: the verdict, iteration

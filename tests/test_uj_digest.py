@@ -12,14 +12,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # Computed with the oracle's "yes" at iteration 0 where its start is already
-# PSD, carrying that start; past a pair of projectors decided through its
+# PSD, carrying that start, built as the affine point whose moment is
+# (|A+B| - |A-B|) / 2; past a pair of projectors decided through its
 # observables, A = E - N, whose top comes from the one eigh that also gives its
 # Bell value, and every BlochVector stored as v / |v|.
-PINNED_TOTAL_101 = "e5787a2c1139e624ba33df05d27e3945e379223fa8c3ad12e5f688c682f50a5b"
+PINNED_TOTAL_101 = "de7bdb9dfbe7ede64f7300d4f3e99a82a97419ad72b3c8e801ba0140abdf4259"
 PINNED_LIBRARY_101 = "1a140ab2d4b88ba274f53e6a857cd9caf1f978110b0746ea77e129cc17e0c6d7"
-# Computed with the oracle's start-decided "yes" as above, and every
-# BlochVector stored as v / |v|.
-PINNED_QUBIT_101 = "16e045d5356617cf48b20128a09f483870902fa4143ba64c92205c6c8af7a8b1"
+# Computed with the oracle's start-decided "yes" and its start as above, and
+# every BlochVector stored as v / |v|.
+PINNED_QUBIT_101 = "841a4f1a72aff2e231683ceb8ec0407c3ee7b8d4da5b0768e5873916aabe8d1b"
 # Computed with every dimension refusal a ValidationError("same-dimension"), and
 # a projector whose trace adds inf and -inf refused in one error line.
 PINNED_REFUSALS = "5a1593e54554d0d9b659d6500e8d4e166113a3b45d7a40b4b4f9806af850cab4"
