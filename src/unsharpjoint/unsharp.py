@@ -47,15 +47,16 @@ def smear(obs: DichotomicObservable, lam) -> DichotomicObservable:
     which stays inside [0, 1].  The complement relation yes + no = I is
     preserved exactly as constructed, so the outputs are built unchecked.
     """
-    yes, no = _smeared_matrices(_require(obs, DichotomicObservable), validate_lambda(lam))
+    obs = _require(obs, DichotomicObservable)
+    yes, no = _smeared_matrices(obs.yes_effect.matrix, obs.no_effect.matrix, validate_lambda(lam))
     return _frozen(DichotomicObservable, yes_effect=_frozen(Effect, matrix=yes),
                    no_effect=_frozen(Effect, matrix=no))
 
 
-def _smeared_matrices(obs: DichotomicObservable, lam) -> tuple[np.ndarray, np.ndarray]:
-    """The yes and no matrices of obs smeared by lam; (r, d, d) stacks for an (r, 1, 1) lam."""
+def _smeared_matrices(y: np.ndarray, n: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:
+    """The yes and no matrices y, n smeared by lam, each a matrix or a stack
+    of them, and an array lam broadcast against them."""
     wp, wm = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
-    y, n = obs.yes_effect.matrix, obs.no_effect.matrix
     return wp * y + wm * n, wm * y + wp * n
 
 

@@ -24,6 +24,8 @@ from unsharpjoint import (
 )
 from unsharpjoint.bell import SETTINGS, _chsh, smeared_chsh_values
 
+from test_unsharp import _random_observable
+
 TWO_SQRT2 = 2.8284271247461903
 INV_SQRT2 = 0.7071067811865475
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -176,6 +178,58 @@ class TestSmearedChsh:
             sharp = chsh(rho, *obs).value
             smeared = smeared_chsh(rho, *obs, lam).value
             assert abs(smeared - lam * sharp) <= 1e-12
+
+
+def _mixed_state(rng, d) -> DensityMatrix:
+    """A random density matrix of random rank: G G^H / Tr for a complex d x rank G."""
+    rank = int(rng.integers(1, d + 1))
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+def _kron_table(rho, alice, bob, lam=None) -> np.ndarray:
+    """t[x, y] = Tr[rho (A_x (x) B_y)] term by term through np.kron, Alice's
+    contrast smeared by lam as yes' - no' of the mixed effects."""
+    def contrast(a):
+        y, n = a.yes_effect.matrix, a.no_effect.matrix
+        if lam is None:
+            return y - n
+        wp, wm = (1 + lam) / 2, (1 - lam) / 2
+        return (wp * y + wm * n) - (wm * y + wp * n)
+    return np.array([[np.trace(rho.matrix @ np.kron(contrast(a), b.difference())).real for b in bob]
+                     for a in alice])
+
+
+class TestTermsAgainstKron:
+    """Every term of chsh, smeared_chsh and smeared_chsh_values against an
+    independent Tr[rho (A_x (x) B_y)] built with np.kron, on mixed states and
+    POVM settings, wings of unequal dimension included."""
+
+    @staticmethod
+    def _check(rng, da, db, lams):
+        rho = _mixed_state(rng, da * db)
+        obs = [_random_observable(rng, d) for d in (da, da, db, db)]
+        alice, bob = obs[:2], obs[2:]
+        sharp = chsh(rho, *obs)
+        assert np.max(np.abs(np.array(sharp.terms) - _kron_table(rho, alice, bob).ravel())) <= 1e-13
+        values = smeared_chsh_values(rho, *obs, lams)
+        assert values.shape == (len(lams),)
+        for lam, value in zip(lams, values, strict=True):
+            want = _kron_table(rho, alice, bob, lam)
+            rep = smeared_chsh(rho, *obs, lam)
+            assert np.max(np.abs(np.array(rep.terms) - want.ravel())) <= 1e-13
+            assert abs(value - float(_chsh(want))) <= 1e-13
+
+    @pytest.mark.parametrize("da,db", list(itertools.product((1, 2, 3, 4), repeat=2)))
+    @settings(max_examples=15)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lams=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4))
+    def test_every_term_matches_the_kron_reference(self, da, db, seed, lams):
+        self._check(np.random.default_rng(seed), da, db, lams)
+
+    def test_eight_by_eight_wings(self):
+        self._check(np.random.default_rng(181), 8, 8, [0.3, INV_SQRT2, 1.0])
 
 
 def _uniform() -> dict:

@@ -440,10 +440,10 @@ class TestChsh:
             ("singlet.json", "0.7071067811865476", "2.0",
              ("-0.5", "-0.5", "-0.5000000000000001", "0.5000000000000001"), "2.0"),
             ("pure.json", None, "2.8284271247461903",
-             ("0.33992832719762767", "0.2492955011818695", "0.29212840457821326", "0.8309465884515852"),
-             "0.05040564450612517"),
+             ("0.33992832719762767", "0.2492955011818696", "0.2921284045782133", "0.8309465884515852"),
+             "0.05040564450612539"),
             ("pure.json", "0.7071067811865476", "2.0",
-             ("0.240365625278842", "0.1762785394049989", "0.20656597585446185", "0.5875679674979432"),
+             ("0.24036562527884203", "0.1762785394049989", "0.2065659758544619", "0.5875679674979432"),
              "0.03564217304035966"),
         ],
         ids=["singlet-sharp", "singlet-smeared", "pure-sharp", "pure-smeared"],

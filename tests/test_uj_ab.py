@@ -60,7 +60,7 @@ def test_summary_reads_each_metric_in_its_direction(uj_ab):
 
 
 def test_the_digest_comparison_names_the_lines_that_moved(uj_ab):
-    parent = [f"{'a' * 64}  101 jm-oracle-0", *(f"{'b' * 64}  line {k}" for k in range(6))]
-    change = [f"{'c' * 64}  101 jm-oracle-0", *parent[1:-1], f"{'d' * 64}  line 5"]
+    parent = [f"{'a' * 64}  101 jm-oracle-0", *(f"{'b' * 64}  line {k}" for k in range(7))]
+    change = [f"{'c' * 64}  101 jm-oracle-0", *parent[1:-1], f"{'d' * 64}  line 6"]
     result = uj_ab.compare_digests(parent, change)
-    assert result == {"parent": parent[-6:], "change": change[-6:], "moved": ["101 jm-oracle-0", "line 5"]}
+    assert result == {"parent": parent[-7:], "change": change[-7:], "moved": ["101 jm-oracle-0", "line 6"]}

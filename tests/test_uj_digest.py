@@ -15,12 +15,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # PSD, carrying that start, built as the affine point whose moment is
 # (|A+B| - |A-B|) / 2; past a pair of projectors decided through its
 # observables, A = E - N, whose top comes from the one eigh that also gives its
-# Bell value, and every BlochVector stored as v / |v|.
-PINNED_TOTAL_101 = "de7bdb9dfbe7ede64f7300d4f3e99a82a97419ad72b3c8e801ba0140abdf4259"
+# Bell value, every BlochVector stored as v / |v|, and every CHSH table one
+# contraction of the state with both wings' contrasts.
+PINNED_TOTAL_101 = "685a3633233af577ca4eb144887837d9bd9f76caef9420abaab7fb287ba5eff4"
 PINNED_LIBRARY_101 = "1a140ab2d4b88ba274f53e6a857cd9caf1f978110b0746ea77e129cc17e0c6d7"
-# Computed with the oracle's start-decided "yes" and its start as above, and
-# every BlochVector stored as v / |v|.
-PINNED_QUBIT_101 = "841a4f1a72aff2e231683ceb8ec0407c3ee7b8d4da5b0768e5873916aabe8d1b"
+# Computed with the oracle's start-decided "yes" and its start as above, every
+# BlochVector stored as v / |v|, and every CHSH table one contraction.
+PINNED_QUBIT_101 = "9a0bedc60c5f1a0769b5f8bdb42e20295ff0c2f86935576fd662947468f9eeb0"
 # Computed with every dimension refusal a ValidationError("same-dimension"), and
 # a projector whose trace adds inf and -inf refused in one error line.
 PINNED_REFUSALS = "5a1593e54554d0d9b659d6500e8d4e166113a3b45d7a40b4b4f9806af850cab4"
@@ -28,6 +29,9 @@ PINNED_REFUSALS = "5a1593e54554d0d9b659d6500e8d4e166113a3b45d7a40b4b4f9806af850c
 # Projector and the pure states by two residual checks; the same bytes since
 # all three are built unchecked.
 PINNED_UNCHECKED_101 = "ea4d608a5a1cecd2974cd3d4fddc7eb10fa70a8d7c2b7beda22ae59ab80ee2ee"
+# Computed with every CHSH table one contraction of the state with Alice's
+# stacked contrasts, smeared in one pass, and Bob's.
+PINNED_CORRELATOR_101 = "0edbd3e0096bd0b7918d88293102148b6c1fff5b350a5345789cb285a928b7a6"
 
 
 def _tool(monkeypatch):
@@ -82,6 +86,15 @@ def test_one_seed_gives_one_digest_of_the_values_built_unchecked(monkeypatch):
     line = _tool(monkeypatch).unchecked_digest((101,))
     assert line == (f"{PINNED_UNCHECKED_101}  unchecked values over 17 boxes, 100 dilations "
                     "and 1 seeds x 200 pure states")
+
+
+def test_one_seed_gives_one_correlator_digest_past_qubit_wings(monkeypatch):
+    # A mixed state and POVM settings for each (d_A, d_B) in {1, 2, 3, 4}^2:
+    # the terms of chsh, smeared_chsh and smeared_chsh_values.
+    uj_digest = _tool(monkeypatch)
+    assert len(uj_digest.CORRELATOR_WINGS) == 16 and (2, 3) in uj_digest.CORRELATOR_WINGS
+    line = uj_digest.correlator_digest((101,))
+    assert line == f"{PINNED_CORRELATOR_101}  correlator library over 1 seeds x 16 wing pairs"
 
 
 def test_one_digest_per_refused_argv_and_one_line_over_them(monkeypatch):

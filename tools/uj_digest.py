@@ -32,7 +32,11 @@ the values the package builds without re-running a constructor's checks:
 the `p` bytes of `pr_box()` and of each `local_deterministic_boxes()`
 table, `neumark_dilate` of both effects of every POVM op of one `blocks`
 cycle per seed (d up to 16), and `DensityMatrix.pure` of the ψ of QUBIT_OPS
-`qubit` ops per seed.
+`qubit` ops per seed.  Every CHSH value above comes from qubit wings, so a
+seventh line digests the correlator past them: for each seed and each pair
+of wing dimensions in CORRELATOR_WINGS, a random mixed state and random
+POVM settings, and the terms of `chsh`, of `smeared_chsh` at each of
+three random lam, and the `smeared_chsh_values` of those lam, as float hex.
 
 Compare two trees of the package by running it against each `src/`:
 
@@ -47,6 +51,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -56,6 +61,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = tuple(range(101, 111))  # the cli workload's seeds
 WORK_TOKEN = b"<work>"
 QUBIT_OPS = 200  # ops of the qubit and of the oracle workload per seed
+CORRELATOR_WINGS = tuple(itertools.product((1, 2, 3, 4), repeat=2))  # (d_A, d_B) per experiment
 
 _Z = {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
 _HALF = [[0.5, 0.0], [0.0, 0.5]]
@@ -217,6 +223,35 @@ def unchecked_digest(seeds) -> str:
             f"and {len(seeds)} seeds x {QUBIT_OPS} pure states")
 
 
+def correlator_digest(seeds) -> str:
+    """One "sha256  correlator library ..." line over a mixed state and POVM
+    settings for each seed and each (d_A, d_B) of CORRELATOR_WINGS."""
+    import numpy as np
+
+    from unsharpjoint import DensityMatrix, DichotomicObservable, chsh, smeared_chsh
+    from unsharpjoint.bell import smeared_chsh_values
+
+    def povm(rng, d):  # yes-effect U diag(w) U^H, w uniform in [0, 1)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return DichotomicObservable.from_yes_effect((q * rng.uniform(0, 1, size=d)) @ q.conj().T)
+
+    h = hashlib.sha256()
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for da, db in CORRELATOR_WINGS:
+            g = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
+            m = g @ g.conj().T
+            state = DensityMatrix(m / np.trace(m).real)
+            settings = [povm(rng, d) for d in (da, da, db, db)]
+            lams = (1.0 - rng.uniform(0, 1, size=3)).tolist()  # in (0, 1]
+            fields = [*chsh(state, *settings).terms]
+            for lam in lams:
+                fields += smeared_chsh(state, *settings, lam).terms
+            fields += smeared_chsh_values(state, *settings, lams).tolist()
+            _update(h, [repr([float(x).hex() for x in fields]).encode()])
+    return f"{h.hexdigest()}  correlator library over {len(seeds)} seeds x {len(CORRELATOR_WINGS)} wing pairs"
+
+
 def refusal_digests() -> list[tuple[str, str]]:
     """(name, sha256) for every argv of REFUSALS; SystemExit if uj accepts one."""
     from unsharpjoint import cli
@@ -276,6 +311,7 @@ def main(argv=None) -> int:
     print(acceptance_digest())
     print(refusal_digest())
     print(unchecked_digest(SEEDS))
+    print(correlator_digest(SEEDS))
     return 0
 
 
