@@ -9,14 +9,17 @@ _observable_pair (dichotomic observables, sharp or not).  The pair carries
 top, the largest eigenvalue of |A+B| + |A-B| for the contrasts
 A = E1 - N1, B = E2 - N2 (m.sigma and n.sigma), and its Bell value beta,
 each solved once and only when read: the gate reads top only past
-lam = 1/sqrt(2).  _decide takes one of three paths:
+lam = 1/sqrt(2).  Every candidate joint observable is one point of the
+affine set of the marginal constraints, (F, Y1 - F, Y2 - F, I - Y1 - Y2 + F)
+for the smeared yes-effects Y1, Y2, fixed by its moment
+G_pp - G_pm - G_mp + G_mm = 4 F - 2 (Y1 + Y2) + I and built by one function
+(_affine_points).  _decide takes one of three paths:
 
-* the witness (_witnesses)
+* the witness, the point with moment lam (|A+B| - |A-B|) / 2,
 
-    G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4
+    G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4,
 
-  has the two smeared observables as marginals, and every G_jk is at least
-  (2 - lam * top) / 8, so the gate (_feasible) passes it when
+  has every G_jk at least (2 - lam * top) / 8, so the gate (_feasible) passes it when
   lam * top <= 2 + CRITERION_SLACK or lam <= 1/sqrt(2):
   (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8 for
   |A|, |B| <= 1, so top <= 2 sqrt(2) and every pair is jointly measurable
@@ -25,11 +28,9 @@ lam = 1/sqrt(2).  _decide takes one of three paths:
   the smeared pair (_bell_value; beta = top for Bloch vectors, and for a sharp
   pair outside _decide's band), passes 2 by more than effects outside [0, I]
   add, as no jointly measurable pair violates CHSH (Wolf, Perez-Garcia & Fernandez 2009);
-* past the gate, any other pair goes to an alternating-projection
-  (Dykstra) feasibility oracle, Anderson-accelerated and started at the
-  witness, built from the one part of it that the affine projection reads,
-  G_pp - G_pm - G_mp + G_mm = lam (|A+B| - |A-B|) / 2.  The start is its
-  "yes" at iteration 0 where it is PSD: the gate's
+* past the gate, any other pair goes to an alternating-projection (Dykstra)
+  feasibility oracle, Anderson-accelerated and started at the same witness
+  of the smeared pair, its "yes" at iteration 0 where it is PSD: the gate's
   bound is exact for a sharp pair, not for every other.  Its verdicts do not
   rest on the start (a "yes" is a checked PSD point of the affine set, a
   "no" a Farkas certificate), so it also cross-checks every closed-form
@@ -51,7 +52,7 @@ block by block.  |A+B| and |A-B| come from eigh of A+B and A-B with
 absolute eigenvalues (_abs_pair), not from (2 +- {A,B})^(1/2), whose square
 root loses half the digits where {A,B} is near +-2: on commuting and
 nearly aligned blocks.  Each decision checks only its final witness, once,
-as one (4, d, d) stack filled in place; |A+B| and |A-B| are raw arrays.
+as one (4, d, d) stack; |A+B| and |A-B| are raw arrays.
 """
 
 from __future__ import annotations
@@ -87,13 +88,10 @@ from .operators import (
     _within,
     identity,
 )
-from .unsharp import _lambda_array, smear, validate_lambda
+from .unsharp import _lambda_array, _smeared_matrices, smear, validate_lambda
 
 LAMBDA_OPT = 1.0 / math.sqrt(2.0)
 _BUSCH_EDGE = math.sqrt(0.5)  # 1/sqrt(2) rounded to nearest, one ulp above LAMBDA_OPT
-
-_PM = np.array((1.0, -1.0))[:, None, None]  # the k of lam (A + k B) in _witnesses
-_JK_SIGNS = np.array((1.0, -1.0, -1.0, 1.0))[:, None, None]  # the sign of F in the oracle's G_jk
 
 # The oracle tests for a Farkas certificate at iteration 1, then at most every
 # CERTIFICATE_EVERY iterations, and accepts one whose pairing with the affine
@@ -221,7 +219,7 @@ def criterion_value(m, n, lam) -> float:
 
 def _feasible(lam, pair):
     """The one closed-form gate, for a float lam or an array of them: True where
-    the witness of _witnesses at lam is PSD, by Busch's bound or by lam * top <= 2;
+    the witness at lam is PSD, by Busch's bound or by lam * top <= 2;
     the pair's top is not read for a float lam that Busch's bound passes."""
     # Every contrast the constructors accept has |A|, |B| <= 1 + 2 PSD_TOL (effects
     # in [-PSD_TOL, 1 + PSD_TOL], projectors as effects, unit Bloch vectors),
@@ -235,7 +233,7 @@ def _feasible(lam, pair):
 @dataclass(eq=False)
 class _Pair:
     """A pair as _decide reads it: top() and bell(), whose eigensolve runs at most once and
-    only when called, and parts(), the witness's A, B, |A+B|, |A-B| and observables to smear."""
+    only when called, and parts(), the witness's moment (|A+B| - |A-B|) / 2 and the observables to smear."""
 
     top: Callable[[], float]  # the largest eigenvalue of |A+B| + |A-B|
     bell: Callable[[], tuple[float, float]]  # (beta, radius) as _bell_value defines them; read past the gate
@@ -249,12 +247,8 @@ def _bloch_pair(m, n) -> _Pair:
     mb, nb = _require(m, BlochVector), _require(n, BlochVector)
     sv, dv = mb.v + nb.v, mb.v - nb.v
     s, d = math.sqrt(sv.dot(sv)), math.sqrt(dv.dot(dv))
-
-    def parts():
-        o1, o2 = mb.observable(), nb.observable()
-        return o1.difference(), o2.difference(), s * identity(2), d * identity(2), o1, o2
-
-    return _Pair(lambda: s + d, lambda: (s + d, 1.0), QUBIT_WITNESS_TOL, parts)
+    return _Pair(lambda: s + d, lambda: (s + d, 1.0), QUBIT_WITNESS_TOL,
+                 lambda: ((s - d) / 2.0 * identity(2), mb.observable(), nb.observable()))
 
 
 def _observable_pair(o1, o2) -> _Pair:
@@ -265,7 +259,7 @@ def _observable_pair(o1, o2) -> _Pair:
     abs_sum, abs_diff = _abs_pair(a, b)
     spectrum = functools.cache(lambda: np.linalg.eigh(abs_sum + abs_diff))
     return _Pair(lambda: float(spectrum()[0][-1]), lambda: _bell_value(a, b, *spectrum()), PSD_TOL,
-                 lambda: (a, b, abs_sum, abs_diff, o1, o2))
+                 lambda: ((abs_sum - abs_diff) / 2.0, o1, o2))
 
 
 def _bell_value(a, b, w, v) -> tuple[float, float]:
@@ -285,18 +279,22 @@ def _abs_pair(a: np.ndarray, b: np.ndarray):
     return abs_sum, abs_diff
 
 
-def _witnesses(a, b, abs_sum, abs_diff, lam) -> np.ndarray:
-    """The one witness formula G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4,
-    raw: a (4, d, d) stack for a float lam, (r, 4, d, d) for an (r, 1, 1, 1) lam."""
-    # Filled in place by adding or subtracting lam (A+B), lam (A-B) and t: signs of
-    # +-1 are exact, so only a zero's sign could differ, and I + x clears it.
-    sd, t = lam * (a + _PM * b), lam * (abs_sum - abs_diff) / 2.0
-    g = np.empty((*sd.shape[:-3], 4, *a.shape), dtype=complex)
-    np.add(identity(len(a)), sd, out=g[..., :2, :, :])  # (j, k) = (+, +), (+, -)
-    np.subtract(identity(len(a)), sd[..., ::-1, :, :], out=g[..., 2:, :, :])  # (-, +), (-, -)
-    g[..., ::3, :, :] += t
-    g[..., 1:3, :, :] -= t
-    return np.divide(g, 4.0, out=g)
+def _affine_points(y1, y2) -> Callable[[np.ndarray], np.ndarray]:
+    """The affine set of the marginal constraints for yes-effects Y1, Y2, as the
+    function from a moment G_pp - G_pm - G_mp + G_mm to the set's one point
+    (F, Y1 - F, Y2 - F, I - Y1 - Y2 + F) with that moment, F = moment / 4 +
+    (Y1 + Y2) / 2 - I / 4 (Designolle, Farkas & Kaniewski 2019): the orthogonal
+    projection onto the set of every stack with that moment.  A point is a
+    (4, d, d) stack, or (4, r, d, d) for (r, d, d) stacks of Y1, Y2 and moments."""
+    eye = identity(y1.shape[-1])
+    # Once per set: the oracle builds a point on every pass.
+    half_sum, quarter_eye, rest = 0.5 * (y1 + y2), 0.25 * eye, eye - y1 - y2
+
+    def point(moment):
+        f = 0.25 * moment + half_sum - quarter_eye
+        return np.array([f, y1 - f, y2 - f, rest + f])
+
+    return point
 
 
 def _yes(g, tol: float, o1lam, o2lam, iterations: int, eigs=None) -> FeasibilityReport:
@@ -319,12 +317,14 @@ def _decide(pair: _Pair, lam: float) -> FeasibilityReport:
     witness (a "yes" at iteration 0 where it is PSD), which also decides a sharp pair whose beta
     lies below top by its spread of values within CLUSTER_TOL."""
     if _feasible(lam, pair):
-        a, b, abs_sum, abs_diff, o1, o2 = pair.parts()
-        return _yes(_witnesses(a, b, abs_sum, abs_diff, lam), pair.tol, smear(o1, lam), smear(o2, lam), 0)
+        moment, o1, o2 = pair.parts()
+        o1lam, o2lam = smear(o1, lam), smear(o2, lam)
+        g = _affine_points(o1lam.yes_effect.matrix, o2lam.yes_effect.matrix)(lam * moment)
+        return _yes(g, pair.tol, o1lam, o2lam, 0)
     beta, radius = pair.bell()
     if lam * beta - 4.0 * max(0.0, lam * radius - 1.0) > 2.0 + CRITERION_SLACK:
         return FeasibilityReport("no", None, 0.0, (2.0 - lam * pair.top()) / 8.0, 0)
-    *_, o1, o2 = pair.parts()
+    _, o1, o2 = pair.parts()
     return feasibility_oracle(smear(o1, lam), smear(o2, lam))
 
 
@@ -342,10 +342,12 @@ def qubit_verdicts(m, n, lams) -> list[str]:
     pair = _bloch_pair(m, n)
     lams = _lambda_array(lams)
     yes = _feasible(lams, pair)
-    a, b, abs_sum, abs_diff, _, _ = pair.parts()
-    g = _witnesses(a, b, abs_sum, abs_diff, lams[yes, None, None, None])
+    moment, o1, o2 = pair.parts()
+    lam = lams[yes, None, None]
+    (y1, _), (y2, _) = (_smeared_matrices(o.yes_effect.matrix, o.no_effect.matrix, lam) for o in (o1, o2))
+    g = _affine_points(y1, y2)(lam * moment)
     _check_effects(g.reshape(-1, 2, 2), pair.tol)
-    _within("joint-normalization", _max_abs(g.sum(axis=1) - identity(2)), JOINT_NORMALIZATION_TOL)
+    _within("joint-normalization", _max_abs(g.sum(axis=0) - identity(2)), JOINT_NORMALIZATION_TOL)
     return ["yes" if y else "no" for y in yes]
 
 
@@ -366,27 +368,6 @@ def povm_joint_observable(
     else the verdict of feasibility_oracle, whose report shows iterations > 0
     unless its start, the witness at lam, is already PSD."""
     return _decide(_observable_pair(o1, o2), validate_lambda(lam))
-
-
-def _affine_project(
-    k: np.ndarray, base: np.ndarray, half_sum: np.ndarray, quarter_eye: np.ndarray
-) -> np.ndarray:
-    """Orthogonal projection onto the marginal constraints of a (4, d, d) stack h,
-    given by the one part of h it reads, its moment k = h_pp - h_pm - h_mp + h_mm.
-
-    The constraint set {G_pp + G_pm = Y1, G_mp + G_mm = I - Y1,
-    G_pp + G_mp = Y2, G_pm + G_mm = I - Y2} is the affine space
-    parametrized by one free Hermitian F:
-
-        (F, Y1 - F, Y2 - F, I - Y1 - Y2 + F) = base + (F, -F, -F, F).
-
-    The nearest point to h has F = k / 4 plus half_sum - quarter_eye
-    = (Y1 + Y2) / 2 - I / 4.  base[0] is -0 in both parts and the signs
-    multiply real and imaginary parts as floats, so no zero part of F
-    changes sign.
-    """
-    f = 0.25 * k + half_sum - quarter_eye
-    return (base.view(float) + _JK_SIGNS * f.view(float)).view(complex)
 
 
 def validate_seed(seed) -> int:
@@ -445,11 +426,11 @@ def feasibility_oracle(
     cones and the affine space of the marginal constraints iterate
     T(z) = P_aff(P_psd(z)) + z - P_psd(z); y = P_psd(z), x = P_aff(y).
     They start at the midpoint witness of the smeared contrasts
-    A = 2 Y1 - I, B = 2 Y2 - I, _witnesses(A, B, |A+B|, |A-B|, 1), an affine
-    point built by _affine_project from its moment (|A+B| - |A-B|) / 2 with no
-    witness stack, and _decide's witness at the same lam: inside the gate it
-    is PSD and the verdict is "yes" at iteration 0, carrying the start, and
-    past it the gap y - x of iteration 1 is most often already a certificate.
+    A = 2 Y1 - I, B = 2 Y2 - I, the affine point whose moment is
+    (|A+B| - |A-B|) / 2, and _decide's witness at the same lam: inside the
+    gate it is PSD and the verdict is "yes" at iteration 0, carrying the
+    start, and past it the gap y - x of iteration 1 is most often already a
+    certificate.  P_aff of a stack is the affine point of the stack's moment.
     Each step is a type-II Anderson step on T (Walker & Ni 2011) in the
     real view of the stack, z + g - (dZ + dG) gamma: g = T(z) - z = x - y,
     dZ and dG are the last ANDERSON_MEMORY differences of z and g, and
@@ -483,12 +464,11 @@ def feasibility_oracle(
     """
     eye = identity(_same_dim(*(_require(o, DichotomicObservable).dim for o in (o1lam, o2lam))))
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
-    half_sum = 0.5 * (y1 + y2)
-    quarter_eye = 0.25 * eye
-    base = np.array([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
+    base = np.array([np.zeros_like(eye), y1, y2, eye - y1 - y2])  # the point F = 0, for certificates
 
     abs_sum, abs_diff = _abs_pair(2.0 * y1 - eye, 2.0 * y2 - eye)
-    x = _affine_project((abs_sum - abs_diff) / 2.0, base, half_sum, quarter_eye)
+    affine_point = _affine_points(y1, y2)
+    x = affine_point((abs_sum - abs_diff) / 2.0)
     dz, dg, last = [], [], None  # the steps of z and of g; the last accepted (z, g, |g|)
     tested = 1 - CERTIFICATE_EVERY  # the iteration of the last test: the first is at 1
     certificate = None
@@ -521,7 +501,7 @@ def feasibility_oracle(
             z = x + np.zeros_like(x)  # the Dykstra correction starts at 0
         eigs, vecs = np.linalg.eigh(_hermitian_part(z))
         y = (vecs * np.maximum(eigs, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)  # P_psd(z)
-        x = _affine_project(y[0] - y[1] - y[2] + y[3], base, half_sum, quarter_eye)
+        x = affine_point(y[0] - y[1] - y[2] + y[3])
 
     return FeasibilityReport("undetermined" if certificate is None else "no", None,
                              _max_abs(x - y), low, it, certificate)

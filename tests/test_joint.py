@@ -122,14 +122,25 @@ def _threshold_probes(delta):
 
 
 def _oracle_start(o1lam, o2lam):
-    """The oracle's start: the midpoint witness of the smeared contrasts at lam = 1,
-    built as the affine point of the targets' marginals whose moment
-    G_pp - G_pm - G_mp + G_mm is the witness's own, (|A+B| - |A-B|) / 2."""
+    """The oracle's start in plain numpy: the midpoint witness of the smeared contrasts
+    A = 2 Y1 - I, B = 2 Y2 - I at lam = 1, the affine point base + (F, -F, -F, F) of the
+    targets' marginals, added on the float view, whose moment is (|A+B| - |A-B|) / 2."""
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
-    eye = identity(o1lam.dim)
+    eye = np.eye(o1lam.dim, dtype=complex)
+    a, b = 2.0 * y1 - eye, 2.0 * y2 - eye
+    w, v = np.linalg.eigh(np.array([a + b, a - b]))
+    abs_sum, abs_diff = (v * np.abs(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+    f = 0.25 * ((abs_sum - abs_diff) / 2.0) + 0.5 * (y1 + y2) - 0.25 * eye
     base = np.array([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
-    abs_sum, abs_diff = joint._abs_pair(2.0 * y1 - eye, 2.0 * y2 - eye)
-    return joint._affine_project((abs_sum - abs_diff) / 2.0, base, 0.5 * (y1 + y2), 0.25 * eye)
+    signs = np.array((1.0, -1.0, -1.0, 1.0))[:, None, None]
+    return (base.view(float) + signs * f.view(float)).view(complex)
+
+
+def _gjk_formula(a, b, abs_sum, abs_diff, lam):
+    """G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4, one (j, k) at a time."""
+    eye = np.eye(len(a), dtype=complex)
+    return np.stack([(eye + lam * (j * a + k * b) + j * k * (lam * (abs_sum - abs_diff) / 2.0)) / 4.0
+                     for j, k in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
 
 
 def _sha256(stack) -> str | None:
@@ -844,14 +855,15 @@ class TestFeasibilityOracle:
             lam = 1.0 - float(rng.uniform(0.0, 0.5))
             a, b = o1.difference(), o2.difference()
             abs_sum, abs_diff = joint._abs_pair(a, b)
-            w = joint._witnesses(a, b, abs_sum, abs_diff, lam)
-            assert _max_abs(w[0] - w[1] - w[2] + w[3] - lam * (abs_sum - abs_diff) / 2.0) <= 4 * np.finfo(float).eps
-
             o1lam, o2lam = smear(o1, lam), smear(o2, lam)
             y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
+            w = joint._affine_points(y1, y2)(lam * (abs_sum - abs_diff) / 2.0)
+            assert _max_abs(w[0] - w[1] - w[2] + w[3] - lam * (abs_sum - abs_diff) / 2.0) <= 4 * np.finfo(float).eps
+            assert _max_abs(w - _gjk_formula(a, b, abs_sum, abs_diff, lam)) <= 4 * np.finfo(float).eps
+
             eye = np.eye(o1lam.dim)
             a, b = 2.0 * y1 - eye, 2.0 * y2 - eye
-            g = joint._witnesses(a, b, *joint._abs_pair(a, b), 1.0)
+            g = _gjk_formula(a, b, *joint._abs_pair(a, b), 1.0)
             f = 0.25 * (g[0] - g[1] - g[2] + g[3]) + (y1 + y2) / 2.0 - eye / 4.0
             projected = np.array([f, y1 - f, y2 - f, eye - y1 - y2 + f])
             if np.linalg.eigvalsh(projected)[:, 0].min() < -PSD_TOL:
@@ -1230,8 +1242,8 @@ class TestWitnessBuiltOnce:
         d, rng = 64, np.random.default_rng(75)
         p, q = _random_projector(rng, d, d // 2), _random_projector(rng, d, d // 2)
         solves, built = self._count_top_solves(monkeypatch), []
-        real_witnesses = joint._witnesses
-        monkeypatch.setattr(joint, "_witnesses", lambda *args: built.append(1) or real_witnesses(*args))
+        real_points = joint._affine_points
+        monkeypatch.setattr(joint, "_affine_points", lambda *args: built.append(1) or real_points(*args))
         rep = pvm_joint_observable(p, q, 0.75)
         assert rep.feasible == "no" and rep.min_eigenvalue < 0.0
         assert solves == [(d, d)]
@@ -1647,8 +1659,8 @@ class TestQubitPathBitIdentity:
         for m, n in zip(vs, vs[1:] + vs[:1]):
             pair = _bloch_pair(m, n)
             s, d = (float(np.linalg.norm(v)) for v in (m.v + n.v, m.v - n.v))
-            _, _, abs_sum, abs_diff, _, _ = pair.parts()
-            assert np.array_equal(abs_sum, s * np.eye(2)) and np.array_equal(abs_diff, d * np.eye(2))
+            moment, _, _ = pair.parts()
+            assert np.array_equal(moment, (s - d) / 2.0 * np.eye(2))
             assert pair.top().hex() == (s + d).hex()
 
     def test_qubit_path_values_refuse_a_write(self):
@@ -1704,15 +1716,18 @@ class TestQubitPathBitIdentity:
 
 
 class TestInPlaceBitIdentity:
-    """The witness stack and check_joint's residuals, filled in place, carry the
+    """The affine points, and check_joint's residuals filled in place, carry the
     bits of the formulas written out term by term."""
 
     @staticmethod
-    def _inputs(rng, d):
-        """Hermitian A, B with some A == B entries (and signed zeros among them),
-        and |A+B|, |A-B| as _abs_pair builds them."""
+    def _inputs(rng, d, real=False):
+        """Hermitian A, B with some A == B entries (and signed zeros among them), real
+        ones with imaginary parts of either zero if asked, and |A+B|, |A-B| as _abs_pair builds them."""
         a, b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
         a, b = (m + m.conj().T for m in (a, b))
+        if real:
+            for m in (a, b):
+                m.imag = np.where(rng.random((d, d)) < 0.5, -0.0, 0.0)
         same = rng.random((d, d)) < 0.4
         same = same | same.T
         b[same] = a[same]
@@ -1723,26 +1738,47 @@ class TestInPlaceBitIdentity:
         return (a, b, *joint._abs_pair(a, b))
 
     @staticmethod
-    def _formula(a, b, abs_sum, abs_diff, lam):
-        """G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4, one (j, k) at a time."""
-        eye = np.eye(len(a), dtype=complex)
-        return np.stack([(eye + lam * (j * a + k * b) + j * k * (lam * (abs_sum - abs_diff) / 2.0)) / 4.0
-                         for j, k in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+    def _affine_formula(y1, y2, moment):
+        """(F, Y1 - F, Y2 - F, (I - Y1 - Y2) + F) with F = moment / 4 + (Y1 + Y2) / 2 - I / 4, term by term."""
+        eye = np.eye(len(y1), dtype=complex)
+        f = 0.25 * moment + 0.5 * (y1 + y2) - 0.25 * eye
+        return np.stack([f, y1 - f, y2 - f, (eye - y1 - y2) + f])
+
+    @staticmethod
+    def _float_view_formula(y1, y2, moment):
+        """base + (F, -F, -F, F) on the float view with base[0] = -0, which leaves every zero
+        part of F as it is: the same point, by real arithmetic alone."""
+        eye = np.eye(len(y1), dtype=complex)
+        f = 0.25 * moment + 0.5 * (y1 + y2) - 0.25 * eye
+        base = np.array([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
+        return (base.view(float) + np.array((1.0, -1.0, -1.0, 1.0))[:, None, None] * f.view(float)).view(complex)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
-    def test_witnesses_are_the_formula_bit_for_bit(self, d):
+    def test_affine_points_are_the_formula_bit_for_bit(self, d):
+        # Y1, Y2 = lam A, lam B keep the inputs' signed zeros; the moment is the witness's.
         rng = np.random.default_rng(3500 + d)
         lams = np.array([0.3, LAMBDA_OPT, math.sqrt(0.5), 0.9, 1.0])
-        for _ in range(20):
-            a, b, abs_sum, abs_diff = self._inputs(rng, d)
+        eps = np.finfo(float).eps
+        for i in range(20):
+            a, b, abs_sum, abs_diff = self._inputs(rng, d, real=i % 2 == 1)
             assert np.signbit((a - b).view(float)).any() or d == 1
-            for lam in lams:
-                got = joint._witnesses(a, b, abs_sum, abs_diff, float(lam))
-                want = self._formula(a, b, abs_sum, abs_diff, float(lam))
-                assert got.shape == (4, d, d) and got.tobytes() == want.tobytes()
-            got = joint._witnesses(a, b, abs_sum, abs_diff, lams[:, None, None, None])
-            want = np.stack([self._formula(a, b, abs_sum, abs_diff, lam) for lam in lams])
-            assert got.shape == (len(lams), 4, d, d) and got.tobytes() == want.tobytes()
+            for lam in map(float, lams):
+                y1, y2, moment = lam * a, lam * b, lam * (abs_sum - abs_diff) / 2.0
+                got = joint._affine_points(y1, y2)(moment)
+                assert got.shape == (4, d, d)
+                assert got.tobytes() == self._affine_formula(y1, y2, moment).tobytes()
+                assert got.tobytes() == self._float_view_formula(y1, y2, moment).tobytes()
+                # With the smeared effects (I + lam A) / 2, (I + lam B) / 2, the point is
+                # the witness G_jk, to a few ulps of the largest entry.
+                eye = np.eye(d)
+                point = joint._affine_points((eye + lam * a) / 2.0, (eye + lam * b) / 2.0)(moment)
+                want = _gjk_formula(a, b, abs_sum, abs_diff, lam)
+                assert _max_abs(point - want) <= 4 * eps * max(1.0, _max_abs(want))
+            ys1, ys2 = (lams[:, None, None] * m for m in (a, b))
+            moments = lams[:, None, None] * (abs_sum - abs_diff) / 2.0
+            got = joint._affine_points(ys1, ys2)(moments)
+            want = np.stack([self._affine_formula(*args) for args in zip(ys1, ys2, moments)], axis=1)
+            assert got.shape == (4, len(lams), d, d) and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 64])
     def test_check_joint_residuals_are_the_per_term_values(self, d):
@@ -1767,6 +1803,53 @@ class TestInPlaceBitIdentity:
                 assert res.marginal_second == max(float(np.max(np.abs(gpp + gmp - o2lam.yes_effect.matrix))),
                                                   float(np.max(np.abs(gpm + gmm - o2lam.no_effect.matrix))))
             assert res.marginal_max > 1e-6
+
+
+class TestAffinePoints:
+    """The affine point of a stack's moment is the stack's nearest point on the
+    marginal constraints: it meets them, and the stack minus it is orthogonal to
+    every direction (D, -D, -D, D) of the affine set."""
+
+    @staticmethod
+    def _hermitian(rng, *shape):
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return g + np.conj(np.swapaxes(g, -1, -2))
+
+    @staticmethod
+    def _assert_nearest(x, y1, y2, h, rng):
+        eps, d = np.finfo(float).eps, len(y1)
+        scale = 1.0 + _max_abs(h)
+        assert _max_abs(x[0] + x[1] - y1) <= 16 * eps * scale
+        assert _max_abs(x[0] + x[2] - y2) <= 16 * eps * scale
+        assert _max_abs(x.sum(axis=0) - np.eye(d)) <= 16 * eps * scale
+        for _ in range(3):
+            dd = TestAffinePoints._hermitian(rng, d, d)
+            pairing = sum(np.sum(np.conj(sign * dd) * (hj - xj)).real
+                          for sign, hj, xj in zip((1.0, -1.0, -1.0, 1.0), h, x))
+            assert abs(pairing) <= 64 * eps * scale * np.abs(dd).sum()
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_the_point_of_a_stack_s_moment_is_its_nearest_point(self, seed_, d):
+        rng = np.random.default_rng(seed_)
+        y1, y2 = (_random_effect(rng, d).matrix for _ in range(2))
+        h = self._hermitian(rng, 4, d, d)
+        x = joint._affine_points(y1, y2)(h[0] - h[1] - h[2] + h[3])
+        assert x.shape == (4, d, d)
+        self._assert_nearest(x, y1, y2, h, rng)
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_a_stack_of_pairs_gets_each_pair_s_nearest_point(self, seed_, d):
+        # (r, d, d) stacks of Y1, Y2 and moments, as qubit_verdicts builds one per lam.
+        rng = np.random.default_rng(seed_)
+        r = 4
+        ys1, ys2 = (np.array([_random_effect(rng, d).matrix for _ in range(r)]) for _ in range(2))
+        hs = self._hermitian(rng, r, 4, d, d)
+        x = joint._affine_points(ys1, ys2)(hs[:, 0] - hs[:, 1] - hs[:, 2] + hs[:, 3])
+        assert x.shape == (4, r, d, d)
+        for i in range(r):
+            self._assert_nearest(x[:, i], ys1[i], ys2[i], hs[i], rng)
 
 
 def _complementary_pair(rng, d, excess):

@@ -162,15 +162,15 @@ def test_one_core_picks_the_path():
     # joint._decide alone chooses among the witness, a closed-form "no" and the
     # oracle, and the operator pair builders and the oracle's warm start (the
     # midpoint witness of the smeared contrasts) alone take |A+B| and |A-B|; a
-    # second copy of either would call these somewhere else.  The start builds
-    # no witness stack: it is the affine point whose moment is the witness's
-    # own, (|A+B| - |A-B|) / 2, so only the closed-form paths call _witnesses.
+    # second copy of either would call these somewhere else.  Every candidate
+    # joint observable, a closed-form witness or an oracle iterate, is the
+    # affine point of its moment, built by _affine_points alone.
     tree = ast.parse((SRC / "joint.py").read_text(encoding="utf-8"))
     callers = {name: sorted(set(_readers(tree, name)))
-               for name in ("feasibility_oracle", "_witnesses", "_feasible", "_abs_pair")}
+               for name in ("feasibility_oracle", "_affine_points", "_feasible", "_abs_pair")}
     assert callers == {
         "feasibility_oracle": ["_decide"],
-        "_witnesses": ["_decide", "qubit_verdicts"],
+        "_affine_points": ["_decide", "feasibility_oracle", "qubit_verdicts"],
         "_feasible": ["_decide", "lambda_opt_search", "qubit_verdicts"],
         "_abs_pair": ["_observable_pair", "feasibility_oracle"],
     }

@@ -15,13 +15,19 @@ ROOT = Path(__file__).resolve().parents[1]
 # PSD, carrying that start, built as the affine point whose moment is
 # (|A+B| - |A-B|) / 2; past a pair of projectors decided through its
 # observables, A = E - N, whose top comes from the one eigh that also gives its
-# Bell value, every BlochVector stored as v / |v|, and every CHSH table one
-# contraction of the state with both wings' contrasts.
-PINNED_TOTAL_101 = "685a3633233af577ca4eb144887837d9bd9f76caef9420abaab7fb287ba5eff4"
-PINNED_LIBRARY_101 = "1a140ab2d4b88ba274f53e6a857cd9caf1f978110b0746ea77e129cc17e0c6d7"
-# Computed with the oracle's start-decided "yes" and its start as above, every
-# BlochVector stored as v / |v|, and every CHSH table one contraction.
-PINNED_QUBIT_101 = "9a0bedc60c5f1a0769b5f8bdb42e20295ff0c2f86935576fd662947468f9eeb0"
+# Bell value, every BlochVector stored as v / |v|, every CHSH table one
+# contraction of the state with both wings' contrasts, and every closed-form
+# witness the affine point of the smeared yes-effects whose moment is
+# lam (|A+B| - |A-B|) / 2.
+PINNED_TOTAL_101 = "d4c82ca435db356e541e0c867381dc92936a904554b1f8db3830e2582ca417c4"
+PINNED_LIBRARY_101 = "49191dd728339d204e6c3346b5ae47ff30166a371bf67aa094cab226cdc520da"
+# Computed with every BlochVector stored as v / |v|, every CHSH table one
+# contraction and every closed-form witness the affine point as above.
+PINNED_QUBIT_101 = "a508a7918345647cc09e8c8ae50ec7d84a3ee178d97bb6866e5e1c6d2394329d"
+# Computed with the oracle's start-decided "yes" and its start as above; the
+# same bytes since its start and its iterates come from the one affine-point
+# builder that also makes the closed-form witnesses.
+PINNED_ORACLE_101 = "f28ebf2f88d8107eb49b01a97cb1b1d87301c2e57b9fa309e2bd0caa90c0c4e1"
 # Computed with every dimension refusal a ValidationError("same-dimension"), and
 # a projector whose trace adds inf and -inf refused in one error line.
 PINNED_REFUSALS = "5a1593e54554d0d9b659d6500e8d4e166113a3b45d7a40b4b4f9806af850cab4"
@@ -73,11 +79,19 @@ def test_one_seed_gives_one_library_digest_past_the_cli_dimensions(monkeypatch):
     assert line == f"{PINNED_LIBRARY_101}  blocks library over 1 seeds x 100 ops"
 
 
-def test_one_seed_gives_one_qubit_and_oracle_digest(monkeypatch):
-    # 200 ops of the qubit workload (closed-form decision, check_joint, pure
-    # state, both CHSH reports) and 200 of the oracle workload.
+def test_one_seed_gives_one_qubit_digest(monkeypatch):
+    # 200 ops of the qubit workload: closed-form decision, check_joint, pure
+    # state, both CHSH reports.
     line = _tool(monkeypatch).qubit_digest((101,))
-    assert line == f"{PINNED_QUBIT_101}  qubit/oracle library over 1 seeds x 200 ops each"
+    assert line == f"{PINNED_QUBIT_101}  qubit library over 1 seeds x 200 ops"
+
+
+def test_one_seed_gives_one_oracle_digest(monkeypatch):
+    # 200 ops of the oracle workload: verdict, iterations, witness or
+    # certificate, on a line of its own, so that a change to the closed-form
+    # witnesses alone leaves it as it is.
+    line = _tool(monkeypatch).oracle_digest((101,))
+    assert line == f"{PINNED_ORACLE_101}  oracle library over 1 seeds x 200 ops"
 
 
 def test_one_seed_gives_one_digest_of_the_values_built_unchecked(monkeypatch):

@@ -13,7 +13,7 @@ which side runs first.  It writes one JSON file with
   quartiles (numpy's linear percentiles), the change's median over the
   parent's, the pairs in which the change did better, and whether the gap
   between the medians exceeds the parent's interquartile range;
-* `uj_digest`: the seven summary lines of `tools/uj_digest.py --src` on each
+* `uj_digest`: the eight summary lines of `tools/uj_digest.py --src` on each
   tree and the labels of every digest line that differs.
 
 Directions come from BENCHMARK.json; no bound is judged here.
@@ -130,7 +130,7 @@ def compare_digests(parent: list[str], change: list[str]) -> dict:
     """The digest's summary lines of both trees and the labels of the lines that differ."""
     label = lambda line: line.split("  ", 1)[1]  # noqa: E731
     moved = [label(b) for a, b in zip(parent, change) if a != b]
-    return {"parent": parent[-7:], "change": change[-7:], "moved": moved}
+    return {"parent": parent[-8:], "change": change[-8:], "moved": moved}
 
 
 def main(argv=None) -> int:

@@ -16,24 +16,27 @@ pairs up to d = 64, POVM pairs up to d = 16) for each seed, over every
 `two_projector_blocks` unitary and its blocks and every report's witness,
 `min_eigenvalue` and `marginal_residual`.  The cli's argvs never reach
 `qubit_joint_observable`, `DensityMatrix.pure` on random states or the
-oracle's qubit "yes", so a last line digests QUBIT_OPS ops of the `qubit`
-and of the `oracle` workload for each seed: every report's verdict,
+oracle's qubit "yes", so two more lines digest QUBIT_OPS ops per seed: a
+`qubit library` line over the `qubit` workload, every report's verdict,
+witness, `min_eigenvalue` and `marginal_residual`, its `check_joint`
+residuals, `criterion_value` and both CHSH reports; and an `oracle
+library` line over the `oracle` workload, every report's verdict,
 iterations, witness or certificate, `min_eigenvalue` and
-`marginal_residual`, and for a qubit op its `check_joint` residuals,
-`criterion_value` and both CHSH reports.  A fourth line digests the
+`marginal_residual`.  A change that moves closed-form witnesses but no
+oracle iterate moves the first of these alone.  A fifth line digests the
 acceptance verdicts: each criterion of `acceptance.CRITERIA`, run once, by
 its number, name, passed flag and detail line, without its runtime.
-Every argv so far succeeds, so a fifth line digests argvs that `uj` must
+Every argv so far succeeds, so a sixth line digests argvs that `uj` must
 refuse (REFUSALS, on files planted in a temporary directory): each one's
 exit code, stdout and stderr, with the directory replaced by the same token.
 The tool exits non-zero if any of them exits 0.  The cli's argvs dilate
-only up to d = 4 and never print a built-in box, so a sixth line digests
+only up to d = 4 and never print a built-in box, so a seventh line digests
 the values the package builds without re-running a constructor's checks:
 the `p` bytes of `pr_box()` and of each `local_deterministic_boxes()`
 table, `neumark_dilate` of both effects of every POVM op of one `blocks`
 cycle per seed (d up to 16), and `DensityMatrix.pure` of the ψ of QUBIT_OPS
-`qubit` ops per seed.  Every CHSH value above comes from qubit wings, so a
-seventh line digests the correlator past them: for each seed and each pair
+`qubit` ops per seed.  Every CHSH value above comes from qubit wings, so an
+eighth line digests the correlator past them: for each seed and each pair
 of wing dimensions in CORRELATOR_WINGS, a random mixed state and random
 POVM settings, and the terms of `chsh`, of `smeared_chsh` at each of
 three random lam, and the `smeared_chsh_values` of those lam, as float hex.
@@ -178,12 +181,12 @@ def library_digest(seeds) -> str:
 
 
 def qubit_digest(seeds) -> str:
-    """One "sha256  qubit/oracle library ..." line over QUBIT_OPS ops of each workload per seed."""
-    from perfbench.workloads import OracleWorkload, QubitWorkload
+    """One "sha256  qubit library ..." line over QUBIT_OPS ops of the qubit workload per seed."""
+    from perfbench.workloads import QubitWorkload
 
     h = hashlib.sha256()
     for seed in seeds:
-        qubit, oracle = (w(seed, Path(tempfile.gettempdir())) for w in (QubitWorkload, OracleWorkload))
+        qubit = QubitWorkload(seed, Path(tempfile.gettempdir()))
         for index in range(QUBIT_OPS):
             rep, residuals, crit, sharp, smeared = qubit.run(qubit.make(index))
             fields = [crit] if residuals is None else [crit, residuals.normalization, residuals.marginal_first,
@@ -192,11 +195,21 @@ def qubit_digest(seeds) -> str:
                 fields += [*chsh.terms, chsh.value, chsh.bound_lambda]
             text = repr([float(x).hex() for x in fields] + [sharp.within_bound, smeared.within_bound])
             _update(h, [rep.feasible.encode(), *_report_parts(rep), text.encode()])
+    return f"{h.hexdigest()}  qubit library over {len(seeds)} seeds x {QUBIT_OPS} ops"
+
+
+def oracle_digest(seeds) -> str:
+    """One "sha256  oracle library ..." line over QUBIT_OPS ops of the oracle workload per seed."""
+    from perfbench.workloads import OracleWorkload
+
+    h = hashlib.sha256()
+    for seed in seeds:
+        oracle = OracleWorkload(seed, Path(tempfile.gettempdir()))
         for index in range(QUBIT_OPS):
             rep = oracle.run(oracle.make(index))
             evidence = b"-" if rep.certificate is None else rep.certificate.tobytes()
             _update(h, [rep.feasible.encode(), str(rep.iterations).encode(), evidence, *_report_parts(rep)])
-    return f"{h.hexdigest()}  qubit/oracle library over {len(seeds)} seeds x {QUBIT_OPS} ops each"
+    return f"{h.hexdigest()}  oracle library over {len(seeds)} seeds x {QUBIT_OPS} ops"
 
 
 def unchecked_digest(seeds) -> str:
@@ -308,6 +321,7 @@ def main(argv=None) -> int:
     print("\n".join(report(SEEDS)))
     print(library_digest(SEEDS))
     print(qubit_digest(SEEDS))
+    print(oracle_digest(SEEDS))
     print(acceptance_digest())
     print(refusal_digest())
     print(unchecked_digest(SEEDS))
