@@ -121,19 +121,25 @@ def _threshold_probes(delta):
         yield smear(m.observable(), lam), smear(n.observable(), lam)
 
 
+def _float_view_point(y1, y2, moment):
+    """The affine point of a moment in plain numpy, as base + (F, -F, -F, F) on the float view with
+    base[0] = -0, F = 0.25 moment + 0.5 (Y1 + Y2) - 0.25 I: real arithmetic alone, which leaves
+    every zero part of F as it is."""
+    eye = np.eye(len(y1), dtype=complex)
+    f = 0.25 * moment + 0.5 * (y1 + y2) - 0.25 * eye
+    base = np.array([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
+    return (base.view(float) + np.array((1.0, -1.0, -1.0, 1.0))[:, None, None] * f.view(float)).view(complex)
+
+
 def _oracle_start(o1lam, o2lam):
     """The oracle's start in plain numpy: the midpoint witness of the smeared contrasts
-    A = 2 Y1 - I, B = 2 Y2 - I at lam = 1, the affine point base + (F, -F, -F, F) of the
-    targets' marginals, added on the float view, whose moment is (|A+B| - |A-B|) / 2."""
+    A = 2 Y1 - I, B = 2 Y2 - I at lam = 1, the affine point whose moment is (|A+B| - |A-B|) / 2."""
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
     eye = np.eye(o1lam.dim, dtype=complex)
     a, b = 2.0 * y1 - eye, 2.0 * y2 - eye
     w, v = np.linalg.eigh(np.array([a + b, a - b]))
     abs_sum, abs_diff = (v * np.abs(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-    f = 0.25 * ((abs_sum - abs_diff) / 2.0) + 0.5 * (y1 + y2) - 0.25 * eye
-    base = np.array([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
-    signs = np.array((1.0, -1.0, -1.0, 1.0))[:, None, None]
-    return (base.view(float) + signs * f.view(float)).view(complex)
+    return _float_view_point(y1, y2, (abs_sum - abs_diff) / 2.0)
 
 
 def _gjk_formula(a, b, abs_sum, abs_diff, lam):
@@ -1744,15 +1750,6 @@ class TestInPlaceBitIdentity:
         f = 0.25 * moment + 0.5 * (y1 + y2) - 0.25 * eye
         return np.stack([f, y1 - f, y2 - f, (eye - y1 - y2) + f])
 
-    @staticmethod
-    def _float_view_formula(y1, y2, moment):
-        """base + (F, -F, -F, F) on the float view with base[0] = -0, which leaves every zero
-        part of F as it is: the same point, by real arithmetic alone."""
-        eye = np.eye(len(y1), dtype=complex)
-        f = 0.25 * moment + 0.5 * (y1 + y2) - 0.25 * eye
-        base = np.array([np.full_like(eye, complex(-0.0, -0.0)), y1, y2, eye - y1 - y2])
-        return (base.view(float) + np.array((1.0, -1.0, -1.0, 1.0))[:, None, None] * f.view(float)).view(complex)
-
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_affine_points_are_the_formula_bit_for_bit(self, d):
         # Y1, Y2 = lam A, lam B keep the inputs' signed zeros; the moment is the witness's.
@@ -1767,7 +1764,7 @@ class TestInPlaceBitIdentity:
                 got = joint._affine_points(y1, y2)(moment)
                 assert got.shape == (4, d, d)
                 assert got.tobytes() == self._affine_formula(y1, y2, moment).tobytes()
-                assert got.tobytes() == self._float_view_formula(y1, y2, moment).tobytes()
+                assert got.tobytes() == _float_view_point(y1, y2, moment).tobytes()
                 # With the smeared effects (I + lam A) / 2, (I + lam B) / 2, the point is
                 # the witness G_jk, to a few ulps of the largest entry.
                 eye = np.eye(d)
