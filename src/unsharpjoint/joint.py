@@ -19,8 +19,8 @@ G_pp - G_pm - G_mp + G_mm = 4 F - 2 (Y1 + Y2) + I and built by one function
 
     G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4,
 
-  has every G_jk at least (2 - lam * top) / 8, so the gate (_feasible) passes it when
-  lam * top <= 2 + CRITERION_SLACK or lam <= 1/sqrt(2):
+  has every G_jk at least (2 - lam * top) / 8, so the gate (_feasible)
+  passes it when lam * top <= 2 + CRITERION_SLACK or lam <= 1/sqrt(2):
   (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8 for
   |A|, |B| <= 1, so top <= 2 sqrt(2) and every pair is jointly measurable
   at 1/sqrt(2) (Busch 1986);
