@@ -21,7 +21,9 @@ the report replaces them.  After a failed write the file's content is
 unspecified: the start of the report over what the file held before.
 
 Exit status: 0 on success, 2 when an infeasible verdict meets
---expect-feasible, 1 on any error.
+--expect-feasible, 1 on any error a command raises.  A command line that
+argparse refuses (an unknown flag, --lambda abc) exits 2 too, from argparse,
+before any command runs.
 """
 
 from __future__ import annotations

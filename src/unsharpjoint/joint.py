@@ -2,46 +2,46 @@
 
 A pair of two-outcome measurements is jointly measurable when a single
 four-outcome POVM {G_pp, G_pm, G_mp, G_mm} reproduces both of them as
-marginals.  Every decision of this module is made in one place,
-_decide(pair, lam), on a pair value from one of two builders, the only
-code that classifies a pair: _bloch_pair (Bloch vectors m, n) and
-_observable_pair (dichotomic observables, sharp or not).  The pair carries
-top, the largest eigenvalue of |A+B| + |A-B| for the contrasts
-A = E1 - N1, B = E2 - N2 (m.sigma and n.sigma), and its Bell value beta,
-each solved once and only when read: the gate reads top only past
-lam = 1/sqrt(2).  Every candidate joint observable is one point of the
-affine set of the marginal constraints, (F, Y1 - F, Y2 - F, I - Y1 - Y2 + F)
-for the smeared yes-effects Y1, Y2, fixed by its moment
+marginals.  Every candidate joint observable is one point of the affine
+set of the marginal constraints, (F, Y1 - F, Y2 - F, I - Y1 - Y2 + F) for
+the smeared yes-effects Y1, Y2, fixed by its moment
 G_pp - G_pm - G_mp + G_mm = 4 F - 2 (Y1 + Y2) + I and built by one function
-(_affine_points).  _decide takes one of three paths:
-
-* the witness, the point with moment lam (|A+B| - |A-B|) / 2,
+(_affine_points).  The paper's candidate is the midpoint witness, the point
+with moment lam (|A+B| - |A-B|) / 2 for the contrasts A = E1 - N1,
+B = E2 - N2 (m.sigma and n.sigma for Bloch vectors),
 
     G_jk = (I + lam (j A + k B) + jk lam (|A+B| - |A-B|) / 2) / 4,
 
-  has every G_jk at least (2 - lam * top) / 8, so the gate (_feasible)
-  passes it when lam * top <= 2 + CRITERION_SLACK or lam <= 1/sqrt(2):
-  (|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8 for
-  |A|, |B| <= 1, so top <= 2 sqrt(2) and every pair is jointly measurable
-  at 1/sqrt(2) (Busch 1986);
-* past the gate, a "no" where lam * beta, the CHSH value of an experiment on
-  the smeared pair (_bell_value; beta = top for Bloch vectors, and for a sharp
-  pair outside _decide's band), passes 2 by more than effects outside [0, I]
-  add, as no jointly measurable pair violates CHSH (Wolf, Perez-Garcia & Fernandez 2009);
-* past the gate, any other pair goes to an alternating-projection (Dykstra)
-  feasibility oracle, Anderson-accelerated and started at the same witness
-  of the smeared pair, its "yes" at iteration 0 where it is PSD: the gate's
-  bound is exact for a sharp pair, not for every other.  Its verdicts do not
-  rest on the start (a "yes" is a checked PSD point of the affine set, a
-  "no" a Farkas certificate), so it also cross-checks every closed-form
-  verdict in the test suite.
+whose every G_jk is at least (2 - lam * top) / 8, top the largest eigenvalue
+of |A+B| + |A-B|.  So the gate (_feasible) passes it where
+lam * top <= 2 + CRITERION_SLACK or lam <= 1/sqrt(2):
+(|A+B| + |A-B|)^2 <= 2 (|A+B|^2 + |A-B|^2) = 4 (A^2 + B^2) <= 8 for
+|A|, |B| <= 1, so top <= 2 sqrt(2) and every pair is jointly measurable at
+1/sqrt(2) (Busch 1986).  Each entry point decides its own kind of pair:
 
-For Bloch vectors |A+B| and |A-B| are the scalars |m+n| and |m-n|,
-top = |m+n| + |m-n| is the paper's criterion, and the observables, (I + v.sigma) / 2
-and its complement, are the vectors' own, built once per vector.  The
-largest feasible unsharpness of a pair (lambda_opt_search) comes from the
-same top and gate, and _decide checks it; its worst case over Bloch-vector
-pairs, 1/sqrt(2), is reached at every orthogonal pair (worst_case_pair).
+* a pair of Bloch vectors (qubit_joint_observable, qubit_verdicts): |A+B|
+  and |A-B| are the scalars |m+n| and |m-n| (_bloch_norms), top = |m+n| +
+  |m-n| is the paper's criterion, the gate's bound is exact, and past it
+  the pair violates CHSH by lam * top > 2 (Wolf, Perez-Garcia & Fernandez
+  2009): the witness where the gate passes, else a "no";
+* a pair of dichotomic observables (povm_joint_observable, and
+  pvm_joint_observable on the projectors' observables): past 1/sqrt(2), a
+  "no" where lam * beta, the CHSH value of an experiment on the smeared
+  pair (_bell_value, on the eigh of |A+B| + |A-B| that gives top), passes 2
+  by more than effects outside [0, I] add, as no jointly measurable pair
+  violates CHSH; every other pair goes to an alternating-projection
+  (Dykstra) feasibility oracle, Anderson-accelerated and started at the
+  midpoint witness of the smeared pair, its "yes" at iteration 0 where that
+  start is PSD.  The start is the only witness such a pair has: it is PSD
+  wherever the gate passes, and also where the bound is not exact, for a
+  pair that is not sharp; and beta <= top, so the Bell rule never fires
+  there.  The oracle's verdicts do not rest on the start (a "yes" is a
+  checked PSD point of the affine set, a "no" a Farkas certificate).
+
+The largest feasible unsharpness of a pair (lambda_opt_search) comes from
+the same top and gate, and the decision at it is a checked "yes"; its worst
+case over Bloch-vector pairs, 1/sqrt(2), is reached at every orthogonal pair
+(worst_case_pair).
 
 The operator form needs no block decomposition.  The anticommutator
 {A, B} of a sharp pair commutes with A and B, so on every invariant block
@@ -57,7 +57,6 @@ as one (4, d, d) stack; |A+B| and |A-B| are raw arrays.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -168,12 +167,14 @@ class FeasibilityReport:
                          the max-abs gap between its affine and PSD
                          iterates; 0.0 for a Bell "no"
     min_eigenvalue    -- smallest eigenvalue of the witness effects; for a
-                         Bell "no", the (negative) value (2 - lam * top) / 8
-                         the witness would have had; for an oracle
+                         closed-form or Bell "no", the (negative) bound
+                         (2 - lam * top) / 8 on the midpoint witness's; for an oracle
                          "no" or "undetermined", that of its affine iterate
                          in the oracle's own eigvalsh
-    iterations        -- oracle projections (0 for the closed-form paths, and
-                         for an oracle "yes" at its start)
+    iterations        -- oracle projections: 0 for a Bloch pair's decision
+                         and a Bell "no", and for an oracle "yes" at its
+                         start, as every pair of observables that the
+                         gate passes gets
     certificate       -- for an oracle "no", the read-only (4, d, d) stack
                          of PSD matrices H_pp, H_pm, H_mp, H_mm with
                          H_pp - H_pm - H_mp + H_mm = 0 and a negative
@@ -214,52 +215,34 @@ def check_joint(
 
 def criterion_value(m, n, lam) -> float:
     """lam * (|m+n| + |m-n|) for BlochVectors m, n; the pair is jointly measurable iff <= 2."""
-    return _bloch_pair(m, n).top() * validate_lambda(lam)
+    return sum(_bloch_norms(m, n)) * validate_lambda(lam)
 
 
-def _feasible(lam, pair):
-    """The one closed-form gate, for a float lam or an array of them: True where
-    the witness at lam is PSD, by Busch's bound or by lam * top <= 2;
-    the pair's top is not read for a float lam that Busch's bound passes."""
+def _feasible(lam, top):
+    """The one closed-form gate, for a float lam or an array of them and a float top:
+    True where the midpoint witness at lam is PSD, by Busch's bound or by lam * top <= 2."""
     # Every contrast the constructors accept has |A|, |B| <= 1 + 2 PSD_TOL (effects
     # in [-PSD_TOL, 1 + PSD_TOL], projectors as effects, unit Bloch vectors),
     # so top <= 2 sqrt(2) (1 + 2 PSD_TOL) and at lam <= 1/sqrt(2) every G_jk is
     # at least (2 - lam * top) / 8 >= -PSD_TOL / 2.  _BUSCH_EDGE passes 1/sqrt(2)
     # by less than 1e-16 relative, far inside that slack.
-    busch = lam <= _BUSCH_EDGE
-    return busch if busch is True else busch | (lam * pair.top() <= 2.0 + CRITERION_SLACK)
+    return (lam <= _BUSCH_EDGE) | (lam * top <= 2.0 + CRITERION_SLACK)
 
 
-@dataclass(eq=False)
-class _Pair:
-    """A pair as _decide reads it: top() and bell(), whose eigensolve runs at most once and
-    only when called, and parts(), the witness's moment (|A+B| - |A-B|) / 2 and the observables to smear."""
-
-    top: Callable[[], float]  # the largest eigenvalue of |A+B| + |A-B|
-    bell: Callable[[], tuple[float, float]]  # (beta, radius) as _bell_value defines them; read past the gate
-    tol: float  # the witness tolerance
-    parts: Callable[[], tuple]
-
-
-def _bloch_pair(m, n) -> _Pair:
-    """The pair of BlochVectors m, n: |A+-B| are the scalars |m+-n|, as np.linalg.norm evaluates
-    them, beta = top, radius 1 (each stored v / |v|), and the observables are built only for a witness."""
+def _bloch_norms(m, n) -> tuple[float, float]:
+    """|m+n| and |m-n| for BlochVectors m, n, as np.linalg.norm evaluates them: the
+    Bloch pair's |A+B| and |A-B|, whose sum is its top."""
     mb, nb = _require(m, BlochVector), _require(n, BlochVector)
     sv, dv = mb.v + nb.v, mb.v - nb.v
-    s, d = math.sqrt(sv.dot(sv)), math.sqrt(dv.dot(dv))
-    return _Pair(lambda: s + d, lambda: (s + d, 1.0), QUBIT_WITNESS_TOL,
-                 lambda: ((s - d) / 2.0 * identity(2), mb.observable(), nb.observable()))
+    return math.sqrt(sv.dot(sv)), math.sqrt(dv.dot(dv))
 
 
-def _observable_pair(o1, o2) -> _Pair:
-    """The pair of two DichotomicObservables, with A = E1 - N1, B = E2 - N2: top and
-    bell() read one eigh of |A+B| + |A-B|, solved at most once and only when called."""
-    _same_dim(_require(o1, DichotomicObservable).dim, _require(o2, DichotomicObservable).dim)
+def _contrast_spectrum(o1, o2):
+    """A = E1 - N1 and B = E2 - N2 for two DichotomicObservables of one dimension,
+    and one eigh w, v of |A+B| + |A-B|, whose top is w[-1]."""
     a, b = o1.difference(), o2.difference()
     abs_sum, abs_diff = _abs_pair(a, b)
-    spectrum = functools.cache(lambda: np.linalg.eigh(abs_sum + abs_diff))
-    return _Pair(lambda: float(spectrum()[0][-1]), lambda: _bell_value(a, b, *spectrum()), PSD_TOL,
-                 lambda: ((abs_sum - abs_diff) / 2.0, o1, o2))
+    return a, b, *np.linalg.eigh(abs_sum + abs_diff)
 
 
 def _bell_value(a, b, w, v) -> tuple[float, float]:
@@ -309,65 +292,62 @@ def _yes(g, tol: float, o1lam, o2lam, iterations: int, eigs=None) -> Feasibility
     return FeasibilityReport("yes", witness, res.marginal_max, res.min_eigenvalue, iterations)
 
 
-def _decide(pair: _Pair, lam: float) -> FeasibilityReport:
-    """The one place a decision picks its path: the witness where the gate passes; past it
-    a Bell "no" where lam * beta - 4 max(0, lam * radius - 1) > 2 + CRITERION_SLACK (Alice's
-    effects outside [0, I] add at most the second term: Bob's X +- Y have norm <= 2), carrying
-    (2 - lam * top) / 8, the witness's smallest eigenvalue; else the oracle, started at the same
-    witness (a "yes" at iteration 0 where it is PSD), which also decides a sharp pair whose beta
-    lies below top by its spread of values within CLUSTER_TOL."""
-    if _feasible(lam, pair):
-        moment, o1, o2 = pair.parts()
-        o1lam, o2lam = smear(o1, lam), smear(o2, lam)
-        g = _affine_points(o1lam.yes_effect.matrix, o2lam.yes_effect.matrix)(lam * moment)
-        return _yes(g, pair.tol, o1lam, o2lam, 0)
-    beta, radius = pair.bell()
-    if lam * beta - 4.0 * max(0.0, lam * radius - 1.0) > 2.0 + CRITERION_SLACK:
-        return FeasibilityReport("no", None, 0.0, (2.0 - lam * pair.top()) / 8.0, 0)
-    _, o1, o2 = pair.parts()
-    return feasibility_oracle(smear(o1, lam), smear(o2, lam))
-
-
 def qubit_joint_observable(m, n, lam) -> FeasibilityReport:
     """Joint observable for two smeared rank-1 qubit projective pairs, BlochVectors m
-    and n, decided as the module docstring says: the witness is the midpoint
-    construction G_jk = ((1 + jk t) I + lam (j m + k n).sigma) / 4 with
-    t = lam (|m+n| - |m-n|) / 2, checked at QUBIT_WITNESS_TOL."""
-    return _decide(_bloch_pair(m, n), validate_lambda(lam))
+    and n: where the gate passes, the midpoint witness
+    G_jk = ((1 + jk t) I + lam (j m + k n).sigma) / 4 with t = lam (|m+n| - |m-n|) / 2,
+    checked at QUBIT_WITNESS_TOL; else a "no" carrying its smallest eigenvalue
+    (2 - lam * top) / 8, as the pair then violates CHSH (module docstring)."""
+    s, d = _bloch_norms(m, n)
+    lam = validate_lambda(lam)
+    if not _feasible(lam, s + d):
+        return FeasibilityReport("no", None, 0.0, (2.0 - lam * (s + d)) / 8.0, 0)
+    o1lam, o2lam = smear(m.observable(), lam), smear(n.observable(), lam)
+    moment = lam * ((s - d) / 2.0 * identity(2))
+    return _yes(_affine_points(o1lam.yes_effect.matrix, o2lam.yes_effect.matrix)(moment),
+                QUBIT_WITNESS_TOL, o1lam, o2lam, 0)
 
 
 def qubit_verdicts(m, n, lams) -> list[str]:
     """qubit_joint_observable(m, n, lam).feasible for each lam of a sequence: the
     "yes" witnesses are one stack, checked as that function checks each, by one _check_effects."""
-    pair = _bloch_pair(m, n)
+    s, d = _bloch_norms(m, n)
     lams = _lambda_array(lams)
-    yes = _feasible(lams, pair)
-    moment, o1, o2 = pair.parts()
+    yes = _feasible(lams, s + d)
     lam = lams[yes, None, None]
-    (y1, _), (y2, _) = (_smeared_matrices(o.yes_effect.matrix, o.no_effect.matrix, lam) for o in (o1, o2))
-    g = _affine_points(y1, y2)(lam * moment)
-    _check_effects(g.reshape(-1, 2, 2), pair.tol)
+    (y1, _), (y2, _) = (_smeared_matrices(o.yes_effect.matrix, o.no_effect.matrix, lam)
+                        for o in (m.observable(), n.observable()))
+    g = _affine_points(y1, y2)(lam * ((s - d) / 2.0 * identity(2)))
+    _check_effects(g.reshape(-1, 2, 2), QUBIT_WITNESS_TOL)
     _within("joint-normalization", _max_abs(g.sum(axis=0) - identity(2)), JOINT_NORMALIZATION_TOL)
     return ["yes" if y else "no" for y in yes]
 
 
 def pvm_joint_observable(p1: Projector, p2: Projector, lam) -> FeasibilityReport:
-    """Joint observable for two smeared projective measurements, decided as the
-    module docstring says, as povm_joint_observable decides their observables:
-    the witness is the qubit midpoint witness on every invariant block of the
-    pair, with no decomposition built; past the gate a sharp pair outside _decide's band gets a Bell "no"."""
-    return _decide(_observable_pair(*(_require(p, Projector).observable() for p in (p1, p2))),
-                   validate_lambda(lam))
+    """Joint observable for two smeared projective measurements: povm_joint_observable
+    of their observables, whose oracle starts at the qubit midpoint witness on every
+    invariant block of the pair, with no decomposition built."""
+    return povm_joint_observable(*(_require(p, Projector).observable() for p in (p1, p2)), lam)
 
 
 def povm_joint_observable(
     o1: DichotomicObservable, o2: DichotomicObservable, lam
 ) -> FeasibilityReport:
     """Joint observable for any two smeared dichotomic observables, decided as
-    the module docstring says: past the gate a Bell "no" (iterations 0), or
-    else the verdict of feasibility_oracle, whose report shows iterations > 0
-    unless its start, the witness at lam, is already PSD."""
-    return _decide(_observable_pair(o1, o2), validate_lambda(lam))
+    the module docstring says: past 1/sqrt(2), a Bell "no" (iterations 0) where
+    lam * beta - 4 max(0, lam * radius - 1) > 2 + CRITERION_SLACK (Alice's effects
+    outside [0, I] add at most the second term: Bob's X +- Y have norm <= 2),
+    carrying (2 - lam * top) / 8, the midpoint witness's bound; else the verdict of
+    feasibility_oracle on the smeared pair, a "yes" at iteration 0 wherever its
+    start, that witness, is PSD."""
+    _same_dim(_require(o1, DichotomicObservable).dim, _require(o2, DichotomicObservable).dim)
+    lam = validate_lambda(lam)
+    if lam > _BUSCH_EDGE:
+        a, b, w, v = _contrast_spectrum(o1, o2)
+        beta, radius = _bell_value(a, b, w, v)
+        if lam * beta - 4.0 * max(0.0, lam * radius - 1.0) > 2.0 + CRITERION_SLACK:
+            return FeasibilityReport("no", None, 0.0, (2.0 - lam * float(w[-1])) / 8.0, 0)
+    return feasibility_oracle(smear(o1, lam), smear(o2, lam))
 
 
 def validate_seed(seed) -> int:
@@ -376,7 +356,7 @@ def validate_seed(seed) -> int:
 
 
 def _farkas_certificate(
-    x: np.ndarray, y: np.ndarray, base: np.ndarray, eye: np.ndarray
+    x: np.ndarray, y: np.ndarray, y1: np.ndarray, y2: np.ndarray, eye: np.ndarray
 ) -> np.ndarray | None:
     """Four PSD matrices proving the marginal constraints infeasible, or None.
 
@@ -384,9 +364,10 @@ def _farkas_certificate(
     which converges to the gap vector of the two disjoint sets (Bauschke &
     Borwein 1994).  It is projected onto H_pp - H_pm - H_mp + H_mm = 0, so
     that its pairing with every affine point is the same (that with base,
-    the point F = 0), hermitized and shifted by t (I, I, I, I) into the PSD
-    cones.  If that pairing is negative beyond rounding, no PSD affine
-    point exists: the pairing of two PSD matrices is never negative.
+    the point F = 0 of the yes-effects Y1, Y2), hermitized and shifted by
+    t (I, I, I, I) into the PSD cones.  If that pairing is negative beyond
+    rounding, no PSD affine point exists: the pairing of two PSD matrices is
+    never negative.
 
     Soundness of the relative margin: for every PSD G on the affine set,
     <H, G> equals the pairing; if H is PSD down to -eps, then <H, G> >=
@@ -399,6 +380,7 @@ def _farkas_certificate(
     k = h[0] - h[1] - h[2] + h[3]
     h = _hermitian_part(h - np.array([k, -k, -k, k]) / 4.0)
     h = h + max(0.0, -float(np.min(np.linalg.eigvalsh(h)))) * eye
+    base = np.array([np.zeros_like(eye), y1, y2, eye - y1 - y2])  # the point F = 0
     pairing = float(np.sum(np.conj(h) * base).real)
     if pairing >= -CERTIFICATE_MARGIN * len(eye) * float(np.linalg.norm(h)):
         return None
@@ -427,10 +409,11 @@ def feasibility_oracle(
     T(z) = P_aff(P_psd(z)) + z - P_psd(z); y = P_psd(z), x = P_aff(y).
     They start at the midpoint witness of the smeared contrasts
     A = 2 Y1 - I, B = 2 Y2 - I, the affine point whose moment is
-    (|A+B| - |A-B|) / 2, and _decide's witness at the same lam: inside the
-    gate it is PSD and the verdict is "yes" at iteration 0, carrying the
-    start, and past it the gap y - x of iteration 1 is most often already a
-    certificate.  P_aff of a stack is the affine point of the stack's moment.
+    (|A+B| - |A-B|) / 2: the only witness povm_joint_observable builds.
+    Wherever the gate passes (at lam <= 1/sqrt(2) for every pair) it is PSD
+    and the verdict is "yes" at iteration 0, carrying the start; past it
+    the gap y - x of iteration 1 is most often already a certificate.
+    P_aff of a stack is the affine point of the stack's moment.
     Each step is a type-II Anderson step on T (Walker & Ni 2011) in the
     real view of the stack, z + g - (dZ + dG) gamma: g = T(z) - z = x - y,
     dZ and dG are the last ANDERSON_MEMORY differences of z and g, and
@@ -449,7 +432,8 @@ def feasibility_oracle(
       then at the first accepted point CERTIFICATE_EVERY iterations after
       the last test: four PSD matrices H_jk with H_pp - H_pm - H_mp + H_mm
       = 0 whose pairing with the affine points is negative, which no PSD
-      joint observable allows.  The certificate rides on the report;
+      joint observable allows.  Only a test builds the point F = 0 that the
+      pairing reads.  The certificate rides on the report;
     * "undetermined" when MAX_ITER iterations pass first: near the
       feasibility boundary, and also for near-sharp pairs at lam = 1, where
       nothing is smeared (3 of 100 at d = 2; ROADMAP item 19).
@@ -464,7 +448,6 @@ def feasibility_oracle(
     """
     eye = identity(_same_dim(*(_require(o, DichotomicObservable).dim for o in (o1lam, o2lam))))
     y1, y2 = o1lam.yes_effect.matrix, o2lam.yes_effect.matrix
-    base = np.array([np.zeros_like(eye), y1, y2, eye - y1 - y2])  # the point F = 0, for certificates
 
     abs_sum, abs_diff = _abs_pair(2.0 * y1 - eye, 2.0 * y2 - eye)
     affine_point = _affine_points(y1, y2)
@@ -483,7 +466,7 @@ def feasibility_oracle(
             norm = float(np.linalg.norm(g))
             rejected = bool(dg) and norm > last[2]  # dg is empty after a plain step
             if it - tested >= CERTIFICATE_EVERY and not rejected:
-                tested, certificate = it, _farkas_certificate(x, y, base, eye)
+                tested, certificate = it, _farkas_certificate(x, y, y1, y2, eye)
             if certificate is not None or it == MAX_ITER:
                 break
             if rejected:
@@ -527,25 +510,31 @@ def lambda_opt_search(a, b) -> float:
       overlaps c of its two-dimensional blocks), but never below
       LAMBDA_OPT, which the gate passes;
     * any other pair of observables: 1/sqrt(2), where the gate passes
-      every pair.
+      every pair, with no top solved.
 
-    The value is checked as every "yes" is, by _decide, whose gate passes it.
+    The gate passes the value, so the decision at it builds and checks the
+    midpoint witness: qubit_joint_observable's for Bloch vectors, and for
+    observables feasibility_oracle's start, a "yes" at iteration 0.
     """
-    sharp = True
     if isinstance(a, BlochVector) and isinstance(b, BlochVector):
-        pair = _bloch_pair(a, b)
+        top = sum(_bloch_norms(a, b))
     elif isinstance(a, DichotomicObservable) and isinstance(b, DichotomicObservable):
-        pair = _observable_pair(a, b)
+        _same_dim(a.dim, b.dim)
         try:
             for o in (a, b):
                 Projector.from_matrix(o.yes_effect.matrix)
         except ValidationError:
-            sharp = False
+            top = None  # not sharp
+        else:
+            top = float(_contrast_spectrum(a, b)[2][-1])
     else:
         raise ValidationError(
             "pair-source", detail="need two BlochVectors or two DichotomicObservables, "
             f"got {type(a).__name__} and {type(b).__name__}")
-    value = (LAMBDA_OPT if not sharp
-             else 1.0 if _feasible(1.0, pair) else max(LAMBDA_OPT, 2.0 / pair.top()))
-    _decide(pair, value)  # the gate passes value: the witness is built and checked
+    value = (LAMBDA_OPT if top is None
+             else 1.0 if _feasible(1.0, top) else max(LAMBDA_OPT, 2.0 / top))
+    if isinstance(a, BlochVector):
+        qubit_joint_observable(a, b, value)
+    else:
+        feasibility_oracle(smear(a, value), smear(b, value))
     return value

@@ -14,7 +14,7 @@ Public constructors validate, and each check reads a matrix once (one
 isfinite pass; one m @ m - m for both idempotency bounds of a Hermitian
 Projector); derived values are built unchecked by _frozen, and a joint
 witness (or a stack of them) is checked once by _check_effects: one raw
-spectrum (the oracle's own eigh, for its "yes") decides it past a Weyl
+spectrum (the oracle's own eigvalsh, for its "yes") decides it past a Weyl
 margin from the window's edges, a hermitized fallback near them; its
 entries are read for finiteness only when a residual is not finite.
 Every type freezes its matrix (read-only array), so instances are plain

@@ -207,6 +207,22 @@ class TestJointlyMeasurable:
         assert payload["iterations"] > 0
         assert sorted(payload["certificate"]) == ["h_mm", "h_mp", "h_pm", "h_pp"]
 
+    @pytest.mark.parametrize("lam", ["0.3", "0.7", repr(INV_SQRT2)])
+    def test_the_oracle_flag_changes_no_byte_inside_busch_s_bound(self, tmp_path, capsys, lam):
+        # At lam <= 1/sqrt(2) a pair of observables is decided by the oracle's
+        # start, so --oracle writes the same report: a "yes" at iteration 0.
+        rng = np.random.default_rng(52)
+        for d in (2, 3, 8):
+            files = []
+            for name in ("o1.json", "o2.json"):
+                q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                (tmp_path / name).write_text(json.dumps(matrix_to_json((q * rng.uniform(0, 1, d)) @ q.conj().T)))
+                files += [f"--{name[:2]}", str(tmp_path / name)]
+            argv = ["jointly-measurable", *files, "--lambda", lam]
+            plain, oracle = (_run(argv + extra, capsys) for extra in ([], ["--oracle"]))
+            assert plain == oracle
+            assert (plain[0], json.loads(plain[1])["iterations"]) == (0, 0)
+
     def test_repeated_main_sees_only_its_own_flags(self, fixtures, capsys, monkeypatch):
         # The parser is built once per process; a second call must not
         # inherit the first call's --oracle.

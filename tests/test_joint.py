@@ -38,7 +38,7 @@ from unsharpjoint import (
 from unsharpjoint import joint
 from unsharpjoint.cli import feasibility_to_json
 from unsharpjoint.joint import (
-    CERTIFICATE_EVERY, CRITERION_SLACK, _bloch_pair, _observable_pair, _yes,
+    CERTIFICATE_EVERY, CRITERION_SLACK, _bell_value, _bloch_norms, _contrast_spectrum, _yes,
     qubit_verdicts,
 )
 from unsharpjoint.operators import CERTIFICATE_MARGIN, CLUSTER_TOL, PSD_TOL, _max_abs, identity
@@ -54,6 +54,11 @@ def _ray(vec):
     u = np.array(vec, dtype=complex)
     u /= np.linalg.norm(u)
     return Projector.from_matrix(np.outer(u, u.conj()))
+
+
+def _top(o1, o2) -> float:
+    """The top of a pair of observables, the largest eigenvalue of |A+B| + |A-B|."""
+    return float(_contrast_spectrum(o1, o2)[2][-1])
 
 
 def _random_unit(rng):
@@ -299,7 +304,7 @@ class TestBlochVector:
         for c in (b, BlochVector(b.v * (1.0 + off))):
             assert abs(np.linalg.norm(c.v) - 1.0) <= 2 * math.ulp(1.0)
             assert np.abs(c.v - u).max() <= 1e-15
-            assert _bloch_pair(c, c).top() <= 2.0 + 4 * math.ulp(1.0)
+            assert criterion_value(c, c, 1.0) <= 2.0 + 4 * math.ulp(1.0)
 
     @given(
         st.lists(
@@ -632,7 +637,7 @@ class TestPovmJointObservable:
         assert -PSD_TOL <= rep.min_eigenvalue < 0.0
         lam = LAMBDA_OPT + 5e-13
         # The maximally entangled qubit pair's CHSH value with Bob at (z +- x) / sqrt(2).
-        assert _observable_pair(o1, o2).bell() == pytest.approx((2.0 * math.sqrt(2.0) * s, s), rel=1e-15)
+        assert _bell_value(*_contrast_spectrum(o1, o2)) == pytest.approx((2.0 * math.sqrt(2.0) * s, s), rel=1e-15)
         assert lam * 2.0 * math.sqrt(2.0) * s - 2.0 == pytest.approx(2e-9, rel=1e-3)
         rep = povm_joint_observable(o1, o2, lam)
         assert (rep.feasible, rep.iterations, rep.witness) == ("no", 0, None)
@@ -814,7 +819,8 @@ class TestFeasibilityOracle:
         # Inside the gate the warm start, the midpoint witness of the smeared
         # contrasts, is already a joint observable: a "yes" at iteration 0,
         # before any projection, carrying the start itself, bit for bit, and
-        # _decide's witness at the same lam, to rounding.
+        # the entry point's witness at the same lam (for observables, the same
+        # start), to rounding.
         decide = {"bloch": qubit_joint_observable, "projector": pvm_joint_observable,
                   "povm": povm_joint_observable}[kind]
         rng = np.random.default_rng(["bloch", "projector", "povm"].index(kind) + 53)
@@ -839,6 +845,26 @@ class TestFeasibilityOracle:
             assert np.stack([g.matrix for g in rep.witness.effects]).tobytes() == _oracle_start(o1lam, o2lam).tobytes()
             for g, w in zip(rep.witness.effects, closed.witness.effects):
                 assert _max_abs(g.matrix - w.matrix) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["projector", "povm", "near-sharp"])
+    def test_an_observable_pair_inside_the_gate_gets_the_oracle_s_start(self, kind):
+        # Wherever the gate passes, at lam <= 1/sqrt(2) or where lam * top <=
+        # 2 + CRITERION_SLACK, the decision of a pair of observables is the
+        # oracle's on the smeared pair, byte for byte: a "yes" at iteration 0
+        # that carries its start, the one witness such a pair has.
+        rng = np.random.default_rng(["projector", "povm", "near-sharp"].index(kind) + 521)
+        make = {"projector": lambda d: _random_projector(rng, d, int(rng.integers(1, d))).matrix,
+                "povm": lambda d: _random_effect(rng, d).matrix,
+                "near-sharp": lambda d: _near_sharp_effect(rng, d)}[kind]
+        for _ in range(16):
+            d = int(rng.choice([2, 3, 4, 8]))
+            o1, o2 = (DichotomicObservable.from_yes_effect(make(d)) for _ in range(2))
+            edge = max(LAMBDA_OPT, min(1.0, 2.0 / _top(o1, o2)))
+            inside, past = (float(rng.uniform(lo, hi)) for lo, hi in ((0.05, LAMBDA_OPT), (LAMBDA_OPT, edge)))
+            for lam in (inside, LAMBDA_OPT, past, edge):
+                rep = povm_joint_observable(o1, o2, lam)
+                assert (rep.feasible, rep.iterations) == ("yes", 0)
+                assert _report_bytes(rep) == _report_bytes(feasibility_oracle(smear(o1, lam), smear(o2, lam)))
 
     @pytest.mark.parametrize("kind", ["bloch", "projector", "povm"])
     def test_the_start_is_the_affine_point_of_the_witness_s_moment(self, kind):
@@ -1074,21 +1100,18 @@ class TestLambdaOptSearch:
         q = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
         assert lambda_opt_search(p.observable(), q.observable()) == 1.0
 
-    def test_povm_pair_takes_lambda_opt(self, monkeypatch):
+    def test_povm_pair_takes_lambda_opt(self):
         # Its value is LAMBDA_OPT whatever top is, where the gate passes every
-        # pair: neither the search nor a decision at that value runs the oracle.
-        def refuse(*args, **kwargs):
-            raise AssertionError("feasibility_oracle called")
-
+        # pair: the decision at that value is the oracle's start, a "yes" at
+        # iteration 0, before any projection.
         rng = np.random.default_rng(181)
         for d in (2, 3, 5):
             o1 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
             o2 = DichotomicObservable.from_yes_effect(_random_effect(rng, d))
-            with monkeypatch.context() as patch:
-                patch.setattr("unsharpjoint.joint.feasibility_oracle", refuse)
-                value = lambda_opt_search(o1, o2)
-                assert povm_joint_observable(o1, o2, value).feasible == "yes"
+            value = lambda_opt_search(o1, o2)
             assert value == LAMBDA_OPT
+            rep = povm_joint_observable(o1, o2, value)
+            assert (rep.feasible, rep.iterations) == ("yes", 0)
             assert _oracle_verdict((o1, o2), value) == "yes"
 
     @pytest.mark.parametrize("projector_first", [True, False])
@@ -1257,9 +1280,9 @@ class TestWitnessBuiltOnce:
 
     @pytest.mark.parametrize("sharp", [True, False])
     def test_lambda_opt_search_solves_top_once_on_an_exact_pair(self, sharp, monkeypatch):
-        # An exact pair reads top for its value and again in the gate of the
-        # decision that checks it past 1/sqrt(2), one cached solve; any other
-        # pair takes 1/sqrt(2), where the gate needs no top.
+        # An exact pair solves top once, for its value, and the oracle's start
+        # checks the value with no top; any other pair takes 1/sqrt(2), where
+        # the gate needs no top.
         rng = np.random.default_rng(76)
         if sharp:
             o1, o2 = (_random_projector(rng, 6, 3).observable() for _ in range(2))
@@ -1524,7 +1547,7 @@ class TestOracleAgainstReferenceLoop:
                 d = int(rng.choice([3, 4, 8]))
                 if kind == "projector":
                     p, q = (_random_projector(rng, d, int(rng.integers(1, d))) for _ in range(2))
-                    threshold = min(1.0, 2.0 / _observable_pair(p.observable(), q.observable()).top())
+                    threshold = min(1.0, 2.0 / _top(p.observable(), q.observable()))
                     o1, o2 = p.observable(), q.observable()
                 elif kind == "povm":
                     o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2))
@@ -1663,11 +1686,9 @@ class TestQubitPathBitIdentity:
     def test_bloch_norms_are_linalg_norm(self):
         vs = [BlochVector(v) for v in self._vectors()]
         for m, n in zip(vs, vs[1:] + vs[:1]):
-            pair = _bloch_pair(m, n)
             s, d = (float(np.linalg.norm(v)) for v in (m.v + n.v, m.v - n.v))
-            moment, _, _ = pair.parts()
-            assert np.array_equal(moment, (s - d) / 2.0 * np.eye(2))
-            assert pair.top().hex() == (s + d).hex()
+            assert [x.hex() for x in _bloch_norms(m, n)] == [s.hex(), d.hex()]
+            assert criterion_value(m, n, 1.0).hex() == (s + d).hex()
 
     def test_qubit_path_values_refuse_a_write(self):
         # Every value built unchecked on the qubit path is read-only: the
@@ -2015,7 +2036,7 @@ class TestBellNo:
         e1, e2 = ((1.0 - eps) * _random_projector(rng, d, int(rng.integers(1, d))).matrix + eps * np.eye(d)
                   for eps in (eps1, eps2))
         o1, o2 = (DichotomicObservable.from_yes_effect(e) for e in (e1, e2))
-        lam = (2.0 + CRITERION_SLACK) / _observable_pair(o1, o2).top() + past
+        lam = (2.0 + CRITERION_SLACK) / _top(o1, o2) + past
         assume(lam <= 1.0)
         p1, p2 = (Projector.from_matrix(e) for e in (e1, e2))
         for rep in (povm_joint_observable(o1, o2, lam), pvm_joint_observable(p1, p2, lam)):
@@ -2031,7 +2052,7 @@ class TestBellNo:
         rng = np.random.default_rng(["kron", "theta", "self"].index(family) + 2009)
         for _ in range(10):
             p, q = _degenerate_sharp_pair(rng, family)
-            top = _observable_pair(p.observable(), q.observable()).top()
+            top = _top(p.observable(), q.observable())
             lam = min(1.0, 2.0 / top * float(rng.uniform(1.001, 1.05)))
             assert lam * top > 2.0 + CRITERION_SLACK
             # The top of the contrasts 2P - I, 2Q - I, as the projector builder read it before.
@@ -2054,7 +2075,7 @@ class TestBellNo:
         # observable paired with itself (or a commuting pair) is jointly measurable.
         o1 = DichotomicObservable.from_yes_effect(np.diag([1.0 + 5e-10, -5e-10]))
         o2 = o1 if yes2 is None else DichotomicObservable.from_yes_effect(np.diag(yes2))
-        beta, radius = _observable_pair(o1, o2).bell()
+        beta, radius = _bell_value(*_contrast_spectrum(o1, o2))
         assert (beta, radius) == pytest.approx((2.0 + 2e-9, 1.0 + 1e-9), abs=1e-15)
         # The oracle's start is PSD to -PSD_TOL: a "yes" at iteration 0.
         rep = povm_joint_observable(o1, o2, 1.0)
@@ -2072,8 +2093,8 @@ class TestBellNo:
         rays = [np.array([math.cos(x), math.sin(x)]) for x in (t, t + dt)]
         p = Projector.from_matrix(np.diag([1.0, 0.0, 1.0, 0.0]))
         q = Projector.from_matrix(_direct_sum(*(np.outer(r, r) for r in rays)))
-        pair = _observable_pair(p.observable(), q.observable())
-        top, (beta, _) = pair.top(), pair.bell()
+        spectrum = _contrast_spectrum(p.observable(), q.observable())
+        top, (beta, _) = float(spectrum[2][-1]), _bell_value(*spectrum)
         assert top - beta == pytest.approx(2.5e-11, rel=1e-3)
         lam = (2.0 + 2.0 * CRITERION_SLACK) / top
         for rep in (pvm_joint_observable(p, q, lam), povm_joint_observable(p.observable(), q.observable(), lam)):
@@ -2115,10 +2136,10 @@ class TestCovariance:
         lam = float(rng.uniform(LAMBDA_OPT, 1.0))
         variants = [(e1, e2), (e2, e1), (np.eye(d) - e1, e2), (u @ e1 @ u.conj().T, u @ e2 @ u.conj().T)]
         obs = [tuple(DichotomicObservable.from_yes_effect(e) for e in pair) for pair in variants]
-        top = _observable_pair(*obs[0]).top()
+        top = _top(*obs[0])
         rep = povm_joint_observable(*obs[0], lam)
         for pair in obs[1:]:
-            assert _observable_pair(*pair).top() == pytest.approx(top, rel=1e-12)
+            assert _top(*pair) == pytest.approx(top, rel=1e-12)
             if abs(lam * top - 2.0) >= 1e-6:
                 assert {rep.feasible, povm_joint_observable(*pair, lam).feasible} != {"yes", "no"}
         if rep.feasible == "yes":
@@ -2149,12 +2170,12 @@ class TestDirectSum:
                     for d, sharp in ((d1, sharp1), (d2, sharp2))]
         effects = [*summands, tuple(map(_direct_sum, *summands))]
         obs = [tuple(DichotomicObservable.from_yes_effect(e) for e in pair) for pair in effects]
-        pairs = [_observable_pair(*pair) for pair in obs]
-        assert pairs[2].top() == pytest.approx(max(pairs[0].top(), pairs[1].top()), rel=1e-12)
+        tops = [_top(*pair) for pair in obs]
+        assert tops[2] == pytest.approx(max(tops[:2]), rel=1e-12)
         if sharp1 and sharp2:
             values = [lambda_opt_search(*pair) for pair in obs]
             assert values[2] == pytest.approx(min(values[:2]), rel=0, abs=1e-12)
         lam = float(rng.uniform(LAMBDA_OPT, 1.0))
-        if all(abs(lam * pair.top() - 2.0) > 1e-6 for pair in pairs[:2]):
-            yes = [joint._decide(pair, lam).feasible == "yes" for pair in pairs]
+        if all(abs(lam * top - 2.0) > 1e-6 for top in tops[:2]):
+            yes = [povm_joint_observable(*pair, lam).feasible == "yes" for pair in obs]
             assert yes[2] == (yes[0] and yes[1])

@@ -4,8 +4,9 @@ disagreement band that two of them set.
 
 A moved tolerance shows up as a one-line diff of LEDGER, a float literal
 below 1e-3 anywhere else in the package fails the literal check, a read
-of CRITERION_SLACK outside the one gate, joint._feasible, fails the gate
-check, and a path chosen outside joint._decide fails the core check.
+of CRITERION_SLACK outside the one gate, joint._feasible, and the Bell
+rule of joint.povm_joint_observable fails the gate check, and a second
+place that picks a path or builds a witness fails the core check.
 The acceptance criteria are exempt: their gate literals are printed in
 their detail strings.  Refusals are pinned the same way: every raise in the
 package raises a ValidationError but those of the files uj reads and writes,
@@ -152,37 +153,41 @@ def test_one_helper_refuses_operands_of_different_dimension():
 
 
 def test_one_gate_reads_the_criterion_slack():
-    # Every closed-form "yes" passes joint._feasible and every Bell "no" joint._decide;
-    # a second copy of either would read CRITERION_SLACK somewhere else.
+    # Every closed-form "yes" or "no" of a Bloch pair passes joint._feasible and
+    # every Bell "no" of a pair of observables povm_joint_observable's rule; a
+    # second copy of either would read CRITERION_SLACK somewhere else.
     readers = [f"{module}.{scope}" for module, tree in _modules() for scope in _readers(tree, "CRITERION_SLACK")]
-    assert sorted(readers) == ["joint._decide", "joint._feasible"]
+    assert sorted(readers) == ["joint._feasible", "joint.povm_joint_observable"]
 
 
 def test_one_core_picks_the_path():
-    # joint._decide alone chooses among the witness, a closed-form "no" and the
-    # oracle, and the operator pair builders and the oracle's warm start (the
-    # midpoint witness of the smeared contrasts) alone take |A+B| and |A-B|; a
-    # second copy of either would call these somewhere else.  Every candidate
-    # joint observable, a closed-form witness or an oracle iterate, is the
-    # affine point of its moment, built by _affine_points alone.
+    # Each entry point decides its own pair kind: the Bloch pair's gate and
+    # witness, or for a pair of observables the Bell rule and then the oracle,
+    # whose start is the only witness of such a pair; only lambda_opt_search
+    # also runs a decision, at its value.  Only the top solve and the oracle's
+    # start (the midpoint witness of the smeared contrasts) take |A+B| and
+    # |A-B|; a second copy of any would call these somewhere else.  Every
+    # candidate joint observable, a closed-form witness or an oracle iterate,
+    # is the affine point of its moment, built by _affine_points alone.
     tree = ast.parse((SRC / "joint.py").read_text(encoding="utf-8"))
     callers = {name: sorted(set(_readers(tree, name)))
                for name in ("feasibility_oracle", "_affine_points", "_feasible", "_abs_pair")}
     assert callers == {
-        "feasibility_oracle": ["_decide"],
-        "_affine_points": ["_decide", "feasibility_oracle", "qubit_verdicts"],
-        "_feasible": ["_decide", "lambda_opt_search", "qubit_verdicts"],
-        "_abs_pair": ["_observable_pair", "feasibility_oracle"],
+        "feasibility_oracle": ["lambda_opt_search", "povm_joint_observable"],
+        "_affine_points": ["feasibility_oracle", "qubit_joint_observable", "qubit_verdicts"],
+        "_feasible": ["lambda_opt_search", "qubit_joint_observable", "qubit_verdicts"],
+        "_abs_pair": ["_contrast_spectrum", "feasibility_oracle"],
     }
 
 
 def test_sharpness_is_read_in_one_place():
-    # Past the gate a "no" rests on the pair's Bell value, which one builder
-    # solves; only lambda_opt_search, which picks between two lower bounds that
-    # _decide checks, asks whether a pair of observables is sharp.
+    # Past 1/sqrt(2) a "no" of a pair of observables rests on its Bell value,
+    # which povm_joint_observable alone solves; only lambda_opt_search, which
+    # picks between two lower bounds that the oracle's start checks, asks
+    # whether a pair of observables is sharp.
     tree = ast.parse((SRC / "joint.py").read_text(encoding="utf-8"))
     callers = {name: sorted(set(_readers(tree, name))) for name in ("from_matrix", "_bell_value")}
-    assert callers == {"from_matrix": ["lambda_opt_search"], "_bell_value": ["_observable_pair"]}
+    assert callers == {"from_matrix": ["lambda_opt_search"], "_bell_value": ["povm_joint_observable"]}
 
 
 def test_bell_imports_nothing_from_joint():

@@ -18,9 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # Bell value, every BlochVector stored as v / |v|, every CHSH table one
 # contraction of the state with both wings' contrasts, and every closed-form
 # witness the affine point of the smeared yes-effects whose moment is
-# lam (|A+B| - |A-B|) / 2.
-PINNED_TOTAL_101 = "d4c82ca435db356e541e0c867381dc92936a904554b1f8db3830e2582ca417c4"
-PINNED_LIBRARY_101 = "49191dd728339d204e6c3346b5ae47ff30166a371bf67aa094cab226cdc520da"
+# lam (|A+B| - |A-B|) / 2; every "yes" of a pair of observables is then the
+# oracle's start, whose moment comes from the smeared contrasts.
+PINNED_TOTAL_101 = "cbde2073e9e491efd23b94fc5bb9d846578f00bb2913379c6fb4d960e42454a9"
+PINNED_LIBRARY_101 = "023fdfe99aff2d401e228b31cdcf8a403f0390ecc93287605d2a5ba2e4beffe2"
 # Computed with every BlochVector stored as v / |v|, every CHSH table one
 # contraction and every closed-form witness the affine point as above.
 PINNED_QUBIT_101 = "a508a7918345647cc09e8c8ae50ec7d84a3ee178d97bb6866e5e1c6d2394329d"
