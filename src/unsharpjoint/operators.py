@@ -18,7 +18,9 @@ spectrum (the oracle's own eigvalsh, for its "yes") decides it past a Weyl
 margin from the window's edges, a hermitized fallback near them; its
 entries are read for finiteness only when a residual is not finite.
 Every type freezes its matrix (read-only array), so instances are plain
-immutable values and safe to share across threads.
+immutable values and safe to share across threads.  A value derived from one
+is kept on it once built (observable(), difference(), the last smear by lam,
+a witness's last check_joint by target objects); racing threads build equal ones.
 """
 
 from __future__ import annotations
@@ -233,6 +235,8 @@ class DichotomicObservable:
 
     yes_effect: Effect
     no_effect: Effect
+    _smeared: tuple | None = field(default=None, init=False, repr=False)
+    _contrast: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         yes, no = _require(self.yes_effect, Effect), _require(self.no_effect, Effect)
@@ -250,8 +254,12 @@ class DichotomicObservable:
         return _frozen(cls, yes_effect=yes, no_effect=yes.complement())
 
     def difference(self) -> np.ndarray:
-        """The contrast operator E_yes - E_no entering mean values."""
-        return self.yes_effect.matrix - self.no_effect.matrix
+        """The contrast operator E_yes - E_no entering mean values: one read-only array, built once."""
+        if self._contrast is None:
+            contrast = self.yes_effect.matrix - self.no_effect.matrix
+            contrast.setflags(write=False)
+            object.__setattr__(self, "_contrast", contrast)
+        return self._contrast
 
 
 def _require(value, cls):
@@ -279,7 +287,6 @@ class Projector:
 
     matrix: np.ndarray
     rank: int
-    # observable(), kept once built; threads that race to build it build equal values.
     _observable: DichotomicObservable | None = field(default=None, init=False, repr=False)
 
     @_quiet
@@ -354,7 +361,6 @@ class BlochVector:
     v / |v| once |v| lies within BLOCH_NORM_TOL of 1."""
 
     v: np.ndarray
-    # observable(), kept once built; threads that race to build it build equal values.
     _observable: DichotomicObservable | None = field(default=None, init=False, repr=False)
 
     @_quiet

@@ -46,11 +46,15 @@ def smear(obs: DichotomicObservable, lam) -> DichotomicObservable:
     each eigenvalue a of the yes-effect maps to (1 - lam)/2 + lam * a,
     which stays inside [0, 1].  The complement relation yes + no = I is
     preserved exactly as constructed, so the outputs are built unchecked.
+    obs keeps the output, returned again for the same validated lam (1 and 1.0 alike).
     """
-    obs = _require(obs, DichotomicObservable)
-    yes, no = _smeared_matrices(obs.yes_effect.matrix, obs.no_effect.matrix, validate_lambda(lam))
-    return _frozen(DichotomicObservable, yes_effect=_frozen(Effect, matrix=yes),
-                   no_effect=_frozen(Effect, matrix=no))
+    obs, lam = _require(obs, DichotomicObservable), validate_lambda(lam)
+    if (kept := obs._smeared) is None or kept[0] != lam:  # read once: a racing thread may replace it
+        yes, no = _smeared_matrices(obs.yes_effect.matrix, obs.no_effect.matrix, lam)
+        kept = lam, _frozen(DichotomicObservable, yes_effect=_frozen(Effect, matrix=yes),
+                            no_effect=_frozen(Effect, matrix=no))
+        object.__setattr__(obs, "_smeared", kept)
+    return kept[1]
 
 
 def _smeared_matrices(y: np.ndarray, n: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:

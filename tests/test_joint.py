@@ -4,7 +4,11 @@ import hashlib
 import itertools
 import json
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -723,6 +727,80 @@ class TestCheckJoint:
             witness, smear(Z.observable(), lam), smear(X.observable(), lam)
         )
         assert res.marginal_max <= 0.01
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6),
+           st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False))
+    def test_kept_values_give_the_bytes_of_fresh_ones(self, draw, d, lam):
+        # Smear, decide, re-check and CHSH twice on kept values, and once on fresh
+        # copies made before every call: the same witness, residuals and terms.
+        rng = np.random.default_rng(draw)
+        pair = [DichotomicObservable.from_yes_effect(_random_effect(rng, d)) for _ in range(2)]
+        state = DensityMatrix.pure(rng.normal(size=d * d) + 1j * rng.normal(size=d * d))
+        first, second = (_chain(pair, state, lam, lambda o: o) for _ in range(2))
+        assert first == second == _chain(pair, state, lam, _fresh)
+
+    def test_kept_values_are_safe_to_share_across_threads(self):
+        # Four threads smear one shared pair at alternating lam and re-check one
+        # shared witness: a race may rebuild a kept value, never return a wrong one.
+        rng = np.random.default_rng(53)
+        o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, 4)) for _ in range(2))
+        witness = povm_joint_observable(o1, o2, LAMBDA_OPT).witness
+        lams = (0.5, LAMBDA_OPT)
+        want = {lam: (_bytes(smear(_fresh(o1), lam)), _bytes(smear(_fresh(o2), lam)),
+                      _hex(check_joint(witness, smear(_fresh(o1), lam), smear(_fresh(o2), lam))))
+                for lam in lams}
+        contrast = _fresh(o1).difference().tobytes()
+        barrier = threading.Barrier(4)
+
+        def work(t):
+            barrier.wait(timeout=60)
+            got = []
+            for i in range(300):
+                lam = lams[(i + t) % 2]
+                t1, t2 = smear(o1, lam), smear(o2, lam)
+                got.append((lam, (_bytes(t1), _bytes(t2), _hex(check_joint(witness, t1, t2)))))
+                assert o1.difference().tobytes() == contrast
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(work, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(value == want[lam] for got in results for lam, value in got)
+
+
+def _fresh(o):
+    """A new DichotomicObservable, through the public constructors, with o's matrices."""
+    return DichotomicObservable(Effect(o.yes_effect.matrix), Effect(o.no_effect.matrix))
+
+
+def _bytes(o):
+    return o.yes_effect.matrix.tobytes(), o.no_effect.matrix.tobytes()
+
+
+def _hex(record):
+    return [float(v).hex() for v in astuple(record)]
+
+
+def _chain(pair, state, lam, copy):
+    """smear, povm_joint_observable, check_joint against smear(o, lam), chsh and
+    smeared_chsh on copy(o) of each observable o of the pair, as comparable values."""
+    o1, o2 = pair
+    targets = smear(copy(o1), lam), smear(copy(o2), lam)
+    rep = povm_joint_observable(copy(o1), copy(o2), lam)
+    out = [rep.feasible, rep.iterations, float(rep.min_eigenvalue).hex(), _sha256(rep.certificate),
+           [_bytes(t) for t in targets]]
+    if rep:
+        out += [_sha256([e.matrix for e in rep.witness.effects]),
+                _hex(check_joint(rep.witness, smear(copy(o1), lam), smear(copy(o2), lam)))]
+    for report in (chsh(state, copy(o1), copy(o2), copy(o1), copy(o2)),
+                   smeared_chsh(state, copy(o1), copy(o2), copy(o1), copy(o2), lam)):
+        out += [float(v).hex() for v in (report.value, *report.terms)]
+    return out
 
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from unsharpjoint import (
+    LAMBDA_OPT,
     BlochVector,
     DensityMatrix,
     DichotomicObservable,
@@ -34,8 +36,10 @@ from unsharpjoint import (
     smeared_chsh,
     two_projector_blocks,
 )
+from unsharpjoint import joint
 from unsharpjoint.bell import SETTINGS, smeared_chsh_values
 from unsharpjoint.operators import HERMITIAN_TOL, PSD_TOL, _hermitian_part, _unit_vector, identity
+from unsharpjoint.unsharp import _smeared_matrices
 
 _EMPTY = np.zeros((0, 0))
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -344,15 +348,48 @@ class TestProjector:
             Effect(p.as_effect().matrix)
 
     @pytest.mark.parametrize("d", [2, 4, 64])
-    def test_observable_is_built_once(self, d):
+    def test_observable_is_built_once(self, d, monkeypatch):
         # A projective pair's parts and a smear of the same projector share one observable.
-        q, _ = np.linalg.qr(np.random.default_rng(d).normal(size=(d, d)) + 0j)
+        rng = np.random.default_rng(d)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 0j)
         p = Projector.from_matrix(q[:, : d // 2] @ q[:, : d // 2].conj().T)
         obs = p.observable()
         assert obs is p.observable()
         assert obs.yes_effect.matrix is p.matrix
         assert obs.no_effect.matrix.tobytes() == (identity(d) - p.matrix).tobytes()
         assert Projector.from_matrix(p.matrix).observable() is not obs
+
+        # Its contrast is one read-only array, yes - no bit for bit.
+        contrast = obs.difference()
+        assert obs.difference() is contrast and not contrast.flags.writeable
+        assert contrast.tobytes() == (obs.yes_effect.matrix - obs.no_effect.matrix).tobytes()
+        with pytest.raises(ValueError):
+            contrast[0, 0] = 0.0
+
+        # Its smear is one observable per lam, the bytes of _smeared_matrices; a new lam replaces it.
+        kept = smear(obs, 0.6)
+        assert smear(obs, 0.6) is kept
+        for got, want in zip((kept.yes_effect, kept.no_effect),
+                             _smeared_matrices(obs.yes_effect.matrix, obs.no_effect.matrix, 0.6)):
+            assert got.matrix.tobytes() == want.tobytes() and not got.matrix.flags.writeable
+        other = smear(obs, 0.7)
+        assert other is not kept and smear(obs, 0.7) is other
+        again = smear(obs, 0.6)
+        assert again is not kept and again.yes_effect.matrix.tobytes() == kept.yes_effect.matrix.tobytes()
+        assert smear(obs, 1) is smear(obs, 1.0) is smear(obs, np.float64(1.0))
+
+        # The decision's own witness check answers the caller's re-check against smear(o, lam).
+        q2, _ = np.linalg.qr(rng.normal(size=(d, d)) + 0j)
+        o2 = Projector.from_matrix(q2[:, : (d + 1) // 2] @ q2[:, : (d + 1) // 2].conj().T).observable()
+        checked = []
+        monkeypatch.setattr(joint, "check_joint", lambda *args: checked.append(check_joint(*args)) or checked[-1])
+        rep = povm_joint_observable(obs, o2, LAMBDA_OPT)
+        targets = smear(obs, LAMBDA_OPT), smear(o2, LAMBDA_OPT)
+        assert rep and len(checked) == 1 and check_joint(rep.witness, *targets) is checked[0]
+        fresh = [DichotomicObservable(Effect(o.yes_effect.matrix), Effect(o.no_effect.matrix)) for o in targets]
+        res = check_joint(rep.witness, *fresh)
+        assert res is not checked[0]
+        assert [v.hex() for v in astuple(res)] == [v.hex() for v in astuple(checked[0])]
 
 
 class TestIdentity:
