@@ -144,8 +144,8 @@ def _table(state: DensityMatrix, alice, bob, lam=None) -> np.ndarray:
     guarded once; Alice's observables smeared by lam if given, and an
     (r, 1, 1, 1) lam gives an (r, 2, 2) stack of tables.  One contraction
     sum rho[i, k, j, l] A_x[j, i] B_y[l, k] of the state read as (d_A, d_B,
-    d_A, d_B): Bob's and a sharp Alice's contrasts are each observable's kept
-    difference(), a smeared Alice's come from one stacked pass over every lam."""
+    d_A, d_B); Alice's contrasts, for both settings and every lam, are
+    smeared in one stacked pass."""
     alice = [_require(a, DichotomicObservable) for a in alice]
     bob = [_require(b, DichotomicObservable) for b in bob]
     d = _require(state, DensityMatrix).dim
@@ -153,11 +153,8 @@ def _table(state: DensityMatrix, alice, bob, lam=None) -> np.ndarray:
     if {da * db for da, db in itertools.product(*dims)} != {d}:
         pair = next(p for p in itertools.product(*dims) if p[0] * p[1] != d)
         raise ValidationError("same-dimension", detail=f"incompatible dimensions {(d, *pair)}")
-    if lam is None:
-        x = np.array([a.difference() for a in alice])
-    else:
-        yes, no = np.array([a.yes_effect.matrix for a in alice]), np.array([a.no_effect.matrix for a in alice])
-        x = np.subtract(*_smeared_matrices(yes, no, lam))
+    yes, no = np.array([a.yes_effect.matrix for a in alice]), np.array([a.no_effect.matrix for a in alice])
+    x = yes - no if lam is None else np.subtract(*_smeared_matrices(yes, no, lam))
     y = np.array([b.difference() for b in bob])
     da, db = alice[0].dim, bob[0].dim
     return np.einsum("ikjl,...xji,ylk->...xy", state.matrix.reshape(da, db, da, db), x, y).real

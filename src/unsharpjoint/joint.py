@@ -58,6 +58,7 @@ as one (4, d, d) stack; |A+B| and |A-B| are raw arrays.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -110,7 +111,8 @@ class JointObservable:
     reproduce the first observable, column marginals the second.  Its smallest
     eigenvalue is set when it is built: from each effect's eigvalsh here, from
     the witness check's raw spectra in _yes.  It keeps its last check_joint
-    (o1lam, o2lam, residuals), returned again for the same two target objects.
+    record, returned again for the same two live target objects; it holds
+    them by weak reference, so a kept witness keeps no target alive.
     """
 
     g_pp: Effect
@@ -201,10 +203,10 @@ def check_joint(
     o2lam: DichotomicObservable,
 ) -> JointResiduals:
     """Residuals of j against two (already smeared) target observables.  j keeps
-    them, returned again for the same two objects (by identity, as smear keeps them)."""
+    them, returned again for the same two live objects (by identity, as smear keeps them)."""
     _same_dim(_require(j, JointObservable).dim, _require(o1lam, DichotomicObservable).dim,
               _require(o2lam, DichotomicObservable).dim)
-    if (kept := j._residuals) and kept[0] is o1lam and kept[1] is o2lam:  # read once, as in smear
+    if (kept := j._residuals) and kept[0]() is o1lam and kept[1]() is o2lam:  # read once, as in smear
         return kept[2]
     gpp, gpm, gmp, gmm = (e.matrix for e in j.effects)
     r = np.empty((5, j.dim, j.dim), dtype=complex)
@@ -216,7 +218,7 @@ def check_joint(
     np.subtract(np.add(np.add(r_norm, gmp, out=r_norm), gmm, out=r_norm), identity(j.dim), out=r_norm)
     norm, yes1, no1, yes2, no2 = np.abs(r).max(axis=(1, 2)).tolist()
     res = JointResiduals(norm, max(yes1, no1), max(yes2, no2), j.min_eigenvalue())
-    object.__setattr__(j, "_residuals", (o1lam, o2lam, res))
+    object.__setattr__(j, "_residuals", (weakref.ref(o1lam), weakref.ref(o2lam), res))
     return res
 
 

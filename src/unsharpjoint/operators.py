@@ -19,8 +19,9 @@ margin from the window's edges, a hermitized fallback near them; its
 entries are read for finiteness only when a residual is not finite.
 Every type freezes its matrix (read-only array), so instances are plain
 immutable values and safe to share across threads.  A value derived from one
-is kept on it once built (observable(), difference(), the last smear by lam,
-a witness's last check_joint by target objects); racing threads build equal ones.
+is kept on it once built (observable(), the last smear by lam, a witness's
+last check_joint by weak references to its targets); racing threads build
+equal ones.
 """
 
 from __future__ import annotations
@@ -236,7 +237,6 @@ class DichotomicObservable:
     yes_effect: Effect
     no_effect: Effect
     _smeared: tuple | None = field(default=None, init=False, repr=False)
-    _contrast: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         yes, no = _require(self.yes_effect, Effect), _require(self.no_effect, Effect)
@@ -254,12 +254,8 @@ class DichotomicObservable:
         return _frozen(cls, yes_effect=yes, no_effect=yes.complement())
 
     def difference(self) -> np.ndarray:
-        """The contrast operator E_yes - E_no entering mean values: one read-only array, built once."""
-        if self._contrast is None:
-            contrast = self.yes_effect.matrix - self.no_effect.matrix
-            contrast.setflags(write=False)
-            object.__setattr__(self, "_contrast", contrast)
-        return self._contrast
+        """The contrast operator E_yes - E_no entering mean values."""
+        return self.yes_effect.matrix - self.no_effect.matrix
 
 
 def _require(value, cls):

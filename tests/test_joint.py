@@ -1,5 +1,6 @@
 """Joint-measurability constructions, the oracle, and threshold search."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -7,6 +8,7 @@ import math
 import sys
 import threading
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 from fractions import Fraction
@@ -740,6 +742,21 @@ class TestCheckJoint:
         first, second = (_chain(pair, state, lam, lambda o: o) for _ in range(2))
         assert first == second == _chain(pair, state, lam, _fresh)
 
+    def test_kept_witness_keeps_no_target_alive(self):
+        # The witness holds its checked targets by weak reference: once the
+        # pair and its smears are gone, so are the targets, and a re-check computes.
+        rng = np.random.default_rng(7)
+        o1, o2 = (DichotomicObservable.from_yes_effect(_random_effect(rng, 4)) for _ in range(2))
+        witness = povm_joint_observable(o1, o2, LAMBDA_OPT).witness
+        target = weakref.ref(smear(o1, LAMBDA_OPT))
+        kept = check_joint(witness, smear(o1, LAMBDA_OPT), smear(o2, LAMBDA_OPT))
+        copies = [_fresh(smear(o, LAMBDA_OPT)) for o in (o1, o2)]
+        del o1, o2
+        gc.collect()
+        assert target() is None
+        again = check_joint(witness, *copies)
+        assert again is not kept and _hex(again) == _hex(kept)
+
     def test_kept_values_are_safe_to_share_across_threads(self):
         # Four threads smear one shared pair at alternating lam and re-check one
         # shared witness: a race may rebuild a kept value, never return a wrong one.
@@ -750,7 +767,6 @@ class TestCheckJoint:
         want = {lam: (_bytes(smear(_fresh(o1), lam)), _bytes(smear(_fresh(o2), lam)),
                       _hex(check_joint(witness, smear(_fresh(o1), lam), smear(_fresh(o2), lam))))
                 for lam in lams}
-        contrast = _fresh(o1).difference().tobytes()
         barrier = threading.Barrier(4)
 
         def work(t):
@@ -760,7 +776,6 @@ class TestCheckJoint:
                 lam = lams[(i + t) % 2]
                 t1, t2 = smear(o1, lam), smear(o2, lam)
                 got.append((lam, (_bytes(t1), _bytes(t2), _hex(check_joint(witness, t1, t2)))))
-                assert o1.difference().tobytes() == contrast
             return got
 
         interval = sys.getswitchinterval()

@@ -359,13 +359,6 @@ class TestProjector:
         assert obs.no_effect.matrix.tobytes() == (identity(d) - p.matrix).tobytes()
         assert Projector.from_matrix(p.matrix).observable() is not obs
 
-        # Its contrast is one read-only array, yes - no bit for bit.
-        contrast = obs.difference()
-        assert obs.difference() is contrast and not contrast.flags.writeable
-        assert contrast.tobytes() == (obs.yes_effect.matrix - obs.no_effect.matrix).tobytes()
-        with pytest.raises(ValueError):
-            contrast[0, 0] = 0.0
-
         # Its smear is one observable per lam, the bytes of _smeared_matrices; a new lam replaces it.
         kept = smear(obs, 0.6)
         assert smear(obs, 0.6) is kept
